@@ -91,8 +91,8 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	// transport's demux table, and a validated migration re-keys the
 	// address fallback route.
 	c.registerCID = func(id quicwire.ConnID) ([16]byte, bool) { return t.addConnID(c, id) }
-	c.unregisterCID = func(id quicwire.ConnID) { t.removeConnID(c, id) }
-	c.onPathChange = func(old, new net.Addr) { t.rebindAddr(c, new) }
+	c.unregisterCID = func(id quicwire.ConnID) { t.routes.removeConnID(c, id) }
+	c.onPathChange = func(old, new net.Addr) { t.routes.rebindAddr(c, new.String()) }
 	// Give the server spare client connection IDs so it can rotate on
 	// its side of a migration (RFC 9000, Section 5.1.1).
 	c.onHandshakeDone = func() { c.issueConnIDsLocked(2) }

@@ -168,12 +168,15 @@ type Conn struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	// onClose runs exactly once during teardown; the Transport uses it
-	// to retire this connection's routing entries.
+	// onClose runs exactly once during teardown, with mu held; the
+	// owning Transport or Listener uses it to retire this connection's
+	// routes.
 	onClose func()
 
-	ptoTimer  *time.Timer
-	ptoCount  int
+	ptoTimer *time.Timer
+	ptoCount int
+	// idleTimer is the idle teardown timer once the handshake is done;
+	// until then a server connection keeps its handshake deadline here.
 	idleTimer *time.Timer
 
 	// Reusable per-connection scratch memory, all guarded by mu, so
@@ -209,14 +212,18 @@ type Conn struct {
 	hdrScratch quicwire.Header
 	rxHdr      quicwire.Header
 
-	// remoteKey and scidKey cache the transport routing-map keys so
+	// remoteKey and scidKey cache the owning route table's keys so
 	// register/retire do not re-stringify the remote address and
-	// source ID. altKeys are the alternate-ID route keys issued via
-	// NEW_CONNECTION_ID; all three are touched only by the owning
-	// Transport under its own mutex (after registration).
+	// source ID (remoteKey stays empty on server connections, which
+	// have no address route). altKeys are the other routed IDs: those
+	// issued via NEW_CONNECTION_ID, the preferred-address ID and, on a
+	// server, the client's original destination ID. It starts out backed
+	// by altArr so the usual handful costs no allocation. All are
+	// touched only by routeTable methods, with mu held.
 	remoteKey string
 	scidKey   string
 	altKeys   []string
+	altArr    [4]string
 
 	// onHandshakeDone, used by the server to install post-handshake
 	// behaviour (HANDSHAKE_DONE frame).
@@ -316,6 +323,7 @@ func newConn(cfg *Config, isClient bool) *Conn {
 	c.pktScratch = c.pktArr[:0]
 	c.datagramScratch = c.datagramArr[:0]
 	c.frameScratch = c.frameArr[:0]
+	c.altKeys = c.altArr[:0]
 	for i := range c.spaces {
 		c.spaces[i].init()
 	}
@@ -674,6 +682,21 @@ func (c *Conn) armIdleTimerLocked() {
 	c.idleTimer = time.AfterFunc(d, c.onIdleTimeout)
 }
 
+// onHandshakeDeadline fails a server handshake that outlived
+// Config.HandshakeTimeout, whether or not anyone is waiting in
+// HandshakeComplete.
+func (c *Conn) onHandshakeDeadline() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.handshakeDone {
+		return
+	}
+	if c.hsErr == nil {
+		c.hsErr = ErrHandshakeTimeout
+	}
+	c.closeLocked(ErrHandshakeTimeout)
+}
+
 // onIdleTimeout tears the connection down when the idle period
 // expires. RFC 9000 Section 10.1 closes silently; the IdleCloseNotify
 // quirk announces the teardown with CONNECTION_CLOSE(NO_ERROR) first.
@@ -706,6 +729,14 @@ func (c *Conn) onIdleTimeout() {
 func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	select {
+	case <-c.closed:
+		// Looked up just before close retired the routes. Processing it
+		// could register new routes (RETIRE_CONNECTION_ID, a validated
+		// path) that nothing would ever remove.
+		return
+	default:
+	}
 	c.rxFromAP = addrPortOf(from)
 	c.rxDgramLen = len(data)
 	c.stats.BytesReceived += len(data)

@@ -23,6 +23,13 @@ var (
 	mReadTimeouts = telemetry.Default().Counter("quic_read_timeouts_total")
 	mActiveConns  = telemetry.Default().Gauge("quic_active_conns")
 
+	// Server side (Listener): connections currently routed, late packets
+	// absorbed by the tombstones of closed connections, and every
+	// datagram dropped without reaching a connection, by reason.
+	mListenerConns       = telemetry.Default().Gauge("quic_listener_conns")
+	mListenerLatePackets = telemetry.Default().Counter("quic_listener_late_packets_total")
+	mListenerDrops       = telemetry.Default().CounterVec("quic_listener_drops_total", "reason")
+
 	mRetransmits = telemetry.Default().Counter("quic_retransmits_total")
 	mPTOFired    = telemetry.Default().Counter("quic_pto_fired_total")
 	mRetries     = telemetry.Default().Counter("quic_retry_packets_total")
@@ -71,6 +78,17 @@ var (
 	mHandshakeTimeout         = mHandshakes.With("timeout")
 	mHandshakeVersionMismatch = mHandshakes.With("version_mismatch")
 	mHandshakeError           = mHandshakes.With("error")
+
+	// token: an address validation token failed validation;
+	// accept_queue: nobody is accepting; short_initial: Initial in a
+	// datagram under 1200 bytes; draining_initial: Initial for a
+	// connection ID that is draining; no_route: anything else that
+	// matches no connection and cannot start one.
+	mListenerDropToken           = mListenerDrops.With("token")
+	mListenerDropAcceptQueue     = mListenerDrops.With("accept_queue")
+	mListenerDropShortInitial    = mListenerDrops.With("short_initial")
+	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
+	mListenerDropNoRoute         = mListenerDrops.With("no_route")
 )
 
 // mRouteShardHits holds the pre-resolved per-shard children of

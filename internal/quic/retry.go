@@ -48,6 +48,21 @@ const (
 	tokenTypeNewToken = 0x02
 )
 
+// tokenBinding is the client identity a token of the given type is
+// bound to. A Retry token comes back within one round trip from the
+// very socket that triggered it, so it binds IP and port. A NEW_TOKEN
+// token is replayed on a later connection, which a scanner's socket
+// pool (or any NAT) dials from a different source port, so it binds
+// the IP only.
+func tokenBinding(typ byte, addr net.Addr) string {
+	if typ == tokenTypeNewToken {
+		if ap := addrPortOf(addr); ap.IsValid() {
+			return ap.Addr().String()
+		}
+	}
+	return addr.String()
+}
+
 // mint builds a Retry token for (addr, odcid).
 func (m *retryMinter) mint(addr net.Addr, odcid quicwire.ConnID) []byte {
 	m.init()
@@ -57,7 +72,7 @@ func (m *retryMinter) mint(addr net.Addr, odcid quicwire.ConnID) []byte {
 	token = append(token, odcid...)
 	mac := hmac.New(sha256.New, m.key[:])
 	mac.Write(token)
-	mac.Write([]byte(addr.String()))
+	mac.Write([]byte(tokenBinding(tokenTypeRetry, addr)))
 	return mac.Sum(token)
 }
 
@@ -70,7 +85,7 @@ func (m *retryMinter) mintResumption(addr net.Addr) []byte {
 	token = binary.BigEndian.AppendUint64(token, uint64(time.Now().Unix()))
 	mac := hmac.New(sha256.New, m.key[:])
 	mac.Write(token)
-	mac.Write([]byte(addr.String()))
+	mac.Write([]byte(tokenBinding(tokenTypeNewToken, addr)))
 	return mac.Sum(token)
 }
 
@@ -88,7 +103,7 @@ func (m *retryMinter) validate(addr net.Addr, token []byte) (quicwire.ConnID, bo
 	sum := token[len(token)-sha256.Size:]
 	mac := hmac.New(sha256.New, m.key[:])
 	mac.Write(body)
-	mac.Write([]byte(addr.String()))
+	mac.Write([]byte(tokenBinding(body[0], addr)))
 	if !hmac.Equal(sum, mac.Sum(nil)) {
 		return nil, false
 	}

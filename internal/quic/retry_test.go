@@ -82,6 +82,53 @@ func TestRetryTokenValidation(t *testing.T) {
 	if _, ok := m2.validate(addr, token); ok {
 		t.Error("token accepted by foreign minter")
 	}
+
+	// Retry tokens bind the port too; NEW_TOKEN tokens only the IP, so a
+	// later connection from another source port still validates.
+	otherPort := &net.UDPAddr{IP: addr.IP, Port: 50000}
+	if _, ok := m.validate(otherPort, token); ok {
+		t.Error("Retry token accepted from another source port")
+	}
+	newToken := m.mintResumption(addr)
+	if _, ok := m.validate(otherPort, newToken); !ok {
+		t.Error("NEW_TOKEN token rejected from another source port of the same IP")
+	}
+	if _, ok := m.validate(other, newToken); ok {
+		t.Error("NEW_TOKEN token accepted for the wrong IP")
+	}
+}
+
+// TestStaleNewTokenFallsBackToRetry: a NEW_TOKEN-tagged token that does
+// not validate is treated as absent (RFC 9000, Section 8.1.3) and the
+// server validates the address afresh with a Retry, where a bad
+// Retry-tagged token is still dropped.
+func TestStaleNewTokenFallsBackToRetry(t *testing.T) {
+	scfg, pool := serverConfig(t, "stale.test")
+	_, addr := startServer(t, scfg, ServerPolicy{UseRetry: true})
+	var foreign retryMinter // another key: what a restarted server leaves clients holding
+	drops := mListenerDropToken.Value()
+
+	ccfg := clientConfig(pool, "stale.test")
+	ccfg.InitialToken = foreign.mintResumption(addr)
+	conn, err := Dial(context.Background(), newUDP(t), addr, ccfg)
+	if err != nil {
+		t.Fatalf("dial with a stale NEW_TOKEN token: %v", err)
+	}
+	defer conn.Close()
+	if !conn.Stats().Retried {
+		t.Error("stale NEW_TOKEN token was not answered with a Retry")
+	}
+	if mListenerDropToken.Value() == drops {
+		t.Error("quic_listener_drops_total{reason=token} did not move")
+	}
+
+	ccfg = clientConfig(pool, "stale.test")
+	ccfg.InitialToken = foreign.mint(addr, quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8})
+	ccfg.HandshakeTimeout = 300 * time.Millisecond
+	if conn, err := Dial(context.Background(), newUDP(t), addr, ccfg); err == nil {
+		conn.Close()
+		t.Error("dial with a forged Retry token succeeded; it must be dropped")
+	}
 }
 
 // TestVersionMatrix completes handshakes for every scanner-supported

@@ -167,7 +167,9 @@ const (
 )
 
 // Listener accepts QUIC connections on a PacketConn, demultiplexing by
-// connection ID.
+// connection ID. Its state is proportional to the connections open,
+// not the connections ever served: a closing connection retires its
+// routes (see retire) and leaves only short-lived tombstones behind.
 type Listener struct {
 	cfg    *Config
 	policy ServerPolicy
@@ -178,8 +180,12 @@ type Listener struct {
 	// (per-connection clones would each auto-generate their own keys).
 	tlsBase *tls.Config
 
+	// routes maps every server connection ID (and each client's original
+	// destination ID) to its connection, and keeps the tombstones of
+	// closed ones.
+	routes routeTable
+
 	mu     sync.Mutex
-	conns  map[string]*Conn // by our SCID and by original DCID
 	alt    []net.PacketConn // extra sockets (ServeAlso), e.g. the preferred address
 	closed bool
 	retry  retryMinter
@@ -212,7 +218,6 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listene
 		policy:   policy,
 		pconn:    pconn,
 		tlsBase:  base,
-		conns:    make(map[string]*Conn),
 		acceptCh: make(chan *Conn, 64),
 		done:     make(chan struct{}),
 	}
@@ -278,13 +283,10 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	conns := make([]*Conn, 0, len(l.conns))
-	for _, c := range l.conns {
-		conns = append(conns, c)
-	}
 	alt := l.alt
 	l.mu.Unlock()
 	close(l.done)
+	conns, _ := l.routes.close()
 	for _, c := range conns {
 		c.abort(ErrConnectionClosed)
 	}
@@ -327,65 +329,63 @@ func (l *Listener) handleDatagram(data []byte, from net.Addr) {
 	if len(data) == 0 {
 		return
 	}
+	var hdr *quicwire.Header // nil for a short header
 	var dcid quicwire.ConnID
 	if quicwire.IsLongHeader(data[0]) {
-		hdr, _, err := quicwire.ParseLongHeader(data)
-		if err != nil {
+		var err error
+		if hdr, _, err = quicwire.ParseLongHeader(data); err != nil {
+			mListenerDropNoRoute.Inc()
 			return
 		}
 		dcid = hdr.DstID
-		if conn := l.lookup(dcid); conn != nil {
-			conn.handleDatagram(data, from)
+	} else {
+		// Short header: 8-byte server connection IDs by construction.
+		if len(data) < 1+8 {
+			mListenerDropNoRoute.Inc()
 			return
 		}
-		l.handleNewConn(hdr, data, from)
-		return
+		dcid = quicwire.ConnID(data[1:9])
 	}
-	// Short header: 8-byte server connection IDs by construction.
-	if len(data) < 1+8 {
-		return
-	}
-	dcid = quicwire.ConnID(data[1:9])
-	if conn := l.lookup(dcid); conn != nil {
+	conn, late, _ := l.routes.lookup(dcid)
+	switch {
+	case conn != nil:
 		conn.handleDatagram(data, from)
-		return
+	case late && hdr != nil && hdr.Type == quicwire.PacketInitial:
+		// A stray or replayed Initial for a connection that just closed
+		// must not start a second one (RFC 9000, Section 10.2).
+		mListenerDropDrainingInitial.Inc()
+	case late:
+		// Tail traffic of a closed connection: absorbed silently while
+		// its IDs drain. Only afterwards is the state truly lost.
+		mListenerLatePackets.Inc()
+	case hdr != nil:
+		l.handleNewConn(hdr, data, from)
+	default:
+		// 1-RTT packet for a connection this endpoint has no state for:
+		// answer with a stateless reset so the peer can stop retrying.
+		mListenerDropNoRoute.Inc()
+		if !l.policy.DisableStatelessReset {
+			l.sendStatelessReset(dcid, from, len(data))
+		}
 	}
-	// 1-RTT packet for a connection this endpoint has no state for:
-	// answer with a stateless reset so the peer can stop retrying.
-	if !l.policy.DisableStatelessReset {
-		l.sendStatelessReset(dcid, from, len(data))
-	}
-}
-
-func (l *Listener) lookup(id quicwire.ConnID) *Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conns[string(id)]
 }
 
 // addConnID routes an additional server connection ID to c, returning
 // the stateless reset token to advertise with it.
 func (l *Listener) addConnID(c *Conn, id quicwire.ConnID) ([16]byte, bool) {
-	key := string(id)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	if !l.routes.addConnID(c, string(id)) {
 		return [16]byte{}, false
 	}
-	if _, dup := l.conns[key]; dup {
-		return [16]byte{}, false
-	}
-	l.conns[key] = c
 	return l.reset.tokenFor(id), true
 }
 
-// removeConnID drops one connection ID route (the client retired it).
-func (l *Listener) removeConnID(c *Conn, id quicwire.ConnID) {
-	l.mu.Lock()
-	if l.conns[string(id)] == c {
-		delete(l.conns, string(id))
+// retire is every server connection's onClose hook: whatever closed it
+// (the peer, the application, a timer, Listener.Close), its routes go
+// and its connection IDs drain as tombstones.
+func (l *Listener) retire(c *Conn) {
+	if l.routes.retire(c) {
+		mListenerConns.Add(-1)
 	}
-	l.mu.Unlock()
 }
 
 // acceptsVersion reports whether the server completes handshakes with v.
@@ -414,6 +414,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		return
 	}
 	if hdr.Type != quicwire.PacketInitial {
+		mListenerDropNoRoute.Inc() // Handshake or 0-RTT for no connection
 		return
 	}
 	if l.policy.DropAllInitials {
@@ -422,10 +423,12 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 	// RFC 9000, Section 14.1: servers must drop Initials in datagrams
 	// below 1200 bytes.
 	if len(data) < quicwire.MinInitialSize {
+		mListenerDropShortInitial.Inc()
 		return
 	}
 	if len(hdr.DstID) < 8 {
-		return // too short to derive distinct Initial keys from
+		mListenerDropNoRoute.Inc() // too short to derive distinct Initial keys from
+		return
 	}
 	var retryODCID quicwire.ConnID
 	if l.policy.UseRetry {
@@ -436,10 +439,17 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		if !l.policy.AcceptAnyToken {
 			odcid, ok := l.retry.validate(from, hdr.Token)
 			if !ok {
-				if l.policy.InvalidTokenClose {
+				mListenerDropToken.Inc()
+				switch {
+				case hdr.Token[0] == tokenTypeNewToken:
+					// A NEW_TOKEN token that no longer validates (expired,
+					// client moved, server key rotated) is treated as absent
+					// (RFC 9000, Section 8.1.3): validate the address afresh.
+					l.sendRetry(hdr, from)
+				case l.policy.InvalidTokenClose:
 					l.sendInitialClose(hdr, from, quicwire.InvalidToken, "invalid address validation token")
 				}
-				return // invalid or expired token: drop or refuse
+				return // invalid or expired Retry token: drop or refuse
 			}
 			retryODCID = odcid
 		}
@@ -449,28 +459,23 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		// client did not see a Retry from us in this exchange).
 	}
 
+	// Nobody is draining the accept queue: refuse before any state
+	// exists rather than hold connections no one will ever serve.
+	if len(l.acceptCh) == cap(l.acceptCh) {
+		mListenerDropAcceptQueue.Inc()
+		return
+	}
 	conn := l.newServerConn(hdr, from, retryODCID)
 	if conn == nil {
 		return
 	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		conn.abort(ErrConnectionClosed)
-		return
-	}
-	l.conns[string(conn.scid)] = conn
-	// Never clobber an existing route: a stray Initial (e.g. a late
-	// Initial-space ACK) must not displace a live connection keyed by
-	// the same destination ID.
-	if _, exists := l.conns[string(hdr.DstID)]; !exists {
-		l.conns[string(hdr.DstID)] = conn
-	}
-	l.mu.Unlock()
-
 	select {
 	case l.acceptCh <- conn:
 	default:
+		// Another read loop (ServeAlso) took the last slot meanwhile.
+		mListenerDropAcceptQueue.Inc()
+		conn.abort(ErrConnectionClosed)
+		return
 	}
 	conn.handleDatagram(data, from)
 }
@@ -542,9 +547,31 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	}
 	c.initPathLocked(from)
 	c.registerCID = func(id quicwire.ConnID) ([16]byte, bool) { return l.addConnID(c, id) }
-	c.unregisterCID = func(id quicwire.ConnID) { l.removeConnID(c, id) }
-	if err := c.setupInitialKeys(); err != nil {
+	c.unregisterCID = func(id quicwire.ConnID) { l.routes.removeConnID(c, id) }
+	c.onClose = func() { l.retire(c) }
+
+	// From registration on the connection is reachable (by a packet, by
+	// Listener.Close), so the rest of the setup runs under c.mu like
+	// every other route-key access, and every failure leaves through
+	// closeLocked and thereby retire: no route outlives its connection.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.scidKey = string(c.scid)
+	if l.routes.register(c) != nil {
+		return nil // listener closed (or a 2^-64 ID collision)
+	}
+	mListenerConns.Add(1)
+	fail := func(err error) *Conn {
+		c.hsErr = err
+		c.closeLocked(err)
 		return nil
+	}
+	// The client keeps addressing its original destination ID until it
+	// has seen our source ID. A failed insert means another connection
+	// already owns that route; a stray Initial must not displace it.
+	l.routes.addConnID(c, string(c.origDcid))
+	if err := c.setupInitialKeys(); err != nil {
+		return fail(err)
 	}
 	if l.cfg.Tracer != nil {
 		c.trace = l.cfg.Tracer.Conn(fmt.Sprintf("server_%x", c.scid))
@@ -666,16 +693,16 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 		}
 	}
 
-	c.mu.Lock()
 	if err := c.tls.Start(context.Background()); err != nil {
-		c.mu.Unlock()
-		return nil
+		return fail(err)
 	}
 	if err := c.drainTLSEvents(); err != nil {
-		c.mu.Unlock()
-		return nil
+		return fail(err)
 	}
-	c.mu.Unlock()
+	// The handshake deadline belongs to the listener, not to whoever may
+	// call HandshakeComplete: a peer that never finishes its ClientHello
+	// is dropped even if the connection is never accepted.
+	c.idleTimer = time.AfterFunc(l.cfg.HandshakeTimeout, c.onHandshakeDeadline)
 	return c
 }
 
@@ -684,17 +711,4 @@ func (c *Conn) HandshakeComplete(ctx context.Context) error {
 	// Servers bound the handshake by HandshakeTimeout from the moment
 	// the caller starts waiting.
 	return c.waitHandshake(ctx, time.Now().Add(c.cfg.HandshakeTimeout))
-}
-
-// forget drops the listener's state for a connection without closing
-// it, simulating a restarted or load-balanced-away server. Used by
-// tests to exercise stateless resets.
-func (l *Listener) forget(c *Conn) {
-	l.mu.Lock()
-	for k, v := range l.conns {
-		if v == c {
-			delete(l.conns, k)
-		}
-	}
-	l.mu.Unlock()
 }

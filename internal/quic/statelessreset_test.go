@@ -27,6 +27,22 @@ func TestStatelessResetTokens(t *testing.T) {
 	}
 }
 
+// forget drops every route to c without closing it and without leaving
+// tombstones, simulating a restarted or load-balanced-away endpoint:
+// state lost, not connection closed.
+func (rt *routeTable) forget(c *Conn) {
+	for i := range rt.shards {
+		sh := &rt.shards[i]
+		sh.mu.Lock()
+		for k, v := range sh.conns {
+			if v == c {
+				delete(sh.conns, k)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // TestStatelessResetEndToEnd: the server loses connection state; the
 // client's next 1-RTT packet elicits a stateless reset, and the client
 // terminates with ErrStatelessReset.
@@ -49,17 +65,12 @@ func TestStatelessResetEndToEnd(t *testing.T) {
 	// Let the handshake tail (acks, HANDSHAKE_DONE) drain, then
 	// simulate state loss at the server for every connection.
 	time.Sleep(250 * time.Millisecond)
-	l.mu.Lock()
-	conns := make([]*Conn, 0, len(l.conns))
-	for _, c := range l.conns {
-		conns = append(conns, c)
-	}
-	l.mu.Unlock()
+	conns := l.routes.liveConns()
 	if len(conns) == 0 {
 		t.Fatal("no server connection")
 	}
 	for _, c := range conns {
-		l.forget(c)
+		l.routes.forget(c)
 	}
 
 	// The client's next (sufficiently large) 1-RTT packet triggers the

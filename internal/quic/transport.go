@@ -19,65 +19,8 @@ import (
 // carried on the wire (RFC 9000, Section 17.3).
 const clientCIDLen = 8
 
-// drainingPeriod is how long a retired connection ID keeps absorbing
-// late packets before they count as routing drops, mirroring the
-// draining state of RFC 9000, Section 10.2.
-const drainingPeriod = 3 * time.Second
-
 // ErrTransportClosed is returned for operations on a closed Transport.
 var ErrTransportClosed = errors.New("quic: transport closed")
-
-// drainEntry records one retired connection ID and when it was parked,
-// queued in retirement order for incremental expiry.
-type drainEntry struct {
-	key string
-	at  time.Time
-}
-
-// routeShards is the number of independent route-table shards. The
-// receive hot path used to funnel every datagram of every socket
-// through one Transport-wide mutex; sharding by a hash of the route
-// key lets the per-socket read loops demux concurrently. Must stay a
-// power of two (shardIndex masks).
-const routeShards = 16
-
-// maxDrainingPerShard caps each shard's draining set (the Transport
-// total matches the previous global cap of 8192).
-const maxDrainingPerShard = 8192 / routeShards
-
-// routeShard is one slice of the demux state: connections keyed by
-// local CID, the remote-address fallback route, and the draining set
-// absorbing late packets for retired CIDs. CID keys and address keys
-// hash to shards independently — a connection's CID route and address
-// route usually live in different shards, and the two locks are only
-// ever taken sequentially, never nested.
-type routeShard struct {
-	mu        sync.Mutex
-	conns     map[string]*Conn // local CID -> connection
-	byAddr    map[string]*Conn // remote address -> connection (fallback)
-	draining  map[string]time.Time
-	drainQ    []drainEntry
-	drainHead int
-}
-
-// shardIndex hashes a route key (CID bytes or address string) onto a
-// shard with FNV-1a. The two variants keep the compiler's
-// zero-allocation string/[]byte conversions intact.
-func shardIndex(key []byte) int {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return int(h & (routeShards - 1))
-}
-
-func shardIndexString(key string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return int(h & (routeShards - 1))
-}
 
 // Transport multiplexes many client connections over a small, fixed
 // pool of UDP sockets — the architecture high-rate scanners need:
@@ -99,19 +42,9 @@ func shardIndexString(key string) int {
 type Transport struct {
 	pool []net.PacketConn
 
-	// shards hold the route tables (see routeShard). Each shard's
-	// drainQ keeps its draining keys in retirement order so expiry is
-	// an amortized O(1) pop from the front (a periodic full-map sweep
-	// goes quadratic under scanner churn: with tens of thousands of
-	// short-lived connections per draining period, every sweep scans
-	// entries that are almost all too young to remove).
-	shards [routeShards]routeShard
-
-	// mu guards only the registration control plane (closed, active);
-	// the datagram hot path never takes it.
-	mu     sync.Mutex
-	active int
-	closed bool
+	// routes is the datagram demux state: live routes by connection ID
+	// and remote address, and the tombstones of closed connections.
+	routes routeTable
 
 	next   atomic.Uint32 // round-robin socket assignment
 	readWG sync.WaitGroup
@@ -164,11 +97,6 @@ func NewTransport(pconns ...net.PacketConn) (*Transport, error) {
 	if len(pconns) == 0 {
 		return nil, errors.New("quic: NewTransport requires at least one socket")
 	}
-	// Shard maps are created lazily at first write: reads and deletes
-	// on nil maps are safe, and eagerly building 3 maps x 16 shards
-	// costs ~48 allocations per Transport — the compat Dial path and
-	// the dial-per-target baseline create a Transport per connection,
-	// where most shards never see a key.
 	t := &Transport{pool: pconns}
 	for _, pc := range pconns {
 		t.readWG.Add(1)
@@ -179,12 +107,9 @@ func NewTransport(pconns ...net.PacketConn) (*Transport, error) {
 
 // Stats returns a snapshot of the transport counters.
 func (t *Transport) Stats() TransportStats {
-	t.mu.Lock()
-	active := t.active
-	t.mu.Unlock()
 	return TransportStats{
 		Sockets:       len(t.pool),
-		ActiveConns:   active,
+		ActiveConns:   t.routes.activeConns(),
 		Dials:         t.cDials.Load(),
 		DatagramsIn:   t.cDatagramsIn.Load(),
 		DatagramsOut:  t.cDatagramsOut.Load(),
@@ -199,23 +124,10 @@ func (t *Transport) Stats() TransportStats {
 // Close tears down the transport: all pooled sockets are closed, the
 // read loops drained, and every live connection aborted.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	conns, ok := t.routes.close()
+	if !ok {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
-	var conns []*Conn
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.conns {
-			conns = append(conns, c)
-		}
-		sh.mu.Unlock()
-	}
-
 	var err error
 	for _, pc := range t.pool {
 		if cerr := pc.Close(); cerr != nil && err == nil {
@@ -299,68 +211,22 @@ func (t *Transport) sockFor() net.PacketConn {
 	return t.pool[int(t.next.Add(1)-1)%len(t.pool)]
 }
 
-// register installs the connection's routes. Retried with a fresh
-// source ID on the (cosmically unlikely) random collision.
-var errDuplicateCID = errors.New("quic: connection ID already registered")
-
+// register installs the connection's routes. dialVersion retries with
+// a fresh source ID on the (cosmically unlikely) random collision.
 func (t *Transport) register(c *Conn) error {
-	// The map keys are cached on the connection: retire needs the very
+	// The route keys are cached on the connection: retire needs the very
 	// same strings, so stringifying the address and source ID once per
 	// connection (not once per map touch) is both cheaper and safer.
-	key := string(c.scid)
-	c.scidKey = key
+	c.scidKey = string(c.scid)
 	if c.remoteKey == "" {
 		c.remoteKey = c.remote.String()
 	}
-	addr := c.remoteKey
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrTransportClosed
-	}
-	t.mu.Unlock()
-
-	cs := &t.shards[shardIndexString(key)]
-	cs.mu.Lock()
-	if _, dup := cs.conns[key]; dup {
-		cs.mu.Unlock()
-		return errDuplicateCID
-	}
-	if cs.conns == nil {
-		cs.conns = make(map[string]*Conn)
-	}
-	cs.conns[key] = c
-	cs.mu.Unlock()
-
-	as := &t.shards[shardIndexString(addr)]
-	as.mu.Lock()
-	if _, ok := as.byAddr[addr]; !ok {
-		if as.byAddr == nil {
-			as.byAddr = make(map[string]*Conn)
+	if err := t.routes.register(c); err != nil {
+		if err == errRoutesClosed {
+			return ErrTransportClosed
 		}
-		as.byAddr[addr] = c
+		return err
 	}
-	as.mu.Unlock()
-
-	t.mu.Lock()
-	if t.closed {
-		// Close ran between the entry check and the shard inserts and
-		// may have missed this connection; undo the registration.
-		t.mu.Unlock()
-		cs.mu.Lock()
-		if cs.conns[key] == c {
-			delete(cs.conns, key)
-		}
-		cs.mu.Unlock()
-		as.mu.Lock()
-		if as.byAddr[addr] == c {
-			delete(as.byAddr, addr)
-		}
-		as.mu.Unlock()
-		return ErrTransportClosed
-	}
-	t.active++
-	t.mu.Unlock()
 	mActiveConns.Add(1)
 	return nil
 }
@@ -368,159 +234,20 @@ func (t *Transport) register(c *Conn) error {
 // retire removes a closing connection's routes, parking its IDs in the
 // draining set so late server packets are not misread as drops.
 func (t *Transport) retire(c *Conn) {
-	key := c.scidKey
-	addr := c.remoteKey
-	now := time.Now()
-	cs := &t.shards[shardIndexString(key)]
-	cs.mu.Lock()
-	if cs.conns[key] != c {
-		cs.mu.Unlock()
-		return
+	if t.routes.retire(c) {
+		mActiveConns.Add(-1)
 	}
-	delete(cs.conns, key)
-	cs.parkLocked(key, now)
-	cs.mu.Unlock()
-
-	as := &t.shards[shardIndexString(addr)]
-	as.mu.Lock()
-	if as.byAddr[addr] == c {
-		delete(as.byAddr, addr)
-	}
-	as.mu.Unlock()
-
-	t.mu.Lock()
-	t.active--
-	t.mu.Unlock()
-	mActiveConns.Add(-1)
-	// Alternate IDs issued via NEW_CONNECTION_ID drain alongside the
-	// primary: late packets on any of them are tail traffic, not drops.
-	// Each alternate hashes to its own shard. altKeys mutations are
-	// serialized by c.mu (retire and the CID hooks all run under it).
-	for _, alt := range c.altKeys {
-		sh := &t.shards[shardIndexString(alt)]
-		sh.mu.Lock()
-		if sh.conns[alt] == c {
-			delete(sh.conns, alt)
-			sh.parkLocked(alt, now)
-		}
-		sh.mu.Unlock()
-	}
-	c.altKeys = nil
-}
-
-// parkLocked moves a retired CID key into the shard's draining set and
-// pops expired entries. Caller holds the shard mutex.
-func (sh *routeShard) parkLocked(key string, now time.Time) {
-	if sh.draining == nil {
-		sh.draining = make(map[string]time.Time)
-	}
-	sh.draining[key] = now
-	sh.drainQ = append(sh.drainQ, drainEntry{key: key, at: now})
-	sh.expireDrainingLocked(now)
 }
 
 // addConnID routes an additional local connection ID to c, returning
-// the stateless reset token to advertise with it. Fails on collision
-// (the caller simply issues fewer IDs) or after close.
+// the stateless reset token to advertise with it.
 func (t *Transport) addConnID(c *Conn, id quicwire.ConnID) ([16]byte, bool) {
 	var token [16]byte
-	key := string(id)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.routes.addConnID(c, string(id)) {
 		return token, false
 	}
-	t.mu.Unlock()
-	sh := &t.shards[shardIndexString(key)]
-	sh.mu.Lock()
-	if _, dup := sh.conns[key]; dup {
-		sh.mu.Unlock()
-		return token, false
-	}
-	if sh.conns == nil {
-		sh.conns = make(map[string]*Conn)
-	}
-	sh.conns[key] = c
-	sh.mu.Unlock()
-	c.altKeys = append(c.altKeys, key)
 	crand.Read(token[:])
 	return token, true
-}
-
-// removeConnID retires one alternate connection ID (the peer sent
-// RETIRE_CONNECTION_ID for it), parking it in the draining set.
-func (t *Transport) removeConnID(c *Conn, id quicwire.ConnID) {
-	key := string(id)
-	now := time.Now()
-	sh := &t.shards[shardIndexString(key)]
-	sh.mu.Lock()
-	if sh.conns[key] != c {
-		sh.mu.Unlock()
-		return
-	}
-	delete(sh.conns, key)
-	sh.parkLocked(key, now)
-	sh.mu.Unlock()
-	for i, k := range c.altKeys {
-		if k == key {
-			c.altKeys = append(c.altKeys[:i], c.altKeys[i+1:]...)
-			break
-		}
-	}
-}
-
-// rebindAddr moves the connection's address-fallback route after a
-// validated migration. Deliberately not called on mere address
-// mismatches: the route follows proven paths only, so an off-path
-// spoofer cannot steal another connection's fallback entry.
-func (t *Transport) rebindAddr(c *Conn, new net.Addr) {
-	newKey := new.String()
-	oldKey := c.remoteKey
-	old := &t.shards[shardIndexString(oldKey)]
-	old.mu.Lock()
-	if old.byAddr[oldKey] == c {
-		delete(old.byAddr, oldKey)
-	}
-	old.mu.Unlock()
-	c.remoteKey = newKey
-	sh := &t.shards[shardIndexString(newKey)]
-	sh.mu.Lock()
-	if _, ok := sh.byAddr[newKey]; !ok {
-		if sh.byAddr == nil {
-			sh.byAddr = make(map[string]*Conn)
-		}
-		sh.byAddr[newKey] = c
-	}
-	sh.mu.Unlock()
-}
-
-// expireDrainingLocked pops expired (or over-cap) entries from the
-// front of the shard's retirement-ordered queue. Entries past the cap
-// are retired early (their late packets count as drops rather than
-// latePackets), bounding memory when connections churn faster than
-// the draining period expires them. Amortized O(1) per retire; caller
-// holds the shard mutex.
-func (sh *routeShard) expireDrainingLocked(now time.Time) {
-	for sh.drainHead < len(sh.drainQ) {
-		e := sh.drainQ[sh.drainHead]
-		if now.Sub(e.at) <= drainingPeriod && len(sh.drainQ)-sh.drainHead <= maxDrainingPerShard {
-			break
-		}
-		// A key can reappear in the queue only if the same CID was
-		// retired twice; keep the map entry unless it is this one's.
-		if at, ok := sh.draining[e.key]; ok && at.Equal(e.at) {
-			delete(sh.draining, e.key)
-		}
-		sh.drainQ[sh.drainHead] = drainEntry{} // release the key string
-		sh.drainHead++
-	}
-	// Compact once the dead prefix dominates so the backing array does
-	// not grow without bound.
-	if sh.drainHead > 256 && sh.drainHead > len(sh.drainQ)/2 {
-		n := copy(sh.drainQ, sh.drainQ[sh.drainHead:])
-		sh.drainQ = sh.drainQ[:n]
-		sh.drainHead = 0
-	}
 }
 
 // readBatchSize is how many datagrams one read-loop wakeup may drain
@@ -598,11 +325,9 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		mDropped.Inc()
 		return
 	}
-	// dstID stays a []byte: the map lookups below use the inline
-	// string conversion the compiler elides, so no per-packet key
-	// allocation happens. Every connection ID this endpoint issues has
-	// the fixed clientCIDLen, so the destination ID is extracted — and
-	// hashed onto its shard — exactly once per datagram, with no
+	// Every connection ID this endpoint issues has the fixed
+	// clientCIDLen, so the destination ID is extracted — and hashed onto
+	// its shard — exactly once per datagram, with no
 	// per-candidate-length retries.
 	var dstID []byte
 	if quicwire.IsLongHeader(data[0]) {
@@ -622,15 +347,10 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		dstID = data[1 : 1+clientCIDLen]
 	}
 
-	idx := shardIndex(dstID)
-	mRouteShardHits[idx].Inc()
-	sh := &t.shards[idx]
-	sh.mu.Lock()
-	c := sh.conns[string(dstID)]
+	c, late, shard := t.routes.lookup(dstID)
+	mRouteShardHits[shard].Inc()
 	if c == nil {
-		drainedAt, late := sh.draining[string(dstID)]
-		sh.mu.Unlock()
-		if late && time.Since(drainedAt) <= drainingPeriod {
+		if late {
 			t.cLatePackets.Add(1)
 			mLatePackets.Inc()
 			return
@@ -638,11 +358,7 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		// Unknown destination ID: stateless resets (and corrupted
 		// headers) land here. Fall back to the per-address route so the
 		// owning connection can run its reset-token check.
-		addr := from.String()
-		as := &t.shards[shardIndexString(addr)]
-		as.mu.Lock()
-		c = as.byAddr[addr]
-		as.mu.Unlock()
+		c = t.routes.lookupAddr(from.String())
 		if c == nil {
 			t.cDropped.Add(1)
 			mDropped.Inc()
@@ -653,7 +369,6 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		c.handleDatagram(data, from)
 		return
 	}
-	sh.mu.Unlock()
 	// Routed by connection ID but from an unexpected source address:
 	// the observable shadow of NAT rebinding and migration. Counted
 	// only — the address route moves when path validation succeeds

@@ -171,13 +171,11 @@ func TestDialCompatOwnsSocket(t *testing.T) {
 // is driven from the front of the retirement-ordered queue (no full-map
 // sweep).
 func TestDrainingSetExpiry(t *testing.T) {
-	sh := &routeShard{draining: make(map[string]time.Time)}
+	sh := &routeShard{}
 	now := time.Now()
 
 	park := func(key string, at time.Time) {
-		sh.draining[key] = at
-		sh.drainQ = append(sh.drainQ, drainEntry{key: key, at: at})
-		sh.expireDrainingLocked(at)
+		sh.parkLocked(key, at, drainingPeriod)
 	}
 
 	// Fast churn: 3*maxDrainingPerShard retirements inside one draining

@@ -18,6 +18,12 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> go test -cpu 1,2,4 (root package, internal/quic)"
+# Core count is a test dimension: the scanner sizes its socket pool from
+# GOMAXPROCS, so a rescan dials from another source port only on
+# multi-core hosts — a failure that hid on 1-CPU runners.
+go test -cpu 1,2,4 . ./internal/quic
+
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
 

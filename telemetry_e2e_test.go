@@ -313,10 +313,25 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"migration_tp_mismatch_total",
 		"quic_zero_rtt_rejected_total",
 		"quic_resumption_tp_downgrade_total",
+		// The server side counts what it holds and every datagram it
+		// drops, by reason.
+		"quic_listener_conns ",
+		"quic_listener_late_packets_total ",
+		"quic_listener_drops_total{reason=\"token\"} ",
+		"quic_listener_drops_total{reason=\"accept_queue\"} ",
+		"quic_listener_drops_total{reason=\"short_initial\"} ",
+		"quic_listener_drops_total{reason=\"draining_initial\"} ",
+		"quic_listener_drops_total{reason=\"no_route\"} ",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("/metrics lacks series %q", series)
 		}
+	}
+	// Every scan above closed its connections, so the listeners hold
+	// (next to) none: the gauge follows connections open, not served,
+	// and a retire counted twice would have driven it negative.
+	if open := telemetry.Default().Snapshot().Gauges["quic_listener_conns"]; open < 0 || open > 8 {
+		t.Errorf("quic_listener_conns = %d after every client closed, want about 0", open)
 	}
 	// The sharded demux routes every short-header packet; at least one
 	// shard must have counted hits.
