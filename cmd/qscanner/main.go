@@ -17,7 +17,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -29,6 +28,7 @@ import (
 	"quicscan/internal/core"
 	"quicscan/internal/fingerprint"
 	"quicscan/internal/migration"
+	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/resumption"
@@ -58,6 +58,22 @@ func main() {
 	)
 	flag.Parse()
 
+	// The modes replace the scan rather than stack on it, so asking
+	// for two at once has no meaning to guess at.
+	mode := ""
+	for _, m := range []struct {
+		name string
+		set  bool
+	}{{"fingerprint", *fprint}, {"migration", *migrate}, {"resumption", *resume}, {"rescan", *rescan}} {
+		if !m.set {
+			continue
+		}
+		if mode != "" {
+			fatal("-%s and -%s are mutually exclusive (at most one of -fingerprint, -migration, -resumption, -rescan)", mode, m.name)
+		}
+		mode = m.name
+	}
+
 	if *metricsAddr != "" {
 		srv, ln, err := telemetry.Default().Serve(*metricsAddr)
 		if err != nil {
@@ -85,16 +101,8 @@ func main() {
 		fatal("one of -addr or -targets is required")
 	}
 
-	if *fprint {
-		runFingerprint(targets, *workers, *output)
-		return
-	}
-	if *migrate {
-		runMigration(targets, *workers, *output)
-		return
-	}
-	if *resume {
-		runResumption(targets, *workers, *output)
+	if mode != "" && mode != "rescan" {
+		runMode(mode, targets, *workers, *output)
 		return
 	}
 
@@ -153,175 +161,57 @@ func main() {
 	fmt.Fprintf(os.Stderr, "qscanner: %s\n", sum)
 }
 
-// runFingerprint runs the behavioral scenario suite against every
-// target and emits one JSON verdict per line: observed response
-// matrix, classified implementation, and match distance.
-func runFingerprint(targets []core.Target, workers int, output string) {
-	p := &fingerprint.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    workers,
-	}
-	fpTargets := make([]fingerprint.Target, len(targets))
+// runMode runs one behavioural scan mode in place of the scan and
+// emits one JSON verdict per target and line. Kernel UDP sockets
+// cannot rebind mid-connection, so outside the simulation -migration
+// verdicts degrade to the advertised transport parameter (tp-allows /
+// tp-disabled).
+func runMode(mode string, targets []core.Target, workers int, output string) {
+	pts := make([]probe.Target, len(targets))
 	for i, t := range targets {
 		port := t.Port
 		if port == 0 {
 			port = 443
 		}
-		fpTargets[i] = fingerprint.Target{
-			Addr: netip.AddrPortFrom(t.Addr, port),
-			SNI:  t.SNI,
+		pts[i] = probe.Target{Addr: netip.AddrPortFrom(t.Addr, port), SNI: t.SNI}
+	}
+	ctx := context.Background()
+	d := probe.Dialer{DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") }}
+	var (
+		err     error
+		summary string
+		counts  = make(map[string]int)
+	)
+	switch mode {
+	case "fingerprint":
+		results := probe.Run(ctx, workers, pts, (&fingerprint.Prober{Dialer: d}).Fingerprint)
+		err = probe.WriteNDJSON(output, results)
+		exact := 0
+		for _, r := range results {
+			if r.Verdict.Exact {
+				exact++
+			}
 		}
-	}
-	results := p.FingerprintAll(context.Background(), fpTargets)
-
-	out := os.Stdout
-	if output != "" {
-		f, err := os.Create(output)
-		if err != nil {
-			fatal("%v", err)
+		summary = fmt.Sprintf("fingerprinted %d targets, %d exact matches", len(results), exact)
+	case "migration":
+		results := probe.Run(ctx, workers, pts, (&migration.Prober{Dialer: d}).Probe)
+		err = probe.WriteNDJSON(output, results)
+		for _, r := range results {
+			counts[r.Verdict]++
 		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	exact := 0
-	for _, r := range results {
-		if r.Verdict.Exact {
-			exact++
+		summary = fmt.Sprintf("migration-probed %d targets: %v", len(results), counts)
+	case "resumption":
+		results := probe.Run(ctx, workers, pts, (&resumption.Prober{Dialer: d}).Probe)
+		err = probe.WriteNDJSON(output, results)
+		for _, r := range results {
+			counts[r.Verdict]++
 		}
-		enc.Encode(struct {
-			Addr     string `json:"addr"`
-			SNI      string `json:"sni,omitempty"`
-			Matrix   string `json:"matrix"`
-			Verdict  string `json:"verdict"`
-			Distance int    `json:"distance"`
-			Exact    bool   `json:"exact"`
-		}{
-			Addr:     r.Target.Addr.Addr().String(),
-			SNI:      r.Target.SNI,
-			Matrix:   r.Matrix.String(),
-			Verdict:  r.Verdict.Name,
-			Distance: r.Verdict.Distance,
-			Exact:    r.Verdict.Exact,
-		})
+		summary = fmt.Sprintf("resumption-probed %d targets: %v", len(results), counts)
 	}
-	fmt.Fprintf(os.Stderr, "qscanner: fingerprinted %d targets, %d exact matches\n", len(results), exact)
-}
-
-// runMigration classifies connection-migration support per target and
-// emits one JSON verdict per line. Kernel UDP sockets cannot rebind
-// mid-connection, so outside the simulation the verdicts degrade to
-// the advertised transport parameter (tp-allows / tp-disabled).
-func runMigration(targets []core.Target, workers int, output string) {
-	p := &migration.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    workers,
+	if err != nil {
+		fatal("writing verdicts: %v", err)
 	}
-	mTargets := make([]migration.Target, len(targets))
-	for i, t := range targets {
-		port := t.Port
-		if port == 0 {
-			port = 443
-		}
-		mTargets[i] = migration.Target{
-			Addr: netip.AddrPortFrom(t.Addr, port),
-			SNI:  t.SNI,
-		}
-	}
-	results := p.ProbeAll(context.Background(), mTargets)
-
-	out := os.Stdout
-	if output != "" {
-		f, err := os.Create(output)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	counts := make(map[string]int)
-	for _, r := range results {
-		counts[r.Verdict]++
-		enc.Encode(struct {
-			Addr       string `json:"addr"`
-			SNI        string `json:"sni,omitempty"`
-			Verdict    string `json:"verdict"`
-			TPDisabled bool   `json:"tp_disabled"`
-			Challenges int    `json:"challenges"`
-			Honest     bool   `json:"honest"`
-			Err        string `json:"err,omitempty"`
-		}{
-			Addr:       r.Target.Addr.Addr().String(),
-			SNI:        r.Target.SNI,
-			Verdict:    r.Verdict,
-			TPDisabled: r.TPDisabled,
-			Challenges: r.Challenges,
-			Honest:     r.Honest,
-			Err:        r.Err,
-		})
-	}
-	fmt.Fprintf(os.Stderr, "qscanner: migration-probed %d targets: %v\n", len(results), counts)
-}
-
-// runResumption classifies the handshake fast path per target and
-// emits one JSON verdict per line: whether the target issued a
-// session ticket, resumed the second handshake, accepted the 0-RTT
-// request, and let a NEW_TOKEN replace its Retry round trip.
-func runResumption(targets []core.Target, workers int, output string) {
-	p := &resumption.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    workers,
-	}
-	rTargets := make([]resumption.Target, len(targets))
-	for i, t := range targets {
-		port := t.Port
-		if port == 0 {
-			port = 443
-		}
-		rTargets[i] = resumption.Target{
-			Addr: netip.AddrPortFrom(t.Addr, port),
-			SNI:  t.SNI,
-		}
-	}
-	results := p.ProbeAll(context.Background(), rTargets)
-
-	out := os.Stdout
-	if output != "" {
-		f, err := os.Create(output)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	counts := make(map[string]int)
-	for _, r := range results {
-		counts[r.Verdict]++
-		enc.Encode(struct {
-			Addr        string `json:"addr"`
-			SNI         string `json:"sni,omitempty"`
-			Verdict     string `json:"verdict"`
-			Ticket      bool   `json:"ticket"`
-			Resumed     bool   `json:"resumed"`
-			ZeroRTT     bool   `json:"zero_rtt"`
-			TokenReused bool   `json:"token_reused"`
-			RequestOK   bool   `json:"request_ok"`
-			Err         string `json:"err,omitempty"`
-		}{
-			Addr:        r.Target.Addr.Addr().String(),
-			SNI:         r.Target.SNI,
-			Verdict:     r.Verdict,
-			Ticket:      r.TicketIssued,
-			Resumed:     r.Resumed,
-			ZeroRTT:     r.ZeroRTTAccepted,
-			TokenReused: r.TokenReused,
-			RequestOK:   r.RequestOK,
-			Err:         r.Err,
-		})
-	}
-	fmt.Fprintf(os.Stderr, "qscanner: resumption-probed %d targets: %v\n", len(results), counts)
+	fmt.Fprintf(os.Stderr, "qscanner: %s\n", summary)
 }
 
 func readTargets(path string, port uint16) ([]core.Target, error) {

@@ -23,7 +23,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 	"quicscan/internal/migration"
 	"quicscan/internal/netbatch"
 	"quicscan/internal/pcap"
+	"quicscan/internal/probe"
 	"quicscan/internal/resumption"
 	"quicscan/internal/telemetry"
 	"quicscan/internal/zmapquic"
@@ -74,6 +74,25 @@ func main() {
 		recvSocks  = flag.Int("recv-sockets", 1, "SO_REUSEPORT-sharded receive sockets, one collector each (-prefixes only; Linux)")
 	)
 	flag.Parse()
+
+	// The modes replace the hitlist scan rather than stack on it, and a
+	// prefix sweep has no per-target pass to replace.
+	mode := ""
+	for _, m := range []struct {
+		name string
+		set  bool
+	}{{"fingerprint", *fprint}, {"migration", *migrate}, {"resumption", *resuScan}} {
+		if !m.set {
+			continue
+		}
+		if mode != "" {
+			fatal("-%s and -%s are mutually exclusive (at most one of -fingerprint, -migration, -resumption)", mode, m.name)
+		}
+		mode = m.name
+	}
+	if mode != "" && (*hitlist == "" || *prefixes != "") {
+		fatal("-%s applies to -hitlist scans only", mode)
+	}
 
 	if *metrics != "" {
 		srv, ln, err := telemetry.Default().Serve(*metrics)
@@ -165,20 +184,9 @@ func main() {
 		if rerr != nil {
 			fatal("%v", rerr)
 		}
-		if *fprint {
-			runFingerprint(ctx, addrs, uint16(*port))
-			printSummary(scanStart)
-			return
-		}
-		if *migrate {
-			runMigration(ctx, addrs, uint16(*port))
-			printSummary(scanStart)
-			return
-		}
-		if *resuScan {
-			runResumption(ctx, addrs, uint16(*port))
-			printSummary(scanStart)
-			return
+		if mode != "" {
+			runMode(ctx, mode, addrs, uint16(*port))
+			break
 		}
 		results, _, err := scanner.ScanAddrs(ctx, addrs)
 		if err != nil {
@@ -198,106 +206,30 @@ func main() {
 	printSummary(scanStart)
 }
 
-// runFingerprint runs the behavioral scenario suite against every
-// hitlist address and prints one JSON verdict per line: the observed
-// response matrix, the classified implementation, and the match
-// distance.
-func runFingerprint(ctx context.Context, addrs []netip.Addr, port uint16) {
-	p := &fingerprint.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    32,
-	}
-	targets := make([]fingerprint.Target, len(addrs))
+// runMode runs one behavioural scan mode against every hitlist address
+// and prints one JSON verdict per line. Kernel UDP sockets cannot
+// rebind mid-connection, so real-Internet -migration verdicts degrade
+// to the advertised transport parameter (tp-allows / tp-disabled); the
+// full behavioral classes come from rebind-capable sockets (the
+// simulation harness).
+func runMode(ctx context.Context, mode string, addrs []netip.Addr, port uint16) {
+	targets := make([]probe.Target, len(addrs))
 	for i, a := range addrs {
-		targets[i] = fingerprint.Target{Addr: netip.AddrPortFrom(a, port)}
+		targets[i] = probe.Target{Addr: netip.AddrPortFrom(a, port)}
 	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, r := range p.FingerprintAll(ctx, targets) {
-		enc.Encode(struct {
-			Addr     string `json:"addr"`
-			Matrix   string `json:"matrix"`
-			Verdict  string `json:"verdict"`
-			Distance int    `json:"distance"`
-			Exact    bool   `json:"exact"`
-		}{
-			Addr:     r.Target.Addr.Addr().String(),
-			Matrix:   r.Matrix.String(),
-			Verdict:  r.Verdict.Name,
-			Distance: r.Verdict.Distance,
-			Exact:    r.Verdict.Exact,
-		})
+	d := probe.Dialer{DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") }}
+	const workers = 32
+	var err error
+	switch mode {
+	case "fingerprint":
+		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&fingerprint.Prober{Dialer: d}).Fingerprint))
+	case "migration":
+		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&migration.Prober{Dialer: d}).Probe))
+	case "resumption":
+		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&resumption.Prober{Dialer: d}).Probe))
 	}
-}
-
-// runMigration classifies connection-migration support for every
-// hitlist address and prints one JSON verdict per line. Kernel UDP
-// sockets cannot rebind mid-connection, so real-Internet verdicts
-// degrade to the advertised transport parameter (tp-allows /
-// tp-disabled); the full behavioral classes come from rebind-capable
-// sockets (the simulation harness).
-func runMigration(ctx context.Context, addrs []netip.Addr, port uint16) {
-	p := &migration.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    32,
-	}
-	targets := make([]migration.Target, len(addrs))
-	for i, a := range addrs {
-		targets[i] = migration.Target{Addr: netip.AddrPortFrom(a, port)}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, r := range p.ProbeAll(ctx, targets) {
-		enc.Encode(struct {
-			Addr       string `json:"addr"`
-			Verdict    string `json:"verdict"`
-			TPDisabled bool   `json:"tp_disabled"`
-			Challenges int    `json:"challenges"`
-			Honest     bool   `json:"honest"`
-			Err        string `json:"err,omitempty"`
-		}{
-			Addr:       r.Target.Addr.Addr().String(),
-			Verdict:    r.Verdict,
-			TPDisabled: r.TPDisabled,
-			Challenges: r.Challenges,
-			Honest:     r.Honest,
-			Err:        r.Err,
-		})
-	}
-}
-
-// runResumption classifies the handshake fast path for every hitlist
-// address and prints one JSON verdict per line: whether the target
-// issued a session ticket, resumed the second handshake, accepted the
-// 0-RTT request, and let a NEW_TOKEN replace its Retry round trip.
-func runResumption(ctx context.Context, addrs []netip.Addr, port uint16) {
-	p := &resumption.Prober{
-		DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") },
-		Workers:    32,
-	}
-	targets := make([]resumption.Target, len(addrs))
-	for i, a := range addrs {
-		targets[i] = resumption.Target{Addr: netip.AddrPortFrom(a, port)}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, r := range p.ProbeAll(ctx, targets) {
-		enc.Encode(struct {
-			Addr        string `json:"addr"`
-			Verdict     string `json:"verdict"`
-			Ticket      bool   `json:"ticket"`
-			Resumed     bool   `json:"resumed"`
-			ZeroRTT     bool   `json:"zero_rtt"`
-			TokenReused bool   `json:"token_reused"`
-			RequestOK   bool   `json:"request_ok"`
-			Err         string `json:"err,omitempty"`
-		}{
-			Addr:        r.Target.Addr.Addr().String(),
-			Verdict:     r.Verdict,
-			Ticket:      r.TicketIssued,
-			Resumed:     r.Resumed,
-			ZeroRTT:     r.ZeroRTTAccepted,
-			TokenReused: r.TokenReused,
-			RequestOK:   r.RequestOK,
-			Err:         r.Err,
-		})
+	if err != nil {
+		fatal("writing verdicts: %v", err)
 	}
 }
 

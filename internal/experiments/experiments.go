@@ -122,11 +122,11 @@ type Report struct {
 
 	// Per-profile migration-support classification, nil unless
 	// Options.Migration was set.
-	MigrationTable []MigrationRow
+	MigrationTable []ProfileRow
 
 	// Per-profile handshake fast-path classification, nil unless
 	// Options.Resumption was set.
-	ResumptionTable []ResumptionRow
+	ResumptionTable []ProfileRow
 
 	// Universe of the headline week (kept for AS lookups).
 	Universe *internet.Universe
@@ -170,24 +170,7 @@ func Run(opts Options) (*Report, error) {
 				u.Stop()
 				return nil, err
 			}
-			if opts.Fingerprint {
-				if err := report.runFingerprint(u); err != nil {
-					u.Stop()
-					return nil, err
-				}
-			}
-			if opts.Migration {
-				if err := report.runMigration(u); err != nil {
-					u.Stop()
-					return nil, err
-				}
-			}
-			if opts.Resumption {
-				if err := report.runResumption(u); err != nil {
-					u.Stop()
-					return nil, err
-				}
-			}
+			report.runModes(u, opts)
 			report.Universe = u
 			// Keep the headline universe running until Close.
 		} else {

@@ -11,6 +11,7 @@ import (
 	"quicscan/internal/certgen"
 	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
+	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 )
 
@@ -60,12 +61,14 @@ func testProber() *fingerprint.Prober {
 	// -race, and a starved scenario goroutine must not read as
 	// "silent".
 	return &fingerprint.Prober{
-		DialPacket: func() (net.PacketConn, error) {
-			return net.ListenPacket("udp", "127.0.0.1:0")
+		Dialer: probe.Dialer{
+			DialPacket: func() (net.PacketConn, error) {
+				return net.ListenPacket("udp", "127.0.0.1:0")
+			},
+			HandshakeTimeout: 4 * time.Second,
 		},
-		ProbeWait:        600 * time.Millisecond,
-		HandshakeTimeout: 4 * time.Second,
-		PingWait:         2 * time.Second,
+		ProbeWait: 600 * time.Millisecond,
+		PingWait:  2 * time.Second,
 	}
 }
 
@@ -94,7 +97,7 @@ func TestConformanceMatrix(t *testing.T) {
 			addr := startProfileListener(t, p)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			res := testProber().Fingerprint(ctx, fingerprint.Target{Addr: addr, SNI: "fp.test"})
+			res := testProber().Fingerprint(ctx, probe.Target{Addr: addr, SNI: "fp.test"})
 			want := sigFor(t, p.Impl)
 			for _, s := range fingerprint.Scenarios() {
 				s := s

@@ -12,6 +12,7 @@ import (
 
 	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
+	"quicscan/internal/probe"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -31,7 +32,7 @@ func TestE2EClassification(t *testing.T) {
 	}
 	defer u.Stop()
 
-	var targets []fingerprint.Target
+	var targets []probe.Target
 	var truth []string
 	for _, d := range u.Deployments {
 		if d.Behavior != internet.BehaviorActive {
@@ -41,7 +42,7 @@ func TestE2EClassification(t *testing.T) {
 		if len(d.Domains) > 0 {
 			sni = d.Domains[0]
 		}
-		targets = append(targets, fingerprint.Target{
+		targets = append(targets, probe.Target{
 			Addr: netip.AddrPortFrom(d.Addr, 443),
 			SNI:  sni,
 		})
@@ -54,15 +55,16 @@ func TestE2EClassification(t *testing.T) {
 	// Generous waits: under -race a slow scheduler must not turn a
 	// live scenario cell into "silent" and flake the golden diff.
 	p := &fingerprint.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		Workers:          8,
-		ProbeWait:        600 * time.Millisecond,
-		HandshakeTimeout: 4 * time.Second,
-		PingWait:         2 * time.Second,
+		Dialer: probe.Dialer{
+			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		ProbeWait: 600 * time.Millisecond,
+		PingWait:  2 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := p.FingerprintAll(ctx, targets)
+	results := probe.Run(ctx, 8, targets, p.Fingerprint)
 
 	cm := fingerprint.NewConfusionMatrix()
 	for i, r := range results {

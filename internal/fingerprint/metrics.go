@@ -1,18 +1,11 @@
 package fingerprint
 
-import (
-	"sync"
+import "quicscan/internal/telemetry"
 
-	"quicscan/internal/telemetry"
-)
-
-// Registry metrics for the scenario engine (the fingerprint_* family),
-// following the package-wide convention of resolving handles once at
-// init and caching dynamic-label children.
+// Registry metrics of the scenario engine beyond the engine-owned
+// fingerprint_targets_total and fingerprint_verdicts_total.
 var (
-	mTargets   = telemetry.Default().Counter("fingerprint_targets_total")
 	mScenarios = telemetry.Default().CounterVec("fingerprint_scenarios_total", "scenario")
-	mVerdicts  = telemetry.Default().CounterVec("fingerprint_verdicts_total", "verdict")
 	mUnknown   = telemetry.Default().Counter("fingerprint_unknown_total")
 	mExact     = telemetry.Default().Counter("fingerprint_exact_matches_total")
 )
@@ -26,15 +19,3 @@ var mScenarioRuns = func() [NumScenarios]*telemetry.Counter {
 	}
 	return out
 }()
-
-// verdictCounters caches mVerdicts children per verdict name; the set
-// is bounded by the signature database size.
-var verdictCounters sync.Map // string -> *telemetry.Counter
-
-func verdictCounter(name string) *telemetry.Counter {
-	if c, ok := verdictCounters.Load(name); ok {
-		return c.(*telemetry.Counter)
-	}
-	c, _ := verdictCounters.LoadOrStore(name, mVerdicts.With(name))
-	return c.(*telemetry.Counter)
-}

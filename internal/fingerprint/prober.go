@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/tls"
+	"encoding/json"
 	"errors"
 	"net"
-	"net/netip"
 	"sync"
 	"time"
 
+	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/transportparams"
@@ -42,77 +42,57 @@ const (
 // cheap.
 const resetProbeSize = 50
 
-// Target is one endpoint to fingerprint.
-type Target struct {
-	// Addr is the UDP endpoint.
-	Addr netip.AddrPort
-	// SNI is the server name for handshake scenarios; may be empty
-	// for targets that do not require SNI.
-	SNI string
-}
+// The handshake scenarios fail fast: three 60ms PTOs turn "forged
+// token silently dropped" into a bounded observation instead of a
+// full handshake timeout.
+var mode = probe.NewMode("fingerprint", 60*time.Millisecond, 3)
+
+// idleAdvertiseMs is the tiny max_idle_timeout the idle scenario
+// advertises, in milliseconds; idleWait is how long it then watches
+// for an announced teardown.
+const (
+	idleAdvertiseMs = 200
+	idleWait        = 8 * idleAdvertiseMs * time.Millisecond
+)
 
 // Result is the outcome of fingerprinting one target.
 type Result struct {
-	Target  Target
+	Target  probe.Target
 	Matrix  Matrix
 	Verdict Verdict
 }
 
-// Prober runs the scenario engine. The zero value is not usable:
-// DialPacket must be set (everything else has defaults). One Prober is
+// MarshalJSON renders the NDJSON verdict line of the -fingerprint
+// scan modes.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Addr     string `json:"addr"`
+		SNI      string `json:"sni,omitempty"`
+		Matrix   string `json:"matrix"`
+		Verdict  string `json:"verdict"`
+		Distance int    `json:"distance"`
+		Exact    bool   `json:"exact"`
+	}{
+		Addr:     r.Target.Addr.Addr().String(),
+		SNI:      r.Target.SNI,
+		Matrix:   r.Matrix.String(),
+		Verdict:  r.Verdict.Name,
+		Distance: r.Verdict.Distance,
+		Exact:    r.Verdict.Exact,
+	})
+}
+
+// Prober runs the scenario engine against DefaultDB. One Prober is
 // safe for concurrent use.
 type Prober struct {
-	// DialPacket opens a fresh client socket per scenario
-	// connection — net.ListenUDP on the real Internet,
-	// simnet.Network.DialUDP inside the simulation.
-	DialPacket func() (net.PacketConn, error)
-
-	// DB is the signature database; nil means DefaultDB.
-	DB DB
-
-	// TLS, when non-nil, is cloned per handshake. The default skips
-	// certificate verification (the prober measures transport
-	// behaviour, not authenticity) and offers the scanner's h3 ALPN
-	// ladder.
-	TLS *tls.Config
-
-	// Versions are the QUIC versions offered in handshake scenarios
-	// (default quic.ScannerVersions).
-	Versions []quicwire.Version
+	// Dialer opens a fresh socket per scenario connection.
+	probe.Dialer
 
 	// ProbeWait bounds the raw-probe response wait (default 250ms).
 	ProbeWait time.Duration
 
-	// HandshakeTimeout bounds each handshake attempt (default 1.5s).
-	HandshakeTimeout time.Duration
-
-	// PTO and MaxPTOs tune the retransmission schedule; the defaults
-	// (60ms, 3) fail fast on deliberately dropped packets, which is
-	// what turns "forged token silently dropped" into a bounded
-	// observation.
-	PTO     time.Duration
-	MaxPTOs int
-
 	// PingWait bounds the post-key-update round trip (default 500ms).
 	PingWait time.Duration
-
-	// IdleAdvertiseMs is the tiny max_idle_timeout the idle scenario
-	// advertises, in milliseconds (default 200).
-	IdleAdvertiseMs uint64
-
-	// IdleWait is how long to watch for an announced idle teardown
-	// (default 8x the advertised idle period).
-	IdleWait time.Duration
-
-	// Workers bounds FingerprintAll's concurrency (default 8).
-	Workers int
-}
-
-func (p *Prober) database() DB {
-	if p.DB != nil {
-		return p.DB
-	}
-	return DefaultDB()
 }
 
 func (p *Prober) probeWait() time.Duration {
@@ -122,27 +102,6 @@ func (p *Prober) probeWait() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (p *Prober) handshakeTimeout() time.Duration {
-	if p.HandshakeTimeout > 0 {
-		return p.HandshakeTimeout
-	}
-	return 1500 * time.Millisecond
-}
-
-func (p *Prober) pto() time.Duration {
-	if p.PTO > 0 {
-		return p.PTO
-	}
-	return 60 * time.Millisecond
-}
-
-func (p *Prober) maxPTOs() int {
-	if p.MaxPTOs != 0 {
-		return p.MaxPTOs
-	}
-	return 3
-}
-
 func (p *Prober) pingWait() time.Duration {
 	if p.PingWait > 0 {
 		return p.PingWait
@@ -150,36 +109,14 @@ func (p *Prober) pingWait() time.Duration {
 	return 500 * time.Millisecond
 }
 
-func (p *Prober) idleAdvertiseMs() uint64 {
-	if p.IdleAdvertiseMs > 0 {
-		return p.IdleAdvertiseMs
-	}
-	return 200
-}
-
-func (p *Prober) idleWait() time.Duration {
-	if p.IdleWait > 0 {
-		return p.IdleWait
-	}
-	return 8 * time.Duration(p.idleAdvertiseMs()) * time.Millisecond
-}
-
-func (p *Prober) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return 8
-}
-
 // Fingerprint runs every scenario against one target and classifies
 // the observed matrix. Scenarios run concurrently: each uses its own
 // socket (and, for handshake scenarios, its own connection), so they
 // cannot contaminate one another.
-func (p *Prober) Fingerprint(ctx context.Context, t Target) Result {
-	mTargets.Inc()
+func (p *Prober) Fingerprint(ctx context.Context, t probe.Target) Result {
 	var m Matrix
 	var wg sync.WaitGroup
-	run := func(s Scenario, f func(context.Context, Target) string) {
+	run := func(s Scenario, f func(context.Context, probe.Target) string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -195,8 +132,8 @@ func (p *Prober) Fingerprint(ctx context.Context, t Target) Result {
 	run(ScenarioGreaseTP, p.probeGreaseTP)
 	run(ScenarioIdle, p.probeIdle)
 	wg.Wait()
-	v := p.database().Match(m)
-	verdictCounter(v.Name).Inc()
+	v := DefaultDB().Match(m)
+	mode.Settle(v.Name, nil)
 	switch {
 	case v.Name == VerdictUnknown:
 		mUnknown.Inc()
@@ -204,25 +141,6 @@ func (p *Prober) Fingerprint(ctx context.Context, t Target) Result {
 		mExact.Inc()
 	}
 	return Result{Target: t, Matrix: m, Verdict: v}
-}
-
-// FingerprintAll fingerprints every target with a bounded worker
-// pool, preserving input order in the result slice.
-func (p *Prober) FingerprintAll(ctx context.Context, targets []Target) []Result {
-	out := make([]Result, len(targets))
-	sem := make(chan struct{}, p.workers())
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = p.Fingerprint(ctx, t)
-		}(i, t)
-	}
-	wg.Wait()
-	return out
 }
 
 // buildRawProbe assembles a ZMap-style forced-VN Initial at
@@ -247,7 +165,7 @@ func buildRawProbe(size int, dcid, scid []byte) []byte {
 // rawVNExchange sends one raw probe of the given size and classifies
 // the answer: CellVNGrease for a VN listing any reserved version,
 // CellVN for a plain VN, CellSilent on timeout or socket failure.
-func (p *Prober) rawVNExchange(ctx context.Context, t Target, size int) string {
+func (p *Prober) rawVNExchange(ctx context.Context, t probe.Target, size int) string {
 	pc, err := p.DialPacket()
 	if err != nil {
 		return CellSilent
@@ -255,9 +173,9 @@ func (p *Prober) rawVNExchange(ctx context.Context, t Target, size int) string {
 	defer pc.Close()
 	dcid := quicwire.NewRandomConnID(8)
 	scid := quicwire.NewRandomConnID(8)
-	probe := buildRawProbe(size, dcid, scid)
+	dgram := buildRawProbe(size, dcid, scid)
 	remote := net.UDPAddrFromAddrPort(t.Addr)
-	if _, err := pc.WriteTo(probe, remote); err != nil {
+	if _, err := pc.WriteTo(dgram, remote); err != nil {
 		return CellSilent
 	}
 	deadline := time.Now().Add(p.probeWait())
@@ -291,30 +209,30 @@ func (p *Prober) rawVNExchange(ctx context.Context, t Target, size int) string {
 	}
 }
 
-func (p *Prober) probeVN(ctx context.Context, t Target) string {
+func (p *Prober) probeVN(ctx context.Context, t probe.Target) string {
 	return p.rawVNExchange(ctx, t, probeSizePadded)
 }
 
-func (p *Prober) probePadding(ctx context.Context, t Target) string {
+func (p *Prober) probePadding(ctx context.Context, t probe.Target) string {
 	return p.rawVNExchange(ctx, t, probeSizeUnpadded)
 }
 
 // probeReset sends an orphan 1-RTT-shaped datagram (fixed bit set,
 // random connection ID) and watches for a stateless-reset-shaped
 // answer: a short-header datagram of at least 21 bytes.
-func (p *Prober) probeReset(ctx context.Context, t Target) string {
+func (p *Prober) probeReset(ctx context.Context, t probe.Target) string {
 	pc, err := p.DialPacket()
 	if err != nil {
 		return CellSilent
 	}
 	defer pc.Close()
-	probe := make([]byte, resetProbeSize)
-	if _, err := rand.Read(probe[1:]); err != nil {
+	dgram := make([]byte, resetProbeSize)
+	if _, err := rand.Read(dgram[1:]); err != nil {
 		return CellSilent
 	}
-	probe[0] = 0x40 | (probe[1] & 0x3f)
+	dgram[0] = 0x40 | (dgram[1] & 0x3f)
 	remote := net.UDPAddrFromAddrPort(t.Addr)
-	if _, err := pc.WriteTo(probe, remote); err != nil {
+	if _, err := pc.WriteTo(dgram, remote); err != nil {
 		return CellSilent
 	}
 	deadline := time.Now().Add(p.probeWait())
@@ -336,46 +254,6 @@ func (p *Prober) probeReset(ctx context.Context, t Target) string {
 	}
 }
 
-// dial runs one handshake attempt with the prober's fast-fail tuning;
-// mut, when non-nil, adjusts the config before dialing.
-func (p *Prober) dial(ctx context.Context, t Target, mut func(*quic.Config)) (*quic.Conn, error) {
-	pc, err := p.DialPacket()
-	if err != nil {
-		return nil, err
-	}
-	cfg := &quic.Config{
-		TLS:              p.tlsFor(t),
-		Versions:         p.Versions,
-		HandshakeTimeout: p.handshakeTimeout(),
-		PTO:              p.pto(),
-		MaxPTOs:          p.maxPTOs(),
-		MaxPTOBackoff:    4 * p.pto(),
-		TransportParams:  quic.DefaultClientParams(),
-	}
-	if mut != nil {
-		mut(cfg)
-	}
-	dctx, cancel := context.WithTimeout(ctx, cfg.HandshakeTimeout+time.Second)
-	defer cancel()
-	return quic.Dial(dctx, pc, net.UDPAddrFromAddrPort(t.Addr), cfg)
-}
-
-func (p *Prober) tlsFor(t Target) *tls.Config {
-	var cfg *tls.Config
-	if p.TLS != nil {
-		cfg = p.TLS.Clone()
-	} else {
-		cfg = &tls.Config{InsecureSkipVerify: true}
-	}
-	if cfg.ServerName == "" {
-		cfg.ServerName = t.SNI
-	}
-	if len(cfg.NextProtos) == 0 {
-		cfg.NextProtos = []string{"h3", "h3-34", "h3-32", "h3-29", "h3-28", "h3-27"}
-	}
-	return cfg
-}
-
 // forgedToken is the deliberately invalid address validation token the
 // Retry scenario replays. Constant so the cell is reproducible.
 func forgedToken() []byte {
@@ -391,8 +269,8 @@ func forgedToken() []byte {
 // classifies the validator — accepted (lax), explicit INVALID_TOKEN
 // close (close), or silent drop until the retransmission budget runs
 // out (drop).
-func (p *Prober) probeRetry(ctx context.Context, t Target) string {
-	conn, err := p.dial(ctx, t, nil)
+func (p *Prober) probeRetry(ctx context.Context, t probe.Target) string {
+	conn, _, err := p.Dial(ctx, t, p.Config(mode, t))
 	if err != nil {
 		return CellSilent
 	}
@@ -401,9 +279,9 @@ func (p *Prober) probeRetry(ctx context.Context, t Target) string {
 	if !retried {
 		return CellRetryNone
 	}
-	conn2, err := p.dial(ctx, t, func(cfg *quic.Config) {
-		cfg.InitialToken = forgedToken()
-	})
+	cfg := p.Config(mode, t)
+	cfg.InitialToken = forgedToken()
+	conn2, _, err := p.Dial(ctx, t, cfg)
 	if err == nil {
 		conn2.Close()
 		return CellRetryLax
@@ -417,8 +295,8 @@ func (p *Prober) probeRetry(ctx context.Context, t Target) string {
 
 // probeKeyUpdate completes a handshake, initiates an RFC 9001
 // Section 6 key update, and forces a round trip in the new generation.
-func (p *Prober) probeKeyUpdate(ctx context.Context, t Target) string {
-	conn, err := p.dial(ctx, t, nil)
+func (p *Prober) probeKeyUpdate(ctx context.Context, t probe.Target) string {
+	conn, _, err := p.Dial(ctx, t, p.Config(mode, t))
 	if err != nil {
 		return CellSilent
 	}
@@ -441,14 +319,13 @@ func (p *Prober) probeKeyUpdate(ctx context.Context, t Target) string {
 // probeGreaseTP offers a reserved transport parameter the peer must
 // ignore (RFC 9000, Section 7.4.2) and records whether the handshake
 // still completes.
-func (p *Prober) probeGreaseTP(ctx context.Context, t Target) string {
-	conn, err := p.dial(ctx, t, func(cfg *quic.Config) {
-		tp := quic.DefaultClientParams()
-		tp.Unknown = append(tp.Unknown, transportparams.RawParameter{
-			ID: greaseTPID, Value: []byte{0x2a, 0x2a},
-		})
-		cfg.TransportParams = tp
-	})
+func (p *Prober) probeGreaseTP(ctx context.Context, t probe.Target) string {
+	cfg := p.Config(mode, t)
+	cfg.TransportParams = quic.DefaultClientParams()
+	cfg.TransportParams.Unknown = []transportparams.RawParameter{
+		{ID: greaseTPID, Value: []byte{0x2a, 0x2a}},
+	}
+	conn, _, err := p.Dial(ctx, t, cfg)
 	if err == nil {
 		conn.Close()
 		return CellOK
@@ -464,17 +341,16 @@ func (p *Prober) probeGreaseTP(ctx context.Context, t Target) string {
 // handshake, and watches whether the peer announces the teardown
 // (CONNECTION_CLOSE) or vanishes silently. The local idle limit is
 // kept huge so only the peer's timer is under observation.
-func (p *Prober) probeIdle(ctx context.Context, t Target) string {
-	conn, err := p.dial(ctx, t, func(cfg *quic.Config) {
-		tp := quic.DefaultClientParams()
-		tp.MaxIdleTimeout = p.idleAdvertiseMs()
-		cfg.TransportParams = tp
-		cfg.MaxIdleTimeout = time.Hour
-	})
+func (p *Prober) probeIdle(ctx context.Context, t probe.Target) string {
+	cfg := p.Config(mode, t)
+	cfg.TransportParams = quic.DefaultClientParams()
+	cfg.TransportParams.MaxIdleTimeout = idleAdvertiseMs
+	cfg.MaxIdleTimeout = time.Hour
+	conn, _, err := p.Dial(ctx, t, cfg)
 	if err != nil {
 		return CellSilent
 	}
-	timer := time.NewTimer(p.idleWait())
+	timer := time.NewTimer(idleWait)
 	defer timer.Stop()
 	select {
 	case <-conn.Closed():

@@ -629,32 +629,31 @@ func (u *Universe) buildSourceLists() {
 	}
 	sort.Strings(quicNames)
 
-	// Paper list sizes: 1M per top list, ~180M com/net/org, ~31M other
-	// CZDS zones.
-	listSizes := map[string]int{
-		"alexa":          1000000,
-		"majestic":       1000000,
-		"umbrella":       1000000,
-		"czds-comnetorg": 180000000,
-		"czds-other":     31000000,
-	}
-	// Share of each list that is QUIC-capable (top lists are far more
-	// QUIC-dense than the zone files).
-	quicShare := map[string]float64{
-		"alexa":          0.25,
-		"majestic":       0.20,
-		"umbrella":       0.22,
-		"czds-comnetorg": 0.02,
-		"czds-other":     0.03,
+	// Paper list sizes (1M per top list, ~180M com/net/org, ~31M other
+	// CZDS zones) and the share of each list that is QUIC-capable (top
+	// lists are far more QUIC-dense than the zone files). A slice, not
+	// a map: the lists draw from u.rng in turn, so their order decides
+	// which QUIC names land in which list.
+	sources := []struct {
+		name      string
+		size      int
+		quicShare float64
+	}{
+		{"alexa", 1000000, 0.25},
+		{"majestic", 1000000, 0.20},
+		{"umbrella", 1000000, 0.22},
+		{"czds-comnetorg", 180000000, 0.02},
+		{"czds-other", 31000000, 0.03},
 	}
 
-	for src, size := range listSizes {
-		n := size / u.Spec.DomainScale
+	for _, source := range sources {
+		src := source.name
+		n := source.size / u.Spec.DomainScale
 		if n < 8 {
 			n = 8
 		}
 		var list []string
-		nQUIC := int(float64(n) * quicShare[src])
+		nQUIC := int(float64(n) * source.quicShare)
 		for i := 0; i < nQUIC && len(quicNames) > 0; i++ {
 			name := quicNames[u.rng.IntN(len(quicNames))]
 			list = append(list, name)

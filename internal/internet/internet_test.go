@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,6 +51,29 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 	if len(u1.Domains) != len(u2.Domains) {
 		t.Errorf("domain counts differ: %d vs %d", len(u1.Domains), len(u2.Domains))
+	}
+}
+
+// TestBuildIsDeterministic pins Build as a pure function of its spec
+// above the deployments: the same QUIC names land in the same source
+// lists, so every domain carries the same Sources (and, through them,
+// the same HTTPS-RR draw) in every process.
+func TestBuildIsDeterministic(t *testing.T) {
+	spec := Spec{Seed: 3, Scale: 2048, ASScale: 64, DomainScale: 8192, Week: 18}
+	u1 := Build(spec)
+	u2 := Build(spec)
+	defer u1.Net.Close()
+	defer u2.Net.Close()
+	if !reflect.DeepEqual(u1.SourceLists, u2.SourceLists) {
+		t.Error("SourceLists differ between two builds of one spec")
+	}
+	if len(u1.Domains) != len(u2.Domains) {
+		t.Fatalf("domain counts differ: %d vs %d", len(u1.Domains), len(u2.Domains))
+	}
+	for i, a := range u1.Domains {
+		if b := u2.Domains[i]; !reflect.DeepEqual(a, b) {
+			t.Fatalf("domain %d differs: %+v vs %+v", i, a, b)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"quicscan/internal/internet"
 	"quicscan/internal/migration"
+	"quicscan/internal/probe"
 )
 
 // TestE2EClassification probes every BehaviorActive deployment of a
@@ -26,7 +27,7 @@ func TestE2EClassification(t *testing.T) {
 	}
 	defer u.Stop()
 
-	var targets []migration.Target
+	var targets []probe.Target
 	var truth []internet.MigrationQuirk
 	for _, d := range u.Deployments {
 		if d.Behavior != internet.BehaviorActive {
@@ -36,7 +37,7 @@ func TestE2EClassification(t *testing.T) {
 		if len(d.Domains) > 0 {
 			sni = d.Domains[0]
 		}
-		targets = append(targets, migration.Target{
+		targets = append(targets, probe.Target{
 			Addr: netip.AddrPortFrom(d.Addr, 443),
 			SNI:  sni,
 		})
@@ -49,14 +50,15 @@ func TestE2EClassification(t *testing.T) {
 	// Generous waits: under -race a slow scheduler must not turn a
 	// validated migration into a timeout.
 	p := &migration.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		Workers:          8,
-		HandshakeTimeout: 4 * time.Second,
-		MigrateWait:      4 * time.Second,
+		Dialer: probe.Dialer{
+			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		MigrateWait: 4 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := p.ProbeAll(ctx, targets)
+	results := probe.Run(ctx, 8, targets, p.Probe)
 
 	for i, r := range results {
 		want := truth[i].String()
@@ -99,10 +101,12 @@ func TestTPOnlyFallback(t *testing.T) {
 	}
 
 	p := &migration.Prober{
-		// noRebind hides the simnet socket's Rebind method.
-		DialPacket:       func() (net.PacketConn, error) { pc, err := u.Net.DialUDP(); return noRebind{pc}, err },
-		HandshakeTimeout: 4 * time.Second,
-		MigrateWait:      4 * time.Second,
+		Dialer: probe.Dialer{
+			// noRebind hides the simnet socket's Rebind method.
+			DialPacket:       func() (net.PacketConn, error) { pc, err := u.Net.DialUDP(); return noRebind{pc}, err },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		MigrateWait: 4 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -118,7 +122,7 @@ func TestTPOnlyFallback(t *testing.T) {
 		if len(tc.d.Domains) > 0 {
 			sni = tc.d.Domains[0]
 		}
-		r := p.Probe(ctx, migration.Target{Addr: netip.AddrPortFrom(tc.d.Addr, 443), SNI: sni})
+		r := p.Probe(ctx, probe.Target{Addr: netip.AddrPortFrom(tc.d.Addr, 443), SNI: sni})
 		if r.Verdict != tc.want {
 			t.Errorf("target %s: verdict %q, want %q (err=%q)", tc.d.Addr, r.Verdict, tc.want, r.Err)
 		}

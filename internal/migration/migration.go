@@ -11,14 +11,12 @@ package migration
 
 import (
 	"context"
-	"crypto/tls"
-	"net"
+	"encoding/json"
 	"net/netip"
-	"sync"
 	"time"
 
-	"quicscan/internal/quic"
-	"quicscan/internal/quicwire"
+	"quicscan/internal/probe"
+	"quicscan/internal/telemetry"
 )
 
 // Verdict names. The behavioral classes mirror
@@ -30,9 +28,20 @@ const (
 	VerdictSupported     = "supported"
 	VerdictDisabled      = "disabled"
 	VerdictValidateBreak = "validate-break"
-	VerdictUnreachable   = "unreachable"
+	VerdictUnreachable   = probe.VerdictUnreachable
 	VerdictTPAllows      = "tp-allows"
 	VerdictTPDisabled    = "tp-disabled"
+)
+
+// Six 100ms PTOs: after the rebind the ping must keep being resent
+// while the server validates the new path.
+var mode = probe.NewMode("migration", 100*time.Millisecond, 6)
+
+// Registry metrics of the migration scan beyond the engine-owned
+// migration_targets_total and migration_verdicts_total.
+var (
+	mRebinds    = telemetry.Default().Counter("migration_rebinds_total")
+	mTPMismatch = telemetry.Default().Counter("migration_tp_mismatch_total")
 )
 
 // Rebinder is the optional capability the behavioral probe needs: a
@@ -43,15 +52,9 @@ type Rebinder interface {
 	Rebind() (netip.AddrPort, error)
 }
 
-// Target is one endpoint to classify.
-type Target struct {
-	Addr netip.AddrPort
-	SNI  string
-}
-
 // Result is the outcome for one target.
 type Result struct {
-	Target  Target
+	Target  probe.Target
 	Verdict string
 	// TPDisabled records the advertised disable_active_migration
 	// transport parameter (false when the handshake failed).
@@ -69,52 +72,40 @@ type Result struct {
 	Err string
 }
 
-// Prober runs the migration scan. DialPacket must be set; everything
-// else has defaults. One Prober is safe for concurrent use.
-type Prober struct {
-	// DialPacket opens a fresh client socket per target. When the
-	// returned conn implements Rebinder the full behavioral probe
-	// runs; otherwise only the transport parameter is read.
-	DialPacket func() (net.PacketConn, error)
+// MarshalJSON renders the NDJSON verdict line of the -migration scan
+// modes.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Addr       string `json:"addr"`
+		SNI        string `json:"sni,omitempty"`
+		Verdict    string `json:"verdict"`
+		TPDisabled bool   `json:"tp_disabled"`
+		Challenges int    `json:"challenges"`
+		Honest     bool   `json:"honest"`
+		Err        string `json:"err,omitempty"`
+	}{
+		Addr:       r.Target.Addr.Addr().String(),
+		SNI:        r.Target.SNI,
+		Verdict:    r.Verdict,
+		TPDisabled: r.TPDisabled,
+		Challenges: r.Challenges,
+		Honest:     r.Honest,
+		Err:        r.Err,
+	})
+}
 
-	// TLS, Versions, HandshakeTimeout, PTO, MaxPTOs mirror the
-	// fingerprint prober's dial tuning. A nil TLS skips certificate
-	// verification (the prober measures transport behavior, not
-	// authenticity).
-	TLS              *tls.Config
-	Versions         []quicwire.Version
-	HandshakeTimeout time.Duration
-	PTO              time.Duration
-	MaxPTOs          int
+// Prober runs the migration scan. One Prober is safe for concurrent
+// use.
+type Prober struct {
+	// Dialer opens a fresh socket per target. When the socket
+	// implements Rebinder the full behavioral probe runs; otherwise
+	// only the transport parameter is read.
+	probe.Dialer
 
 	// MigrateWait bounds the post-rebind round trip: how long the
 	// prober waits for traffic to resume on the new path before
 	// declaring the deployment migration-hostile (default 3s).
 	MigrateWait time.Duration
-
-	// Workers bounds ProbeAll's concurrency (default 8).
-	Workers int
-}
-
-func (p *Prober) handshakeTimeout() time.Duration {
-	if p.HandshakeTimeout > 0 {
-		return p.HandshakeTimeout
-	}
-	return 1500 * time.Millisecond
-}
-
-func (p *Prober) pto() time.Duration {
-	if p.PTO > 0 {
-		return p.PTO
-	}
-	return 100 * time.Millisecond
-}
-
-func (p *Prober) maxPTOs() int {
-	if p.MaxPTOs != 0 {
-		return p.MaxPTOs
-	}
-	return 6
 }
 
 func (p *Prober) migrateWait() time.Duration {
@@ -124,49 +115,23 @@ func (p *Prober) migrateWait() time.Duration {
 	return 3 * time.Second
 }
 
-func (p *Prober) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return 8
-}
-
 // Probe classifies one target.
-func (p *Prober) Probe(ctx context.Context, t Target) Result {
-	mTargets.Inc()
-	res := p.probe(ctx, t)
-	verdictCounter(res.Verdict).Inc()
+func (p *Prober) Probe(ctx context.Context, t probe.Target) Result {
+	res := Result{Target: t, Honest: true}
+	res.Verdict, res.Err = mode.Settle(p.scenario(ctx, t, &res))
 	if !res.Honest {
 		mTPMismatch.Inc()
 	}
 	return res
 }
 
-func (p *Prober) probe(ctx context.Context, t Target) Result {
-	res := Result{Target: t, Honest: true}
-	pc, err := p.DialPacket()
+// scenario runs the rebind exchange, recording its observations in
+// res. It returns the verdict, or the error that ended the exchange
+// before one was reached.
+func (p *Prober) scenario(ctx context.Context, t probe.Target, res *Result) (string, error) {
+	conn, pc, err := p.Dial(ctx, t, p.Config(mode, t))
 	if err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
-	}
-	cfg := &quic.Config{
-		TLS:              p.tlsFor(t),
-		Versions:         p.Versions,
-		HandshakeTimeout: p.handshakeTimeout(),
-		PTO:              p.pto(),
-		MaxPTOs:          p.maxPTOs(),
-		MaxPTOBackoff:    4 * p.pto(),
-		TransportParams:  quic.DefaultClientParams(),
-	}
-	dctx, cancel := context.WithTimeout(ctx, cfg.HandshakeTimeout+time.Second)
-	conn, err := quic.Dial(dctx, pc, net.UDPAddrFromAddrPort(t.Addr), cfg)
-	cancel()
-	if err != nil {
-		pc.Close()
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	defer conn.Close()
 	if tp, ok := conn.PeerTransportParameters(); ok {
@@ -178,11 +143,9 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 		// Kernel sockets cannot move mid-connection; the advertised
 		// transport parameter is the only signal.
 		if res.TPDisabled {
-			res.Verdict = VerdictTPDisabled
-		} else {
-			res.Verdict = VerdictTPAllows
+			return VerdictTPDisabled, nil
 		}
-		return res
+		return VerdictTPAllows, nil
 	}
 
 	// A confirmed round trip first: the rebind must be unambiguously
@@ -193,16 +156,12 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 	err = conn.Ping(pctx)
 	cancel()
 	if err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 
 	before := conn.Stats().PathChallengesReceived
 	if _, err := rb.Rebind(); err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	mRebinds.Inc()
 
@@ -225,51 +184,15 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 
 	switch {
 	case err == nil:
-		res.Verdict = VerdictSupported
 		res.Honest = !res.TPDisabled
+		return VerdictSupported, nil
 	case res.Challenges > 0:
 		// The server began path validation, yet traffic never
 		// resumed: it validates the client and then drops it.
-		res.Verdict = VerdictValidateBreak
 		res.Honest = !res.TPDisabled
+		return VerdictValidateBreak, nil
 	default:
-		res.Verdict = VerdictDisabled
 		res.Honest = res.TPDisabled
+		return VerdictDisabled, nil
 	}
-	return res
-}
-
-func (p *Prober) tlsFor(t Target) *tls.Config {
-	var cfg *tls.Config
-	if p.TLS != nil {
-		cfg = p.TLS.Clone()
-	} else {
-		cfg = &tls.Config{InsecureSkipVerify: true}
-	}
-	if cfg.ServerName == "" {
-		cfg.ServerName = t.SNI
-	}
-	if len(cfg.NextProtos) == 0 {
-		cfg.NextProtos = []string{"h3", "h3-34", "h3-32", "h3-29", "h3-28", "h3-27"}
-	}
-	return cfg
-}
-
-// ProbeAll classifies every target with a bounded worker pool,
-// preserving input order.
-func (p *Prober) ProbeAll(ctx context.Context, targets []Target) []Result {
-	out := make([]Result, len(targets))
-	sem := make(chan struct{}, p.workers())
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = p.Probe(ctx, t)
-		}(i, t)
-	}
-	wg.Wait()
-	return out
 }

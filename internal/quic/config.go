@@ -212,14 +212,12 @@ var ErrIdleTimeout = errors.New("quic: connection idle timeout")
 // so the next dial performs a full handshake.
 var ErrParameterDowngrade = errors.New("quic: transport parameters reduced on resumption")
 
-// Stats captures measurement-relevant facts about a connection
-// attempt.
-//
-// Deprecated: Stats is kept as a per-connection compatibility shim
-// for the scanner's Result extraction. Aggregate counters (handshake
-// latency, retransmits, version negotiation totals) are maintained in
-// the telemetry registry (quic_* metric family) and should be read
-// via telemetry.Default().Snapshot() or the /metrics exporter.
+// Stats captures measurement-relevant facts about one connection
+// attempt: what the scanner records per target and what the
+// behavioural scan modes compute their verdicts from (Retried,
+// PathChallengesReceived). The telemetry registry (quic_* metric
+// family) holds the process-wide aggregates of the same events; it
+// cannot answer for a single connection.
 type Stats struct {
 	// VersionNegotiation is true if the server replied with a Version
 	// Negotiation packet during the handshake.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"quicscan/internal/internet"
+	"quicscan/internal/probe"
 	"quicscan/internal/resumption"
 )
 
@@ -24,7 +25,7 @@ func TestE2EClassification(t *testing.T) {
 	}
 	defer u.Stop()
 
-	var targets []resumption.Target
+	var targets []probe.Target
 	var truth []internet.ResumptionQuirk
 	var retryServer []bool
 	for _, d := range u.Deployments {
@@ -35,7 +36,7 @@ func TestE2EClassification(t *testing.T) {
 		if len(d.Domains) > 0 {
 			sni = d.Domains[0]
 		}
-		targets = append(targets, resumption.Target{
+		targets = append(targets, probe.Target{
 			Addr: netip.AddrPortFrom(d.Addr, 443),
 			SNI:  sni,
 		})
@@ -49,14 +50,15 @@ func TestE2EClassification(t *testing.T) {
 	// Generous waits: under -race a slow scheduler must not turn a
 	// missed ticket-arrival race into a no-ticket verdict.
 	p := &resumption.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		Workers:          8,
-		HandshakeTimeout: 4 * time.Second,
-		TicketWait:       4 * time.Second,
+		Dialer: probe.Dialer{
+			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		TicketWait: 4 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := p.ProbeAll(ctx, targets)
+	results := probe.Run(ctx, 8, targets, p.Probe)
 
 	for i, r := range results {
 		want := truth[i].String()
@@ -101,9 +103,11 @@ func TestNoTicketShortCircuit(t *testing.T) {
 	}
 
 	p := &resumption.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		HandshakeTimeout: 4 * time.Second,
-		TicketWait:       2 * time.Second,
+		Dialer: probe.Dialer{
+			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		TicketWait: 2 * time.Second,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -112,7 +116,7 @@ func TestNoTicketShortCircuit(t *testing.T) {
 	if len(noTicket.Domains) > 0 {
 		sni = noTicket.Domains[0]
 	}
-	r := p.Probe(ctx, resumption.Target{Addr: netip.AddrPortFrom(noTicket.Addr, 443), SNI: sni})
+	r := p.Probe(ctx, probe.Target{Addr: netip.AddrPortFrom(noTicket.Addr, 443), SNI: sni})
 	if r.Verdict != resumption.VerdictNoTicket {
 		t.Fatalf("verdict %q, want %q (err=%q)", r.Verdict, resumption.VerdictNoTicket, r.Err)
 	}

@@ -13,16 +13,15 @@ package resumption
 
 import (
 	"context"
-	"crypto/tls"
+	"encoding/json"
 	"errors"
 	"net"
-	"net/netip"
-	"sync"
 	"time"
 
 	"quicscan/internal/h3"
+	"quicscan/internal/probe"
 	"quicscan/internal/quic"
-	"quicscan/internal/quicwire"
+	"quicscan/internal/telemetry"
 )
 
 // Verdict names. The behavioural classes mirror
@@ -33,18 +32,23 @@ const (
 	VerdictNoTicket     = "no-ticket"
 	VerdictTicketNo0RTT = "ticket-no-0rtt"
 	VerdictDowngrade    = "0rtt-downgrade"
-	VerdictUnreachable  = "unreachable"
+	VerdictUnreachable  = probe.VerdictUnreachable
 )
 
-// Target is one endpoint to classify.
-type Target struct {
-	Addr netip.AddrPort
-	SNI  string
-}
+// Six 100ms PTOs, the migration scan's schedule: a lost ticket or
+// early-data flight is resent rather than read as a refusal.
+var mode = probe.NewMode("resumption", 100*time.Millisecond, 6)
+
+// Registry metrics of the resumption scan beyond the engine-owned
+// resumption_targets_total and resumption_verdicts_total.
+var (
+	mTickets    = telemetry.Default().Counter("resumption_tickets_total")
+	mTokenReuse = telemetry.Default().Counter("resumption_token_reuse_total")
+)
 
 // Result is the outcome for one target.
 type Result struct {
-	Target  Target
+	Target  probe.Target
 	Verdict string
 	// TicketIssued records whether the first dial yielded a session
 	// ticket within TicketWait.
@@ -67,53 +71,44 @@ type Result struct {
 	Err string
 }
 
-// Prober runs the resumption scan. DialPacket must be set; everything
-// else has defaults. One Prober is safe for concurrent use.
-type Prober struct {
-	// DialPacket opens a fresh client socket per target. Both dials to
-	// a target share the socket: the NEW_TOKEN a server issues is
-	// bound to the client address, so the rescan must leave from the
-	// same one.
-	DialPacket func() (net.PacketConn, error)
+// MarshalJSON renders the NDJSON verdict line of the -resumption scan
+// modes.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Addr        string `json:"addr"`
+		SNI         string `json:"sni,omitempty"`
+		Verdict     string `json:"verdict"`
+		Ticket      bool   `json:"ticket"`
+		Resumed     bool   `json:"resumed"`
+		ZeroRTT     bool   `json:"zero_rtt"`
+		TokenReused bool   `json:"token_reused"`
+		RequestOK   bool   `json:"request_ok"`
+		Err         string `json:"err,omitempty"`
+	}{
+		Addr:        r.Target.Addr.Addr().String(),
+		SNI:         r.Target.SNI,
+		Verdict:     r.Verdict,
+		Ticket:      r.TicketIssued,
+		Resumed:     r.Resumed,
+		ZeroRTT:     r.ZeroRTTAccepted,
+		TokenReused: r.TokenReused,
+		RequestOK:   r.RequestOK,
+		Err:         r.Err,
+	})
+}
 
-	// TLS, Versions, HandshakeTimeout, PTO, MaxPTOs mirror the
-	// migration prober's dial tuning. A nil TLS skips certificate
-	// verification (the prober measures transport behaviour, not
-	// authenticity).
-	TLS              *tls.Config
-	Versions         []quicwire.Version
-	HandshakeTimeout time.Duration
-	PTO              time.Duration
-	MaxPTOs          int
+// Prober runs the resumption scan. One Prober is safe for concurrent
+// use.
+type Prober struct {
+	// Dialer opens a fresh socket per target. Both dials to a target
+	// share the socket: the NEW_TOKEN a server issues is bound to the
+	// client address, so the rescan must leave from the same one.
+	probe.Dialer
 
 	// TicketWait bounds how long the prober waits after the first
 	// handshake for a session ticket before declaring the deployment
 	// ticket-less (default 2s).
 	TicketWait time.Duration
-
-	// Workers bounds ProbeAll's concurrency (default 8).
-	Workers int
-}
-
-func (p *Prober) handshakeTimeout() time.Duration {
-	if p.HandshakeTimeout > 0 {
-		return p.HandshakeTimeout
-	}
-	return 1500 * time.Millisecond
-}
-
-func (p *Prober) pto() time.Duration {
-	if p.PTO > 0 {
-		return p.PTO
-	}
-	return 100 * time.Millisecond
-}
-
-func (p *Prober) maxPTOs() int {
-	if p.MaxPTOs != 0 {
-		return p.MaxPTOs
-	}
-	return 6
 }
 
 func (p *Prober) ticketWait() time.Duration {
@@ -123,38 +118,28 @@ func (p *Prober) ticketWait() time.Duration {
 	return 2 * time.Second
 }
 
-func (p *Prober) workers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return 8
-}
-
 // Probe classifies one target.
-func (p *Prober) Probe(ctx context.Context, t Target) Result {
-	mTargets.Inc()
-	res := p.probe(ctx, t)
-	verdictCounter(res.Verdict).Inc()
+func (p *Prober) Probe(ctx context.Context, t probe.Target) Result {
+	res := Result{Target: t}
+	res.Verdict, res.Err = mode.Settle(p.scenario(ctx, t, &res))
 	if res.TokenReused {
 		mTokenReuse.Inc()
 	}
 	return res
 }
 
-func (p *Prober) probe(ctx context.Context, t Target) Result {
-	res := Result{Target: t}
+// scenario runs the two dials, recording its observations in res. It
+// returns the verdict, or the error that ended the exchange before
+// one was reached.
+func (p *Prober) scenario(ctx context.Context, t probe.Target, res *Result) (string, error) {
 	pc, err := p.DialPacket()
 	if err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	tr, err := quic.NewTransport(pc)
 	if err != nil {
 		pc.Close()
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	defer tr.Close()
 
@@ -162,17 +147,16 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 	// nothing else. Cross-target sharing would be wrong anyway — the
 	// cache is keyed by SNI and one campaign may scan many addresses
 	// behind one name.
-	cache := quic.NewSessionCache(4)
+	cfg := p.Config(mode, t)
+	cfg.SessionCache = quic.NewSessionCache(4)
 	remote := net.UDPAddrFromAddrPort(t.Addr)
 
 	// Dial one: full handshake, then wait for a ticket.
-	dctx, cancel := context.WithTimeout(ctx, p.handshakeTimeout()+time.Second)
-	conn, err := tr.Dial(dctx, remote, p.config(t, cache))
+	dctx, cancel := context.WithTimeout(ctx, p.Timeout()+time.Second)
+	conn, err := tr.Dial(dctx, remote, cfg)
 	cancel()
 	if err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	retriedFirst := conn.Stats().Retried
 	ticketTimer := time.NewTimer(p.ticketWait())
@@ -186,8 +170,7 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 	ticketTimer.Stop()
 	conn.Close()
 	if !res.TicketIssued {
-		res.Verdict = VerdictNoTicket
-		return res
+		return VerdictNoTicket, nil
 	}
 
 	// Dial two: attempt resumption, firing the HTTP/3 request as
@@ -195,38 +178,27 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 	// derivable, so the request rides the first flight; the verdict
 	// waits on the completed handshake, which is where resumption
 	// acceptance and the Section 7.4.1 downgrade check settle.
-	hctx, cancel := context.WithTimeout(ctx, p.handshakeTimeout()+p.ticketWait())
+	hctx, cancel := context.WithTimeout(ctx, p.Timeout()+p.ticketWait())
 	defer cancel()
-	conn, err = tr.DialEarly(hctx, remote, p.config(t, cache))
+	conn, err = tr.DialEarly(hctx, remote, cfg)
 	if err != nil {
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	defer conn.Close()
 
 	reqDone := make(chan bool, 1)
-	go func() { reqDone <- p.doH3(hctx, conn, t) }()
+	go func() { reqDone <- doH3(hctx, conn, t) }()
 
 	err = conn.HandshakeComplete(hctx)
 	res.TokenReused = retriedFirst && !conn.Stats().Retried
 	switch {
 	case errors.Is(err, quic.ErrParameterDowngrade):
-		res.Verdict = VerdictDowngrade
-		res.Err = err.Error()
-		return res
+		return VerdictDowngrade, err
 	case err != nil:
-		res.Verdict = VerdictUnreachable
-		res.Err = err.Error()
-		return res
+		return "", err
 	}
 	res.Resumed = conn.Resumed()
 	res.ZeroRTTAccepted = conn.EarlyDataAccepted()
-	if res.Resumed && res.ZeroRTTAccepted {
-		res.Verdict = Verdict0RTT
-	} else {
-		res.Verdict = VerdictTicketNo0RTT
-	}
 	// The request is informational; collect it only while the
 	// handshake budget lasts.
 	select {
@@ -234,10 +206,13 @@ func (p *Prober) probe(ctx context.Context, t Target) Result {
 		res.RequestOK = ok
 	case <-hctx.Done():
 	}
-	return res
+	if res.Resumed && res.ZeroRTTAccepted {
+		return Verdict0RTT, nil
+	}
+	return VerdictTicketNo0RTT, nil
 }
 
-func (p *Prober) doH3(ctx context.Context, conn *quic.Conn, t Target) bool {
+func doH3(ctx context.Context, conn *quic.Conn, t probe.Target) bool {
 	hc, err := h3.NewClientConn(conn)
 	if err != nil {
 		return false
@@ -248,51 +223,4 @@ func (p *Prober) doH3(ctx context.Context, conn *quic.Conn, t Target) bool {
 	}
 	_, err = hc.RoundTrip(ctx, "HEAD", authority, "/", nil)
 	return err == nil
-}
-
-func (p *Prober) config(t Target, cache *quic.SessionCache) *quic.Config {
-	return &quic.Config{
-		TLS:              p.tlsFor(t),
-		Versions:         p.Versions,
-		HandshakeTimeout: p.handshakeTimeout(),
-		PTO:              p.pto(),
-		MaxPTOs:          p.maxPTOs(),
-		MaxPTOBackoff:    4 * p.pto(),
-		SessionCache:     cache,
-	}
-}
-
-func (p *Prober) tlsFor(t Target) *tls.Config {
-	var cfg *tls.Config
-	if p.TLS != nil {
-		cfg = p.TLS.Clone()
-	} else {
-		cfg = &tls.Config{InsecureSkipVerify: true}
-	}
-	if cfg.ServerName == "" {
-		cfg.ServerName = t.SNI
-	}
-	if len(cfg.NextProtos) == 0 {
-		cfg.NextProtos = []string{"h3", "h3-34", "h3-32", "h3-29", "h3-28", "h3-27"}
-	}
-	return cfg
-}
-
-// ProbeAll classifies every target with a bounded worker pool,
-// preserving input order.
-func (p *Prober) ProbeAll(ctx context.Context, targets []Target) []Result {
-	out := make([]Result, len(targets))
-	sem := make(chan struct{}, p.workers())
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = p.Probe(ctx, t)
-		}(i, t)
-	}
-	wg.Wait()
-	return out
 }

@@ -18,11 +18,12 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
-# multi-core hosts — a failure that hid on 1-CPU runners.
-go test -cpu 1,2,4 . ./internal/quic
+# multi-core hosts — a failure that hid on 1-CPU runners. The rescan
+# paths (core, resumption) and the probe worker pool ride along.
+go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh

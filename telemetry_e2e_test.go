@@ -14,6 +14,7 @@ import (
 	"quicscan/internal/core"
 	"quicscan/internal/internet"
 	"quicscan/internal/migration"
+	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 	"quicscan/internal/resumption"
 	"quicscan/internal/simnet"
@@ -174,12 +175,12 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// Migration prober: classify one migration-friendly deployment so
 	// the migration_* and quic_path_* families reach the exporter with
 	// real samples (rebind, server path validation, promotion).
-	var migTarget migration.Target
+	var migTarget probe.Target
 	migFound := false
 	for _, d := range u.Deployments {
 		if d.Behavior == internet.BehaviorActive && d.Addr.Is4() && len(d.Domains) > 0 &&
 			d.Profile.Quirks.Migration == internet.MigrationSupported {
-			migTarget = migration.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
+			migTarget = probe.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
 			migFound = true
 			break
 		}
@@ -188,9 +189,11 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("universe has no migration-friendly active deployment")
 	}
 	mp := &migration.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		HandshakeTimeout: 4 * time.Second,
-		MigrateWait:      4 * time.Second,
+		Dialer: probe.Dialer{
+			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
+			HandshakeTimeout: 4 * time.Second,
+		},
+		MigrateWait: 4 * time.Second,
 	}
 	if mres := mp.Probe(context.Background(), migTarget); mres.Verdict != migration.VerdictSupported {
 		t.Fatalf("migration probe verdict = %q (err %q), want supported", mres.Verdict, mres.Err)
@@ -202,13 +205,13 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	// it through a cache-sharing core scanner, so the resumption_*,
 	// quic_resumption_*, quic_zero_rtt_* and core_certcache_* families
 	// reach the exporter with real samples.
-	var resTarget resumption.Target
+	var resTarget probe.Target
 	var resCore core.Target
 	resFound := false
 	for _, d := range u.Deployments {
 		if d.Behavior == internet.BehaviorActive && d.Addr.Is4() && len(d.Domains) > 0 &&
 			d.Profile.Quirks.Resumption == internet.Resumption0RTT {
-			resTarget = resumption.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
+			resTarget = probe.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
 			resCore = core.Target{Addr: d.Addr, SNI: d.Domains[0], Source: "zmap"}
 			resFound = true
 			break
@@ -218,9 +221,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("universe has no 0-RTT-capable active deployment")
 	}
 	rp := &resumption.Prober{
-		DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		HandshakeTimeout: 4 * time.Second,
-		TicketWait:       4 * time.Second,
+		Dialer:     mp.Dialer,
+		TicketWait: 4 * time.Second,
 	}
 	if rres := rp.Probe(context.Background(), resTarget); rres.Verdict != resumption.Verdict0RTT {
 		t.Fatalf("resumption probe verdict = %q (err %q), want 0rtt", rres.Verdict, rres.Err)
