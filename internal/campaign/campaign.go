@@ -106,7 +106,7 @@ type shardState struct {
 // kill means a fresh Engine restored from the durable state.
 type Engine struct {
 	cfg    Config
-	id     string // campaign identity fingerprint
+	id     string        // campaign identity fingerprint
 	shards []*shardState // own shards, lease order
 	byID   map[int]*shardState
 	bucket *tokenBucket

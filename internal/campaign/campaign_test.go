@@ -243,12 +243,12 @@ func TestConfigValidation(t *testing.T) {
 	sw := zmapquic.NewSweep(1, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/28")})
 	probe := func(context.Context, netip.Addr) error { return nil }
 	for name, cfg := range map[string]Config{
-		"missing sweep":    {Probe: probe},
-		"missing probe":    {Sweep: sw},
+		"missing sweep":      {Probe: probe},
+		"missing probe":      {Sweep: sw},
 		"shard out of range": {Sweep: sw, Probe: probe, Shards: 4, Own: []int{4}},
-		"negative shard":   {Sweep: sw, Probe: probe, Shards: 4, Own: []int{-1}},
-		"duplicate shard":  {Sweep: sw, Probe: probe, Shards: 4, Own: []int{1, 1}},
-		"empty own":        {Sweep: sw, Probe: probe, Shards: 4, Own: []int{}},
+		"negative shard":     {Sweep: sw, Probe: probe, Shards: 4, Own: []int{-1}},
+		"duplicate shard":    {Sweep: sw, Probe: probe, Shards: 4, Own: []int{1, 1}},
+		"empty own":          {Sweep: sw, Probe: probe, Shards: 4, Own: []int{}},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: New accepted invalid config", name)

@@ -1,7 +1,7 @@
 // Package dnsclient is the bulk resolver of the tool set (the role
 // MassDNS plus a local Unbound plays in the paper): it resolves large
-// domain lists for A, AAAA and HTTPS records with a worker pool,
-// per-query timeouts and retries.
+// domain lists for A, AAAA and HTTPS records with a worker pool, one
+// socket per worker, per-query timeouts and retries.
 package dnsclient
 
 import (
@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,9 +31,9 @@ var (
 	mOutcomeCancelled = mOutcomes.With("cancelled")
 )
 
-// readBufPool recycles response buffers across queries: dnswire.Parse
-// copies everything it retains, so the buffer is free for reuse as
-// soon as queryOnce returns.
+// readBufPool recycles response buffers across sockets: dnswire.Parse
+// copies everything it retains, so a buffer is free for reuse as soon
+// as its socket is released.
 var readBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 65536)
@@ -68,11 +69,58 @@ func (c *Client) timeout() time.Duration {
 	return c.Timeout
 }
 
-// Query performs a single DNS query with retries.
+func (c *Client) retries() int {
+	if c.Retries == 0 {
+		return 2
+	}
+	return max(c.Retries, 0) // a query always gets its first attempt
+}
+
+// socket is a client socket and its read buffer, opened by the first
+// query that needs it and kept for every later one: Query holds one
+// for its call, a ResolveBatch worker for its lifetime (set-up is paid
+// per sending thread, not per probe, as in MassDNS and ZDNS). Because
+// queries share it, a reply is accepted only when it matches the
+// outstanding query exactly; see accept.
+type socket struct {
+	pc  net.PacketConn
+	buf *[]byte
+}
+
+func (s *socket) open(c *Client) error {
+	if s.pc != nil {
+		return nil
+	}
+	pc, err := c.dial()
+	if err != nil {
+		return err
+	}
+	s.pc = pc
+	s.buf = readBufPool.Get().(*[]byte)
+	return nil
+}
+
+func (s *socket) close() {
+	if s.pc == nil {
+		return
+	}
+	s.pc.Close()
+	readBufPool.Put(s.buf)
+	s.pc, s.buf = nil, nil
+}
+
+// Query performs a single DNS query with retries, on a socket of its
+// own.
 func (c *Client) Query(ctx context.Context, name string, qtype uint16) (*dnswire.Message, error) {
+	var s socket
+	defer s.close()
+	return c.query(ctx, &s, name, qtype)
+}
+
+func (c *Client) query(ctx context.Context, s *socket, name string, qtype uint16) (*dnswire.Message, error) {
 	mQueries.Inc()
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries || (c.Retries == 0 && attempt <= 2); attempt++ {
+	for attempt := 0; attempt <= c.retries(); attempt++ {
 		if err := ctx.Err(); err != nil {
 			mOutcomeCancelled.Inc()
 			return nil, err
@@ -80,7 +128,7 @@ func (c *Client) Query(ctx context.Context, name string, qtype uint16) (*dnswire
 		if attempt > 0 {
 			mRetries.Inc()
 		}
-		m, err := c.queryOnce(ctx, name, qtype)
+		m, err := c.queryOnce(ctx, s, name, qtype)
 		if err == nil {
 			mOutcomeOK.Inc()
 			return m, nil
@@ -91,27 +139,26 @@ func (c *Client) Query(ctx context.Context, name string, qtype uint16) (*dnswire
 	return nil, lastErr
 }
 
-func (c *Client) queryOnce(ctx context.Context, name string, qtype uint16) (*dnswire.Message, error) {
-	pc, err := c.dial()
-	if err != nil {
+func (c *Client) queryOnce(ctx context.Context, s *socket, name string, qtype uint16) (*dnswire.Message, error) {
+	if err := s.open(c); err != nil {
 		return nil, err
 	}
-	defer pc.Close()
-
 	var idb [2]byte
 	if _, err := rand.Read(idb[:]); err != nil {
 		return nil, err
 	}
 	id := uint16(idb[0])<<8 | uint16(idb[1])
+	question := dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassINET}
 	q := &dnswire.Message{
 		Header:    dnswire.Header{ID: id, RecursionDesired: true},
-		Questions: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassINET}},
+		Questions: []dnswire.Question{question},
 	}
 	wire, err := q.Marshal()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pc.WriteTo(wire, c.Server); err != nil {
+	if _, err := s.pc.WriteTo(wire, c.Server); err != nil {
+		s.close() // the next attempt starts from a fresh socket
 		return nil, err
 	}
 
@@ -119,22 +166,52 @@ func (c *Client) queryOnce(ctx context.Context, name string, qtype uint16) (*dns
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	pc.SetReadDeadline(deadline)
+	s.pc.SetReadDeadline(deadline)
 
-	bp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bp)
-	buf := *bp
+	buf := *s.buf
 	for {
-		n, _, err := pc.ReadFrom(buf)
+		n, from, err := s.pc.ReadFrom(buf)
 		if err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) || !ne.Timeout() {
+				s.close()
+			}
 			return nil, fmt.Errorf("dnsclient: query %s/%s: %w", name, dnswire.TypeName(qtype), err)
 		}
+		if !sameEndpoint(from, c.Server) {
+			continue // not from the server we asked
+		}
 		m, err := dnswire.Parse(buf[:n])
-		if err != nil || !m.Header.Response || m.Header.ID != id {
-			continue // stray or corrupt datagram; keep waiting
+		if err != nil || !accept(m, id, question) {
+			continue // corrupt, or the answer to some other query
 		}
 		return m, nil
 	}
+}
+
+// accept reports whether m answers the outstanding query (RFC 5452
+// section 9.1): a response carrying its ID and echoing its question.
+// The socket outlives a query, so a timed-out attempt's late reply
+// arrives during a later one and must not be taken for its answer.
+func accept(m *dnswire.Message, id uint16, q dnswire.Question) bool {
+	if !m.Header.Response || m.Header.ID != id || len(m.Questions) != 1 {
+		return false
+	}
+	got := m.Questions[0]
+	return got.Type == q.Type && got.Class == q.Class &&
+		strings.EqualFold(got.Name, strings.TrimSuffix(q.Name, "."))
+}
+
+// sameEndpoint compares a datagram's source with the configured
+// server. A dual-stack socket reports IPv4 peers in IPv4-mapped form,
+// which IP.Equal sees through.
+func sameEndpoint(a, b net.Addr) bool {
+	ua, aok := a.(*net.UDPAddr)
+	ub, bok := b.(*net.UDPAddr)
+	if aok && bok {
+		return ua.Port == ub.Port && ua.IP.Equal(ub.IP)
+	}
+	return a.Network() == b.Network() && a.String() == b.String()
 }
 
 // Result is the outcome of one batch query.
@@ -163,8 +240,10 @@ func (c *Client) ResolveBatch(ctx context.Context, names []string, qtype uint16,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s socket
+			defer s.close()
 			for i := range work {
-				results[i] = c.resolveOne(ctx, names[i], qtype)
+				results[i] = c.resolveOne(ctx, &s, names[i], qtype)
 			}
 		}()
 	}
@@ -185,9 +264,9 @@ func (c *Client) ResolveBatch(ctx context.Context, names []string, qtype uint16,
 	return results
 }
 
-func (c *Client) resolveOne(ctx context.Context, name string, qtype uint16) Result {
+func (c *Client) resolveOne(ctx context.Context, s *socket, name string, qtype uint16) Result {
 	r := Result{Name: name, Type: qtype}
-	m, err := c.Query(ctx, name, qtype)
+	m, err := c.query(ctx, s, name, qtype)
 	if err != nil {
 		r.Err = err
 		return r

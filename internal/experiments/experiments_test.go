@@ -7,6 +7,7 @@ import (
 
 	"quicscan/internal/core"
 	"quicscan/internal/internet"
+	"quicscan/internal/telemetry"
 )
 
 // runSmallCampaign executes a reduced two-week campaign once per test
@@ -320,5 +321,31 @@ func TestStatefulTargetsCap(t *testing.T) {
 	noSNI, _ = statefulTargets(wd, "IPv4", 100)
 	if len(noSNI) != 1 {
 		t.Errorf("incompatible target scanned: noSNI = %d", len(noSNI))
+	}
+}
+
+// TestDiscoverySocketEconomy: the stateless stages of a scale-2048
+// week send tens of thousands of DNS queries, from one socket per
+// resolver worker per batch (7 batches x 64) plus the two sweep
+// sockets — not one socket per query.
+func TestDiscoverySocketEconomy(t *testing.T) {
+	u := internet.Build(internet.Spec{Seed: 9, Scale: 2048, Week: 18})
+	if err := u.Start(internet.StartOptions{Web: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer u.Stop()
+	before := telemetry.Default().Snapshot().Counters
+	if _, err := scanWeek(u, Options{}.withDefaults()); err != nil {
+		t.Fatal(err)
+	}
+	after := telemetry.Default().Snapshot().Counters
+	queries := after["dns_queries_total"] - before["dns_queries_total"]
+	sockets := after["simnet_udp_sockets_opened_total"] - before["simnet_udp_sockets_opened_total"]
+	t.Logf("%d DNS queries, %d UDP sockets opened", queries, sockets)
+	if queries < 30000 {
+		t.Errorf("only %d DNS queries: the stage under test did not run at scale", queries)
+	}
+	if sockets >= 1000 {
+		t.Errorf("%d UDP sockets opened for %d queries, want < 1000", sockets, queries)
 	}
 }

@@ -95,9 +95,9 @@ func deviate(cells map[Scenario]string) Matrix {
 // One corrupted cell therefore never turns one implementation into
 // another.
 func DefaultDB() DB {
-	closeNoError := CellClose(0x0)  // NO_ERROR
-	closeTPError := CellClose(0x8)  // TRANSPORT_PARAMETER_ERROR
-	closeKUError := CellClose(0xe)  // KEY_UPDATE_ERROR
+	closeNoError := CellClose(0x0) // NO_ERROR
+	closeTPError := CellClose(0x8) // TRANSPORT_PARAMETER_ERROR
+	closeKUError := CellClose(0xe) // KEY_UPDATE_ERROR
 	return DB{
 		{Name: "cloudflare-quiche", M: deviate(map[Scenario]string{
 			ScenarioVN: CellVNGrease, ScenarioIdle: closeNoError})},

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -440,5 +441,29 @@ func TestFacebookRetry(t *testing.T) {
 	}
 	if res.HTTP == nil || res.HTTP.Server != "proxygen-bolt" {
 		t.Errorf("server header = %+v", res.HTTP)
+	}
+}
+
+// TestIdleUniverseFootprint: the benchmark fixture, started and left
+// alone, holds what its listeners need to wait — not a full receive
+// queue per socket (which alone was ≈ 124 MB at this scale).
+func TestIdleUniverseFootprint(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap()
+	u := Build(Spec{Seed: 9, Scale: 2048})
+	if err := u.Start(StartOptions{Stateful: true, Web: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer u.Stop()
+	grew := float64(int64(liveHeap())-int64(before)) / (1 << 20)
+	t.Logf("started scale-2048 universe: %d UDP sockets, %.1f MB live heap", u.Net.UDPSocketCount(), grew)
+	if grew > 70 {
+		t.Errorf("idle universe holds %.1f MB, want < 70 MB", grew)
 	}
 }

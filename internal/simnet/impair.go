@@ -18,6 +18,16 @@ var (
 	mDuplicated = telemetry.Default().Counter("simnet_duplicated_total")
 	mReordered  = telemetry.Default().Counter("simnet_reordered_total")
 	mMTUDropped = telemetry.Default().Counter("simnet_mtu_dropped_total")
+
+	// Datagrams that simnet_delivered_total counted (the link let them
+	// through) but no reader will ever see: the receive queue was full,
+	// or the socket closed while they were in flight.
+	mRcvbufDropped = telemetry.Default().Counter("simnet_rcvbuf_dropped_total")
+	mClosedDropped = telemetry.Default().Counter("simnet_closed_dropped_total")
+
+	// Cumulative, unlike UDPSocketCount: a resolver that opens a socket
+	// per query shows here after every one of them is closed again.
+	mSocketsOpened = telemetry.Default().Counter("simnet_udp_sockets_opened_total")
 )
 
 // Profile describes the impairments of one network link: everything

@@ -10,7 +10,8 @@ import (
 // delivery path. Every payload crossing the network is copied into a
 // size-classed pooled buffer owned by exactly one party at a time —
 // the sender's deliver call, then the receive queue, then ReadFrom,
-// which copies into the caller's buffer and releases it.
+// which copies into the caller's buffer and releases it (Close
+// releases whatever is still queued).
 
 // payloadClassSizes are the capacity classes for in-flight payload
 // copies: small control datagrams, full Ethernet/Initial-sized

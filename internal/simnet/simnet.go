@@ -169,6 +169,7 @@ func (n *Network) ListenUDP(at netip.AddrPort) (*PacketConn, error) {
 		return nil, fmt.Errorf("simnet: address %v in use", at)
 	}
 	n.udp[at] = pc
+	mSocketsOpened.Inc()
 	return pc, nil
 }
 
@@ -306,90 +307,164 @@ func (n *Network) Close() {
 	n.sched.close()
 }
 
+// rcvQueueCap bounds a socket's receive queue, in datagrams: the
+// simulated SO_RCVBUF. A datagram arriving at a full queue is dropped.
+const rcvQueueCap = 4096
+
 // PacketConn is a simulated UDP socket implementing net.PacketConn.
 type PacketConn struct {
 	net *Network
 
-	mu       sync.Mutex
-	addr     netip.AddrPort // mutable: Rebind moves the socket
-	queue    chan datagram
+	mu   sync.Mutex
+	addr netip.AddrPort // mutable: Rebind moves the socket
+	// The receive queue is a FIFO ring of count datagrams starting at
+	// ring[head]. It starts empty and doubles on demand up to
+	// rcvQueueCap, so an idle socket holds no slots; len(ring) is zero
+	// or a power of two.
+	ring        []datagram
+	head, count int
+	// ready holds a token whenever the ring may be non-empty; Close
+	// closes it, which wakes every blocked reader for good.
+	ready    chan struct{}
 	closed   bool
 	deadline time.Time
-	dlCh     chan struct{} // closed+replaced whenever the deadline changes
+	// dlCh exists while a reader is blocked; a deadline change closes
+	// and forgets it, so a socket nobody reads carries no channel for it.
+	dlCh chan struct{}
 }
 
 func newPacketConn(n *Network, at netip.AddrPort) *PacketConn {
 	return &PacketConn{
 		net:   n,
 		addr:  at,
-		queue: make(chan datagram, 4096),
-		dlCh:  make(chan struct{}),
+		ready: make(chan struct{}, 1),
 	}
 }
 
+// enqueue appends d to the receive queue, taking ownership of its
+// pooled payload. Everything happens under the lock Close takes:
+// delayed deliveries arrive from the scheduler goroutine, so an
+// enqueue can otherwise race a close.
 func (pc *PacketConn) enqueue(d datagram) {
-	// The non-blocking send must happen under the same lock that
-	// Close takes before closing the queue: impairment delays deliver
-	// via time.AfterFunc, so an enqueue can otherwise race a close.
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.closed {
+		mClosedDropped.Inc()
 		releasePayload(d.payload)
 		return
 	}
-	select {
-	case pc.queue <- d:
-	default:
-		// Receive buffer overflow: drop, like a real socket.
+	if pc.count == rcvQueueCap {
+		// Receive buffer overflow: drop the newcomer, like a real socket.
+		mRcvbufDropped.Inc()
 		releasePayload(d.payload)
+		return
+	}
+	if pc.count == len(pc.ring) {
+		pc.growLocked()
+	}
+	pc.ring[(pc.head+pc.count)&(len(pc.ring)-1)] = d
+	pc.count++
+	pc.signalLocked()
+}
+
+// growLocked doubles the ring, unwrapping it so head returns to 0.
+func (pc *PacketConn) growLocked() {
+	size := 2 * len(pc.ring)
+	if size == 0 {
+		size = 8
+	}
+	grown := make([]datagram, size)
+	n := copy(grown, pc.ring[pc.head:])
+	copy(grown[n:], pc.ring[:pc.head])
+	pc.ring, pc.head = grown, 0
+}
+
+// popLocked removes the oldest datagram; the caller checked count > 0.
+func (pc *PacketConn) popLocked() datagram {
+	d := pc.ring[pc.head]
+	pc.ring[pc.head] = datagram{} // the slot must not pin the payload
+	pc.head = (pc.head + 1) & (len(pc.ring) - 1)
+	pc.count--
+	return d
+}
+
+// signalLocked leaves a token in ready unless one is already there.
+func (pc *PacketConn) signalLocked() {
+	select {
+	case pc.ready <- struct{}{}:
+	default:
 	}
 }
 
-// ReadFrom implements net.PacketConn.
-func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+// awaitLocked blocks until the socket is readable and returns with
+// pc.mu held and count > 0, or returns an error with pc.mu released.
+// A deadline that has already expired wins over queued data, and
+// SetReadDeadline and Close both wake the wait.
+func (pc *PacketConn) awaitLocked() error {
 	for {
 		pc.mu.Lock()
 		if pc.closed {
 			pc.mu.Unlock()
-			return 0, nil, net.ErrClosed
+			return net.ErrClosed
 		}
-		deadline := pc.deadline
+		var wait time.Duration
+		if !pc.deadline.IsZero() {
+			if wait = time.Until(pc.deadline); wait <= 0 {
+				pc.mu.Unlock()
+				return &timeoutError{}
+			}
+		}
+		if pc.count > 0 {
+			return nil
+		}
+		if pc.dlCh == nil {
+			pc.dlCh = make(chan struct{})
+		}
 		dlCh := pc.dlCh
 		pc.mu.Unlock()
 
 		var timer *time.Timer
 		var timeout <-chan time.Time
-		if !deadline.IsZero() {
-			d := time.Until(deadline)
-			if d <= 0 {
-				return 0, nil, &timeoutError{}
-			}
-			timer = time.NewTimer(d)
+		if wait > 0 {
+			timer = time.NewTimer(wait)
 			timeout = timer.C
 		}
-
 		select {
-		case d, ok := <-pc.queue:
-			if timer != nil {
-				timer.Stop()
-			}
-			if !ok {
-				return 0, nil, net.ErrClosed
-			}
-			nn := copy(p, d.payload)
-			// The pooled payload is consumed; oversized datagrams
-			// truncate into p exactly as real UDP does.
-			releasePayload(d.payload)
-			return nn, net.UDPAddrFromAddrPort(d.from), nil
-		case <-timeout:
-			return 0, nil, &timeoutError{}
+		case <-pc.ready:
+			// Data arrived or the socket closed; re-evaluate.
 		case <-dlCh:
 			// Deadline changed; re-evaluate.
-			if timer != nil {
-				timer.Stop()
-			}
+		case <-timeout:
+			return &timeoutError{}
+		}
+		if timer != nil {
+			timer.Stop()
 		}
 	}
+}
+
+// unlockAfterRead ends the critical section awaitLocked opened. ready
+// holds one token, so a reader that leaves data behind passes it on to
+// whichever other reader is waiting.
+func (pc *PacketConn) unlockAfterRead() {
+	if pc.count > 0 {
+		pc.signalLocked()
+	}
+	pc.mu.Unlock()
+}
+
+// ReadFrom implements net.PacketConn.
+func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	if err := pc.awaitLocked(); err != nil {
+		return 0, nil, err
+	}
+	d := pc.popLocked()
+	pc.unlockAfterRead()
+	nn := copy(p, d.payload)
+	// The pooled payload is consumed; oversized datagrams truncate into
+	// p exactly as real UDP does.
+	releasePayload(d.payload)
+	return nn, net.UDPAddrFromAddrPort(d.from), nil
 }
 
 // WriteTo implements net.PacketConn.
@@ -477,8 +552,8 @@ func (pc *PacketConn) WriteBatch(ms []netbatch.Message) (int, error) {
 var errEmptyBuf = errors.New("simnet: ReadBatch message has empty Buf")
 
 // ReadBatch implements netbatch.BatchConn: a deadline-aware blocking
-// wait for the first datagram (same semantics as ReadFrom), then a
-// non-blocking drain of whatever else is queued, up to len(ms).
+// wait for the first datagram (same semantics as ReadFrom), then
+// whatever else is queued, up to len(ms), popped under the same lock.
 func (pc *PacketConn) ReadBatch(ms []netbatch.Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
@@ -488,59 +563,15 @@ func (pc *PacketConn) ReadBatch(ms []netbatch.Message) (int, error) {
 			return 0, errEmptyBuf
 		}
 	}
-	for {
-		pc.mu.Lock()
-		if pc.closed {
-			pc.mu.Unlock()
-			return 0, net.ErrClosed
-		}
-		deadline := pc.deadline
-		dlCh := pc.dlCh
-		pc.mu.Unlock()
-
-		var timer *time.Timer
-		var timeout <-chan time.Time
-		if !deadline.IsZero() {
-			d := time.Until(deadline)
-			if d <= 0 {
-				return 0, &timeoutError{}
-			}
-			timer = time.NewTimer(d)
-			timeout = timer.C
-		}
-
-		select {
-		case d, ok := <-pc.queue:
-			if timer != nil {
-				timer.Stop()
-			}
-			if !ok {
-				return 0, net.ErrClosed
-			}
-			fillMessage(&ms[0], d)
-			got := 1
-			for got < len(ms) {
-				select {
-				case d, ok := <-pc.queue:
-					if !ok {
-						return got, nil
-					}
-					fillMessage(&ms[got], d)
-					got++
-				default:
-					return got, nil
-				}
-			}
-			return got, nil
-		case <-timeout:
-			return 0, &timeoutError{}
-		case <-dlCh:
-			// Deadline changed; re-evaluate.
-			if timer != nil {
-				timer.Stop()
-			}
-		}
+	if err := pc.awaitLocked(); err != nil {
+		return 0, err
 	}
+	got := min(len(ms), pc.count)
+	for i := 0; i < got; i++ {
+		fillMessage(&ms[i], pc.popLocked())
+	}
+	pc.unlockAfterRead()
+	return got, nil
 }
 
 // fillMessage moves one delivered datagram into a batch slot,
@@ -560,7 +591,12 @@ func (pc *PacketConn) Close() error {
 		return nil
 	}
 	pc.closed = true
-	close(pc.queue)
+	// Datagrams nobody will read go back to the payload pool.
+	for pc.count > 0 {
+		releasePayload(pc.popLocked().payload)
+	}
+	pc.ring = nil
+	close(pc.ready)
 	addr := pc.addr
 	pc.mu.Unlock()
 	pc.net.unbindUDP(addr, pc)
@@ -582,8 +618,10 @@ func (pc *PacketConn) SetDeadline(t time.Time) error { return pc.SetReadDeadline
 func (pc *PacketConn) SetReadDeadline(t time.Time) error {
 	pc.mu.Lock()
 	pc.deadline = t
-	close(pc.dlCh)
-	pc.dlCh = make(chan struct{})
+	if pc.dlCh != nil {
+		close(pc.dlCh)
+		pc.dlCh = nil
+	}
 	pc.mu.Unlock()
 	return nil
 }

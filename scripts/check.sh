@@ -5,6 +5,14 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+echo "==> gofmt -l"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "check: gofmt would rewrite:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -18,12 +26,15 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
 # multi-core hosts — a failure that hid on 1-CPU runners. The rescan
-# paths (core, resumption) and the probe worker pool ride along.
-go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe
+# paths (core, resumption) and the probe worker pool ride along, and so
+# does the socket layer: a receive-queue wake-up that is lost only when
+# reader and sender run in parallel passes on one CPU.
+go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe \
+	./internal/simnet ./internal/dnsclient ./internal/netbatch
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
@@ -31,8 +42,10 @@ FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
 echo "==> bench regression gate"
 # A quick pass over the allocation-sensitive benchmarks, diffed by
 # bench.sh against the newest committed BENCH_*.json. A >20% regression
-# in ns/op or allocs/op fails the build. Results land in a throwaway
-# file so `make check` never dirties the committed numbers.
+# in ns/op or allocs/op fails the build, and in B/op for SimnetDialClose
+# (the price of an idle socket; its ns/op is exempt, see bench.sh).
+# Results land in a throwaway file so `make check` never dirties the
+# committed numbers.
 #
 # A failed gate is retried once before failing the build: the short
 # fixed-iteration runs are vulnerable to one-off scheduler bursts, and
@@ -45,7 +58,7 @@ bench_gate() {
 	echo "check: bench gate failed; retrying once to rule out scheduler noise"
 	BENCH="$1" BENCHTIME="$2" OUT="$benchout" ./scripts/bench.sh
 }
-bench_gate 'ScanSocketChurn|ZmapSweep|BatchSweep|CampaignSweep' "${BENCHTIME:-20x}"
+bench_gate 'ScanSocketChurn|ZmapSweep|BatchSweep|CampaignSweep|SimnetDialClose' "${BENCHTIME:-20x}"
 
 echo "==> handshake fast path + telemetry acceptance gates"
 # The resumed-vs-full ratio and telemetry-overhead bars enforced inside
