@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench fuzz soak
+.PHONY: build test check bench allocs fuzz soak
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ check:
 # scripts/bench.sh for BENCH/BENCHTIME/OUT overrides).
 bench:
 	./scripts/bench.sh
+
+# Allocations and bytes per scanned target, by layer: our packages, the
+# standard library as we call it, and crypto/tls as the floor we do not
+# own (scripts/allocs.sh; before/after tables in DESIGN.md).
+allocs:
+	./scripts/allocs.sh
 
 # Short native-fuzzing smoke over every parser-facing target.
 fuzz:

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"strconv"
 	"sync"
 	"syscall"
 	"unsafe"
@@ -242,7 +243,7 @@ func putSockaddr(sa *syscall.RawSockaddrInet6, family uint16, ap netip.AddrPort)
 		p[0], p[1] = byte(port>>8), byte(port)
 		return syscall.SizeofSockaddrInet4, nil
 	case syscall.AF_INET6:
-		*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: a.As16()}
+		*sa = syscall.RawSockaddrInet6{Family: syscall.AF_INET6, Addr: a.As16(), Scope_id: scopeID(a.Zone())}
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
 		p[0], p[1] = byte(port>>8), byte(port)
 		return syscall.SizeofSockaddrInet6, nil
@@ -250,9 +251,26 @@ func putSockaddr(sa *syscall.RawSockaddrInet6, family uint16, ap netip.AddrPort)
 	return 0, errAddrFamily
 }
 
+// scopeID is the interface index an IPv6 zone names: decimal, as
+// sockaddrToAddrPort writes it, or an interface name, as net does.
+func scopeID(zone string) uint32 {
+	if zone == "" {
+		return 0
+	}
+	if n, err := strconv.ParseUint(zone, 10, 32); err == nil {
+		return uint32(n)
+	}
+	if ifi, err := net.InterfaceByName(zone); err == nil {
+		return uint32(ifi.Index)
+	}
+	return 0
+}
+
 // sockaddrToAddrPort decodes the kernel-filled source address.
 // V4-mapped sources unmap so downstream comparisons (and the paper's
-// per-address bookkeeping) see canonical IPv4.
+// per-address bookkeeping) see canonical IPv4. A scope (set for
+// link-local sources only) becomes a decimal zone, which net's own
+// WriteTo accepts as well as putSockaddr does.
 func sockaddrToAddrPort(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 	switch sa.Family {
 	case syscall.AF_INET:
@@ -261,7 +279,11 @@ func sockaddrToAddrPort(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 		return netip.AddrPortFrom(netip.AddrFrom4(sa4.Addr), uint16(p[0])<<8|uint16(p[1]))
 	case syscall.AF_INET6:
 		p := (*[2]byte)(unsafe.Pointer(&sa.Port))
-		return netip.AddrPortFrom(netip.AddrFrom16(sa.Addr).Unmap(), uint16(p[0])<<8|uint16(p[1]))
+		a := netip.AddrFrom16(sa.Addr).Unmap()
+		if sa.Scope_id != 0 {
+			a = a.WithZone(strconv.FormatUint(uint64(sa.Scope_id), 10))
+		}
+		return netip.AddrPortFrom(a, uint16(p[0])<<8|uint16(p[1]))
 	}
 	return netip.AddrPort{}
 }

@@ -143,3 +143,67 @@ func TestSyscallWriteBatchBadAddress(t *testing.T) {
 		t.Fatalf("prefix datagram: %q, %v", buf[:n], err)
 	}
 }
+
+// TestSyscallBatchKeepsZone: a link-local peer is only reachable with
+// its interface scope, so the source address ReadBatch reports must
+// carry one that both WriteBatch and net's own WriteTo (through
+// SetUDPAddr) can answer to.
+func TestSyscallBatchKeepsZone(t *testing.T) {
+	var local *net.UDPAddr
+	ifs, _ := net.Interfaces()
+	for _, ifi := range ifs {
+		addrs, _ := ifi.Addrs()
+		for _, a := range addrs {
+			if n, ok := a.(*net.IPNet); ok && n.IP.To4() == nil && n.IP.IsLinkLocalUnicast() {
+				local = &net.UDPAddr{IP: n.IP, Zone: ifi.Name}
+			}
+		}
+	}
+	if local == nil {
+		t.Skip("no interface with an IPv6 link-local address")
+	}
+	bind := func() *net.UDPConn {
+		pc, err := net.ListenUDP("udp6", local)
+		if err != nil {
+			t.Skipf("cannot bind %v: %v", local, err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		pc.SetDeadline(time.Now().Add(5 * time.Second))
+		return pc
+	}
+	a, b := bind(), bind()
+	bcA, _ := netbatch.Wrap(a)
+	bcB, _ := netbatch.Wrap(b)
+
+	ping := []netbatch.Message{{Buf: []byte("ping"), N: 4, Addr: b.LocalAddr().(*net.UDPAddr).AddrPort()}}
+	if _, err := bcA.WriteBatch(ping); err != nil {
+		t.Fatalf("WriteBatch to %v: %v", ping[0].Addr, err)
+	}
+	in := []netbatch.Message{{Buf: make([]byte, 16)}}
+	if n, err := bcB.ReadBatch(in); n != 1 || err != nil {
+		t.Fatalf("ReadBatch = %d, %v", n, err)
+	}
+	from := in[0].Addr
+	if from.Addr().Zone() == "" {
+		t.Fatalf("source %v lost its zone", from)
+	}
+
+	// Both reply paths reach the peer: the batch writer, and a net.Addr
+	// rebuilt with SetUDPAddr.
+	if _, err := bcB.WriteBatch([]netbatch.Message{{Buf: []byte("pong"), N: 4, Addr: from}}); err != nil {
+		t.Fatalf("WriteBatch to %v: %v", from, err)
+	}
+	ua := &net.UDPAddr{}
+	netbatch.SetUDPAddr(ua, from)
+	if ua.Zone != from.Addr().Zone() {
+		t.Fatalf("SetUDPAddr(%v) zone = %q", from, ua.Zone)
+	}
+	if _, err := b.WriteTo([]byte("pong"), ua); err != nil {
+		t.Fatalf("WriteTo %v: %v", ua, err)
+	}
+	for i := 0; i < 2; i++ {
+		if n, err := bcA.ReadBatch(in); n != 1 || err != nil || string(in[0].Buf[:in[0].N]) != "pong" {
+			t.Fatalf("reply %d: ReadBatch = %d, %v", i, n, err)
+		}
+	}
+}

@@ -115,7 +115,9 @@ var errEmptyBuf = errors.New("netbatch: ReadBatch message has empty Buf")
 // SetUDPAddr rewrites ua in place to hold ap, reusing the IP backing
 // array — the allocation-free bridge for APIs that still want a
 // net.Addr. IPv4 addresses (including v4-mapped) are written in
-// 4-byte form so String() round-trips match net.UDPAddrFromAddrPort.
+// 4-byte form so String() round-trips match net.UDPAddrFromAddrPort;
+// an IPv6 zone is kept, so a reply to a link-local peer finds its
+// interface.
 func SetUDPAddr(ua *net.UDPAddr, ap netip.AddrPort) {
 	a := ap.Addr().Unmap()
 	if a.Is4() {
@@ -126,7 +128,7 @@ func SetUDPAddr(ua *net.UDPAddr, ap netip.AddrPort) {
 		ua.IP = append(ua.IP[:0], a16[:]...)
 	}
 	ua.Port = int(ap.Port())
-	ua.Zone = ""
+	ua.Zone = a.Zone()
 }
 
 // udpAddrPool recycles the scratch addresses of the fallback writer,

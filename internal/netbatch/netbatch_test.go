@@ -267,15 +267,16 @@ func TestReadBatchDrainsQueue(t *testing.T) {
 }
 
 // TestSetUDPAddr covers the in-place net.Addr bridge: 4-byte IPv4
-// form (v4-mapped included), 16-byte IPv6, and backing-array reuse.
+// form (v4-mapped included), 16-byte IPv6 with and without a zone, and
+// backing-array reuse (a zone must not leak into the next address).
 func TestSetUDPAddr(t *testing.T) {
 	ua := &net.UDPAddr{IP: make(net.IP, 0, 16)}
-	cases := []string{"192.0.2.1:443", "[2001:db8::1]:8443", "[::ffff:198.51.100.7]:53"}
+	cases := []string{"192.0.2.1:443", "[fe80::1%eth0]:443", "[2001:db8::1]:8443", "[::ffff:198.51.100.7]:53"}
 	for _, c := range cases {
 		ap := netip.MustParseAddrPort(c)
 		netbatch.SetUDPAddr(ua, ap)
 		want := net.UDPAddrFromAddrPort(ap)
-		if ua.String() != want.String() {
+		if ua.String() != want.String() || ua.Zone != ap.Addr().Zone() {
 			t.Errorf("SetUDPAddr(%q) = %v, want %v", c, ua, want)
 		}
 		if ap.Addr().Unmap().Is4() && len(ua.IP) != 4 {

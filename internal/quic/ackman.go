@@ -10,11 +10,16 @@ type ackManager struct {
 	ranges     []quicwire.AckRange // sorted descending by Largest
 	largest    int64               // largest received, -1 if none
 	ackPending bool                // an ack-eliciting packet awaits acknowledgment
-	ackedUpTo  int64               // everything at or below is known delivered (unused ranges pruned)
+
+	// In-order delivery keeps one range; ranges starts out backed by
+	// this array so the first packet of a space allocates nothing.
+	rangesArr [1]quicwire.AckRange
 }
 
-func newAckManager() *ackManager {
-	return &ackManager{largest: -1, ackedUpTo: -1}
+// init resets a zero ackManager to its starting sentinels.
+func (m *ackManager) init() {
+	m.largest = -1
+	m.ranges = m.rangesArr[:0]
 }
 
 // onReceived records an incoming packet. ackEliciting marks whether
@@ -80,42 +85,64 @@ func (m *ackManager) finish(pn uint64, ackEliciting bool) {
 // needsAck reports whether an ACK frame should be sent.
 func (m *ackManager) needsAck() bool { return m.ackPending }
 
-// buildAck returns an ACK frame covering everything received, or nil
-// if nothing has been received. Calling it clears the pending flag.
-func (m *ackManager) buildAck() *quicwire.AckFrame {
+// buildAck fills f with an ACK covering everything received and
+// reports whether there was anything to acknowledge. Calling it clears
+// the pending flag. f's ranges alias the manager's: the frame is for
+// serializing into the packet being built, and is invalid after the
+// next onReceived.
+func (m *ackManager) buildAck(f *quicwire.AckFrame) bool {
 	if len(m.ranges) == 0 {
-		return nil
+		return false
 	}
 	m.ackPending = false
-	f := &quicwire.AckFrame{DelayRaw: 0}
-	f.Ranges = append(f.Ranges, m.ranges...)
-	return f
+	*f = quicwire.AckFrame{Ranges: m.ranges}
+	return true
 }
 
 // sentPacket records an outgoing ack-eliciting packet for loss
-// recovery.
+// recovery: its number and how many entries of lossState.frames are
+// its.
 type sentPacket struct {
-	pn     uint64
-	frames []quicwire.Frame // ack-eliciting frames to retransmit on loss
+	pn uint64
+	n  int
 }
 
-// lossState tracks unacknowledged packets in one space.
+// lossState tracks unacknowledged packets in one space. The frames to
+// retransmit on loss are kept in one list for the whole space — each
+// packet's run back to back, in the order of sent — so recording a
+// packet appends to two slices that stop growing after the first few
+// packets instead of allocating a list per packet.
 type lossState struct {
 	sent         []sentPacket
+	frames       []quicwire.Frame
 	largestAcked int64
+
+	// Most spaces never have more in flight than this, so the lists
+	// above start out backed by the lossState itself.
+	sentArr   [2]sentPacket
+	framesArr [4]quicwire.Frame
 }
 
-func newLossState() *lossState { return &lossState{largestAcked: -1} }
+// init resets a zero lossState to its starting sentinels.
+func (l *lossState) init() {
+	l.largestAcked = -1
+	l.sent = l.sentArr[:0]
+	l.frames = l.framesArr[:0]
+}
 
+// onSent records the ack-eliciting frames of packet pn. The frame
+// values are retained until the packet is acknowledged or declared
+// lost; the frames slice itself is not.
 func (l *lossState) onSent(pn uint64, frames []quicwire.Frame) {
-	var retrans []quicwire.Frame
+	n := 0
 	for _, f := range frames {
 		if quicwire.AckEliciting(f) {
-			retrans = append(retrans, f)
+			l.frames = append(l.frames, f)
+			n++
 		}
 	}
-	if len(retrans) > 0 {
-		l.sent = append(l.sent, sentPacket{pn: pn, frames: retrans})
+	if n > 0 {
+		l.sent = append(l.sent, sentPacket{pn: pn, n: n})
 	}
 }
 
@@ -126,26 +153,29 @@ func (l *lossState) onAck(ack *quicwire.AckFrame) bool {
 		l.largestAcked = int64(ack.Ranges[0].Largest)
 	}
 	anyNew := false
-	rest := l.sent[:0]
+	sent, frames := l.sent[:0], l.frames[:0]
+	off := 0
 	for _, sp := range l.sent {
+		run := l.frames[off : off+sp.n]
+		off += sp.n
 		if ack.Acks(sp.pn) {
 			anyNew = true
 		} else {
-			rest = append(rest, sp)
+			sent = append(sent, sp)
+			frames = append(frames, run...)
 		}
 	}
-	l.sent = rest
+	clear(l.frames[len(frames):]) // acknowledged frames must not stay reachable
+	l.sent, l.frames = sent, frames
 	return anyNew
 }
 
-// unacked returns all frames awaiting acknowledgment, for PTO
+// takeUnacked appends all frames awaiting acknowledgment to dst, for
 // retransmission, and clears the sent list (the frames will be
 // re-recorded when re-sent).
-func (l *lossState) unacked() []quicwire.Frame {
-	var frames []quicwire.Frame
-	for _, sp := range l.sent {
-		frames = append(frames, sp.frames...)
-	}
-	l.sent = l.sent[:0]
-	return frames
+func (l *lossState) takeUnacked(dst []quicwire.Frame) []quicwire.Frame {
+	dst = append(dst, l.frames...)
+	clear(l.frames)
+	l.sent, l.frames = l.sent[:0], l.frames[:0]
+	return dst
 }

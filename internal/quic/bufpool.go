@@ -6,20 +6,24 @@ import "sync"
 //
 // Ownership rules (see DESIGN.md §8):
 //
-//   - Read buffers are leased by a read loop (one per socket), filled
-//     by ReadFrom, and handed to Conn.handleDatagram, which processes
-//     the datagram synchronously under c.mu. The buffer is valid only
-//     for the duration of that call: anything a connection retains
-//     past handleDatagram's return (crypto stream data, stream
-//     segments, connection IDs, tokens) must be copied out. The read
-//     loop reuses the buffer for the next ReadFrom immediately.
+//   - Read buffers are leased by a read loop (readDatagrams, one per
+//     socket), filled by ReadBatch, and handed to Conn.handleDatagram,
+//     which processes the datagram synchronously under c.mu. The
+//     buffer is valid only for the duration of that call, and the
+//     frames quicwire.FrameIter decodes from it only until the
+//     iterator's next step: anything a connection retains past that
+//     (crypto stream data, stream segments, connection IDs, tokens)
+//     must be copied out. The read loop reuses the buffer for the next
+//     read immediately.
 //   - Sized-class packet buffers back short-lived retained copies
 //     (decryption scratch, next-key trials). The function that leases
 //     one releases it; a leased buffer must never be stored in a
 //     struct that outlives the call.
 //
 // The aliasing contract is enforced by TestPoolAliasingSafety, which
-// scribbles over released buffers while handshakes are in flight.
+// scribbles over released buffers while handshakes are in flight, and
+// by TestFrameStorageNotRetained, which destroys every received frame
+// and the payload bytes under it the moment its handler returns.
 
 // readBufSize is the fixed size of pooled datagram read buffers: the
 // largest UDP payload either read loop can receive.

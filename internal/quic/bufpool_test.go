@@ -8,6 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"quicscan/internal/quicwire"
 )
 
 // TestPoolAliasingSafety enforces the ownership contract documented in
@@ -147,5 +150,92 @@ func testScribblerHandshakes(t *testing.T) {
 		if err != nil {
 			t.Errorf("dial %d under pool churn: %v", i, err)
 		}
+	}
+}
+
+// poisonFrame destroys a received frame the moment its handler
+// returns: the payload bytes it points into are scribbled over and the
+// frame value, which lives in the connection's FrameIter, is replaced
+// by garbage — what the iterator's next step and the read loop's next
+// datagram would do to them anyway, only at once and always.
+func poisonFrame(f quicwire.Frame) {
+	const junk = 0xA5A5A5A5A5A5A5
+	switch fr := f.(type) {
+	case *quicwire.AckFrame:
+		for i := range fr.Ranges {
+			fr.Ranges[i] = quicwire.AckRange{Smallest: junk, Largest: junk}
+		}
+		fr.DelayRaw = junk
+	case *quicwire.CryptoFrame:
+		scribble(fr.Data)
+		*fr = quicwire.CryptoFrame{Offset: junk}
+	case *quicwire.StreamFrame:
+		scribble(fr.Data)
+		*fr = quicwire.StreamFrame{StreamID: junk, Offset: junk}
+	case *quicwire.NewTokenFrame:
+		scribble(fr.Token)
+		*fr = quicwire.NewTokenFrame{}
+	case *quicwire.NewConnectionIDFrame:
+		scribble(fr.ConnectionID)
+		scribble(fr.StatelessResetToken[:])
+		*fr = quicwire.NewConnectionIDFrame{SequenceNumber: junk, RetirePriorTo: junk}
+	case *quicwire.RetireConnectionIDFrame:
+		fr.SequenceNumber = junk
+	case *quicwire.ResetStreamFrame:
+		*fr = quicwire.ResetStreamFrame{StreamID: junk, ErrorCode: junk, FinalSize: junk}
+	case *quicwire.PathChallengeFrame:
+		scribble(fr.Data[:])
+	case *quicwire.PathResponseFrame:
+		scribble(fr.Data[:])
+	case *quicwire.ConnectionCloseFrame:
+		*fr = quicwire.ConnectionCloseFrame{ErrorCode: junk, ReasonPhrase: "poisoned"}
+	}
+}
+
+// TestFrameStorageNotRetained runs the handshake, transfer, resumption,
+// NEW_TOKEN, Retry and path tests with every received frame poisoned as
+// soon as it has been handled — on clients and servers alike, since
+// both are this package. They pass only if Conn copied everything it
+// keeps (CRYPTO data, stream segments, connection IDs, reset tokens,
+// address validation tokens, ACK ranges) out of the frame and the
+// payload before handleFrameLocked returned: the lifetime rule of
+// quicwire.FrameIter and of handleDatagram's buffer.
+func TestFrameStorageNotRetained(t *testing.T) {
+	testHookFrameHandled = poisonFrame
+	defer func() { testHookFrameHandled = nil }()
+	for _, test := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"HandshakeAndStreamEcho", TestHandshakeAndStreamEcho},
+		{"LargeStreamTransfer", TestLargeStreamTransfer},
+		{"HandshakeUnderLoss", TestHandshakeUnderLoss},
+		{"SessionResumptionAnd0RTT", TestSessionResumptionAnd0RTT},
+		{"ZeroRTTRejectedReplay", TestZeroRTTRejectedReplay},
+		{"RetryHandshake", TestRetryHandshake},
+		{"NewTokenSkipsRetry", TestNewTokenSkipsRetry},
+		{"NewConnectionIDsIssued", TestNewConnectionIDsIssued},
+		{"StatelessResetEndToEnd", TestStatelessResetEndToEnd},
+		{"PathValidationPromotesReboundClient", TestPathValidationPromotesReboundClient},
+		{"MigrateRotatesActivePath", TestMigrateRotatesActivePath},
+		{"FollowPreferredAddress", TestFollowPreferredAddress},
+		{"CIDChurn", TestCIDChurn},
+		{"CloseWithErrorPropagates", TestCloseWithErrorPropagates},
+	} {
+		t.Run(test.name, test.run)
+	}
+}
+
+// TestConnFitsSizeClass: a Conn embeds its scratch (assembly buffers,
+// frame decoder, per-space loss and ACK state) so that the packet path
+// allocates nothing, and the runtime rounds the one allocation that
+// holds it all up to a size class. 8,192 bytes is a class; the next is
+// 9,472, and a scan pays for two connections per target. A field that
+// tips Conn over should buy more than it costs there.
+func TestConnFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Conn{}); size > 8192 {
+		t.Errorf("Conn is %d bytes: past the 8,192-byte size class, into the 9,472-byte one", size)
+	} else {
+		t.Logf("Conn is %d bytes", size)
 	}
 }

@@ -7,10 +7,15 @@
 // deployments it scans.
 //
 // The implementation favours clarity and measurement fidelity over raw
-// transfer performance: flow control windows are honoured from
-// transport parameters but congestion control is a simple PTO-based
-// retransmission scheme, which is ample for handshakes and small
-// HTTP/3 exchanges.
+// transfer performance. Loss recovery is a simple PTO-based
+// retransmission scheme with no congestion control, which is ample for
+// handshakes and small HTTP/3 exchanges. Flow control is advertised in
+// the transport parameters but not enforced: every MAX_* and *_BLOCKED
+// frame is accepted and ignored, no MAX_DATA or MAX_STREAM_DATA is ever
+// sent, the send path does not consult the peer's limits, and received
+// stream data and stream counts are unbounded (ROADMAP item 5). What
+// the receive path does enforce is which frames may arrive in which
+// packet type and from which role (RFC 9000, Section 12.4).
 package quic
 
 import (

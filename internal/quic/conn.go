@@ -80,9 +80,8 @@ type pnSpace struct {
 // connection's per-level state costs no allocations of its own.
 func (sp *pnSpace) init() {
 	sp.largestRx = -1
-	sp.acks.largest = -1
-	sp.acks.ackedUpTo = -1
-	sp.loss.largestAcked = -1
+	sp.acks.init()
+	sp.loss.init()
 }
 
 // Conn is a QUIC connection. All exported methods are safe for
@@ -175,9 +174,11 @@ type Conn struct {
 
 	ptoTimer *time.Timer
 	ptoCount int
-	// idleTimer is the idle teardown timer once the handshake is done;
-	// until then a server connection keeps its handshake deadline here.
-	idleTimer *time.Timer
+	// idleTimer enforces idleDeadline: the idle period once the
+	// handshake is done, a server connection's handshake deadline until
+	// then (see onIdleTimer). A zero idleDeadline means disarmed.
+	idleTimer    *time.Timer
+	idleDeadline time.Time
 
 	// Reusable per-connection scratch memory, all guarded by mu, so
 	// the steady-state packet path allocates nothing:
@@ -206,11 +207,16 @@ type Conn struct {
 	datagramArr [1536]byte
 	frameArr    [8]quicwire.Frame
 
-	// hdrScratch is the outgoing long-header scratch for the packer;
-	// rxHdr the parse target for inbound long headers. Both guarded by
-	// mu; neither survives the call that fills it.
+	// hdrScratch is the outgoing long-header scratch for the packer and
+	// ackScratch the ACK frame it leads a packet with; rxHdr is the
+	// parse target for inbound long headers and frames the decoder of
+	// every received payload, whose frame values are valid until its
+	// next step (processPayloadLocked). All guarded by mu; none survives
+	// the call that fills it.
 	hdrScratch quicwire.Header
+	ackScratch quicwire.AckFrame
 	rxHdr      quicwire.Header
+	frames     quicwire.FrameIter
 
 	// remoteKey and scidKey cache the owning route table's keys so
 	// register/retire do not re-stringify the remote address and
@@ -517,7 +523,7 @@ func (c *Conn) drainTLSEvents() error {
 			c.earlyRejected = true
 			c.earlySendKeys = nil
 			sp := &c.spaces[spaceApp]
-			sp.outFrames = append(sp.outFrames, sp.loss.unacked()...)
+			sp.outFrames = sp.loss.takeUnacked(sp.outFrames)
 			mZeroRTTRejected.Inc()
 			if c.trace != nil {
 				c.trace.Event("zero_rtt_rejected")
@@ -670,41 +676,43 @@ func (c *Conn) idleTimeoutLocked() time.Duration {
 	return d
 }
 
-// armIdleTimerLocked (re)starts the idle teardown timer.
+// armIdleTimerLocked (re)starts the idle teardown timer. The
+// connection has one timer for its whole life — the handshake deadline
+// of a server connection, then the idle period — and re-arming it is a
+// Reset, not a new timer per received datagram.
 func (c *Conn) armIdleTimerLocked() {
-	if c.idleTimer != nil {
-		c.idleTimer.Stop()
-	}
-	d := c.idleTimeoutLocked()
+	c.setIdleDeadlineLocked(c.idleTimeoutLocked())
+}
+
+// setIdleDeadlineLocked moves the deadline onIdleTimer enforces to d
+// from now; d <= 0 disarms it.
+func (c *Conn) setIdleDeadlineLocked(d time.Duration) {
 	if d <= 0 {
+		c.idleDeadline = time.Time{}
+		if c.idleTimer != nil {
+			c.idleTimer.Stop()
+		}
 		return
 	}
-	c.idleTimer = time.AfterFunc(d, c.onIdleTimeout)
+	c.idleDeadline = time.Now().Add(d)
+	if c.idleTimer == nil {
+		c.idleTimer = time.AfterFunc(d, c.onIdleTimer)
+	} else {
+		c.idleTimer.Reset(d)
+	}
 }
 
-// onHandshakeDeadline fails a server handshake that outlived
-// Config.HandshakeTimeout, whether or not anyone is waiting in
-// HandshakeComplete.
-func (c *Conn) onHandshakeDeadline() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.handshakeDone {
-		return
-	}
-	if c.hsErr == nil {
-		c.hsErr = ErrHandshakeTimeout
-	}
-	c.closeLocked(ErrHandshakeTimeout)
-}
-
-// onIdleTimeout tears the connection down when the idle period
-// expires. RFC 9000 Section 10.1 closes silently; the IdleCloseNotify
-// quirk announces the teardown with CONNECTION_CLOSE(NO_ERROR) first.
-func (c *Conn) onIdleTimeout() {
-	if !c.idleCloseNotify {
-		c.abort(ErrIdleTimeout)
-		return
-	}
+// onIdleTimer fires when the deadline set by setIdleDeadlineLocked may
+// have passed. A timer that fired while a datagram was being processed
+// waits for mu and then finds the deadline moved: it lost the race with
+// the re-arm and goes back to sleep instead of closing a live
+// connection (Stop and Reset cannot recall a callback that has already
+// started). Before the handshake completes the deadline is the
+// server's HandshakeTimeout, enforced whether or not anyone is waiting
+// in HandshakeComplete; afterwards it is the idle period, which RFC
+// 9000 Section 10.1 ends silently — the IdleCloseNotify quirk announces
+// the teardown with CONNECTION_CLOSE(NO_ERROR) first.
+func (c *Conn) onIdleTimer() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	select {
@@ -712,8 +720,24 @@ func (c *Conn) onIdleTimeout() {
 		return
 	default:
 	}
-	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{
-		ErrorCode: uint64(quicwire.NoError), ReasonPhrase: "idle timeout"})
+	if c.idleDeadline.IsZero() {
+		return // disarmed after this callback started
+	}
+	if wait := time.Until(c.idleDeadline); wait > 0 {
+		c.idleTimer.Reset(wait)
+		return
+	}
+	if !c.handshakeDone {
+		if c.hsErr == nil {
+			c.hsErr = ErrHandshakeTimeout
+		}
+		c.closeLocked(ErrHandshakeTimeout)
+		return
+	}
+	if c.idleCloseNotify {
+		c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{
+			ErrorCode: uint64(quicwire.NoError), ReasonPhrase: "idle timeout"})
+	}
 	c.closeLocked(ErrIdleTimeout)
 }
 
@@ -826,7 +850,7 @@ func (c *Conn) handleLongPacketLocked(data []byte) int {
 	c.rxDCID = hdr.DstID
 	c.notePeerAddressLocked(c.rxDgramLen)
 	c.rxDgramLen = 0 // amplification credit is per datagram, not per packet
-	c.processPayloadLocked(spIdx, pn, payload)
+	c.processPayloadLocked(spIdx, hdr.Type, pn, payload)
 
 	// Once Handshake packets flow, Initial keys are discarded on both
 	// sides (RFC 9001, Section 4.9.1): the server because the client
@@ -871,7 +895,7 @@ func (c *Conn) handleShortPacketLocked(data []byte) {
 			}
 			c.notePeerAddressLocked(c.rxDgramLen)
 			c.rxDgramLen = 0
-			c.processPayloadLocked(spaceApp, pn2, payload2)
+			c.processPayloadLocked(spaceApp, quicwire.Packet1RTT, pn2, payload2)
 			return
 		}
 		if c.isStatelessResetLocked(raw) {
@@ -884,7 +908,7 @@ func (c *Conn) handleShortPacketLocked(data []byte) {
 	}
 	c.notePeerAddressLocked(c.rxDgramLen)
 	c.rxDgramLen = 0
-	c.processPayloadLocked(spaceApp, pn, payload)
+	c.processPayloadLocked(spaceApp, quicwire.Packet1RTT, pn, payload)
 }
 
 // tryNextKeysLocked attempts decryption with the next key generation
@@ -1011,23 +1035,44 @@ func (c *Conn) handleRetryLocked(hdr *quicwire.Header, pkt []byte) {
 	}
 	// Retransmit the pending first flight with the token attached.
 	sp := &c.spaces[spaceInitial]
-	sp.outFrames = append(sp.outFrames, sp.loss.unacked()...)
+	sp.outFrames = sp.loss.takeUnacked(sp.outFrames)
 	c.sendPendingLocked()
 }
 
-func (c *Conn) processPayloadLocked(spIdx int, pn uint64, payload []byte) {
+// testHookFrameHandled, when set by a test, runs after each received
+// frame has been handled, with the frame the iterator handed out. The
+// aliasing test uses it to destroy the frame and the payload bytes it
+// points into, proving nothing retained them.
+var testHookFrameHandled func(f quicwire.Frame)
+
+// processPayloadLocked acts on the frames of one decrypted packet of
+// type pt. The payload is decoded twice by the connection's one
+// FrameIter: a validating pass first, so that a packet with any
+// malformed or forbidden frame has none of its frames acted on and is
+// not acknowledged, and so that the ack-eliciting bit is known before
+// the packet number is recorded; then the pass that handles each frame
+// while it is still in the iterator's storage.
+func (c *Conn) processPayloadLocked(spIdx int, pt quicwire.PacketType, pn uint64, payload []byte) {
 	sp := &c.spaces[spIdx]
-	frames, err := quicwire.ParseFrames(payload)
-	if err != nil {
+	it := &c.frames
+	it.Reset(payload)
+	frames, ackEliciting := 0, false
+	for f := it.Next(); f != nil; f = it.Next() {
+		if reason := c.frameViolation(f, pt); reason != "" {
+			c.closeWithTransportErrorLocked(quicwire.ProtocolViolation, reason)
+			return
+		}
+		frames++
+		ackEliciting = ackEliciting || quicwire.AckEliciting(f)
+	}
+	if err := it.Err(); err != nil {
 		c.closeWithTransportErrorLocked(quicwire.FrameEncodingError, err.Error())
 		return
 	}
-	ackEliciting := false
-	for _, f := range frames {
-		if quicwire.AckEliciting(f) {
-			ackEliciting = true
-			break
-		}
+	if frames == 0 {
+		// RFC 9000, Section 12.4: a packet must contain at least one frame.
+		c.closeWithTransportErrorLocked(quicwire.ProtocolViolation, "packet without frames")
+		return
 	}
 	if sp.acks.onReceived(pn, ackEliciting) {
 		return // duplicate
@@ -1036,8 +1081,12 @@ func (c *Conn) processPayloadLocked(spIdx int, pn uint64, payload []byte) {
 		sp.largestRx = int64(pn)
 	}
 
-	for _, f := range frames {
+	it.Reset(payload)
+	for f := it.Next(); f != nil; f = it.Next() {
 		c.handleFrameLocked(spIdx, f)
+		if testHookFrameHandled != nil {
+			testHookFrameHandled(f)
+		}
 		select {
 		case <-c.closed:
 			return
@@ -1045,6 +1094,25 @@ func (c *Conn) processPayloadLocked(spIdx int, pn uint64, payload []byte) {
 		}
 	}
 	c.sendPendingLocked()
+}
+
+// frameViolation returns why receiving f in a packet of type pt is a
+// PROTOCOL_VIOLATION, or "" if it is not: the frame is not permitted
+// in that packet type (RFC 9000, Section 12.4, Table 3), or only a
+// server may send it and the peer is a client (Sections 19.7, 19.20).
+func (c *Conn) frameViolation(f quicwire.Frame, pt quicwire.PacketType) string {
+	if !quicwire.AllowedIn(f, pt) {
+		return "frame not permitted in this packet type"
+	}
+	if !c.isClient {
+		switch f.(type) {
+		case *quicwire.HandshakeDoneFrame:
+			return "HANDSHAKE_DONE from a client"
+		case *quicwire.NewTokenFrame:
+			return "NEW_TOKEN from a client"
+		}
+	}
+	return ""
 }
 
 func (c *Conn) handleFrameLocked(spIdx int, f quicwire.Frame) {
@@ -1063,6 +1131,13 @@ func (c *Conn) handleFrameLocked(spIdx int, f quicwire.Frame) {
 			return
 		}
 		if len(out) > 0 {
+			// out may alias the packet payload (cryptoAssembler.push), which
+			// is gone once this datagram is processed. That is safe only
+			// because QUICConn.HandleData copies data into its own buffer
+			// before it returns — crypto/tls's behaviour, not its documented
+			// contract. TestFrameStorageNotRetained poisons CRYPTO data as
+			// soon as this handler returns, so a Go release that starts
+			// retaining the slice fails every handshake in that test.
 			if err := c.tls.HandleData(levelFor(spIdx), out); err != nil {
 				c.closeWithTLSErrorLocked(err)
 				return
@@ -1081,9 +1156,8 @@ func (c *Conn) handleFrameLocked(spIdx int, f quicwire.Frame) {
 	case *quicwire.StopSendingFrame:
 		// Peer no longer wants our data; nothing queued worth aborting.
 	case *quicwire.HandshakeDoneFrame:
-		if c.isClient {
-			c.spaces[spaceHandshake].dropped = true
-		}
+		// Only a client gets here (frameViolation).
+		c.spaces[spaceHandshake].dropped = true
 	case *quicwire.ConnectionCloseFrame:
 		code := quicwire.TransportError(fr.ErrorCode)
 		err := &quicwire.TransportErrorError{Code: code, Reason: fr.ReasonPhrase, Remote: true}
@@ -1226,15 +1300,13 @@ func (c *Conn) queueStreamData(id uint64, data []byte, fin bool) error {
 	}
 	sp := &c.spaces[spaceApp]
 	var offset uint64
-	// Find the current write offset for the stream by scanning queued
-	// frames; persistent per-stream offsets live in the stream frames
-	// themselves once sent.
 	if s, ok := c.streams[id]; ok {
 		s.mu.Lock()
 		offset = s.sendOffset()
 		s.sendOff += uint64(len(data))
 		s.mu.Unlock()
 	}
+	// The frame owns a copy of data until it is acknowledged.
 	sp.outFrames = append(sp.outFrames, &quicwire.StreamFrame{
 		StreamID: id, Offset: offset, Data: append([]byte(nil), data...), Fin: fin,
 	})
@@ -1301,11 +1373,18 @@ func (c *Conn) closeWithTLSErrorLocked(err error) {
 }
 
 // sendConnectionCloseLocked emits a CONNECTION_CLOSE in the most
-// mature space with send keys.
+// mature space with send keys. An application close that has to leave
+// in an Initial or Handshake packet goes as the transport variant with
+// APPLICATION_ERROR and no reason (RFC 9000, Section 10.2.3): the 0x1d
+// frame is not permitted there, and a peer that enforces Table 3 — ours
+// does — would answer it with PROTOCOL_VIOLATION.
 func (c *Conn) sendConnectionCloseLocked(frame *quicwire.ConnectionCloseFrame) {
 	for idx := spaceApp; idx >= spaceInitial; idx-- {
 		sp := &c.spaces[idx]
 		if sp.sendKeys != nil && !sp.dropped {
+			if frame.IsApp && idx != spaceApp {
+				frame = &quicwire.ConnectionCloseFrame{ErrorCode: uint64(quicwire.ApplicationError)}
+			}
 			sp.outFrames = append(sp.outFrames, frame)
 			c.sendPendingLocked()
 			return
@@ -1535,8 +1614,8 @@ func (c *Conn) onPTO() {
 		if sp.dropped || sp.sendKeys == nil {
 			continue
 		}
-		if frames := sp.loss.unacked(); len(frames) > 0 {
-			sp.outFrames = append(sp.outFrames, frames...)
+		if len(sp.loss.frames) > 0 {
+			sp.outFrames = sp.loss.takeUnacked(sp.outFrames)
 			resent = true
 		}
 	}

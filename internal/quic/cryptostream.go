@@ -1,15 +1,12 @@
 package quic
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // cryptoAssembler reorders CRYPTO frame data for one encryption level
 // into the contiguous byte stream TLS consumes.
 type cryptoAssembler struct {
-	next     uint64 // offset of the next byte to deliver
-	segments []cryptoSegment
+	next     uint64          // offset of the next byte to deliver
+	segments []cryptoSegment // buffered out-of-order data, sorted by offset
 }
 
 type cryptoSegment struct {
@@ -23,47 +20,56 @@ type cryptoSegment struct {
 const maxCryptoBuffer = 1 << 20
 
 // push adds frame data. It returns any newly contiguous bytes ready
-// for delivery to TLS (possibly nil).
+// for delivery to TLS (possibly nil). Data that arrives in order while
+// nothing is buffered — every CRYPTO frame of a handshake without loss
+// or reordering — is returned as is, without a copy: the result may
+// alias data and is valid only as long as data is. Anything held back
+// for later is copied.
 func (a *cryptoAssembler) push(offset uint64, data []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return a.pop(), nil
+	end := offset + uint64(len(data))
+	if len(data) == 0 || end <= a.next {
+		return nil, nil // nothing new: empty, or a fully delivered duplicate
 	}
-	if offset+uint64(len(data)) > a.next+maxCryptoBuffer {
+	if end > a.next+maxCryptoBuffer {
 		return nil, fmt.Errorf("quic: crypto buffer exceeded at offset %d", offset)
 	}
-	// Discard fully delivered duplicates.
-	if offset+uint64(len(data)) <= a.next {
-		return a.pop(), nil
+	if offset <= a.next && len(a.segments) == 0 {
+		data = data[a.next-offset:]
+		a.next = end
+		return data, nil
 	}
 	// Trim the already-delivered prefix.
 	if offset < a.next {
 		data = data[a.next-offset:]
 		offset = a.next
 	}
-	a.segments = append(a.segments, cryptoSegment{offset: offset, data: append([]byte(nil), data...)})
+	i := len(a.segments)
+	for i > 0 && a.segments[i-1].offset > offset {
+		i--
+	}
+	a.segments = append(a.segments, cryptoSegment{})
+	copy(a.segments[i+1:], a.segments[i:])
+	a.segments[i] = cryptoSegment{offset: offset, data: append([]byte(nil), data...)}
 	return a.pop(), nil
 }
 
 // pop returns the contiguous bytes available at the delivery offset.
 func (a *cryptoAssembler) pop() []byte {
-	if len(a.segments) == 0 {
-		return nil
-	}
-	sort.Slice(a.segments, func(i, j int) bool { return a.segments[i].offset < a.segments[j].offset })
 	var out []byte
-	rest := a.segments[:0]
+	n := 0
 	for _, s := range a.segments {
 		end := s.offset + uint64(len(s.data))
-		switch {
-		case end <= a.next:
-			// fully consumed duplicate
-		case s.offset <= a.next:
+		if s.offset > a.next {
+			break
+		}
+		if end > a.next {
 			out = append(out, s.data[a.next-s.offset:]...)
 			a.next = end
-		default:
-			rest = append(rest, s)
 		}
+		n++ // delivered, or a fully consumed duplicate
 	}
-	a.segments = append([]cryptoSegment(nil), rest...)
+	rest := copy(a.segments, a.segments[n:])
+	clear(a.segments[rest:])
+	a.segments = a.segments[:rest]
 	return out
 }

@@ -57,3 +57,67 @@ func TestIdleTimeoutTearsDown(t *testing.T) {
 		t.Errorf("close error = %v", err)
 	}
 }
+
+// TestIdleTimerLostRace: a timer that fires while a datagram is being
+// processed blocks on the connection's mutex; by the time it gets in,
+// that datagram has re-armed the deadline. The late callback must
+// notice and go back to sleep — Stop and Reset cannot recall a callback
+// that has already started — and the re-armed deadline must still be
+// enforced afterwards.
+func TestIdleTimerLostRace(t *testing.T) {
+	scfg, pool := serverConfig(t, "idle.test")
+	scfg.TransportParams = DefaultServerParams()
+	_, addr := startServer(t, scfg, ServerPolicy{})
+	ccfg := clientConfig(pool, "idle.test")
+	ccfg.MaxIdleTimeout = 400 * time.Millisecond
+	conn, err := Dial(context.Background(), newUDP(t), addr, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn.mu.Lock()
+	conn.setIdleDeadlineLocked(20 * time.Millisecond)
+	time.Sleep(100 * time.Millisecond) // the timer has fired; its callback waits for mu
+	conn.armIdleTimerLocked()          // what handleDatagram does for the datagram in hand
+	conn.mu.Unlock()
+
+	select {
+	case <-conn.Closed():
+		t.Fatalf("closed by a timer that lost the race with the re-arm: %v", conn.Err())
+	case <-time.After(150 * time.Millisecond):
+	}
+	select {
+	case <-conn.Closed():
+	case <-time.After(3 * time.Second):
+		t.Fatal("the re-armed idle deadline was never enforced")
+	}
+	if err := conn.Err(); !errors.Is(err, ErrIdleTimeout) {
+		t.Errorf("close error = %v", err)
+	}
+}
+
+// TestHandshakeDeadlineYieldsToIdle: a server connection's handshake
+// deadline and its idle period share one timer (the stalled-handshake
+// half is TestServerConnLifecycle's "handshake-timeout" case). A
+// handshake that completes must move that timer to the idle period,
+// not be cut off when the handshake deadline comes round.
+func TestHandshakeDeadlineYieldsToIdle(t *testing.T) {
+	scfg, pool := serverConfig(t, "idle.test")
+	scfg.TransportParams = DefaultServerParams()
+	scfg.HandshakeTimeout = 200 * time.Millisecond
+	l, addr := listenBare(t, scfg, ServerPolicy{})
+	conn, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "idle.test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	server := acceptConn(t, l)
+	if err := server.HandshakeComplete(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-server.Closed():
+		t.Fatalf("an established connection died at the handshake deadline: %v", server.Err())
+	case <-time.After(2 * scfg.HandshakeTimeout):
+	}
+}

@@ -121,56 +121,56 @@ func (c *Conn) packPacketLocked(idx int, budget int) []byte {
 		early = true
 	}
 
-	// The frame list is per-conn scratch: loss tracking copies the
-	// ack-eliciting frames it retains (lossState.onSent), so the
-	// backing array is free for reuse by the next packet.
+	// The frame list and the payload they are serialized into, as they
+	// are chosen, are per-conn scratch: loss tracking copies the
+	// ack-eliciting frames it retains (lossState.onSent), so both are
+	// free for reuse by the next packet. Queued frames go first, then
+	// fresh CRYPTO data. Oversized CRYPTO and STREAM frames (e.g.
+	// retransmitted ClientHello chunks after a Retry) are split so a
+	// frame larger than one packet can never stall the queue. The size
+	// budget counts the queued and CRYPTO frames only, not the ACK in
+	// front of them.
 	frames := c.frameScratch[:0]
-	if ack := func() *quicwire.AckFrame {
-		if sp.acks.needsAck() && !early {
-			return sp.acks.buildAck()
-		}
-		return nil
-	}(); ack != nil {
-		frames = append(frames, ack)
+	payload := c.payloadScratch[:0]
+	if sp.acks.needsAck() && !early && sp.acks.buildAck(&c.ackScratch) {
+		frames = append(frames, &c.ackScratch)
+		payload = c.ackScratch.Append(payload)
 	}
-
-	// Queued frames first, then fill with fresh CRYPTO data. Oversized
-	// CRYPTO and STREAM frames (e.g. retransmitted ClientHello chunks
-	// after a Retry) are split so a frame larger than one packet can
-	// never stall the queue.
-	var frameBytes []byte
-	for len(sp.outFrames) > 0 {
-		f := sp.outFrames[0]
-		avail := budget - packetOverheadBudget - len(frameBytes)
-		b := f.Append(nil)
-		if len(b) > avail {
+	ackLen := len(payload)
+	taken := 0
+	for taken < len(sp.outFrames) {
+		f := sp.outFrames[taken]
+		avail := budget - packetOverheadBudget - (len(payload) - ackLen)
+		before := len(payload)
+		payload = f.Append(payload)
+		if len(payload)-before > avail {
+			payload = payload[:before]
 			if head, rest, ok := splitFrame(f, avail); ok {
-				sp.outFrames[0] = rest
-				frameBytes = append(frameBytes, head.Append(nil)...)
+				sp.outFrames[taken] = rest
+				payload = head.Append(payload)
 				frames = append(frames, head)
 			}
 			break
 		}
-		frameBytes = append(frameBytes, b...)
 		frames = append(frames, f)
-		sp.outFrames = sp.outFrames[1:]
+		taken++
 	}
+	// Close the gap at the front instead of slicing it off, so the
+	// queue keeps its backing array for the frames queued next.
+	rest := copy(sp.outFrames, sp.outFrames[taken:])
+	clear(sp.outFrames[rest:])
+	sp.outFrames = sp.outFrames[:rest]
 
 	if !early {
-		if cf := sp.takeCrypto(budget - packetOverheadBudget - len(frameBytes)); cf != nil {
+		if cf := sp.takeCrypto(budget - packetOverheadBudget - (len(payload) - ackLen)); cf != nil {
+			payload = cf.Append(payload)
 			frames = append(frames, cf)
 		}
 	}
 
-	if len(frames) == 0 {
-		c.frameScratch = frames
-		return nil
-	}
 	c.frameScratch = frames
-
-	payload := c.payloadScratch[:0]
-	for _, f := range frames {
-		payload = f.Append(payload)
+	if len(frames) == 0 {
+		return nil
 	}
 
 	pn := sp.nextPN

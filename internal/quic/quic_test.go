@@ -462,8 +462,10 @@ func TestCryptoAssembler(t *testing.T) {
 }
 
 func TestAckManager(t *testing.T) {
-	m := newAckManager()
-	if m.buildAck() != nil {
+	var m ackManager
+	m.init()
+	var ack quicwire.AckFrame
+	if m.buildAck(&ack) {
 		t.Error("ACK from empty manager")
 	}
 	for _, pn := range []uint64{0, 1, 2, 5, 6, 9} {
@@ -474,9 +476,8 @@ func TestAckManager(t *testing.T) {
 	if !m.onReceived(5, true) {
 		t.Error("duplicate 5 not detected")
 	}
-	ack := m.buildAck()
-	if ack == nil {
-		t.Fatal("nil ack")
+	if !m.buildAck(&ack) {
+		t.Fatal("no ack")
 	}
 	want := []quicwire.AckRange{{Smallest: 9, Largest: 9}, {Smallest: 5, Largest: 6}, {Smallest: 0, Largest: 2}}
 	if len(ack.Ranges) != len(want) {
@@ -492,14 +493,15 @@ func TestAckManager(t *testing.T) {
 	m.onReceived(8, false)
 	m.onReceived(3, false)
 	m.onReceived(4, false)
-	ack = m.buildAck()
+	m.buildAck(&ack)
 	if len(ack.Ranges) != 1 || ack.Ranges[0] != (quicwire.AckRange{Smallest: 0, Largest: 9}) {
 		t.Errorf("merged ranges = %+v", ack.Ranges)
 	}
 }
 
 func TestLossState(t *testing.T) {
-	l := newLossState()
+	var l lossState
+	l.init()
 	l.onSent(0, []quicwire.Frame{&quicwire.CryptoFrame{Data: []byte("a")}})
 	l.onSent(1, []quicwire.Frame{&quicwire.AckFrame{Ranges: []quicwire.AckRange{{Smallest: 0, Largest: 0}}}}) // not ack-eliciting
 	l.onSent(2, []quicwire.Frame{&quicwire.PingFrame{}})
@@ -510,12 +512,12 @@ func TestLossState(t *testing.T) {
 	if !anyNew || len(l.sent) != 1 {
 		t.Errorf("after ack: new=%v sent=%d", anyNew, len(l.sent))
 	}
-	frames := l.unacked()
-	if len(frames) != 1 {
-		t.Errorf("unacked = %d", len(frames))
+	frames := l.takeUnacked(nil)
+	if _, ping := frames[0].(*quicwire.PingFrame); len(frames) != 1 || !ping {
+		t.Errorf("unacked = %v", frames)
 	}
-	if len(l.sent) != 0 {
-		t.Error("unacked did not clear")
+	if len(l.sent) != 0 || len(l.frames) != 0 {
+		t.Error("takeUnacked did not clear")
 	}
 }
 

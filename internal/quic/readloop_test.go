@@ -1,10 +1,16 @@
 package quic
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
+	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
 	"quicscan/internal/telemetry"
 )
@@ -56,5 +62,100 @@ func TestReadLoopTimeoutBound(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Transport.Close hung after the read loop exited")
+	}
+}
+
+// zonedConn presents every peer of a loopback socket as an IPv6
+// link-local address with a zone, the way a real socket reports a
+// neighbour on the local link, and refuses to send to that address
+// without the zone, as the kernel would.
+type zonedConn struct {
+	net.PacketConn
+	mu       sync.Mutex
+	real     map[int]net.Addr // by source port
+	unscoped int
+}
+
+var zonedPeer = net.ParseIP("fe80::1")
+
+func (z *zonedConn) ReadFrom(b []byte) (int, net.Addr, error) {
+	n, from, err := z.PacketConn.ReadFrom(b)
+	if err != nil {
+		return n, from, err
+	}
+	port := from.(*net.UDPAddr).Port
+	z.mu.Lock()
+	z.real[port] = from
+	z.mu.Unlock()
+	return n, &net.UDPAddr{IP: zonedPeer, Port: port, Zone: "zone0"}, nil
+}
+
+func (z *zonedConn) WriteTo(b []byte, to net.Addr) (int, error) {
+	ua := to.(*net.UDPAddr)
+	z.mu.Lock()
+	if ua.Zone != "zone0" {
+		z.unscoped++
+	}
+	real := z.real[ua.Port]
+	z.mu.Unlock()
+	if ua.Zone != "zone0" || real == nil {
+		return len(b), nil // no route without the scope: dropped
+	}
+	return z.PacketConn.WriteTo(b, real)
+}
+
+// TestListenerKeepsPeerZone: the listener reads through the shared
+// batch loop's scratch address; what it hands to a new connection, and
+// what it answers to itself (Version Negotiation), must still carry
+// the zone the socket reported.
+func TestListenerKeepsPeerZone(t *testing.T) {
+	cfg, pool := serverConfig(t, "zone.example")
+	cfg.Versions = []quicwire.Version{quicwire.VersionDraft29}
+	zc := &zonedConn{PacketConn: newUDP(t), real: map[int]net.Addr{}}
+	l, err := Listen(zc, cfg, ServerPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan *Conn, 1)
+	go func() {
+		conn, err := l.Accept(context.Background())
+		if err != nil {
+			return
+		}
+		accepted <- conn
+		if s, err := conn.AcceptStream(context.Background()); err == nil {
+			data, _ := io.ReadAll(s)
+			s.Write(bytes.ToUpper(data))
+			s.Close()
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ccfg := clientConfig(pool, "zone.example")
+	ccfg.Versions = []quicwire.Version{quicwire.Version1, quicwire.VersionDraft29} // first flight draws a Version Negotiation
+	conn, err := Dial(ctx, newUDP(t), zc.LocalAddr(), ccfg)
+	if err != nil {
+		t.Fatalf("dial through a zoned listener socket: %v", err)
+	}
+	defer conn.Close()
+	s, err := conn.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Write([]byte("scope"))
+	s.Close()
+	if data, err := io.ReadAll(s); err != nil || string(data) != "SCOPE" {
+		t.Fatalf("echo = %q, %v", data, err)
+	}
+	sc := <-accepted
+	if ua, ok := sc.RemoteAddr().(*net.UDPAddr); !ok || ua.Zone != "zone0" || !ua.IP.Equal(zonedPeer) {
+		t.Errorf("server connection's peer = %v, want fe80::1%%zone0", sc.RemoteAddr())
+	}
+	zc.mu.Lock()
+	defer zc.mu.Unlock()
+	if zc.unscoped != 0 {
+		t.Errorf("%d datagrams were addressed to the peer without its zone", zc.unscoped)
 	}
 }

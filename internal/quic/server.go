@@ -296,44 +296,34 @@ func (l *Listener) Close() error {
 	return l.pconn.Close()
 }
 
-// readLoopOn leases a single read buffer for its lifetime:
-// handleDatagram processes synchronously and must not retain the
-// datagram, so the buffer is refilled immediately — no per-packet
-// allocation or copy. A failing primary socket tears the listener
-// down; a failing ServeAlso socket only ends its own loop.
+// readLoopOn serves one socket, a datagram at a time (one read buffer
+// per listener socket: a simulated Internet runs hundreds). A failing
+// primary socket tears the listener down; a failing ServeAlso socket
+// only ends its own loop.
 func (l *Listener) readLoopOn(pconn net.PacketConn, primary bool) {
-	bp := leaseReadBuf()
-	defer releaseReadBuf(bp)
-	buf := *bp
-	for {
-		n, from, err := pconn.ReadFrom(buf)
-		if err != nil {
-			if primary {
-				select {
-				case <-l.done:
-				default:
-					l.Close()
-				}
-			}
-			return
+	readDatagrams(pconn, 1, 0, l.handleDatagram)
+	if primary {
+		select {
+		case <-l.done:
+		default:
+			l.Close()
 		}
-		l.handleDatagram(buf[:n], from)
 	}
 }
 
 // handleDatagram routes a datagram to an existing connection or
-// treats it as a new connection attempt. data is only valid for the
-// duration of the call; everything retained (connection IDs, tokens,
-// crypto data) is copied out.
-func (l *Listener) handleDatagram(data []byte, from net.Addr) {
+// treats it as a new connection attempt. data, from and the header
+// scratch hdr are only valid for the duration of the call; everything
+// retained (the peer address, connection IDs, tokens, crypto data) is
+// copied out.
+func (l *Listener) handleDatagram(hdr *quicwire.Header, data []byte, from net.Addr) {
 	if len(data) == 0 {
 		return
 	}
-	var hdr *quicwire.Header // nil for a short header
+	long := quicwire.IsLongHeader(data[0])
 	var dcid quicwire.ConnID
-	if quicwire.IsLongHeader(data[0]) {
-		var err error
-		if hdr, _, err = quicwire.ParseLongHeader(data); err != nil {
+	if long {
+		if _, err := quicwire.ParseLongHeaderInto(hdr, data); err != nil {
 			mListenerDropNoRoute.Inc()
 			return
 		}
@@ -350,7 +340,7 @@ func (l *Listener) handleDatagram(data []byte, from net.Addr) {
 	switch {
 	case conn != nil:
 		conn.handleDatagram(data, from)
-	case late && hdr != nil && hdr.Type == quicwire.PacketInitial:
+	case late && long && hdr.Type == quicwire.PacketInitial:
 		// A stray or replayed Initial for a connection that just closed
 		// must not start a second one (RFC 9000, Section 10.2).
 		mListenerDropDrainingInitial.Inc()
@@ -358,7 +348,7 @@ func (l *Listener) handleDatagram(data []byte, from net.Addr) {
 		// Tail traffic of a closed connection: absorbed silently while
 		// its IDs drain. Only afterwards is the state truly lost.
 		mListenerLatePackets.Inc()
-	case hdr != nil:
+	case long:
 		l.handleNewConn(hdr, data, from)
 	default:
 		// 1-RTT packet for a connection this endpoint has no state for:
@@ -530,6 +520,8 @@ func (l *Listener) sendInitialClose(hdr *quicwire.Header, from net.Addr, code qu
 // newServerConn creates the per-connection state. retryODCID is the
 // pre-Retry original destination connection ID (nil without Retry).
 func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID quicwire.ConnID) *Conn {
+	// from is the read loop's scratch; the connection keeps its own copy.
+	from = net.UDPAddrFromAddrPort(addrPortOf(from))
 	c := newConn(l.cfg, false)
 	c.remote = from
 	c.version = hdr.Version
@@ -702,7 +694,7 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	// The handshake deadline belongs to the listener, not to whoever may
 	// call HandshakeComplete: a peer that never finishes its ClientHello
 	// is dropped even if the connection is never accepted.
-	c.idleTimer = time.AfterFunc(l.cfg.HandshakeTimeout, c.onHandshakeDeadline)
+	c.setIdleDeadlineLocked(l.cfg.HandshakeTimeout)
 	return c
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"errors"
+	"hash"
 	"net"
 	"sync"
 
@@ -25,27 +26,37 @@ const statelessResetTokenLen = 16
 // large elicit a stateless reset (RFC 9000, Section 10.3.3).
 const minResetTriggerSize = 43
 
-// resetKeys derives per-connection-ID reset tokens from a static key.
+// resetKeys derives per-connection-ID reset tokens from a static key:
+// token = HMAC-SHA256(key, connection ID), truncated. A server mints
+// three per connection, so the keyed HMAC is built once and reset per
+// token rather than rebuilt.
 type resetKeys struct {
 	once sync.Once
-	key  [32]byte
+
+	mu  sync.Mutex // guards mac and sum; read loops mint concurrently
+	mac hash.Hash
+	sum [sha256.Size]byte
 }
 
 func (r *resetKeys) init() {
 	r.once.Do(func() {
-		if _, err := rand.Read(r.key[:]); err != nil {
+		var key [32]byte
+		if _, err := rand.Read(key[:]); err != nil {
 			panic("quic: reading randomness: " + err.Error())
 		}
+		r.mac = hmac.New(sha256.New, key[:])
 	})
 }
 
 // tokenFor computes the stateless reset token for a connection ID.
 func (r *resetKeys) tokenFor(cid quicwire.ConnID) [statelessResetTokenLen]byte {
 	r.init()
-	mac := hmac.New(sha256.New, r.key[:])
-	mac.Write(cid)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mac.Reset()
+	r.mac.Write(cid)
 	var out [statelessResetTokenLen]byte
-	copy(out[:], mac.Sum(nil))
+	copy(out[:], r.mac.Sum(r.sum[:0]))
 	return out
 }
 

@@ -36,12 +36,12 @@ type Stream struct {
 	conn *Conn
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     sync.Cond // on mu
 	recvBuf  []byte
 	recvFin  bool
 	finOff   uint64 // final size once recvFin is set
 	recvOff  uint64
-	segments map[uint64][]byte // out-of-order stream data
+	segments map[uint64][]byte // out-of-order stream data; made on first use
 	resetErr error
 
 	sendClosed bool   // FIN queued
@@ -52,8 +52,8 @@ type Stream struct {
 func (s *Stream) sendOffset() uint64 { return s.sendOff }
 
 func newStream(id uint64, conn *Conn) *Stream {
-	s := &Stream{id: id, conn: conn, segments: make(map[uint64][]byte)}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Stream{id: id, conn: conn}
+	s.cond.L = &s.mu
 	return s
 }
 
@@ -74,10 +74,18 @@ func (s *Stream) handleData(offset uint64, data []byte, fin bool) {
 				offset = s.recvOff
 			}
 		}
-		// Retransmissions may be split at different boundaries than the
-		// original frames; keep the longest data seen per offset.
-		if len(data) > 0 {
+		if len(data) > 0 && offset == s.recvOff && len(s.segments) == 0 {
+			// In order with nothing held back — the lossless case —
+			// goes straight to the read buffer.
+			s.recvBuf = append(s.recvBuf, data...)
+			s.recvOff += uint64(len(data))
+		} else if len(data) > 0 {
+			// Retransmissions may be split at different boundaries than
+			// the original frames; keep the longest data seen per offset.
 			if old, ok := s.segments[offset]; !ok || len(data) > len(old) {
+				if s.segments == nil {
+					s.segments = make(map[uint64][]byte)
+				}
 				s.segments[offset] = append([]byte(nil), data...)
 			}
 		}

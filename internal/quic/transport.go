@@ -265,15 +265,25 @@ const readBatchSize = 16
 const maxConsecutiveReadTimeouts = 64
 
 // readLoop receives datagrams on one pooled socket, a batch per
-// wakeup, and routes them. It leases its read buffers for its
-// lifetime: route delivers synchronously and handleDatagram must not
-// retain the datagram, so buffers are refilled immediately — no
-// per-packet allocation or copy.
+// wakeup, and routes them.
 func (t *Transport) readLoop(pc net.PacketConn) {
 	defer t.readWG.Done()
+	readDatagrams(pc, readBatchSize, maxConsecutiveReadTimeouts, t.route)
+}
+
+// readDatagrams is the socket read loop of Transport and Listener: it
+// reads pc, up to batch datagrams per wakeup, until the socket fails —
+// a run of maxTimeouts read timeouts counts as failure — and hands each
+// datagram to deliver. It leases its read buffers for its
+// lifetime: deliver runs synchronously and must not retain the
+// datagram, so buffers are refilled immediately — no per-packet
+// allocation or copy. Nor may deliver retain hdr, the long-header
+// parse scratch it is handed, or from, the datagram's source address,
+// which is rewritten in place for the next datagram.
+func readDatagrams(pc net.PacketConn, batch, maxTimeouts int, deliver func(hdr *quicwire.Header, data []byte, from net.Addr)) {
 	bc, _ := netbatch.Wrap(pc)
-	var msgs [readBatchSize]netbatch.Message
-	var leased [readBatchSize]*[]byte
+	msgs := make([]netbatch.Message, batch)
+	leased := make([]*[]byte, batch)
 	for i := range msgs {
 		leased[i] = leaseReadBuf()
 		msgs[i].Buf = *leased[i]
@@ -283,30 +293,25 @@ func (t *Transport) readLoop(pc net.PacketConn) {
 			releaseReadBuf(leased[i])
 		}
 	}()
-	// from is the scratch address handed to route, rewritten in place
-	// per datagram; route does not retain it. hdr is the long-header
-	// parse scratch, likewise per-datagram.
 	from := &net.UDPAddr{IP: make(net.IP, 0, 16)}
 	var hdr quicwire.Header
 	timeouts := 0
 	for {
-		got, err := bc.ReadBatch(msgs[:])
+		got, err := bc.ReadBatch(msgs)
 		if err != nil {
 			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
+			if maxTimeouts > 0 && errors.As(err, &nerr) && nerr.Timeout() {
 				mReadTimeouts.Inc()
-				timeouts++
-				if timeouts >= maxConsecutiveReadTimeouts {
-					return
+				if timeouts++; timeouts < maxTimeouts {
+					continue
 				}
-				continue
 			}
 			return
 		}
 		timeouts = 0
 		for i := 0; i < got; i++ {
 			netbatch.SetUDPAddr(from, msgs[i].Addr)
-			t.route(&hdr, msgs[i].Buf[:msgs[i].N], from)
+			deliver(&hdr, msgs[i].Buf[:msgs[i].N], from)
 		}
 	}
 }

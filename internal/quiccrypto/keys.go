@@ -21,44 +21,50 @@ const (
 // AEADs have 16-byte tags).
 const SealOverhead = 16
 
-// headerProtector computes 5-byte header protection masks from
-// 16-byte ciphertext samples (RFC 9001, Section 5.4).
-type headerProtector interface {
-	mask(sample []byte) [5]byte
+// headerProtection computes 5-byte header protection masks from
+// 16-byte ciphertext samples (RFC 9001, Section 5.4): AES-ECB of the
+// sample when block is set, ChaCha20 keyed with chachaKey otherwise.
+// It lives in Keys by value and carries its own scratch block: passing
+// a stack buffer through the cipher.Block interface forces it to
+// escape, which would cost one heap allocation per protected packet.
+type headerProtection struct {
+	block     cipher.Block
+	chachaKey [32]byte
+	buf       [16]byte
 }
 
-// aesHeaderProtector carries its own scratch block: passing a stack
-// buffer through the cipher.Block interface forces it to escape, which
-// costs one heap allocation per protected packet. A Keys instance is
-// only ever driven from one side of a connection at a time, so the
-// scratch needs no locking.
-type aesHeaderProtector struct {
-	block cipher.Block
-	buf   [16]byte
-}
-
-func (p *aesHeaderProtector) mask(sample []byte) [5]byte {
+func (p *headerProtection) mask(sample []byte) [5]byte {
+	if p.block == nil {
+		return ChaCha20HeaderMask(p.chachaKey[:], sample)
+	}
 	p.block.Encrypt(p.buf[:], sample)
 	return [5]byte{p.buf[0], p.buf[1], p.buf[2], p.buf[3], p.buf[4]}
 }
 
-type chachaHeaderProtector struct{ key []byte }
-
-func (p chachaHeaderProtector) mask(sample []byte) [5]byte {
-	return ChaCha20HeaderMask(p.key, sample)
-}
+// maxSecretLen is the longest TLS 1.3 traffic secret (SHA-384).
+const maxSecretLen = 48
 
 // Keys holds the sealing or opening state for one direction at one
 // encryption level.
+//
+// A Keys has a single owner: SealPacket and OpenPacket stage the packet
+// nonce and the header protection block in scratch space inside the
+// Keys (handing a stack buffer to cipher.AEAD makes it escape, one heap
+// allocation per packet), so one Keys must not be used from two
+// goroutines at once. A connection holds separate Keys for sending and
+// receiving and drives both under its mutex; the two directions never
+// share a Keys, so they may run concurrently.
 type Keys struct {
-	aead cipher.AEAD
-	iv   [12]byte
-	hp   headerProtector
+	aead  cipher.AEAD
+	iv    [12]byte
+	nonce [12]byte // scratch: iv xor packet number
+	hp    headerProtection
 
 	// suite and secret are retained so the next key generation can be
 	// derived for key updates (RFC 9001, Section 6).
-	suite  uint16
-	secret []byte
+	suite     uint16
+	secret    [maxSecretLen]byte
+	secretLen int
 }
 
 // NewKeys derives packet protection keys from a TLS traffic secret for
@@ -76,17 +82,21 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 	default:
 		return nil, fmt.Errorf("quiccrypto: unsupported cipher suite %#04x", suite)
 	}
+	if len(secret) > maxSecretLen {
+		return nil, fmt.Errorf("quiccrypto: traffic secret of %d bytes", len(secret))
+	}
 
 	var key, hpKey []byte
-	k := &Keys{suite: suite, secret: append([]byte(nil), secret...)}
+	k := &Keys{suite: suite}
+	k.secretLen = copy(k.secret[:], secret)
 	if suite == TLSAes256GcmSha384 {
 		key = ExpandLabel(h, secret, "quic key", keyLen)
 		copy(k.iv[:], ExpandLabel(h, secret, "quic iv", 12))
 		hpKey = ExpandLabel(h, secret, "quic hp", keyLen)
 	} else {
 		// SHA-256 suites take the pooled fast path; the key buffers
-		// live on the stack and are consumed before return (the ChaCha
-		// header protector, which retains its key, copies below).
+		// live on the stack and are consumed before return (every
+		// cipher constructor below copies its key).
 		var keyBuf, hpBuf [32]byte
 		expandLabel256(secret, "quic key", keyBuf[:keyLen])
 		expandLabel256(secret, "quic iv", k.iv[:])
@@ -104,21 +114,17 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 			return nil, err
 		}
 		k.aead = aead
-		hpBlock, err := aes.NewCipher(hpKey)
+		k.hp.block, err = aes.NewCipher(hpKey)
 		if err != nil {
 			return nil, err
 		}
-		k.hp = &aesHeaderProtector{block: hpBlock}
 	case TLSChaCha20Poly1305Sha256:
 		aead, err := NewChaCha20Poly1305(key)
 		if err != nil {
 			return nil, err
 		}
 		k.aead = aead
-		// Explicit copy: the protector retains its key, and retaining
-		// hpKey directly would force the stack buffers above to escape
-		// on every NewKeys call, including the AES ones.
-		k.hp = chachaHeaderProtector{key: append([]byte(nil), hpKey...)}
+		copy(k.hp.chachaKey[:], hpKey)
 	}
 	return k, nil
 }
@@ -127,11 +133,11 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 // (RFC 9001, Section 6.1): secret_{n+1} = HKDF-Expand-Label(secret_n,
 // "quic ku", "", hash_len). Header protection keys are NOT updated.
 func (k *Keys) Next() (*Keys, error) {
-	if k.secret == nil {
+	if k.secretLen == 0 {
 		return nil, errors.New("quiccrypto: keys not derived from a secret")
 	}
 	h := hashForSuite(k.suite)
-	nextSecret := ExpandLabel(h, k.secret, "quic ku", len(k.secret))
+	nextSecret := ExpandLabel(h, k.secret[:k.secretLen], "quic ku", k.secretLen)
 	nk, err := NewKeys(k.suite, nextSecret)
 	if err != nil {
 		return nil, err
@@ -141,13 +147,14 @@ func (k *Keys) Next() (*Keys, error) {
 	return nk, nil
 }
 
-// nonce computes the per-packet AEAD nonce: IV xor packet number.
-func (k *Keys) nonce(pn uint64) [12]byte {
-	n := k.iv
+// nonceFor computes the per-packet AEAD nonce, IV xor packet number,
+// in the Keys' scratch; it is valid until the next call.
+func (k *Keys) nonceFor(pn uint64) []byte {
+	k.nonce = k.iv
 	for i := 0; i < 8; i++ {
-		n[11-i] ^= byte(pn >> (8 * i))
+		k.nonce[11-i] ^= byte(pn >> (8 * i))
 	}
-	return n
+	return k.nonce[:]
 }
 
 // SealPacket protects a packet in place. pkt contains the plaintext
@@ -162,10 +169,9 @@ func (k *Keys) SealPacket(pkt []byte, pnOffset, pnLen int, pn uint64) []byte {
 	hdrLen := pnOffset + pnLen
 	header := pkt[:hdrLen]
 	payload := pkt[hdrLen:]
-	nonce := k.nonce(pn)
 	// Seal may reallocate if pkt lacks capacity for the tag; append the
 	// result back so the returned slice is always self-contained.
-	sealed := k.aead.Seal(payload[:0], nonce[:], payload, header)
+	sealed := k.aead.Seal(payload[:0], k.nonceFor(pn), payload, header)
 	pkt = append(pkt[:hdrLen], sealed...)
 
 	// Header protection (RFC 9001, Section 5.4.1): sample starts 4
@@ -220,8 +226,7 @@ func (k *Keys) OpenPacket(pkt []byte, pnOffset int, largestPN int64) (payload []
 	pn = quicwire.DecodePacketNumber(largestPN, truncated, pnLen)
 
 	hdrLen := pnOffset + pnLen
-	nonce := k.nonce(pn)
-	payload, aeadErr := k.aead.Open(pkt[hdrLen:hdrLen], nonce[:], pkt[hdrLen:], pkt[:hdrLen])
+	payload, aeadErr := k.aead.Open(pkt[hdrLen:hdrLen], k.nonceFor(pn), pkt[hdrLen:], pkt[:hdrLen])
 	if aeadErr != nil {
 		return nil, 0, 0, ErrDecryptFailed
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"sync"
 	"testing"
 
 	"quicscan/internal/quicwire"
@@ -274,21 +275,76 @@ func TestNonceXOR(t *testing.T) {
 	for i := range k.iv {
 		k.iv[i] = byte(i)
 	}
-	n := k.nonce(0)
-	if !bytes.Equal(n[:], k.iv[:]) {
-		t.Error("nonce(0) should equal IV")
+	if n := k.nonceFor(0); !bytes.Equal(n, k.iv[:]) {
+		t.Error("nonceFor(0) should equal IV")
 	}
-	n = k.nonce(1)
-	if n[11] != k.iv[11]^1 {
-		t.Error("nonce(1) xor wrong")
+	if n := k.nonceFor(1); n[11] != k.iv[11]^1 {
+		t.Error("nonceFor(1) xor wrong")
 	}
-	n = k.nonce(0xdeadbeef)
 	want := k.iv
 	for i := 0; i < 8; i++ {
 		want[11-i] ^= byte(uint64(0xdeadbeef) >> (8 * i))
 	}
-	if n != want {
+	if n := k.nonceFor(0xdeadbeef); !bytes.Equal(n, want[:]) {
 		t.Errorf("nonce = %x want %x", n, want)
+	}
+}
+
+// TestKeysSingleOwnerPerDirection exercises the ownership rule in the
+// Keys doc comment under the race detector: a connection's send keys
+// and receive keys are distinct Keys values, so sealing on one
+// goroutine while opening on another touches no shared scratch — for
+// every suite, and across a key update (Next hands the header
+// protection state to the new generation by value).
+func TestKeysSingleOwnerPerDirection(t *testing.T) {
+	for _, suite := range []uint16{TLSAes128GcmSha256, TLSAes256GcmSha384, TLSChaCha20Poly1305Sha256} {
+		secret := bytes.Repeat([]byte{byte(suite)}, 32)
+		if suite == TLSAes256GcmSha384 {
+			secret = bytes.Repeat([]byte{byte(suite)}, 48)
+		}
+		mk := func() *Keys {
+			k, err := NewKeys(suite, secret)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return k
+		}
+		// One endpoint's pair: it seals with send and opens, with recv,
+		// what its peer sealed under the same secret.
+		send, recv, peer := mk(), mk(), mk()
+		dst := quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8}
+		const packets = 200
+		inbound := make([][]byte, packets)
+		for pn := range inbound {
+			pkt, pnOff := quicwire.AppendShortHeader(nil, dst, uint64(pn), 2, false)
+			pkt = append(pkt, bytes.Repeat([]byte{byte(pn)}, 40)...)
+			inbound[pn] = peer.SealPacket(pkt, pnOff, 2, uint64(pn))
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			k := send
+			for pn := uint64(0); pn < packets; pn++ {
+				if pn == packets/2 {
+					k, _ = k.Next()
+				}
+				pkt, pnOff := quicwire.AppendShortHeader(nil, dst, pn, 2, false)
+				pkt = append(pkt, make([]byte, 40)...)
+				k.SealPacket(pkt, pnOff, 2, pn)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for pn, pkt := range inbound {
+				got, gotPN, _, err := recv.OpenPacket(pkt, 1+len(dst), int64(pn)-1)
+				if err != nil || gotPN != uint64(pn) || len(got) != 40 || got[0] != byte(pn) {
+					t.Errorf("suite %#x pn %d: pn %d, %d bytes, %v", suite, pn, gotPN, len(got), err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
 	}
 }
 

@@ -49,6 +49,29 @@ func AckEliciting(f Frame) bool {
 	return true
 }
 
+// AllowedIn reports whether a frame may appear in a packet of type pt
+// (RFC 9000, Section 12.4, Table 3). Initial and Handshake packets carry
+// only PADDING, PING, ACK, CRYPTO and the transport CONNECTION_CLOSE;
+// 0-RTT packets carry neither those handshake-only answers (ACK,
+// CRYPTO) nor the frames only a server sends (NEW_TOKEN, PATH_RESPONSE,
+// HANDSHAKE_DONE); 1-RTT packets carry everything.
+func AllowedIn(f Frame, pt PacketType) bool {
+	if pt == Packet1RTT {
+		return true
+	}
+	switch fr := f.(type) {
+	case *PaddingFrame, *PingFrame:
+		return true
+	case *AckFrame, *CryptoFrame:
+		return pt != Packet0RTT
+	case *ConnectionCloseFrame:
+		return !fr.IsApp || pt == Packet0RTT
+	case *NewTokenFrame, *PathResponseFrame, *HandshakeDoneFrame:
+		return false
+	}
+	return pt == Packet0RTT
+}
+
 // PaddingFrame represents Count consecutive PADDING bytes.
 type PaddingFrame struct{ Count int }
 
@@ -371,14 +394,56 @@ func (f *HandshakeDoneFrame) Append(b []byte) []byte {
 	return AppendVarint(b, FrameTypeHandshakeDone)
 }
 
-// ParseFrame decodes a single frame from the front of b, returning the
-// frame and the number of bytes consumed. Consecutive PADDING bytes are
-// coalesced into one PaddingFrame.
-func ParseFrame(b []byte) (Frame, int, error) {
-	r := &reader{b: b}
+// FrameIter decodes the frames of one packet payload in place, without
+// allocating in steady state: Next fills one of the frame values below and returns a
+// pointer to it. That frame — and everything it references:
+// ACK ranges live in the iterator, CRYPTO/STREAM data, tokens and
+// connection IDs alias the payload — is valid only until the next call
+// to Next or Reset. A caller that keeps anything copies it first
+// (ParseFrames does, for callers that want frames to keep).
+//
+// Consecutive PADDING bytes are coalesced into one PaddingFrame. The
+// zero FrameIter is ready for Reset; it must not be copied after use.
+type FrameIter struct {
+	r reader
+
+	padding           PaddingFrame
+	ping              PingFrame
+	ack               AckFrame
+	resetStream       ResetStreamFrame
+	stopSending       StopSendingFrame
+	crypto            CryptoFrame
+	newToken          NewTokenFrame
+	stream            StreamFrame
+	maxData           MaxDataFrame
+	maxStreamData     MaxStreamDataFrame
+	maxStreams        MaxStreamsFrame
+	dataBlocked       DataBlockedFrame
+	streamDataBlocked StreamDataBlockedFrame
+	streamsBlocked    StreamsBlockedFrame
+	newConnID         NewConnectionIDFrame
+	retireConnID      RetireConnectionIDFrame
+	pathChallenge     PathChallengeFrame
+	pathResponse      PathResponseFrame
+	connClose         ConnectionCloseFrame
+	handshakeDone     HandshakeDoneFrame
+}
+
+// Reset points the iterator at the start of a packet payload.
+func (it *FrameIter) Reset(payload []byte) {
+	it.r = reader{b: payload}
+}
+
+// Next decodes the next frame. It returns nil at the end of the
+// payload or on a malformed frame; Err tells the two apart.
+func (it *FrameIter) Next() Frame {
+	r := &it.r
+	if r.err != nil || r.remaining() == 0 {
+		return nil
+	}
 	t := r.varint()
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil
 	}
 	var f Frame
 	switch {
@@ -388,29 +453,37 @@ func ParseFrame(b []byte) (Frame, int, error) {
 			r.off++
 			n++
 		}
-		f = &PaddingFrame{Count: n}
+		it.padding.Count = n
+		f = &it.padding
 	case t == FrameTypePing:
-		f = &PingFrame{}
+		f = &it.ping
 	case t == FrameTypeAck || t == FrameTypeAckECN:
-		ack := &AckFrame{}
+		ack := &it.ack
+		if ack.Ranges == nil {
+			// The iterator's one allocation, made for its first ACK and
+			// reused for every later one. (An array inside FrameIter
+			// would make the iterator point into itself, which forces
+			// even a stack-declared one onto the heap.)
+			ack.Ranges = make([]AckRange, 0, 8)
+		}
 		largest := r.varint()
 		ack.DelayRaw = r.varint()
 		rangeCount := r.varint()
 		firstRange := r.varint()
 		if r.err != nil || firstRange > largest {
-			return nil, 0, errMalformed("ACK")
+			return it.fail(errMalformed("ACK"))
 		}
 		smallest := largest - firstRange
-		ack.Ranges = append(ack.Ranges, AckRange{Smallest: smallest, Largest: largest})
+		ack.Ranges = append(ack.Ranges[:0], AckRange{Smallest: smallest, Largest: largest})
 		for i := uint64(0); i < rangeCount; i++ {
 			gap := r.varint()
 			length := r.varint()
 			if r.err != nil || gap+2 > smallest {
-				return nil, 0, errMalformed("ACK range")
+				return it.fail(errMalformed("ACK range"))
 			}
 			largest = smallest - gap - 2
 			if length > largest {
-				return nil, 0, errMalformed("ACK range length")
+				return it.fail(errMalformed("ACK range length"))
 			}
 			smallest = largest - length
 			ack.Ranges = append(ack.Ranges, AckRange{Smallest: smallest, Largest: largest})
@@ -422,16 +495,20 @@ func ParseFrame(b []byte) (Frame, int, error) {
 		}
 		f = ack
 	case t == FrameTypeResetStream:
-		f = &ResetStreamFrame{StreamID: r.varint(), ErrorCode: r.varint(), FinalSize: r.varint()}
+		it.resetStream = ResetStreamFrame{StreamID: r.varint(), ErrorCode: r.varint(), FinalSize: r.varint()}
+		f = &it.resetStream
 	case t == FrameTypeStopSending:
-		f = &StopSendingFrame{StreamID: r.varint(), ErrorCode: r.varint()}
+		it.stopSending = StopSendingFrame{StreamID: r.varint(), ErrorCode: r.varint()}
+		f = &it.stopSending
 	case t == FrameTypeCrypto:
-		f = &CryptoFrame{Offset: r.varint(), Data: r.varbytes()}
+		it.crypto = CryptoFrame{Offset: r.varint(), Data: r.varbytes()}
+		f = &it.crypto
 	case t == FrameTypeNewToken:
-		f = &NewTokenFrame{Token: r.varbytes()}
+		it.newToken = NewTokenFrame{Token: r.varbytes()}
+		f = &it.newToken
 	case t >= FrameTypeStreamBase && t <= FrameTypeStreamBase|0x07:
-		sf := &StreamFrame{}
-		sf.StreamID = r.varint()
+		sf := &it.stream
+		*sf = StreamFrame{StreamID: r.varint(), Fin: t&0x01 != 0}
 		if t&0x04 != 0 {
 			sf.Offset = r.varint()
 		}
@@ -441,77 +518,160 @@ func ParseFrame(b []byte) (Frame, int, error) {
 			sf.Implicit = true
 			sf.Data = r.bytes(r.remaining())
 		}
-		sf.Fin = t&0x01 != 0
 		f = sf
 	case t == FrameTypeMaxData:
-		f = &MaxDataFrame{MaximumData: r.varint()}
+		it.maxData = MaxDataFrame{MaximumData: r.varint()}
+		f = &it.maxData
 	case t == FrameTypeMaxStreamData:
-		f = &MaxStreamDataFrame{StreamID: r.varint(), MaximumData: r.varint()}
-	case t == FrameTypeMaxStreamsBidi:
-		f = &MaxStreamsFrame{Bidi: true, MaximumStreams: r.varint()}
-	case t == FrameTypeMaxStreamsUni:
-		f = &MaxStreamsFrame{Bidi: false, MaximumStreams: r.varint()}
+		it.maxStreamData = MaxStreamDataFrame{StreamID: r.varint(), MaximumData: r.varint()}
+		f = &it.maxStreamData
+	case t == FrameTypeMaxStreamsBidi || t == FrameTypeMaxStreamsUni:
+		it.maxStreams = MaxStreamsFrame{Bidi: t == FrameTypeMaxStreamsBidi, MaximumStreams: r.varint()}
+		f = &it.maxStreams
 	case t == FrameTypeDataBlocked:
-		f = &DataBlockedFrame{Limit: r.varint()}
+		it.dataBlocked = DataBlockedFrame{Limit: r.varint()}
+		f = &it.dataBlocked
 	case t == FrameTypeStreamDataBlocked:
-		f = &StreamDataBlockedFrame{StreamID: r.varint(), Limit: r.varint()}
-	case t == FrameTypeStreamsBlockedBidi:
-		f = &StreamsBlockedFrame{Bidi: true, Limit: r.varint()}
-	case t == FrameTypeStreamsBlockedUni:
-		f = &StreamsBlockedFrame{Bidi: false, Limit: r.varint()}
+		it.streamDataBlocked = StreamDataBlockedFrame{StreamID: r.varint(), Limit: r.varint()}
+		f = &it.streamDataBlocked
+	case t == FrameTypeStreamsBlockedBidi || t == FrameTypeStreamsBlockedUni:
+		it.streamsBlocked = StreamsBlockedFrame{Bidi: t == FrameTypeStreamsBlockedBidi, Limit: r.varint()}
+		f = &it.streamsBlocked
 	case t == FrameTypeNewConnectionID:
-		nc := &NewConnectionIDFrame{SequenceNumber: r.varint(), RetirePriorTo: r.varint()}
+		nc := &it.newConnID
+		*nc = NewConnectionIDFrame{SequenceNumber: r.varint(), RetirePriorTo: r.varint()}
 		idLen := int(r.byte())
 		if idLen < 1 || idLen > MaxConnIDLen {
-			return nil, 0, errMalformed("NEW_CONNECTION_ID length")
+			return it.fail(errMalformed("NEW_CONNECTION_ID length"))
 		}
 		nc.ConnectionID = ConnID(r.bytes(idLen))
 		copy(nc.StatelessResetToken[:], r.bytes(16))
 		f = nc
 	case t == FrameTypeRetireConnectionID:
-		f = &RetireConnectionIDFrame{SequenceNumber: r.varint()}
+		it.retireConnID = RetireConnectionIDFrame{SequenceNumber: r.varint()}
+		f = &it.retireConnID
 	case t == FrameTypePathChallenge:
-		pc := &PathChallengeFrame{}
-		copy(pc.Data[:], r.bytes(8))
-		f = pc
+		copy(it.pathChallenge.Data[:], r.bytes(8))
+		f = &it.pathChallenge
 	case t == FrameTypePathResponse:
-		pr := &PathResponseFrame{}
-		copy(pr.Data[:], r.bytes(8))
-		f = pr
+		copy(it.pathResponse.Data[:], r.bytes(8))
+		f = &it.pathResponse
 	case t == FrameTypeConnectionCloseTransport:
-		cc := &ConnectionCloseFrame{IsApp: false}
-		cc.ErrorCode = r.varint()
-		cc.FrameType = r.varint()
-		cc.ReasonPhrase = string(r.varbytes())
-		f = cc
+		it.connClose = ConnectionCloseFrame{ErrorCode: r.varint(), FrameType: r.varint()}
+		it.connClose.ReasonPhrase = string(r.varbytes())
+		f = &it.connClose
 	case t == FrameTypeConnectionCloseApp:
-		cc := &ConnectionCloseFrame{IsApp: true}
-		cc.ErrorCode = r.varint()
-		cc.ReasonPhrase = string(r.varbytes())
-		f = cc
+		it.connClose = ConnectionCloseFrame{IsApp: true, ErrorCode: r.varint()}
+		it.connClose.ReasonPhrase = string(r.varbytes())
+		f = &it.connClose
 	case t == FrameTypeHandshakeDone:
-		f = &HandshakeDoneFrame{}
+		f = &it.handshakeDone
 	default:
-		return nil, 0, fmt.Errorf("quicwire: unknown frame type 0x%x", t)
+		return it.fail(fmt.Errorf("quicwire: unknown frame type 0x%x", t))
 	}
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil
 	}
-	return f, r.off, nil
+	return f
 }
 
-// ParseFrames decodes all frames in a packet payload.
-func ParseFrames(b []byte) ([]Frame, error) {
-	var frames []Frame
-	for len(b) > 0 {
-		f, n, err := ParseFrame(b)
-		if err != nil {
-			return frames, err
-		}
-		frames = append(frames, f)
-		b = b[n:]
+// fail records a malformed frame and ends the iteration.
+func (it *FrameIter) fail(err error) Frame {
+	it.r.err = err
+	return nil
+}
+
+// Err returns the error that ended the iteration, or nil at the end of
+// a well-formed payload.
+func (it *FrameIter) Err() error { return it.r.err }
+
+// cloneFrame returns a copy of f that outlives the FrameIter that
+// produced it. Byte fields (CRYPTO/STREAM data, tokens, connection IDs)
+// still alias the payload they were decoded from.
+func cloneFrame(f Frame) Frame {
+	switch fr := f.(type) {
+	case *PaddingFrame:
+		return clone(fr)
+	case *PingFrame:
+		return clone(fr)
+	case *AckFrame:
+		c := clone(fr)
+		c.Ranges = append([]AckRange(nil), fr.Ranges...)
+		return c
+	case *ResetStreamFrame:
+		return clone(fr)
+	case *StopSendingFrame:
+		return clone(fr)
+	case *CryptoFrame:
+		return clone(fr)
+	case *NewTokenFrame:
+		return clone(fr)
+	case *StreamFrame:
+		return clone(fr)
+	case *MaxDataFrame:
+		return clone(fr)
+	case *MaxStreamDataFrame:
+		return clone(fr)
+	case *MaxStreamsFrame:
+		return clone(fr)
+	case *DataBlockedFrame:
+		return clone(fr)
+	case *StreamDataBlockedFrame:
+		return clone(fr)
+	case *StreamsBlockedFrame:
+		return clone(fr)
+	case *NewConnectionIDFrame:
+		return clone(fr)
+	case *RetireConnectionIDFrame:
+		return clone(fr)
+	case *PathChallengeFrame:
+		return clone(fr)
+	case *PathResponseFrame:
+		return clone(fr)
+	case *ConnectionCloseFrame:
+		return clone(fr)
+	case *HandshakeDoneFrame:
+		return clone(fr)
 	}
-	return frames, nil
+	// No %T here: handing f to fmt would make every caller's iterator
+	// escape to the heap.
+	panic("quicwire: cloning a frame type FrameIter does not produce")
+}
+
+func clone[T any](f *T) *T {
+	c := *f
+	return &c
+}
+
+// ParseFrame decodes a single frame from the front of b, returning a
+// copy of it (see cloneFrame) and the number of bytes consumed. It is a
+// convenience over FrameIter for tests and tools.
+func ParseFrame(b []byte) (Frame, int, error) {
+	var it FrameIter
+	it.Reset(b)
+	f := it.Next()
+	if f == nil {
+		if err := it.Err(); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, ErrTruncated
+	}
+	return cloneFrame(f), it.r.off, nil
+}
+
+// ParseFrames decodes all frames in a packet payload into copies that
+// outlive the call (see cloneFrame); on a malformed frame it returns
+// the frames before it and the error. The connection's receive path
+// uses FrameIter directly; this is the allocating convenience for
+// tests, the fuzzer and tools.
+func ParseFrames(b []byte) ([]Frame, error) {
+	var it FrameIter
+	it.Reset(b)
+	var frames []Frame
+	for f := it.Next(); f != nil; f = it.Next() {
+		frames = append(frames, cloneFrame(f))
+	}
+	return frames, it.Err()
 }
 
 func errMalformed(what string) error {

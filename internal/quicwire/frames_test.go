@@ -2,6 +2,7 @@ package quicwire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -250,5 +251,117 @@ func TestTransportErrorStrings(t *testing.T) {
 	e := &TransportErrorError{Code: CryptoError0x128, Reason: "bad", Remote: true}
 	if e.Error() == "" {
 		t.Error("empty error string")
+	}
+}
+
+// everyFrame is one well-formed instance of each frame type.
+func everyFrame() []Frame {
+	return []Frame{
+		&PaddingFrame{Count: 2},
+		&PingFrame{},
+		&AckFrame{Ranges: []AckRange{{Smallest: 9, Largest: 12}, {Smallest: 1, Largest: 3}}, DelayRaw: 4},
+		&ResetStreamFrame{StreamID: 4, ErrorCode: 7, FinalSize: 100},
+		&StopSendingFrame{StreamID: 8, ErrorCode: 9},
+		&CryptoFrame{Offset: 3, Data: []byte("crypto")},
+		&NewTokenFrame{Token: []byte("token")},
+		&StreamFrame{StreamID: 4, Offset: 5, Data: []byte("stream"), Fin: true},
+		&MaxDataFrame{MaximumData: 1 << 20},
+		&MaxStreamDataFrame{StreamID: 4, MaximumData: 1 << 16},
+		&MaxStreamsFrame{Bidi: true, MaximumStreams: 10},
+		&MaxStreamsFrame{MaximumStreams: 11},
+		&DataBlockedFrame{Limit: 1},
+		&StreamDataBlockedFrame{StreamID: 4, Limit: 2},
+		&StreamsBlockedFrame{Bidi: true, Limit: 3},
+		&StreamsBlockedFrame{Limit: 4},
+		&NewConnectionIDFrame{SequenceNumber: 2, RetirePriorTo: 1, ConnectionID: ConnID{1, 2, 3, 4, 5, 6, 7, 8}, StatelessResetToken: [16]byte{9}},
+		&RetireConnectionIDFrame{SequenceNumber: 1},
+		&PathChallengeFrame{Data: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		&PathResponseFrame{Data: [8]byte{8, 7, 6, 5, 4, 3, 2, 1}},
+		&ConnectionCloseFrame{ErrorCode: 0x0a, FrameType: 0x06, ReasonPhrase: "transport"},
+		&ConnectionCloseFrame{IsApp: true, ErrorCode: 0x100, ReasonPhrase: "app"},
+		&HandshakeDoneFrame{},
+	}
+}
+
+// TestFrameIterReusesStorage: the iterator yields every frame type in
+// order, reuses one value per type (the second STREAMS_BLOCKED
+// overwrites the first), and — once its ACK range storage exists —
+// decodes a payload without allocating (CONNECTION_CLOSE aside, whose
+// reason phrase is a string).
+func TestFrameIterReusesStorage(t *testing.T) {
+	want := everyFrame()
+	var payload, quiet []byte
+	for _, f := range want {
+		payload = f.Append(payload)
+		if _, cc := f.(*ConnectionCloseFrame); !cc {
+			quiet = f.Append(quiet)
+		}
+	}
+	var it FrameIter
+	it.Reset(payload)
+	seen := map[Frame]bool{}
+	for i, w := range want {
+		got := it.Next()
+		if got == nil {
+			t.Fatalf("frame %d: iterator ended early: %v", i, it.Err())
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("frame %d: got %#v, want %#v", i, got, w)
+		}
+		seen[got] = true
+	}
+	if it.Next() != nil || it.Err() != nil {
+		t.Fatalf("iterator did not end cleanly: %v", it.Err())
+	}
+	if len(seen) != 20 {
+		t.Errorf("%d distinct frame values for 20 frame types", len(seen))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		it.Reset(quiet)
+		for it.Next() != nil {
+		}
+	})
+	if allocs != 0 || it.Err() != nil {
+		t.Errorf("decoding allocates %.0f times per payload (err %v)", allocs, it.Err())
+	}
+}
+
+// TestAllowedIn spells out RFC 9000 Section 12.4, Table 3, column by
+// column (I, H, 0, 1), for every frame type.
+func TestAllowedIn(t *testing.T) {
+	packets := []PacketType{PacketInitial, PacketHandshake, Packet0RTT, Packet1RTT}
+	want := map[string]string{ // the table's "Pkts" column
+		"*quicwire.PaddingFrame":            "IH01",
+		"*quicwire.PingFrame":               "IH01",
+		"*quicwire.AckFrame":                "IH_1",
+		"*quicwire.ResetStreamFrame":        "__01",
+		"*quicwire.StopSendingFrame":        "__01",
+		"*quicwire.CryptoFrame":             "IH_1",
+		"*quicwire.NewTokenFrame":           "___1",
+		"*quicwire.StreamFrame":             "__01",
+		"*quicwire.MaxDataFrame":            "__01",
+		"*quicwire.MaxStreamDataFrame":      "__01",
+		"*quicwire.MaxStreamsFrame":         "__01",
+		"*quicwire.DataBlockedFrame":        "__01",
+		"*quicwire.StreamDataBlockedFrame":  "__01",
+		"*quicwire.StreamsBlockedFrame":     "__01",
+		"*quicwire.NewConnectionIDFrame":    "__01",
+		"*quicwire.RetireConnectionIDFrame": "__01",
+		"*quicwire.PathChallengeFrame":      "__01",
+		"*quicwire.PathResponseFrame":       "___1",
+		"*quicwire.ConnectionCloseFrame":    "IH01", // 0x1c; 0x1d is __01
+		"*quicwire.HandshakeDoneFrame":      "___1",
+	}
+	for _, f := range everyFrame() {
+		name := fmt.Sprintf("%T", f)
+		row := want[name]
+		if cc, ok := f.(*ConnectionCloseFrame); ok && cc.IsApp {
+			row = "__01"
+		}
+		for i, pt := range packets {
+			if got := AllowedIn(f, pt); got != (row[i] != '_') {
+				t.Errorf("AllowedIn(%s, %v) = %t, table says %q", name, pt, got, row)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package quicwire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -56,20 +57,22 @@ func FuzzParseHeader(f *testing.F) {
 				t.Fatalf("connection ID longer than a length byte: %d/%d", len(h.DstID), len(h.SrcID))
 			}
 		}
-		if h, n, err := ParseShortHeader(b, 8); err == nil {
+		if dst, n, err := ParseShortHeader(b, 8); err == nil {
 			if n < 0 || n > len(b) {
 				t.Fatalf("ParseShortHeader consumed %d of %d bytes", n, len(b))
 			}
-			if len(h.DstID) != 8 {
-				t.Fatalf("short header CID length %d, asked for 8", len(h.DstID))
+			if len(dst) != 8 {
+				t.Fatalf("short header CID length %d, asked for 8", len(dst))
 			}
 		}
 	})
 }
 
-// FuzzParseFrames: arbitrary payloads must parse without panicking,
-// and every accepted frame sequence must survive an append/re-parse
-// round trip.
+// FuzzParseFrames: arbitrary payloads must parse without panicking;
+// FrameIter, snapshotted frame by frame before the next Next overwrites
+// its storage, must agree with the copies ParseFrames returns, error
+// included; and every accepted frame sequence must survive an
+// append/re-parse round trip.
 func FuzzParseFrames(f *testing.F) {
 	f.Add([]byte{byte(FrameTypePing)})
 	f.Add((&CryptoFrame{Offset: 0, Data: []byte("hello")}).Append(nil))
@@ -86,6 +89,22 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add([]byte{0x1a})       // truncated PATH_CHALLENGE
 	f.Fuzz(func(t *testing.T, b []byte) {
 		frames, err := ParseFrames(b)
+		var it FrameIter
+		it.Reset(b)
+		n := 0
+		for fr := it.Next(); fr != nil; fr = it.Next() {
+			if n >= len(frames) {
+				t.Fatalf("iterator yields more than ParseFrames' %d frames (input %x)", len(frames), b)
+			}
+			// %#v follows the pointer and prints slices by value: a deep copy.
+			if got, want := fmt.Sprintf("%#v", fr), fmt.Sprintf("%#v", frames[n]); got != want {
+				t.Fatalf("frame %d: iterator %s, ParseFrames %s (input %x)", n, got, want, b)
+			}
+			n++
+		}
+		if n != len(frames) || fmt.Sprint(it.Err()) != fmt.Sprint(err) {
+			t.Fatalf("iterator: %d frames, %v; ParseFrames: %d frames, %v (input %x)", n, it.Err(), len(frames), err, b)
+		}
 		if err != nil {
 			return
 		}

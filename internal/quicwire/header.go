@@ -263,25 +263,22 @@ func AppendVersionNegotiation(b []byte, dst, src ConnID, rnd byte, versions []Ve
 
 // ParseShortHeader parses a 1-RTT packet header given the expected
 // connection ID length (which the endpoint knows from the IDs it
-// issued). It stops before the protected packet number.
-func ParseShortHeader(b []byte, connIDLen int) (*Header, int, error) {
-	r := &reader{b: b}
-	first := r.byte()
-	if r.err != nil {
-		return nil, 0, r.err
+// issued). It returns the destination connection ID, which aliases b,
+// and the offset of the protected packet number.
+func ParseShortHeader(b []byte, connIDLen int) (dst ConnID, pnOffset int, err error) {
+	if len(b) == 0 {
+		return nil, 0, ErrTruncated
 	}
-	if IsLongHeader(first) {
+	if IsLongHeader(b[0]) {
 		return nil, 0, errors.New("quicwire: not a short header packet")
 	}
-	if first&0x40 == 0 {
+	if b[0]&0x40 == 0 {
 		return nil, 0, errBadFixedBit
 	}
-	h := &Header{Type: Packet1RTT}
-	h.DstID = ConnID(r.bytes(connIDLen))
-	if r.err != nil {
-		return nil, 0, r.err
+	if connIDLen < 0 || len(b) < 1+connIDLen {
+		return nil, 0, ErrTruncated
 	}
-	return h, r.off, nil
+	return ConnID(b[1 : 1+connIDLen]), 1 + connIDLen, nil
 }
 
 // AppendShortHeader appends a 1-RTT header including the unprotected

@@ -13,23 +13,27 @@ import (
 // which copies into the caller's buffer and releases it (Close
 // releases whatever is still queued).
 
-// payloadClassSizes are the capacity classes for in-flight payload
-// copies: small control datagrams, full Ethernet/Initial-sized
-// packets, and the 64 KiB ceiling.
-var payloadClassSizes = [...]int{256, 2048, 65536}
-
-var payloadClassPools [len(payloadClassSizes)]sync.Pool
+// Payload copies come in three capacity classes: small control
+// datagrams, full Ethernet/Initial-sized packets, and the 64 KiB
+// ceiling. Each class pools pointers to its fixed-size array — a
+// pointer goes into a sync.Pool as it is, where a slice would be boxed
+// into a fresh header on every Put.
+var (
+	payloadPool256 = sync.Pool{New: func() any { return new([256]byte) }}
+	payloadPool2k  = sync.Pool{New: func() any { return new([2048]byte) }}
+	payloadPool64k = sync.Pool{New: func() any { return new([65536]byte) }}
+)
 
 // leasePayload returns a length-n buffer from the smallest size class
 // that holds it (plain allocation above the top class).
 func leasePayload(n int) []byte {
-	for ci, size := range payloadClassSizes {
-		if n <= size {
-			if v := payloadClassPools[ci].Get(); v != nil {
-				return (*(v.(*[]byte)))[:n]
-			}
-			return make([]byte, n, size)[:n]
-		}
+	switch {
+	case n <= 256:
+		return payloadPool256.Get().(*[256]byte)[:n]
+	case n <= 2048:
+		return payloadPool2k.Get().(*[2048]byte)[:n]
+	case n <= 65536:
+		return payloadPool64k.Get().(*[65536]byte)[:n]
 	}
 	return make([]byte, n)
 }
@@ -37,12 +41,13 @@ func leasePayload(n int) []byte {
 // releasePayload returns a leased buffer to its class pool. Buffers
 // with off-class capacities are left to the GC.
 func releasePayload(b []byte) {
-	for ci, size := range payloadClassSizes {
-		if cap(b) == size {
-			b = b[:size]
-			payloadClassPools[ci].Put(&b)
-			return
-		}
+	switch cap(b) {
+	case 256:
+		payloadPool256.Put((*[256]byte)(b[:256]))
+	case 2048:
+		payloadPool2k.Put((*[2048]byte)(b[:2048]))
+	case 65536:
+		payloadPool64k.Put((*[65536]byte)(b[:65536]))
 	}
 }
 

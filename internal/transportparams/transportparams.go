@@ -10,10 +10,11 @@
 package transportparams
 
 import (
+	"encoding/hex"
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
+	"strconv"
 
 	"quicscan/internal/quicwire"
 )
@@ -357,23 +358,37 @@ func Unmarshal(b []byte) (Parameters, error) {
 // sorted key=value pairs so equal configurations compare equal as
 // strings.
 func (p *Parameters) Fingerprint() string {
-	kv := []string{
-		fmt.Sprintf("ack_delay_exponent=%d", p.AckDelayExponent),
-		fmt.Sprintf("active_connection_id_limit=%d", p.ActiveConnectionIDLimit),
-		fmt.Sprintf("disable_active_migration=%t", p.DisableActiveMigration),
-		fmt.Sprintf("initial_max_data=%d", p.InitialMaxData),
-		fmt.Sprintf("initial_max_stream_data_bidi_local=%d", p.InitialMaxStreamDataBidiLocal),
-		fmt.Sprintf("initial_max_stream_data_bidi_remote=%d", p.InitialMaxStreamDataBidiRemote),
-		fmt.Sprintf("initial_max_stream_data_uni=%d", p.InitialMaxStreamDataUni),
-		fmt.Sprintf("initial_max_streams_bidi=%d", p.InitialMaxStreamsBidi),
-		fmt.Sprintf("initial_max_streams_uni=%d", p.InitialMaxStreamsUni),
-		fmt.Sprintf("max_ack_delay=%d", p.MaxAckDelay),
-		fmt.Sprintf("max_idle_timeout=%d", p.MaxIdleTimeout),
-		fmt.Sprintf("max_udp_payload_size=%d", p.MaxUDPPayloadSize),
+	// The twelve known keys below are already in sorted order, and every
+	// "unknown_0x…" key sorts after them, so one append pass renders the
+	// sorted list; only the unknown parameters need sorting.
+	b := make([]byte, 0, 384)
+	num := func(key string, v uint64) {
+		b = append(b, key...)
+		b = strconv.AppendUint(b, v, 10)
 	}
-	for _, u := range p.Unknown {
-		kv = append(kv, fmt.Sprintf("unknown_0x%x=%x", u.ID, u.Value))
+	num("ack_delay_exponent=", p.AckDelayExponent)
+	num(",active_connection_id_limit=", p.ActiveConnectionIDLimit)
+	b = append(b, ",disable_active_migration="...)
+	b = strconv.AppendBool(b, p.DisableActiveMigration)
+	num(",initial_max_data=", p.InitialMaxData)
+	num(",initial_max_stream_data_bidi_local=", p.InitialMaxStreamDataBidiLocal)
+	num(",initial_max_stream_data_bidi_remote=", p.InitialMaxStreamDataBidiRemote)
+	num(",initial_max_stream_data_uni=", p.InitialMaxStreamDataUni)
+	num(",initial_max_streams_bidi=", p.InitialMaxStreamsBidi)
+	num(",initial_max_streams_uni=", p.InitialMaxStreamsUni)
+	num(",max_ack_delay=", p.MaxAckDelay)
+	num(",max_idle_timeout=", p.MaxIdleTimeout)
+	num(",max_udp_payload_size=", p.MaxUDPPayloadSize)
+	if len(p.Unknown) > 0 {
+		// Sorted as the rendered strings sort, not by ID: "0x10" < "0x2".
+		kv := make([]string, len(p.Unknown))
+		for i, u := range p.Unknown {
+			kv[i] = ",unknown_0x" + strconv.FormatUint(u.ID, 16) + "=" + hex.EncodeToString(u.Value)
+		}
+		sort.Strings(kv)
+		for _, s := range kv {
+			b = append(b, s...)
+		}
 	}
-	sort.Strings(kv)
-	return strings.Join(kv, ",")
+	return string(b)
 }

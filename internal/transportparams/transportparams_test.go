@@ -2,9 +2,11 @@ package transportparams
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,6 +219,68 @@ func TestFingerprintStability(t *testing.T) {
 	p.MaxUDPPayloadSize = 1404
 	if p.Fingerprint() == fp1 {
 		t.Error("max_udp_payload_size change did not alter fingerprint")
+	}
+}
+
+// sprintfFingerprint is the definition Fingerprint's single append pass
+// must reproduce byte for byte: every pair rendered with fmt, sorted,
+// joined. (It is what Fingerprint was before it stopped allocating a
+// string per parameter.)
+func sprintfFingerprint(p *Parameters) string {
+	kv := []string{
+		fmt.Sprintf("ack_delay_exponent=%d", p.AckDelayExponent),
+		fmt.Sprintf("active_connection_id_limit=%d", p.ActiveConnectionIDLimit),
+		fmt.Sprintf("disable_active_migration=%t", p.DisableActiveMigration),
+		fmt.Sprintf("initial_max_data=%d", p.InitialMaxData),
+		fmt.Sprintf("initial_max_stream_data_bidi_local=%d", p.InitialMaxStreamDataBidiLocal),
+		fmt.Sprintf("initial_max_stream_data_bidi_remote=%d", p.InitialMaxStreamDataBidiRemote),
+		fmt.Sprintf("initial_max_stream_data_uni=%d", p.InitialMaxStreamDataUni),
+		fmt.Sprintf("initial_max_streams_bidi=%d", p.InitialMaxStreamsBidi),
+		fmt.Sprintf("initial_max_streams_uni=%d", p.InitialMaxStreamsUni),
+		fmt.Sprintf("max_ack_delay=%d", p.MaxAckDelay),
+		fmt.Sprintf("max_idle_timeout=%d", p.MaxIdleTimeout),
+		fmt.Sprintf("max_udp_payload_size=%d", p.MaxUDPPayloadSize),
+	}
+	for _, u := range p.Unknown {
+		kv = append(kv, fmt.Sprintf("unknown_0x%x=%x", u.ID, u.Value))
+	}
+	sort.Strings(kv)
+	return strings.Join(kv, ",")
+}
+
+// TestFingerprintMatchesSortedPairs: 10,000 random parameter sets,
+// with zero to three unknown parameters whose IDs are chosen so that
+// string order and numeric order disagree (0x10 sorts before 0x2) and
+// whose values may be empty, fingerprint exactly as the sorted-pairs
+// definition says.
+func TestFingerprintMatchesSortedPairs(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 16))
+	ids := []uint64{0x2, 0x10, 0x3127, 0xff, 0x100, 0x1f, 0xabcdef0123}
+	for i := 0; i < 10000; i++ {
+		p := Parameters{
+			MaxIdleTimeout:                 rng.Uint64() >> rng.IntN(64),
+			MaxUDPPayloadSize:              rng.Uint64() >> rng.IntN(64),
+			InitialMaxData:                 rng.Uint64() >> rng.IntN(64),
+			InitialMaxStreamDataBidiLocal:  rng.Uint64() >> rng.IntN(64),
+			InitialMaxStreamDataBidiRemote: rng.Uint64() >> rng.IntN(64),
+			InitialMaxStreamDataUni:        rng.Uint64() >> rng.IntN(64),
+			InitialMaxStreamsBidi:          rng.Uint64() >> rng.IntN(64),
+			InitialMaxStreamsUni:           rng.Uint64() >> rng.IntN(64),
+			AckDelayExponent:               rng.Uint64() >> rng.IntN(64),
+			MaxAckDelay:                    rng.Uint64() >> rng.IntN(64),
+			ActiveConnectionIDLimit:        rng.Uint64() >> rng.IntN(64),
+			DisableActiveMigration:         rng.IntN(2) == 0,
+		}
+		for n := rng.IntN(4); n > 0; n-- {
+			value := make([]byte, rng.IntN(5))
+			for j := range value {
+				value[j] = byte(rng.Uint32())
+			}
+			p.Unknown = append(p.Unknown, RawParameter{ID: ids[rng.IntN(len(ids))], Value: value})
+		}
+		if got, want := p.Fingerprint(), sprintfFingerprint(&p); got != want {
+			t.Fatalf("set %d:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 
