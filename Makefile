@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench allocs fuzz soak
+.PHONY: build test check bench bench-baseline allocs fuzz soak
 
 build:
 	$(GO) build ./...
@@ -8,14 +8,21 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 gate: vet + full suite under the race detector + fuzz smoke.
+# Tier-1 gate: vet + full suite under the race detector + fuzz smoke +
+# the benchmark against BENCH_baseline.json.
 check:
 	./scripts/check.sh
 
-# Root benchmark harness; results land in BENCH_<date>.json (see
-# scripts/bench.sh for BENCH/BENCHTIME/OUT overrides).
+# The repository benchmark (bench/README.md): the untraced set, then the
+# traced per-layer ledger, into bench/out/.
 bench:
-	./scripts/bench.sh
+	bench/run.sh
+
+# Re-records the baseline `make check` compares against; nothing else
+# writes that file. Run it on a quiet host of the reference class, in
+# its own commit, after a change that is meant to move a metric.
+bench-baseline:
+	bench/run.sh -seed 9 -out BENCH_baseline.json
 
 # Allocations and bytes per scanned target, by layer: our packages, the
 # standard library as we call it, and crypto/tls as the floor we do not
@@ -23,7 +30,7 @@ bench:
 allocs:
 	./scripts/allocs.sh
 
-# Short native-fuzzing smoke over every parser-facing target.
+# Short native-fuzzing smoke over every fuzz target in the module.
 fuzz:
 	./scripts/fuzz-smoke.sh
 

@@ -121,42 +121,42 @@ func benchH3ServerMain() error {
 
 // startBenchH3Server spawns the loopback responder and returns its
 // address and a root pool trusting its CA. The child is torn down via
-// b.Cleanup.
-func startBenchH3Server(b *testing.B) (netip.AddrPort, *x509.CertPool) {
-	b.Helper()
+// tb.Cleanup.
+func startBenchH3Server(tb testing.TB) (netip.AddrPort, *x509.CertPool) {
+	tb.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), benchServerEnv+"=1")
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := cmd.Start(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		stdin.Close()
 		cmd.Wait()
 	})
 	line, err := bufio.NewReader(stdout).ReadString('\n')
 	if err != nil {
-		b.Fatalf("bench server handshake: %v", err)
+		tb.Fatalf("bench server handshake: %v", err)
 	}
 	var hello benchServerHello
 	if err := json.Unmarshal([]byte(line), &hello); err != nil {
-		b.Fatalf("bench server handshake: %v (line %q)", err, line)
+		tb.Fatalf("bench server handshake: %v (line %q)", err, line)
 	}
 	addr, err := netip.ParseAddrPort(hello.Addr)
 	if err != nil {
-		b.Fatalf("bench server addr: %v", err)
+		tb.Fatalf("bench server addr: %v", err)
 	}
 	pool := x509.NewCertPool()
 	if !pool.AppendCertsFromPEM([]byte(hello.CAPEM)) {
-		b.Fatal("bench server CA did not parse")
+		tb.Fatal("bench server CA did not parse")
 	}
 	return addr, pool
 }

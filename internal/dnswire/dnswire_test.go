@@ -175,6 +175,15 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	// Truncated fuzzing: valid message cut at every length must error
 	// or parse, never panic.
+	full := httpsAnswer(t)
+	for i := 0; i < len(full); i++ {
+		Parse(full[:i])
+	}
+}
+
+// httpsAnswer is a marshalled response with one HTTPS record: the
+// message the truncation cases and FuzzParse's corpus are cut from.
+func httpsAnswer(tb testing.TB) []byte {
 	m := &Message{
 		Header:    Header{ID: 9, Response: true},
 		Questions: []Question{{Name: "q.test", Type: TypeHTTPS, Class: ClassINET}},
@@ -183,10 +192,11 @@ func TestMalformedInputs(t *testing.T) {
 			Params: []SvcParamValue{{Key: SvcParamALPN, ALPN: []string{"h3"}}},
 		}},
 	}
-	full, _ := m.Marshal()
-	for i := 0; i < len(full); i++ {
-		Parse(full[:i])
+	full, err := m.Marshal()
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return full
 }
 
 func TestParseFuzzRandomBytes(t *testing.T) {

@@ -1,0 +1,68 @@
+package h3
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// FuzzDecodeHeaders: a field section from a stranger must never panic
+// the QPACK decoder, and the fields it yields must survive our own
+// encoder: EncodeHeaders output decodes to the same list. Only names
+// the encoder sends as they are can be asked that: it lower-cases, and
+// the decoder passes a peer's literal name through whatever its case
+// or encoding (the last two seeds).
+func FuzzDecodeHeaders(f *testing.F) {
+	f.Add(EncodeHeaders([]HeaderField{
+		{Name: ":method", Value: "HEAD"},               // exact static match
+		{Name: ":authority", Value: "www.example.org"}, // name reference
+		{Name: "x-custom-header", Value: "zzz"},        // literal name
+	}))
+	f.Add(EncodeHeaders([]HeaderField{{Name: ":status", Value: "200"}, {Name: "alt-svc", Value: `h3-29=":443"; ma=3600`}}))
+	f.Add(EncodeHeaders(nil))
+	// Literal with name reference ("server"), Huffman-coded value.
+	val := HuffmanEncode("cloudflare")
+	huff := appendPrefixedInt([]byte{0, 0}, 0x50, 4, 92)
+	huff = appendPrefixedInt(huff, 0x80, 7, uint64(len(val)))
+	f.Add(append(huff, val...))
+	f.Add([]byte{0x00, 0x00, 0x29, 0xff, 0xff}) // Huffman literal name, invalid code
+	f.Add([]byte("\x000#00A\x00"))              // upper-case literal name
+	f.Add([]byte("\x0001\x9a\x80"))             // literal name that is not UTF-8
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fields, err := DecodeHeaders(b)
+		if err != nil {
+			return
+		}
+		for _, field := range fields {
+			if strings.ToLower(field.Name) != field.Name {
+				return
+			}
+		}
+		again, err := DecodeHeaders(EncodeHeaders(fields))
+		if err != nil {
+			t.Fatalf("our own encoding of %+v does not decode: %v (input %x)", fields, err, b)
+		}
+		if len(fields)+len(again) > 0 && !reflect.DeepEqual(fields, again) {
+			t.Fatalf("fields changed across a round trip (input %x)\n got %+v\nwant %+v", b, again, fields)
+		}
+	})
+}
+
+// FuzzHuffmanDecode: arbitrary bytes must never panic the decoder, and
+// a string it yields encodes back to bytes that decode to it.
+func FuzzHuffmanDecode(f *testing.F) {
+	f.Add(HuffmanEncode("www.example.com"))
+	f.Add(HuffmanEncode("no-cache"))
+	f.Add([]byte{0x07})                   // '0' plus three bits of valid padding
+	f.Add([]byte{0x00})                   // padding that is not an EOS prefix
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // EOS in the body
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := HuffmanDecode(b)
+		if err != nil {
+			return
+		}
+		if again, err := HuffmanDecode(HuffmanEncode(s)); err != nil || again != s {
+			t.Fatalf("HuffmanDecode(%x) = %q, which re-encodes and decodes to %q, %v", b, s, again, err)
+		}
+	})
+}

@@ -60,13 +60,12 @@ type Transport struct {
 	cDropped       atomic.Uint64
 }
 
-// TransportStats is a snapshot of a Transport's routing counters.
-//
-// Deprecated: TransportStats is kept as a per-Transport compatibility
-// shim. The same counters are maintained process-wide in the
-// telemetry registry (quic_datagrams_in_total, quic_bytes_out_total,
-// quic_routing_misses_total, ...); prefer reading those via
-// telemetry.Default().Snapshot() or the /metrics exporter.
+// TransportStats is a snapshot of a Transport's routing counters: the
+// facts of one socket pool, which core.Scanner.TransportStats reports
+// per scanner (sockets, routing misses, drops). The telemetry registry
+// (quic_datagrams_in_total, quic_bytes_out_total,
+// quic_routing_misses_total, ...) holds the process-wide sums of the
+// same events; it cannot answer for a single transport.
 type TransportStats struct {
 	// Sockets is the fixed pool size.
 	Sockets int

@@ -67,10 +67,11 @@ type Profile struct {
 // counts transmissions that reached a receive queue (duplicates count
 // individually); the remaining counters classify interference.
 //
-// Deprecated: ImpairmentStats is kept as a per-Network compatibility
-// shim. The same counters are maintained process-wide in the
-// telemetry registry (simnet_delivered_total, simnet_lost_total, ...);
-// prefer reading those via telemetry.Default().Snapshot() or /metrics.
+// These are the facts of one Network, which is what chaos.Report sets
+// against one scan's outcomes. The telemetry registry
+// (simnet_delivered_total, simnet_lost_total, ...) holds the
+// process-wide sums of the same events; it cannot answer for a single
+// network.
 type ImpairmentStats struct {
 	Delivered  int
 	Lost       int

@@ -351,8 +351,11 @@ func TestIdleSocketFootprint(t *testing.T) {
 	}
 	grew := int64(after) - int64(before)
 	t.Logf("%d idle sockets hold %.2f MB (%d B each)", sockets, float64(grew)/(1<<20), grew/sockets)
-	if grew > 4<<20 {
-		t.Errorf("%d idle sockets hold %.1f MB, want < 4 MB", sockets, float64(grew)/(1<<20))
+	// Measured 3.27 MB; the ceiling is 10 % above it. This is the price
+	// in bytes of the socket the root package's SimnetDialClose budget
+	// counts the allocations of.
+	if grew > 36<<20/10 {
+		t.Errorf("%d idle sockets hold %.2f MB, want <= 3.6 MB", sockets, float64(grew)/(1<<20))
 	}
 	runtime.KeepAlive(held)
 }

@@ -222,12 +222,11 @@ type Result struct {
 	Versions []quicwire.Version
 }
 
-// Stats summarizes a scan.
-//
-// Deprecated: Stats is kept as a per-scan compatibility shim. The
-// same counters are maintained process-wide in the telemetry registry
-// (zmapquic_probes_sent_total, zmapquic_responses_total, ...); prefer
-// reading those via telemetry.Default().Snapshot() or /metrics.
+// Stats summarizes one scan: what every ScanAddrs and Scan caller
+// prints or checks its sweep against. The telemetry registry
+// (zmapquic_probes_sent_total, zmapquic_responses_total, ...) holds the
+// process-wide sums of the same events; it cannot answer for a single
+// scan.
 type Stats struct {
 	ProbesSent       int
 	BytesSent        int64

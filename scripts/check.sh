@@ -1,7 +1,21 @@
 #!/bin/sh
 # Tier-1 verification gate: static checks plus the full test suite
 # under the race detector (the transport read loops and the scanner's
-# shared socket pool are concurrency-heavy; -race is non-negotiable).
+# shared socket pool are concurrency-heavy; -race is non-negotiable),
+# then the one performance gate: the repository benchmark against the
+# committed BENCH_baseline.json.
+#
+# What the baseline holds on any host: the determinism fingerprints,
+# `failed`, allocs_per_op, alloc_kb_per_op and heap_live_mb. Its timing
+# metrics (setup_s, ops_per_s, cpu_us_per_op) and peak_rss_mb are a
+# property of the host class it was recorded on, 2 vCPUs of a shared
+# VM: on another class, re-record it first (`make bench-baseline`).
+# That VM has faster and slower hours (scan-cold 1,885-2,210 targets/s,
+# later 2,483-2,648, on one tree); the committed file is from the slower,
+# so on a fast day the timing bounds are looser by that gap
+# (DESIGN.md section 17).
+# Counts that need no baseline at all are absolute ceilings in tier-1
+# tests (budget_test.go, internal/core/budget_test.go).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,32 +53,22 @@ go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./int
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
 
-echo "==> bench regression gate"
-# A quick pass over the allocation-sensitive benchmarks, diffed by
-# bench.sh against the newest committed BENCH_*.json. A >20% regression
-# in ns/op or allocs/op fails the build, and in B/op for SimnetDialClose
-# (the price of an idle socket; its ns/op is exempt, see bench.sh).
-# Results land in a throwaway file so `make check` never dirties the
-# committed numbers.
-#
-# A failed gate is retried once before failing the build: the short
-# fixed-iteration runs are vulnerable to one-off scheduler bursts, and
-# a true regression reproduces on the immediate re-run.
+echo "==> benchmark gate (bench/run.sh -seed 9 against BENCH_baseline.json)"
+# Four workloads, medians of 5 x 3 s repetitions each, judged against
+# the bounds in BENCHMARK.json: about two minutes. The run lands in a
+# throwaway file; only `make bench-baseline` writes the committed one.
 benchout=$(mktemp)
-bench_gate() {
-	if BENCH="$1" BENCHTIME="$2" OUT="$benchout" ./scripts/bench.sh; then
-		return 0
-	fi
-	echo "check: bench gate failed; retrying once to rule out scheduler noise"
-	BENCH="$1" BENCHTIME="$2" OUT="$benchout" ./scripts/bench.sh
-}
-bench_gate 'ScanSocketChurn|ZmapSweep|BatchSweep|CampaignSweep|SimnetDialClose' "${BENCHTIME:-20x}"
+trap 'rm -f "$benchout"' EXIT
+bench/run.sh -seed 9 -out "$benchout"
+./scripts/bench-gate.sh BENCH_baseline.json "$benchout"
 
-echo "==> handshake fast path + telemetry acceptance gates"
-# The resumed-vs-full ratio and telemetry-overhead bars enforced inside
-# bench.sh (see its header). A fixed 50 iterations keeps the ratio
-# stable against loopback scheduling noise.
-bench_gate 'QUICHandshake$|ResumedHandshake$|RescanCampaign|TelemetryOverhead$' 50x
-rm -f "$benchout"
+echo "==> handshake fast path + telemetry overhead (self-judging benchmarks)"
+# Two timing relations no workload measures: resumed <= 0.5x full
+# handshake wall clock and telemetry overhead <= 5 %. Each is the median
+# of 50 interleaved pairs inside one benchmark that fails itself. They
+# run here and in no tier-1 test (a timing must never decide `go test
+# ./...`), on one P: with two, the telemetry median swings by several
+# percent either way on an idle host.
+go test -run '^$' -bench 'ResumedHandshakeRatio$|TelemetryOverhead$' -cpu 1 -benchtime 50x .
 
 echo "check: OK"

@@ -1,31 +1,27 @@
 #!/bin/sh
-# Fuzz smoke: run every native fuzz target for a few seconds each.
-# Seed corpora already run in the normal test suite; this adds a short
-# mutation pass so parser regressions surface in `make check` rather
-# than in a nightly job. Crashers land in the package's testdata/fuzz
-# directory and from then on fail plain `go test`.
+# Fuzz smoke: run every native fuzz target in the module for a few
+# seconds each. The targets are discovered, not listed, so one added to
+# any package is mutated from its first `make check` on. Seed corpora
+# already run in the normal test suite; this adds a short mutation pass
+# so parser regressions surface in `make check` rather than in a
+# nightly job. Crashers land in the package's testdata/fuzz directory
+# and from then on fail plain `go test`.
 set -eu
 cd "$(dirname "$0")/.."
 
 FUZZTIME=${FUZZTIME:-5s}
 
-run_target() {
-	pkg=$1
-	target=$2
+# `go test -list` prints a package's matching names, then its "ok" line.
+listing=$(go test -list '^Fuzz' ./...)
+targets=$(echo "$listing" |
+	awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }')
+if [ -z "$targets" ]; then
+	echo "fuzz smoke: found no fuzz target" >&2
+	exit 1
+fi
+echo "$targets" | while read -r pkg target; do
 	echo "==> go test -fuzz ^${target}\$ -fuzztime ${FUZZTIME} ${pkg}"
-	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME}" "${pkg}"
-}
-
-run_target ./internal/quicwire FuzzVarint
-run_target ./internal/quicwire FuzzParseHeader
-run_target ./internal/quicwire FuzzParseFrames
-run_target ./internal/transportparams FuzzParse
-run_target ./internal/transportparams FuzzPreferredAddress
-run_target ./internal/altsvc FuzzParse
-run_target ./internal/telemetry FuzzMetricName
-run_target ./internal/telemetry FuzzParseTrace
-run_target ./internal/campaign FuzzCheckpointParse
-run_target ./internal/fingerprint FuzzScenarioResponse
-run_target ./internal/fingerprint FuzzSignatureMatch
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime "${FUZZTIME}" "${pkg}" < /dev/null
+done
 
 echo "fuzz smoke: OK"
