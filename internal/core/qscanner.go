@@ -219,12 +219,17 @@ type Scanner struct {
 	mu sync.Mutex
 	tr *quic.Transport
 
-	// certMu guards certCache, a digest-keyed memo of chain
-	// verification results. Scans see the same few CDN chains tens of
-	// thousands of times; verifying each chain once amortizes the
-	// signature checks across the campaign.
-	certMu    sync.Mutex
-	certCache map[certCacheKey]bool
+	certs ChainMemo
+}
+
+// ChainMemo memoizes x509 chain verification by (chain, SNI) digest.
+// Scans see the same few CDN chains tens of thousands of times;
+// verifying each chain once amortizes the signature checks across the
+// campaign. The root pool is not part of the key: one memo serves one
+// pool. The zero value is ready to use, and safe for concurrent use.
+type ChainMemo struct {
+	mu    sync.Mutex
+	valid map[certCacheKey]bool
 }
 
 // certCacheKey identifies a (certificate chain, SNI) verification
@@ -522,19 +527,17 @@ func (s *Scanner) tlsInfo(cs *tls.ConnectionState, sni string) *TLSInfo {
 		info.CertFingerprint = certgen.FingerprintOf(leaf)
 		info.CertCommonName = leaf.Subject.CommonName
 		info.CertDNSNames = leaf.DNSNames
-		info.SelfSigned = isSelfSigned(leaf)
+		info.SelfSigned = IsSelfSigned(leaf)
 		if s.RootCAs != nil {
-			info.CertValid = s.verifyChain(cs.PeerCertificates, sni)
+			info.CertValid = s.certs.Verify(s.RootCAs, cs.PeerCertificates, sni)
 		}
 	}
 	return info
 }
 
-// verifyChain memoizes x509 chain verification by (chain, SNI) digest.
-// A campaign sees the same handful of provider chains over and over;
-// the signature checks run once per distinct chain instead of once per
-// target.
-func (s *Scanner) verifyChain(chain []*x509.Certificate, sni string) bool {
+// Verify reports whether chain (leaf first) verifies for sni against
+// roots, running the signature checks once per distinct (chain, SNI).
+func (m *ChainMemo) Verify(roots *x509.CertPool, chain []*x509.Certificate, sni string) bool {
 	h := sha256.New()
 	for _, c := range chain {
 		h.Write(c.Raw)
@@ -543,9 +546,9 @@ func (s *Scanner) verifyChain(chain []*x509.Certificate, sni string) bool {
 	var key certCacheKey
 	h.Sum(key[:0])
 
-	s.certMu.Lock()
-	valid, ok := s.certCache[key]
-	s.certMu.Unlock()
+	m.mu.Lock()
+	valid, ok := m.valid[key]
+	m.mu.Unlock()
 	if ok {
 		mCertCacheHits.Inc()
 		return valid
@@ -553,7 +556,7 @@ func (s *Scanner) verifyChain(chain []*x509.Certificate, sni string) bool {
 	mCertCacheMiss.Inc()
 
 	leaf := chain[0]
-	opts := x509.VerifyOptions{Roots: s.RootCAs, DNSName: sni}
+	opts := x509.VerifyOptions{Roots: roots, DNSName: sni}
 	for _, ic := range chain[1:] {
 		if opts.Intermediates == nil {
 			opts.Intermediates = x509.NewCertPool()
@@ -563,18 +566,18 @@ func (s *Scanner) verifyChain(chain []*x509.Certificate, sni string) bool {
 	_, err := leaf.Verify(opts)
 	valid = err == nil
 
-	s.certMu.Lock()
-	if s.certCache == nil || len(s.certCache) >= 8192 {
+	m.mu.Lock()
+	if m.valid == nil || len(m.valid) >= 8192 {
 		// Reset rather than evict: the working set is tiny; the cap
 		// only guards against adversarial chain diversity.
-		s.certCache = make(map[certCacheKey]bool)
+		m.valid = make(map[certCacheKey]bool)
 	}
-	s.certCache[key] = valid
-	s.certMu.Unlock()
+	m.valid[key] = valid
+	m.mu.Unlock()
 	return valid
 }
 
-// isSelfSigned reports whether leaf is genuinely self-signed: the
+// IsSelfSigned reports whether leaf is genuinely self-signed: the
 // issuer and subject distinguished names must match byte-for-byte AND
 // the certificate's signature must verify under its own public key.
 // Comparing CommonName strings is wrong on both axes: two unrelated
@@ -582,7 +585,7 @@ func (s *Scanner) verifyChain(chain []*x509.Certificate, sni string) bool {
 // subject CN with the leaf compares equal too. CheckSignature is used
 // rather than CheckSignatureFrom because the latter also enforces CA
 // basic constraints, which self-signed leaf certificates rarely carry.
-func isSelfSigned(leaf *x509.Certificate) bool {
+func IsSelfSigned(leaf *x509.Certificate) bool {
 	if !bytes.Equal(leaf.RawIssuer, leaf.RawSubject) {
 		return false
 	}

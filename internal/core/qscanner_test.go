@@ -445,6 +445,9 @@ func TestTLSInfoSelfSignedEmptyCN(t *testing.T) {
 	leafSameDN, _ := makeTestCert(t, pkix.Name{Organization: []string{"Test CA"}}, caCert, caKey)
 	// Genuinely self-signed, empty CN.
 	selfSigned, _ := makeTestCert(t, pkix.Name{Organization: []string{"Solo"}}, nil, nil)
+	// Issued by a CA that shares its CN, and nothing else, with the leaf.
+	namedCA, namedKey := makeTestCert(t, pkix.Name{CommonName: "shared.example", Organization: []string{"Named CA"}}, nil, nil)
+	leafSameCN, _ := makeTestCert(t, pkix.Name{CommonName: "shared.example"}, namedCA, namedKey)
 
 	cases := []struct {
 		name string
@@ -454,6 +457,7 @@ func TestTLSInfoSelfSignedEmptyCN(t *testing.T) {
 		{"ca-signed distinct DN", leafDistinct, false},
 		{"ca-signed coinciding DN", leafSameDN, false},
 		{"self-signed empty CN", selfSigned, true},
+		{"ca-signed, CA shares the leaf's CN", leafSameCN, false},
 	}
 
 	s := &Scanner{}
@@ -465,6 +469,42 @@ func TestTLSInfoSelfSignedEmptyCN(t *testing.T) {
 		info := s.tlsInfo(cs, "")
 		if info.SelfSigned != tc.want {
 			t.Errorf("%s: SelfSigned = %v, want %v", tc.name, info.SelfSigned, tc.want)
+		}
+	}
+}
+
+// TestChainMemo: a chain is verified on its first visit and remembered
+// on the second, per name it is checked for.
+func TestChainMemo(t *testing.T) {
+	ca, err := certgen.NewCA("memo-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := x509.NewCertPool()
+	ca.AddToPool(pool)
+	cert, err := ca.Issue(certgen.LeafOptions{DNSNames: []string{"memo.example"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []*x509.Certificate{cert.Leaf, ca.Certificate()}
+
+	var m ChainMemo
+	for i, tc := range []struct {
+		sni         string
+		valid, memo bool
+	}{
+		{"memo.example", true, false},
+		{"memo.example", true, true},
+		{"other.example", false, false},
+		{"other.example", false, true},
+	} {
+		hits, misses := mCertCacheHits.Value(), mCertCacheMiss.Value()
+		if got := m.Verify(pool, chain, tc.sni); got != tc.valid {
+			t.Errorf("visit %d (%s): valid = %v, want %v", i, tc.sni, got, tc.valid)
+		}
+		hit, miss := mCertCacheHits.Value()-hits == 1, mCertCacheMiss.Value()-misses == 1
+		if hit != tc.memo || miss == tc.memo {
+			t.Errorf("visit %d (%s): memo hit %v, miss %v; want a %v hit", i, tc.sni, hit, miss, tc.memo)
 		}
 	}
 }

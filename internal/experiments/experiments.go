@@ -10,8 +10,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
+	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"quicscan/internal/altsvc"
@@ -22,6 +26,7 @@ import (
 	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
 	"quicscan/internal/quicwire"
+	"quicscan/internal/simnet"
 	"quicscan/internal/tlsscan"
 	"quicscan/internal/zmapquic"
 )
@@ -130,13 +135,80 @@ type Report struct {
 
 	// Universe of the headline week (kept for AS lookups).
 	Universe *internet.Universe
+
+	// Stages is the campaign's timeline in start order. It is the one
+	// part of a Report that holds wall-clock values, and no renderer or
+	// TSV export reads it.
+	Stages []Stage
 }
 
 // Headline returns the last (headline) week's data.
 func (r *Report) Headline() *WeekData { return r.Weeks[len(r.Weeks)-1] }
 
+// Stage is one step of the campaign as it ran. Stages overlap (DESIGN.md
+// section 18), so a stage's duration is not its share of the wall clock.
+type Stage struct {
+	Week int
+	// Name is one of dns, zmap-v4, zmap-v6, tls-altsvc and, in the
+	// headline week, stateful, tcp-compare, padding, modes.
+	Name string
+	// Start and End are offsets from the start of Run.
+	Start, End time.Duration
+}
+
+// timeline runs the campaign's stages and records when each ran.
+// Stages started between two waits run side by side.
+type timeline struct {
+	t0   time.Time
+	week int // of the stages being started; set between waits
+	wg   sync.WaitGroup
+
+	mu     sync.Mutex
+	stages []Stage
+	err    error
+}
+
+// stage starts fn on its own goroutine.
+func (tl *timeline) stage(name string, fn func() error) {
+	st := Stage{Week: tl.week, Name: name}
+	tl.wg.Add(1)
+	go func() {
+		defer tl.wg.Done()
+		st.Start = time.Since(tl.t0)
+		err := fn()
+		st.End = time.Since(tl.t0)
+		tl.mu.Lock()
+		defer tl.mu.Unlock()
+		tl.stages = append(tl.stages, st)
+		if err != nil && tl.err == nil {
+			tl.err = fmt.Errorf("%s: %w", name, err)
+		}
+	}()
+}
+
+// wait returns once every started stage has, with the first error
+// among them: a failed stage never leaves a sibling running on a
+// universe its caller is about to stop.
+func (tl *timeline) wait() error {
+	tl.wg.Wait()
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	return tl.err
+}
+
+// sweepDialer opens the socket of a ZMap sweep.
+type sweepDialer func(*simnet.Network) (*simnet.PacketConn, error)
+
 // Run executes the campaign.
 func Run(opts Options) (*Report, error) {
+	return run(opts, &timeline{t0: time.Now()}, (*simnet.Network).DialUDP)
+}
+
+// run is Run on its caller's timeline and sweep-socket source. Those
+// three sockets are the ones the campaign opens itself, and failing to
+// is the only error a started universe can cause; the scanners open
+// their own through a callback and record a failure per target.
+func run(opts Options, tl *timeline, dialSweep sweepDialer) (*Report, error) {
 	opts = opts.withDefaults()
 	report := &Report{Options: opts}
 
@@ -154,29 +226,25 @@ func Run(opts Options) (*Report, error) {
 			return nil, fmt.Errorf("experiments: starting week %d: %w", week, err)
 		}
 
-		wd, err := scanWeek(u, opts)
+		tl.week = week
+		wd, err := scanWeek(u, opts, tl, dialSweep)
+		if err == nil && last {
+			err = report.runHeadline(u, wd, opts, tl, dialSweep)
+		}
 		if err != nil {
 			u.Stop()
 			return nil, fmt.Errorf("experiments: week %d: %w", week, err)
 		}
 		report.Weeks = append(report.Weeks, wd)
-
 		if last {
-			if err := report.runStateful(u, wd, opts); err != nil {
-				u.Stop()
-				return nil, err
-			}
-			if err := report.runPaddingAblation(u, wd); err != nil {
-				u.Stop()
-				return nil, err
-			}
-			report.runModes(u, opts)
-			report.Universe = u
 			// Keep the headline universe running until Close.
+			report.Universe = u
 		} else {
 			u.Stop()
 		}
 	}
+	sort.SliceStable(tl.stages, func(i, j int) bool { return tl.stages[i].Start < tl.stages[j].Start })
+	report.Stages = tl.stages
 	return report, nil
 }
 
@@ -187,16 +255,33 @@ func (r *Report) Close() {
 	}
 }
 
-// scanWeek runs the three stateless discovery methods.
-func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
+// scanWeek runs the three stateless discovery methods. DNS goes first:
+// the IPv6 sweep's target list and the Alt-Svc scan's domain join read
+// its A/AAAA maps. The two sweeps and the TLS scan then share nothing
+// they write, so the sweeps' cooldowns elapse together and under the
+// CPU-bound TLS handshakes.
+func scanWeek(u *internet.Universe, opts Options, tl *timeline, dialSweep sweepDialer) (*WeekData, error) {
 	wd := &WeekData{
 		Week: u.Spec.Week,
 		V4:   analysis.NewDiscovery(),
 		V6:   analysis.NewDiscovery(),
 	}
-	ctx := context.Background()
+	tl.stage("dns", func() error { resolveLists(u, wd); return nil })
+	if err := tl.wait(); err != nil {
+		return nil, err
+	}
+	tl.stage("zmap-v4", func() error { return sweepV4(u, wd, dialSweep) })
+	tl.stage("zmap-v6", func() error { return sweepV6(u, wd, dialSweep) })
+	tl.stage("tls-altsvc", func() error { collectAltSvc(u, wd, opts); return nil })
+	if err := tl.wait(); err != nil {
+		return nil, err
+	}
+	return wd, nil
+}
 
-	// --- DNS scans: A/AAAA/HTTPS over every input list -----------------
+// resolveLists is the DNS scan: A/AAAA/HTTPS over every input list.
+func resolveLists(u *internet.Universe, wd *WeekData) {
+	ctx := context.Background()
 	cl := &dnsclient.Client{
 		Server:     net.UDPAddrFromAddrPort(internet.DNSAddr),
 		DialPacket: func() (net.PacketConn, error) { return u.Net.DialUDP() },
@@ -204,7 +289,9 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 	}
 	resolved := make(map[string]bool)
 	var allNames []string
-	for src, names := range u.SourceLists {
+	// In name order, so that wd.DNS and with it figure3.tsv repeat.
+	for _, src := range slices.Sorted(maps.Keys(u.SourceLists)) {
+		names := u.SourceLists[src]
 		stats := DNSSourceStats{Source: src}
 		httpsResults := cl.ResolveBatch(ctx, names, dnswire.TypeHTTPS, 64)
 		for _, res := range httpsResults {
@@ -256,28 +343,34 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 			}
 		}
 	}
+}
 
-	// --- ZMap scans ------------------------------------------------------
-	pc, err := u.Net.DialUDP()
+// sweepV4 is the ZMap scan of the IPv4 prefixes.
+func sweepV4(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
+	pc, err := dialSweep(u.Net)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer pc.Close()
 	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 400 * time.Millisecond}
 	sweep := zmapquic.NewSweep(u.Spec.Seed, u.V4Prefixes())
 	done := make(chan struct{})
-	results, stats, err := zs.Scan(ctx, sweep.Addresses(done))
+	results, stats, err := zs.Scan(context.Background(), sweep.Addresses(done))
 	close(done)
-	pc.Close()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	wd.ZMapProbesV4 = stats.ProbesSent
 	wd.ZMapBytesV4 = stats.BytesSent
 	for _, r := range results {
 		wd.V4.ZMap[r.Addr] = r.Versions
 	}
+	return nil
+}
 
-	// IPv6: hitlist plus AAAA-resolved addresses (Section 3.1).
+// sweepV6 is the ZMap scan of the IPv6 hitlist plus the AAAA-resolved
+// addresses (Section 3.1).
+func sweepV6(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 	v6set := make(map[netip.Addr]bool)
 	for _, a := range u.IPv6Hitlist {
 		v6set[a] = true
@@ -289,23 +382,27 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 	for a := range v6set {
 		v6targets = append(v6targets, a)
 	}
-	pc6, err := u.Net.DialUDP()
+	pc, err := dialSweep(u.Net)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	zs6 := &zmapquic.Scanner{Conn: pc6, Cooldown: 400 * time.Millisecond}
-	results6, stats6, err := zs6.ScanAddrs(ctx, v6targets)
-	pc6.Close()
+	defer pc.Close()
+	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 400 * time.Millisecond}
+	results, stats, err := zs.ScanAddrs(context.Background(), v6targets)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	wd.ZMapProbesV6 = stats6.ProbesSent
-	for _, r := range results6 {
+	wd.ZMapProbesV6 = stats.ProbesSent
+	for _, r := range results {
 		wd.V6.ZMap[r.Addr] = r.Versions
 	}
+	return nil
+}
 
-	// --- TLS-over-TCP Alt-Svc collection ----------------------------------
-	ts := &tlsscan.Scanner{
+// tlsScanner is the TLS-over-TCP scanner of both the Alt-Svc
+// collection and the Table 5 comparison.
+func tlsScanner(u *internet.Universe, opts Options) *tlsscan.Scanner {
+	return &tlsscan.Scanner{
 		Dial: func(ctx context.Context, addr netip.AddrPort) (net.Conn, error) {
 			return u.Net.DialStream(addr)
 		},
@@ -313,6 +410,10 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 		Timeout: 2 * time.Second,
 		Workers: opts.Workers,
 	}
+}
+
+// collectAltSvc is the TLS-over-TCP Alt-Svc collection.
+func collectAltSvc(u *internet.Universe, wd *WeekData, opts Options) {
 	var tlsTargets []tlsscan.Target
 	for _, d := range u.Deployments {
 		sni := ""
@@ -322,7 +423,7 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 		tlsTargets = append(tlsTargets, tlsscan.Target{Addr: d.Addr, SNI: sni})
 	}
 	wd.TLSTargets = len(tlsTargets)
-	for _, res := range ts.Scan(ctx, tlsTargets) {
+	for _, res := range tlsScanner(u, opts).Scan(context.Background(), tlsTargets) {
 		if !res.OK || len(res.QUICALPNs) == 0 {
 			continue
 		}
@@ -335,7 +436,6 @@ func scanWeek(u *internet.Universe, opts Options) (*WeekData, error) {
 			disc.AltSvcDomains[dom] = true
 		}
 	}
-	return wd, nil
 }
 
 // statefulTargets assembles the SNI and no-SNI target lists from the
@@ -389,8 +489,45 @@ func compatible(versions []quicwire.Version) bool {
 	return false
 }
 
-func (r *Report) runStateful(u *internet.Universe, wd *WeekData, opts Options) error {
-	ctx := context.Background()
+// runHeadline is the headline week's second half. The stateful scan
+// waits out two-second timers on a quarter of its targets; the TCP
+// comparison and the padding ablation read only what discovery left
+// behind, so they run on their own sockets while it waits. The
+// behavioural modes run last, on a universe nothing else is loading.
+func (r *Report) runHeadline(u *internet.Universe, wd *WeekData, opts Options, tl *timeline, dialSweep sweepDialer) error {
+	noSNI4, sni4 := statefulTargets(wd, "IPv4", opts.MaxSNITargetsPerAddr)
+	noSNI6, sni6 := statefulTargets(wd, "IPv6", opts.MaxSNITargetsPerAddr)
+
+	tl.stage("stateful", func() error { r.runStateful(u, opts, noSNI4, noSNI6, sni4, sni6); return nil })
+	tl.stage("tcp-compare", func() error {
+		// Matching TCP scans for Table 5.
+		ts := tlsScanner(u, opts)
+		r.TCPNoSNI = ts.Scan(context.Background(), toTLS(slices.Concat(noSNI4, noSNI6)))
+		r.TCPSNI = ts.Scan(context.Background(), toTLS(slices.Concat(sni4, sni6)))
+		return nil
+	})
+	tl.stage("padding", func() error { return r.runPaddingAblation(u, wd, dialSweep) })
+	if err := tl.wait(); err != nil {
+		return err
+	}
+	tl.stage("modes", func() error { r.runModes(u, opts); return nil })
+	return tl.wait()
+}
+
+func toTLS(targets []core.Target) []tlsscan.Target {
+	out := make([]tlsscan.Target, len(targets))
+	for i, t := range targets {
+		out[i] = tlsscan.Target{Addr: t.Addr, SNI: t.SNI}
+	}
+	return out
+}
+
+// runStateful scans the four target lists in one pass, so that the
+// worker pool drains behind its last timers once and not once per
+// list. The no-SNI lists go first: they hold nearly every silent
+// target, and the SNI lists' millisecond handshakes fill the workers
+// their tail frees.
+func (r *Report) runStateful(u *internet.Universe, opts Options, noSNI4, noSNI6, sni4, sni6 []core.Target) {
 	qs := &core.Scanner{
 		DialPacket: func() (net.PacketConn, error) { return u.Net.DialUDP() },
 		RootCAs:    u.RootCAs(),
@@ -399,45 +536,36 @@ func (r *Report) runStateful(u *internet.Universe, wd *WeekData, opts Options) e
 	}
 	defer qs.Close()
 
-	noSNI4, sni4 := statefulTargets(wd, "IPv4", opts.MaxSNITargetsPerAddr)
-	noSNI6, sni6 := statefulTargets(wd, "IPv6", opts.MaxSNITargetsPerAddr)
-
-	r.StatefulNoSNIV4 = qs.Scan(ctx, noSNI4)
-	r.StatefulSNIV4 = qs.Scan(ctx, sni4)
-	r.StatefulNoSNIV6 = qs.Scan(ctx, noSNI6)
-	r.StatefulSNIV6 = qs.Scan(ctx, sni6)
-
-	// Matching TCP scans for Table 5.
-	ts := &tlsscan.Scanner{
-		Dial: func(ctx context.Context, addr netip.AddrPort) (net.Conn, error) {
-			return u.Net.DialStream(addr)
-		},
-		RootCAs: u.RootCAs(),
-		Timeout: 2 * time.Second,
-		Workers: opts.Workers,
+	res := qs.Scan(context.Background(), slices.Concat(noSNI4, noSNI6, sni4, sni6))
+	// Capacity is cut with length: an append to one list must not
+	// write into the next.
+	cut := func(list []core.Target) []core.Result {
+		n := len(list)
+		head := res[:n:n]
+		res = res[n:]
+		return head
 	}
-	toTLS := func(ts []core.Target) []tlsscan.Target {
-		out := make([]tlsscan.Target, len(ts))
-		for i, t := range ts {
-			out[i] = tlsscan.Target{Addr: t.Addr, SNI: t.SNI}
-		}
-		return out
-	}
-	r.TCPNoSNI = ts.Scan(ctx, toTLS(append(append([]core.Target{}, noSNI4...), noSNI6...)))
-	r.TCPSNI = ts.Scan(ctx, toTLS(append(append([]core.Target{}, sni4...), sni6...)))
-	return nil
+	r.StatefulNoSNIV4 = cut(noSNI4)
+	r.StatefulNoSNIV6 = cut(noSNI6)
+	r.StatefulSNIV4 = cut(sni4)
+	r.StatefulSNIV6 = cut(sni6)
 }
 
 // runPaddingAblation reruns the v4 sweep without padding
 // (Section 3.1: only 11.3% answer, 95.4% from one AS).
-func (r *Report) runPaddingAblation(u *internet.Universe, wd *WeekData) error {
+func (r *Report) runPaddingAblation(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 	ctx := context.Background()
-	pc, err := u.Net.DialUDP()
+	pc, err := dialSweep(u.Net)
 	if err != nil {
 		return err
 	}
 	defer pc.Close()
-	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 400 * time.Millisecond, NoPadding: true}
+	// The probes leave in one burst and every answer has to arrive
+	// inside the cooldown, from responders that share the CPUs with two
+	// scanners' handshakes. The stateful pass beside it waits at least
+	// one 2 s timer, so giving the responders as long costs nothing;
+	// 400 ms lost answers under the race detector (DESIGN.md section 18).
+	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 2 * time.Second, NoPadding: true}
 	var targets []netip.Addr
 	for addr := range wd.V4.ZMap {
 		targets = append(targets, addr)

@@ -4,9 +4,11 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"quicscan/internal/core"
 	"quicscan/internal/internet"
+	"quicscan/internal/simnet"
 	"quicscan/internal/telemetry"
 )
 
@@ -22,7 +24,7 @@ func smallCampaign(t *testing.T) *Report {
 	opts := Options{
 		Spec:        internet.Spec{Seed: 7, Scale: 8192, ASScale: 48, DomainScale: 32768},
 		Weeks:       []int{9, 18},
-		Workers:     64,
+		Workers:     128, // one round of timers for the universe's ~80 silent targets, not two
 		Fingerprint: true,
 		Resumption:  true,
 	}
@@ -269,8 +271,10 @@ func TestCampaignTable5Shape(t *testing.T) {
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if cachedReport != nil {
-		cachedReport.Close()
+	for _, r := range []*Report{cachedReport, cachedQuick} {
+		if r != nil {
+			r.Close()
+		}
 	}
 	os.Exit(code)
 }
@@ -335,7 +339,7 @@ func TestDiscoverySocketEconomy(t *testing.T) {
 	}
 	defer u.Stop()
 	before := telemetry.Default().Snapshot().Counters
-	if _, err := scanWeek(u, Options{}.withDefaults()); err != nil {
+	if _, err := scanWeek(u, Options{}.withDefaults(), &timeline{t0: time.Now()}, (*simnet.Network).DialUDP); err != nil {
 		t.Fatal(err)
 	}
 	after := telemetry.Default().Snapshot().Counters

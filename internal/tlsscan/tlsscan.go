@@ -97,6 +97,8 @@ type Scanner struct {
 	Workers int
 	// SkipHTTP disables the HEAD request.
 	SkipHTTP bool
+
+	certs core.ChainMemo
 }
 
 func (s *Scanner) dial(ctx context.Context, addr netip.AddrPort) (net.Conn, error) {
@@ -190,17 +192,9 @@ func (s *Scanner) tlsInfo(cs *tls.ConnectionState, sni string) *core.TLSInfo {
 		info.CertFingerprint = certgen.FingerprintOf(leaf)
 		info.CertCommonName = leaf.Subject.CommonName
 		info.CertDNSNames = leaf.DNSNames
-		info.SelfSigned = leaf.Issuer.CommonName == leaf.Subject.CommonName
+		info.SelfSigned = core.IsSelfSigned(leaf)
 		if s.RootCAs != nil {
-			opts := x509.VerifyOptions{Roots: s.RootCAs, DNSName: sni}
-			for _, ic := range cs.PeerCertificates[1:] {
-				if opts.Intermediates == nil {
-					opts.Intermediates = x509.NewCertPool()
-				}
-				opts.Intermediates.AddCert(ic)
-			}
-			_, err := leaf.Verify(opts)
-			info.CertValid = err == nil
+			info.CertValid = s.certs.Verify(s.RootCAs, cs.PeerCertificates, sni)
 		}
 	}
 	return info

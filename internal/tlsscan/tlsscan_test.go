@@ -12,6 +12,7 @@ import (
 
 	"quicscan/internal/certgen"
 	"quicscan/internal/simnet"
+	"quicscan/internal/telemetry"
 )
 
 type world struct {
@@ -173,5 +174,61 @@ func TestNoSNICertMismatch(t *testing.T) {
 	}
 	if res.TLS.CertCommonName != "strict.example" {
 		t.Errorf("CN = %s", res.TLS.CertCommonName)
+	}
+}
+
+// TestSelfSignedIsNotCommonNameEquality: a leaf is self-signed when it
+// signed itself, not when its issuer's CN reads like its own.
+func TestSelfSignedIsNotCommonNameEquality(t *testing.T) {
+	issue := func(caName string, opts certgen.LeafOptions) *x509.Certificate {
+		t.Helper()
+		ca, err := certgen.NewCA(caName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := ca.Issue(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cert.Leaf
+	}
+	s := &Scanner{}
+	for _, tc := range []struct {
+		name string
+		leaf *x509.Certificate
+		want bool
+	}{
+		{"CA shares the leaf's CN", issue("shared.example", certgen.LeafOptions{CommonName: "shared.example"}), false},
+		{"CA and leaf both without a CN", issue("", certgen.LeafOptions{}), false},
+		{"self-signed leaf", issue("unused-ca", certgen.LeafOptions{DNSNames: []string{"self.example"}, SelfSigned: true}), true},
+	} {
+		if tc.leaf.Issuer.CommonName != tc.leaf.Subject.CommonName {
+			t.Fatalf("%s: fixture CNs differ (%q, %q): the case no longer tells the two tests apart",
+				tc.name, tc.leaf.Issuer.CommonName, tc.leaf.Subject.CommonName)
+		}
+		info := s.tlsInfo(&tls.ConnectionState{Version: tls.VersionTLS13, PeerCertificates: []*x509.Certificate{tc.leaf}}, "")
+		if info.SelfSigned != tc.want {
+			t.Errorf("%s: SelfSigned = %v, want %v", tc.name, info.SelfSigned, tc.want)
+		}
+	}
+}
+
+// TestChainVerifiedOncePerScanner: the second visit of a chain is
+// answered by the scanner's memo.
+func TestChainVerifiedOncePerScanner(t *testing.T) {
+	w := newWorld(t)
+	addr := w.addWebServer(t, "192.0.2.80:443", nil, nil, "memo.example")
+	s := newScanner(w)
+	hits := telemetry.Default().Counter("core_certcache_hits_total")
+	misses := telemetry.Default().Counter("core_certcache_misses_total")
+	for visit, wantHit := range []bool{false, true} {
+		h0, m0 := hits.Value(), misses.Value()
+		res := s.ScanTarget(context.Background(), Target{Addr: addr, SNI: "memo.example"})
+		if !res.OK || !res.TLS.CertValid {
+			t.Fatalf("visit %d: %+v", visit, res)
+		}
+		if hit, miss := hits.Value()-h0 == 1, misses.Value()-m0 == 1; hit != wantHit || miss == wantHit {
+			t.Errorf("visit %d: memo hit %v, miss %v; want a %v hit", visit, hit, miss, wantHit)
+		}
 	}
 }

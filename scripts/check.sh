@@ -40,15 +40,18 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch, experiments)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
 # multi-core hosts — a failure that hid on 1-CPU runners. The rescan
 # paths (core, resumption) and the probe worker pool ride along, and so
 # does the socket layer: a receive-queue wake-up that is lost only when
-# reader and sender run in parallel passes on one CPU.
+# reader and sender run in parallel passes on one CPU. The campaign is
+# here for its stage overlap (DESIGN.md section 18): two sweeps, a TLS
+# scan and the stateful pass share the CPUs, so how many there are
+# decides which stage waits for which, and the tables must not care.
 go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe \
-	./internal/simnet ./internal/dnsclient ./internal/netbatch
+	./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
