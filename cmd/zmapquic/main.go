@@ -15,9 +15,14 @@
 //	zmapquic -prefixes 192.0.2.0/24,198.51.100.0/24 -rate 15000 \
 //	    -shards 8 -checkpoint sweep.ckpt -output sweep.ndjson -journal -resume
 //
-// Hitlist scans are unchanged:
+// Hitlist scans are a paced loop over the list:
 //
 //	zmapquic -hitlist v6addrs.txt
+//
+// SIGINT or SIGTERM stops either gracefully: a sweep writes its final
+// checkpoint and closes its output, a hitlist scan prints what has
+// answered, both print the summary and exit non-zero. A second signal
+// kills.
 package main
 
 import (
@@ -30,9 +35,10 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
+	"syscall"
 	"time"
 
 	"quicscan/internal/campaign"
@@ -65,7 +71,7 @@ func main() {
 
 		shards     = flag.Int("shards", 1, "total shard count of the campaign (-prefixes only)")
 		shardList  = flag.String("shard", "", `shard ids this process runs, e.g. "0,3,5" or "0-7" (default: all)`)
-		workers    = flag.Int("workers", 0, "concurrent shard workers (default: one per owned shard, capped at GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "concurrent shard workers (default: one per owned shard)")
 		checkpoint = flag.String("checkpoint", "", "campaign state file, atomically rewritten while sweeping")
 		resume     = flag.Bool("resume", false, "resume from -checkpoint (and the -output journal) instead of starting over")
 		ckptEvery  = flag.Duration("checkpoint-every", 2*time.Second, "checkpoint write interval")
@@ -159,8 +165,13 @@ func main() {
 		}
 	}
 
-	ctx := context.Background()
+	// The first signal is the graceful stop; default handling is back
+	// as soon as it has arrived, so that a second one kills.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	context.AfterFunc(ctx, stopSignals)
 	scanStart := time.Now()
+	var scanErr error
 
 	switch {
 	case *prefixes != "":
@@ -172,7 +183,7 @@ func main() {
 			}
 			ps = append(ps, p)
 		}
-		runCampaign(ctx, scanner, conns, ps, campaignFlags{
+		scanErr = runCampaign(ctx, scanner, conns, ps, campaignFlags{
 			seed: *seed, rate: *rate, shards: *shards, shardList: *shardList,
 			workers: *workers, checkpoint: *checkpoint, resume: *resume,
 			ckptEvery: *ckptEvery, output: *output, journal: *journal,
@@ -190,7 +201,7 @@ func main() {
 		}
 		results, _, err := scanner.ScanAddrs(ctx, addrs)
 		if err != nil {
-			fatal("scan: %v", err)
+			scanErr = fmt.Errorf("scan: %w", err)
 		}
 		for _, r := range results {
 			names := make([]string, len(r.Versions))
@@ -204,6 +215,9 @@ func main() {
 	}
 
 	printSummary(scanStart)
+	if scanErr != nil {
+		fatal("%v", scanErr)
+	}
 }
 
 // runMode runs one behavioural scan mode against every hitlist address
@@ -253,8 +267,9 @@ type campaignFlags struct {
 // engine supplies sharding, pacing, checkpointing and the result
 // stream. conns is the receive socket group; every socket gets its
 // own collector because SO_REUSEPORT spreads responses across all of
-// them.
-func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.PacketConn, ps []netip.Prefix, cf campaignFlags) {
+// them. An error is a sweep that stopped early, with its checkpoint
+// written and its output closed.
+func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.PacketConn, ps []netip.Prefix, cf campaignFlags) error {
 	sweep := zmapquic.NewSweep(cf.seed, ps)
 	fmt.Fprintf(os.Stderr, "zmapquic: sweeping %d addresses in %d shards\n", sweep.Total(), cf.shards)
 
@@ -292,15 +307,12 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 		fatal("-shard: %v", err)
 	}
 	eng, err := campaign.New(campaign.Config{
-		Sweep:   sweep,
-		Shards:  cf.shards,
-		Own:     own,
-		Workers: cf.workers,
-		Rate:    cf.rate,
-		Probe: func(_ context.Context, addr netip.Addr) error {
-			_, err := scanner.SendProbe(addr)
-			return err
-		},
+		Sweep:           sweep,
+		Shards:          cf.shards,
+		Own:             own,
+		Workers:         cf.workers,
+		Rate:            cf.rate,
+		Probe:           campaign.ProbeWith(scanner),
 		Sink:            sink,
 		Journal:         cf.journal,
 		CheckpointPath:  cf.checkpoint,
@@ -342,51 +354,26 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 			p.ShardsDone, p.Shards, p.Units)
 	}
 
-	// The collectors validate responses for the whole campaign and
-	// stream first-sighting hits into the sink: one per receive socket,
-	// deduplicating through a shared seen set.
-	collectCtx, stopCollect := context.WithCancel(ctx)
-	var (
-		collectWG sync.WaitGroup
-		hitMu     sync.Mutex
-		seen      = make(map[netip.Addr]bool)
-		hits      = 0
-	)
-	for _, conn := range conns {
-		collectWG.Add(1)
-		go func(conn net.PacketConn) {
-			defer collectWG.Done()
-			scanner.CollectResponsesOn(collectCtx, conn, func(r zmapquic.Result) {
-				hitMu.Lock()
-				if seen[r.Addr] {
-					hitMu.Unlock()
-					return
-				}
-				seen[r.Addr] = true
-				hits++
-				hitMu.Unlock()
-				names := make([]string, len(r.Versions))
-				for i, v := range r.Versions {
-					names[i] = v.String()
-				}
-				sink.Write(campaign.Record{Type: campaign.RecordHit, Shard: -1, Addr: r.Addr.String(), Versions: names})
-			})
-		}(conn)
-	}
-
-	runErr := eng.Run(ctx)
-	time.Sleep(cf.cooldown)
-	stopCollect()
-	collectWG.Wait()
+	// First-sighting hits stream into the sink while the engine probes.
+	hits := 0
+	runErr := eng.Sweep(ctx, scanner, conns, cf.cooldown, func(r zmapquic.Result) {
+		hits++
+		names := make([]string, len(r.Versions))
+		for i, v := range r.Versions {
+			names[i] = v.String()
+		}
+		sink.Write(campaign.Record{Type: campaign.RecordHit, Shard: -1, Addr: r.Addr.String(), Versions: names})
+	})
 	if err := sink.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "zmapquic: closing sink: %v\n", err)
 	}
 	if runErr != nil {
-		fatal("campaign: %v", runErr)
+		return fmt.Errorf("campaign: %w", runErr)
 	}
 	p := eng.Progress()
 	fmt.Fprintf(os.Stderr, "zmapquic: campaign complete: %d shards, %d probes, %d hits\n",
 		p.Shards, p.Probes, hits)
+	return nil
 }
 
 // parseShardList parses "-shard 0,3,5" or "-shard 0-7" (ranges and

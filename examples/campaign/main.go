@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"quicscan/internal/analysis"
+	"quicscan/internal/campaign"
 	"quicscan/internal/core"
 	"quicscan/internal/dnsclient"
 	"quicscan/internal/dnswire"
@@ -39,16 +40,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 500 * time.Millisecond}
-	sweep := zmapquic.NewSweep(1, u.V4Prefixes())
-	done := make(chan struct{})
-	zmapResults, zmapStats, err := zs.Scan(ctx, sweep.Addresses(done))
-	close(done)
+	zs := &zmapquic.Scanner{Conn: pc}
+	eng, err := campaign.New(campaign.Config{
+		Sweep: zmapquic.NewSweep(1, u.V4Prefixes()),
+		Probe: campaign.ProbeWith(zs),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	var zmapResults []zmapquic.Result
+	err = eng.Sweep(ctx, zs, []net.PacketConn{pc}, 500*time.Millisecond, func(r zmapquic.Result) {
+		zmapResults = append(zmapResults, r)
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	probes := eng.Progress().Probes
 	fmt.Printf("ZMap sweep:   %d probes (%d bytes), %d QUIC-capable addresses\n",
-		zmapStats.ProbesSent, zmapStats.BytesSent, len(zmapResults))
+		probes, probes*zmapquic.ProbeSize, len(zmapResults))
 
 	// --- 1b. DNS HTTPS-RR scan over the top lists ---------------------
 	cl := &dnsclient.Client{

@@ -73,8 +73,8 @@ type Config struct {
 	// Nil means all of them; separate processes splitting a campaign
 	// each set their disjoint subset.
 	Own []int
-	// Workers bounds concurrent shard walkers. Default
-	// min(len(Own), GOMAXPROCS).
+	// Workers bounds concurrent shard walkers. Default len(Own): one
+	// per owned shard.
 	Workers int
 	// Rate is the global probes-per-second budget shared by all
 	// workers (0 = unlimited).
@@ -109,7 +109,7 @@ type Engine struct {
 	id     string        // campaign identity fingerprint
 	shards []*shardState // own shards, lease order
 	byID   map[int]*shardState
-	bucket *tokenBucket
+	bucket *zmapquic.Limiter
 	sink   Sink
 	killed atomic.Bool
 	probes atomic.Uint64
@@ -148,7 +148,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:       cfg,
-		bucket:    newTokenBucket(cfg.Rate),
+		bucket:    zmapquic.NewLimiter(cfg.Rate),
 		sink:      cfg.Sink,
 		byID:      make(map[int]*shardState, len(own)),
 		writeFile: writeFileAtomic,
@@ -298,9 +298,6 @@ func (e *Engine) Run(ctx context.Context) error {
 	if workers <= 0 || workers > len(e.shards) {
 		workers = len(e.shards)
 	}
-	if n := runtime.GOMAXPROCS(0); workers > n {
-		workers = n
-	}
 
 	var (
 		wg       sync.WaitGroup
@@ -374,7 +371,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		}
 		addr, ok := e.cfg.Sweep.AddrAtPosition(x)
 		if ok {
-			if err := e.bucket.wait(ctx); err != nil {
+			if err := e.bucket.Wait(ctx); err != nil {
 				return err
 			}
 			if e.killed.Load() {
@@ -395,6 +392,15 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		}
 		i++
 		st.cursor.Store(i)
+		// A probe that never blocks (no rate limit, an in-memory socket)
+		// would keep this worker on its P until the scheduler preempts
+		// it, and on one core that starves the sweep's own collectors and
+		// any in-process responder: the whole sweep leaves before anyone
+		// answers, and the answers race the cooldown. Give the P away
+		// once per send batch, as ScanAddrs does.
+		if i%zmapquic.SendBatchSize == 0 {
+			runtime.Gosched()
+		}
 	}
 	st.done.Store(true)
 	mShardsDone.Inc()

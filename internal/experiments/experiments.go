@@ -18,8 +18,8 @@ import (
 	"sync"
 	"time"
 
-	"quicscan/internal/altsvc"
 	"quicscan/internal/analysis"
+	"quicscan/internal/campaign"
 	"quicscan/internal/core"
 	"quicscan/internal/dnsclient"
 	"quicscan/internal/dnswire"
@@ -345,26 +345,30 @@ func resolveLists(u *internet.Universe, wd *WeekData) {
 	}
 }
 
-// sweepV4 is the ZMap scan of the IPv4 prefixes.
+// sweepV4 is the ZMap scan of the IPv4 prefixes, through the campaign
+// engine as cmd/zmapquic -prefixes runs it: one shard, no rate limit.
 func sweepV4(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 	pc, err := dialSweep(u.Net)
 	if err != nil {
 		return err
 	}
 	defer pc.Close()
-	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 400 * time.Millisecond}
-	sweep := zmapquic.NewSweep(u.Spec.Seed, u.V4Prefixes())
-	done := make(chan struct{})
-	results, stats, err := zs.Scan(context.Background(), sweep.Addresses(done))
-	close(done)
+	zs := &zmapquic.Scanner{Conn: pc}
+	eng, err := campaign.New(campaign.Config{
+		Sweep: zmapquic.NewSweep(u.Spec.Seed, u.V4Prefixes()),
+		Probe: campaign.ProbeWith(zs),
+	})
 	if err != nil {
 		return err
 	}
-	wd.ZMapProbesV4 = stats.ProbesSent
-	wd.ZMapBytesV4 = stats.BytesSent
-	for _, r := range results {
+	err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, 400*time.Millisecond, func(r zmapquic.Result) {
 		wd.V4.ZMap[r.Addr] = r.Versions
+	})
+	if err != nil {
+		return err
 	}
+	wd.ZMapProbesV4 = int(eng.Progress().Probes)
+	wd.ZMapBytesV4 = int64(wd.ZMapProbesV4) * zmapquic.ProbeSize
 	return nil
 }
 
@@ -593,6 +597,3 @@ func (r *Report) runPaddingAblation(u *internet.Universe, wd *WeekData, dialSwee
 	}
 	return nil
 }
-
-// H3ALPNsOf is re-exported for the campaign example.
-func H3ALPNsOf(services []altsvc.Service) []string { return altsvc.H3ALPNs(services) }

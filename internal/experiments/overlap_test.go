@@ -14,6 +14,7 @@ import (
 	"quicscan/internal/core"
 	"quicscan/internal/internet"
 	"quicscan/internal/simnet"
+	"quicscan/internal/telemetry"
 )
 
 // quickOptions is the headline week alone at the tier-1 scale. The
@@ -23,19 +24,48 @@ func quickOptions() Options {
 	return Options{Spec: internet.Spec{Seed: 7, Scale: 8192}, SkipWeekly: true, Workers: 128}
 }
 
-var cachedQuick *Report
+var (
+	cachedQuick       *Report
+	quickEngineProbes uint64 // what its Run added to campaign_probes_total
+)
 
 // quickCampaign runs quickOptions once per test binary.
 func quickCampaign(t *testing.T) *Report {
 	t.Helper()
 	if cachedQuick == nil {
+		before := telemetry.Default().Snapshot().Counters["campaign_probes_total"]
 		rep, err := Run(quickOptions())
 		if err != nil {
 			t.Fatalf("campaign: %v", err)
 		}
+		quickEngineProbes = telemetry.Default().Snapshot().Counters["campaign_probes_total"] - before
 		cachedQuick = rep
 	}
 	return cachedQuick
+}
+
+// TestSweepV4RunsTheCampaignEngine: the IPv4 sweep of a campaign is the
+// sweep cmd/zmapquic -prefixes runs, so every probe it reports is one
+// the engine counted, and every one of them is a full-size Initial.
+func TestSweepV4RunsTheCampaignEngine(t *testing.T) {
+	r := quickCampaign(t)
+	var reported uint64
+	for _, wd := range r.Weeks {
+		reported += uint64(wd.ZMapProbesV4)
+		if wd.ZMapBytesV4 != int64(wd.ZMapProbesV4)*1200 {
+			t.Errorf("week %d: %d bytes for %d probes", wd.Week, wd.ZMapBytesV4, wd.ZMapProbesV4)
+		}
+	}
+	if reported == 0 || reported != quickEngineProbes {
+		t.Errorf("the weeks report %d IPv4 probes, the engine issued %d", reported, quickEngineProbes)
+	}
+	var swept uint64
+	for _, p := range r.Universe.V4Prefixes() {
+		swept += 1 << (32 - p.Bits())
+	}
+	if got := uint64(r.Headline().ZMapProbesV4); got != swept {
+		t.Errorf("%d probes for a sweep of %d addresses", got, swept)
+	}
 }
 
 func (r *Report) statefulLists() map[string][]core.Result {

@@ -14,7 +14,6 @@ import (
 	"quicscan/internal/dnsserver"
 	"quicscan/internal/h3"
 	"quicscan/internal/quic"
-	"quicscan/internal/quiccrypto"
 	"quicscan/internal/quicwire"
 )
 
@@ -411,7 +410,7 @@ func (u *Universe) syntheticQUIC(dst netip.AddrPort, payload []byte) [][]byte {
 		return nil // middlebox answered VN; end host drops Initials
 	case BehaviorGhost0x128, BehaviorRequireSNI:
 		// Require-SNI ghosts without a stateful server also reject.
-		pkt, err := statelessClose(hdr, quicwire.CryptoError0x128, closeReasonFor(d.Provider))
+		pkt, err := quic.AppendInitialClose(nil, hdr, quicwire.CryptoError0x128, closeReasonFor(d.Provider))
 		if err != nil {
 			return nil
 		}
@@ -423,34 +422,6 @@ func (u *Universe) syntheticQUIC(dst netip.AddrPort, payload []byte) [][]byte {
 		// start): drop, which the scanner reports as timeout.
 		return nil
 	}
-}
-
-// statelessClose builds a server Initial carrying only
-// CONNECTION_CLOSE, computable from the client's header alone
-// (RFC 9000, Section 10.3 pattern used by real servers to refuse
-// connections cheaply).
-func statelessClose(hdr *quicwire.Header, code quicwire.TransportError, reason string) ([]byte, error) {
-	ik, err := quiccrypto.NewInitialKeys(hdr.Version, hdr.DstID)
-	if err != nil {
-		return nil, err
-	}
-	keys := ik.Server
-	var payload []byte
-	payload = (&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: reason}).Append(payload)
-	for len(payload) < 3 {
-		payload = append(payload, 0)
-	}
-	respHdr := &quicwire.Header{
-		Type:            quicwire.PacketInitial,
-		Version:         hdr.Version,
-		DstID:           hdr.SrcID,
-		SrcID:           quicwire.NewRandomConnID(8),
-		PacketNumber:    0,
-		PacketNumberLen: 1,
-	}
-	pkt, pnOff := quicwire.AppendLongHeader(nil, respHdr, len(payload)+16)
-	pkt = append(pkt, payload...)
-	return keys.SealPacket(pkt, pnOff, 1, 0), nil
 }
 
 // WebServerHeaderFor exposes the Server header a deployment reports,

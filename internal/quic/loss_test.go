@@ -19,7 +19,7 @@ import (
 // and a QUIC echo server on it.
 func lossyWorld(t *testing.T, loss float64, seed uint64) (*simnet.Network, *Listener, *x509.CertPool) {
 	t.Helper()
-	n := simnet.New(simnet.Config{Loss: loss, Seed: seed})
+	n := simnet.New(simnet.Config{Profile: simnet.Profile{Loss: loss}, Seed: seed})
 	t.Cleanup(n.Close)
 
 	ca, err := certgen.NewCA("loss-ca")

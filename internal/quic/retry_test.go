@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"quicscan/internal/quiccrypto"
 	"quicscan/internal/quicwire"
 )
 
@@ -193,5 +194,68 @@ func TestCrossVersionNegotiation(t *testing.T) {
 	}
 	if !conn.Stats().VersionNegotiation {
 		t.Error("no version negotiation recorded")
+	}
+}
+
+// TestAppendInitialClose opens the stateless refusal the way the refused
+// client does. The Listener's invalid-token answer and every ghost-0x128
+// address of the simulated Internet are this one packet.
+func TestAppendInitialClose(t *testing.T) {
+	for _, tc := range []struct {
+		version quicwire.Version
+		code    quicwire.TransportError
+		reason  string
+	}{
+		{quicwire.Version1, quicwire.CryptoError0x128, "tls: no application protocol"},
+		{quicwire.VersionDraft29, quicwire.InvalidToken, "invalid address validation token"},
+		{quicwire.Version1, quicwire.CryptoError0x128, ""},
+	} {
+		client := &quicwire.Header{
+			Type:    quicwire.PacketInitial,
+			Version: tc.version,
+			DstID:   quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8},
+			SrcID:   quicwire.ConnID{9, 10, 11, 12},
+		}
+		prefix := []byte("kept")
+		out, err := AppendInitialClose(append([]byte(nil), prefix...), client, tc.code, tc.reason)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.version, err)
+		}
+		if !bytes.HasPrefix(out, prefix) {
+			t.Fatalf("%v: dst was overwritten: %q", tc.version, out[:len(prefix)])
+		}
+		pkt := out[len(prefix):]
+		hdr, pnOff, err := quicwire.ParseLongHeader(pkt)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.version, err)
+		}
+		if hdr.Type != quicwire.PacketInitial || hdr.Version != tc.version {
+			t.Errorf("%v: answered with a %v packet of version %v", tc.version, hdr.Type, hdr.Version)
+		}
+		if !bytes.Equal(hdr.DstID, client.SrcID) {
+			t.Errorf("%v: DCID %x, want the client's SCID %x", tc.version, hdr.DstID, client.SrcID)
+		}
+		if len(hdr.SrcID) != 8 {
+			t.Errorf("%v: SCID of %d bytes, want 8", tc.version, len(hdr.SrcID))
+		}
+		ik, err := quiccrypto.NewInitialKeys(tc.version, client.DstID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, pn, _, err := ik.Server.OpenPacket(pkt, pnOff, -1)
+		if err != nil {
+			t.Fatalf("%v: the client's Initial keys do not open it: %v", tc.version, err)
+		}
+		if pn != 0 {
+			t.Errorf("%v: packet number %d, want 0", tc.version, pn)
+		}
+		frames, err := quicwire.ParseFrames(payload)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.version, err)
+		}
+		cc, ok := frames[0].(*quicwire.ConnectionCloseFrame)
+		if !ok || cc.IsApp || quicwire.TransportError(cc.ErrorCode) != tc.code || cc.ReasonPhrase != tc.reason {
+			t.Errorf("%v: first frame %#v, want a transport close %v %q", tc.version, frames[0], tc.code, tc.reason)
+		}
 	}
 }

@@ -437,7 +437,9 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 					// (RFC 9000, Section 8.1.3): validate the address afresh.
 					l.sendRetry(hdr, from)
 				case l.policy.InvalidTokenClose:
-					l.sendInitialClose(hdr, from, quicwire.InvalidToken, "invalid address validation token")
+					if pkt, err := AppendInitialClose(nil, hdr, quicwire.InvalidToken, "invalid address validation token"); err == nil {
+						l.pconn.WriteTo(pkt, from)
+					}
 				}
 				return // invalid or expired Retry token: drop or refuse
 			}
@@ -490,14 +492,16 @@ func (l *Listener) maybeSendVersionNegotiation(hdr *quicwire.Header, datagramLen
 	l.pconn.WriteTo(pkt, from)
 }
 
-// sendInitialClose refuses a connection attempt with a server Initial
-// carrying only CONNECTION_CLOSE, derived from the client's header
-// alone so no connection state is created (the stateless refusal
-// pattern of RFC 9000, Section 10.3).
-func (l *Listener) sendInitialClose(hdr *quicwire.Header, from net.Addr, code quicwire.TransportError, reason string) {
+// AppendInitialClose appends to dst a server Initial that refuses the
+// connection attempt hdr belongs to: it carries only CONNECTION_CLOSE
+// and is derived from the client's header alone, so no connection state
+// is created (the stateless refusal pattern of RFC 9000, Section 10.3).
+// The Listener answers a bad token with it, and the simulated Internet's
+// stateless ghosts answer every Initial with it.
+func AppendInitialClose(dst []byte, hdr *quicwire.Header, code quicwire.TransportError, reason string) ([]byte, error) {
 	ik, err := quiccrypto.NewInitialKeys(hdr.Version, hdr.DstID)
 	if err != nil {
-		return
+		return dst, err
 	}
 	var payload []byte
 	payload = (&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: reason}).Append(payload)
@@ -512,9 +516,11 @@ func (l *Listener) sendInitialClose(hdr *quicwire.Header, from net.Addr, code qu
 		PacketNumber:    0,
 		PacketNumberLen: 1,
 	}
-	pkt, pnOff := quicwire.AppendLongHeader(nil, respHdr, len(payload)+16)
+	start := len(dst)
+	pkt, pnOff := quicwire.AppendLongHeader(dst, respHdr, len(payload)+16)
 	pkt = append(pkt, payload...)
-	l.pconn.WriteTo(ik.Server.SealPacket(pkt, pnOff, 1, 0), from)
+	// Sealing treats its argument as one whole packet and may move it.
+	return append(pkt[:start], ik.Server.SealPacket(pkt[start:], pnOff-start, 1, 0)...), nil
 }
 
 // newServerConn creates the per-connection state. retryODCID is the

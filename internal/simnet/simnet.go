@@ -74,33 +74,18 @@ type Network struct {
 
 // Config parameterizes a Network.
 type Config struct {
-	// Profile is the default link impairment profile. The richer
-	// knobs (jitter, reordering, duplication, corruption, MTU) are
-	// only reachable through it; Latency and Loss below are legacy
-	// shorthands folded into it when the corresponding Profile field
-	// is zero.
+	// Profile is the default link impairment profile.
 	Profile Profile
-	// Latency is the one-way delivery delay (default 0: immediate).
-	Latency time.Duration
-	// Loss is the probability in [0,1) that a datagram is dropped.
-	Loss float64
 	// Seed makes impairment decisions reproducible.
 	Seed uint64
 }
 
 // New creates a network.
 func New(cfg Config) *Network {
-	prof := cfg.Profile
-	if prof.Latency == 0 {
-		prof.Latency = cfg.Latency
-	}
-	if prof.Loss == 0 {
-		prof.Loss = cfg.Loss
-	}
 	return &Network{
 		udp:       make(map[netip.AddrPort]*PacketConn),
 		listeners: make(map[netip.AddrPort]*streamListener),
-		profile:   prof,
+		profile:   cfg.Profile,
 		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
 	}
 }

@@ -155,7 +155,7 @@ func TestSocketTakesPrecedenceOverSynth(t *testing.T) {
 }
 
 func TestLossDropsDatagrams(t *testing.T) {
-	n := New(Config{Loss: 1.0, Seed: 1})
+	n := New(Config{Profile: Profile{Loss: 1.0}, Seed: 1})
 	defer n.Close()
 	srv, _ := n.ListenUDP(ap("192.0.2.1:443"))
 	cli, _ := n.DialUDP()
@@ -167,7 +167,7 @@ func TestLossDropsDatagrams(t *testing.T) {
 }
 
 func TestLatency(t *testing.T) {
-	n := New(Config{Latency: 30 * time.Millisecond})
+	n := New(Config{Profile: Profile{Latency: 30 * time.Millisecond}})
 	defer n.Close()
 	srv, _ := n.ListenUDP(ap("192.0.2.1:443"))
 	cli, _ := n.DialUDP()

@@ -254,3 +254,92 @@ func TestSendProbeConcurrentHammer(t *testing.T) {
 		t.Errorf("received %d probes, want %d", got, workers*perWorker)
 	}
 }
+
+// flakyBatchConn fails every 7th WriteBatch after sending the first half
+// of it, and remembers by target address which probes it let through.
+// An address encodes its caller's probe index (see probeAddr).
+type flakyBatchConn struct {
+	gatedBatchConn // for the net.PacketConn methods; the gate is unused
+
+	mu    sync.Mutex
+	calls int
+	left  []bool // by probe index
+}
+
+var errFlaky = errors.New("flaky conn: send cut short")
+
+func probeAddr(i int) netip.Addr {
+	return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+}
+
+func (f *flakyBatchConn) WriteBatch(ms []netbatch.Message) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls++
+	n, err := len(ms), error(nil)
+	if f.calls%7 == 0 {
+		n, err = len(ms)/2, errFlaky
+	}
+	for i := range ms[:n] {
+		a := ms[i].Addr.Addr().As4()
+		f.left[int(a[1])<<16|int(a[2])<<8|int(a[3])] = true
+	}
+	return n, err
+}
+
+// TestSendProbeBatchReuse: batches carry their own combining state and
+// go back to the pool from whichever depositor reads its slot last, so
+// under concurrent callers and failing flushes every caller must still
+// get the verdict of its own slot in its own batch, and a recycled
+// batch must come back clean.
+func TestSendProbeBatchReuse(t *testing.T) {
+	const workers, perWorker = 8, 20000
+	f := &flakyBatchConn{left: make([]bool, workers*perWorker)}
+	s := &Scanner{Conn: f}
+
+	verdicts := make([]bool, workers*perWorker)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perWorker; i < (w+1)*perWorker; i++ {
+				sent, err := s.SendProbe(probeAddr(i))
+				if sent != (err == nil) || (err != nil && !errors.Is(err, errFlaky)) {
+					t.Errorf("probe %d: sent=%v err=%v", i, sent, err)
+					return
+				}
+				verdicts[i] = sent
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	sent, failed := 0, 0
+	for i, ok := range verdicts {
+		if ok != f.left[i] {
+			t.Fatalf("probe %d: caller was told sent=%v, the conn says %v", i, ok, f.left[i])
+		}
+		if ok {
+			sent++
+		} else {
+			failed++
+		}
+	}
+	if sent+failed != workers*perWorker || failed == 0 {
+		t.Errorf("sent %d + failed %d of %d probes", sent, failed, workers*perWorker)
+	}
+	if s.cpend != nil {
+		t.Error("a batch is still pending after every caller returned")
+	}
+	// Whatever the pool still holds is what the next caller would get.
+	for {
+		v := s.batchPool.Get()
+		if v == nil {
+			break
+		}
+		if b := v.(*sendBatch); b.n != 0 || b.read != 0 || b.sent != 0 || b.flushed || b.err != nil {
+			t.Fatalf("pooled batch not reset: n=%d read=%d sent=%d flushed=%v err=%v", b.n, b.read, b.sent, b.flushed, b.err)
+		}
+	}
+}

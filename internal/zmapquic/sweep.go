@@ -177,28 +177,3 @@ func (s *Sweep) addrAt(idx uint64) (netip.Addr, bool) {
 	binary.BigEndian.PutUint32(b[:], uint32(sum))
 	return netip.AddrFrom4(b), true
 }
-
-// Addresses streams the permuted address sequence into a channel,
-// stopping when done is closed.
-func (s *Sweep) Addresses(done <-chan struct{}) <-chan netip.Addr {
-	ch := make(chan netip.Addr, 256)
-	go func() {
-		defer close(ch)
-		for x := uint64(0); x < s.size; x++ {
-			idx := s.permute(x)
-			if idx >= s.total {
-				continue // cycle-walk skip outside the domain
-			}
-			addr, ok := s.addrAt(idx)
-			if !ok {
-				continue
-			}
-			select {
-			case ch <- addr:
-			case <-done:
-				return
-			}
-		}
-	}()
-	return ch
-}

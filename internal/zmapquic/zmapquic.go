@@ -19,6 +19,7 @@ import (
 	"hash"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"time"
 
@@ -135,11 +136,11 @@ type Scanner struct {
 
 	// depositMu guards cpend, the batch currently accumulating probes
 	// deposited by concurrent SendProbe callers. flushMu serializes
-	// the actual WriteBatch calls and guards every pendingBatch's
-	// flushed/sent/err fields; holding it while another caller's
+	// SendProbe's WriteBatch calls and guards every batch's
+	// flushed/sent/err/read fields; holding it while another caller's
 	// flush is in flight is what combines deposits into one syscall.
 	depositMu sync.Mutex
-	cpend     *pendingBatch
+	cpend     *sendBatch
 	flushMu   sync.Mutex
 
 	// bc is the batch view of Conn, resolved once: native for simnet,
@@ -163,11 +164,23 @@ func (s *Scanner) batchConn() (netbatch.BatchConn, netbatch.Kind) {
 }
 
 // sendBatch is one pooled set of probe buffers: each message's Buf is
-// a private template copy whose CID bytes patchProbe rewrites per
-// target, so a full batch needs zero allocations and zero template
-// re-copies.
+// a private template copy whose CID bytes are rewritten per target, so a
+// full batch needs zero allocations and zero template re-copies.
+//
+// The other fields are SendProbe's: one combined send in flight, probes
+// deposited by concurrent callers and flushed together by whichever
+// reaches flushMu first. n is guarded by depositMu until the batch is
+// detached from Scanner.cpend and is fixed from then on; flushed, sent,
+// err and read are guarded by flushMu. A batch in the pool has them all
+// zero.
 type sendBatch struct {
 	msgs [SendBatchSize]netbatch.Message
+
+	n       int  // probes deposited
+	flushed bool // WriteBatch has returned
+	sent    int  // slots below this left the socket
+	err     error
+	read    int // depositors that have read their slot's fate
 }
 
 func (s *Scanner) leaseSendBatch() *sendBatch {
@@ -183,18 +196,35 @@ func (s *Scanner) leaseSendBatch() *sendBatch {
 	return b
 }
 
-func (s *Scanner) releaseSendBatch(b *sendBatch) { s.batchPool.Put(b) }
-
-// pendingBatch is one combined send in flight: probes deposited by
-// concurrent SendProbe callers, flushed together by whichever caller
-// reaches flushMu first. n is guarded by depositMu until the batch is
-// detached; flushed, sent and err are guarded by flushMu.
-type pendingBatch struct {
-	b       *sendBatch
-	n       int
-	flushed bool
-	sent    int
-	err     error
+// flush hands the first n probes of b to the socket in one WriteBatch
+// (one sendmmsg on the Linux path) and accounts for what actually left:
+// every probe this package sends goes through here. A partial send
+// drops the tail — probe loss is inherent to the scan model, so the
+// caller reports it (SendProbe) or leaves it to a re-probe pass
+// (ScanAddrs) and nothing is retried.
+func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
+	if n == 0 {
+		return 0, nil
+	}
+	bc, kind := s.batchConn()
+	sent, err = bc.WriteBatch(b.msgs[:n])
+	mBatchFlushes.Inc()
+	mBatchSize.Observe(float64(n))
+	if kind == netbatch.KindFallback {
+		mBatchFallback.Inc()
+	}
+	if sent > 0 {
+		if s.Capture != nil {
+			for i := range b.msgs[:sent] {
+				m := &b.msgs[i]
+				s.Capture.WriteUDP(time.Now(), s.localAddrPort(), m.Addr, m.Buf[:m.N])
+			}
+		}
+		mBatchProbes.Add(uint64(sent))
+		mProbesSent.Add(uint64(sent))
+		mProbeBytes.Add(uint64(sent * len(s.template())))
+	}
+	return sent, err
 }
 
 // errProbeDropped reports a probe that was buffered into a combined
@@ -222,8 +252,8 @@ type Result struct {
 	Versions []quicwire.Version
 }
 
-// Stats summarizes one scan: what every ScanAddrs and Scan caller
-// prints or checks its sweep against. The telemetry registry
+// Stats summarizes one scan: what every ScanAddrs caller prints or
+// checks its scan against. The telemetry registry
 // (zmapquic_probes_sent_total, zmapquic_responses_total, ...) holds the
 // process-wide sums of the same events; it cannot answer for a single
 // scan.
@@ -319,7 +349,7 @@ func (s *Scanner) template() []byte {
 }
 
 // patchProbe writes addr's CIDs into b, a copy of the template, and
-// returns it. The send loop reuses one copy for every target — the
+// returns it. The senders reuse pooled copies for every target — the
 // only per-probe work is the HMAC and two 8-byte copies.
 func (s *Scanner) patchProbe(b []byte, addr netip.Addr) []byte {
 	var sum [32]byte
@@ -378,7 +408,6 @@ func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 		mBlocked.Inc()
 		return false, nil
 	}
-	bc, kind := s.batchConn()
 	// The HMAC runs outside the deposit lock; only the two 8-byte CID
 	// copies happen inside it.
 	var sum [32]byte
@@ -386,54 +415,40 @@ func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 
 	s.depositMu.Lock()
 	if s.cpend == nil {
-		s.cpend = &pendingBatch{b: s.leaseSendBatch()}
+		s.cpend = s.leaseSendBatch()
 	}
-	p := s.cpend
-	slot := p.n
-	m := &p.b.msgs[slot]
+	b := s.cpend
+	slot := b.n
+	m := &b.msgs[slot]
 	copy(m.Buf[probeDCIDOff:probeDCIDOff+8], sum[0:8])
 	copy(m.Buf[probeSCIDOff:probeSCIDOff+8], sum[8:16])
 	m.Addr = netip.AddrPortFrom(addr.Unmap(), s.port())
-	p.n++
-	if p.n == SendBatchSize {
+	b.n++
+	if b.n == SendBatchSize {
 		s.cpend = nil
 	}
 	s.depositMu.Unlock()
 
 	s.flushMu.Lock()
-	if !p.flushed {
+	if !b.flushed {
 		// Detach the batch so no deposit lands after the count is read.
 		s.depositMu.Lock()
-		if s.cpend == p {
+		if s.cpend == b {
 			s.cpend = nil
 		}
-		n := p.n
+		n := b.n
 		s.depositMu.Unlock()
-		p.sent, p.err = bc.WriteBatch(p.b.msgs[:n])
-		p.flushed = true
-		mBatchFlushes.Inc()
-		mBatchSize.Observe(float64(n))
-		if kind == netbatch.KindFallback {
-			mBatchFallback.Inc()
-		}
-		var sentBytes uint64
-		for i := 0; i < p.sent; i++ {
-			mm := &p.b.msgs[i]
-			if s.Capture != nil {
-				s.Capture.WriteUDP(time.Now(), s.localAddrPort(), mm.Addr, mm.Buf[:mm.N])
-			}
-			sentBytes += uint64(mm.N)
-		}
-		if p.sent > 0 {
-			mBatchProbes.Add(uint64(p.sent))
-			mProbesSent.Add(uint64(p.sent))
-			mProbeBytes.Add(sentBytes)
-		}
-		s.releaseSendBatch(p.b)
-		p.b = nil
+		b.sent, b.err = s.flush(b, n)
+		b.flushed = true
 	}
-	ok := slot < p.sent
-	ferr := p.err
+	ok := slot < b.sent
+	ferr := b.err
+	// The last depositor to learn its slot's fate recycles the batch:
+	// nobody else holds it any more.
+	if b.read++; b.read == b.n {
+		b.n, b.flushed, b.sent, b.err, b.read = 0, false, 0, nil, 0
+		s.batchPool.Put(b)
+	}
 	s.flushMu.Unlock()
 
 	if ok {
@@ -476,22 +491,18 @@ func (s *Scanner) collectLoop(conn net.PacketConn, handle func(from netip.AddrPo
 	}
 }
 
-// CollectResponses runs the receive loop on the Scanner's own socket
-// until ctx is done, invoking fn for each validated Version
-// Negotiation response (duplicates included; deduplication is the
-// caller's concern). It pairs with SendProbe: a campaign keeps one
-// collector alive for the whole run while workers probe, instead of
-// Scan's per-pass receiver.
-func (s *Scanner) CollectResponses(ctx context.Context, fn func(Result)) {
-	s.CollectResponsesOn(ctx, s.Conn, fn)
-}
-
-// CollectResponsesOn is CollectResponses over an explicit socket. With
-// SO_REUSEPORT-sharded receive sockets the kernel hashes inbound
+// CollectResponsesOn runs the receive loop on conn until ctx is done,
+// invoking fn for each validated Version Negotiation response
+// (duplicates included; deduplication is the caller's concern), and
+// returns how many datagrams failed validation. It is the one response
+// handler: a campaign keeps a collector alive for the whole run while
+// workers call SendProbe, and ScanAddrs runs one beside each pass.
+//
+// With SO_REUSEPORT-sharded receive sockets the kernel hashes inbound
 // datagrams across the whole group, so a campaign must run one
 // collector per group socket; conn must share the probe socket's
 // port or validation will reject everything it reads.
-func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, fn func(Result)) {
+func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, fn func(Result)) (invalid int) {
 	stop := context.AfterFunc(ctx, func() {
 		conn.SetReadDeadline(time.Now())
 	})
@@ -503,6 +514,7 @@ func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, f
 		}
 		versions, ok := s.ValidateResponse(addr, pkt)
 		if !ok {
+			invalid++
 			mInvalidResp.Inc()
 			return
 		}
@@ -515,195 +527,36 @@ func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, f
 	if ctx.Err() != nil {
 		conn.SetReadDeadline(time.Time{})
 	}
-}
-
-// Scan probes every target and collects version negotiation
-// responses. It returns when all probes are sent and the cooldown has
-// passed, or when ctx is cancelled.
-func (s *Scanner) Scan(ctx context.Context, targets <-chan netip.Addr) ([]Result, Stats, error) {
-	var (
-		mu      sync.Mutex
-		results []Result
-		seen    = make(map[netip.Addr]bool)
-		stats   Stats
-	)
-
-	recvDone := make(chan struct{})
-	go func() {
-		defer close(recvDone)
-		s.collectLoop(s.Conn, func(from netip.AddrPort, pkt []byte) {
-			addr := from.Addr().Unmap()
-			if s.Capture != nil {
-				s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, from.Port()), s.localAddrPort(), pkt)
-			}
-			versions, ok := s.ValidateResponse(addr, pkt)
-			mu.Lock()
-			defer mu.Unlock()
-			if !ok {
-				stats.InvalidResponses++
-				mInvalidResp.Inc()
-				return
-			}
-			stats.Responses++
-			mResponses.Inc()
-			for _, v := range versions {
-				vnCounter(v).Inc()
-			}
-			if !seen[addr] {
-				seen[addr] = true
-				results = append(results, Result{Addr: addr, Versions: versions})
-			}
-		})
-	}()
-
-	limiter := newRateLimiter(s.Rate)
-	defer limiter.stop()
-	mRateGauge.Set(int64(s.Rate))
-
-	// Per-pass send state: a pooled batch of pre-templated probes. Each
-	// admitted target is patched into the next slot; a full batch — or
-	// a lull in targets or tokens — flushes everything in one
-	// WriteBatch (one sendmmsg on the Linux path).
-	bc, kind := s.batchConn()
-	batch := s.leaseSendBatch()
-	defer s.releaseSendBatch(batch)
-	pending := 0
-
-	// flush hands the buffered probes to the conn, then accounts for
-	// what actually left. A partial send drops the tail: probe loss is
-	// inherent to the scan model (silent targets are re-probed by later
-	// passes), so a mid-batch send failure is treated like network
-	// loss, not retried.
-	flush := func() {
-		if pending == 0 {
-			return
-		}
-		sent, _ := bc.WriteBatch(batch.msgs[:pending])
-		mBatchFlushes.Inc()
-		mBatchSize.Observe(float64(pending))
-		if kind == netbatch.KindFallback {
-			mBatchFallback.Inc()
-		}
-		var sentBytes int64
-		for i := 0; i < sent; i++ {
-			m := &batch.msgs[i]
-			if s.Capture != nil {
-				s.Capture.WriteUDP(time.Now(), s.localAddrPort(), m.Addr, m.Buf[:m.N])
-			}
-			sentBytes += int64(m.N)
-		}
-		if sent > 0 {
-			mu.Lock()
-			stats.ProbesSent += sent
-			stats.BytesSent += sentBytes
-			mu.Unlock()
-			mBatchProbes.Add(uint64(sent))
-			mProbesSent.Add(uint64(sent))
-			mProbeBytes.Add(uint64(sentBytes))
-		}
-		pending = 0
-	}
-
-sendLoop:
-	for {
-		var addr netip.Addr
-		if pending == 0 {
-			select {
-			case <-ctx.Done():
-				break sendLoop
-			case a, ok := <-targets:
-				if !ok {
-					break sendLoop
-				}
-				addr = a
-			}
-		} else {
-			// With probes buffered, never block while holding them: if
-			// no target is immediately ready, flush first.
-			select {
-			case <-ctx.Done():
-				break sendLoop
-			case a, ok := <-targets:
-				if !ok {
-					break sendLoop
-				}
-				addr = a
-			default:
-				flush()
-				continue
-			}
-		}
-		if s.Blocklist.Blocked(addr) {
-			mu.Lock()
-			stats.Blocked++
-			mu.Unlock()
-			mBlocked.Inc()
-			continue
-		}
-		if !limiter.tryWait() {
-			// Out of tokens: flush what is buffered so pacing gaps never
-			// sit on already-admitted probes, then block for the next
-			// token.
-			flush()
-			if err := limiter.wait(ctx); err != nil {
-				break sendLoop
-			}
-		}
-		m := &batch.msgs[pending]
-		s.patchProbe(m.Buf[:m.N], addr)
-		m.Addr = netip.AddrPortFrom(addr, s.port())
-		pending++
-		if pending == SendBatchSize {
-			flush()
-		}
-	}
-	// Targets buffered at loop exit consumed rate tokens; send them.
-	flush()
-
-	// Cooldown, then stop the receiver by deadline.
-	select {
-	case <-ctx.Done():
-	case <-time.After(s.cooldown()):
-	}
-	s.Conn.SetReadDeadline(time.Now())
-	<-recvDone
-	s.Conn.SetReadDeadline(time.Time{})
-
-	mu.Lock()
-	defer mu.Unlock()
-	return results, stats, ctx.Err()
+	return invalid
 }
 
 // ScanAddrs scans a slice of targets, making up to 1+Retries passes:
 // addresses that answered an earlier pass are not re-probed, and
 // blocked addresses are only counted once. Stats are the totals over
-// all passes.
+// all passes. On cancellation it returns ctx.Err() with what it has.
 func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, Stats, error) {
 	var (
-		results []Result
-		total   Stats
+		results   []Result
+		stats     Stats
+		responded = make(map[netip.Addr]bool)
+		limiter   = NewLimiter(s.Rate)
 	)
-	responded := make(map[netip.Addr]bool)
+	mRateGauge.Set(int64(s.Rate))
 	pending := addrs
 	for pass := 0; pass <= s.Retries && len(pending) > 0; pass++ {
-		res, st, err := s.Scan(ctx, addrChan(ctx, pending))
-		for _, r := range res {
+		before := stats.ProbesSent
+		err := s.scanPass(ctx, pending, limiter, &stats, func(r Result) {
 			if !responded[r.Addr] {
 				responded[r.Addr] = true
 				results = append(results, r)
 			}
-		}
-		total.ProbesSent += st.ProbesSent
-		total.BytesSent += st.BytesSent
-		total.Responses += st.Responses
-		total.InvalidResponses += st.InvalidResponses
-		total.Blocked += st.Blocked
+		})
 		if pass > 0 {
-			total.Reprobes += st.ProbesSent
-			mReprobes.Add(uint64(st.ProbesSent))
+			stats.Reprobes += stats.ProbesSent - before
+			mReprobes.Add(uint64(stats.ProbesSent - before))
 		}
 		if err != nil {
-			return results, total, err
+			return results, stats, err
 		}
 		// The next pass re-probes only silent, probeable targets.
 		var silent []netip.Addr
@@ -714,27 +567,83 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, 
 		}
 		pending = silent
 	}
-	return results, total, ctx.Err()
+	return results, stats, ctx.Err()
 }
 
-// addrChan feeds a slice into a channel, stopping on ctx cancellation.
-// The channel is buffered well ahead of one send batch so the batched
-// send loop sees a backlog and fills whole batches, instead of
-// flushing one or two probes every time the producer goroutine gets
-// descheduled between sends.
-func addrChan(ctx context.Context, addrs []netip.Addr) <-chan netip.Addr {
-	ch := make(chan netip.Addr, 4*SendBatchSize)
+// scanPass probes every address of addrs once, with a collector beside
+// it that hands each valid response to hit, and returns when the
+// cooldown after the last probe has passed or ctx is cancelled. hit runs
+// on the collector's goroutine, which has exited by the time scanPass
+// returns.
+func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Limiter, stats *Stats, hit func(Result)) error {
+	collectCtx, stopCollect := context.WithCancel(ctx)
+	var responses, invalid int
+	collected := make(chan struct{})
 	go func() {
-		defer close(ch)
-		for _, a := range addrs {
-			select {
-			case ch <- a:
-			case <-ctx.Done():
-				return
+		defer close(collected)
+		invalid = s.CollectResponsesOn(collectCtx, s.Conn, func(r Result) {
+			responses++
+			hit(r)
+		})
+	}()
+
+	// Each admitted target is patched into the next slot of a pooled
+	// batch; a full batch, or a pause for the next rate token, flushes.
+	b := s.leaseSendBatch()
+	n := 0
+	flush := func() {
+		sent, _ := s.flush(b, n)
+		stats.ProbesSent += sent
+		stats.BytesSent += int64(sent * len(s.template()))
+		n = 0
+	}
+	for _, addr := range addrs {
+		// Cancellation is looked for between batches, and by Wait.
+		if n == 0 && ctx.Err() != nil {
+			break
+		}
+		if s.Blocklist.Blocked(addr) {
+			stats.Blocked++
+			mBlocked.Inc()
+			continue
+		}
+		if !limiter.TryTake() {
+			// Out of tokens: flush what is buffered so pacing gaps never
+			// sit on already-admitted probes, then block for the next
+			// token.
+			flush()
+			if limiter.Wait(ctx) != nil {
+				break
 			}
 		}
-	}()
-	return ch
+		m := &b.msgs[n]
+		s.patchProbe(m.Buf[:m.N], addr)
+		m.Addr = netip.AddrPortFrom(addr, s.port())
+		n++
+		if n == SendBatchSize {
+			flush()
+			// An unpaced loop over a slice never blocks, so on one core
+			// nothing else runs until the scheduler preempts it: not the
+			// collector, not an in-process responder. Meanwhile the
+			// socket's receive queue fills with the answers of whoever
+			// did get to run, and drops every later one. Give the core
+			// away once per batch, as a kernel socket's sendmmsg would.
+			runtime.Gosched()
+		}
+	}
+	// Targets buffered at loop exit consumed rate tokens; send them.
+	flush()
+	s.batchPool.Put(b)
+
+	select {
+	case <-ctx.Done():
+	case <-time.After(s.cooldown()):
+	}
+	stopCollect()
+	<-collected
+	stats.Responses += responses
+	stats.InvalidResponses += invalid
+	return ctx.Err()
 }
 
 // localAddrPort resolves the scanning socket's own address.
@@ -750,98 +659,4 @@ func toAddrPort(addr net.Addr) (netip.AddrPort, error) {
 		return ua.AddrPort(), nil
 	}
 	return netip.AddrPort{}, net.InvalidAddrError("not a UDP address")
-}
-
-// rateLimiter is a token bucket paced at rate/sec with small bursts.
-// Refill is computed from the wall clock rather than by counting fixed
-// per-tick quanta: an integer tokens-per-tick refill truncates (1999/s
-// over 1ms ticks became 1 token/tick = 1000/s, off by half), while the
-// owed count below paces fractional per-tick rates exactly and is
-// immune to delayed or coalesced ticker deliveries. The bucket holds
-// at most min(rate/10+1, 2*SendBatchSize) tokens: enough burst to ride
-// out a brief consumer stall, never more than two full send batches in
-// one go.
-type rateLimiter struct {
-	ticker *time.Ticker
-	tokens chan struct{}
-	done   chan struct{}
-}
-
-func newRateLimiter(rate int) *rateLimiter {
-	if rate <= 0 {
-		return &rateLimiter{}
-	}
-	burst := rate/10 + 1
-	if m := 2 * SendBatchSize; burst > m {
-		burst = m
-	}
-	// 1ms refill quanta keep pacing smooth at high rates; below
-	// 1000/s the tick stretches to one expected token per tick.
-	interval := time.Millisecond
-	if rate < 1000 {
-		interval = time.Second / time.Duration(rate)
-	}
-	rl := &rateLimiter{
-		ticker: time.NewTicker(interval),
-		tokens: make(chan struct{}, burst),
-		done:   make(chan struct{}),
-	}
-	go func() {
-		start := time.Now()
-		var issued uint64
-		for {
-			select {
-			case <-rl.done:
-				return
-			case <-rl.ticker.C:
-				// The 1e-6 nudge keeps a token due exactly at a tick
-				// boundary from being deferred a whole tick by float
-				// truncation (interval is 1/rate rounded down to 1ns).
-				owed := uint64(time.Since(start).Seconds()*float64(rate) + 1e-6)
-				for ; issued < owed; issued++ {
-					select {
-					case rl.tokens <- struct{}{}:
-					default:
-						// Bucket full: the token is forfeited, capping
-						// what a stalled consumer can bank.
-					}
-				}
-			}
-		}
-	}()
-	return rl
-}
-
-// tryWait takes a token if one is immediately available. The batched
-// send loop uses it to distinguish "keep filling the batch" from
-// "pacing-limited: flush, then block in wait".
-func (rl *rateLimiter) tryWait() bool {
-	if rl.tokens == nil {
-		return true
-	}
-	select {
-	case <-rl.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-func (rl *rateLimiter) wait(ctx context.Context) error {
-	if rl.tokens == nil {
-		return nil
-	}
-	select {
-	case <-rl.tokens:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (rl *rateLimiter) stop() {
-	if rl.ticker != nil {
-		rl.ticker.Stop()
-		close(rl.done)
-	}
 }

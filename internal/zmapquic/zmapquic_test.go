@@ -5,10 +5,12 @@ import (
 	"context"
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"quicscan/internal/netbatch"
 	"quicscan/internal/pcap"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
@@ -202,29 +204,94 @@ func TestScanRateLimiting(t *testing.T) {
 	}
 }
 
+// TestScanContextCancel cancels a scan twice: paced, where the loop is
+// blocked on the limiter, and unpaced, where it only looks between
+// batches. Either way ScanAddrs returns the context's error promptly
+// and reports exactly the probes that left the socket.
 func TestScanContextCancel(t *testing.T) {
-	n := simnet.New(simnet.Config{})
-	defer n.Close()
-	pc, _ := n.DialUDP()
-	s := &Scanner{Conn: pc, Rate: 10, Cooldown: time.Millisecond}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	targets := make(chan netip.Addr)
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case targets <- netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}):
-			case <-ctx.Done():
-				close(targets)
-				return
-			}
-		}
-	}()
-	_, _, err := s.Scan(ctx, targets)
-	if err == nil {
-		t.Error("cancelled scan returned nil error")
+	targets := make([]netip.Addr, 1<<16)
+	for i := range targets {
+		targets[i] = netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
 	}
+	arrivals := func(n *simnet.Network) *atomic.Int64 {
+		var got atomic.Int64
+		n.SetSyntheticResponder(func(netip.AddrPort, []byte) [][]byte {
+			got.Add(1)
+			return nil
+		})
+		return &got
+	}
+
+	t.Run("paced", func(t *testing.T) {
+		n := simnet.New(simnet.Config{})
+		defer n.Close()
+		got := arrivals(n)
+		pc, _ := n.DialUDP()
+		s := &Scanner{Conn: pc, Rate: 10, Cooldown: time.Hour}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, stats, err := s.ScanAddrs(ctx, targets)
+		if err != context.DeadlineExceeded {
+			t.Errorf("err = %v, want the context's", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("a scan cancelled after 50 ms returned after %v", d)
+		}
+		if stats.ProbesSent != int(got.Load()) || stats.ProbesSent < 1 || stats.ProbesSent > 3 {
+			t.Errorf("reported %d probes, %d arrived; want the one starting token and what 50 ms at 10/s adds",
+				stats.ProbesSent, got.Load())
+		}
+	})
+
+	t.Run("unpaced", func(t *testing.T) {
+		n := simnet.New(simnet.Config{})
+		defer n.Close()
+		got := arrivals(n)
+		pc, _ := n.DialUDP()
+		// The context dies while the third batch is being written.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s := &Scanner{Conn: &cancelAtBatch{pc, 3, cancel}, Cooldown: time.Hour}
+		_, stats, err := s.ScanAddrs(ctx, targets)
+		if err != context.Canceled {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if want := 3 * SendBatchSize; stats.ProbesSent != want || int(got.Load()) != want {
+			t.Errorf("reported %d probes, %d arrived; want %d: nothing after the batch in flight at the cancel",
+				stats.ProbesSent, got.Load(), want)
+		}
+		if stats.BytesSent != int64(stats.ProbesSent*ProbeSize) {
+			t.Errorf("%d bytes for %d probes", stats.BytesSent, stats.ProbesSent)
+		}
+	})
+}
+
+// cancelAtBatch is a simnet socket that cancels a context during its
+// at-th WriteBatch.
+type cancelAtBatch struct {
+	*simnet.PacketConn
+	at     int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtBatch) WriteBatch(ms []netbatch.Message) (int, error) {
+	if c.at--; c.at == 0 {
+		c.cancel()
+	}
+	return c.PacketConn.WriteBatch(ms)
+}
+
+// sweepOrder is the sweep's address sequence: every position of the
+// permutation domain in order, the walk of shard 0 of 1.
+func sweepOrder(sw *Sweep) []netip.Addr {
+	var order []netip.Addr
+	for x := uint64(0); x < sw.DomainSize(); x++ {
+		if a, ok := sw.AddrAtPosition(x); ok {
+			order = append(order, a)
+		}
+	}
+	return order
 }
 
 func TestSweepVisitsEveryAddressOnce(t *testing.T) {
@@ -236,13 +303,10 @@ func TestSweepVisitsEveryAddressOnce(t *testing.T) {
 	if sw.Total() != 16+4 {
 		t.Fatalf("total = %d", sw.Total())
 	}
-	done := make(chan struct{})
-	defer close(done)
 	seen := make(map[netip.Addr]int)
-	var order []netip.Addr
-	for a := range sw.Addresses(done) {
+	order := sweepOrder(sw)
+	for _, a := range order {
 		seen[a]++
-		order = append(order, a)
 	}
 	if len(seen) != 20 {
 		t.Fatalf("visited %d distinct addresses", len(seen))
@@ -275,13 +339,7 @@ func TestSweepVisitsEveryAddressOnce(t *testing.T) {
 		t.Errorf("order looks sequential (%d/%d adjacent steps)", sequentialRuns, len(order))
 	}
 	// Determinism under the same seed, difference under another.
-	sw2 := NewSweep(42, prefixes)
-	done2 := make(chan struct{})
-	defer close(done2)
-	var order2 []netip.Addr
-	for a := range sw2.Addresses(done2) {
-		order2 = append(order2, a)
-	}
+	order2 := sweepOrder(NewSweep(42, prefixes))
 	for i := range order {
 		if order[i] != order2[i] {
 			t.Fatal("same seed produced different order")
@@ -291,13 +349,7 @@ func TestSweepVisitsEveryAddressOnce(t *testing.T) {
 
 func TestSweepLargePrefix(t *testing.T) {
 	sw := NewSweep(7, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/16")})
-	done := make(chan struct{})
-	defer close(done)
-	count := 0
-	for range sw.Addresses(done) {
-		count++
-	}
-	if count != 65536 {
+	if count := len(sweepOrder(sw)); count != 65536 {
 		t.Errorf("visited %d of 65536", count)
 	}
 }
@@ -388,10 +440,8 @@ func TestSweepBijectionProperty(t *testing.T) {
 		pa := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, aOct, 0, 0}), 26+int(aBits%7))
 		pb := netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16, bOct, 0}), 26+int(bBits%7))
 		sw := NewSweep(seed, []netip.Prefix{pa, pb})
-		done := make(chan struct{})
-		defer close(done)
 		seen := make(map[netip.Addr]bool)
-		for a := range sw.Addresses(done) {
+		for _, a := range sweepOrder(sw) {
 			if seen[a] {
 				return false // duplicate
 			}
@@ -457,10 +507,8 @@ func TestSweepOverlappingPrefixes(t *testing.T) {
 	if sw.Total() != 256 {
 		t.Fatalf("total = %d, want 256 (overlap double-counted)", sw.Total())
 	}
-	done := make(chan struct{})
-	defer close(done)
 	seen := make(map[netip.Addr]int)
-	for a := range sw.Addresses(done) {
+	for _, a := range sweepOrder(sw) {
 		seen[a]++
 	}
 	if len(seen) != 256 {
@@ -493,10 +541,8 @@ func TestSweepTopOfAddressSpace(t *testing.T) {
 	if sw.Total() != 256 {
 		t.Fatalf("total = %d", sw.Total())
 	}
-	done := make(chan struct{})
-	defer close(done)
 	seen := make(map[netip.Addr]bool)
-	for a := range sw.Addresses(done) {
+	for _, a := range sweepOrder(sw) {
 		if !p.Contains(a) {
 			t.Fatalf("%v escaped %v (wrapped address arithmetic)", a, p)
 		}

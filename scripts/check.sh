@@ -40,7 +40,7 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch, experiments)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch, experiments, zmapquic, campaign, bench)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
 # multi-core hosts — a failure that hid on 1-CPU runners. The rescan
@@ -50,8 +50,16 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, pro
 # here for its stage overlap (DESIGN.md section 18): two sweeps, a TLS
 # scan and the stateful pass share the CPUs, so how many there are
 # decides which stage waits for which, and the tables must not care.
+# The stateless scanner, the campaign engine and the benchmark are here
+# because SendProbe's flat combining, the response collector and the
+# list scan's yield after each batch only do their work when sender and
+# receiver share a P, or only when they do not: a list scan that never
+# yields passes on two cores and starves its collector and the
+# in-process responders on one. bench's dense ledger scan (40,000
+# answered probes, 20 ms cooldown) is the canary that caught it.
 go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe \
-	./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments
+	./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments \
+	./internal/zmapquic ./internal/campaign ./bench
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
