@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-baseline allocs fuzz soak
+.PHONY: build test check bench bench-baseline allocs cpu-sweep fuzz soak
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ bench-baseline:
 # own (scripts/allocs.sh; before/after tables in DESIGN.md).
 allocs:
 	./scripts/allocs.sh
+
+# CPU nanoseconds per swept probe, by bucket: SendProbe's locks, ID
+# derivation, the send path and its telemetry, simnet, the engine's walk
+# (scripts/cpu.sh; before/after tables in DESIGN.md).
+cpu-sweep:
+	./scripts/cpu.sh
 
 # Short native-fuzzing smoke over every fuzz target in the module.
 fuzz:

@@ -2,8 +2,9 @@
 // (bench/, BENCHMARK.json) has no counterpart for: the handshake pair on
 // an out-of-process RSA responder, the scanner-side operations whose
 // allocation counts budget_test.go holds, the telemetry-overhead
-// interleave, BenchmarkQScannerTarget for scripts/allocs.sh, and the
-// paper's two cost ablations. Everything the ledger measures at the same
+// interleave, BenchmarkQScannerTarget for scripts/allocs.sh,
+// BenchmarkEngineSweep for scripts/cpu.sh, and the paper's two cost
+// ablations. Everything the ledger measures at the same
 // cut lives only there; DESIGN.md §17 maps each retired benchmark and
 // gate to what holds it now.
 //
@@ -19,9 +20,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	campaignpkg "quicscan/internal/campaign"
 	"quicscan/internal/core"
 	"quicscan/internal/experiments"
 	"quicscan/internal/h3"
@@ -430,25 +433,29 @@ func newSimnetDialClose(tb testing.TB) func() {
 
 func BenchmarkSimnetDialClose(b *testing.B) { loop(b, newSimnetDialClose(b)) }
 
+// vnReply is what a stateless responder answers a probe with: a Version
+// Negotiation packet echoing the probe's connection IDs.
+func vnReply(probe []byte) [][]byte {
+	hdr, _, err := quicwire.ParseLongHeader(probe)
+	if err != nil {
+		return nil
+	}
+	return [][]byte{quicwire.AppendVersionNegotiation(nil, hdr.SrcID, hdr.DstID, 0,
+		[]quicwire.Version{quicwire.VersionDraft29, quicwire.VersionGoogleQ050})}
+}
+
 // zmapSweepTargets is the size of one newZmapSweep sweep.
 const zmapSweepTargets = 256
 
 // newZmapSweep returns one full stateless sweep — 256 targets, every
 // one answering instantly with a Version Negotiation packet — through
 // one shared socket over the in-memory network. Patching CIDs into a
-// reused probe copy and validating responses against a pooled HMAC
+// reused probe copy and deriving them with one AES block on either side
 // keeps per-probe allocation O(1) regardless of sweep size.
 func newZmapSweep(tb testing.TB) func() {
 	n := simnet.New(simnet.Config{})
 	tb.Cleanup(n.Close)
-	n.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {
-		hdr, _, err := quicwire.ParseLongHeader(payload)
-		if err != nil {
-			return nil
-		}
-		return [][]byte{quicwire.AppendVersionNegotiation(nil, hdr.SrcID, hdr.DstID, 0,
-			[]quicwire.Version{quicwire.VersionDraft29, quicwire.VersionGoogleQ050})}
-	})
+	n.SetSyntheticResponder(func(_ netip.AddrPort, payload []byte) [][]byte { return vnReply(payload) })
 	pc, err := n.DialUDP()
 	if err != nil {
 		tb.Fatal(err)
@@ -475,6 +482,111 @@ func newZmapSweep(tb testing.TB) func() {
 }
 
 func BenchmarkZmapSweep(b *testing.B) { loop(b, newZmapSweep(b)) }
+
+// newProbePath returns the two halves of one stateless probe: SendProbe
+// to an address nobody answers from, and ValidateResponse on the answer
+// of one that does.
+func newProbePath(tb testing.TB) (send, validate func()) {
+	silent, answering := netip.AddrFrom4([4]byte{100, 65, 0, 1}), netip.AddrFrom4([4]byte{100, 65, 0, 2})
+	n := simnet.New(simnet.Config{})
+	tb.Cleanup(n.Close)
+	n.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {
+		if dst.Addr() != answering {
+			return nil
+		}
+		return vnReply(payload)
+	})
+	pc, err := n.DialUDP()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := &zmapquic.Scanner{Conn: pc}
+	probe := func(addr netip.Addr) {
+		if sent, err := s.SendProbe(addr); !sent || err != nil {
+			tb.Fatalf("SendProbe(%v): sent=%v err=%v", addr, sent, err)
+		}
+	}
+	probe(answering)
+	answer := make([]byte, 2048)
+	nn, _, err := pc.ReadFrom(answer)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() { probe(silent) }, func() {
+		if _, ok := s.ValidateResponse(answering, answer[:nn]); !ok {
+			tb.Fatal("the answer to our own probe does not validate")
+		}
+	}
+}
+
+// engineSweepProbes counts the probes of every BenchmarkEngineSweep
+// iteration of this process, the single one `go test` runs ahead of a
+// -benchtime Nx included: a CPU profile covers them all.
+var engineSweepProbes uint64
+
+// BenchmarkEngineSweep is the production sweep path under a profiler:
+// the campaign engine over 100.64.0.0/12, two shards and two workers
+// through one Scanner.SendProbe onto simnet, one collector, a NullSink
+// — the repository benchmark's sweep-vn without a universe behind it:
+// one address in 4,096 answers, looked up as the universe looks up its
+// deployments. It is a profile source, not a judge:
+// scripts/cpu.sh (`make cpu-sweep`) runs it under -cpuprofile and
+// divides the samples by "probes"; no gate and no tier-1 test reads
+// its timings. "cpu-ns/probe" is the process's CPU time so far over its
+// probes so far, what the profile's rows should add up to.
+func BenchmarkEngineSweep(b *testing.B) {
+	n := simnet.New(simnet.Config{})
+	b.Cleanup(n.Close)
+	prefixes := []netip.Prefix{netip.MustParsePrefix("100.64.0.0/12")}
+	responders := make(map[netip.Addr]bool)
+	for i := 0; i < 1<<20; i += 1 << 12 {
+		responders[netip.AddrFrom4([4]byte{100, 64 + byte(i>>16), byte(i >> 8), 0})] = true
+	}
+	n.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {
+		if !responders[dst.Addr()] {
+			return nil
+		}
+		return vnReply(payload)
+	})
+	pc, err := n.DialUDP()
+	if err != nil {
+		b.Fatal(err)
+	}
+	zs := &zmapquic.Scanner{Conn: pc}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw := zmapquic.NewSweep(uint64(i), prefixes)
+		eng, err := campaignpkg.New(campaignpkg.Config{
+			Sweep:   sw,
+			Shards:  2,
+			Workers: 2,
+			Probe:   campaignpkg.ProbeWith(zs),
+			Sink:    campaignpkg.NullSink{},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits := 0
+		err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, 20*time.Millisecond,
+			func(zmapquic.Result) { hits++ })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if probes := eng.Progress().Probes; probes != sw.Total() || hits != len(responders) {
+			b.Fatalf("swept %d of %d addresses, %d of %d responders answered", probes, sw.Total(), hits, len(responders))
+		}
+		engineSweepProbes += sw.Total()
+	}
+	b.StopTimer()
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	cpu := time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	b.ReportMetric(float64(engineSweepProbes), "probes")
+	b.ReportMetric(float64(cpu.Nanoseconds())/float64(engineSweepProbes), "cpu-ns/probe")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(1<<20), "ns/probe")
+}
 
 // ---- telemetry overhead -------------------------------------------------
 

@@ -22,6 +22,13 @@
 // exactly-once. The periodic checkpoint alone (journaling disabled,
 // or sink lost with the process) bounds re-probing to the window
 // since the last write: at-least-once, ZMap's classic contract.
+//
+// Workers share as little as ZMap's send threads do: a walker owns its
+// shard's cursor (a cache line to itself), polls cancellation without a
+// lock, and publishes its probe count once per send batch and on every
+// way out of the walk, so Progress().Probes is exact whenever Run has
+// returned. What they still meet at is the rate budget, the sink and
+// whatever Config.Probe shares.
 package campaign
 
 import (
@@ -94,11 +101,14 @@ type Config struct {
 	CheckpointEvery time.Duration
 }
 
-// shardState is one shard's live progress.
+// shardState is one shard's live progress. Its worker stores the cursor
+// after every unit, so each state fills a cache line of its own: two
+// workers' cursors on one line would trade it back and forth.
 type shardState struct {
 	id     int
 	cursor atomic.Uint64 // residue-class units completed
 	done   atomic.Bool
+	_      [40]byte // to 64 bytes
 }
 
 // Engine runs one process's share of a campaign. An Engine is
@@ -357,13 +367,28 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		size    = e.cfg.Sweep.DomainSize()
 		i       = st.cursor.Load()
 		journal = e.cfg.Journal
+		// Polling the channel is lock-free; ctx.Err() takes the
+		// context's mutex, which every worker would fight over.
+		cancelled = ctx.Done()
+		// probes is what this walk has issued since it last published:
+		// the shared counters are written once per yield, not per unit,
+		// and on every way out.
+		probes  uint64
+		publish = func() {
+			mProbes.Add(probes)
+			e.probes.Add(probes)
+			probes = 0
+		}
 	)
+	defer publish()
 	for {
 		if e.killed.Load() {
 			return ErrKilled
 		}
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-cancelled:
+			return ctx.Err()
+		default:
 		}
 		x := uint64(st.id) + i*n
 		if x >= size || x < i { // x < i: position arithmetic wrapped
@@ -380,8 +405,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 			if err := e.cfg.Probe(ctx, addr); err != nil {
 				mProbeErrors.Inc()
 			} else {
-				mProbes.Inc()
-				e.probes.Add(1)
+				probes++
 			}
 			if journal {
 				rec := Record{Type: RecordProbe, Shard: st.id, Pos: i, Addr: addr.String()}
@@ -399,6 +423,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		// answers, and the answers race the cooldown. Give the P away
 		// once per send batch, as ScanAddrs does.
 		if i%zmapquic.SendBatchSize == 0 {
+			publish()
 			runtime.Gosched()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/rand/v2"
 	"net/netip"
 	"path/filepath"
 	"strings"
@@ -318,3 +319,107 @@ func TestMultiProcessShardSplit(t *testing.T) {
 }
 
 var _ io.Writer = (*countingWriter)(nil)
+
+// stopAfterSink fails its n'th Write: the journal's disk filling up.
+type stopAfterSink struct {
+	NullSink
+	left atomic.Int64
+}
+
+func (s *stopAfterSink) Write(Record) error {
+	if s.left.Add(-1) == 0 {
+		return errors.New("disk full")
+	}
+	return nil
+}
+
+// TestProbeCountExactOnEveryExit: the walkers publish their probe
+// counts once per yield, and whatever way a walk ends — Kill, cancel,
+// a sink failure, completion — what it had not yet published must
+// arrive too. Progress().Probes and campaign_probes_total are the
+// number of probes that returned nil, exactly, and a resumed engine
+// probes what is left and nothing else.
+func TestProbeCountExactOnEveryExit(t *testing.T) {
+	sweep := func() *zmapquic.Sweep {
+		return zmapquic.NewSweep(5, []netip.Prefix{netip.MustParsePrefix("10.9.0.0/16")})
+	}
+	total := sweep().Total()
+	rng := rand.New(rand.NewPCG(22, 0))
+
+	// run walks the sweep from the cursors of prev until the stopAt'th
+	// probe, which ends it the way how says, and checks both counters
+	// against the hook's own count.
+	run := func(how string, stopAt uint64, prev *Engine) (eng *Engine, calls uint64) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var called, succeeded atomic.Uint64
+		sink := &stopAfterSink{}
+		if how == "sink" {
+			sink.left.Store(int64(stopAt))
+		}
+		eng, err := New(Config{
+			Sweep:   sweep(),
+			Shards:  4,
+			Workers: 4,
+			Sink:    sink,
+			Journal: true,
+			Probe: func(_ context.Context, addr netip.Addr) error {
+				if called.Add(1) == stopAt {
+					switch how {
+					case "kill":
+						eng.Kill()
+					case "cancel":
+						cancel()
+					}
+				}
+				if addr.As4()[3]%5 == 0 {
+					return errors.New("probe failed") // counted elsewhere
+				}
+				succeeded.Add(1)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			cursors := make(map[int]uint64)
+			for _, st := range prev.shards {
+				cursors[st.id] = st.cursor.Load()
+			}
+			eng.AdvanceCursors(cursors)
+		}
+		before := mProbes.Value()
+		err = eng.Run(ctx)
+		switch {
+		case how == "kill" && !errors.Is(err, ErrKilled),
+			how == "cancel" && !errors.Is(err, context.Canceled),
+			how == "sink" && (err == nil || !strings.Contains(err.Error(), "disk full")),
+			how == "finish" && err != nil:
+			t.Fatalf("%s at probe %d: Run returned %v", how, stopAt, err)
+		}
+		if got, want := eng.Progress().Probes, succeeded.Load(); got != want {
+			t.Errorf("%s at probe %d: Progress().Probes = %d, %d probes returned nil", how, stopAt, got, want)
+		}
+		if got, want := mProbes.Value()-before, succeeded.Load(); got != want {
+			t.Errorf("%s at probe %d: campaign_probes_total moved by %d, %d probes returned nil", how, stopAt, got, want)
+		}
+		return eng, called.Load()
+	}
+
+	for round := 0; round < 50; round++ {
+		how := []string{"kill", "cancel", "sink"}[round%3]
+		stopAt := 1 + rng.Uint64N(total-1)
+		dead, first := run(how, stopAt, nil)
+		if how == "sink" {
+			// The unit whose record was refused is probed again by a
+			// resume: at-least-once, so there is no total to hold.
+			continue
+		}
+		_, second := run("finish", 0, dead)
+		if first+second != total {
+			t.Errorf("%s at probe %d: %d probes before and %d after the resume, for a sweep of %d",
+				how, stopAt, first, second, total)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"quicscan/internal/zmapquic"
 )
@@ -150,5 +151,14 @@ func TestEngineCoversSweepExactlyOnce(t *testing.T) {
 	p := eng.Progress()
 	if p.ShardsDone != 8 || p.Probes != uint64(len(want)) {
 		t.Fatalf("progress %+v, want 8 shards done and %d probes", p, len(want))
+	}
+}
+
+// TestShardStateFillsACacheLine: the allocator aligns a 64-byte object
+// to 64 bytes, so two workers' cursors never share a line. A field added
+// to shardState has to come out of its padding.
+func TestShardStateFillsACacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(shardState{}); got != 64 {
+		t.Errorf("shardState is %d bytes, want 64", got)
 	}
 }

@@ -119,15 +119,16 @@ func (n *Network) SetPrefixProfile(prefix netip.Prefix, p Profile) {
 func (n *Network) ImpairmentStats() ImpairmentStats {
 	n.stats.Lock()
 	defer n.stats.Unlock()
-	return n.stats.impair
+	st := n.stats.impair
+	st.Delivered = int(n.delivered.Load())
+	return st
 }
 
-// profileFor resolves the link profile for a datagram: the most
+// profileForLocked resolves the link profile for a datagram: the most
 // specific prefix containing the destination wins, then the most
-// specific containing the source, then the network default.
-func (n *Network) profileFor(to, from netip.AddrPort) Profile {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+// specific containing the source, then the network default. The caller
+// holds n.mu.
+func (n *Network) profileForLocked(to, from netip.AddrPort) Profile {
 	for _, pp := range n.prefixProfiles {
 		if pp.prefix.Contains(to.Addr()) {
 			return pp.profile
@@ -164,9 +165,7 @@ func (n *Network) judge(p Profile, size int) verdict {
 		return v
 	}
 	if p == (Profile{}) {
-		n.stats.Lock()
-		n.stats.impair.Delivered++
-		n.stats.Unlock()
+		n.delivered.Add(1)
 		mDelivered.Inc()
 		return v
 	}
@@ -199,7 +198,7 @@ func (n *Network) judge(p Profile, size int) verdict {
 	if v.drop {
 		n.stats.impair.Lost++
 	} else {
-		n.stats.impair.Delivered++
+		n.delivered.Add(1)
 		if v.reordered {
 			n.stats.impair.Reordered++
 		}
@@ -207,7 +206,7 @@ func (n *Network) judge(p Profile, size int) verdict {
 			n.stats.impair.Corrupted++
 		}
 		if v.dup {
-			n.stats.impair.Delivered++
+			n.delivered.Add(1)
 			n.stats.impair.Duplicated++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 )
@@ -216,5 +217,69 @@ func TestSyntheticImpairedBothWays(t *testing.T) {
 	cli.WriteTo([]byte("probe"), net.UDPAddrFromAddrPort(ap("192.0.2.50:443")))
 	if got := drain(t, cli, 100*time.Millisecond); len(got) != 1 || got[0] != "answer" {
 		t.Errorf("clean synthetic link: got %q", got)
+	}
+}
+
+// TestTrafficCountersExactUnderConcurrentWriters: the per-datagram
+// counters are updated without a lock, and must still add up to the
+// datagram: on a perfect network, and when half the traffic crosses a
+// lossy link, whose fates are counted under the stats lock.
+func TestTrafficCountersExactUnderConcurrentWriters(t *testing.T) {
+	const writers, perWriter, size = 8, 50000, 48
+	lossy := netip.MustParsePrefix("203.0.113.0/24")
+	for _, c := range []struct {
+		name    string
+		profile Profile
+	}{
+		{"perfect", Profile{}},
+		{"lossy-prefix", Profile{Loss: 0.3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := New(Config{Seed: 3})
+			defer n.Close()
+			n.SetPrefixProfile(lossy, c.profile)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					pc, err := n.DialUDP()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer pc.Close()
+					// Nobody listens at either: the datagrams are judged,
+					// counted and gone.
+					dsts := []net.Addr{
+						net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(w)}), 443)),
+						net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, byte(w)}), 443)),
+					}
+					payload := make([]byte, size)
+					for i := 0; i < perWriter; i++ {
+						if _, err := pc.WriteTo(payload, dsts[i%2]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			const sent = writers * perWriter
+			if datagrams, bytes := n.UDPTraffic(); datagrams != sent || bytes != sent*size {
+				t.Errorf("UDPTraffic() = %d datagrams, %d bytes; want %d, %d", datagrams, bytes, sent, sent*size)
+			}
+			st := n.ImpairmentStats()
+			if st.Delivered+st.Lost != sent {
+				t.Errorf("Delivered %d + Lost %d = %d, want the %d datagrams sent", st.Delivered, st.Lost, st.Delivered+st.Lost, sent)
+			}
+			if c.profile == (Profile{}) && st.Lost != 0 {
+				t.Errorf("a perfect network lost %d datagrams", st.Lost)
+			}
+			if c.profile.Loss > 0 && (st.Lost < sent/2/5 || st.Lost > sent/2/2) {
+				t.Errorf("Lost = %d of the %d datagrams on a 30 %% loss link", st.Lost, sent/2)
+			}
+		})
 	}
 }

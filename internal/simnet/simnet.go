@@ -23,6 +23,7 @@ import (
 	"net/netip"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quicscan/internal/netbatch"
@@ -62,13 +63,15 @@ type Network struct {
 	ephemeral uint32
 	closed    bool
 
-	// Stats counts traffic crossing the network.
-	stats struct {
+	// Traffic crossing the network. The counters every datagram moves
+	// are atomics, so that senders share no lock on a perfect link; the
+	// impairments a perfect link never causes are counted under stats.
+	udpDatagrams atomic.Int64
+	udpBytes     atomic.Int64
+	delivered    atomic.Int64
+	stats        struct {
 		sync.Mutex
-		udpDatagrams int
-		udpBytes     int64
-		synthAnswers int
-		impair       ImpairmentStats
+		impair ImpairmentStats // all but Delivered
 	}
 }
 
@@ -99,9 +102,7 @@ func (n *Network) SetSyntheticResponder(r SyntheticResponder) {
 
 // UDPTraffic reports the datagram and byte counts seen so far.
 func (n *Network) UDPTraffic() (datagrams int, bytes int64) {
-	n.stats.Lock()
-	defer n.stats.Unlock()
-	return n.stats.udpDatagrams, n.stats.udpBytes
+	return int(n.udpDatagrams.Load()), n.udpBytes.Load()
 }
 
 // UDPSocketCount reports how many UDP sockets are currently bound,
@@ -177,26 +178,31 @@ func (n *Network) unbindUDP(at netip.AddrPort, pc *PacketConn) {
 	n.mu.Unlock()
 }
 
-// deliver routes one datagram. Called from PacketConn.WriteTo. The
-// forward path is judged under the destination link's profile; replies
-// synthesized for socketless endpoints are judged independently under
-// the reverse link's profile, so a round trip pays both directions'
-// impairments.
-func (n *Network) deliver(from, to netip.AddrPort, payload []byte) {
-	n.stats.Lock()
-	n.stats.udpDatagrams++
-	n.stats.udpBytes += int64(len(payload))
-	n.stats.Unlock()
+// deliver routes one datagram sent by src, whose address was from when
+// it left. The forward path is judged under the destination link's
+// profile; replies synthesized for socketless endpoints go back to src
+// and are judged independently under the reverse link's profile, so a
+// round trip pays both directions' impairments.
+func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []byte) {
+	n.udpDatagrams.Add(1)
+	n.udpBytes.Add(int64(len(payload)))
 
-	v := n.judge(n.profileFor(to, from), len(payload))
+	// Everything the routing reads under n.mu, in one acquisition; back
+	// is only needed for a synthetic reply.
+	n.mu.RLock()
+	profile := n.profileForLocked(to, from)
+	dst := n.udp[to]
+	synth := n.synth
+	var back Profile
+	if dst == nil && synth != nil {
+		back = n.profileForLocked(from, to)
+	}
+	n.mu.RUnlock()
+
+	v := n.judge(profile, len(payload))
 	if v.drop {
 		return
 	}
-
-	n.mu.RLock()
-	dst := n.udp[to]
-	synth := n.synth
-	n.mu.RUnlock()
 
 	if dst != nil {
 		buf := leasePayload(len(payload))
@@ -234,19 +240,6 @@ func (n *Network) deliver(from, to netip.AddrPort, payload []byte) {
 		if corrupted != nil {
 			releasePayload(corrupted)
 		}
-		if len(replies) == 0 {
-			return
-		}
-		n.stats.Lock()
-		n.stats.synthAnswers += len(replies)
-		n.stats.Unlock()
-		n.mu.RLock()
-		src := n.udp[from]
-		n.mu.RUnlock()
-		if src == nil {
-			return
-		}
-		back := n.profileFor(from, to)
 		for _, r := range replies {
 			rv := n.judge(back, len(r))
 			if rv.drop {
@@ -465,7 +458,7 @@ func (pc *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	pc.net.deliver(from, to, p)
+	pc.net.deliver(pc, from, to, p)
 	return len(p), nil
 }
 
@@ -527,7 +520,7 @@ func (pc *PacketConn) WriteBatch(ms []netbatch.Message) (int, error) {
 	from := pc.addr
 	pc.mu.Unlock()
 	for i := range ms {
-		pc.net.deliver(from, ms[i].Addr, ms[i].Buf[:ms[i].N])
+		pc.net.deliver(pc, from, ms[i].Addr, ms[i].Buf[:ms[i].N])
 	}
 	return len(ms), nil
 }

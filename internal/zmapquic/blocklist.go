@@ -20,9 +20,21 @@ type Blocklist struct {
 func NewBlocklist(prefixes ...netip.Prefix) *Blocklist {
 	b := &Blocklist{}
 	for _, p := range prefixes {
-		b.prefixes = append(b.prefixes, p.Masked())
+		b.add(p)
 	}
 	return b
+}
+
+// add excludes p. netip keeps an IPv4 address and its IPv4-mapped IPv6
+// form apart, and a prefix of one family contains no address of the
+// other, so the list holds IPv4 prefixes in IPv4 form only and Blocked
+// unmaps what it is asked about: 10.0.0.0/8 excludes ::ffff:10.1.2.3,
+// and ::ffff:10.0.0.0/104 excludes 10.1.2.3.
+func (b *Blocklist) add(p netip.Prefix) {
+	if a := p.Addr(); a.Is4In6() && p.Bits() >= 96 {
+		p = netip.PrefixFrom(a.Unmap(), p.Bits()-96)
+	}
+	b.prefixes = append(b.prefixes, p.Masked())
 }
 
 // ParseBlocklist reads one prefix or address per line; '#' starts a
@@ -41,11 +53,11 @@ func ParseBlocklist(r io.Reader) (*Blocklist, error) {
 			continue
 		}
 		if p, err := netip.ParsePrefix(line); err == nil {
-			b.prefixes = append(b.prefixes, p.Masked())
+			b.add(p)
 			continue
 		}
 		if a, err := netip.ParseAddr(line); err == nil {
-			b.prefixes = append(b.prefixes, netip.PrefixFrom(a, a.BitLen()))
+			b.add(netip.PrefixFrom(a, a.BitLen()))
 			continue
 		}
 		return nil, fmt.Errorf("zmapquic: blocklist line %d: cannot parse %q", lineNo, line)
@@ -56,11 +68,13 @@ func ParseBlocklist(r io.Reader) (*Blocklist, error) {
 	return b, nil
 }
 
-// Blocked reports whether addr falls in an excluded range.
+// Blocked reports whether addr, in either of an IPv4 address's two
+// forms, falls in an excluded range.
 func (b *Blocklist) Blocked(addr netip.Addr) bool {
 	if b == nil {
 		return false
 	}
+	addr = addr.Unmap()
 	for _, p := range b.prefixes {
 		if p.Contains(addr) {
 			return true

@@ -5,18 +5,18 @@
 // at the scanner: the server must process the unsupported version
 // before anything else and reply with its supported version list.
 //
-// Like ZMap, the scanner is stateless: probe validation uses
-// connection IDs deterministically derived from the target address,
-// so responses can be verified without per-target state.
+// Like ZMap, the scanner is stateless: a probe's two connection IDs are
+// one AES block, the target address encrypted under a per-Scanner key,
+// so responses can be verified without per-target state, and senders
+// share nothing mutable: SendProbe is a leased buffer and one send.
 package zmapquic
 
 import (
 	"context"
-	"crypto/hmac"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
 	"errors"
-	"hash"
 	"net"
 	"net/netip"
 	"runtime"
@@ -119,29 +119,17 @@ type Scanner struct {
 	// declared unresponsive. 0 means a single pass.
 	Retries int
 
-	// secret keys probe validation.
-	secret     [32]byte
-	secretOnce sync.Once
-
-	// macPool recycles the keyed HMAC state and digest scratch of
-	// probeSum: the send loop and the response validator derive IDs
-	// concurrently, so the state cannot be a single field.
-	macPool sync.Pool
+	// ids is AES-128 under a random key and keys probe validation; a
+	// cipher.Block holds no mutable state, so the senders and the
+	// response validator share it.
+	ids     cipher.Block
+	idsOnce sync.Once
 
 	// tmpl is the precomputed probe wire image, immutable once built;
 	// only the 8-byte CID fields at probeDCIDOff/probeSCIDOff vary
 	// per target. Each scan pass patches them into its own copy.
 	tmpl     []byte
 	tmplOnce sync.Once
-
-	// depositMu guards cpend, the batch currently accumulating probes
-	// deposited by concurrent SendProbe callers. flushMu serializes
-	// SendProbe's WriteBatch calls and guards every batch's
-	// flushed/sent/err/read fields; holding it while another caller's
-	// flush is in flight is what combines deposits into one syscall.
-	depositMu sync.Mutex
-	cpend     *sendBatch
-	flushMu   sync.Mutex
 
 	// bc is the batch view of Conn, resolved once: native for simnet,
 	// sendmmsg/recvmmsg for real Linux sockets, a WriteTo loop
@@ -151,7 +139,8 @@ type Scanner struct {
 	batchOnce sync.Once
 
 	// batchPool recycles send batches — SendBatchSize template copies
-	// plus their message headers — across scan passes.
+	// plus their message headers — across scan passes and SendProbe
+	// calls.
 	batchPool sync.Pool
 }
 
@@ -165,22 +154,12 @@ func (s *Scanner) batchConn() (netbatch.BatchConn, netbatch.Kind) {
 
 // sendBatch is one pooled set of probe buffers: each message's Buf is
 // a private template copy whose CID bytes are rewritten per target, so a
-// full batch needs zero allocations and zero template re-copies.
-//
-// The other fields are SendProbe's: one combined send in flight, probes
-// deposited by concurrent callers and flushed together by whichever
-// reaches flushMu first. n is guarded by depositMu until the batch is
-// detached from Scanner.cpend and is fixed from then on; flushed, sent,
-// err and read are guarded by flushMu. A batch in the pool has them all
-// zero.
+// full batch needs zero allocations and zero template re-copies. A
+// batch belongs to whoever leased it until it goes back to the pool.
 type sendBatch struct {
 	msgs [SendBatchSize]netbatch.Message
-
-	n       int  // probes deposited
-	flushed bool // WriteBatch has returned
-	sent    int  // slots below this left the socket
-	err     error
-	read    int // depositors that have read their slot's fate
+	// ids is probeSum's scratch while fill patches a slot.
+	ids idScratch
 }
 
 func (s *Scanner) leaseSendBatch() *sendBatch {
@@ -227,11 +206,10 @@ func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
 	return sent, err
 }
 
-// errProbeDropped reports a probe that was buffered into a combined
-// batch whose send stopped short of its slot. Per the WriteBatch
-// contract a partial send always carries the cause, so this only
-// backstops a conn that violates it.
-var errProbeDropped = errors.New("zmapquic: probe dropped in partial batch send")
+// errProbeDropped reports a probe the socket did not take. Per the
+// WriteBatch contract a short send always carries the cause, so this
+// only backstops a conn that violates it.
+var errProbeDropped = errors.New("zmapquic: probe dropped by the socket")
 
 // Fixed probe layout offsets: 1 byte header, 4 bytes version, then
 // length-prefixed 8-byte destination and source connection IDs.
@@ -240,11 +218,12 @@ const (
 	probeSCIDOff = probeDCIDOff + 8 + 1
 )
 
-// macState is one pooled HMAC computation state.
-type macState struct {
-	mac hash.Hash
-	sum []byte
-}
+// idScratch is the input and output block of one ID derivation. The
+// arguments of an interface method escape, so it lives on the heap: in
+// the leased batch when sending, in idScratchPool otherwise.
+type idScratch struct{ in, out [aes.BlockSize]byte }
+
+var idScratchPool = sync.Pool{New: func() any { return new(idScratch) }}
 
 // Result is one responding address.
 type Result struct {
@@ -283,41 +262,24 @@ func (s *Scanner) cooldown() time.Duration {
 	return s.Cooldown
 }
 
-func (s *Scanner) initSecret() {
-	s.secretOnce.Do(func() {
-		if _, err := rand.Read(s.secret[:]); err != nil {
+// probeSum derives addr's probe IDs into scratch without allocating and
+// returns them: bytes 0-7 are the probe's destination connection ID,
+// bytes 8-15 its source ID. They are the AES-128 encryption of the
+// address's 16-byte form under this Scanner's key, so an address and
+// its IPv4-mapped form share their IDs, distinct addresses never do,
+// and without the key the IDs of one address say nothing about
+// another's.
+func (s *Scanner) probeSum(addr netip.Addr, scratch *idScratch) []byte {
+	s.idsOnce.Do(func() {
+		var key [aes.BlockSize]byte
+		if _, err := rand.Read(key[:]); err != nil {
 			panic("zmapquic: reading randomness: " + err.Error())
 		}
+		s.ids, _ = aes.NewCipher(key[:]) // a 16-byte key is always valid
 	})
-}
-
-// probeSum computes the per-target HMAC into out without allocating:
-// bytes 0-7 are the probe's destination connection ID, bytes 8-15 its
-// source ID. The keyed MAC state is pooled because the send loop and
-// the response validator run concurrently.
-func (s *Scanner) probeSum(addr netip.Addr, out *[32]byte) {
-	s.initSecret()
-	var st *macState
-	if v := s.macPool.Get(); v != nil {
-		st = v.(*macState)
-	} else {
-		st = &macState{mac: hmac.New(sha256.New, s.secret[:]), sum: make([]byte, 0, sha256.Size)}
-	}
-	st.mac.Reset()
-	b := addr.As16()
-	st.mac.Write(b[:])
-	st.sum = st.mac.Sum(st.sum[:0])
-	copy(out[:], st.sum)
-	s.macPool.Put(st)
-}
-
-// probeIDs derives the (dcid, scid) pair for a target, allowing
-// stateless validation of the echoed IDs in responses. The returned
-// IDs are freshly allocated; hot paths use probeSum directly.
-func (s *Scanner) probeIDs(addr netip.Addr) (dcid, scid quicwire.ConnID) {
-	var sum [32]byte
-	s.probeSum(addr, &sum)
-	return append(quicwire.ConnID(nil), sum[0:8]...), append(quicwire.ConnID(nil), sum[8:16]...)
+	scratch.in = addr.As16()
+	s.ids.Encrypt(scratch.out[:], scratch.in[:])
+	return scratch.out[:]
 }
 
 // template lazily builds the probe wire image shared by every target:
@@ -348,15 +310,16 @@ func (s *Scanner) template() []byte {
 	return s.tmpl
 }
 
-// patchProbe writes addr's CIDs into b, a copy of the template, and
-// returns it. The senders reuse pooled copies for every target — the
-// only per-probe work is the HMAC and two 8-byte copies.
-func (s *Scanner) patchProbe(b []byte, addr netip.Addr) []byte {
-	var sum [32]byte
-	s.probeSum(addr, &sum)
-	copy(b[probeDCIDOff:probeDCIDOff+8], sum[0:8])
-	copy(b[probeSCIDOff:probeSCIDOff+8], sum[8:16])
-	return b
+// fill makes m, a template copy, the probe for addr: its connection IDs
+// and its destination, IPv4-mapped addresses in their IPv4 form. The
+// senders reuse pooled copies for every target — the only per-probe work
+// is one AES block and two 8-byte copies.
+func (s *Scanner) fill(m *netbatch.Message, addr netip.Addr, scratch *idScratch) {
+	addr = addr.Unmap()
+	ids := s.probeSum(addr, scratch)
+	copy(m.Buf[probeDCIDOff:probeDCIDOff+8], ids[0:8])
+	copy(m.Buf[probeSCIDOff:probeSCIDOff+8], ids[8:16])
+	m.Addr = netip.AddrPortFrom(addr, s.port())
 }
 
 // BuildProbe constructs the forced-VN Initial for a target. The
@@ -367,7 +330,11 @@ func (s *Scanner) patchProbe(b []byte, addr netip.Addr) []byte {
 // fresh copy of the shared template; the scan loop itself patches a
 // reused copy instead.
 func (s *Scanner) BuildProbe(addr netip.Addr) []byte {
-	return s.patchProbe(append([]byte(nil), s.template()...), addr)
+	m := netbatch.Message{Buf: append([]byte(nil), s.template()...)}
+	scratch := idScratchPool.Get().(*idScratch)
+	s.fill(&m, addr, scratch)
+	idScratchPool.Put(scratch)
+	return m.Buf
 }
 
 // ValidateResponse checks a datagram received from addr and returns
@@ -378,12 +345,14 @@ func (s *Scanner) ValidateResponse(addr netip.Addr, pkt []byte) ([]quicwire.Vers
 	if err != nil || hdr.Type != quicwire.PacketVersionNegotiation {
 		return nil, false
 	}
-	var sum [32]byte
-	s.probeSum(addr, &sum)
+	scratch := idScratchPool.Get().(*idScratch)
+	ids := s.probeSum(addr, scratch)
 	// Invariants: the response's destination is our source ID and its
 	// source is our destination ID. The conversions inside the
 	// comparisons do not allocate.
-	if string(hdr.DstID) != string(sum[8:16]) || string(hdr.SrcID) != string(sum[0:8]) {
+	ok := string(hdr.DstID) == string(ids[8:16]) && string(hdr.SrcID) == string(ids[0:8])
+	idScratchPool.Put(scratch)
+	if !ok {
 		return nil, false
 	}
 	return hdr.SupportedVersions, true
@@ -395,69 +364,26 @@ func (s *Scanner) ValidateResponse(addr netip.Addr, pkt []byte) ([]quicwire.Vers
 // sent is false when the blocklist excluded the target; a nil error
 // with sent true means the datagram left the socket.
 //
-// Concurrent callers are flat-combined: each deposits its probe into
-// a shared pending batch, then serializes on the flush lock. Whoever
-// acquires it first flushes every probe deposited so far in one
-// WriteBatch (one sendmmsg on Linux); callers queued behind it find
-// their probe already sent and return without a syscall. A lone
-// caller degenerates to a batch of one — no added latency — and the
-// return still means the datagram left the socket, so campaign
-// journal/resume semantics are unchanged.
+// Each call is its own send: a batch leased from the pool, one slot
+// filled, one WriteBatch, nothing shared with the callers beside it but
+// the socket. It returns after that WriteBatch did, which is what the
+// campaign's journal and resume rely on.
 func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 	if s.Blocklist.Blocked(addr) {
 		mBlocked.Inc()
 		return false, nil
 	}
-	// The HMAC runs outside the deposit lock; only the two 8-byte CID
-	// copies happen inside it.
-	var sum [32]byte
-	s.probeSum(addr, &sum)
-
-	s.depositMu.Lock()
-	if s.cpend == nil {
-		s.cpend = s.leaseSendBatch()
-	}
-	b := s.cpend
-	slot := b.n
-	m := &b.msgs[slot]
-	copy(m.Buf[probeDCIDOff:probeDCIDOff+8], sum[0:8])
-	copy(m.Buf[probeSCIDOff:probeSCIDOff+8], sum[8:16])
-	m.Addr = netip.AddrPortFrom(addr.Unmap(), s.port())
-	b.n++
-	if b.n == SendBatchSize {
-		s.cpend = nil
-	}
-	s.depositMu.Unlock()
-
-	s.flushMu.Lock()
-	if !b.flushed {
-		// Detach the batch so no deposit lands after the count is read.
-		s.depositMu.Lock()
-		if s.cpend == b {
-			s.cpend = nil
-		}
-		n := b.n
-		s.depositMu.Unlock()
-		b.sent, b.err = s.flush(b, n)
-		b.flushed = true
-	}
-	ok := slot < b.sent
-	ferr := b.err
-	// The last depositor to learn its slot's fate recycles the batch:
-	// nobody else holds it any more.
-	if b.read++; b.read == b.n {
-		b.n, b.flushed, b.sent, b.err, b.read = 0, false, 0, nil, 0
-		s.batchPool.Put(b)
-	}
-	s.flushMu.Unlock()
-
-	if ok {
+	b := s.leaseSendBatch()
+	s.fill(&b.msgs[0], addr, &b.ids)
+	n, err := s.flush(b, 1)
+	s.batchPool.Put(b)
+	if n == 1 {
 		return true, nil
 	}
-	if ferr == nil {
-		ferr = errProbeDropped
+	if err == nil {
+		err = errProbeDropped
 	}
-	return false, ferr
+	return false, err
 }
 
 // collectLoop drains conn in batches (one recvmmsg per wakeup on
@@ -561,7 +487,7 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, 
 		// The next pass re-probes only silent, probeable targets.
 		var silent []netip.Addr
 		for _, a := range pending {
-			if !responded[a] && !s.Blocklist.Blocked(a) {
+			if !responded[a.Unmap()] && !s.Blocklist.Blocked(a) {
 				silent = append(silent, a)
 			}
 		}
@@ -616,9 +542,7 @@ func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Lim
 				break
 			}
 		}
-		m := &b.msgs[n]
-		s.patchProbe(m.Buf[:m.N], addr)
-		m.Addr = netip.AddrPortFrom(addr, s.port())
+		s.fill(&b.msgs[n], addr, &b.ids)
 		n++
 		if n == SendBatchSize {
 			flush()

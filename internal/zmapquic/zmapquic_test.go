@@ -360,11 +360,12 @@ func TestBlocklist(t *testing.T) {
 192.0.2.0/25
 198.51.100.7     # single host
 2001:db8:dead::/48
+::ffff:203.0.113.0/120
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bl.Len() != 3 {
+	if bl.Len() != 4 {
 		t.Fatalf("len = %d", bl.Len())
 	}
 	cases := []struct {
@@ -377,6 +378,12 @@ func TestBlocklist(t *testing.T) {
 		{"198.51.100.8", false},
 		{"2001:db8:dead::1", true},
 		{"2001:db8:beef::1", false},
+		// An IPv4 address and its IPv4-mapped form are one address, on
+		// either side of the comparison.
+		{"::ffff:192.0.2.5", true},
+		{"::ffff:192.0.2.200", false},
+		{"203.0.113.9", true},
+		{"::ffff:203.0.113.9", true},
 	}
 	for _, c := range cases {
 		if got := bl.Blocked(netip.MustParseAddr(c.addr)); got != c.blocked {

@@ -51,12 +51,14 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, pro
 # scan and the stateful pass share the CPUs, so how many there are
 # decides which stage waits for which, and the tables must not care.
 # The stateless scanner, the campaign engine and the benchmark are here
-# because SendProbe's flat combining, the response collector and the
-# list scan's yield after each batch only do their work when sender and
-# receiver share a P, or only when they do not: a list scan that never
-# yields passes on two cores and starves its collector and the
+# because the response collector and the senders' yield after each batch
+# (the list scan's, the engine's unit loop's) only do their work when
+# sender and receiver share a P, or only when they do not: a sender that
+# never yields passes on two cores and starves its collector and the
 # in-process responders on one. bench's dense ledger scan (40,000
-# answered probes, 20 ms cooldown) is the canary that caught it.
+# answered probes, 20 ms cooldown) is the canary that caught it. The
+# engine's per-batch publish of its probe counters rides on that yield,
+# so its exactness on every way out of Run is checked at each width too.
 go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe \
 	./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments \
 	./internal/zmapquic ./internal/campaign ./bench
