@@ -20,7 +20,6 @@ package quicscan
 
 import (
 	"bufio"
-	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
@@ -84,24 +83,9 @@ func benchH3ServerMain() error {
 		return err
 	}
 	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv := &h3.Server{Handler: func(*h3.Request) *h3.Response {
-					return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "bench"}}}
-				}}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go (&h3.Server{Handler: func(*h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "bench"}}}
+	}}).ServeListener(l)
 
 	hello := benchServerHello{
 		Addr:  pc.LocalAddr().String(),

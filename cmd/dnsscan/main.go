@@ -2,11 +2,13 @@
 // records (the MassDNS role in the paper's pipeline). HTTPS records
 // reveal QUIC endpoints — ALPN values plus ipv4hint/ipv6hint
 // addresses — with a single recursive query per name.
+//
+// Names are read one per line from -names. One line per answer goes to
+// stdout, in input order and while the scan runs; SIGINT or SIGTERM
+// ends it with the summary printed and a non-zero exit.
 package main
 
 import (
-	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -16,6 +18,7 @@ import (
 
 	"quicscan/internal/dnsclient"
 	"quicscan/internal/dnswire"
+	"quicscan/internal/listscan"
 )
 
 func main() {
@@ -49,62 +52,53 @@ func main() {
 	if err != nil {
 		fatal("resolving -server: %v", err)
 	}
-	list, err := readLines(*names)
+	list, err := listscan.ReadNames(*names)
 	if err != nil {
 		fatal("%v", err)
 	}
 
+	ctx := listscan.SignalContext()
+	out := listscan.NewStream(os.Stdout)
 	cl := &dnsclient.Client{Server: addr, Timeout: *timeout}
-	results := cl.ResolveBatch(context.Background(), list, t, *workers)
-
 	resolved, withRecords := 0, 0
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		resolved++
-		switch t {
-		case dnswire.TypeA, dnswire.TypeAAAA:
-			addrs := r.Addrs()
-			if len(addrs) > 0 {
-				withRecords++
-				fmt.Printf("%s\t%s\n", r.Name, strings.Join(addrs, ","))
+	cl.ResolveStream(ctx, list, t, *workers, func(results []dnsclient.Result) {
+		for i := range results {
+			r := &results[i]
+			if r.Err != nil {
+				continue
 			}
-		default:
-			for _, rr := range r.HTTPSRecords() {
-				withRecords++
-				var alpns, hints []string
-				for _, p := range rr.Params {
-					for _, a := range p.ALPN {
-						alpns = append(alpns, a)
-					}
-					for _, h := range p.Hints {
-						hints = append(hints, h.String())
-					}
+			resolved++
+			switch t {
+			case dnswire.TypeA, dnswire.TypeAAAA:
+				addrs := r.Addrs()
+				if len(addrs) > 0 {
+					withRecords++
+					fmt.Fprintf(out, "%s\t%s\n", r.Name, strings.Join(addrs, ","))
 				}
-				fmt.Printf("%s\tpriority=%d\talpn=%s\thints=%s\n",
-					r.Name, rr.Priority, strings.Join(alpns, ","), strings.Join(hints, ","))
+			default:
+				for _, rr := range r.HTTPSRecords() {
+					withRecords++
+					var alpns, hints []string
+					for _, p := range rr.Params {
+						for _, a := range p.ALPN {
+							alpns = append(alpns, a)
+						}
+						for _, h := range p.Hints {
+							hints = append(hints, h.String())
+						}
+					}
+					fmt.Fprintf(out, "%s\tpriority=%d\talpn=%s\thints=%s\n",
+						r.Name, rr.Priority, strings.Join(alpns, ","), strings.Join(hints, ","))
+				}
 			}
 		}
-	}
-	fmt.Fprintf(os.Stderr, "dnsscan: names=%d resolved=%d with-records=%d\n", len(list), resolved, withRecords)
-}
+		out.Flush()
+	})
 
-func readLines(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	fmt.Fprintf(os.Stderr, "dnsscan: names=%d resolved=%d with-records=%d\n", len(list), resolved, withRecords)
+	if err := out.Finish(ctx); err != nil {
+		fatal("%v", err)
 	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	return out, sc.Err()
 }
 
 func fatal(format string, args ...any) {

@@ -11,11 +11,16 @@
 //
 // The optional third field tags the discovery source, which the
 // analysis uses for per-source success rates. Results are emitted as
-// JSON lines on stdout or -output.
+// JSON lines on stdout or -output, in input order and while the scan
+// runs. SIGINT or SIGTERM stops it: no further target is dialled,
+// those never started are recorded with the context error, the summary
+// is printed and the exit is non-zero, as it is when a record cannot be
+// written. -fingerprint, -migration and -resumption replace the scan
+// with one classification pass over the same targets, same stream,
+// same stop.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -27,6 +32,7 @@ import (
 
 	"quicscan/internal/core"
 	"quicscan/internal/fingerprint"
+	"quicscan/internal/listscan"
 	"quicscan/internal/migration"
 	"quicscan/internal/probe"
 	"quicscan/internal/quic"
@@ -92,17 +98,25 @@ func main() {
 		}
 		targets = append(targets, core.Target{Addr: a, Port: uint16(*port), SNI: *sni})
 	case *targetsFile != "":
-		var err error
-		targets, err = readTargets(*targetsFile, uint16(*port))
+		list, err := listscan.ReadTargets(*targetsFile)
 		if err != nil {
 			fatal("%v", err)
+		}
+		for _, t := range list {
+			targets = append(targets, core.Target{Addr: t.Addr, Port: uint16(*port), SNI: t.SNI, Source: t.Source})
 		}
 	default:
 		fatal("one of -addr or -targets is required")
 	}
 
+	ctx := listscan.SignalContext()
+	out, err := listscan.Create(*output)
+	if err != nil {
+		fatal("%v", err)
+	}
+
 	if mode != "" && mode != "rescan" {
-		runMode(mode, targets, *workers, *output)
+		finish(ctx, out, runMode(ctx, mode, targets, *workers, out))
 		return
 	}
 
@@ -134,39 +148,31 @@ func main() {
 
 	if *rescan {
 		scanner.SessionCache = quic.NewSessionCache(0)
-	}
-	results := scanner.Scan(context.Background(), targets)
-	if *rescan {
-		// The first pass populated the cache; this pass resumes,
-		// replays NEW_TOKENs and rides the request in 0-RTT.
-		first := core.Summarize(results)
+		// This pass populates the cache; the one that is recorded
+		// resumes, replays NEW_TOKENs and rides the request in 0-RTT.
+		first := core.Summarize(scanner.Scan(ctx, targets))
 		fmt.Fprintf(os.Stderr, "qscanner: first pass %s\n", first)
-		results = scanner.Scan(context.Background(), targets)
 	}
-
-	out := os.Stdout
-	if *output != "" {
-		f, err := os.Create(*output)
-		if err != nil {
-			fatal("%v", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := core.WriteJSONL(out, results); err != nil {
-		fatal("writing results: %v", err)
-	}
-
-	sum := core.Summarize(results)
-	fmt.Fprintf(os.Stderr, "qscanner: %s\n", sum)
+	results := scanner.Stream(ctx, targets, listscan.Emit[core.Result](out))
+	finish(ctx, out, core.Summarize(results).String())
 }
 
-// runMode runs one behavioural scan mode in place of the scan and
-// emits one JSON verdict per target and line. Kernel UDP sockets
-// cannot rebind mid-connection, so outside the simulation -migration
-// verdicts degrade to the advertised transport parameter (tp-allows /
-// tp-disabled).
-func runMode(mode string, targets []core.Target, workers int, output string) {
+// finish ends a scan that streamed its records to out: the summary is
+// printed, and a stream that could not be written in full or a scan
+// stopped by a signal is a non-zero exit.
+func finish(ctx context.Context, out *listscan.Stream, summary string) {
+	fmt.Fprintf(os.Stderr, "qscanner: %s\n", summary)
+	if err := out.Finish(ctx); err != nil {
+		fatal("%v", err)
+	}
+}
+
+// runMode runs one behavioural scan mode in place of the scan, streams
+// one JSON verdict per target and line to out and returns the summary
+// line. Kernel UDP sockets cannot rebind mid-connection, so outside the
+// simulation -migration verdicts degrade to the advertised transport
+// parameter (tp-allows / tp-disabled).
+func runMode(ctx context.Context, mode string, targets []core.Target, workers int, out *listscan.Stream) string {
 	pts := make([]probe.Target, len(targets))
 	for i, t := range targets {
 		port := t.Port
@@ -175,73 +181,31 @@ func runMode(mode string, targets []core.Target, workers int, output string) {
 		}
 		pts[i] = probe.Target{Addr: netip.AddrPortFrom(t.Addr, port), SNI: t.SNI}
 	}
-	ctx := context.Background()
 	d := probe.Dialer{DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") }}
-	var (
-		err     error
-		summary string
-		counts  = make(map[string]int)
-	)
+	counts := make(map[string]int)
 	switch mode {
 	case "fingerprint":
-		results := probe.Run(ctx, workers, pts, (&fingerprint.Prober{Dialer: d}).Fingerprint)
-		err = probe.WriteNDJSON(output, results)
+		results := (&fingerprint.Prober{Dialer: d}).Scan(ctx, workers, pts, listscan.Emit[fingerprint.Result](out))
 		exact := 0
 		for _, r := range results {
 			if r.Verdict.Exact {
 				exact++
 			}
 		}
-		summary = fmt.Sprintf("fingerprinted %d targets, %d exact matches", len(results), exact)
+		return fmt.Sprintf("fingerprinted %d targets, %d exact matches", len(results), exact)
 	case "migration":
-		results := probe.Run(ctx, workers, pts, (&migration.Prober{Dialer: d}).Probe)
-		err = probe.WriteNDJSON(output, results)
+		results := (&migration.Prober{Dialer: d}).Scan(ctx, workers, pts, listscan.Emit[migration.Result](out))
 		for _, r := range results {
 			counts[r.Verdict]++
 		}
-		summary = fmt.Sprintf("migration-probed %d targets: %v", len(results), counts)
-	case "resumption":
-		results := probe.Run(ctx, workers, pts, (&resumption.Prober{Dialer: d}).Probe)
-		err = probe.WriteNDJSON(output, results)
+		return fmt.Sprintf("migration-probed %d targets: %v", len(results), counts)
+	default:
+		results := (&resumption.Prober{Dialer: d}).Scan(ctx, workers, pts, listscan.Emit[resumption.Result](out))
 		for _, r := range results {
 			counts[r.Verdict]++
 		}
-		summary = fmt.Sprintf("resumption-probed %d targets: %v", len(results), counts)
+		return fmt.Sprintf("resumption-probed %d targets: %v", len(results), counts)
 	}
-	if err != nil {
-		fatal("writing verdicts: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "qscanner: %s\n", summary)
-}
-
-func readTargets(path string, port uint16) ([]core.Target, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []core.Target
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		a, err := netip.ParseAddr(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", line, err)
-		}
-		t := core.Target{Addr: a, Port: port}
-		if len(parts) > 1 {
-			t.SNI = strings.TrimSpace(parts[1])
-		}
-		if len(parts) > 2 {
-			t.Source = strings.TrimSpace(parts[2])
-		}
-		out = append(out, t)
-	}
-	return out, sc.Err()
 }
 
 func fatal(format string, args ...any) {

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"crypto/tls"
 	"encoding/pem"
 	"flag"
@@ -133,24 +132,9 @@ func serveDeployment(ca *certgen.CA, d *internet.Deployment, port int, sni strin
 		return err
 	}
 	server := d.ServerHeader
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv := &h3.Server{Handler: func(*h3.Request) *h3.Response {
-					return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: server}}}
-				}}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go (&h3.Server{Handler: func(*h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: server}}}
+	}}).ServeListener(l)
 
 	// HTTPS/TCP with Alt-Svc.
 	tl, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))

@@ -2,19 +2,21 @@
 // Goscanner's role): it completes TLS handshakes, issues an HTTP/1.1
 // HEAD request and reports Alt-Svc headers — the second discovery
 // channel for QUIC deployments.
+//
+// Targets are a single -addr or a -targets file in qscanner's format.
+// One JSON line per target goes to stdout, in input order and while
+// the scan runs; SIGINT or SIGTERM, or a record that cannot be written,
+// ends it with the summary printed and a non-zero exit.
 package main
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/netip"
 	"os"
-	"strings"
 	"time"
 
+	"quicscan/internal/listscan"
 	"quicscan/internal/tlsscan"
 )
 
@@ -38,36 +40,22 @@ func main() {
 		}
 		targets = append(targets, tlsscan.Target{Addr: a, Port: uint16(*port), SNI: *sni})
 	case *targetsFile != "":
-		f, err := os.Open(*targetsFile)
+		list, err := listscan.ReadTargets(*targetsFile)
 		if err != nil {
 			fatal("%v", err)
 		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			parts := strings.Split(line, ",")
-			a, err := netip.ParseAddr(strings.TrimSpace(parts[0]))
-			if err != nil {
-				fatal("line %q: %v", line, err)
-			}
-			t := tlsscan.Target{Addr: a, Port: uint16(*port)}
-			if len(parts) > 1 {
-				t.SNI = strings.TrimSpace(parts[1])
-			}
-			targets = append(targets, t)
+		for _, t := range list {
+			targets = append(targets, tlsscan.Target{Addr: t.Addr, Port: uint16(*port), SNI: t.SNI})
 		}
-		f.Close()
 	default:
 		fatal("one of -addr or -targets is required")
 	}
 
+	ctx := listscan.SignalContext()
+	out := listscan.NewStream(os.Stdout)
 	scanner := &tlsscan.Scanner{Timeout: *timeout, Workers: *workers}
-	results := scanner.Scan(context.Background(), targets)
+	results := scanner.Stream(ctx, targets, listscan.Emit[tlsscan.Result](out))
 
-	enc := json.NewEncoder(os.Stdout)
 	ok, quicCapable := 0, 0
 	for i := range results {
 		if results[i].OK {
@@ -76,9 +64,11 @@ func main() {
 		if len(results[i].QUICALPNs) > 0 {
 			quicCapable++
 		}
-		enc.Encode(&results[i])
 	}
 	fmt.Fprintf(os.Stderr, "tlsscan: targets=%d ok=%d quic-capable=%d\n", len(targets), ok, quicCapable)
+	if err := out.Finish(ctx); err != nil {
+		fatal("%v", err)
+	}
 }
 
 func fatal(format string, args ...any) {

@@ -15,7 +15,8 @@
 //	zmapquic -prefixes 192.0.2.0/24,198.51.100.0/24 -rate 15000 \
 //	    -shards 8 -checkpoint sweep.ckpt -output sweep.ndjson -journal -resume
 //
-// Hitlist scans are a paced loop over the list:
+// Hitlist scans are a paced loop over the list, a file in qscanner's
+// -targets format of which only the addresses are used:
 //
 //	zmapquic -hitlist v6addrs.txt
 //
@@ -26,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -35,19 +35,14 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"quicscan/internal/campaign"
-	"quicscan/internal/fingerprint"
-	"quicscan/internal/migration"
+	"quicscan/internal/listscan"
 	"quicscan/internal/netbatch"
 	"quicscan/internal/pcap"
-	"quicscan/internal/probe"
-	"quicscan/internal/resumption"
 	"quicscan/internal/telemetry"
 	"quicscan/internal/zmapquic"
 )
@@ -64,9 +59,6 @@ func main() {
 		blockfile = flag.String("blocklist", "", "file with excluded prefixes, one per line")
 		pcapFile  = flag.String("pcap", "", "write raw probe/response traffic to a pcap file")
 		retries   = flag.Int("retries", 0, "extra passes over silent targets (-hitlist only)")
-		fprint    = flag.Bool("fingerprint", false, "run the behavioral fingerprint scenario suite per target and emit verdicts (-hitlist only)")
-		migrate   = flag.Bool("migration", false, "classify connection-migration support per target and emit verdicts (-hitlist only)")
-		resuScan  = flag.Bool("resumption", false, "classify the handshake fast path (tickets, 0-RTT, NEW_TOKEN) per target and emit verdicts (-hitlist only)")
 		metrics   = flag.String("metrics-addr", "", "serve Prometheus /metrics, JSON /metricz and pprof on this address")
 
 		shards     = flag.Int("shards", 1, "total shard count of the campaign (-prefixes only)")
@@ -80,25 +72,6 @@ func main() {
 		recvSocks  = flag.Int("recv-sockets", 1, "SO_REUSEPORT-sharded receive sockets, one collector each (-prefixes only; Linux)")
 	)
 	flag.Parse()
-
-	// The modes replace the hitlist scan rather than stack on it, and a
-	// prefix sweep has no per-target pass to replace.
-	mode := ""
-	for _, m := range []struct {
-		name string
-		set  bool
-	}{{"fingerprint", *fprint}, {"migration", *migrate}, {"resumption", *resuScan}} {
-		if !m.set {
-			continue
-		}
-		if mode != "" {
-			fatal("-%s and -%s are mutually exclusive (at most one of -fingerprint, -migration, -resumption)", mode, m.name)
-		}
-		mode = m.name
-	}
-	if mode != "" && (*hitlist == "" || *prefixes != "") {
-		fatal("-%s applies to -hitlist scans only", mode)
-	}
 
 	if *metrics != "" {
 		srv, ln, err := telemetry.Default().Serve(*metrics)
@@ -165,11 +138,7 @@ func main() {
 		}
 	}
 
-	// The first signal is the graceful stop; default handling is back
-	// as soon as it has arrived, so that a second one kills.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	context.AfterFunc(ctx, stopSignals)
+	ctx := listscan.SignalContext()
 	scanStart := time.Now()
 	var scanErr error
 
@@ -191,24 +160,28 @@ func main() {
 		})
 	case *hitlist != "":
 		scanner.Rate = *rate
-		addrs, rerr := readAddrs(*hitlist)
+		targets, rerr := listscan.ReadTargets(*hitlist)
 		if rerr != nil {
 			fatal("%v", rerr)
 		}
-		if mode != "" {
-			runMode(ctx, mode, addrs, uint16(*port))
-			break
+		addrs := make([]netip.Addr, len(targets))
+		for i, t := range targets {
+			addrs[i] = t.Addr
 		}
 		results, _, err := scanner.ScanAddrs(ctx, addrs)
 		if err != nil {
 			scanErr = fmt.Errorf("scan: %w", err)
 		}
+		out := listscan.NewStream(os.Stdout)
 		for _, r := range results {
 			names := make([]string, len(r.Versions))
 			for i, v := range r.Versions {
 				names[i] = v.String()
 			}
-			fmt.Printf("%s\t%s\n", r.Addr, strings.Join(names, ","))
+			fmt.Fprintf(out, "%s\t%s\n", r.Addr, strings.Join(names, ","))
+		}
+		if err := out.Close(); err != nil && scanErr == nil {
+			scanErr = fmt.Errorf("writing records: %w", err)
 		}
 	default:
 		fatal("one of -prefixes or -hitlist is required")
@@ -217,33 +190,6 @@ func main() {
 	printSummary(scanStart)
 	if scanErr != nil {
 		fatal("%v", scanErr)
-	}
-}
-
-// runMode runs one behavioural scan mode against every hitlist address
-// and prints one JSON verdict per line. Kernel UDP sockets cannot
-// rebind mid-connection, so real-Internet -migration verdicts degrade
-// to the advertised transport parameter (tp-allows / tp-disabled); the
-// full behavioral classes come from rebind-capable sockets (the
-// simulation harness).
-func runMode(ctx context.Context, mode string, addrs []netip.Addr, port uint16) {
-	targets := make([]probe.Target, len(addrs))
-	for i, a := range addrs {
-		targets[i] = probe.Target{Addr: netip.AddrPortFrom(a, port)}
-	}
-	d := probe.Dialer{DialPacket: func() (net.PacketConn, error) { return net.ListenPacket("udp", ":0") }}
-	const workers = 32
-	var err error
-	switch mode {
-	case "fingerprint":
-		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&fingerprint.Prober{Dialer: d}).Fingerprint))
-	case "migration":
-		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&migration.Prober{Dialer: d}).Probe))
-	case "resumption":
-		err = probe.WriteNDJSON("", probe.Run(ctx, workers, targets, (&resumption.Prober{Dialer: d}).Probe))
-	}
-	if err != nil {
-		fatal("writing verdicts: %v", err)
 	}
 }
 
@@ -424,28 +370,6 @@ func printSummary(scanStart time.Time) {
 		snap.Counters["zmapquic_invalid_responses_total"], snap.Counters["zmapquic_blocked_total"])
 	fmt.Fprintf(os.Stderr, "zmapquic: %.0f probes/sec, %.1f bytes/probe over %s\n",
 		probesPerSec, bytesPerProbe, elapsed.Round(time.Millisecond))
-}
-
-func readAddrs(path string) ([]netip.Addr, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []netip.Addr
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		a, err := netip.ParseAddr(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %q: %w", line, err)
-		}
-		out = append(out, a)
-	}
-	return out, sc.Err()
 }
 
 func fatal(format string, args ...any) {

@@ -114,21 +114,7 @@ func (w *World) addServer(addr netip.Addr, cert tls.Certificate, params transpor
 	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
 		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "chaos/1.0"}}}
 	}}
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go srv.ServeListener(l)
 	return nil
 }
 

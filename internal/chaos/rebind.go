@@ -5,10 +5,10 @@ import (
 	"crypto/tls"
 	"net"
 	"net/netip"
-	"sync"
 	"time"
 
 	"quicscan/internal/h3"
+	"quicscan/internal/listscan"
 	"quicscan/internal/quic"
 )
 
@@ -68,50 +68,34 @@ func (w *World) RebindRun(ctx context.Context, rc RebindConfig) RebindReport {
 	if workers <= 0 {
 		workers = 16
 	}
-	attempts := rc.Attempts
-	if attempts <= 0 {
-		attempts = 1
-	}
+	type flow struct{ completed, midHandshake, rejected, retried bool }
+	flows := listscan.Run(ctx, workers, rc.Flows, func(_, i int) flow {
+		f := flow{midHandshake: i%2 == 0 && !rc.Force}
+		attempt := 0
+		for ; attempt < max(rc.Attempts, 1); attempt++ {
+			if f.completed, f.rejected = w.rebindFlow(ctx, rc, i, f.midHandshake); f.completed {
+				break
+			}
+		}
+		f.retried = attempt > 0
+		return f
+	}, func(int, error) flow { return flow{} }, nil)
 
-	var (
-		mu  sync.Mutex
-		rep RebindReport
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, workers)
-	)
-	rep.Flows = rc.Flows
-	for i := 0; i < rc.Flows; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			midHandshake := i%2 == 0 && !rc.Force
-			var ok, rejected bool
-			attempt := 0
-			for ; attempt < attempts; attempt++ {
-				ok, rejected = w.rebindFlow(ctx, rc, i, midHandshake)
-				if ok {
-					break
-				}
-			}
-			mu.Lock()
-			if ok {
-				rep.Completions++
-			}
-			if midHandshake {
-				rep.HandshakeRebinds++
-			}
-			if rejected {
-				rep.ForcedRejected++
-			}
-			if attempt > 0 {
-				rep.Retried++
-			}
-			mu.Unlock()
-		}(i)
+	rep := RebindReport{Flows: rc.Flows}
+	for _, f := range flows {
+		if f.completed {
+			rep.Completions++
+		}
+		if f.midHandshake {
+			rep.HandshakeRebinds++
+		}
+		if f.rejected {
+			rep.ForcedRejected++
+		}
+		if f.retried {
+			rep.Retried++
+		}
 	}
-	wg.Wait()
 	return rep
 }
 

@@ -63,19 +63,7 @@ func TestScanTargetAllocationBudget(t *testing.T) {
 	}
 	defer l.Close()
 	srv := &h3.Server{Handler: func(*h3.Request) *h3.Response { return &h3.Response{Status: "200"} }}
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func() {
-				if conn.HandshakeComplete(context.Background()) == nil {
-					srv.Serve(context.Background(), conn)
-				}
-			}()
-		}
-	}()
+	go srv.ServeListener(l)
 	s := &Scanner{
 		DialPacket: func() (net.PacketConn, error) { return sim.DialUDP() },
 		RootCAs:    pool,

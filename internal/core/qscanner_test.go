@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -9,15 +8,19 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/json"
 	"math/big"
 	"net"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"quicscan/internal/certgen"
 	"quicscan/internal/h3"
+	"quicscan/internal/listscan"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
@@ -72,21 +75,7 @@ func (w *testWorld) addServer(t *testing.T, addr string, params transportparams.
 	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
 		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: serverHeader}}}
 	}}
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go srv.ServeListener(l)
 	return ap.Addr()
 }
 
@@ -237,18 +226,23 @@ func TestJSONLRoundTrip(t *testing.T) {
 	s := newScanner(t, w)
 	results := s.Scan(context.Background(), []Target{{Addr: addr, SNI: "j.example", Source: "https-rr"}})
 
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSONL(&buf)
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	out, err := listscan.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 1 {
-		t.Fatalf("decoded %d results", len(back))
+	listscan.Emit[Result](out)(results)
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
 	}
-	r := back[0]
+	line, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Result
+	if err := json.Unmarshal(line, &r); err != nil {
+		t.Fatalf("decoding %q: %v", line, err)
+	}
 	if r.Outcome != OutcomeSuccess || r.Target.SNI != "j.example" || r.Target.Source != "https-rr" {
 		t.Errorf("decoded = %+v", r)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"quicscan/internal/dnswire"
+	"quicscan/internal/listscan"
 	"quicscan/internal/telemetry"
 )
 
@@ -227,41 +228,31 @@ type Result struct {
 // ErrNXDomain marks names that do not exist.
 var ErrNXDomain = errors.New("dnsclient: NXDOMAIN")
 
-// ResolveBatch resolves every (name, type) pair using a worker pool,
-// preserving input order in the result slice.
+// ResolveBatch resolves every name for qtype on workers goroutines
+// (default 64), each with one leased socket, and returns the results in
+// input order.
 func (c *Client) ResolveBatch(ctx context.Context, names []string, qtype uint16, workers int) []Result {
+	return c.ResolveStream(ctx, names, qtype, workers, nil)
+}
+
+// ResolveStream is ResolveBatch with the results also handed to emit,
+// in input order and while later names are still in flight
+// (listscan.Run's contract). A name not yet started when ctx ends is
+// not queried: its result carries the context error.
+func (c *Client) ResolveStream(ctx context.Context, names []string, qtype uint16, workers int, emit func([]Result)) []Result {
 	if workers <= 0 {
-		workers = 64
+		workers = listscan.DefaultWorkers
 	}
-	results := make([]Result, len(names))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s socket
-			defer s.close()
-			for i := range work {
-				results[i] = c.resolveOne(ctx, &s, names[i], qtype)
-			}
-		}()
-	}
-	for i := range names {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			for j := i; j < len(names); j++ {
-				results[j] = Result{Name: names[j], Type: qtype, Err: ctx.Err()}
-			}
-			close(work)
-			wg.Wait()
-			return results
+	socks := make([]socket, workers)
+	defer func() {
+		for i := range socks {
+			socks[i].close()
 		}
-	}
-	close(work)
-	wg.Wait()
-	return results
+	}()
+	return listscan.Run(ctx, workers, len(names),
+		func(w, i int) Result { return c.resolveOne(ctx, &socks[w], names[i], qtype) },
+		func(i int, err error) Result { return Result{Name: names[i], Type: qtype, Err: err} },
+		emit)
 }
 
 func (c *Client) resolveOne(ctx context.Context, s *socket, name string, qtype uint16) Result {

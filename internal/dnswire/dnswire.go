@@ -30,20 +30,16 @@ const ClassINET uint16 = 1
 // Response codes.
 const (
 	RCodeSuccess  uint8 = 0
-	RCodeFormErr  uint8 = 1
 	RCodeServFail uint8 = 2
 	RCodeNXDomain uint8 = 3
-	RCodeNotImp   uint8 = 4
 	RCodeRefused  uint8 = 5
 )
 
 // SvcParam keys (RFC 9460, Section 14.3.2).
 const (
 	SvcParamALPN     uint16 = 1
-	SvcParamNoALPN   uint16 = 2
 	SvcParamPort     uint16 = 3
 	SvcParamIPv4Hint uint16 = 4
-	SvcParamECH      uint16 = 5
 	SvcParamIPv6Hint uint16 = 6
 )
 

@@ -120,15 +120,15 @@ func (r *Report) runModes(u *internet.Universe, opts Options) {
 	}
 	if opts.Fingerprint {
 		p := &fingerprint.Prober{Dialer: d, ProbeWait: 600 * time.Millisecond, PingWait: 2 * time.Second}
-		r.FingerprintConfusion = confuseFingerprint(deps, probe.Run(ctx, workers, targets, p.Fingerprint))
+		r.FingerprintConfusion = confuseFingerprint(deps, p.Scan(ctx, workers, targets, nil))
 	}
 	if opts.Migration {
 		p := &migration.Prober{Dialer: d, MigrateWait: 4 * time.Second}
-		r.MigrationTable = tabulateMigration(deps, probe.Run(ctx, workers, targets, p.Probe))
+		r.MigrationTable = tabulateMigration(deps, p.Scan(ctx, workers, targets, nil))
 	}
 	if opts.Resumption {
 		p := &resumption.Prober{Dialer: d, TicketWait: 4 * time.Second}
-		r.ResumptionTable = tabulateResumption(deps, probe.Run(ctx, workers, targets, p.Probe))
+		r.ResumptionTable = tabulateResumption(deps, p.Scan(ctx, workers, targets, nil))
 	}
 }
 

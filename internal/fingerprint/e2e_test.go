@@ -64,7 +64,7 @@ func TestE2EClassification(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := probe.Run(ctx, 8, targets, p.Fingerprint)
+	results := p.Scan(ctx, 8, targets, nil)
 
 	cm := fingerprint.NewConfusionMatrix()
 	for i, r := range results {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"quicscan/internal/listscan"
 	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
@@ -141,6 +142,18 @@ func (p *Prober) Fingerprint(ctx context.Context, t probe.Target) Result {
 		mExact.Inc()
 	}
 	return Result{Target: t, Matrix: m, Verdict: v}
+}
+
+// Scan classifies every target through listscan.Run: at most workers
+// at a time, results in input order, emit (when non-nil) fed while the
+// scan runs. A target not yet started when ctx ends is not dialled: it
+// is classified through a Dialer that refuses with the context error.
+func (p *Prober) Scan(ctx context.Context, workers int, targets []probe.Target, emit func([]Result)) []Result {
+	return listscan.Run(ctx, workers, len(targets),
+		func(_, i int) Result { return p.Fingerprint(ctx, targets[i]) },
+		func(i int, err error) Result {
+			return (&Prober{Dialer: p.Refusing(err)}).Fingerprint(ctx, targets[i])
+		}, emit)
 }
 
 // buildRawProbe assembles a ZMap-style forced-VN Initial at

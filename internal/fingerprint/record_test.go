@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"quicscan/internal/fingerprint"
+	"quicscan/internal/listscan"
 	"quicscan/internal/probe"
 )
 
@@ -38,7 +39,12 @@ func TestRecordGolden(t *testing.T) {
 {"addr":"127.0.0.1","matrix":"vn=vn-grease|pad=silent|retry=silent|reset=reset|ku=silent|tp=close-0x128|idle=silent","verdict":"unknown","distance":3,"exact":false}
 `
 	path := filepath.Join(t.TempDir(), "out.ndjson")
-	if err := probe.WriteNDJSON(path, results); err != nil {
+	out, err := listscan.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listscan.Emit[fingerprint.Result](out)(results)
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

@@ -48,21 +48,7 @@ func TestEndToEndOverQUIC(t *testing.T) {
 			Body:    []byte("<html>hi</html>"),
 		}
 	}}
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go srv.ServeListener(l)
 
 	cpc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -10,19 +10,14 @@ import (
 
 // HTTP/3 frame types (RFC 9114, Section 7.2).
 const (
-	FrameData        uint64 = 0x00
-	FrameHeaders     uint64 = 0x01
-	FrameCancelPush  uint64 = 0x03
-	FrameSettings    uint64 = 0x04
-	FramePushPromise uint64 = 0x05
-	FrameGoAway      uint64 = 0x07
-	FrameMaxPushID   uint64 = 0x0d
+	FrameData     uint64 = 0x00
+	FrameHeaders  uint64 = 0x01
+	FrameSettings uint64 = 0x04
 )
 
 // Unidirectional stream types (RFC 9114, Section 6.2).
 const (
 	StreamTypeControl      uint64 = 0x00
-	StreamTypePush         uint64 = 0x01
 	StreamTypeQPACKEncoder uint64 = 0x02
 	StreamTypeQPACKDecoder uint64 = 0x03
 )

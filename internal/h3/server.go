@@ -75,6 +75,24 @@ func (srv *Server) Serve(ctx context.Context, conn *quic.Conn) error {
 	}
 }
 
+// ServeListener accepts connections from l until it is closed and
+// runs Serve on each, on a goroutine of its own, once its handshake has
+// completed. It blocks: a server runs it on one goroutine per listener.
+func (srv *Server) ServeListener(l *quic.Listener) {
+	ctx := context.Background()
+	for {
+		conn, err := l.Accept(ctx)
+		if err != nil {
+			return
+		}
+		go func() {
+			if conn.HandshakeComplete(ctx) == nil {
+				srv.Serve(ctx, conn)
+			}
+		}()
+	}
+}
+
 // consumeUniStream drains a peer control/QPACK stream.
 func (srv *Server) consumeUniStream(ctx context.Context, s *quic.Stream) {
 	// The content (SETTINGS etc.) requires no action with an

@@ -405,10 +405,6 @@ func vIETF(int) []quicwire.Version {
 	return []quicwire.Version{quicwire.VersionDraft29, quicwire.VersionDraft28, quicwire.VersionDraft27}
 }
 
-func vLegacyGoogleOnly(int) []quicwire.Version {
-	return []quicwire.Version{quicwire.VersionGoogleQ050, quicwire.VersionGoogleQ046, quicwire.VersionGoogleQ043}
-}
-
 func aCloudflare(int) []string { return []string{"h3-27", "h3-28", "h3-29"} }
 
 func aGoogle(week int) []string {

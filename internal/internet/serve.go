@@ -1,7 +1,6 @@
 package internet
 
 import (
-	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
@@ -240,23 +239,7 @@ func (u *Universe) startQUICServer(d *Deployment) error {
 	}
 	u.servers.quicLs = append(u.servers.quicLs, l)
 
-	handler := u.h3HandlerFor(d)
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *quic.Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				srv := &h3.Server{Handler: handler}
-				srv.Serve(ctx, conn)
-			}(conn)
-		}
-	}()
+	go (&h3.Server{Handler: u.h3HandlerFor(d)}).ServeListener(l)
 	return nil
 }
 
@@ -422,24 +405,4 @@ func (u *Universe) syntheticQUIC(dst netip.AddrPort, payload []byte) [][]byte {
 		// start): drop, which the scanner reports as timeout.
 		return nil
 	}
-}
-
-// WebServerHeaderFor exposes the Server header a deployment reports,
-// used by analysis tests.
-func (u *Universe) WebServerHeaderFor(addr netip.Addr) string {
-	if d := u.ByAddr[addr]; d != nil {
-		return d.ServerHeader
-	}
-	return ""
-}
-
-// DomainsOf lists a provider's domains (analysis helper).
-func (u *Universe) DomainsOf(provider string) []string {
-	var out []string
-	for _, dom := range u.Domains {
-		if dom.Provider == provider {
-			out = append(out, dom.Name)
-		}
-	}
-	return out
 }

@@ -58,7 +58,7 @@ func TestE2EClassification(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := probe.Run(ctx, 8, targets, p.Probe)
+	results := p.Scan(ctx, 8, targets, nil)
 
 	for i, r := range results {
 		want := truth[i].String()

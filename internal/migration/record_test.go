@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"quicscan/internal/listscan"
 	"quicscan/internal/migration"
 	"quicscan/internal/probe"
 )
@@ -41,7 +42,12 @@ func TestRecordGolden(t *testing.T) {
 {"addr":"2001:db8::1","verdict":"validate-break","tp_disabled":false,"challenges":2,"honest":false}
 `
 	path := filepath.Join(t.TempDir(), "out.ndjson")
-	if err := probe.WriteNDJSON(path, results); err != nil {
+	out, err := listscan.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listscan.Emit[migration.Result](out)(results)
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

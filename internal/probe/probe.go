@@ -1,21 +1,16 @@
-// Package probe is the engine under the behavioural scan modes
-// (internal/fingerprint, internal/migration, internal/resumption). It
-// owns what they share — the target type, the dialer with its TLS and
-// quic.Config defaults, the order-preserving worker pool, the
-// per-mode target and verdict counters, and the NDJSON verdict
-// stream — so that a mode is only its scenario function, its verdict
-// names and its result type.
+// Package probe is what the behavioural scan modes
+// (internal/fingerprint, internal/migration, internal/resumption)
+// share beyond the list-scan path of internal/listscan: the target
+// type, the dialer with its TLS and quic.Config defaults, and the
+// per-mode target and verdict counters — so that a mode is only its
+// scenario function, its verdict names and its result type.
 package probe
 
 import (
-	"bufio"
 	"context"
 	"crypto/tls"
-	"encoding/json"
 	"net"
 	"net/netip"
-	"os"
-	"sync"
 	"time"
 
 	"quicscan/internal/quic"
@@ -115,6 +110,15 @@ func (d Dialer) Config(m *Mode, t Target) *quic.Config {
 	}
 }
 
+// Refusing returns a copy of d that opens no socket: every dial fails
+// with err. A mode classifies the targets a cancelled scan never
+// started through it, so their records are the mode's own for a target
+// it could not reach, and name the context error.
+func (d Dialer) Refusing(err error) Dialer {
+	d.DialPacket = func() (net.PacketConn, error) { return nil, err }
+	return d
+}
+
 // Dial opens a fresh socket and completes one handshake with t. The
 // socket is returned for scenarios that act on it (a rebind); it
 // belongs to the connection and closes with it, also when Dial fails.
@@ -127,60 +131,4 @@ func (d Dialer) Dial(ctx context.Context, t Target, cfg *quic.Config) (*quic.Con
 	defer cancel()
 	conn, err := quic.Dial(dctx, pc, net.UDPAddrFromAddrPort(t.Addr), cfg)
 	return conn, pc, err
-}
-
-// Run classifies every target with fn on at most workers goroutines
-// (default 8) and returns the results in input order. fn is called
-// for every target even after ctx is cancelled, so every slot holds a
-// real result; a cancelled ctx makes fn itself return promptly.
-func Run[R any](ctx context.Context, workers int, targets []Target, fn func(context.Context, Target) R) []R {
-	if workers <= 0 {
-		workers = 8
-	}
-	out := make([]R, len(targets))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = fn(ctx, t)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// WriteNDJSON writes one JSON line per record to the file at path, or
-// to standard output when path is empty. Every failure — create,
-// encode, flush, close — is returned: a short verdict stream must not
-// look like a finished scan.
-func WriteNDJSON[R any](path string, records []R) error {
-	out := os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		out = f
-	}
-	w := bufio.NewWriter(out)
-	enc := json.NewEncoder(w)
-	var err error
-	for _, r := range records {
-		if err = enc.Encode(r); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if path != "" {
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"quicscan/internal/fingerprint"
+	"quicscan/internal/listscan"
 	"quicscan/internal/migration"
 	"quicscan/internal/probe"
 	"quicscan/internal/resumption"
@@ -31,8 +29,9 @@ func makeTargets(n int) []probe.Target {
 	return out
 }
 
-// TestRun holds every callback open until the pool has admitted as
-// many as it will, so the in-flight peak is observed, not raced.
+// TestRun drives a mode through the list-scan pool. Its socket factory
+// holds every dial open until the pool has admitted as many targets as
+// it will, so the in-flight peak is observed, not raced.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		name                       string
@@ -41,7 +40,7 @@ func TestRun(t *testing.T) {
 		{"fewer workers than targets", 3, 10, 3},
 		{"more workers than targets", 16, 5, 5},
 		{"one worker", 1, 4, 1},
-		{"default workers", 0, 20, 8},
+		{"default workers", 0, listscan.DefaultWorkers + 6, listscan.DefaultWorkers},
 		{"no targets", 4, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,28 +48,27 @@ func TestRun(t *testing.T) {
 			var inFlight, peak atomic.Int32
 			started := make(chan struct{}, tc.targets)
 			release := make(chan struct{})
-			done := make(chan []netip.AddrPort, 1)
-			go func() {
-				done <- probe.Run(context.Background(), tc.workers, targets, func(_ context.Context, t probe.Target) netip.AddrPort {
-					n := inFlight.Add(1)
-					for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-					}
-					started <- struct{}{}
-					<-release
-					inFlight.Add(-1)
-					return t.Addr
-				})
-			}()
+			p := &migration.Prober{Dialer: probe.Dialer{DialPacket: func() (net.PacketConn, error) {
+				n := inFlight.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				started <- struct{}{}
+				<-release
+				inFlight.Add(-1)
+				return nil, errors.New("held")
+			}}}
+			done := make(chan []migration.Result, 1)
+			go func() { done <- p.Scan(context.Background(), tc.workers, targets, nil) }()
 			for i := 0; i < tc.wantPeak; i++ {
 				select {
 				case <-started:
 				case <-time.After(5 * time.Second):
-					t.Fatalf("only %d of %d callbacks started", i, tc.wantPeak)
+					t.Fatalf("only %d of %d dials started", i, tc.wantPeak)
 				}
 			}
 			select {
 			case <-started:
-				t.Errorf("more than %d callbacks in flight", tc.wantPeak)
+				t.Errorf("more than %d targets in flight", tc.wantPeak)
 			case <-time.After(50 * time.Millisecond):
 			}
 			close(release)
@@ -79,8 +77,8 @@ func TestRun(t *testing.T) {
 				t.Fatalf("%d results for %d targets", len(got), len(targets))
 			}
 			for i := range targets {
-				if got[i] != targets[i].Addr {
-					t.Errorf("slot %d holds %s, want %s", i, got[i], targets[i].Addr)
+				if got[i].Target != targets[i] {
+					t.Errorf("slot %d holds %v, want %v", i, got[i].Target, targets[i])
 				}
 			}
 			if p := int(peak.Load()); p != tc.wantPeak {
@@ -90,9 +88,10 @@ func TestRun(t *testing.T) {
 	}
 }
 
-// TestRunCancelled drives a real mode through a cancelled context
+// TestRunCancelled cancels a real mode with two targets in flight
 // against a socket that never answers: every slot must still hold a
-// verdict, and none may have waited out its handshake timeout.
+// verdict, neither open target may wait out its handshake timeout, and
+// no later target may be dialled.
 func TestRunCancelled(t *testing.T) {
 	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -101,18 +100,27 @@ func TestRunCancelled(t *testing.T) {
 	defer sink.Close()
 	targets := make([]probe.Target, 16)
 	for i := range targets {
-		targets[i] = probe.Target{Addr: netip.MustParseAddrPort(sink.LocalAddr().String())}
+		targets[i] = probe.Target{Addr: netip.MustParseAddrPort(sink.LocalAddr().String()), SNI: fmt.Sprintf("t%d.test", i)}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var dials atomic.Int32
 	p := &migration.Prober{Dialer: probe.Dialer{
-		DialPacket:       func() (net.PacketConn, error) { return net.ListenPacket("udp", "127.0.0.1:0") },
+		DialPacket: func() (net.PacketConn, error) {
+			if dials.Add(1) == 2 {
+				cancel()
+			}
+			return net.ListenPacket("udp", "127.0.0.1:0")
+		},
 		HandshakeTimeout: 5 * time.Second,
 	}}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	start := time.Now()
-	results := probe.Run(ctx, 2, targets, p.Probe)
+	results := p.Scan(ctx, 2, targets, nil)
 	if d := time.Since(start); d > 4*time.Second {
-		t.Errorf("cancelled run took %s; callbacks waited out the handshake timeout", d)
+		t.Errorf("cancelled run took %s; the open targets waited out the handshake timeout", d)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("%d sockets opened, want 2: targets were dialled after the cancel", n)
 	}
 	for i, r := range results {
 		if r.Verdict != probe.VerdictUnreachable || r.Err == "" || r.Target != targets[i] {
@@ -197,38 +205,5 @@ func TestSettle(t *testing.T) {
 		if got := after[series] - before[series]; got != want {
 			t.Errorf("%s grew by %d over three targets, want %d", series, got, want)
 		}
-	}
-}
-
-func TestWriteNDJSON(t *testing.T) {
-	type rec struct {
-		N int    `json:"n"`
-		S string `json:"s,omitempty"`
-	}
-	records := []rec{{1, "a"}, {2, ""}}
-
-	path := filepath.Join(t.TempDir(), "out.ndjson")
-	if err := probe.WriteNDJSON(path, records); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "{\"n\":1,\"s\":\"a\"}\n{\"n\":2}\n"; string(got) != want {
-		t.Errorf("wrote %q, want %q", got, want)
-	}
-
-	// A stream that cannot be written in full is an error naming the
-	// path, never a short file and a nil.
-	if err := probe.WriteNDJSON(filepath.Join(t.TempDir(), "missing", "out.ndjson"), records); err == nil {
-		t.Error("unopenable path: no error")
-	}
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full on this platform")
-	}
-	err = probe.WriteNDJSON("/dev/full", records)
-	if err == nil || !strings.Contains(err.Error(), "/dev/full") {
-		t.Errorf("full device: err = %v, want one naming /dev/full", err)
 	}
 }

@@ -218,7 +218,6 @@ func TestFrameStorageNotRetained(t *testing.T) {
 		{"StatelessResetEndToEnd", TestStatelessResetEndToEnd},
 		{"PathValidationPromotesReboundClient", TestPathValidationPromotesReboundClient},
 		{"MigrateRotatesActivePath", TestMigrateRotatesActivePath},
-		{"FollowPreferredAddress", TestFollowPreferredAddress},
 		{"CIDChurn", TestCIDChurn},
 		{"CloseWithErrorPropagates", TestCloseWithErrorPropagates},
 	} {

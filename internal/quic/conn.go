@@ -143,11 +143,9 @@ type Conn struct {
 	migrChallengePending bool
 	migrValidated        bool
 
-	// Connection IDs this endpoint issued (sequence 0 is scid;
-	// sequence 1 the preferred-address CID when offered).
+	// Connection IDs this endpoint issued (sequence 0 is scid).
 	localCIDs       []localConnID
 	nextLocalCIDSeq uint64
-	prefAddrCID     quicwire.ConnID
 
 	// registerCID/unregisterCID hook alternate local connection IDs
 	// into the owning demultiplexer's routing table; onPathChange
@@ -222,10 +220,10 @@ type Conn struct {
 	// register/retire do not re-stringify the remote address and
 	// source ID (remoteKey stays empty on server connections, which
 	// have no address route). altKeys are the other routed IDs: those
-	// issued via NEW_CONNECTION_ID, the preferred-address ID and, on a
-	// server, the client's original destination ID. It starts out backed
-	// by altArr so the usual handful costs no allocation. All are
-	// touched only by routeTable methods, with mu held.
+	// issued via NEW_CONNECTION_ID and, on a server, the client's
+	// original destination ID. It starts out backed by altArr so the
+	// usual handful costs no allocation. All are touched only by
+	// routeTable methods, with mu held.
 	remoteKey string
 	scidKey   string
 	altKeys   []string
@@ -1489,14 +1487,6 @@ func (c *Conn) SessionTicketReceived() <-chan struct{} {
 		}
 	}
 	return c.ticketCh
-}
-
-// RetryToken returns the address validation token received in a Retry
-// packet, if any.
-func (c *Conn) RetryToken() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.retryToken...)
 }
 
 // Ping sends a PING frame and blocks until it (and everything else in

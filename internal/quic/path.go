@@ -17,10 +17,9 @@ import (
 // pair traffic currently flows on — plus up to maxPaths alternates in
 // various states of validation. Servers react to a peer address change
 // by validating the new path with PATH_CHALLENGE before redirecting
-// traffic to it; clients change paths only deliberately, via Migrate
-// or FollowPreferredAddress, because a server's packets may
-// legitimately arrive from addresses the client never sent to (a
-// preferred-address socket, a load balancer's egress).
+// traffic to it; clients change paths only deliberately, via Migrate,
+// because a server's packets may legitimately arrive from addresses
+// the client never sent to (a load balancer's egress).
 
 // maxPaths bounds the per-connection alternate path set; an attacker
 // spraying spoofed source addresses must not grow connection state
@@ -91,10 +90,6 @@ var ErrMigrationDisabled = errors.New("quic: peer disabled active migration")
 // answered the PATH_CHALLENGE retries.
 var ErrPathValidationFailed = errors.New("quic: path validation failed")
 
-// errNoPreferredAddress is returned by FollowPreferredAddress when the
-// server offered none (or none of a usable family).
-var errNoPreferredAddress = errors.New("quic: server offered no preferred address")
-
 // addrPortOf canonicalizes a net.Addr to an unmapped netip.AddrPort.
 // The *net.UDPAddr fast path is allocation-free, which matters because
 // every received datagram passes through here.
@@ -156,9 +151,8 @@ func (c *Conn) notePeerAddressLocked(dgramLen int) {
 	}
 	if c.isClient {
 		// A server may legitimately send from addresses the client
-		// never targeted (preferred-address sockets, load balancer
-		// egress); clients change paths only via Migrate or
-		// FollowPreferredAddress.
+		// never targeted (load balancer egress); clients change paths
+		// only via Migrate.
 		return
 	}
 	if !c.handshakeDone {
@@ -493,19 +487,13 @@ func (c *Conn) stopPathTimersLocked() {
 }
 
 // ensureLocalCIDsLocked seeds the issued-connection-ID table with the
-// handshake source ID (sequence 0) and, when the server advertised a
-// preferred address, its connection ID (sequence 1, RFC 9000, Section
-// 5.1.1).
+// handshake source ID (sequence 0).
 func (c *Conn) ensureLocalCIDsLocked() {
 	if len(c.localCIDs) > 0 {
 		return
 	}
 	c.localCIDs = append(c.localCIDs, localConnID{seq: 0, id: c.scid})
 	c.nextLocalCIDSeq = 1
-	if c.prefAddrCID != nil {
-		c.localCIDs = append(c.localCIDs, localConnID{seq: 1, id: c.prefAddrCID})
-		c.nextLocalCIDSeq = 2
-	}
 }
 
 // issueConnIDsLocked mints n alternate connection IDs, registers them
@@ -694,79 +682,6 @@ func (c *Conn) migrate(ctx context.Context, force bool) error {
 			if ok {
 				mMigrations.Inc()
 				return nil
-			}
-		}
-	}
-}
-
-// FollowPreferredAddress migrates to the server's preferred_address
-// (RFC 9000, Section 9.6): it probes the offered endpoint of the
-// active path's family with a PATH_CHALLENGE using the server-supplied
-// connection ID, and on validation promotes it to the active path
-// (retiring the handshake destination ID). Blocks until validation
-// succeeds, fails, the connection dies, or ctx expires; on failure the
-// connection stays on its original path.
-func (c *Conn) FollowPreferredAddress(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.handshakeDone {
-		c.mu.Unlock()
-		return errors.New("quic: preferred address before handshake completion")
-	}
-	pa := c.peerParams.PreferredAddress
-	if !c.havePeerParams || pa == nil {
-		c.mu.Unlock()
-		return errNoPreferredAddress
-	}
-	target := pa.V4
-	if c.activeAP.Addr().Is6() && pa.V6.IsValid() || !target.IsValid() {
-		target = pa.V6
-	}
-	if !target.IsValid() {
-		c.mu.Unlock()
-		return errNoPreferredAddress
-	}
-	target = netip.AddrPortFrom(target.Addr().Unmap(), target.Port())
-	if target == c.activeAP {
-		c.mu.Unlock()
-		return nil // already there
-	}
-	p := c.findPathLocked(target)
-	if p == nil {
-		p = &pathState{remote: net.UDPAddrFromAddrPort(target), ap: target}
-		c.paths = append(c.paths, p)
-	}
-	if p.status == pathValidated {
-		c.promotePathLocked(p)
-		c.mu.Unlock()
-		return nil
-	}
-	// The preferred-address connection ID has sequence number 1
-	// (RFC 9000, Section 5.1.1).
-	p.dcid = append(quicwire.ConnID(nil), pa.ConnID...)
-	p.dcidSeq = 1
-	if p.status != pathValidating {
-		c.startPathValidationLocked(p)
-	}
-	c.mu.Unlock()
-
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.closed:
-			return c.Err()
-		case <-ctx.Done():
-			return ErrPathValidationFailed
-		case <-ticker.C:
-			c.mu.Lock()
-			st := p.status
-			active := c.activeAP == p.ap || !c.migrChallengePending && c.activeAP == target
-			c.mu.Unlock()
-			switch {
-			case active, st == pathValidated:
-				return nil
-			case st == pathFailed:
-				return ErrPathValidationFailed
 			}
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
-	"quicscan/internal/transportparams"
 )
 
 // simWorld is one client/server pair on a simulated network whose
@@ -251,46 +250,6 @@ func TestMigrateRotatesActivePath(t *testing.T) {
 	}
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("post-migrate ping: %v", err)
-	}
-}
-
-// TestFollowPreferredAddress: a server advertising preferred_address
-// serves the alternate endpoint via a second socket; the client
-// validates it with the server-reserved connection ID and moves its
-// traffic there.
-func TestFollowPreferredAddress(t *testing.T) {
-	prefAddr := netip.MustParseAddrPort("10.9.0.2:8443")
-	w := newSimWorld(t, ServerPolicy{
-		PreferredAddress: &transportparams.PreferredAddress{V4: prefAddr},
-	}, nil)
-
-	altPC, err := w.net.ListenUDP(prefAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.listener.ServeAlso(altPC); err != nil {
-		t.Fatal(err)
-	}
-	w.serverConn(t)
-	if err := w.ping(t, 5*time.Second); err != nil {
-		t.Fatalf("pre-follow ping: %v", err)
-	}
-
-	tp, ok := w.client.PeerTransportParameters()
-	if !ok || tp.PreferredAddress == nil {
-		t.Fatal("server advertised no preferred_address")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err = w.client.FollowPreferredAddress(ctx)
-	cancel()
-	if err != nil {
-		t.Fatalf("FollowPreferredAddress: %v", err)
-	}
-	if got := w.client.RemoteAddr().String(); got != prefAddr.String() {
-		t.Errorf("client remote address = %s, want preferred %s", got, prefAddr)
-	}
-	if err := w.ping(t, 5*time.Second); err != nil {
-		t.Fatalf("post-follow ping: %v", err)
 	}
 }
 

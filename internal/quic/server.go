@@ -122,13 +122,6 @@ type ServerPolicy struct {
 	// new path.
 	MigrationValidateBreak bool
 
-	// PreferredAddress, when non-nil, is advertised to clients via the
-	// preferred_address transport parameter (RFC 9000, Section 9.6).
-	// Only the V4/V6 endpoints are read; the per-connection ID and
-	// reset token are minted at accept time. The endpoints should be
-	// served by this listener — register their sockets with ServeAlso.
-	PreferredAddress *transportparams.PreferredAddress
-
 	// DisableSessionTickets suppresses the NewSessionTicket normally
 	// sent after the handshake, so clients can never resume. Models
 	// deployments that terminate TLS on stateless frontends without a
@@ -186,7 +179,6 @@ type Listener struct {
 	routes routeTable
 
 	mu     sync.Mutex
-	alt    []net.PacketConn // extra sockets (ServeAlso), e.g. the preferred address
 	closed bool
 	retry  retryMinter
 	reset  resetKeys
@@ -221,28 +213,8 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listene
 		acceptCh: make(chan *Conn, 64),
 		done:     make(chan struct{}),
 	}
-	go l.readLoopOn(l.pconn, true)
+	go l.readLoop()
 	return l, nil
-}
-
-// ServeAlso makes the listener accept datagrams on an additional
-// socket — the serving side of a preferred_address advertisement.
-// Routing is by connection ID, exactly as on the primary socket, so a
-// migrated client's packets reach their connection regardless of which
-// socket they arrive on. The listener takes ownership of pconn and
-// closes it with Close. Replies still leave through the primary socket
-// (legal: peers match PATH_RESPONSE by its echoed data, and route all
-// short-header packets by connection ID).
-func (l *Listener) ServeAlso(pconn net.PacketConn) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrConnectionClosed
-	}
-	l.alt = append(l.alt, pconn)
-	l.mu.Unlock()
-	go l.readLoopOn(pconn, false)
-	return nil
 }
 
 // DefaultServerParams mirrors a common web deployment configuration.
@@ -283,32 +255,22 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	alt := l.alt
 	l.mu.Unlock()
 	close(l.done)
 	conns, _ := l.routes.close()
 	for _, c := range conns {
 		c.abort(ErrConnectionClosed)
 	}
-	for _, pc := range alt {
-		pc.Close()
-	}
 	return l.pconn.Close()
 }
 
-// readLoopOn serves one socket, a datagram at a time (one read buffer
-// per listener socket: a simulated Internet runs hundreds). A failing
-// primary socket tears the listener down; a failing ServeAlso socket
-// only ends its own loop.
-func (l *Listener) readLoopOn(pconn net.PacketConn, primary bool) {
-	readDatagrams(pconn, 1, 0, l.handleDatagram)
-	if primary {
-		select {
-		case <-l.done:
-		default:
-			l.Close()
-		}
-	}
+// readLoop serves the socket, a datagram at a time (one read buffer
+// per listener: a simulated Internet runs hundreds). A failing socket
+// tears the listener down; when Close ended the loop this Close is a
+// no-op.
+func (l *Listener) readLoop() {
+	readDatagrams(l.pconn, 1, 0, l.handleDatagram)
+	l.Close()
 }
 
 // handleDatagram routes a datagram to an existing connection or
@@ -461,14 +423,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 	if conn == nil {
 		return
 	}
-	select {
-	case l.acceptCh <- conn:
-	default:
-		// Another read loop (ServeAlso) took the last slot meanwhile.
-		mListenerDropAcceptQueue.Inc()
-		conn.abort(ErrConnectionClosed)
-		return
-	}
+	l.acceptCh <- conn // never blocks: the read loop is the only sender and saw room above
 	conn.handleDatagram(data, from)
 }
 
@@ -627,21 +582,6 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	}
 	params.InitialSourceConnectionID = c.scid
 	params.HasInitialSourceConnectionID = true
-	if pa := l.policy.PreferredAddress; pa != nil {
-		// The preferred-address connection ID is per connection,
-		// sequence number 1 (RFC 9000, Section 5.1.1), registered up
-		// front so a client probing the offered endpoint routes here.
-		paCID := quicwire.NewRandomConnID(8)
-		if token, ok := l.addConnID(c, paCID); ok {
-			c.prefAddrCID = paCID
-			params.PreferredAddress = &transportparams.PreferredAddress{
-				V4:                  pa.V4,
-				V6:                  pa.V6,
-				ConnID:              paCID,
-				StatelessResetToken: token,
-			}
-		}
-	}
 	if l.policy.ResumptionTPDowngrade {
 		// Defer parameter marshaling: crypto/tls only asks for transport
 		// parameters (QUICTransportParametersRequired) after the

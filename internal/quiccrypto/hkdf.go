@@ -35,13 +35,6 @@ func ExpandLabel[H hash.Hash](h func() H, secret []byte, label string, length in
 	return out
 }
 
-// expandLabelSHA256 is the common case used by Initial keys.
-func expandLabelSHA256(secret []byte, label string, length int) []byte {
-	out := make([]byte, length)
-	expandLabel256(secret, label, out)
-	return out
-}
-
 // The SHA-256 fast path below exists because key derivation sits on
 // the scanner's per-target dial path: every Initial key setup runs
 // nine HKDF computations, and the stdlib hkdf/hmac packages construct

@@ -25,9 +25,6 @@ const MaxVarint = 1<<62 - 1
 // claims to contain.
 var ErrTruncated = errors.New("quicwire: truncated input")
 
-// ErrVarintRange is returned when a value exceeds MaxVarint.
-var ErrVarintRange = errors.New("quicwire: value exceeds varint range")
-
 // ParseVarint decodes a variable-length integer (RFC 9000, Section 16)
 // from the front of b. It returns the value and the number of bytes
 // consumed.

@@ -18,10 +18,6 @@ const (
 	VersionDraft32 Version = 0xff000020
 	VersionDraft34 Version = 0xff000022
 
-	// "ietf-01" as labelled in the paper's Figure 5: version 1 deployed
-	// while draft 34 still said "do not deploy".
-	VersionIETF01 = Version1
-
 	VersionGoogleQ039 Version = 0x51303339 // "Q039"
 	VersionGoogleQ043 Version = 0x51303433 // "Q043"
 	VersionGoogleQ046 Version = 0x51303436 // "Q046"

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"quicscan/internal/listscan"
 	"quicscan/internal/probe"
 	"quicscan/internal/resumption"
 )
@@ -39,7 +40,12 @@ func TestRecordGolden(t *testing.T) {
 {"addr":"127.0.0.1","sni":"a.example","verdict":"unreachable","ticket":false,"resumed":false,"zero_rtt":false,"token_reused":false,"request_ok":false,"err":"quic: handshake timeout"}
 `
 	path := filepath.Join(t.TempDir(), "out.ndjson")
-	if err := probe.WriteNDJSON(path, results); err != nil {
+	out, err := listscan.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listscan.Emit[resumption.Result](out)(results)
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"quicscan/internal/h3"
+	"quicscan/internal/listscan"
 	"quicscan/internal/probe"
 	"quicscan/internal/quic"
 	"quicscan/internal/telemetry"
@@ -126,6 +127,18 @@ func (p *Prober) Probe(ctx context.Context, t probe.Target) Result {
 		mTokenReuse.Inc()
 	}
 	return res
+}
+
+// Scan classifies every target through listscan.Run: at most workers
+// at a time, results in input order, emit (when non-nil) fed while the
+// scan runs. A target not yet started when ctx ends is not dialled: it
+// is classified through a Dialer that refuses with the context error.
+func (p *Prober) Scan(ctx context.Context, workers int, targets []probe.Target, emit func([]Result)) []Result {
+	return listscan.Run(ctx, workers, len(targets),
+		func(_, i int) Result { return p.Probe(ctx, targets[i]) },
+		func(i int, err error) Result {
+			return (&Prober{Dialer: p.Refusing(err)}).Probe(ctx, targets[i])
+		}, emit)
 }
 
 // scenario runs the two dials, recording its observations in res. It

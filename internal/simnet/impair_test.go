@@ -195,6 +195,35 @@ func TestMTUClamp(t *testing.T) {
 	}
 }
 
+// TestWriteToMappedAddress: net.IPv4 builds the 16-byte form of an
+// address. A datagram sent to it must reach the listener bound to the
+// IPv4 form and be judged by the IPv4 prefix's profile.
+func TestWriteToMappedAddress(t *testing.T) {
+	n := New(Config{Seed: 1})
+	defer n.Close()
+	n.SetPrefixProfile(netip.MustParsePrefix("10.1.2.0/24"), Profile{MTU: 100})
+	srv, err := n.ListenUDP(ap("10.1.2.3:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := &net.UDPAddr{IP: net.IPv4(10, 1, 2, 3), Port: 443}
+	if got := mapped.AddrPort().Addr(); !got.Is4In6() {
+		t.Fatalf("%v is not the 16-byte form this test is about", got)
+	}
+	cli.WriteTo(make([]byte, 200), mapped)
+	cli.WriteTo([]byte("fits"), mapped)
+	if got := drain(t, srv, 100*time.Millisecond); len(got) != 1 || got[0] != "fits" {
+		t.Errorf("listener on 10.1.2.3 received %q, want the one datagram that fits the prefix's MTU", got)
+	}
+	if st := n.ImpairmentStats(); st.MTUDropped != 1 {
+		t.Errorf("impairments = %+v, want MTUDropped=1 under the 10.1.2.0/24 profile", st)
+	}
+}
+
 // TestSyntheticImpairedBothWays: probes to synthetic endpoints and
 // their replies each pay their own link's impairment.
 func TestSyntheticImpairedBothWays(t *testing.T) {

@@ -617,12 +617,20 @@ func (e *timeoutError) Temporary() bool { return true }
 var _ net.Error = (*timeoutError)(nil)
 var _ error = os.ErrDeadlineExceeded // keep the analogy visible
 
+// toAddrPort is the net.Addr entry to the network. A net.IP built by
+// net.IPv4 is 16 bytes long and converts to ::ffff:a.b.c.d, which is
+// neither a listener's bound address nor inside an IPv4 prefix
+// profile; the network knows IPv4 endpoints by their unmapped form
+// only.
 func toAddrPort(addr net.Addr) (netip.AddrPort, error) {
+	var ap netip.AddrPort
 	switch a := addr.(type) {
 	case *net.UDPAddr:
-		return a.AddrPort(), nil
+		ap = a.AddrPort()
 	case *net.TCPAddr:
-		return a.AddrPort(), nil
+		ap = a.AddrPort()
+	default:
+		return ap, fmt.Errorf("simnet: unsupported address type %T", addr)
 	}
-	return netip.AddrPort{}, fmt.Errorf("simnet: unsupported address type %T", addr)
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }

@@ -47,9 +47,6 @@ func init() { enabled.Store(true) }
 // benchmarks and ablations, not production use.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
-
 // CheckMetricName validates a metric family name against the
 // Prometheus data model: [a-zA-Z_:][a-zA-Z0-9_:]*.
 func CheckMetricName(name string) error {

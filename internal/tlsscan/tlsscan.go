@@ -22,6 +22,7 @@ import (
 	"quicscan/internal/altsvc"
 	"quicscan/internal/certgen"
 	"quicscan/internal/core"
+	"quicscan/internal/listscan"
 	"quicscan/internal/telemetry"
 )
 
@@ -227,37 +228,19 @@ func (s *Scanner) doHTTP(conn *tls.Conn, t Target) *HTTPInfo {
 	return info
 }
 
-// Scan processes targets with a worker pool.
+// Scan runs ScanTarget over all targets on Workers goroutines and
+// returns the results in input order.
 func (s *Scanner) Scan(ctx context.Context, targets []Target) []Result {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 64
-	}
-	results := make([]Result, len(targets))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i] = s.ScanTarget(ctx, targets[i])
-			}
-		}()
-	}
-	for i := range targets {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			for j := i; j < len(targets); j++ {
-				results[j] = Result{Target: targets[j], Error: ctx.Err().Error()}
-			}
-			close(work)
-			wg.Wait()
-			return results
-		}
-	}
-	close(work)
-	wg.Wait()
-	return results
+	return s.Stream(ctx, targets, nil)
+}
+
+// Stream is Scan with the results also handed to emit, in input order
+// and while later targets are still in flight (listscan.Run's
+// contract). A target not yet started when ctx ends is not dialled: its
+// result carries the context error.
+func (s *Scanner) Stream(ctx context.Context, targets []Target, emit func([]Result)) []Result {
+	return listscan.Run(ctx, s.Workers, len(targets),
+		func(_, i int) Result { return s.ScanTarget(ctx, targets[i]) },
+		func(i int, err error) Result { return Result{Target: targets[i], Error: err.Error()} },
+		emit)
 }

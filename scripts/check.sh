@@ -30,6 +30,12 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> dead declarations (deaddecl_test.go)"
+# A package-level func, type or var under internal/ that nothing in the
+# module names. It is a tier-1 test and so runs again below; it is named
+# here because a failure is a request to delete, and says so sooner.
+go test -count=1 -run '^TestNoDeadDeclarations$' .
+
 echo "==> cross-build (darwin: exercises the portable netbatch fallback)"
 # The batched-I/O layer has a Linux syscall path and a portable
 # fallback; building for darwin (and the portable tag on linux) keeps
@@ -40,12 +46,15 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, probe, simnet, dnsclient, netbatch, experiments, zmapquic, campaign, bench)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, netbatch, experiments, zmapquic, campaign, bench)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
 # multi-core hosts — a failure that hid on 1-CPU runners. The rescan
-# paths (core, resumption) and the probe worker pool ride along, and so
-# does the socket layer: a receive-queue wake-up that is lost only when
+# paths (core, resumption) ride along, and so does the list-scan pool:
+# internal/listscan holds it, with its ordering, in-scan emit and
+# cancellation tests, and internal/probe stays while the tests that
+# drive a real mode through it (TestRun, TestRunCancelled) live there.
+# So does the socket layer: a receive-queue wake-up that is lost only when
 # reader and sender run in parallel passes on one CPU. The campaign is
 # here for its stage overlap (DESIGN.md section 18): two sweeps, a TLS
 # scan and the stateful pass share the CPUs, so how many there are
@@ -59,8 +68,8 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, pro
 # answered probes, 20 ms cooldown) is the canary that caught it. The
 # engine's per-batch publish of its probe counters rides on that yield,
 # so its exactness on every way out of Run is checked at each width too.
-go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/probe \
-	./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments \
+go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/listscan \
+	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments \
 	./internal/zmapquic ./internal/campaign ./bench
 
 echo "==> fuzz smoke"
