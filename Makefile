@@ -31,7 +31,7 @@ allocs:
 	./scripts/allocs.sh
 
 # CPU nanoseconds per swept probe, by bucket: SendProbe's locks, ID
-# derivation, the send path and its telemetry, simnet, the engine's walk
+# derivation, the send path, the telemetry it moves, simnet, the engine's walk
 # (scripts/cpu.sh; before/after tables in DESIGN.md).
 cpu-sweep:
 	./scripts/cpu.sh

@@ -101,6 +101,25 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeHeadersLowerCasesNames: a literal name goes out in lower
+// case with the length of what goes out: "İ" is two bytes and "i" one,
+// "Ⱥ" two and "ⱥ" three.
+func TestEncodeHeadersLowerCasesNames(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"X-Custom-Header", "x-custom-header"},
+		{"Server", "server"},
+		{"x-İ", "x-i"},
+		{"x-Ⱥ", "x-ⱥ"},
+	} {
+		fields := []HeaderField{{Name: c.name, Value: "v1"}, {Name: ":status", Value: "200"}}
+		got, err := DecodeHeaders(EncodeHeaders(fields))
+		want := []HeaderField{{Name: c.want, Value: "v1"}, {Name: ":status", Value: "200"}}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("name %q: decoded %+v, %v; want %+v", c.name, got, err, want)
+		}
+	}
+}
+
 func TestStaticLookup(t *testing.T) {
 	idx, exact := staticLookup(HeaderField{Name: ":method", Value: "GET"})
 	if !exact || idx != 17 {
@@ -135,6 +154,39 @@ func TestDecodeHeadersErrors(t *testing.T) {
 	b := []byte{0x00, 0x00, 0x29, 0xff, 0xff} // literal name, H=1, invalid EOS-like body
 	if _, err := DecodeHeaders(b); err == nil {
 		t.Error("invalid huffman literal accepted")
+	}
+}
+
+// TestDecodeHeadersRefusesUpperCaseNames: a literal field name with an
+// upper-case letter makes the message malformed (RFC 9114, Section
+// 4.2), plain or Huffman-coded; the same line in lower case decodes.
+func TestDecodeHeadersRefusesUpperCaseNames(t *testing.T) {
+	line := func(name string, huffman bool) []byte {
+		first, raw := byte(0x20), []byte(name)
+		if huffman {
+			first, raw = 0x28, HuffmanEncode(name)
+		}
+		b := appendPrefixedInt([]byte{0, 0}, first, 3, uint64(len(raw)))
+		return append(append(b, raw...), 0x01, 'v')
+	}
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"server", true},
+		{"Server", false},
+		{"x-custom-headeR", false},
+		{"x-é", true}, // not ours to judge: only A-Z is upper case here
+	} {
+		for _, huffman := range []bool{false, true} {
+			fields, err := DecodeHeaders(line(c.name, huffman))
+			if c.ok && (err != nil || len(fields) != 1 || fields[0] != (HeaderField{Name: c.name, Value: "v"})) {
+				t.Errorf("name %q (huffman %v): %+v, %v", c.name, huffman, fields, err)
+			}
+			if !c.ok && err == nil {
+				t.Errorf("name %q (huffman %v) decoded to %+v, want an error", c.name, huffman, fields)
+			}
+		}
 	}
 }
 

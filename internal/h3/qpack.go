@@ -203,8 +203,11 @@ func EncodeHeaders(fields []HeaderField) []byte {
 		} else {
 			// Literal Field Line With Literal Name:
 			// 0 0 1 N=0 H=0 namelen(3+) name, H=0 valuelen(7+) value
-			b = appendPrefixedInt(b, 0x20, 3, uint64(len(f.Name)))
-			b = append(b, strings.ToLower(f.Name)...)
+			// Lower-cased first, measured second: the two lengths
+			// differ for some non-ASCII names.
+			name := strings.ToLower(f.Name)
+			b = appendPrefixedInt(b, 0x20, 3, uint64(len(name)))
+			b = append(b, name...)
 			b = appendPrefixedInt(b, 0x00, 7, uint64(len(f.Value)))
 			b = append(b, f.Value...)
 		}
@@ -275,6 +278,12 @@ func DecodeHeaders(b []byte) ([]HeaderField, error) {
 				return nil, err
 			}
 			b = b[n:]
+			// RFC 9114, Section 4.2: a message with an upper-case field
+			// name is malformed. Passed through, a peer's "Server" would
+			// be missed by a lookup of "server" and nobody told.
+			if strings.ContainsFunc(name, func(r rune) bool { return 'A' <= r && r <= 'Z' }) {
+				return nil, fmt.Errorf("h3: malformed field section: upper-case field name %q", name)
+			}
 			val, n2, err := parseString(b, 7)
 			if err != nil {
 				return nil, err

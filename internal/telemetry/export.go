@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,10 +107,17 @@ func (r *Registry) Handler() http.Handler {
 		r.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metricz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
+		// Into a buffer first: a snapshot JSON cannot carry must be a
+		// 500 that says so, not a 200 with an empty body.
+		var body bytes.Buffer
+		enc := json.NewEncoder(&body)
 		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot())
+		if err := enc.Encode(r.Snapshot()); err != nil {
+			http.Error(w, "telemetry: encoding the snapshot: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body.Bytes())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

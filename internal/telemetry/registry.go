@@ -13,15 +13,25 @@
 //
 // Design notes:
 //
-//   - The update fast path is a single atomic add (plus one atomic
-//     load for the global enable switch); no locks, no map lookups.
-//     Producers resolve their metrics once, at package init, and hold
-//     the returned pointers.
+//   - A Counter is not one word but sixteen cells, each alone on a
+//     64-byte cache line (1 KB in all). An update is one atomic load of
+//     the global enable switch and one atomic add to the cell picked by
+//     the address of a local variable, that is by where the calling
+//     goroutine's stack lies (cellIndex): a long-lived worker keeps
+//     adding to a line only its core writes, where one shared word
+//     would travel between the cores on every update. No locks, no map
+//     lookups, and nothing is sampled or deferred: Value and Snapshot
+//     sum the cells (sixteen loads per metric), which is exact once the
+//     writers are done. Producers resolve their metrics once, at
+//     package init, and hold the returned pointers.
 //   - Labelled families (CounterVec) take one RLock'd map lookup per
 //     With call; hot paths should cache the child counter instead.
 //   - Histograms have fixed bucket bounds chosen at registration, the
-//     Prometheus model: observation cost is a binary search over a
-//     small slice plus three atomic adds.
+//     Prometheus model, and the same sixteen cells, each with its own
+//     bucket counts and sum on lines of its own: observation cost is
+//     a binary search over a small slice plus one atomic add and one
+//     compare-and-swap inside one cell.
+//   - A Gauge stays one word: a Set cannot be split over cells.
 //
 // The package is stdlib-only.
 package telemetry
@@ -33,6 +43,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // enabled is the global kill switch used by overhead ablations and
@@ -86,17 +97,53 @@ func CheckLabelName(name string) error {
 	return nil
 }
 
-// Counter is a monotonically increasing uint64.
+// numCells is how many cells a Counter or Histogram spreads its updates
+// over, and cacheLine the size each cell is padded to, so that no two
+// share a line. Both are constants of the layout, not settings: sixteen
+// cells keep two to four busy goroutines apart nearly always and a
+// Counter at 1 KB.
+const (
+	numCells  = 16
+	cacheLine = 64
+)
+
+// cellIndex picks the calling goroutine's cell from the address of a
+// local variable, which lies on that goroutine's stack. Stacks are
+// 2 KB-aligned blocks of at least 2 KB, so the bits from 11 up tell
+// goroutines apart and stay put for one goroutine at one call site;
+// four 4-bit groups of them are folded together so that neighbouring
+// stacks of any size differ. Nothing depends on the choice but speed:
+// a stack that moves, or two goroutines that collide, still add to a
+// cell of the same metric.
+func cellIndex() uintptr {
+	var local byte
+	p := uintptr(unsafe.Pointer(&local))
+	return (p>>11 ^ p>>15 ^ p>>19 ^ p>>23) % numCells
+}
+
+// Counter is a monotonically increasing uint64, kept as numCells
+// partial counts. The zero value is ready to use; for its cells to be
+// lines it must be an allocation of its own, which the allocator starts
+// on a cache-line boundary (a pointer-free object of n*64 bytes).
 type Counter struct {
-	v atomic.Uint64
+	cells [numCells]struct {
+		n atomic.Uint64
+		_ [cacheLine - 8]byte
+	}
 }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
-	if c == nil || !enabled.Load() {
+	// Two ifs, not one ||: inlined, the compiler keeps the || as a flag,
+	// forgets that c is not nil and guards c.cells with a load from *c —
+	// cell 0's line, read on every Add from every goroutine.
+	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	if !enabled.Load() {
+		return
+	}
+	c.cells[cellIndex()].n.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -107,7 +154,11 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	var sum uint64
+	for i := range c.cells {
+		sum += c.cells[i].n.Load()
+	}
+	return sum
 }
 
 // Gauge is a value that can go up and down.
@@ -141,26 +192,39 @@ func (g *Gauge) Value() int64 {
 
 // Histogram is a fixed-bucket histogram in the Prometheus style:
 // bucket i counts observations <= bounds[i], with an implicit +Inf
-// bucket at the end. Observation is lock-free.
+// bucket at the end. Observation is lock-free. Like a Counter it is
+// kept as numCells partial histograms, merged by snapshot. A cell is
+// stride words of one slab, a whole number of cache lines: the sum
+// (math.Float64bits, updated by CAS), then the len(bounds)+1 bucket
+// counts, so the low buckets share the sum's line. The total count is
+// not kept: it is the buckets' sum. The struct itself is only read
+// after registration.
 type Histogram struct {
 	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // math.Float64bits, updated by CAS
+	cells  []atomic.Uint64 // numCells * stride
+	stride int
 }
 
-// Observe records one value.
+// Word offsets inside a Histogram cell.
+const (
+	histSum     = 0
+	histBuckets = 1
+)
+
+// Observe records one value. A value that is not finite is ignored: a
+// single NaN would turn the sum into NaN for good, and JSON cannot
+// carry one.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !enabled.Load() {
+	if h == nil || !enabled.Load() || v-v != 0 { // NaN and ±Inf: v-v is NaN
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	cell := h.cells[int(cellIndex())*h.stride:][:h.stride]
+	cell[histBuckets+sort.SearchFloat64s(h.bounds, v)].Add(1)
+	sum := &cell[histSum]
 	for {
-		old := h.sum.Load()
+		old := sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		if sum.CompareAndSwap(old, next) {
 			return
 		}
 	}
@@ -258,7 +322,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	e := r.lookup(name, kindHistogram)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e.h.counts == nil {
+	if e.h.cells == nil {
 		if len(buckets) == 0 {
 			buckets = LatencyBucketsMs()
 		}
@@ -266,7 +330,11 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 			panic(fmt.Sprintf("telemetry: histogram %q buckets not sorted", name))
 		}
 		e.h.bounds = append([]float64(nil), buckets...)
-		e.h.counts = make([]atomic.Uint64, len(buckets)+1)
+		// The slab is pointer-free and a multiple of 64 bytes long, so
+		// the allocator starts it, and with it every cell, on a line.
+		const perLine = cacheLine / 8
+		e.h.stride = (histBuckets + len(buckets) + 1 + perLine - 1) / perLine * perLine
+		e.h.cells = make([]atomic.Uint64, numCells*e.h.stride)
 	}
 	return e.h
 }
@@ -278,9 +346,12 @@ type CounterVec struct {
 	children map[string]*vecChild
 }
 
+// vecChild holds its counter by pointer: the allocator starts a
+// pointer-free kilobyte on a cache line, but puts a type header in
+// front of one that, like this struct, contains pointers.
 type vecChild struct {
 	values []string
-	c      Counter
+	c      *Counter
 }
 
 // CounterVec returns the named counter family with the given label
@@ -323,15 +394,15 @@ func (v *CounterVec) With(values ...string) *Counter {
 	ch, ok := v.children[key]
 	v.mu.RUnlock()
 	if ok {
-		return &ch.c
+		return ch.c
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if ch, ok = v.children[key]; !ok {
-		ch = &vecChild{values: append([]string(nil), values...)}
+		ch = &vecChild{values: append([]string(nil), values...), c: &Counter{}}
 		v.children[key] = ch
 	}
-	return &ch.c
+	return ch.c
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry,
@@ -447,12 +518,16 @@ func (r *Registry) Snapshot() Snapshot {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	out := HistogramSnapshot{
 		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sum.Load()),
+		Counts: make([]uint64, len(h.bounds)+1),
 	}
-	for i := range h.counts {
-		out.Counts[i] = h.counts[i].Load()
+	for i := 0; i < len(h.cells); i += h.stride {
+		cell := h.cells[i : i+h.stride]
+		out.Sum += math.Float64frombits(cell[histSum].Load())
+		for j := range out.Counts {
+			n := cell[histBuckets+j].Load()
+			out.Counts[j] += n
+			out.Count += n
+		}
 	}
 	return out
 }

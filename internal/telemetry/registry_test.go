@@ -5,9 +5,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -63,15 +66,140 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 }
 
+// fromGoroutines runs f on n goroutines that all exist at once, so that
+// their stacks, and with them their cells, differ.
+func fromGoroutines(n int, f func()) {
+	var start, done sync.WaitGroup
+	start.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			start.Done()
+			start.Wait()
+			f()
+		}()
+	}
+	done.Wait()
+}
+
+// TestSetEnabled: the switch freezes every cell, not just the caller's.
 func TestSetEnabled(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_switch_total")
+	h := r.Histogram("test_switch_ms", []float64{1})
+	update := func() {
+		c.Inc()
+		h.Observe(1)
+	}
 	SetEnabled(false)
-	c.Inc()
+	fromGoroutines(64, update)
 	SetEnabled(true)
-	c.Inc()
-	if got := c.Value(); got != 1 {
-		t.Errorf("counter = %d, want 1 (update while disabled must be dropped)", got)
+	if hs := h.snapshot(); c.Value() != 0 || hs.Count != 0 || hs.Sum != 0 {
+		t.Errorf("counter = %d, histogram count = %d, sum = %v: updates while disabled must be dropped", c.Value(), hs.Count, hs.Sum)
+	}
+	update()
+	if hs := h.snapshot(); c.Value() != 1 || hs.Count != 1 {
+		t.Errorf("counter = %d, histogram count = %d after one update, want 1 and 1", c.Value(), hs.Count)
+	}
+}
+
+// touchedCells counts the cells of c that hold anything.
+func touchedCells(c *Counter) int {
+	n := 0
+	for i := range c.cells {
+		if c.cells[i].n.Load() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCellLayout: every cell starts a cache line of its own, for each
+// way a metric comes to be allocated. The allocator aligns a
+// pointer-free object whose size is a multiple of 64 to 64 bytes, which
+// is why a vec child holds its Counter by pointer and a Histogram's
+// cells are one slab of words.
+func TestCellLayout(t *testing.T) {
+	r := NewRegistry()
+	counters := map[string]*Counter{
+		"registry counter": r.Counter("test_layout_total"),
+		"vec child":        r.CounterVec("test_layout_vec_total", "k").With("v"),
+	}
+	for name, c := range counters {
+		for i := range c.cells {
+			addr := uintptr(unsafe.Pointer(&c.cells[i]))
+			if addr%cacheLine != 0 {
+				t.Errorf("%s: cell %d at %#x is not on a cache-line boundary", name, i, addr)
+			}
+			if i > 0 && addr-uintptr(unsafe.Pointer(&c.cells[i-1])) != cacheLine {
+				t.Errorf("%s: cell %d is not %d bytes after cell %d", name, i, cacheLine, i-1)
+			}
+		}
+	}
+	for _, buckets := range [][]float64{{1}, {1, 2, 4, 8, 16, 32, 64}, LatencyBucketsMs()} {
+		h := NewRegistry().Histogram("test_layout_ms", buckets)
+		if h.stride*8%cacheLine != 0 || h.stride < histBuckets+len(buckets)+1 || len(h.cells) != numCells*h.stride {
+			t.Errorf("%d buckets: stride %d words, %d words in all", len(buckets)+1, h.stride, len(h.cells))
+		}
+		if addr := uintptr(unsafe.Pointer(&h.cells[0])); addr%cacheLine != 0 {
+			t.Errorf("%d buckets: cells start at %#x, not on a cache-line boundary", len(buckets)+1, addr)
+		}
+	}
+}
+
+// TestCellAffinity: one goroutine at one call site stays on one cell,
+// and many goroutines spread over many. The second bound is loose on
+// purpose: it fails for "always cell 0" and cannot flake.
+func TestCellAffinity(t *testing.T) {
+	// A collection may move (shrink) this goroutine's stack between two
+	// Adds, and with it the cell.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := NewRegistry()
+	one := r.Counter("test_affinity_one_total")
+	for i := 0; i < 1000; i++ {
+		one.Add(1)
+	}
+	if n := touchedCells(one); n != 1 || one.Value() != 1000 {
+		t.Errorf("1,000 Adds from one goroutine touched %d cells (value %d), want 1", n, one.Value())
+	}
+	many := r.Counter("test_affinity_many_total")
+	fromGoroutines(64, func() { many.Add(1) })
+	if n := touchedCells(many); n < numCells/2 || many.Value() != 64 {
+		t.Errorf("64 goroutines touched %d of %d cells (value %d), want at least %d", n, numCells, many.Value(), numCells/2)
+	}
+}
+
+// TestObserveIgnoresNonFinite: one NaN used to turn the sum into NaN for
+// good, after which /metricz answered 200 with an empty body.
+func TestObserveIgnoresNonFinite(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("test_nan_ms", []float64{1, 10})
+	for _, v := range []float64{1, math.NaN(), math.Inf(1), math.Inf(-1), 2} {
+		h.Observe(v)
+	}
+	if hs := r.Snapshot().Histograms["test_nan_ms"]; hs.Count != 2 || hs.Sum != 3 {
+		t.Errorf("count = %d, sum = %v, want 2 and 3", hs.Count, hs.Sum)
+	}
+	get := func() (int, string) {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
+		return rec.Code, rec.Body.String()
+	}
+	code, body := get()
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); code != 200 || err != nil {
+		t.Fatalf("/metricz: status %d, decode error %v, body %q", code, err, body)
+	}
+	if snap.Histograms["test_nan_ms"].Count != 2 {
+		t.Errorf("/metricz histogram = %+v", snap.Histograms["test_nan_ms"])
+	}
+	// Finite observations can still overflow the sum; that must be an
+	// error the client sees.
+	h.Observe(math.MaxFloat64)
+	h.Observe(math.MaxFloat64)
+	if code, body := get(); code != 500 || !strings.Contains(body, "unsupported value") {
+		t.Errorf("/metricz with an infinite sum: status %d, body %q, want 500 and the encoder's error", code, body)
 	}
 }
 
@@ -134,7 +262,9 @@ func TestCounterVec(t *testing.T) {
 
 // TestConcurrentUpdates hammers every metric kind from many
 // goroutines; run under -race this is the registry's thread-safety
-// regression test, and the totals prove no update was lost.
+// regression test, and the totals prove no update was lost: the cells
+// a goroutine lands on depend on where its stack lies, the sums must
+// not, at any -cpu.
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_conc_total")
@@ -142,8 +272,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	h := r.Histogram("test_conc_ms", []float64{1, 10, 100})
 	v := r.CounterVec("test_conc_vec_total", "worker")
 
-	const workers = 16
-	const perWorker = 2000
+	const workers = 8
+	const perWorker = 100000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -155,7 +285,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				g.Add(1)
 				h.Observe(float64(i % 200))
 				v.With(name).Inc()
-				if i%100 == 0 {
+				if i%10000 == 0 {
 					_ = r.Snapshot() // readers race with writers
 				}
 			}
@@ -165,8 +295,8 @@ func TestConcurrentUpdates(t *testing.T) {
 
 	snap := r.Snapshot()
 	const total = workers * perWorker
-	if snap.Counters["test_conc_total"] != total {
-		t.Errorf("counter = %d, want %d", snap.Counters["test_conc_total"], total)
+	if snap.Counters["test_conc_total"] != total || c.Value() != total {
+		t.Errorf("counter = %d (Value %d), want %d", snap.Counters["test_conc_total"], c.Value(), total)
 	}
 	if snap.Gauges["test_conc_gauge"] != total {
 		t.Errorf("gauge = %d, want %d", snap.Gauges["test_conc_gauge"], total)
@@ -181,6 +311,10 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if bucketSum != total {
 		t.Errorf("bucket sum = %d, want %d", bucketSum, total)
+	}
+	// Whole numbers this small add exactly in a float64, in any order.
+	if want := float64(workers * (perWorker / 200) * (199 * 200 / 2)); hs.Sum != want {
+		t.Errorf("histogram sum = %v, want %v", hs.Sum, want)
 	}
 	var vecSum uint64
 	for name, val := range snap.Counters {

@@ -14,8 +14,10 @@
 #                    it, runtime.procyield, the semaphore, the futex)
 #                    before it reaches zmapquic's send path
 #   ID derivation    Scanner.probeSum and everything beneath it
-#   send + telemetry the rest of SendProbe, fill and flush, the batch pool,
-#                    and the telemetry counters flush moves
+#   send             the rest of SendProbe, fill and flush, the batch pool
+#   telemetry        the registry's own frames, inlined or not (Counter.Add,
+#                    Histogram.Observe), whichever layer called them:
+#                    flush's seven updates and simnet's delivered count
 #   simnet           WriteBatch, deliver and below; the collector's reads
 #   campaign walk    runShard, Sweep.AddrAtPosition, context, the Probe hook
 #   collector        CollectResponsesOn and below, up to the socket
@@ -47,9 +49,9 @@ function flush(    i, f, lock, bucket) {
 		if (f ~ /^sync\.\(\*Mutex\)/) lock = 1
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.probeSum/) bucket = "ID derivation"
 		else if (f ~ /^quicscan\/internal\/simnet\./) bucket = "simnet"
-		else if (f ~ /^quicscan\/internal\/telemetry\./) bucket = "send + telemetry"
+		else if (f ~ /^quicscan\/internal\/telemetry\./) bucket = "telemetry"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.(SendProbe|fill|flush|leaseSendBatch|batchConn|template)/)
-			bucket = lock ? "SendProbe locks" : "send + telemetry"
+			bucket = lock ? "SendProbe locks" : "send"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.|zmapquic\.vnCounter/) bucket = "collector"
 		else if (f ~ /^quicscan\/internal\/campaign\.|zmapquic\.\(\*Sweep\)|zmapquic\.\(\*Limiter\)|\.ProbeWith\.|^context\./) bucket = "campaign walk"
 		else if (f ~ /^quicscan/) bucket = "other"
@@ -64,7 +66,7 @@ depth > 0 && /^ +[^ ]/ { stack[depth++] = $1 }
 END {
 	flush()
 	printf "%-18s %12s %8s\n", "bucket", "ns/probe", "share"
-	n = split("SendProbe locks|ID derivation|send + telemetry|simnet|campaign walk|collector|runtime/GC|other", order, "|")
+	n = split("SendProbe locks|ID derivation|send|telemetry|simnet|campaign walk|collector|runtime/GC|other", order, "|")
 	for (i = 1; i <= n; i++) total += ms[order[i]]
 	for (i = 1; i <= n; i++)
 		printf "%-18s %12.1f %7.1f%%\n", order[i], ms[order[i]] * 1e6 / probes, 100 * ms[order[i]] / total
