@@ -7,6 +7,7 @@ package dnsserver
 
 import (
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 
@@ -92,9 +93,23 @@ type Server struct {
 	once  sync.Once
 }
 
-// Serve starts answering queries; it returns immediately.
+// pushConn is a socket that calls its owner with each datagram instead
+// of being read (simnet's); its contract is simnet.PacketConn.Serve's.
+type pushConn interface {
+	Serve(handler func(query []byte, from netip.AddrPort), onClose func()) error
+}
+
+// Serve starts answering queries; it returns immediately. A socket
+// that pushes its datagrams is answered on the sender's goroutine; any
+// other is read by a goroutine of the server's.
 func Serve(pconn net.PacketConn, zone *Zone) *Server {
 	s := &Server{zone: zone, pconn: pconn, done: make(chan struct{})}
+	if ps, ok := pconn.(pushConn); ok {
+		if ps.Serve(s.serveDatagram, func() { s.Close() }) != nil {
+			s.Close() // the socket is already closed, as a failing read would find
+		}
+		return s
+	}
 	go s.loop()
 	return s
 }
@@ -124,6 +139,13 @@ func (s *Server) loop() {
 		if resp != nil {
 			s.pconn.WriteTo(resp, from)
 		}
+	}
+}
+
+// serveDatagram answers one query a pushing socket hands over.
+func (s *Server) serveDatagram(query []byte, from netip.AddrPort) {
+	if resp := s.handle(query); resp != nil {
+		s.pconn.WriteTo(resp, net.UDPAddrFromAddrPort(from))
 	}
 }
 

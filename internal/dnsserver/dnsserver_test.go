@@ -10,6 +10,7 @@ import (
 
 	"quicscan/internal/dnsclient"
 	"quicscan/internal/dnswire"
+	"quicscan/internal/simnet"
 )
 
 func testZone(t *testing.T) *Zone {
@@ -157,5 +158,45 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	// The server must still answer proper queries afterwards.
 	if _, err := cl.Query(context.Background(), "www.example.com", dnswire.TypeA); err != nil {
 		t.Fatalf("server wedged after garbage: %v", err)
+	}
+}
+
+// TestPushedQueries: on a simnet socket the server runs no read loop;
+// sixteen workers' queries are answered on their own goroutines, one at
+// a time, and closing the network closes the server with its socket.
+func TestPushedQueries(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	pc, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.53:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(pc, testZone(t))
+	cl := &dnsclient.Client{
+		Server:     srv.Addr(),
+		DialPacket: func() (net.PacketConn, error) { return n.DialUDP() },
+		Timeout:    time.Second,
+		Retries:    1,
+	}
+	names := make([]string, 256)
+	for i := range names {
+		names[i] = "www.example.com"
+		if i%3 == 0 {
+			names[i] = "nonexistent.example.com"
+		}
+	}
+	for i, r := range cl.ResolveBatch(context.Background(), names, dnswire.TypeA, 16) {
+		if i%3 == 0 {
+			if !errors.Is(r.Err, dnsclient.ErrNXDomain) {
+				t.Errorf("%d: %s: err = %v, want NXDOMAIN", i, names[i], r.Err)
+			}
+		} else if addrs := r.Addrs(); r.Err != nil || len(addrs) != 1 || addrs[0] != "192.0.2.10" {
+			t.Errorf("%d: %s: %v, %v", i, names[i], addrs, r.Err)
+		}
+	}
+	n.Close()
+	select {
+	case <-srv.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server still open after the network closed its socket")
 	}
 }

@@ -445,9 +445,25 @@ func TestFacebookRetry(t *testing.T) {
 }
 
 // TestIdleUniverseFootprint: the benchmark fixture, started and left
-// alone, holds what its listeners need to wait — not a full receive
-// queue per socket (which alone was ≈ 124 MB at this scale).
+// alone, holds what its servers need to wait — not a full receive queue
+// per socket (which alone was ≈ 124 MB at this scale), nor a read
+// goroutine and a 64 KiB read buffer per listener (≈ 33 MB): simnet
+// hands each datagram to the server that owns the socket.
 func TestIdleUniverseFootprint(t *testing.T) {
+	// Goroutines: one h3 accept loop per QUIC listener, and a few for
+	// slack (the network's scheduler starts with the first delay).
+	goroutines0 := runtime.NumGoroutine()
+	u := Build(Spec{Seed: 9, Scale: 2048})
+	if err := u.Start(StartOptions{Stateful: true}); err != nil {
+		t.Fatal(err)
+	}
+	added, listeners := runtime.NumGoroutine()-goroutines0, len(u.servers.quicLs)
+	u.Stop()
+	t.Logf("started scale-2048 universe, no web servers: %d QUIC listeners, %d goroutines", listeners, added)
+	if added > listeners+8 {
+		t.Errorf("idle universe runs %d goroutines for %d listeners, want <= %d", added, listeners, listeners+8)
+	}
+
 	liveHeap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -456,14 +472,14 @@ func TestIdleUniverseFootprint(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := liveHeap()
-	u := Build(Spec{Seed: 9, Scale: 2048})
+	u = Build(Spec{Seed: 9, Scale: 2048})
 	if err := u.Start(StartOptions{Stateful: true, Web: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer u.Stop()
 	grew := float64(int64(liveHeap())-int64(before)) / (1 << 20)
 	t.Logf("started scale-2048 universe: %d UDP sockets, %.1f MB live heap", u.Net.UDPSocketCount(), grew)
-	if grew > 70 {
-		t.Errorf("idle universe holds %.1f MB, want < 70 MB", grew)
+	if grew > 25 {
+		t.Errorf("idle universe holds %.1f MB, want < 25 MB", grew)
 	}
 }

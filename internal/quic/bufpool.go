@@ -6,15 +6,19 @@ import "sync"
 //
 // Ownership rules (see DESIGN.md §8):
 //
-//   - Read buffers are leased by a read loop (readDatagrams, one per
-//     socket), filled by ReadBatch, and handed to Conn.handleDatagram,
+//   - Read buffers are leased by a read loop (readDatagrams: one per
+//     Transport socket, and one per Listener on a socket that cannot
+//     push), filled by ReadBatch, and handed to Conn.handleDatagram,
 //     which processes the datagram synchronously under c.mu. The
 //     buffer is valid only for the duration of that call, and the
 //     frames quicwire.FrameIter decodes from it only until the
 //     iterator's next step: anything a connection retains past that
 //     (crypto stream data, stream segments, connection IDs, tokens)
 //     must be copied out. The read loop reuses the buffer for the next
-//     read immediately.
+//     read immediately. A Listener on a pushing socket (simnet) leases
+//     none: the socket hands it the network's own copy of each
+//     datagram, under the same rule, and takes it back when the call
+//     returns.
 //   - Sized-class packet buffers back short-lived retained copies
 //     (decryption scratch, next-key trials). The function that leases
 //     one releases it; a leased buffer must never be stored in a
@@ -30,7 +34,7 @@ import "sync"
 const readBufSize = 65536
 
 // readBufPool recycles the 64 KiB receive buffers used by the
-// transport and listener read loops. Pointers to slices are pooled to
+// read loops. Pointers to slices are pooled to
 // avoid the allocation of the slice header on Put.
 var readBufPool = sync.Pool{
 	New: func() any {

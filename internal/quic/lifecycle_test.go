@@ -3,13 +3,16 @@ package quic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"quicscan/internal/quicwire"
+	"quicscan/internal/simnet"
 )
 
 // Server connection lifecycle: whatever closes a server connection, the
@@ -410,4 +413,58 @@ func TestAcceptQueueFullRefuses(t *testing.T) {
 	if mListenerDropAcceptQueue.Value() == before {
 		t.Error("quic_listener_drops_total{reason=accept_queue} did not move")
 	}
+}
+
+// TestListenerClosesWithNetwork: a Listener on a simnet socket starts no
+// goroutine; when Network.Close closes the socket under it, it closes
+// as a failing read loop's listener does — Accept returns
+// ErrConnectionClosed (h3's ServeListener returns on it) and its
+// connections are aborted — and nothing it started is left running.
+func TestListenerClosesWithNetwork(t *testing.T) {
+	goroutines0 := runtime.NumGoroutine()
+	n := simnet.New(simnet.Config{})
+	pc, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.1:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg, pool := serverConfig(t, "netclose.test")
+	l, err := Listen(pc, scfg, ServerPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine() - goroutines0; got > 0 {
+		t.Errorf("Listen on a simnet socket started %d goroutine(s)", got)
+	}
+	csock, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTransport(csock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := tr.Dial(context.Background(), l.Addr(), clientConfig(pool, "netclose.test"))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	server := acceptConn(t, l)
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := l.Accept(context.Background())
+		accepted <- err
+	}()
+
+	n.Close()
+	select {
+	case err := <-accepted:
+		if !errors.Is(err, ErrConnectionClosed) {
+			t.Errorf("Accept after Network.Close = %v, want ErrConnectionClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept still blocked after Network.Close")
+	}
+	waitClosed(t, server)
+	client.Close()
+	tr.Close()
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= goroutines0 })
 }

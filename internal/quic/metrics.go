@@ -19,7 +19,7 @@ var (
 	mBytesOut     = telemetry.Default().Counter("quic_bytes_out_total")
 	mRoutingMiss  = telemetry.Default().Counter("quic_routing_misses_total")
 	mLatePackets  = telemetry.Default().Counter("quic_late_packets_total")
-	mDropped      = telemetry.Default().Counter("quic_dropped_datagrams_total")
+	mDropped      = telemetry.Default().CounterVec("quic_dropped_datagrams_total", "reason")
 	mReadTimeouts = telemetry.Default().Counter("quic_read_timeouts_total")
 	mActiveConns  = telemetry.Default().Gauge("quic_active_conns")
 
@@ -89,6 +89,15 @@ var (
 	mListenerDropShortInitial    = mListenerDrops.With("short_initial")
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
 	mListenerDropNoRoute         = mListenerDrops.With("no_route")
+
+	// The Transport's drops. empty: a zero-length datagram; bad_header:
+	// a long header that does not parse; short_header: a short header
+	// too short to hold a connection ID; no_route: neither the
+	// destination ID nor the source address belongs to a connection.
+	mDroppedEmpty       = mDropped.With("empty")
+	mDroppedBadHeader   = mDropped.With("bad_header")
+	mDroppedShortHeader = mDropped.With("short_header")
+	mDroppedNoRoute     = mDropped.With("no_route")
 )
 
 // mRouteShardHits holds the pre-resolved per-shard children of

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
+	"quicscan/internal/netbatch"
 	"quicscan/internal/quiccrypto"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/transportparams"
@@ -185,6 +187,18 @@ type Listener struct {
 
 	acceptCh chan *Conn
 	done     chan struct{}
+
+	// The pushed datagram's parse scratch and source address
+	// (serveDatagram): the socket makes one call at a time.
+	hdr  quicwire.Header
+	from net.UDPAddr
+}
+
+// pushConn is a socket that calls its owner with each datagram instead
+// of being read: simnet's, where a server needs neither a goroutine nor
+// a read buffer. Serve's contract is simnet.PacketConn.Serve's.
+type pushConn interface {
+	Serve(handler func(data []byte, from netip.AddrPort), onClose func()) error
 }
 
 // Listen starts a QUIC server on pconn.
@@ -212,6 +226,12 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listene
 		tlsBase:  base,
 		acceptCh: make(chan *Conn, 64),
 		done:     make(chan struct{}),
+	}
+	if ps, ok := pconn.(pushConn); ok {
+		if err := ps.Serve(l.serveDatagram, func() { l.Close() }); err != nil {
+			return nil, err
+		}
+		return l, nil
 	}
 	go l.readLoop()
 	return l, nil
@@ -264,13 +284,21 @@ func (l *Listener) Close() error {
 	return l.pconn.Close()
 }
 
-// readLoop serves the socket, a datagram at a time (one read buffer
-// per listener: a simulated Internet runs hundreds). A failing socket
-// tears the listener down; when Close ended the loop this Close is a
-// no-op.
+// readLoop pumps a socket that cannot push (a kernel socket), a
+// datagram at a time into one leased read buffer. A failing socket
+// tears the listener down, as closing a pushing one does; when Close
+// ended the loop this Close is a no-op.
 func (l *Listener) readLoop() {
 	readDatagrams(l.pconn, 1, 0, l.handleDatagram)
 	l.Close()
+}
+
+// serveDatagram is a pushing socket's handler: handleDatagram on the
+// listener's own scratch, which the socket's one-call-at-a-time
+// contract keeps to one user, as readLoop's is.
+func (l *Listener) serveDatagram(data []byte, from netip.AddrPort) {
+	netbatch.SetUDPAddr(&l.from, from)
+	l.handleDatagram(&l.hdr, data, &l.from)
 }
 
 // handleDatagram routes a datagram to an existing connection or
@@ -423,7 +451,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 	if conn == nil {
 		return
 	}
-	l.acceptCh <- conn // never blocks: the read loop is the only sender and saw room above
+	l.acceptCh <- conn // never blocks: datagrams are handled one at a time, and this one saw room above
 	conn.handleDatagram(data, from)
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"quicscan/internal/netbatch"
 	"quicscan/internal/quicwire"
+	"quicscan/internal/telemetry"
 )
 
 // clientCIDLen is the length of every connection ID this endpoint
@@ -85,7 +86,9 @@ type TransportStats struct {
 	// LatePackets counts datagrams for a connection ID retired within
 	// the draining period — expected tail traffic, not a loss.
 	LatePackets uint64
-	// Dropped counts datagrams with no route at all.
+	// Dropped counts datagrams delivered to no connection: empty,
+	// unparsable, or with no route at all (the split by reason is
+	// quic_dropped_datagrams_total{reason}).
 	Dropped uint64
 }
 
@@ -325,8 +328,7 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	mDatagramsIn.Inc()
 	mBytesIn.Add(uint64(len(data)))
 	if len(data) == 0 {
-		t.cDropped.Add(1)
-		mDropped.Inc()
+		t.drop(mDroppedEmpty)
 		return
 	}
 	// Every connection ID this endpoint issues has the fixed
@@ -337,15 +339,13 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	if quicwire.IsLongHeader(data[0]) {
 		_, err := quicwire.ParseLongHeaderInto(hdr, data)
 		if err != nil {
-			t.cDropped.Add(1)
-			mDropped.Inc()
+			t.drop(mDroppedBadHeader)
 			return
 		}
 		dstID = hdr.DstID
 	} else {
 		if len(data) < 1+clientCIDLen {
-			t.cDropped.Add(1)
-			mDropped.Inc()
+			t.drop(mDroppedShortHeader)
 			return
 		}
 		dstID = data[1 : 1+clientCIDLen]
@@ -364,8 +364,7 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		// owning connection can run its reset-token check.
 		c = t.routes.lookupAddr(from.String())
 		if c == nil {
-			t.cDropped.Add(1)
-			mDropped.Inc()
+			t.drop(mDroppedNoRoute)
 			return
 		}
 		t.cRoutingMisses.Add(1)
@@ -385,4 +384,10 @@ func (t *Transport) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		}
 	}
 	c.handleDatagram(data, from)
+}
+
+// drop counts a datagram route could not deliver, under its reason.
+func (t *Transport) drop(reason *telemetry.Counter) {
+	t.cDropped.Add(1)
+	reason.Inc()
 }

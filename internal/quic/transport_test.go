@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"quicscan/internal/simnet"
+	"quicscan/internal/telemetry"
 )
 
 // TestTransportMuxesConcurrentHandshakes drives 256 concurrent
@@ -206,5 +207,57 @@ func TestDrainingSetExpiry(t *testing.T) {
 	}
 	if sh.drainHead != 0 || len(sh.drainQ) != 1 {
 		t.Errorf("queue not compacted: head=%d len=%d, want 0/1", sh.drainHead, len(sh.drainQ))
+	}
+}
+
+// TestTransportDropReasons: every datagram the transport cannot deliver
+// is counted once, under the reason it was dropped for, and
+// Stats().Dropped is the sum of the reasons.
+func TestTransportDropReasons(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	pc, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTransport(pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	peer, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.9:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reasons := []struct {
+		name     string
+		counter  *telemetry.Counter
+		datagram []byte
+	}{
+		{"empty", mDroppedEmpty, []byte{}},
+		{"bad_header", mDroppedBadHeader, []byte{0xc0, 0, 0}},                    // a long header cut inside its version
+		{"short_header", mDroppedShortHeader, []byte{0x40, 1, 2, 3}},             // under a connection ID
+		{"no_route", mDroppedNoRoute, append([]byte{0x40}, make([]byte, 24)...)}, // an ID and an address nobody owns
+	}
+	before := make([]uint64, len(reasons))
+	for i, r := range reasons {
+		before[i] = r.counter.Value()
+	}
+	for _, r := range reasons {
+		if _, err := peer.WriteTo(r.datagram, pc.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().Dropped < uint64(len(reasons)) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := tr.Stats().Dropped; got != uint64(len(reasons)) {
+		t.Errorf("Stats().Dropped = %d, want %d", got, len(reasons))
+	}
+	for i, r := range reasons {
+		if got := r.counter.Value() - before[i]; got != 1 {
+			t.Errorf("quic_dropped_datagrams_total{reason=%q} moved by %d, want 1", r.name, got)
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 // size-classed pooled buffer owned by exactly one party at a time —
 // the sender's deliver call, then the receive queue, then ReadFrom,
 // which copies into the caller's buffer and releases it (Close
-// releases whatever is still queued).
+// releases whatever is still queued). A serving socket (Serve) has no
+// queue: its handler reads the pooled buffer itself, which is released
+// when the call returns.
 
 // Payload copies come in three capacity classes: small control
 // datagrams, full Ethernet/Initial-sized packets, and the 64 KiB
@@ -77,10 +79,12 @@ type scheduler struct {
 	done    chan struct{}
 }
 
-// scheduleAfter hands d to pc after delay. Zero delay delivers inline
-// on the sender's goroutine, exactly as before.
-func (n *Network) scheduleAfter(pc *PacketConn, d datagram, delay time.Duration) {
-	if delay <= 0 {
+// scheduleAfter hands d, sent by src, to pc after delay. Zero delay
+// delivers inline on the sender's goroutine, unless both sockets serve
+// (Serve): src's handler may be the sender, and calling pc's from
+// inside it could wait on a handler that is waiting on src's.
+func (n *Network) scheduleAfter(src, pc *PacketConn, d datagram, delay time.Duration) {
+	if delay <= 0 && (pc.srv.Load() == nil || src.srv.Load() == nil) {
 		pc.enqueue(d)
 		return
 	}

@@ -218,9 +218,9 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 			dup = leasePayload(len(buf))
 			copy(dup, buf)
 		}
-		n.scheduleAfter(dst, datagram{payload: buf, from: from}, v.delay)
+		n.scheduleAfter(src, dst, datagram{payload: buf, from: from}, v.delay)
 		if dup != nil {
-			n.scheduleAfter(dst, datagram{payload: dup, from: from}, v.dupDelay)
+			n.scheduleAfter(src, dst, datagram{payload: dup, from: from}, v.dupDelay)
 		}
 		return
 	}
@@ -255,9 +255,9 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 				dup = leasePayload(len(buf))
 				copy(dup, buf)
 			}
-			n.scheduleAfter(src, datagram{payload: buf, from: to}, v.delay+rv.delay)
+			n.scheduleAfter(src, src, datagram{payload: buf, from: to}, v.delay+rv.delay)
 			if dup != nil {
-				n.scheduleAfter(src, datagram{payload: dup, from: to}, v.delay+rv.dupDelay)
+				n.scheduleAfter(src, src, datagram{payload: dup, from: to}, v.delay+rv.dupDelay)
 			}
 		}
 	}
@@ -309,6 +309,18 @@ type PacketConn struct {
 	// dlCh exists while a reader is blocked; a deadline change closes
 	// and forgets it, so a socket nobody reads carries no channel for it.
 	dlCh chan struct{}
+	// srv is set once, by Serve, and never cleared: from then on the
+	// socket pushes each datagram to its handler instead of the ring.
+	srv atomic.Pointer[server]
+}
+
+// server is a push-mode socket's owner (Serve). mu serialises the
+// handler calls, so a handler may keep per-socket scratch exactly as a
+// single read loop would.
+type server struct {
+	mu      sync.Mutex
+	handler func(payload []byte, from netip.AddrPort)
+	onClose func()
 }
 
 func newPacketConn(n *Network, at netip.AddrPort) *PacketConn {
@@ -319,18 +331,27 @@ func newPacketConn(n *Network, at netip.AddrPort) *PacketConn {
 	}
 }
 
-// enqueue appends d to the receive queue, taking ownership of its
-// pooled payload. Everything happens under the lock Close takes:
-// delayed deliveries arrive from the scheduler goroutine, so an
-// enqueue can otherwise race a close.
+// enqueue hands d to the socket, taking ownership of its pooled
+// payload: to the handler in push mode, else onto the receive queue.
+// The decision happens under the lock Close and Serve take: delayed
+// deliveries arrive from the scheduler goroutine, so an enqueue can
+// otherwise race a close.
 func (pc *PacketConn) enqueue(d datagram) {
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	if pc.closed {
+		pc.mu.Unlock()
 		mClosedDropped.Inc()
 		releasePayload(d.payload)
 		return
 	}
+	if srv := pc.srv.Load(); srv != nil {
+		pc.mu.Unlock()
+		srv.mu.Lock()
+		pc.handOver(srv, d)
+		srv.mu.Unlock()
+		return
+	}
+	defer pc.mu.Unlock()
 	if pc.count == rcvQueueCap {
 		// Receive buffer overflow: drop the newcomer, like a real socket.
 		mRcvbufDropped.Inc()
@@ -343,6 +364,59 @@ func (pc *PacketConn) enqueue(d datagram) {
 	pc.ring[(pc.head+pc.count)&(len(pc.ring)-1)] = d
 	pc.count++
 	pc.signalLocked()
+}
+
+// handOver calls the handler with d, srv.mu held, and releases the
+// payload when it returns. Close does not wait for a call in progress,
+// but once it has returned no call begins.
+func (pc *PacketConn) handOver(srv *server, d datagram) {
+	pc.mu.Lock()
+	closed := pc.closed
+	pc.mu.Unlock()
+	if closed {
+		mClosedDropped.Inc()
+	} else {
+		srv.handler(d.payload, d.from)
+	}
+	releasePayload(d.payload)
+}
+
+// Serve puts the socket in push mode, the form a server on an
+// in-memory network takes: no goroutine waits in a read and no buffer
+// waits for a datagram. From now on every datagram, including any
+// already queued, goes to handler instead of a reader. The socket's
+// calls are serialised: a sender on a perfect link makes the call on
+// its own goroutine, the scheduler makes it for a delayed datagram, and
+// a datagram from a socket that is itself serving always goes through
+// the scheduler, so two handlers never wait on each other.
+// payload is the network's copy, which the handler may modify but must
+// not retain; from is its source. onClose, if not nil, runs once, when
+// the socket closes. Reads on a serving socket wait until Close.
+func (pc *PacketConn) Serve(handler func(payload []byte, from netip.AddrPort), onClose func()) error {
+	srv := &server{handler: handler, onClose: onClose}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	pc.mu.Lock()
+	if pc.closed {
+		pc.mu.Unlock()
+		return net.ErrClosed
+	}
+	if pc.srv.Load() != nil {
+		pc.mu.Unlock()
+		return errors.New("simnet: socket already served")
+	}
+	pc.srv.Store(srv)
+	queued := make([]datagram, 0, pc.count)
+	for pc.count > 0 {
+		queued = append(queued, pc.popLocked())
+	}
+	pc.ring = nil
+	pc.mu.Unlock()
+	// Arrivals from now on wait for srv.mu, so they follow these.
+	for _, d := range queued {
+		pc.handOver(srv, d)
+	}
+	return nil
 }
 
 // growLocked doubles the ring, unwrapping it so head returns to 0.
@@ -578,6 +652,9 @@ func (pc *PacketConn) Close() error {
 	addr := pc.addr
 	pc.mu.Unlock()
 	pc.net.unbindUDP(addr, pc)
+	if srv := pc.srv.Load(); srv != nil && srv.onClose != nil {
+		srv.onClose()
+	}
 	return nil
 }
 

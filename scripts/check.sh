@@ -46,7 +46,7 @@ go build -tags portable ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner sizes its socket pool from
 # GOMAXPROCS, so a rescan dials from another source port only on
 # multi-core hosts — a failure that hid on 1-CPU runners. The rescan
@@ -70,9 +70,12 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, lis
 # so its exactness on every way out of Run is checked at each width too.
 # The registry is here because the cell of a counter that an update
 # lands in depends on which goroutine runs where, and the totals must not.
+# The simulated servers (the DNS server, the universe's listeners) are
+# here because simnet calls them on whichever goroutine sends, so how
+# their calls interleave depends on how many run at once.
 go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/listscan \
-	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/netbatch ./internal/experiments \
-	./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
+	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
+	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
