@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -49,7 +50,7 @@ func main() {
 		port        = flag.Int("port", 443, "target UDP port")
 		timeout     = flag.Duration("timeout", 3*time.Second, "per-target handshake timeout")
 		workers     = flag.Int("workers", 64, "concurrent connections")
-		pool        = flag.Int("pool", 0, "UDP sockets in the shared transport pool (default GOMAXPROCS)")
+		pool        = flag.Int("pool", runtime.GOMAXPROCS(0), "UDP sockets in the shared transport pool")
 		output      = flag.String("output", "", "output file (default stdout)")
 		versions    = flag.String("versions", "", "comma-separated QUIC versions to offer (e.g. draft-29,ietf-01)")
 		skipHTTP    = flag.Bool("no-http", false, "skip the HTTP/3 HEAD request")

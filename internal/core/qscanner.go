@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -199,9 +198,10 @@ type Scanner struct {
 	// Workers is the parallelism of Scan (default 64).
 	Workers int
 	// PoolSize is how many UDP sockets the shared transport opens
-	// (default GOMAXPROCS). All concurrent handshakes are multiplexed
-	// over this fixed pool by connection ID, so socket consumption is
-	// independent of target count and worker count.
+	// (default 2, on every host, so that one seed dials from the same
+	// source ports whatever the core count). All concurrent handshakes
+	// are multiplexed over this fixed pool by connection ID, so socket
+	// consumption is independent of target count and worker count.
 	PoolSize int
 	// SkipHTTP disables the HTTP/3 HEAD request.
 	SkipHTTP bool
@@ -237,11 +237,14 @@ type ChainMemo struct {
 // question: the SHA-256 over the chain's raw DER plus the name checked.
 type certCacheKey [sha256.Size]byte
 
+// defaultPoolSize is PoolSize's default: a constant, not the core count.
+const defaultPoolSize = 2
+
 func (s *Scanner) poolSize() int {
 	if s.PoolSize > 0 {
 		return s.PoolSize
 	}
-	return runtime.GOMAXPROCS(0)
+	return defaultPoolSize
 }
 
 // sharedTransport lazily opens the scanner's socket pool. The

@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -391,6 +392,30 @@ func TestScanSharedSocketPool(t *testing.T) {
 	}
 	if got := w.net.UDPSocketCount(); got != 0 {
 		t.Errorf("%d sockets bound after Close, want 0", got)
+	}
+}
+
+// TestDefaultPoolSize: without PoolSize the scanner opens the same
+// number of sockets on every host, so one seed dials from the same
+// source ports whatever the core count (check.sh runs it at -cpu 1,2,4).
+func TestDefaultPoolSize(t *testing.T) {
+	w := newWorld(t)
+	w.net.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {
+		hdr, _, err := quicwire.ParseLongHeader(payload)
+		if err != nil {
+			return nil
+		}
+		return [][]byte{quicwire.AppendVersionNegotiation(nil, hdr.SrcID, hdr.DstID, 0,
+			[]quicwire.Version{quicwire.VersionGoogleQ050})}
+	})
+	s := newScanner(t, w)
+	s.SkipHTTP = true
+	if res := s.ScanTarget(context.Background(), Target{Addr: netip.MustParseAddr("100.64.0.1")}); res.Outcome != OutcomeVersionMismatch {
+		t.Fatalf("outcome = %s (%s)", res.Outcome, res.Error)
+	}
+	st, ok := s.TransportStats()
+	if !ok || st.Sockets != 2 {
+		t.Errorf("GOMAXPROCS %d: Sockets = %d (stats %t), want 2", runtime.GOMAXPROCS(0), st.Sockets, ok)
 	}
 }
 

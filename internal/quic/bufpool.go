@@ -6,15 +6,15 @@ import "sync"
 //
 // Ownership rules (see DESIGN.md §8):
 //
-//   - Read buffers are leased by a read loop (readDatagrams: one per
-//     Transport socket, and one per Listener on a socket that cannot
-//     push), filled by ReadBatch, and handed to Conn.handleDatagram,
+//   - Read buffers are leased by an endpoint's pump (one per socket
+//     that cannot push: every Transport socket, and a Listener's kernel
+//     socket), filled by ReadBatch, and handed to Conn.handleDatagram,
 //     which processes the datagram synchronously under c.mu. The
 //     buffer is valid only for the duration of that call, and the
 //     frames quicwire.FrameIter decodes from it only until the
 //     iterator's next step: anything a connection retains past that
 //     (crypto stream data, stream segments, connection IDs, tokens)
-//     must be copied out. The read loop reuses the buffer for the next
+//     must be copied out. The pump reuses the buffer for the next
 //     read immediately. A Listener on a pushing socket (simnet) leases
 //     none: the socket hands it the network's own copy of each
 //     datagram, under the same rule, and takes it back when the call
@@ -30,11 +30,11 @@ import "sync"
 // and the payload bytes under it the moment its handler returns.
 
 // readBufSize is the fixed size of pooled datagram read buffers: the
-// largest UDP payload either read loop can receive.
+// largest UDP payload the pump can receive.
 const readBufSize = 65536
 
 // readBufPool recycles the 64 KiB receive buffers used by the
-// read loops. Pointers to slices are pooled to
+// pumps. Pointers to slices are pooled to
 // avoid the allocation of the slice header on Put.
 var readBufPool = sync.Pool{
 	New: func() any {

@@ -57,15 +57,17 @@ func chooseVersion(offered, server []quicwire.Version) (quicwire.Version, bool) 
 
 // dialVersion runs one handshake attempt at a fixed version. The
 // connection registers its source ID with the transport before the
-// first packet leaves, and unregisters itself (via the onClose hook)
-// on every close path. priorVN, when non-nil, is the server version
-// list from a Version Negotiation answer to an earlier attempt; it is
-// recorded up front so the surviving connection's Stats report the
-// negotiation (a VN packet is only ever addressed to the attempt that
-// triggered it, so the retry would otherwise never see one).
+// first packet leaves, and closeLocked retires it on every close path.
+// priorVN, when non-nil, is the server version list from a Version
+// Negotiation answer to an earlier attempt; it is recorded up front so
+// the surviving connection's Stats report the negotiation (a VN packet
+// is only ever addressed to the attempt that triggered it, so the retry
+// would otherwise never see one).
 func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote net.Addr, cfg *Config, version quicwire.Version, priorVN []quicwire.Version, early bool) (*Conn, error) {
 	c := newConn(cfg, true)
+	c.ep, c.sock = &t.endpoint, t.socks[int(t.next.Add(1)-1)%len(t.socks)] // round-robin
 	c.remote = remote
+	c.remoteKey = remote.String() // the address route, for stateless resets
 	c.version = version
 	if priorVN != nil {
 		c.stats.VersionNegotiation = true
@@ -73,33 +75,18 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	}
 	// One randomness draw covers both IDs; they are retained as
 	// separate non-overlapping views of the same allocation.
-	ids := quicwire.NewRandomConnID(2 * clientCIDLen)
-	c.dcid = quicwire.ConnID(ids[:clientCIDLen:clientCIDLen])
+	ids := quicwire.NewRandomConnID(2 * connIDLen)
+	c.dcid = quicwire.ConnID(ids[:connIDLen:connIDLen])
 	c.origDcid = c.dcid
-	sock := t.sockFor()
-	c.sendFunc = func(b []byte, to net.Addr) error {
-		n, err := sock.WriteTo(b, to)
-		t.cDatagramsOut.Add(1)
-		t.cBytesOut.Add(uint64(n))
-		mDatagramsOut.Inc()
-		mBytesOut.Add(uint64(n))
-		return err
-	}
-	c.onClose = func() { t.retire(c) }
 	c.initPathLocked(remote)
-	// Path-management hooks: alternate connection IDs route through the
-	// transport's demux table, and a validated migration re-keys the
-	// address fallback route.
-	c.registerCID = func(id quicwire.ConnID) ([16]byte, bool) { return t.addConnID(c, id) }
-	c.unregisterCID = func(id quicwire.ConnID) { t.routes.removeConnID(c, id) }
-	c.onPathChange = func(old, new net.Addr) { t.routes.rebindAddr(c, new.String()) }
 	// Give the server spare client connection IDs so it can rotate on
 	// its side of a migration (RFC 9000, Section 5.1.1).
 	c.onHandshakeDone = func() { c.issueConnIDsLocked(2) }
 
 	t.cDials.Add(1)
 	mDials.Inc()
-	c.scid = quicwire.ConnID(ids[clientCIDLen:])
+	c.scid = quicwire.ConnID(ids[connIDLen:])
+	// A fresh source ID on the (cosmically unlikely) random collision.
 	for attempt := 0; ; attempt++ {
 		err := t.register(c)
 		if err == nil {
@@ -108,7 +95,7 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 		if err != errDuplicateCID || attempt == 3 {
 			return nil, err
 		}
-		c.scid = quicwire.NewRandomConnID(clientCIDLen)
+		c.scid = quicwire.NewRandomConnID(connIDLen)
 	}
 	if cfg.Tracer != nil {
 		c.trace = cfg.Tracer.Conn(fmt.Sprintf("client_%x", c.scid))
@@ -117,7 +104,7 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	}
 
 	fail := func(err error) (*Conn, error) {
-		c.abort(err) // retires the registered IDs via onClose
+		c.abort(err) // retires the registered IDs
 		return nil, err
 	}
 

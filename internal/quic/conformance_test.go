@@ -19,14 +19,16 @@ import (
 // client and our own server — the simulated providers are only valid
 // ground truth if the baseline they deviate from conforms.
 
-// rig is one endpoint mid-handshake with packet protection installed at
-// every level, so a packet of any type can be sealed "by the peer" and
-// fed through handleDatagram. It has a started TLS stack (CRYPTO frames
-// reach it) but no network: everything it sends lands in sent.
+// rig is one connection mid-handshake with packet protection installed
+// at every level, so a packet of any type can be sealed "by the peer"
+// and fed through its endpoint's route. It has a started TLS stack
+// (CRYPTO frames reach it) but no network: its endpoint owns a
+// capturing socket, and everything it sends lands in sock.sent.
 type rig struct {
 	c    *Conn
+	ep   *endpoint
+	sock *captureConn
 	peer quicwire.ConnID
-	sent [][]byte
 	pn   uint64
 	// seal[t] protects a packet of type t as the peer would.
 	seal map[quicwire.PacketType]*quiccrypto.Keys
@@ -34,22 +36,38 @@ type rig struct {
 	open *quiccrypto.Keys
 }
 
+// captureConn is a socket that only sends, into sent. Nothing reads it:
+// the rig's endpoint is never started.
+type captureConn struct {
+	net.PacketConn
+	sent [][]byte
+}
+
+func (cc *captureConn) WriteTo(b []byte, _ net.Addr) (int, error) {
+	cc.sent = append(cc.sent, append([]byte(nil), b...))
+	return len(b), nil
+}
+
 func newRig(t *testing.T, isClient bool) *rig {
 	t.Helper()
 	r := &rig{peer: quicwire.ConnID{9, 9, 9, 9, 9, 9, 9, 9}, seal: map[quicwire.PacketType]*quiccrypto.Keys{}}
+	r.sock = &captureConn{}
+	r.ep = &endpoint{role: &serverRole, socks: []net.PacketConn{r.sock}}
+	if isClient {
+		r.ep.role = &clientRole
+	}
 	cfg := (&Config{}).clone()
 	c := newConn(cfg, isClient)
 	r.c = c
+	c.ep, c.sock = r.ep, r.sock
 	c.version = quicwire.Version1
 	c.scid = quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8}
 	c.dcid = r.peer
 	c.origDcid = quicwire.ConnID{7, 7, 7, 7, 7, 7, 7, 7}
 	c.remote = &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1), Port: 443}
-	c.sendFunc = func(b []byte, _ net.Addr) error {
-		r.sent = append(r.sent, append([]byte(nil), b...))
-		return nil
+	if err := r.ep.register(c); err != nil {
+		t.Fatal(err)
 	}
-	c.registerCID = func(quicwire.ConnID) ([16]byte, bool) { return [16]byte{}, true }
 
 	ik, err := quiccrypto.NewInitialKeys(c.version, c.origDcid)
 	if err != nil {
@@ -104,7 +122,7 @@ func newRig(t *testing.T, isClient bool) *rig {
 }
 
 // deliver seals payload into one packet of type pt, as the peer would,
-// and hands it to the endpoint.
+// and routes it to the connection.
 func (r *rig) deliver(pt quicwire.PacketType, payload []byte) {
 	const pnLen = 4 // long enough that an empty payload still leaves a sample
 	var pkt []byte
@@ -118,7 +136,8 @@ func (r *rig) deliver(pt quicwire.PacketType, payload []byte) {
 	}
 	pkt = r.seal[pt].SealPacket(append(pkt, payload...), pnOff, pnLen, r.pn)
 	r.pn++
-	r.c.handleDatagram(pkt, nil)
+	var hdr quicwire.Header
+	r.ep.route(&hdr, pkt, r.c.remote)
 }
 
 // violation returns the reason the endpoint closed itself with
@@ -135,10 +154,10 @@ func (r *rig) violation() string {
 // endpoint sent in its last 1-RTT packet.
 func (r *rig) closeOnWire(t *testing.T) (quicwire.TransportError, bool) {
 	t.Helper()
-	if len(r.sent) == 0 {
+	if len(r.sock.sent) == 0 {
 		return 0, false
 	}
-	pkt := r.sent[len(r.sent)-1]
+	pkt := r.sock.sent[len(r.sock.sent)-1]
 	_, pnOff, err := quicwire.ParseShortHeader(pkt, len(r.peer))
 	if err != nil {
 		return 0, false
@@ -289,7 +308,7 @@ func TestAppCloseBeforeOneRTTKeys(t *testing.T) {
 	r.c.mu.Unlock()
 	r.c.CloseWithError(0x101, "application detail")
 
-	pkt := r.sent[len(r.sent)-1]
+	pkt := r.sock.sent[len(r.sock.sent)-1]
 	var hdr quicwire.Header
 	pnOff, err := quicwire.ParseLongHeaderInto(&hdr, pkt)
 	if err != nil || hdr.Type != quicwire.PacketHandshake {

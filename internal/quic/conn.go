@@ -91,11 +91,13 @@ type Conn struct {
 	isClient bool
 
 	remote net.Addr
-	// sendFunc abstracts the transmit path: client connections send
-	// through their Transport's socket pool, server connections through
-	// the listener's socket. The destination is passed per call because
-	// connection migration can change it mid-connection.
-	sendFunc func(b []byte, to net.Addr) error
+	// ep is the endpoint (a Transport's or a Listener's) that routes to
+	// this connection, and sock the socket of its that the connection
+	// sends on. The connection calls ep directly, with c.mu held, to
+	// send, to route its issued connection IDs and to retire at close;
+	// ep never calls into a Conn while holding a table lock.
+	ep   *endpoint
+	sock net.PacketConn
 
 	mu     sync.Mutex
 	spaces [numSpaces]pnSpace
@@ -127,7 +129,7 @@ type Conn struct {
 
 	// Path validation and migration state (path.go). activeAP is the
 	// canonical form of remote; activePub its lock-free mirror for the
-	// Transport's address-mismatch accounting. rxFromAP/rxDCID/rxDgramLen
+	// client endpoint's address-mismatch accounting. rxFromAP/rxDCID/rxDgramLen
 	// are per-datagram receive scratch, valid only inside handleDatagram.
 	activeAP   netip.AddrPort
 	activePub  atomic.Value // netip.AddrPort
@@ -147,14 +149,6 @@ type Conn struct {
 	localCIDs       []localConnID
 	nextLocalCIDSeq uint64
 
-	// registerCID/unregisterCID hook alternate local connection IDs
-	// into the owning demultiplexer's routing table; onPathChange
-	// re-keys its address route after a migration. All are invoked with
-	// c.mu held, so hook bodies must not call back into Conn methods.
-	registerCID   func(id quicwire.ConnID) (token [16]byte, ok bool)
-	unregisterCID func(id quicwire.ConnID)
-	onPathChange  func(old, new net.Addr)
-
 	// Migration quirk knobs, copied from ServerPolicy at accept time:
 	// disableMigration ignores peer address changes outright;
 	// migrateBreak validates the new path and then closes the
@@ -165,10 +159,6 @@ type Conn struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
-	// onClose runs exactly once during teardown, with mu held; the
-	// owning Transport or Listener uses it to retire this connection's
-	// routes.
-	onClose func()
 
 	ptoTimer *time.Timer
 	ptoCount int
@@ -222,8 +212,8 @@ type Conn struct {
 	// have no address route). altKeys are the other routed IDs: those
 	// issued via NEW_CONNECTION_ID and, on a server, the client's
 	// original destination ID. It starts out backed by altArr so the
-	// usual handful costs no allocation. All are touched only by
-	// routeTable methods, with mu held.
+	// usual handful costs no allocation. Once the connection is
+	// registered they are touched only by its endpoint, with mu held.
 	remoteKey string
 	scidKey   string
 	altKeys   []string
@@ -740,11 +730,12 @@ func (c *Conn) onIdleTimer() {
 }
 
 // handleDatagram processes one received UDP payload, which may contain
-// multiple coalesced QUIC packets. data is owned by the caller (the
-// read loops pass their pooled buffer) and is only valid for the
-// duration of the call: all processing happens synchronously under
-// c.mu, and every value retained past return — crypto stream data,
-// stream segments, connection IDs, tokens — is copied out first.
+// multiple coalesced QUIC packets. data is owned by the caller (a pump
+// passes its pooled buffer, a pushing socket its own copy) and is only
+// valid for the duration of the call: all processing happens
+// synchronously under c.mu, and every value retained past return —
+// crypto stream data, stream segments, connection IDs, tokens — is
+// copied out first.
 // from is the datagram's source address (nil when the caller has no
 // address context, which disables migration detection for the call);
 // like data it is only valid for the duration of the call.
@@ -1415,9 +1406,7 @@ func (c *Conn) closeLocked(err error) {
 		if c.tls != nil {
 			c.tls.Close()
 		}
-		if c.onClose != nil {
-			c.onClose()
-		}
+		c.ep.retire(c)
 	})
 }
 

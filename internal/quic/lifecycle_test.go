@@ -57,8 +57,8 @@ func acceptConn(t *testing.T, l *Listener) *Conn {
 	return c
 }
 
-// waitClosed waits for c to close and for its onClose hook to finish
-// (closeLocked runs it under c.mu, which Err takes).
+// waitClosed waits for c to close and for its endpoint's retire to
+// finish (closeLocked calls it under c.mu, which Err takes).
 func waitClosed(t *testing.T, c *Conn) {
 	t.Helper()
 	select {
@@ -337,7 +337,7 @@ func TestDrainingThenStatelessReset(t *testing.T) {
 	}
 }
 
-// TestListenerCloseRacesConnCloses: onClose runs under c.mu and takes
+// TestListenerCloseRacesConnCloses: retire runs under c.mu and takes
 // table locks, Listener.Close walks the table and then takes each
 // c.mu; holding a table lock across the second step would deadlock.
 func TestListenerCloseRacesConnCloses(t *testing.T) {
@@ -417,7 +417,7 @@ func TestAcceptQueueFullRefuses(t *testing.T) {
 
 // TestListenerClosesWithNetwork: a Listener on a simnet socket starts no
 // goroutine; when Network.Close closes the socket under it, it closes
-// as a failing read loop's listener does — Accept returns
+// as a listener whose pump fails does — Accept returns
 // ErrConnectionClosed (h3's ServeListener returns on it) and its
 // connections are aborted — and nothing it started is left running.
 func TestListenerClosesWithNetwork(t *testing.T) {

@@ -50,7 +50,7 @@ var (
 	// mRouteAddrMiss counts short-header datagrams that routed by
 	// connection ID but arrived from an address other than the
 	// connection's active path — the observable shadow of NAT rebinding
-	// and migration (Transport.route).
+	// and migration (endpoint.route, client role only).
 	mRouteAddrMiss = telemetry.Default().Counter("quic_route_addr_miss_total")
 
 	// Handshake fast path: session resumption, 0-RTT and NEW_TOKEN
@@ -79,7 +79,8 @@ var (
 	mHandshakeVersionMismatch = mHandshakes.With("version_mismatch")
 	mHandshakeError           = mHandshakes.With("error")
 
-	// token: an address validation token failed validation;
+	// The Listener's own drop reasons, beside route's four (see
+	// serverRole). token: an address validation token failed validation;
 	// accept_queue: nobody is accepting; short_initial: Initial in a
 	// datagram under 1200 bytes; draining_initial: Initial for a
 	// connection ID that is draining; no_route: anything else that
@@ -89,15 +90,35 @@ var (
 	mListenerDropShortInitial    = mListenerDrops.With("short_initial")
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
 	mListenerDropNoRoute         = mListenerDrops.With("no_route")
+)
 
-	// The Transport's drops. empty: a zero-length datagram; bad_header:
-	// a long header that does not parse; short_header: a short header
-	// too short to hold a connection ID; no_route: neither the
-	// destination ID nor the source address belongs to a connection.
-	mDroppedEmpty       = mDropped.With("empty")
-	mDroppedBadHeader   = mDropped.With("bad_header")
-	mDroppedShortHeader = mDropped.With("short_header")
-	mDroppedNoRoute     = mDropped.With("no_route")
+// The two roles of an endpoint. Both count the same four route drops
+// (empty, bad_header, short_header, no_route), the client under
+// quic_dropped_datagrams_total and the server under
+// quic_listener_drops_total.
+var (
+	clientRole = role{
+		closedErr:    ErrTransportClosed,
+		datagramsIn:  mDatagramsIn,
+		datagramsOut: mDatagramsOut,
+		bytesIn:      mBytesIn,
+		bytesOut:     mBytesOut,
+		shardHits:    mRouteShardHits,
+		addrMiss:     mRouteAddrMiss,
+		conns:        mActiveConns,
+		empty:        mDropped.With("empty"),
+		badHeader:    mDropped.With("bad_header"),
+		shortHeader:  mDropped.With("short_header"),
+		noRoute:      mDropped.With("no_route"),
+	}
+	serverRole = role{
+		closedErr:   ErrConnectionClosed,
+		conns:       mListenerConns,
+		empty:       mListenerDrops.With("empty"),
+		badHeader:   mListenerDrops.With("bad_header"),
+		shortHeader: mListenerDrops.With("short_header"),
+		noRoute:     mListenerDropNoRoute,
+	}
 )
 
 // mRouteShardHits holds the pre-resolved per-shard children of

@@ -24,7 +24,7 @@ func (c *Conn) sendPendingLocked() {
 			break
 		}
 		c.stats.BytesSent += len(datagram)
-		if err := c.sendFunc(datagram, c.remote); err != nil {
+		if err := c.ep.send(c.sock, datagram, c.remote); err != nil {
 			c.closeLocked(err)
 			return
 		}
@@ -54,9 +54,8 @@ func (sp *pnSpace) takeCrypto(max int) *quicwire.CryptoFrame {
 func (c *Conn) packDatagramLocked() ([]byte, bool) {
 	budget := c.cfg.MaxDatagramSize
 	// The datagram is assembled in per-conn scratch (guarded by mu):
-	// sendFunc implementations write it to a socket and never retain
-	// it, so the buffer is reusable the moment sendPendingLocked's
-	// send returns.
+	// the socket write never retains it, so the buffer is reusable the
+	// moment sendPendingLocked's send returns.
 	datagram := c.datagramScratch[:0]
 	packedAny := false
 	containsInitial := false

@@ -110,7 +110,7 @@ func addrPortOf(a net.Addr) netip.AddrPort {
 }
 
 // publishActiveLocked mirrors the active peer address into the
-// lock-free copy Transport.route reads for the address-mismatch
+// lock-free copy endpoint.route reads for the address-mismatch
 // counter.
 func (c *Conn) publishActiveLocked() {
 	c.activePub.Store(c.activeAP)
@@ -342,7 +342,7 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, frames ...quicwire.Fr
 	if c.trace != nil {
 		c.trace.Event("packet_sent", "space", spaceNames[spaceApp], "pn", pn, "size", len(pkt), "path", p.ap.String())
 	}
-	c.sendFunc(pkt, p.remote)
+	c.ep.send(c.sock, pkt, p.remote)
 	return true
 }
 
@@ -431,7 +431,7 @@ func (c *Conn) handlePathResponseLocked(data [8]byte) {
 // promotePathLocked redirects the connection to a validated path:
 // future sends target its address, the destination connection ID
 // rotates to the path's reserved ID (retiring the old one), and the
-// owning Transport/Listener re-keys its address route.
+// endpoint re-keys the connection's address route, if it has one.
 func (c *Conn) promotePathLocked(p *pathState) {
 	if p.ap == c.activeAP {
 		return
@@ -467,9 +467,7 @@ func (c *Conn) promotePathLocked(p *pathState) {
 	if c.trace != nil {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
-	if c.onPathChange != nil {
-		c.onPathChange(old, c.remote)
-	}
+	c.ep.routes.rebindAddr(c, c.remote)
 	if c.migrateBreak {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.
@@ -496,17 +494,14 @@ func (c *Conn) ensureLocalCIDsLocked() {
 	c.nextLocalCIDSeq = 1
 }
 
-// issueConnIDsLocked mints n alternate connection IDs, registers them
-// with the owning demultiplexer via the registerCID hook, and queues
-// the NEW_CONNECTION_ID frames.
+// issueConnIDsLocked mints n alternate connection IDs, routes them to
+// this connection through its endpoint, and queues the
+// NEW_CONNECTION_ID frames.
 func (c *Conn) issueConnIDsLocked(n int) {
-	if c.registerCID == nil {
-		return
-	}
 	c.ensureLocalCIDsLocked()
 	for i := 0; i < n; i++ {
 		altID := quicwire.NewRandomConnID(len(c.scid))
-		token, ok := c.registerCID(altID)
+		token, ok := c.ep.addConnID(c, altID)
 		if !ok {
 			return
 		}
@@ -550,10 +545,10 @@ func (c *Conn) handleRetireConnIDLocked(fr *quicwire.RetireConnectionIDFrame) {
 		return
 	}
 	c.localCIDs = append(c.localCIDs[:idx], c.localCIDs[idx+1:]...)
-	// Sequence 0 is the route the owning demultiplexer tears down
-	// itself at close; everything else unregisters now.
-	if retired.seq != 0 && c.unregisterCID != nil {
-		c.unregisterCID(retired.id)
+	// Sequence 0 is the route the endpoint tears down itself at close;
+	// everything else unregisters now.
+	if retired.seq != 0 {
+		c.ep.routes.removeConnID(c, retired.id)
 	}
 	c.issueConnIDsLocked(1)
 }

@@ -3,6 +3,7 @@ package quic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
@@ -15,53 +16,78 @@ import (
 	"quicscan/internal/telemetry"
 )
 
-// TestReadLoopTimeoutBound covers the stray-deadline case: the
-// Transport sets no deadlines on its sockets, so an expired deadline
-// left by whoever handed the socket in used to make readLoop spin
-// forever re-reading the same timeout. The loop must now count a
-// bounded run of timeouts in quic_read_timeouts_total and exit.
+// TestReadLoopTimeoutBound covers the stray-deadline case: an endpoint
+// sets no deadlines on its sockets, so an expired deadline left by
+// whoever handed the socket in used to make its read loop spin forever
+// re-reading the same timeout. The one pump, a Transport's or a
+// Listener's, must count a bounded run of timeouts in
+// quic_read_timeouts_total and exit, closing its endpoint: a Listener's
+// Accept then returns ErrConnectionClosed.
 func TestReadLoopTimeoutBound(t *testing.T) {
 	readTimeouts := func() uint64 {
 		return telemetry.Default().Snapshot().Counters["quic_read_timeouts_total"]
 	}
-	before := readTimeouts()
+	for _, server := range []bool{false, true} {
+		t.Run(map[bool]string{false: "transport", true: "listener"}[server], func(t *testing.T) {
+			before := readTimeouts()
+			var (
+				ep io.Closer
+				l  *Listener
+			)
+			if server {
+				pc := newUDP(t)
+				pc.SetReadDeadline(time.Now().Add(-time.Hour))
+				scfg, _ := serverConfig(t, "deadline.test")
+				var err error
+				if l, err = Listen(pc, scfg, ServerPolicy{}); err != nil {
+					t.Fatal(err)
+				}
+				ep = l
+			} else {
+				n := simnet.New(simnet.Config{})
+				defer n.Close()
+				pc, err := n.ListenUDP(netip.MustParseAddrPort("198.18.0.99:40000"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc.SetReadDeadline(time.Now().Add(-time.Hour))
+				if ep, err = NewTransport(pc); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	n := simnet.New(simnet.Config{})
-	defer n.Close()
-	pc, err := n.ListenUDP(netip.MustParseAddrPort("198.18.0.99:40000"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.SetReadDeadline(time.Now().Add(-time.Hour))
+			deadline := time.Now().Add(5 * time.Second)
+			for readTimeouts()-before < maxConsecutiveReadTimeouts {
+				if time.Now().After(deadline) {
+					t.Fatalf("read loop counted only %d timeouts in 5s, want %d",
+						readTimeouts()-before, maxConsecutiveReadTimeouts)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			// The loop has hit the bound; it must stop counting (i.e. it
+			// exited rather than continuing to spin).
+			time.Sleep(50 * time.Millisecond)
+			if got := readTimeouts() - before; got != maxConsecutiveReadTimeouts {
+				t.Errorf("read loop counted %d timeouts after the bound, want exactly %d",
+					got, maxConsecutiveReadTimeouts)
+			}
+			if l != nil {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if _, err := l.Accept(ctx); !errors.Is(err, ErrConnectionClosed) {
+					t.Errorf("Accept after the read loop gave up = %v, want ErrConnectionClosed", err)
+				}
+			}
 
-	tr, err := NewTransport(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for readTimeouts()-before < maxConsecutiveReadTimeouts {
-		if time.Now().After(deadline) {
-			t.Fatalf("read loop counted only %d timeouts in 5s, want %d",
-				readTimeouts()-before, maxConsecutiveReadTimeouts)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// The loop has hit the bound; it must stop counting (i.e. it
-	// exited rather than continuing to spin).
-	time.Sleep(50 * time.Millisecond)
-	if got := readTimeouts() - before; got != maxConsecutiveReadTimeouts {
-		t.Errorf("read loop counted %d timeouts after the bound, want exactly %d",
-			got, maxConsecutiveReadTimeouts)
-	}
-
-	// Close must not hang on the already-exited loop.
-	done := make(chan struct{})
-	go func() { tr.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Transport.Close hung after the read loop exited")
+			// Close must not hang on the already-exited loop.
+			done := make(chan struct{})
+			go func() { ep.Close(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close hung after the read loop exited")
+			}
+		})
 	}
 }
 
@@ -104,8 +130,8 @@ func (z *zonedConn) WriteTo(b []byte, to net.Addr) (int, error) {
 	return z.PacketConn.WriteTo(b, real)
 }
 
-// TestListenerKeepsPeerZone: the listener reads through the shared
-// batch loop's scratch address; what it hands to a new connection, and
+// TestListenerKeepsPeerZone: the listener reads through the pump's
+// scratch address; what it hands to a new connection, and
 // what it answers to itself (Version Negotiation), must still carry
 // the zone the socket reported.
 func TestListenerKeepsPeerZone(t *testing.T) {

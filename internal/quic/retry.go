@@ -154,5 +154,5 @@ func (l *Listener) sendRetry(hdr *quicwire.Header, from net.Addr) {
 		return
 	}
 	pkt = append(pkt, tag[:]...)
-	l.pconn.WriteTo(pkt, from)
+	l.socks[0].WriteTo(pkt, from)
 }

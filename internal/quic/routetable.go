@@ -2,6 +2,7 @@ package quic
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,7 +16,7 @@ const drainingPeriod = 3 * time.Second
 // routeShards is the number of independent route-table shards. The
 // receive hot path used to funnel every datagram of every socket
 // through one endpoint-wide mutex; sharding by a hash of the route
-// key lets the per-socket read loops demux concurrently. Must stay a
+// key lets the per-socket pumps demux concurrently. Must stay a
 // power of two (shardIndex masks).
 const routeShards = 16
 
@@ -75,8 +76,8 @@ func shardIndexString(key string) int {
 	return int(h & (routeShards - 1))
 }
 
-// routeTable is the datagram demux state of one endpoint, owned by a
-// Transport (client connections) or a Listener (server connections):
+// routeTable is the datagram demux state of one endpoint (a Transport's
+// client connections or a Listener's server connections):
 // live routes by connection ID, the client's remote-address fallback,
 // and key-only tombstones for the IDs of closed connections. The zero
 // value is ready to use; shard maps are created at first write (reads
@@ -84,9 +85,10 @@ func shardIndexString(key string) int {
 // one-connection Transport never see a key).
 //
 // A connection's route keys are cached on the Conn (scidKey, altKeys,
-// remoteKey) and only touched with c.mu held: the CID hooks and
-// onClose all run under it. Lock order is c.mu, then mu, then one
-// shard mutex; no table lock is ever held while calling into a Conn.
+// remoteKey) and only touched with c.mu held: the connection's calls to
+// its endpoint (addConnID, removeConnID, rebindAddr, retire) all run
+// under it. Lock order is c.mu, then mu, then one shard mutex; no table
+// lock is ever held while calling into a Conn.
 type routeTable struct {
 	shards [routeShards]routeShard
 
@@ -224,14 +226,18 @@ func (rt *routeTable) park(key string, c *Conn, now time.Time) bool {
 	return true
 }
 
-// rebindAddr moves the connection's address-fallback route after a
-// validated migration. Deliberately not called on mere address
-// mismatches: the route follows proven paths only, so an off-path
-// spoofer cannot steal another connection's fallback entry.
-func (rt *routeTable) rebindAddr(c *Conn, newKey string) {
+// rebindAddr moves the connection's address-fallback route to addr
+// after a validated migration; a connection without one (a server's)
+// stays without. Deliberately not called on mere address mismatches:
+// the route follows proven paths only, so an off-path spoofer cannot
+// steal another connection's fallback entry.
+func (rt *routeTable) rebindAddr(c *Conn, addr net.Addr) {
+	if c.remoteKey == "" {
+		return
+	}
 	rt.removeAddr(c.remoteKey, c)
-	c.remoteKey = newKey
-	rt.insertAddr(newKey, c)
+	c.remoteKey = addr.String()
+	rt.insertAddr(c.remoteKey, c)
 }
 
 // lookup resolves a destination connection ID to its connection. A nil

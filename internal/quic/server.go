@@ -7,11 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/netip"
-	"sync"
 	"time"
 
-	"quicscan/internal/netbatch"
 	"quicscan/internal/quiccrypto"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/transportparams"
@@ -162,43 +159,24 @@ const (
 )
 
 // Listener accepts QUIC connections on a PacketConn, demultiplexing by
-// connection ID. Its state is proportional to the connections open,
+// connection ID: the accepting face of an endpoint, as a Transport is
+// the dialing one. Its state is proportional to the connections open,
 // not the connections ever served: a closing connection retires its
-// routes (see retire) and leaves only short-lived tombstones behind.
+// routes and leaves only short-lived tombstones behind. Close stops it
+// and aborts its connections; so does its socket closing or failing.
 type Listener struct {
+	endpoint
+
 	cfg    *Config
 	policy ServerPolicy
-	pconn  net.PacketConn
 	// tlsBase is the shared per-listener TLS config. Sharing matters
 	// for session resumption: ticket keys are pinned once here, so a
 	// ticket minted on one connection decrypts on every later one
 	// (per-connection clones would each auto-generate their own keys).
 	tlsBase *tls.Config
-
-	// routes maps every server connection ID (and each client's original
-	// destination ID) to its connection, and keeps the tombstones of
-	// closed ones.
-	routes routeTable
-
-	mu     sync.Mutex
-	closed bool
-	retry  retryMinter
-	reset  resetKeys
+	retry   retryMinter
 
 	acceptCh chan *Conn
-	done     chan struct{}
-
-	// The pushed datagram's parse scratch and source address
-	// (serveDatagram): the socket makes one call at a time.
-	hdr  quicwire.Header
-	from net.UDPAddr
-}
-
-// pushConn is a socket that calls its owner with each datagram instead
-// of being read: simnet's, where a server needs neither a goroutine nor
-// a read buffer. Serve's contract is simnet.PacketConn.Serve's.
-type pushConn interface {
-	Serve(handler func(data []byte, from netip.AddrPort), onClose func()) error
 }
 
 // Listen starts a QUIC server on pconn.
@@ -222,18 +200,12 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listene
 	l := &Listener{
 		cfg:      cfg,
 		policy:   policy,
-		pconn:    pconn,
 		tlsBase:  base,
 		acceptCh: make(chan *Conn, 64),
-		done:     make(chan struct{}),
 	}
-	if ps, ok := pconn.(pushConn); ok {
-		if err := ps.Serve(l.serveDatagram, func() { l.Close() }); err != nil {
-			return nil, err
-		}
-		return l, nil
+	if err := l.start(&serverRole, l, pconn); err != nil {
+		return nil, err
 	}
-	go l.readLoop()
 	return l, nil
 }
 
@@ -265,71 +237,15 @@ func (l *Listener) Accept(ctx context.Context) (*Conn, error) {
 }
 
 // Addr returns the listener's address.
-func (l *Listener) Addr() net.Addr { return l.pconn.LocalAddr() }
+func (l *Listener) Addr() net.Addr { return l.socks[0].LocalAddr() }
 
-// Close stops the listener and closes all connections.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	l.mu.Unlock()
-	close(l.done)
-	conns, _ := l.routes.close()
-	for _, c := range conns {
-		c.abort(ErrConnectionClosed)
-	}
-	return l.pconn.Close()
-}
-
-// readLoop pumps a socket that cannot push (a kernel socket), a
-// datagram at a time into one leased read buffer. A failing socket
-// tears the listener down, as closing a pushing one does; when Close
-// ended the loop this Close is a no-op.
-func (l *Listener) readLoop() {
-	readDatagrams(l.pconn, 1, 0, l.handleDatagram)
-	l.Close()
-}
-
-// serveDatagram is a pushing socket's handler: handleDatagram on the
-// listener's own scratch, which the socket's one-call-at-a-time
-// contract keeps to one user, as readLoop's is.
-func (l *Listener) serveDatagram(data []byte, from netip.AddrPort) {
-	netbatch.SetUDPAddr(&l.from, from)
-	l.handleDatagram(&l.hdr, data, &l.from)
-}
-
-// handleDatagram routes a datagram to an existing connection or
-// treats it as a new connection attempt. data, from and the header
-// scratch hdr are only valid for the duration of the call; everything
-// retained (the peer address, connection IDs, tokens, crypto data) is
-// copied out.
-func (l *Listener) handleDatagram(hdr *quicwire.Header, data []byte, from net.Addr) {
-	if len(data) == 0 {
-		return
-	}
+// miss is the server's answer to a datagram no live route owns: tail
+// traffic of a closed connection is absorbed, a long header may start a
+// connection (or draw Version Negotiation or a Retry), and a short one
+// draws a stateless reset. dcid is the destination ID route extracted.
+func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid []byte, late bool) {
 	long := quicwire.IsLongHeader(data[0])
-	var dcid quicwire.ConnID
-	if long {
-		if _, err := quicwire.ParseLongHeaderInto(hdr, data); err != nil {
-			mListenerDropNoRoute.Inc()
-			return
-		}
-		dcid = hdr.DstID
-	} else {
-		// Short header: 8-byte server connection IDs by construction.
-		if len(data) < 1+8 {
-			mListenerDropNoRoute.Inc()
-			return
-		}
-		dcid = quicwire.ConnID(data[1:9])
-	}
-	conn, late, _ := l.routes.lookup(dcid)
 	switch {
-	case conn != nil:
-		conn.handleDatagram(data, from)
 	case late && long && hdr.Type == quicwire.PacketInitial:
 		// A stray or replayed Initial for a connection that just closed
 		// must not start a second one (RFC 9000, Section 10.2).
@@ -347,24 +263,6 @@ func (l *Listener) handleDatagram(hdr *quicwire.Header, data []byte, from net.Ad
 		if !l.policy.DisableStatelessReset {
 			l.sendStatelessReset(dcid, from, len(data))
 		}
-	}
-}
-
-// addConnID routes an additional server connection ID to c, returning
-// the stateless reset token to advertise with it.
-func (l *Listener) addConnID(c *Conn, id quicwire.ConnID) ([16]byte, bool) {
-	if !l.routes.addConnID(c, string(id)) {
-		return [16]byte{}, false
-	}
-	return l.reset.tokenFor(id), true
-}
-
-// retire is every server connection's onClose hook: whatever closed it
-// (the peer, the application, a timer, Listener.Close), its routes go
-// and its connection IDs drain as tombstones.
-func (l *Listener) retire(c *Conn) {
-	if l.routes.retire(c) {
-		mListenerConns.Add(-1)
 	}
 }
 
@@ -428,7 +326,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 					l.sendRetry(hdr, from)
 				case l.policy.InvalidTokenClose:
 					if pkt, err := AppendInitialClose(nil, hdr, quicwire.InvalidToken, "invalid address validation token"); err == nil {
-						l.pconn.WriteTo(pkt, from)
+						l.socks[0].WriteTo(pkt, from)
 					}
 				}
 				return // invalid or expired Retry token: drop or refuse
@@ -472,7 +370,7 @@ func (l *Listener) maybeSendVersionNegotiation(hdr *quicwire.Header, datagramLen
 		versions = append(append([]quicwire.Version(nil), versions...), quicwire.GreaseVersion)
 	}
 	pkt := quicwire.AppendVersionNegotiation(nil, hdr.SrcID, hdr.DstID, byte(datagramLen), versions)
-	l.pconn.WriteTo(pkt, from)
+	l.socks[0].WriteTo(pkt, from)
 }
 
 // AppendInitialClose appends to dst a server Initial that refuses the
@@ -509,9 +407,10 @@ func AppendInitialClose(dst []byte, hdr *quicwire.Header, code quicwire.Transpor
 // newServerConn creates the per-connection state. retryODCID is the
 // pre-Retry original destination connection ID (nil without Retry).
 func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID quicwire.ConnID) *Conn {
-	// from is the read loop's scratch; the connection keeps its own copy.
+	// from is route's scratch; the connection keeps its own copy.
 	from = net.UDPAddrFromAddrPort(addrPortOf(from))
 	c := newConn(l.cfg, false)
+	c.ep, c.sock = &l.endpoint, l.socks[0]
 	c.remote = from
 	c.version = hdr.Version
 	c.keyUpdatePolicy = l.policy.KeyUpdate
@@ -521,15 +420,8 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	c.migrateBreak = l.policy.MigrationValidateBreak
 	c.origDcid = append(quicwire.ConnID(nil), hdr.DstID...)
 	c.dcid = append(quicwire.ConnID(nil), hdr.SrcID...)
-	c.scid = quicwire.NewRandomConnID(8)
-	c.sendFunc = func(b []byte, to net.Addr) error {
-		_, err := l.pconn.WriteTo(b, to)
-		return err
-	}
+	c.scid = quicwire.NewRandomConnID(connIDLen)
 	c.initPathLocked(from)
-	c.registerCID = func(id quicwire.ConnID) ([16]byte, bool) { return l.addConnID(c, id) }
-	c.unregisterCID = func(id quicwire.ConnID) { l.routes.removeConnID(c, id) }
-	c.onClose = func() { l.retire(c) }
 
 	// From registration on the connection is reachable (by a packet, by
 	// Listener.Close), so the rest of the setup runs under c.mu like
@@ -537,11 +429,9 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	// closeLocked and thereby retire: no route outlives its connection.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.scidKey = string(c.scid)
-	if l.routes.register(c) != nil {
+	if l.register(c) != nil {
 		return nil // listener closed (or a 2^-64 ID collision)
 	}
-	mListenerConns.Add(1)
 	fail := func(err error) *Conn {
 		c.hsErr = err
 		c.closeLocked(err)

@@ -27,13 +27,14 @@ const statelessResetTokenLen = 16
 const minResetTriggerSize = 43
 
 // resetKeys derives per-connection-ID reset tokens from a static key:
-// token = HMAC-SHA256(key, connection ID), truncated. A server mints
-// three per connection, so the keyed HMAC is built once and reset per
-// token rather than rebuilt.
+// token = HMAC-SHA256(key, connection ID), truncated. Every endpoint,
+// client or server, has one and mints a token per connection ID it
+// issues (a server three per connection, a client two), so the keyed
+// HMAC is built once and reset per token rather than rebuilt.
 type resetKeys struct {
 	once sync.Once
 
-	mu  sync.Mutex // guards mac and sum; read loops mint concurrently
+	mu  sync.Mutex // guards mac and sum; connections mint concurrently
 	mac hash.Hash
 	sum [sha256.Size]byte
 }
@@ -80,7 +81,7 @@ func (l *Listener) sendStatelessReset(dcid quicwire.ConnID, from net.Addr, trigg
 	}
 	pkt[0] = (pkt[0] & 0x3f) | 0x40
 	copy(pkt[len(pkt)-statelessResetTokenLen:], token[:])
-	l.pconn.WriteTo(pkt, from)
+	l.socks[0].WriteTo(pkt, from)
 }
 
 // ErrStatelessReset is the error a connection dies with when the peer

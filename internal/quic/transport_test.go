@@ -210,54 +210,106 @@ func TestDrainingSetExpiry(t *testing.T) {
 	}
 }
 
-// TestTransportDropReasons: every datagram the transport cannot deliver
-// is counted once, under the reason it was dropped for, and
+// TestTransportDropReasons: both roles apply one receive rule. Every
+// datagram an endpoint cannot deliver is counted once, under the reason
+// it was dropped for — a client under quic_dropped_datagrams_total, a
+// server under quic_listener_drops_total, whether its socket pushes
+// (simnet) or is pumped (kernel UDP) — and a Transport's
 // Stats().Dropped is the sum of the reasons.
 func TestTransportDropReasons(t *testing.T) {
-	n := simnet.New(simnet.Config{})
-	defer n.Close()
-	pc, err := n.DialUDP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTransport(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	peer, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.9:443"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reasons := []struct {
-		name     string
-		counter  *telemetry.Counter
-		datagram []byte
+	datagrams := []struct {
+		name string
+		data []byte
 	}{
-		{"empty", mDroppedEmpty, []byte{}},
-		{"bad_header", mDroppedBadHeader, []byte{0xc0, 0, 0}},                    // a long header cut inside its version
-		{"short_header", mDroppedShortHeader, []byte{0x40, 1, 2, 3}},             // under a connection ID
-		{"no_route", mDroppedNoRoute, append([]byte{0x40}, make([]byte, 24)...)}, // an ID and an address nobody owns
+		{"empty", []byte{}},
+		{"bad_header", []byte{0xc0, 0, 0}},                      // a long header cut inside its version
+		{"short_header", []byte{0x40, 1, 2, 3}},                 // under a connection ID
+		{"no_route", append([]byte{0x40}, make([]byte, 24)...)}, // an ID and an address nobody owns
 	}
-	before := make([]uint64, len(reasons))
-	for i, r := range reasons {
-		before[i] = r.counter.Value()
+	// Each start opens the endpoint under test and a peer socket that
+	// can reach it; a client's returns its Transport.
+	cases := []struct {
+		name  string
+		role  *role
+		start func(t *testing.T) (at net.Addr, peer net.PacketConn, tr *Transport)
+	}{
+		{"client", &clientRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+			n := simnet.New(simnet.Config{})
+			t.Cleanup(n.Close)
+			pc, err := n.DialUDP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := NewTransport(pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tr.Close() })
+			peer, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.9:443"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pc.LocalAddr(), peer, tr
+		}},
+		{"server-simnet", &serverRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+			n := simnet.New(simnet.Config{})
+			t.Cleanup(n.Close)
+			pc, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.9:443"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg, _ := serverConfig(t, "drops.test")
+			if _, err := Listen(pc, scfg, ServerPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			peer, err := n.DialUDP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pc.LocalAddr(), peer, nil
+		}},
+		{"server-kernel", &serverRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+			scfg, _ := serverConfig(t, "drops.test")
+			_, addr := listenBare(t, scfg, ServerPolicy{})
+			peer := newUDP(t)
+			t.Cleanup(func() { peer.Close() })
+			return addr, peer, nil
+		}},
 	}
-	for _, r := range reasons {
-		if _, err := peer.WriteTo(r.datagram, pc.LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.Stats().Dropped < uint64(len(reasons)) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := tr.Stats().Dropped; got != uint64(len(reasons)) {
-		t.Errorf("Stats().Dropped = %d, want %d", got, len(reasons))
-	}
-	for i, r := range reasons {
-		if got := r.counter.Value() - before[i]; got != 1 {
-			t.Errorf("quic_dropped_datagrams_total{reason=%q} moved by %d, want 1", r.name, got)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			counters := []*telemetry.Counter{tc.role.empty, tc.role.badHeader, tc.role.shortHeader, tc.role.noRoute}
+			before := make([]uint64, len(counters))
+			for i, c := range counters {
+				before[i] = c.Value()
+			}
+			moved := func() (sum uint64) {
+				for i, c := range counters {
+					sum += c.Value() - before[i]
+				}
+				return sum
+			}
+			at, peer, tr := tc.start(t)
+			for _, d := range datagrams {
+				if _, err := peer.WriteTo(d.data, at); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for moved() < uint64(len(datagrams)) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond) // room for a count past the four
+			for i, d := range datagrams {
+				if got := counters[i].Value() - before[i]; got != 1 {
+					t.Errorf("reason %q moved by %d, want 1", d.name, got)
+				}
+			}
+			if tr != nil {
+				if got := tr.Stats().Dropped; got != uint64(len(datagrams)) {
+					t.Errorf("Stats().Dropped = %d, want %d", got, len(datagrams))
+				}
+			}
+		})
 	}
 }

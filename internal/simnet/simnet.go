@@ -451,7 +451,9 @@ func (pc *PacketConn) signalLocked() {
 // awaitLocked blocks until the socket is readable and returns with
 // pc.mu held and count > 0, or returns an error with pc.mu released.
 // A deadline that has already expired wins over queued data, and
-// SetReadDeadline and Close both wake the wait.
+// SetReadDeadline and Close both wake the wait. An expired deadline is
+// os.ErrDeadlineExceeded, as on a kernel socket: a net.Error whose
+// Timeout is true.
 func (pc *PacketConn) awaitLocked() error {
 	for {
 		pc.mu.Lock()
@@ -463,7 +465,7 @@ func (pc *PacketConn) awaitLocked() error {
 		if !pc.deadline.IsZero() {
 			if wait = time.Until(pc.deadline); wait <= 0 {
 				pc.mu.Unlock()
-				return &timeoutError{}
+				return os.ErrDeadlineExceeded
 			}
 		}
 		if pc.count > 0 {
@@ -487,7 +489,7 @@ func (pc *PacketConn) awaitLocked() error {
 		case <-dlCh:
 			// Deadline changed; re-evaluate.
 		case <-timeout:
-			return &timeoutError{}
+			return os.ErrDeadlineExceeded
 		}
 		if timer != nil {
 			timer.Stop()
@@ -683,16 +685,6 @@ func (pc *PacketConn) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.PacketConn.
 func (pc *PacketConn) SetWriteDeadline(time.Time) error { return nil }
-
-// timeoutError matches net.Error semantics for deadline expiry.
-type timeoutError struct{}
-
-func (e *timeoutError) Error() string   { return "simnet: i/o timeout" }
-func (e *timeoutError) Timeout() bool   { return true }
-func (e *timeoutError) Temporary() bool { return true }
-
-var _ net.Error = (*timeoutError)(nil)
-var _ error = os.ErrDeadlineExceeded // keep the analogy visible
 
 // toAddrPort is the net.Addr entry to the network. A net.IP built by
 // net.IPv4 is 16 bytes long and converts to ::ffff:a.b.c.d, which is

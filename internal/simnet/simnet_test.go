@@ -2,13 +2,17 @@ package simnet
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"quicscan/internal/netbatch"
 )
 
 func ap(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
@@ -103,6 +107,46 @@ func TestReadDeadline(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("shortened deadline not honoured")
+	}
+}
+
+// TestDeadlineErrorIsKernels: a read that runs out of time fails the way
+// a kernel socket's does, with os.ErrDeadlineExceeded, which is also a
+// net.Error whose Timeout is true — for a deadline already past when the
+// read starts and for one that passes while it waits, through ReadFrom
+// and through ReadBatch.
+func TestDeadlineErrorIsKernels(t *testing.T) {
+	reads := map[string]func(*PacketConn) error{
+		"ReadFrom": func(pc *PacketConn) error {
+			_, _, err := pc.ReadFrom(make([]byte, 10))
+			return err
+		},
+		"ReadBatch": func(pc *PacketConn) error {
+			_, err := pc.ReadBatch([]netbatch.Message{{Buf: make([]byte, 10)}})
+			return err
+		},
+	}
+	deadlines := map[string]time.Duration{"past": -time.Hour, "while-waiting": 10 * time.Millisecond}
+	for rname, read := range reads {
+		for dname, d := range deadlines {
+			t.Run(rname+"/"+dname, func(t *testing.T) {
+				n := New(Config{})
+				defer n.Close()
+				pc, err := n.DialUDP()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc.SetReadDeadline(time.Now().Add(d))
+				err = read(pc)
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Errorf("err = %v, want os.ErrDeadlineExceeded", err)
+				}
+				var nerr net.Error
+				if !errors.As(err, &nerr) || !nerr.Timeout() {
+					t.Errorf("err = %v, want a net.Error with Timeout() true", err)
+				}
+			})
+		}
 	}
 }
 

@@ -36,20 +36,22 @@ echo "==> dead declarations (deaddecl_test.go)"
 # here because a failure is a request to delete, and says so sooner.
 go test -count=1 -run '^TestNoDeadDeclarations$' .
 
-echo "==> cross-build (darwin: exercises the portable netbatch fallback)"
+echo "==> cross-build (darwin) and the portable netbatch fallback"
 # The batched-I/O layer has a Linux syscall path and a portable
 # fallback; building for darwin (and the portable tag on linux) keeps
-# the non-Linux half of the build matrix from rotting.
+# the non-Linux half of the build matrix from rotting, and the quic
+# loopback tests drive the endpoint's one pump through the fallback.
 GOOS=darwin GOARCH=arm64 go build ./...
 go build -tags portable ./...
+go test -tags portable ./internal/netbatch ./internal/quic
 
 echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
-# Core count is a test dimension: the scanner sizes its socket pool from
-# GOMAXPROCS, so a rescan dials from another source port only on
-# multi-core hosts — a failure that hid on 1-CPU runners. The rescan
+# Core count is a test dimension: the scanner's default socket pool is a
+# constant, so that a rescan dials from the same source ports on any
+# host, and TestDefaultPoolSize holds it at every width. The rescan
 # paths (core, resumption) ride along, and so does the list-scan pool:
 # internal/listscan holds it, with its ordering, in-scan emit and
 # cancellation tests, and internal/probe stays while the tests that

@@ -324,6 +324,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"quic_listener_drops_total{reason=\"short_initial\"} ",
 		"quic_listener_drops_total{reason=\"draining_initial\"} ",
 		"quic_listener_drops_total{reason=\"no_route\"} ",
+		"quic_listener_drops_total{reason=\"empty\"} ",
+		"quic_listener_drops_total{reason=\"bad_header\"} ",
+		"quic_listener_drops_total{reason=\"short_header\"} ",
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("/metrics lacks series %q", series)
