@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-baseline allocs cpu-sweep fuzz soak
+.PHONY: build test check bench bench-baseline allocs heap cpu-sweep fuzz soak
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ bench-baseline:
 # own (scripts/allocs.sh; before/after tables in DESIGN.md).
 allocs:
 	./scripts/allocs.sh
+
+# Live heap by owning package and allocation site, with every scanner
+# closed and the universe up — the state heap_live_mb is read in
+# (scripts/heap.sh; before/after table in DESIGN.md).
+heap:
+	./scripts/heap.sh
 
 # CPU nanoseconds per swept probe, by bucket: SendProbe's locks, ID
 # derivation, the send path, the telemetry it moves, simnet, the engine's walk

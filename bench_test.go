@@ -3,7 +3,8 @@
 // an out-of-process RSA responder, the scanner-side operations whose
 // allocation counts budget_test.go holds, the telemetry-overhead
 // interleave, BenchmarkQScannerTarget for scripts/allocs.sh,
-// BenchmarkEngineSweep for scripts/cpu.sh, and the paper's two cost
+// BenchmarkUniverseScan for scripts/heap.sh, BenchmarkEngineSweep for
+// scripts/cpu.sh, and the paper's two cost
 // ablations. Everything the ledger measures at the same
 // cut lives only there; DESIGN.md §17 maps each retired benchmark and
 // gate to what holds it now.
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -311,6 +313,60 @@ func BenchmarkQScannerTarget(b *testing.B) {
 			b.Fatalf("scan failed: %s (%s)", res.Outcome, res.Error)
 		}
 	}
+}
+
+// scanUniverse is BenchmarkUniverseScan's started universe. It is never
+// stopped: the heap profile `go test -memprofile` writes when the
+// benchmarks are done is then taken with the universe up and every
+// scanner closed, the state bench/'s heap_live_mb is defined in.
+var (
+	scanUniverseOnce sync.Once
+	scanUniverse     *internet.Universe
+	scanUniverseErr  error
+)
+
+// BenchmarkUniverseScan is one pass of the stateful scanner over every
+// responsive deployment of the seed-9, scale-2048 universe the
+// repository benchmark uses: each active deployment with a domain, SNI =
+// its first domain. scripts/heap.sh (`make heap`) runs it and
+// attributes the live heap it leaves behind; "heap-live-MB" is that heap
+// as HeapAlloc after a forced collection.
+func BenchmarkUniverseScan(b *testing.B) {
+	scanUniverseOnce.Do(func() {
+		scanUniverse = internet.Build(internet.Spec{Seed: 9, Scale: 2048})
+		scanUniverseErr = scanUniverse.Start(internet.StartOptions{Stateful: true})
+	})
+	if scanUniverseErr != nil {
+		b.Fatal(scanUniverseErr)
+	}
+	u := scanUniverse
+	var targets []core.Target
+	for _, d := range u.Deployments {
+		if d.Behavior == internet.BehaviorActive && len(d.Domains) > 0 {
+			targets = append(targets, core.Target{Addr: d.Addr, SNI: d.Domains[0]})
+		}
+	}
+	sc := &core.Scanner{
+		DialPacket: func() (net.PacketConn, error) { return u.Net.DialUDP() },
+		RootCAs:    u.RootCAs(),
+		Timeout:    2 * time.Second,
+		Workers:    2,
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := core.Summarize(sc.Scan(ctx, targets)); s.Success != len(targets) {
+			b.Fatalf("scan of %d responsive deployments: %s", len(targets), s)
+		}
+	}
+	b.StopTimer()
+	sc.Close()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	b.ReportMetric(float64(len(targets)), "targets")
+	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "heap-live-MB")
 }
 
 // vnOnlyVersions is the fixed VN answer of the VN-only world; hoisted

@@ -33,22 +33,38 @@ import "sync"
 // largest UDP payload the pump can receive.
 const readBufSize = 65536
 
-// readBufPool recycles the 64 KiB receive buffers used by the
-// pumps. Pointers to slices are pooled to
-// avoid the allocation of the slice header on Put.
-var readBufPool = sync.Pool{
-	New: func() any {
+// readBufKeep is how many idle read buffers readBufFree keeps: the
+// batches of one default two-socket scanner pool (2 MiB).
+const readBufKeep = 2 * readBatchSize
+
+// readBufFree recycles the 64 KiB receive buffers of the pumps: a
+// closing endpoint hands its batches to the next pump to start. It is a
+// bounded free list rather than a sync.Pool, so what it keeps does not
+// depend on when the collector last ran: after every pump has stopped
+// it holds min(readBufKeep, buffers ever made), and the live heap of a
+// process whose transports are closed is the same from run to run.
+var readBufFree = make(chan *[]byte, readBufKeep)
+
+// leaseReadBuf returns a full-size read buffer, recycled if one is idle.
+func leaseReadBuf() *[]byte {
+	select {
+	case b := <-readBufFree:
+		return b
+	default:
 		b := make([]byte, readBufSize)
 		return &b
-	},
+	}
 }
 
-// leaseReadBuf returns a full-size read buffer from the pool.
-func leaseReadBuf() *[]byte { return readBufPool.Get().(*[]byte) }
-
-// releaseReadBuf returns a read buffer to the pool. The caller must
-// not touch the buffer afterwards.
-func releaseReadBuf(b *[]byte) { readBufPool.Put(b) }
+// releaseReadBuf returns a read buffer for reuse; past readBufKeep idle
+// ones the collector takes it. The caller must not touch the buffer
+// afterwards.
+func releaseReadBuf(b *[]byte) {
+	select {
+	case readBufFree <- b:
+	default:
+	}
+}
 
 // packetClassSizes are the capacity classes for retained-packet
 // copies. 1536 covers every on-path MTU, 4096 jumbo frames, and the

@@ -67,7 +67,6 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	c := newConn(cfg, true)
 	c.ep, c.sock = &t.endpoint, t.socks[int(t.next.Add(1)-1)%len(t.socks)] // round-robin
 	c.remote = remote
-	c.remoteKey = remote.String() // the address route, for stateless resets
 	c.version = version
 	if priorVN != nil {
 		c.stats.VersionNegotiation = true
@@ -78,7 +77,7 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	ids := quicwire.NewRandomConnID(2 * connIDLen)
 	c.dcid = quicwire.ConnID(ids[:connIDLen:connIDLen])
 	c.origDcid = c.dcid
-	c.initPathLocked(remote)
+	c.initPathLocked(remote) // also the address route, for stateless resets
 	// Give the server spare client connection IDs so it can rotate on
 	// its side of a migration (RFC 9000, Section 5.1.1).
 	c.onHandshakeDone = func() { c.issueConnIDsLocked(2) }

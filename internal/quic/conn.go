@@ -145,7 +145,8 @@ type Conn struct {
 	migrChallengePending bool
 	migrValidated        bool
 
-	// Connection IDs this endpoint issued (sequence 0 is scid).
+	// Connection IDs this endpoint issued (sequence 0 is scid); the
+	// endpoint's retire parks every one still listed here.
 	localCIDs       []localConnID
 	nextLocalCIDSeq uint64
 
@@ -205,19 +206,6 @@ type Conn struct {
 	ackScratch quicwire.AckFrame
 	rxHdr      quicwire.Header
 	frames     quicwire.FrameIter
-
-	// remoteKey and scidKey cache the owning route table's keys so
-	// register/retire do not re-stringify the remote address and
-	// source ID (remoteKey stays empty on server connections, which
-	// have no address route). altKeys are the other routed IDs: those
-	// issued via NEW_CONNECTION_ID and, on a server, the client's
-	// original destination ID. It starts out backed by altArr so the
-	// usual handful costs no allocation. Once the connection is
-	// registered they are touched only by its endpoint, with mu held.
-	remoteKey string
-	scidKey   string
-	altKeys   []string
-	altArr    [4]string
 
 	// onHandshakeDone, used by the server to install post-handshake
 	// behaviour (HANDSHAKE_DONE frame).
@@ -317,7 +305,6 @@ func newConn(cfg *Config, isClient bool) *Conn {
 	c.pktScratch = c.pktArr[:0]
 	c.datagramScratch = c.datagramArr[:0]
 	c.frameScratch = c.frameArr[:0]
-	c.altKeys = c.altArr[:0]
 	for i := range c.spaces {
 		c.spaces[i].init()
 	}

@@ -41,8 +41,8 @@ const maxConsecutiveReadTimeouts = 64
 // Ownership rule: the endpoint owns its sockets. They are closed by
 // Close and by nothing else; connections never close, nor set deadlines
 // on, the underlying sockets. A Conn holds its endpoint and its socket
-// and calls them directly: send, register, addConnID, retire, and the
-// route table's removeConnID and rebindAddr.
+// and calls them directly: send, register, addConnID, removeConnID,
+// retire, and the route table's rebindAddr.
 type endpoint struct {
 	socks []net.PacketConn
 	role  *role
@@ -80,6 +80,10 @@ type role struct {
 	shardHits                 [routeShards]*telemetry.Counter
 	addrMiss                  *telemetry.Counter
 	conns                     *telemetry.Gauge
+	// drainEvicted counts tombstones the per-shard cap pushed out before
+	// their draining period was up: their late packets become no_route
+	// drops, and this is the record of why.
+	drainEvicted *telemetry.Counter
 
 	// The drop reasons route counts. empty: a zero-length datagram;
 	// badHeader: a long header that does not parse; shortHeader: a short
@@ -244,7 +248,7 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		// Unknown destination ID: stateless resets (and corrupted
 		// headers) land here. Fall back to the per-address route so the
 		// owning connection can run its reset-token check.
-		if c = e.routes.lookupAddr(from.String()); c == nil {
+		if c = e.routes.lookupAddr(addrPortOf(from)); c == nil {
 			e.drop(r.noRoute)
 			return
 		}
@@ -271,12 +275,8 @@ func (e *endpoint) send(pc net.PacketConn, b []byte, to net.Addr) error {
 }
 
 // register installs the connection's routes under its source ID and,
-// when c.remoteKey is set (a client's), its remote address.
+// on a client, its remote address.
 func (e *endpoint) register(c *Conn) error {
-	// The route keys are cached on the connection: retire needs the very
-	// same strings, so stringifying them once per connection (not once
-	// per map touch) is both cheaper and safer.
-	c.scidKey = string(c.scid)
 	if err := e.routes.register(c); err != nil {
 		if err == errRoutesClosed {
 			return e.role.closedErr
@@ -292,15 +292,24 @@ func (e *endpoint) register(c *Conn) error {
 // connections or stateless-reset triggers. closeLocked calls it on every
 // way a connection ends.
 func (e *endpoint) retire(c *Conn) {
-	if e.routes.retire(c) {
+	ok, evicted := e.routes.retire(c)
+	e.role.drainEvicted.Add(uint64(evicted))
+	if ok {
 		e.role.conns.Add(-1)
 	}
+}
+
+// removeConnID retires one of c's alternate connection IDs (the peer
+// sent RETIRE_CONNECTION_ID for it), parking it in the draining set.
+func (e *endpoint) removeConnID(c *Conn, id quicwire.ConnID) {
+	_, evicted := e.routes.park(id, c, monoNow())
+	e.role.drainEvicted.Add(uint64(evicted))
 }
 
 // addConnID routes an additional local connection ID to c, returning
 // the stateless reset token to advertise with it.
 func (e *endpoint) addConnID(c *Conn, id quicwire.ConnID) ([statelessResetTokenLen]byte, bool) {
-	if !e.routes.addConnID(c, string(id)) {
+	if !e.routes.addConnID(c, id) {
 		return [statelessResetTokenLen]byte{}, false
 	}
 	return e.reset.tokenFor(id), true

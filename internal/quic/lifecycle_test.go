@@ -21,7 +21,7 @@ import (
 
 // tombstones expires what is due in every shard and counts the rest.
 func (rt *routeTable) tombstones() int {
-	now := time.Now()
+	now := monoNow()
 	n := 0
 	for i := range rt.shards {
 		sh := &rt.shards[i]

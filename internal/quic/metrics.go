@@ -22,13 +22,16 @@ var (
 	mDropped      = telemetry.Default().CounterVec("quic_dropped_datagrams_total", "reason")
 	mReadTimeouts = telemetry.Default().Counter("quic_read_timeouts_total")
 	mActiveConns  = telemetry.Default().Gauge("quic_active_conns")
+	mDrainEvicted = telemetry.Default().Counter("quic_draining_evicted_total")
 
 	// Server side (Listener): connections currently routed, late packets
-	// absorbed by the tombstones of closed connections, and every
+	// absorbed by the tombstones of closed connections, tombstones the
+	// cap evicted before their draining period was up, and every
 	// datagram dropped without reaching a connection, by reason.
-	mListenerConns       = telemetry.Default().Gauge("quic_listener_conns")
-	mListenerLatePackets = telemetry.Default().Counter("quic_listener_late_packets_total")
-	mListenerDrops       = telemetry.Default().CounterVec("quic_listener_drops_total", "reason")
+	mListenerConns        = telemetry.Default().Gauge("quic_listener_conns")
+	mListenerLatePackets  = telemetry.Default().Counter("quic_listener_late_packets_total")
+	mListenerDrainEvicted = telemetry.Default().Counter("quic_listener_draining_evicted_total")
+	mListenerDrops        = telemetry.Default().CounterVec("quic_listener_drops_total", "reason")
 
 	mRetransmits = telemetry.Default().Counter("quic_retransmits_total")
 	mPTOFired    = telemetry.Default().Counter("quic_pto_fired_total")
@@ -106,18 +109,20 @@ var (
 		shardHits:    mRouteShardHits,
 		addrMiss:     mRouteAddrMiss,
 		conns:        mActiveConns,
+		drainEvicted: mDrainEvicted,
 		empty:        mDropped.With("empty"),
 		badHeader:    mDropped.With("bad_header"),
 		shortHeader:  mDropped.With("short_header"),
 		noRoute:      mDropped.With("no_route"),
 	}
 	serverRole = role{
-		closedErr:   ErrConnectionClosed,
-		conns:       mListenerConns,
-		empty:       mListenerDrops.With("empty"),
-		badHeader:   mListenerDrops.With("bad_header"),
-		shortHeader: mListenerDrops.With("short_header"),
-		noRoute:     mListenerDropNoRoute,
+		closedErr:    ErrConnectionClosed,
+		conns:        mListenerConns,
+		drainEvicted: mListenerDrainEvicted,
+		empty:        mListenerDrops.With("empty"),
+		badHeader:    mListenerDrops.With("bad_header"),
+		shortHeader:  mListenerDrops.With("short_header"),
+		noRoute:      mListenerDropNoRoute,
 	}
 )
 

@@ -467,7 +467,7 @@ func (c *Conn) promotePathLocked(p *pathState) {
 	if c.trace != nil {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
-	c.ep.routes.rebindAddr(c, c.remote)
+	c.ep.routes.rebindAddr(c, oldAP, c.activeAP)
 	if c.migrateBreak {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.
@@ -548,7 +548,7 @@ func (c *Conn) handleRetireConnIDLocked(fr *quicwire.RetireConnectionIDFrame) {
 	// Sequence 0 is the route the endpoint tears down itself at close;
 	// everything else unregisters now.
 	if retired.seq != 0 {
-		c.ep.routes.removeConnID(c, retired.id)
+		c.ep.removeConnID(c, retired.id)
 	}
 	c.issueConnIDsLocked(1)
 }

@@ -2,10 +2,12 @@ package quic
 
 import (
 	"errors"
-	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"quicscan/internal/quicwire"
 )
 
 // drainingPeriod is how long a retired connection ID keeps absorbing
@@ -29,11 +31,38 @@ var (
 	errRoutesClosed = errors.New("quic: route table closed")
 )
 
+// cidKey is a connection ID as a route key: fixed-size, pointer-free,
+// and built on the stack from the ID bytes. RFC 9000 caps a connection
+// ID at 20 bytes; a longer one (a version-independent long header may
+// carry up to 255) has no key, so it is never registered and looking it
+// up is a plain miss — never a truncation into another ID's key.
+type cidKey struct {
+	n uint8
+	b [quicwire.MaxConnIDLen]byte
+}
+
+// keyOf builds the key of a connection ID; ok is false for an ID longer
+// than any connection ID may be.
+func keyOf(id []byte) (k cidKey, ok bool) {
+	if len(id) > len(k.b) {
+		return k, false
+	}
+	k.n = uint8(copy(k.b[:], id))
+	return k, true
+}
+
+// routeEpoch anchors the table's clock: a tombstone's time is its
+// offset from here on the monotonic clock, a plain integer, so the
+// draining set holds nothing the collector has to scan.
+var routeEpoch = time.Now()
+
+func monoNow() time.Duration { return time.Since(routeEpoch) }
+
 // drainEntry records one retired connection ID and when it was parked,
 // queued in retirement order for incremental expiry.
 type drainEntry struct {
-	key string
-	at  time.Time
+	key cidKey
+	at  time.Duration // on routeEpoch's clock
 }
 
 // routeShard is one slice of the demux state: connections keyed by
@@ -50,16 +79,15 @@ type drainEntry struct {
 // almost all too young to remove).
 type routeShard struct {
 	mu        sync.Mutex
-	conns     map[string]*Conn // local CID -> connection
-	byAddr    map[string]*Conn // remote address -> connection (fallback)
-	draining  map[string]time.Time
+	conns     map[cidKey]*Conn         // local CID -> connection
+	byAddr    map[netip.AddrPort]*Conn // remote address -> connection (fallback)
+	draining  map[cidKey]time.Duration
 	drainQ    []drainEntry
 	drainHead int
 }
 
-// shardIndex hashes a route key (CID bytes or address string) onto a
-// shard with FNV-1a. The two variants keep the compiler's
-// zero-allocation string/[]byte conversions intact.
+// shardIndex hashes a route key (CID or address bytes) onto a shard
+// with FNV-1a.
 func shardIndex(key []byte) int {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
@@ -68,12 +96,14 @@ func shardIndex(key []byte) int {
 	return int(h & (routeShards - 1))
 }
 
-func shardIndexString(key string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return int(h & (routeShards - 1))
+func (k *cidKey) shard() int { return shardIndex(k.b[:k.n]) }
+
+func addrShard(ap netip.AddrPort) int {
+	var b [18]byte
+	a := ap.Addr().As16()
+	copy(b[:], a[:])
+	b[16], b[17] = byte(ap.Port()>>8), byte(ap.Port())
+	return shardIndex(b[:])
 }
 
 // routeTable is the datagram demux state of one endpoint (a Transport's
@@ -84,11 +114,13 @@ func shardIndexString(key string) int {
 // and deletes on nil maps are safe, and most shards of a
 // one-connection Transport never see a key).
 //
-// A connection's route keys are cached on the Conn (scidKey, altKeys,
-// remoteKey) and only touched with c.mu held: the connection's calls to
-// its endpoint (addConnID, removeConnID, rebindAddr, retire) all run
-// under it. Lock order is c.mu, then mu, then one shard mutex; no table
-// lock is ever held while calling into a Conn.
+// A connection's routes are its source ID, the other IDs it issued
+// (c.localCIDs), on a server the client's original destination ID, and
+// on a client its active address (c.activeAP). The table stores no copy
+// of them: retire rebuilds each key from the Conn, with c.mu held, as
+// every call of a connection into its endpoint is made. Lock order is
+// c.mu, then mu, then one shard mutex; no table lock is ever held while
+// calling into a Conn.
 type routeTable struct {
 	shards [routeShards]routeShard
 
@@ -110,162 +142,167 @@ func (rt *routeTable) period() time.Duration {
 	return drainingPeriod
 }
 
-// register installs c's primary route under c.scidKey and, when
-// c.remoteKey is set, the address fallback (never displacing another
-// connection's). Holding mu across the inserts orders registration
-// against close: either register sees closed, or close's sweep sees c.
+// register installs c's primary route under its source ID and, on a
+// client, the address fallback (never displacing another connection's).
+// Holding mu across the inserts orders registration against close:
+// either register sees closed, or close's sweep sees c.
 func (rt *routeTable) register(c *Conn) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
 		return errRoutesClosed
 	}
-	if !rt.insert(c.scidKey, c) {
+	if !rt.insert(c.scid, c) {
 		return errDuplicateCID
 	}
-	if addr := c.remoteKey; addr != "" {
-		rt.insertAddr(addr, c)
+	if c.isClient {
+		rt.insertAddr(c.activeAP, c)
 	}
 	rt.active++
 	return nil
 }
 
-func (rt *routeTable) insert(key string, c *Conn) bool {
-	sh := &rt.shards[shardIndexString(key)]
+func (rt *routeTable) insert(id []byte, c *Conn) bool {
+	k, ok := keyOf(id)
+	if !ok {
+		return false
+	}
+	sh := &rt.shards[k.shard()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.conns[key]; dup {
+	if _, dup := sh.conns[k]; dup {
 		return false
 	}
 	if sh.conns == nil {
-		sh.conns = make(map[string]*Conn)
+		sh.conns = make(map[cidKey]*Conn)
 	}
-	sh.conns[key] = c
+	sh.conns[k] = c
 	return true
 }
 
-func (rt *routeTable) insertAddr(addr string, c *Conn) {
-	sh := &rt.shards[shardIndexString(addr)]
+func (rt *routeTable) insertAddr(ap netip.AddrPort, c *Conn) {
+	if !ap.IsValid() {
+		return
+	}
+	sh := &rt.shards[addrShard(ap)]
 	sh.mu.Lock()
-	if _, taken := sh.byAddr[addr]; !taken {
+	if _, taken := sh.byAddr[ap]; !taken {
 		if sh.byAddr == nil {
-			sh.byAddr = make(map[string]*Conn)
+			sh.byAddr = make(map[netip.AddrPort]*Conn)
 		}
-		sh.byAddr[addr] = c
+		sh.byAddr[ap] = c
 	}
 	sh.mu.Unlock()
 }
 
-func (rt *routeTable) removeAddr(addr string, c *Conn) {
-	sh := &rt.shards[shardIndexString(addr)]
+func (rt *routeTable) removeAddr(ap netip.AddrPort, c *Conn) {
+	sh := &rt.shards[addrShard(ap)]
 	sh.mu.Lock()
-	if sh.byAddr[addr] == c {
-		delete(sh.byAddr, addr)
+	if sh.byAddr[ap] == c {
+		delete(sh.byAddr, ap)
 	}
 	sh.mu.Unlock()
 }
 
 // addConnID routes an additional connection ID to c. It fails on
-// collision (the caller simply issues fewer IDs) or after close.
-func (rt *routeTable) addConnID(c *Conn, key string) bool {
+// collision (the caller simply issues fewer IDs), for an ID too long to
+// be one, or after close.
+func (rt *routeTable) addConnID(c *Conn, id []byte) bool {
 	rt.mu.Lock()
 	closed := rt.closed
 	rt.mu.Unlock()
-	if closed || !rt.insert(key, c) {
-		return false
-	}
-	c.altKeys = append(c.altKeys, key)
-	return true
-}
-
-// removeConnID retires one alternate connection ID (the peer sent
-// RETIRE_CONNECTION_ID for it), parking it in the draining set.
-func (rt *routeTable) removeConnID(c *Conn, id []byte) {
-	for i, key := range c.altKeys {
-		if key == string(id) {
-			rt.park(key, c, time.Now())
-			c.altKeys = append(c.altKeys[:i], c.altKeys[i+1:]...)
-			return
-		}
-	}
+	return !closed && rt.insert(id, c)
 }
 
 // retire removes every route of a closing connection and parks its
 // connection IDs as tombstones, so late packets on any of them are
 // absorbed as tail traffic instead of being misread as drops, new
 // connections or stateless-reset triggers. Nothing in the table
-// references c afterwards. It reports whether c was still registered.
-func (rt *routeTable) retire(c *Conn) bool {
-	now := time.Now()
-	if !rt.park(c.scidKey, c, now) {
-		return false
+// references c afterwards. It reports whether c was still registered,
+// and how many older tombstones the per-shard cap evicted to make room.
+func (rt *routeTable) retire(c *Conn) (ok bool, evicted int) {
+	now := monoNow()
+	if ok, evicted = rt.park(c.scid, c, now); !ok {
+		return false, 0
 	}
-	if c.remoteKey != "" {
-		rt.removeAddr(c.remoteKey, c)
+	if c.isClient {
+		rt.removeAddr(c.activeAP, c)
+	} else {
+		_, n := rt.park(c.origDcid, c, now)
+		evicted += n
 	}
-	for _, alt := range c.altKeys {
-		rt.park(alt, c, now)
+	for _, lc := range c.localCIDs {
+		if lc.seq != 0 { // sequence 0 is the source ID, parked above
+			_, n := rt.park(lc.id, c, now)
+			evicted += n
+		}
 	}
-	c.altKeys = nil
 	rt.mu.Lock()
 	rt.active--
 	rt.mu.Unlock()
-	return true
+	return true, evicted
 }
 
-// park moves key from the live routes to the draining set if c owns it.
-func (rt *routeTable) park(key string, c *Conn, now time.Time) bool {
-	sh := &rt.shards[shardIndexString(key)]
+// park moves id from the live routes to the draining set if c owns it,
+// reporting whether it did and how many tombstones the cap evicted.
+func (rt *routeTable) park(id []byte, c *Conn, now time.Duration) (ok bool, evicted int) {
+	k, ok := keyOf(id)
+	if !ok {
+		return false, 0
+	}
+	sh := &rt.shards[k.shard()]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.conns[key] != c {
-		return false
+	if sh.conns[k] != c {
+		return false, 0
 	}
-	delete(sh.conns, key)
-	sh.parkLocked(key, now, rt.period())
-	return true
+	delete(sh.conns, k)
+	return true, sh.parkLocked(k, now, rt.period())
 }
 
-// rebindAddr moves the connection's address-fallback route to addr
-// after a validated migration; a connection without one (a server's)
-// stays without. Deliberately not called on mere address mismatches:
-// the route follows proven paths only, so an off-path spoofer cannot
-// steal another connection's fallback entry.
-func (rt *routeTable) rebindAddr(c *Conn, addr net.Addr) {
-	if c.remoteKey == "" {
+// rebindAddr moves a client connection's address-fallback route from
+// one validated address to the next after a migration; a server
+// connection has no address route and gets none. Deliberately not
+// called on mere address mismatches: the route follows proven paths
+// only, so an off-path spoofer cannot steal another connection's
+// fallback entry.
+func (rt *routeTable) rebindAddr(c *Conn, from, to netip.AddrPort) {
+	if !c.isClient {
 		return
 	}
-	rt.removeAddr(c.remoteKey, c)
-	c.remoteKey = addr.String()
-	rt.insertAddr(c.remoteKey, c)
+	rt.removeAddr(from, c)
+	rt.insertAddr(to, c)
 }
 
 // lookup resolves a destination connection ID to its connection. A nil
 // connection with late set means the ID was retired within the
-// draining period. shard is the shard the ID hashed to. dstID stays a
-// []byte: the map lookups use the inline string conversion the
-// compiler elides, so no per-packet key is allocated.
+// draining period. shard is the shard the ID hashed to. The key is
+// built on the stack, so no per-packet key is allocated.
 func (rt *routeTable) lookup(dstID []byte) (c *Conn, late bool, shard int) {
-	shard = shardIndex(dstID)
+	k, ok := keyOf(dstID)
+	shard = k.shard()
+	if !ok {
+		return nil, false, shard
+	}
 	sh := &rt.shards[shard]
 	sh.mu.Lock()
-	c = sh.conns[string(dstID)]
-	var parkedAt time.Time
+	c = sh.conns[k]
+	var parkedAt time.Duration
 	if c == nil {
-		parkedAt, late = sh.draining[string(dstID)]
+		parkedAt, late = sh.draining[k]
 	}
 	sh.mu.Unlock()
 	if late {
-		late = time.Since(parkedAt) <= rt.period()
+		late = monoNow()-parkedAt <= rt.period()
 	}
 	return c, late, shard
 }
 
 // lookupAddr resolves the remote-address fallback route.
-func (rt *routeTable) lookupAddr(addr string) *Conn {
-	sh := &rt.shards[shardIndexString(addr)]
+func (rt *routeTable) lookupAddr(ap netip.AddrPort) *Conn {
+	sh := &rt.shards[addrShard(ap)]
 	sh.mu.Lock()
-	c := sh.byAddr[addr]
+	c := sh.byAddr[ap]
 	sh.mu.Unlock()
 	return c
 }
@@ -306,41 +343,47 @@ func (rt *routeTable) liveConns() []*Conn {
 }
 
 // parkLocked adds a retired CID key to the shard's draining set and
-// pops expired entries. Caller holds the shard mutex.
-func (sh *routeShard) parkLocked(key string, now time.Time, period time.Duration) {
+// pops expired entries, returning how many live tombstones the cap
+// evicted. Caller holds the shard mutex.
+func (sh *routeShard) parkLocked(k cidKey, now, period time.Duration) (evicted int) {
 	if sh.draining == nil {
-		sh.draining = make(map[string]time.Time)
+		sh.draining = make(map[cidKey]time.Duration)
 	}
-	sh.draining[key] = now
-	sh.drainQ = append(sh.drainQ, drainEntry{key: key, at: now})
-	sh.expireDrainingLocked(now, period)
+	sh.draining[k] = now
+	sh.drainQ = append(sh.drainQ, drainEntry{key: k, at: now})
+	return sh.expireDrainingLocked(now, period)
 }
 
 // expireDrainingLocked pops expired (or over-cap) entries from the
 // front of the shard's retirement-ordered queue. Entries past the cap
-// are retired early (their late packets count as drops rather than
+// are evicted early (their late packets count as drops rather than
 // late packets), bounding memory when connections churn faster than
-// the draining period expires them. Amortized O(1) per retire; caller
-// holds the shard mutex.
-func (sh *routeShard) expireDrainingLocked(now time.Time, period time.Duration) {
+// the draining period expires them; it returns how many. The queue is
+// compacted whenever its dead prefix is more than half of it, so its
+// backing array follows the shard's peak of live tombstones rather than
+// how many it has ever parked. Amortized O(1) per retire; caller holds
+// the shard mutex.
+func (sh *routeShard) expireDrainingLocked(now, period time.Duration) (evicted int) {
 	for sh.drainHead < len(sh.drainQ) {
-		e := sh.drainQ[sh.drainHead]
-		if now.Sub(e.at) <= period && len(sh.drainQ)-sh.drainHead <= maxDrainingPerShard {
+		e := &sh.drainQ[sh.drainHead]
+		expired := now-e.at > period
+		if !expired && len(sh.drainQ)-sh.drainHead <= maxDrainingPerShard {
 			break
 		}
 		// A key can reappear in the queue only if the same CID was
 		// retired twice; keep the map entry unless it is this one's.
-		if at, ok := sh.draining[e.key]; ok && at.Equal(e.at) {
+		if at, ok := sh.draining[e.key]; ok && at == e.at {
 			delete(sh.draining, e.key)
+			if !expired {
+				evicted++
+			}
 		}
-		sh.drainQ[sh.drainHead] = drainEntry{} // release the key string
 		sh.drainHead++
 	}
-	// Compact once the dead prefix dominates so the backing array does
-	// not grow without bound.
-	if sh.drainHead > 256 && sh.drainHead > len(sh.drainQ)/2 {
+	if sh.drainHead > len(sh.drainQ)/2 {
 		n := copy(sh.drainQ, sh.drainQ[sh.drainHead:])
 		sh.drainQ = sh.drainQ[:n]
 		sh.drainHead = 0
 	}
+	return evicted
 }

@@ -440,7 +440,7 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	// The client keeps addressing its original destination ID until it
 	// has seen our source ID. A failed insert means another connection
 	// already owns that route; a stray Initial must not displace it.
-	l.routes.addConnID(c, string(c.origDcid))
+	l.routes.addConnID(c, c.origDcid)
 	if err := c.setupInitialKeys(); err != nil {
 		return fail(err)
 	}

@@ -168,42 +168,47 @@ func TestDialCompatOwnsSocket(t *testing.T) {
 
 // TestDrainingSetExpiry exercises a route shard's expireDrainingLocked
 // directly: the draining set is bounded by the per-shard hard cap under
-// fast churn, entries past the draining period are removed, and expiry
-// is driven from the front of the retirement-ordered queue (no full-map
-// sweep).
+// fast churn, every tombstone the cap pushes out early is counted,
+// entries past the draining period are removed (and not counted), and
+// expiry is driven from the front of the retirement-ordered queue (no
+// full-map sweep).
 func TestDrainingSetExpiry(t *testing.T) {
 	sh := &routeShard{}
-	now := time.Now()
-
-	park := func(key string, at time.Time) {
-		sh.parkLocked(key, at, drainingPeriod)
+	evicted := 0
+	park := func(i int, at time.Duration) {
+		evicted += sh.parkLocked(testKey(i), at, drainingPeriod)
 	}
 
 	// Fast churn: 3*maxDrainingPerShard retirements inside one draining
 	// period must stay capped, evicting oldest-first.
 	for i := 0; i < 3*maxDrainingPerShard; i++ {
-		park(string(rune(i))+"-churn", now.Add(time.Duration(i)*time.Microsecond))
+		park(i, time.Duration(i)*time.Microsecond)
 	}
 	if got := len(sh.draining); got > maxDrainingPerShard {
 		t.Errorf("draining set size = %d, want <= %d", got, maxDrainingPerShard)
 	}
-	if _, ok := sh.draining[string(rune(0))+"-churn"]; ok {
+	if _, ok := sh.draining[testKey(0)]; ok {
 		t.Error("oldest entry survived cap eviction")
 	}
-	last := string(rune(3*maxDrainingPerShard-1)) + "-churn"
-	if _, ok := sh.draining[last]; !ok {
+	if _, ok := sh.draining[testKey(3*maxDrainingPerShard-1)]; !ok {
 		t.Error("newest entry was evicted")
+	}
+	if evicted != 2*maxDrainingPerShard {
+		t.Errorf("cap evictions reported = %d, want %d", evicted, 2*maxDrainingPerShard)
 	}
 
 	// Time-based expiry: everything parked above is older than the
 	// draining period relative to a later retirement.
-	later := now.Add(drainingPeriod + time.Second)
-	park("fresh", later)
+	fresh := 3 * maxDrainingPerShard
+	park(fresh, drainingPeriod+time.Second)
 	if got := len(sh.draining); got != 1 {
 		t.Errorf("draining set size after period elapsed = %d, want 1 (only the fresh entry)", got)
 	}
-	if _, ok := sh.draining["fresh"]; !ok {
+	if _, ok := sh.draining[testKey(fresh)]; !ok {
 		t.Error("fresh entry missing after expiry pass")
+	}
+	if evicted != 2*maxDrainingPerShard {
+		t.Errorf("expiry counted as eviction: %d evictions, want %d", evicted, 2*maxDrainingPerShard)
 	}
 	if sh.drainHead != 0 || len(sh.drainQ) != 1 {
 		t.Errorf("queue not compacted: head=%d len=%d, want 0/1", sh.drainHead, len(sh.drainQ))

@@ -315,6 +315,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"migration_tp_mismatch_total",
 		"quic_zero_rtt_rejected_total",
 		"quic_resumption_tp_downgrade_total",
+		// Tombstones the per-shard cap evicted before their draining
+		// period was up, on either side.
+		"quic_draining_evicted_total ",
+		"quic_listener_draining_evicted_total ",
 		// The server side counts what it holds and every datagram it
 		// drops, by reason.
 		"quic_listener_conns ",
