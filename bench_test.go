@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -330,7 +331,13 @@ var (
 // repository benchmark uses: each active deployment with a domain, SNI =
 // its first domain. scripts/heap.sh (`make heap`) runs it and
 // attributes the live heap it leaves behind; "heap-live-MB" is that heap
-// as HeapAlloc after a forced collection.
+// as HeapAlloc after a forced collection. What the collector cost during
+// the timed passes is read from runtime/metrics: "gc-cpu-us/target" is
+// /cpu/classes/gc/total:cpu-seconds per target scanned, the runtime's
+// estimate, which counts idle-priority mark work (GC on a P that had
+// nothing else to run) too, and "gc-cycles" is the number of collections.
+// A smaller live heap runs more cycles by construction; the CPU is what
+// a scan pays.
 func BenchmarkUniverseScan(b *testing.B) {
 	scanUniverseOnce.Do(func() {
 		scanUniverse = internet.Build(internet.Spec{Seed: 9, Scale: 2048})
@@ -353,13 +360,20 @@ func BenchmarkUniverseScan(b *testing.B) {
 		Workers:    2,
 	}
 	ctx := context.Background()
+	gcTotals := func() (cpuSeconds float64, cycles uint64) {
+		s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/cycles/total:gc-cycles"}}
+		metrics.Read(s)
+		return s[0].Value.Float64(), s[1].Value.Uint64()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	cpu0, cycles0 := gcTotals()
 	for i := 0; i < b.N; i++ {
 		if s := core.Summarize(sc.Scan(ctx, targets)); s.Success != len(targets) {
 			b.Fatalf("scan of %d responsive deployments: %s", len(targets), s)
 		}
 	}
+	cpu1, cycles1 := gcTotals()
 	b.StopTimer()
 	sc.Close()
 	runtime.GC()
@@ -367,6 +381,8 @@ func BenchmarkUniverseScan(b *testing.B) {
 	runtime.ReadMemStats(&m)
 	b.ReportMetric(float64(len(targets)), "targets")
 	b.ReportMetric(float64(m.HeapAlloc)/(1<<20), "heap-live-MB")
+	b.ReportMetric((cpu1-cpu0)*1e6/float64(b.N*len(targets)), "gc-cpu-us/target")
+	b.ReportMetric(float64(cycles1-cycles0), "gc-cycles")
 }
 
 // vnOnlyVersions is the fixed VN answer of the VN-only world; hoisted

@@ -16,14 +16,35 @@ import (
 
 // Zone is a thread-safe set of resource records keyed by lower-case
 // FQDN (no trailing dot).
+//
+// A simulated Internet's zone is tens of thousands of A and AAAA
+// records that live as long as the process, so it is stored for the
+// garbage collector rather than for the wire: one map from each name to
+// its first record, the records themselves in one pointer-free slice
+// chained per name, and whole dnswire.Records only for what an address
+// cannot say (HTTPS, CNAME, TXT).
 type Zone struct {
-	mu      sync.RWMutex
-	records map[string][]dnswire.Record
+	mu     sync.RWMutex
+	first  map[string]int32 // canonical name → its first record in rrs
+	rrs    []zoneRecord
+	others []dnswire.Record // the records no zoneRecord can hold
+}
+
+// zoneRecord is one record of a Zone. An A or AAAA record is held whole;
+// any other is the index of a dnswire.Record in Zone.others.
+type zoneRecord struct {
+	addr  [16]byte // the address, As16; an IPv4 one in the last four bytes
+	ttl   uint32
+	next  int32 // the name's next record in Zone.rrs; -1 ends the chain
+	other int32 // index into Zone.others, or -1 for an address record
+	typ   uint16
+	class uint16
+	bits  uint8 // the address's BitLen: 32, 128, or 0 for none
 }
 
 // NewZone creates an empty zone.
 func NewZone() *Zone {
-	return &Zone{records: make(map[string][]dnswire.Record)}
+	return &Zone{first: make(map[string]int32)}
 }
 
 // Add inserts a record. The record's Name is canonicalized.
@@ -36,9 +57,33 @@ func (z *Zone) Add(rr dnswire.Record) {
 	if rr.TTL == 0 {
 		rr.TTL = 300
 	}
+	zr := zoneRecord{ttl: rr.TTL, next: -1, other: -1, typ: rr.Type, class: rr.Class}
 	z.mu.Lock()
-	z.records[name] = append(z.records[name], rr)
-	z.mu.Unlock()
+	defer z.mu.Unlock()
+	if isAddressOnly(rr) {
+		zr.addr, zr.bits = rr.Addr.As16(), uint8(rr.Addr.BitLen())
+	} else {
+		zr.other = int32(len(z.others))
+		z.others = append(z.others, rr)
+	}
+	i := int32(len(z.rrs))
+	z.rrs = append(z.rrs, zr)
+	j, ok := z.first[name]
+	if !ok {
+		z.first[name] = i
+		return
+	}
+	for z.rrs[j].next >= 0 {
+		j = z.rrs[j].next
+	}
+	z.rrs[j].next = i
+}
+
+// isAddressOnly reports whether a zoneRecord holds all of rr: an A or
+// AAAA record with nothing but an address, and no IPv6 zone.
+func isAddressOnly(rr dnswire.Record) bool {
+	return (rr.Type == dnswire.TypeA || rr.Type == dnswire.TypeAAAA) && rr.Addr.Zone() == "" &&
+		rr.Target == "" && rr.TXT == nil && rr.Priority == 0 && rr.Params == nil && rr.RawData == nil
 }
 
 // Lookup returns records of the given type for a name, following one
@@ -48,37 +93,72 @@ func (z *Zone) Lookup(name string, qtype uint16) (answers []dnswire.Record, foun
 	name = canonical(name)
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	rrs, ok := z.records[name]
+	first, ok := z.first[name]
 	if !ok {
 		return nil, false
 	}
-	for _, rr := range rrs {
-		if rr.Type == qtype {
-			answers = append(answers, rr)
+	if n := z.count(first, qtype); n > 0 {
+		return z.appendMatches(make([]dnswire.Record, 0, n), name, first, qtype), true
+	}
+	// Follow the name's first CNAME.
+	for i := first; i >= 0; i = z.rrs[i].next {
+		if z.rrs[i].typ != dnswire.TypeCNAME {
+			continue
+		}
+		cname := z.record(name, i)
+		target := canonical(cname.Target)
+		tfirst, ok := z.first[target]
+		if !ok {
+			tfirst = -1 // an empty chain
+		}
+		answers = append(make([]dnswire.Record, 0, 1+z.count(tfirst, qtype)), cname)
+		return z.appendMatches(answers, target, tfirst, qtype), true
+	}
+	return nil, true
+}
+
+// count is the number of records of type qtype in the chain from i.
+func (z *Zone) count(i int32, qtype uint16) int {
+	n := 0
+	for ; i >= 0; i = z.rrs[i].next {
+		if z.rrs[i].typ == qtype {
+			n++
 		}
 	}
-	if len(answers) == 0 {
-		// Follow CNAME.
-		for _, rr := range rrs {
-			if rr.Type == dnswire.TypeCNAME {
-				answers = append(answers, rr)
-				for _, target := range z.records[canonical(rr.Target)] {
-					if target.Type == qtype {
-						answers = append(answers, target)
-					}
-				}
-				break
-			}
+	return n
+}
+
+// appendMatches appends name's records of type qtype, the chain from i.
+func (z *Zone) appendMatches(answers []dnswire.Record, name string, i int32, qtype uint16) []dnswire.Record {
+	for ; i >= 0; i = z.rrs[i].next {
+		if z.rrs[i].typ == qtype {
+			answers = append(answers, z.record(name, i))
 		}
 	}
-	return answers, true
+	return answers
+}
+
+// record rebuilds the dnswire.Record that Add stored as rrs[i].
+func (z *Zone) record(name string, i int32) dnswire.Record {
+	zr := &z.rrs[i]
+	if zr.other >= 0 {
+		return z.others[zr.other]
+	}
+	rr := dnswire.Record{Name: name, Type: zr.typ, Class: zr.class, TTL: zr.ttl}
+	switch zr.bits {
+	case 32:
+		rr.Addr = netip.AddrFrom4([4]byte(zr.addr[12:]))
+	case 128:
+		rr.Addr = netip.AddrFrom16(zr.addr)
+	}
+	return rr
 }
 
 // Names returns the number of distinct names in the zone.
 func (z *Zone) Names() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return len(z.records)
+	return len(z.first)
 }
 
 func canonical(name string) string {

@@ -223,6 +223,7 @@ func run(opts Options, tl *timeline, dialSweep sweepDialer) (*Report, error) {
 		spec.Week = week
 		u := internet.Build(spec)
 		if err := u.Start(internet.StartOptions{Stateful: last, Web: true}); err != nil {
+			u.Stop()
 			return nil, fmt.Errorf("experiments: starting week %d: %w", week, err)
 		}
 

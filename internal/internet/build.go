@@ -38,13 +38,14 @@ type Deployment struct {
 	ServerHeader string
 }
 
-// DomainInfo describes one name in the simulated DNS.
-type DomainInfo struct {
-	Name     string
-	Sources  []string // input lists containing the name
-	V4, V6   []netip.Addr
-	HTTPSRR  bool
-	Provider string // empty for non-QUIC domains
+// domainInfo describes one name in the simulated DNS while Build
+// writes its records.
+type domainInfo struct {
+	name     string
+	sources  []string // input lists containing the name
+	v4, v6   []netip.Addr
+	httpsRR  bool
+	provider string // empty for non-QUIC domains
 }
 
 // Universe is a fully built simulated Internet (not yet serving; call
@@ -58,15 +59,10 @@ type Universe struct {
 	Deployments []*Deployment
 	// ByAddr indexes deployments.
 	ByAddr map[netip.Addr]*Deployment
-	// Domains holds every simulated name (QUIC and non-QUIC).
-	Domains []*DomainInfo
 
 	// SourceLists are the scan input lists: alexa, majestic, umbrella,
 	// czds-comnetorg, czds-other.
 	SourceLists map[string][]string
-
-	// domainIndex maps names to their DomainInfo.
-	domainIndex map[string]*DomainInfo
 
 	// IPv6Hitlist mimics the IPv6 Hitlist service input.
 	IPv6Hitlist []netip.Addr
@@ -75,6 +71,16 @@ type Universe struct {
 	alloc allocator
 
 	servers *servers // populated by Start
+}
+
+// builder is a Universe under construction plus the domain graph only
+// Build reads: every simulated name, QUIC and non-QUIC, with what
+// buildZone writes for it. The zone and the lists keep the names; the
+// graph is dropped with the builder.
+type builder struct {
+	*Universe
+	domains     []*domainInfo
+	domainIndex map[string]*domainInfo
 }
 
 // Build constructs the population (addresses, AS allocations, domains,
@@ -88,13 +94,13 @@ func Build(spec Spec) *Universe {
 		Zone:        dnsserver.NewZone(),
 		ByAddr:      make(map[netip.Addr]*Deployment),
 		SourceLists: make(map[string][]string),
-		domainIndex: make(map[string]*DomainInfo),
 		rng:         rand.New(rand.NewPCG(spec.Seed, 0xda7a)),
 	}
-	u.buildProviders()
-	u.buildTail()
-	u.buildDomains()
-	u.buildZone()
+	b := &builder{Universe: u, domainIndex: make(map[string]*domainInfo)}
+	b.buildProviders()
+	b.buildTail()
+	b.buildDomains()
+	b.buildZone()
 	return u
 }
 
@@ -524,12 +530,12 @@ func AllProfiles() []*Profile {
 // buildDomains attaches names to deployments and creates the scan
 // input lists, including non-QUIC names so the HTTPS-RR success rates
 // of Figure 3 have realistic denominators.
-func (u *Universe) buildDomains() {
+func (b *builder) buildDomains() {
 	// Per-provider QUIC domains, attached to that provider's
 	// domain-eligible deployments (actives and require-SNI, plus a
 	// stale 8% pointing at ghosts — the paper's with-SNI timeouts).
 	byProvider := make(map[string][]*Deployment)
-	for _, d := range u.Deployments {
+	for _, d := range b.Deployments {
 		byProvider[d.Provider] = append(byProvider[d.Provider], d)
 	}
 
@@ -539,30 +545,30 @@ func (u *Universe) buildDomains() {
 		if len(deps) == 0 {
 			continue
 		}
-		nDomains := int(float64(ps.domains) * growth(u.Spec.Week) / float64(u.Spec.DomainScale))
+		nDomains := int(float64(ps.domains) * growth(b.Spec.Week) / float64(b.Spec.DomainScale))
 		if nDomains < 2 {
 			nDomains = 2
 		}
-		u.attachDomains(ps.name, deps, nDomains, ps.profile().HTTPSRR)
+		b.attachDomains(ps.name, deps, nDomains, ps.profile().HTTPSRR)
 	}
 
 	// Tail domains: a couple per active tail deployment.
-	for _, d := range u.Deployments {
-		if d.ASN >= 60000 && d.ASN < 60000+asdb.ASN(u.scaledAS(paperTailASes)) {
+	for _, d := range b.Deployments {
+		if d.ASN >= 60000 && d.ASN < 60000+asdb.ASN(b.scaledAS(paperTailASes)) {
 			if d.Behavior == BehaviorActive || d.Behavior == BehaviorRequireSNI {
-				name := fmt.Sprintf("site%d.%s-tail.net", len(u.Domains), d.Provider)
-				u.addDomain(name, d, d.Profile.HTTPSRR && u.rng.Float64() < 0.2)
+				name := fmt.Sprintf("site%d.%s-tail.net", len(b.domains), d.Provider)
+				b.addDomain(name, d, d.Profile.HTTPSRR && b.rng.Float64() < 0.2)
 			}
 		}
 	}
 
 	// Non-QUIC names: the bulk of the resolved lists.
-	u.buildSourceLists()
+	b.buildSourceLists()
 }
 
 // attachDomains distributes nDomains names across the provider's
 // domain-eligible deployments.
-func (u *Universe) attachDomains(provider string, deps []*Deployment, nDomains int, httpsRR bool) {
+func (b *builder) attachDomains(provider string, deps []*Deployment, nDomains int, httpsRR bool) {
 	var eligible []*Deployment
 	var ghosts []*Deployment
 	for _, d := range deps {
@@ -592,47 +598,47 @@ func (u *Universe) attachDomains(provider string, deps []*Deployment, nDomains i
 		// DNS and load-balancing artifacts, producing the with-SNI
 		// timeout, crypto-error and version-mismatch shares of
 		// Table 3 (the paper's SNI success rate is 76%).
-		if len(ghosts) > 0 && u.rng.Float64() < 0.22 {
-			d = ghosts[u.rng.IntN(len(ghosts))]
+		if len(ghosts) > 0 && b.rng.Float64() < 0.22 {
+			d = ghosts[b.rng.IntN(len(ghosts))]
 		} else {
-			d = eligible[u.rng.IntN(len(eligible))]
+			d = eligible[b.rng.IntN(len(eligible))]
 		}
-		info := u.addDomain(name, d, httpsRR)
-		if d.Addr.Is4() && len(eligibleV6) > 0 && u.rng.Float64() < 0.4 {
-			d6 := eligibleV6[u.rng.IntN(len(eligibleV6))]
-			info.V6 = append(info.V6, d6.Addr)
+		info := b.addDomain(name, d, httpsRR)
+		if d.Addr.Is4() && len(eligibleV6) > 0 && b.rng.Float64() < 0.4 {
+			d6 := eligibleV6[b.rng.IntN(len(eligibleV6))]
+			info.v6 = append(info.v6, d6.Addr)
 			d6.Domains = append(d6.Domains, name)
 		}
 	}
 }
 
-func (u *Universe) addDomain(name string, d *Deployment, httpsRR bool) *DomainInfo {
-	info := &DomainInfo{Name: name, Provider: d.Provider, HTTPSRR: httpsRR}
+func (b *builder) addDomain(name string, d *Deployment, httpsRR bool) *domainInfo {
+	info := &domainInfo{name: name, provider: d.Provider, httpsRR: httpsRR}
 	if d.Addr.Is4() {
-		info.V4 = append(info.V4, d.Addr)
+		info.v4 = append(info.v4, d.Addr)
 	} else {
-		info.V6 = append(info.V6, d.Addr)
+		info.v6 = append(info.v6, d.Addr)
 	}
 	d.Domains = append(d.Domains, name)
-	u.Domains = append(u.Domains, info)
-	u.domainIndex[name] = info
+	b.domains = append(b.domains, info)
+	b.domainIndex[name] = info
 	return info
 }
 
 // buildSourceLists assembles the resolution inputs: top lists and CZDS
 // zone files, mixing QUIC names (at the paper's per-source rates) with
 // non-QUIC filler names.
-func (u *Universe) buildSourceLists() {
-	quicNames := make([]string, 0, len(u.Domains))
-	for _, d := range u.Domains {
-		quicNames = append(quicNames, d.Name)
+func (b *builder) buildSourceLists() {
+	quicNames := make([]string, 0, len(b.domains))
+	for _, d := range b.domains {
+		quicNames = append(quicNames, d.name)
 	}
 	sort.Strings(quicNames)
 
 	// Paper list sizes (1M per top list, ~180M com/net/org, ~31M other
 	// CZDS zones) and the share of each list that is QUIC-capable (top
 	// lists are far more QUIC-dense than the zone files). A slice, not
-	// a map: the lists draw from u.rng in turn, so their order decides
+	// a map: the lists draw from b.rng in turn, so their order decides
 	// which QUIC names land in which list.
 	sources := []struct {
 		name      string
@@ -648,24 +654,24 @@ func (u *Universe) buildSourceLists() {
 
 	for _, source := range sources {
 		src := source.name
-		n := source.size / u.Spec.DomainScale
+		n := source.size / b.Spec.DomainScale
 		if n < 8 {
 			n = 8
 		}
 		var list []string
 		nQUIC := int(float64(n) * source.quicShare)
 		for i := 0; i < nQUIC && len(quicNames) > 0; i++ {
-			name := quicNames[u.rng.IntN(len(quicNames))]
+			name := quicNames[b.rng.IntN(len(quicNames))]
 			list = append(list, name)
 		}
 		for i := len(list); i < n; i++ {
 			name := fmt.Sprintf("f%07d.%s.example", i, src)
-			info := &DomainInfo{
-				Name: name,
-				V4:   []netip.Addr{nonQUICAddr(i)},
+			info := &domainInfo{
+				name: name,
+				v4:   []netip.Addr{nonQUICAddr(i)},
 			}
-			u.Domains = append(u.Domains, info)
-			u.domainIndex[name] = info
+			b.domains = append(b.domains, info)
+			b.domainIndex[name] = info
 			list = append(list, name)
 		}
 		// Deduplicate while preserving order.
@@ -677,16 +683,16 @@ func (u *Universe) buildSourceLists() {
 				out = append(out, name)
 			}
 		}
-		u.SourceLists[src] = out
+		b.SourceLists[src] = out
 		for _, name := range out {
-			u.markSource(name, src)
+			b.markSource(name, src)
 		}
 	}
 }
 
-func (u *Universe) markSource(name, src string) {
-	if d := u.domainIndex[name]; d != nil {
-		d.Sources = append(d.Sources, src)
+func (b *builder) markSource(name, src string) {
+	if d := b.domainIndex[name]; d != nil {
+		d.sources = append(d.sources, src)
 	}
 }
 
@@ -698,57 +704,56 @@ func nonQUICAddr(i int) netip.Addr {
 // buildZone fills the DNS zone: A/AAAA for every domain, HTTPS RRs for
 // eligible ones at the week's per-source rate (Figure 3), heavily
 // biased toward Cloudflare as in the paper.
-func (u *Universe) buildZone() {
-	for _, dom := range u.Domains {
-		for _, a := range dom.V4 {
-			u.Zone.Add(dnswire.Record{Name: dom.Name, Type: dnswire.TypeA, Addr: a})
+func (b *builder) buildZone() {
+	for _, dom := range b.domains {
+		for _, a := range dom.v4 {
+			b.Zone.Add(dnswire.Record{Name: dom.name, Type: dnswire.TypeA, Addr: a})
 		}
-		for _, a := range dom.V6 {
-			u.Zone.Add(dnswire.Record{Name: dom.Name, Type: dnswire.TypeAAAA, Addr: a})
+		for _, a := range dom.v6 {
+			b.Zone.Add(dnswire.Record{Name: dom.name, Type: dnswire.TypeAAAA, Addr: a})
 		}
-		if !dom.HTTPSRR {
+		if !dom.httpsRR {
 			continue
 		}
 		// The HTTPS RR deployment rate depends on the input source
 		// rate; apply the maximum rate over the domain's sources.
 		rate := 0.0
-		for _, src := range dom.Sources {
-			if r := httpsRRRate(src, u.Spec.Week); r > rate {
+		for _, src := range dom.sources {
+			if r := httpsRRRate(src, b.Spec.Week); r > rate {
 				rate = r
 			}
 		}
-		if len(dom.Sources) == 0 {
-			rate = httpsRRRate("czds-other", u.Spec.Week)
+		if len(dom.sources) == 0 {
+			rate = httpsRRRate("czds-other", b.Spec.Week)
 		}
 		// Cloudflare drove HTTPS RR deployment: boost its rate so
 		// ~99.9% of all HTTPS RRs are Cloudflare's (Section 4.2).
-		if dom.Provider == "cloudflare" || dom.Provider == "cloudflare-london" {
+		if dom.provider == "cloudflare" || dom.provider == "cloudflare-london" {
 			rate *= 12
 		} else {
 			rate *= 0.1
 		}
-		if u.rng.Float64() >= rate {
-			dom.HTTPSRR = false
+		if b.rng.Float64() >= rate {
 			continue
 		}
 		params := []dnswire.SvcParamValue{{Key: dnswire.SvcParamALPN, ALPN: []string{"h3-29", "h3-28", "h3-27"}}}
-		if len(dom.V4) > 0 {
-			params = append(params, dnswire.SvcParamValue{Key: dnswire.SvcParamIPv4Hint, Hints: dom.V4})
+		if len(dom.v4) > 0 {
+			params = append(params, dnswire.SvcParamValue{Key: dnswire.SvcParamIPv4Hint, Hints: dom.v4})
 		}
-		if len(dom.V6) > 0 {
-			params = append(params, dnswire.SvcParamValue{Key: dnswire.SvcParamIPv6Hint, Hints: dom.V6})
+		if len(dom.v6) > 0 {
+			params = append(params, dnswire.SvcParamValue{Key: dnswire.SvcParamIPv6Hint, Hints: dom.v6})
 		}
-		u.Zone.Add(dnswire.Record{
-			Name: dom.Name, Type: dnswire.TypeHTTPS, Priority: 1, Params: params,
+		b.Zone.Add(dnswire.Record{
+			Name: dom.name, Type: dnswire.TypeHTTPS, Priority: 1, Params: params,
 		})
 	}
 
 	// IPv6 hitlist: AAAA targets plus the ZMap-visible v6 population.
 	seen := make(map[netip.Addr]bool)
-	for _, d := range u.Deployments {
+	for _, d := range b.Deployments {
 		if d.Addr.Is6() && !seen[d.Addr] {
 			seen[d.Addr] = true
-			u.IPv6Hitlist = append(u.IPv6Hitlist, d.Addr)
+			b.IPv6Hitlist = append(b.IPv6Hitlist, d.Addr)
 		}
 	}
 }

@@ -50,15 +50,16 @@ func TestBuildDeterminism(t *testing.T) {
 			t.Fatalf("deployment %d differs: %+v vs %+v", i, a, b)
 		}
 	}
-	if len(u1.Domains) != len(u2.Domains) {
-		t.Errorf("domain counts differ: %d vs %d", len(u1.Domains), len(u2.Domains))
+	if n1, n2 := u1.Zone.Names(), u2.Zone.Names(); n1 != n2 {
+		t.Errorf("zone name counts differ: %d vs %d", n1, n2)
 	}
 }
 
 // TestBuildIsDeterministic pins Build as a pure function of its spec
 // above the deployments: the same QUIC names land in the same source
-// lists, so every domain carries the same Sources (and, through them,
-// the same HTTPS-RR draw) in every process.
+// lists, so every domain carries the same sources and, through them,
+// the same HTTPS-RR draw in every process: the two zones hold the same
+// records in the same order.
 func TestBuildIsDeterministic(t *testing.T) {
 	spec := Spec{Seed: 3, Scale: 2048, ASScale: 64, DomainScale: 8192, Week: 18}
 	u1 := Build(spec)
@@ -68,13 +69,8 @@ func TestBuildIsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(u1.SourceLists, u2.SourceLists) {
 		t.Error("SourceLists differ between two builds of one spec")
 	}
-	if len(u1.Domains) != len(u2.Domains) {
-		t.Fatalf("domain counts differ: %d vs %d", len(u1.Domains), len(u2.Domains))
-	}
-	for i, a := range u1.Domains {
-		if b := u2.Domains[i]; !reflect.DeepEqual(a, b) {
-			t.Fatalf("domain %d differs: %+v vs %+v", i, a, b)
-		}
+	if !reflect.DeepEqual(u1.Zone, u2.Zone) {
+		t.Errorf("zones differ between two builds of one spec (%d and %d names)", u1.Zone.Names(), u2.Zone.Names())
 	}
 }
 
@@ -109,8 +105,8 @@ func TestBuildShape(t *testing.T) {
 		}
 	}
 	// Domains exist and QUIC domains resolve in the zone.
-	if len(u.Domains) == 0 || len(u.SourceLists) != 5 {
-		t.Fatalf("domains=%d lists=%d", len(u.Domains), len(u.SourceLists))
+	if u.Zone.Names() == 0 || len(u.SourceLists) != 5 {
+		t.Fatalf("zone names=%d lists=%d", u.Zone.Names(), len(u.SourceLists))
 	}
 	// The hitlist covers v6 deployments.
 	if len(u.IPv6Hitlist) == 0 {
@@ -479,7 +475,40 @@ func TestIdleUniverseFootprint(t *testing.T) {
 	defer u.Stop()
 	grew := float64(int64(liveHeap())-int64(before)) / (1 << 20)
 	t.Logf("started scale-2048 universe: %d UDP sockets, %.1f MB live heap", u.Net.UDPSocketCount(), grew)
-	if grew > 25 {
-		t.Errorf("idle universe holds %.1f MB, want < 25 MB", grew)
+	if grew > 14 {
+		t.Errorf("idle universe holds %.1f MB, want < 14 MB", grew)
+	}
+}
+
+// TestFailedStartLeavesNothingRunning: a Start that fails part-way, on
+// an address that is already bound, closes the DNS server and every
+// listener it opened, and the universe can still be stopped. Taking the
+// DNS address fails it before there is a DNS server; taking the last
+// active deployment's :443 fails it with every other listener up.
+func TestFailedStartLeavesNothingRunning(t *testing.T) {
+	var lastActive netip.Addr
+	u := Build(tinySpec())
+	u.Net.Close()
+	for _, d := range u.Deployments {
+		if d.Behavior == BehaviorActive {
+			lastActive = d.Addr
+		}
+	}
+	for _, taken := range []netip.AddrPort{DNSAddr, netip.AddrPortFrom(lastActive, 443)} {
+		u = Build(tinySpec())
+		if _, err := u.Net.ListenUDP(taken); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Start(StartOptions{Stateful: true}); err == nil {
+			u.Stop()
+			t.Fatalf("Start succeeded with %v taken", taken)
+		}
+		if n := u.Net.UDPSocketCount(); n != 1 {
+			t.Errorf("%v taken: %d UDP sockets bound after the failed Start, want only the test's own", taken, n)
+		}
+		if u.servers != nil {
+			t.Errorf("%v taken: a failed Start left the universe marked started", taken)
+		}
+		u.Stop()
 	}
 }

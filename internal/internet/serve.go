@@ -41,14 +41,25 @@ type servers struct {
 // DNSAddr is where the universe's resolver listens.
 var DNSAddr = netip.MustParseAddrPort("198.51.0.53:53")
 
-// Start brings the universe online. It is idempotent per universe.
+// Start brings the universe online. It is idempotent per universe. A
+// Start that fails stops what it started first, so the universe can be
+// started again or stopped.
 func (u *Universe) Start(opts StartOptions) error {
 	if u.servers != nil {
 		return fmt.Errorf("internet: universe already started")
 	}
-	s := &servers{certCache: make(map[string]tls.Certificate)}
-	u.servers = s
+	u.servers = &servers{certCache: make(map[string]tls.Certificate)}
+	if err := u.start(opts); err != nil {
+		u.Net.SetSyntheticResponder(nil)
+		u.servers.close()
+		u.servers = nil
+		return err
+	}
+	return nil
+}
 
+func (u *Universe) start(opts StartOptions) error {
+	s := u.servers
 	ca, err := certgen.NewCA("quicscan Simulation Root CA")
 	if err != nil {
 		return err
@@ -83,20 +94,28 @@ func (u *Universe) Start(opts StartOptions) error {
 	return nil
 }
 
-// Stop tears everything down.
-func (u *Universe) Stop() {
-	if u.servers == nil {
-		return
-	}
-	for _, l := range u.servers.quicLs {
+// close stops every server started so far; the DNS server is nil when
+// Start failed before it.
+func (s *servers) close() {
+	for _, l := range s.quicLs {
 		l.Close()
 	}
-	for _, srv := range u.servers.webSrvs {
+	for _, srv := range s.webSrvs {
 		srv.Close()
 	}
-	u.servers.dns.Close()
+	if s.dns != nil {
+		s.dns.Close()
+	}
+}
+
+// Stop tears everything down, the network included. It is safe after a
+// Start that failed, or none.
+func (u *Universe) Stop() {
+	if u.servers != nil {
+		u.servers.close()
+		u.servers = nil
+	}
 	u.Net.Close()
-	u.servers = nil
 }
 
 // RootCAs returns the trust anchors scanners should validate against.
@@ -302,6 +321,7 @@ func (u *Universe) startWebServer(d *Deployment) error {
 	if d.Profile.TCPSelfSignedNoSNI {
 		selfSigned, err := u.selfSignedFor(d)
 		if err != nil {
+			l.Close()
 			return err
 		}
 		// Certificates would take precedence over GetCertificate, so

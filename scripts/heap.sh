@@ -18,8 +18,10 @@
 #
 #   route table    quic's routeTable and routeShard: live routes and the
 #                  tombstones of closed connections
-#   zone           the DNS zone (internet's buildZone, dnsserver.Zone)
-#   source lists   internet's buildSourceLists: the domain source lists
+#   zone           the DNS zone (internet's buildZone, dnsserver's NewZone
+#                  and Zone)
+#   domains        the names and the source lists (internet's buildDomains,
+#                  attachDomains, addDomain, buildSourceLists, markSource)
 #   listeners      the started QUIC servers (internet's startQUICServer,
 #                  quic.Listen and the Listener, the h3 servers)
 #   rest           everything else
@@ -28,6 +30,9 @@
 # ≈ n / 4096, fine enough for rows of 0.01 MB and cheap enough to scan
 # at nearly full speed; "profiled" against the benchmark's own
 # heap-live-MB (HeapAlloc after runtime.GC) shows how close it came.
+# The first line also gives what the collector cost during the passes,
+# the benchmark's gc-cpu-us/target (runtime/metrics' GC CPU estimate,
+# idle mark work included, per target scanned) and gc-cycles.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,12 +40,12 @@ PASSES=${1:-320}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-live=$(go test -run '^$' -cpu 2 -bench 'UniverseScan$' -benchtime "${PASSES}x" \
-	-memprofilerate 4096 -memprofile "$dir/heap.prof" -o "$dir/quicscan.test" . |
-	awk '/^BenchmarkUniverseScan/ { for (i = 3; i < NF; i++) if ($(i+1) == "heap-live-MB") print $i }')
+go test -run '^$' -cpu 2 -bench 'UniverseScan$' -benchtime "${PASSES}x" \
+	-memprofilerate 4096 -memprofile "$dir/heap.prof" -o "$dir/quicscan.test" . >"$dir/bench.txt"
+metric() { awk -v unit="$1" '/^BenchmarkUniverseScan/ { for (i = 3; i < NF; i++) if ($(i+1) == unit) print $i }' "$dir/bench.txt"; }
 
 go tool pprof -sample_index=inuse_space -unit=B -traces "$dir/quicscan.test" "$dir/heap.prof" 2>/dev/null |
-	awk -v live="$live" -v passes="$PASSES" '
+	awk -v live="$(metric heap-live-MB)" -v gccpu="$(metric gc-cpu-us/target)" -v gccycles="$(metric gc-cycles)" -v passes="$PASSES" '
 function flush(    i, f, owner, site, bucket) {
 	if (depth == 0) return
 	owner = "other"; site = "(no frame of ours) " stack[0]; bucket = ""
@@ -48,8 +53,8 @@ function flush(    i, f, owner, site, bucket) {
 		f = stack[i]
 		if (bucket == "") {
 			if (f ~ /^quicscan\/internal\/quic\.\(\*route(Table|Shard)\)/) bucket = "route table"
-			else if (f ~ /^quicscan\/internal\/(internet\.\(\*Universe\)\.buildZone|dnsserver\.\(\*Zone\))/) bucket = "zone"
-			else if (f ~ /^quicscan\/internal\/internet\.\(\*Universe\)\.buildSourceLists/) bucket = "source lists"
+			else if (f ~ /^quicscan\/internal\/(internet\.\(\*builder\)\.buildZone|dnsserver\.(NewZone|\(\*Zone\)))/) bucket = "zone"
+			else if (f ~ /^quicscan\/internal\/internet\.\(\*builder\)\.(buildDomains|attachDomains|addDomain|buildSourceLists|markSource)/) bucket = "domains"
 			else if (f ~ /^quicscan\/internal\/(internet\.\(\*Universe\)\.startQUICServer|quic\.Listen$|quic\.\(\*Listener\)|h3\.\(\*Server\))/) bucket = "listeners"
 		}
 		if (owner == "other" && f ~ /^quicscan\/internal\//) {
@@ -76,9 +81,10 @@ function table(title, arr,    k, n, i, j, t, keys) {
 END {
 	flush()
 	printf "live heap after %d passes, scanner closed, universe up: %.2f MB (HeapAlloc), %.2f MB profiled\n", passes, live, mb(total)
+	printf "GC during the passes: %.1f us CPU per target, %d cycles\n", gccpu, gccycles
 	table("by owning package", pkg)
 	table("by allocation site (top 20)", at)
 	printf "\n%-58s %8s\n", "by what it belongs to", "MB"
-	split("route table|zone|source lists|listeners|rest", order, "|")
+	split("route table|zone|domains|listeners|rest", order, "|")
 	for (i = 1; i <= 5; i++) printf "%-58s %8.2f\n", order[i], mb(by[order[i]])
 }'
