@@ -213,8 +213,8 @@ type campaignFlags struct {
 // engine supplies sharding, pacing, checkpointing and the result
 // stream. conns is the receive socket group; every socket gets its
 // own collector because SO_REUSEPORT spreads responses across all of
-// them. An error is a sweep that stopped early, with its checkpoint
-// written and its output closed.
+// them. An error is a sweep that stopped early or whose records could
+// not be written, with its checkpoint written and its output closed.
 func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.PacketConn, ps []netip.Prefix, cf campaignFlags) error {
 	sweep := zmapquic.NewSweep(cf.seed, ps)
 	fmt.Fprintf(os.Stderr, "zmapquic: sweeping %d addresses in %d shards\n", sweep.Total(), cf.shards)
@@ -301,6 +301,11 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 	}
 
 	// First-sighting hits stream into the sink while the engine probes.
+	// A sweep whose hits cannot be recorded stops at the first failed
+	// write, as a journaling one does.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var writeErr error
 	hits := 0
 	runErr := eng.Sweep(ctx, scanner, conns, cf.cooldown, func(r zmapquic.Result) {
 		hits++
@@ -308,10 +313,16 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 		for i, v := range r.Versions {
 			names[i] = v.String()
 		}
-		sink.Write(campaign.Record{Type: campaign.RecordHit, Shard: -1, Addr: r.Addr.String(), Versions: names})
+		if err := sink.Write(campaign.Record{Type: campaign.RecordHit, Shard: -1, Addr: r.Addr.String(), Versions: names}); err != nil && writeErr == nil {
+			writeErr = err
+			stop()
+		}
 	})
-	if err := sink.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "zmapquic: closing sink: %v\n", err)
+	if err := sink.Close(); err != nil && writeErr == nil {
+		writeErr = err
+	}
+	if writeErr != nil {
+		return fmt.Errorf("writing records: %w", writeErr)
 	}
 	if runErr != nil {
 		return fmt.Errorf("campaign: %w", runErr)

@@ -41,9 +41,6 @@ type Options struct {
 	Weeks []int
 	// Workers for stateful scans (default 64).
 	Workers int
-	// MaxSNITargetsPerAddr caps domains per address per source
-	// (paper's ethical cap of 100).
-	MaxSNITargetsPerAddr int
 	// SkipWeekly skips the weekly stateless series (Figures 3,5,6,7),
 	// keeping only week 18.
 	SkipWeekly bool
@@ -67,11 +64,12 @@ func (o Options) withDefaults() Options {
 	if o.Workers == 0 {
 		o.Workers = 64
 	}
-	if o.MaxSNITargetsPerAddr == 0 {
-		o.MaxSNITargetsPerAddr = 100
-	}
 	return o
 }
+
+// maxSNITargetsPerAddr caps the domains scanned per address and source,
+// the paper's ethical cap.
+const maxSNITargetsPerAddr = 100
 
 // DNSSourceStats records one week's HTTPS-RR resolution success for
 // one input list (Figure 3).
@@ -445,7 +443,7 @@ func collectAltSvc(u *internet.Universe, wd *WeekData, opts Options) {
 
 // statefulTargets assembles the SNI and no-SNI target lists from the
 // three discovery sources (Section 5).
-func statefulTargets(wd *WeekData, family string, cap int) (noSNI []core.Target, sni []core.Target) {
+func statefulTargets(wd *WeekData, family string) (noSNI []core.Target, sni []core.Target) {
 	disc := wd.V4
 	if family == "IPv6" {
 		disc = wd.V6
@@ -461,8 +459,8 @@ func statefulTargets(wd *WeekData, family string, cap int) (noSNI []core.Target,
 	// SNI scans: (address, domain) pairs per source.
 	addPairs := func(addr netip.Addr, source string) {
 		doms := disc.DomainsByAddr[addr]
-		if len(doms) > cap {
-			doms = doms[:cap]
+		if len(doms) > maxSNITargetsPerAddr {
+			doms = doms[:maxSNITargetsPerAddr]
 		}
 		for _, dom := range doms {
 			sni = append(sni, core.Target{Addr: addr, SNI: dom, Source: source})
@@ -500,8 +498,8 @@ func compatible(versions []quicwire.Version) bool {
 // behind, so they run on their own sockets while it waits. The
 // behavioural modes run last, on a universe nothing else is loading.
 func (r *Report) runHeadline(u *internet.Universe, wd *WeekData, opts Options, tl *timeline, dialSweep sweepDialer) error {
-	noSNI4, sni4 := statefulTargets(wd, "IPv4", opts.MaxSNITargetsPerAddr)
-	noSNI6, sni6 := statefulTargets(wd, "IPv6", opts.MaxSNITargetsPerAddr)
+	noSNI4, sni4 := statefulTargets(wd, "IPv4")
+	noSNI6, sni6 := statefulTargets(wd, "IPv6")
 
 	tl.stage("stateful", func() error { r.runStateful(u, opts, noSNI4, noSNI6, sni4, sni6); return nil })
 	tl.stage("tcp-compare", func() error {

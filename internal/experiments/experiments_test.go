@@ -313,7 +313,7 @@ func TestStatefulTargetsCap(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		wd.V4.DomainsByAddr[addr] = append(wd.V4.DomainsByAddr[addr], "d"+strconvItoa(i)+".test")
 	}
-	noSNI, sni := statefulTargets(wd, "IPv4", 100)
+	noSNI, sni := statefulTargets(wd, "IPv4")
 	if len(noSNI) != 1 {
 		t.Errorf("noSNI = %d", len(noSNI))
 	}
@@ -322,7 +322,7 @@ func TestStatefulTargetsCap(t *testing.T) {
 	}
 	// Incompatible-only targets are filtered.
 	wd.V4.ZMap[netipAddr("10.1.2.4")] = googleOnlyVersions()
-	noSNI, _ = statefulTargets(wd, "IPv4", 100)
+	noSNI, _ = statefulTargets(wd, "IPv4")
 	if len(noSNI) != 1 {
 		t.Errorf("incompatible target scanned: noSNI = %d", len(noSNI))
 	}

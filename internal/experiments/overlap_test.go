@@ -126,9 +126,9 @@ func TestRunRepeats(t *testing.T) {
 // four lists at the right places, and the cuts do not share capacity.
 func TestStatefulCut(t *testing.T) {
 	r := quickCampaign(t)
-	wd, limit := r.Headline(), r.Options.MaxSNITargetsPerAddr
-	noSNI4, sni4 := statefulTargets(wd, "IPv4", limit)
-	noSNI6, sni6 := statefulTargets(wd, "IPv6", limit)
+	wd := r.Headline()
+	noSNI4, sni4 := statefulTargets(wd, "IPv4")
+	noSNI6, sni6 := statefulTargets(wd, "IPv6")
 	for _, tc := range []struct {
 		name     string
 		got      []core.Result

@@ -45,8 +45,12 @@ GOOS=darwin GOARCH=arm64 go build ./...
 go build -tags portable ./...
 go test -tags portable ./internal/netbatch ./internal/quic
 
-echo "==> go test -race ./..."
-go test -race ./...
+echo "==> go test -race ./... (Examples in their own step below)"
+# Beside other packages' race tests a handshake can outlast its 2 s
+# timer, and an Example's output is then no longer a function of its
+# seed (raceEnabled in internal/experiments says the same of
+# TestRunRepeats).
+go test -race -skip '^Example' ./...
 
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
@@ -79,6 +83,26 @@ go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./int
 	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
 	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
 
+echo "==> Examples at GOMAXPROCS=1,2,4, then under -race one package at a time"
+# `go test -cpu 1,2,4` runs each Example once, at the first width, so
+# the widths are a loop here. Each Example's output is a function of its
+# seed at every width.
+examples="./internal/core ./internal/analysis ./internal/experiments"
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=1 -run '^Example' $examples
+done
+go test -race -p 1 -count=1 -run '^Example' $examples
+
+echo "==> seed-42 report and TSVs equal the committed ones"
+# report.txt and results/ are what this command writes, byte for byte;
+# the manifest.json beside them holds wall-clock values and is not
+# committed. About 20 s, which is why it is here and not a tier-1 test.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/experiments -scale 2048 -seed 42 -out "$tmp/report.txt" -tsv "$tmp/results"
+diff report.txt "$tmp/report.txt"
+diff -r --exclude=manifest.json results "$tmp/results"
+
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
 
@@ -86,8 +110,7 @@ echo "==> benchmark gate (bench/run.sh -seed 9 against BENCH_baseline.json)"
 # Four workloads, medians of 5 x 3 s repetitions each, judged against
 # the bounds in BENCHMARK.json: about two minutes. The run lands in a
 # throwaway file; only `make bench-baseline` writes the committed one.
-benchout=$(mktemp)
-trap 'rm -f "$benchout"' EXIT
+benchout=$tmp/bench.json
 bench/run.sh -seed 9 -out "$benchout"
 ./scripts/bench-gate.sh BENCH_baseline.json "$benchout"
 
