@@ -26,10 +26,17 @@ import (
 // enum members are used by value (quic.KeyUpdateAccept is the zero value
 // of its type and named by no caller). There is no allowlist: a report
 // is answered by deleting the declaration or by using it.
+//
+// A second rule holds product code to the same standard: an unexported
+// package-level func or var that only _test.go files name is reported
+// too. Nothing the program runs uses it, and a test of it tests nothing
+// the program does.
 func TestNoDeadDeclarations(t *testing.T) {
 	fset := token.NewFileSet()
-	declared := map[*ast.Ident]bool{} // the declaring identifiers under examination
-	var files []*ast.File
+	// The declaring identifiers under examination, each marked with
+	// whether the second rule applies (an unexported func or var).
+	declared := map[*ast.Ident]bool{}
+	var files, testFiles []*ast.File
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -47,25 +54,29 @@ func TestNoDeadDeclarations(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			testFiles = append(testFiles, f)
+			return nil
+		}
 		files = append(files, f)
-		if !strings.HasPrefix(path, "internal/") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasPrefix(path, "internal/") {
 			return nil
 		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
 				if decl.Recv == nil && decl.Name.Name != "init" {
-					declared[decl.Name] = true
+					declared[decl.Name] = !decl.Name.IsExported()
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						declared[spec.Name] = true
+						declared[spec.Name] = false
 					case *ast.ValueSpec:
 						for _, name := range spec.Names {
 							if decl.Tok == token.VAR && name.Name != "_" {
-								declared[name] = true
+								declared[name] = !name.IsExported()
 							}
 						}
 					}
@@ -78,23 +89,35 @@ func TestNoDeadDeclarations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	named := map[string]bool{} // every name the module mentions outside those declarations
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				named[id.Name] = true
-			}
-			return true
-		})
+	// Every name the module mentions outside those declarations: in
+	// program files, and in tests.
+	names := func(files []*ast.File) map[string]bool {
+		named := map[string]bool{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if _, decl := declared[id]; !decl {
+						named[id.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		return named
 	}
+	inCode, inTests := names(files), names(testFiles)
 	var dead []string
-	for id := range declared {
-		if !named[id.Name] {
-			dead = append(dead, fset.Position(id.Pos()).String()+": "+id.Name)
+	for id, testOnly := range declared {
+		at := fset.Position(id.Pos()).String() + ": " + id.Name
+		switch {
+		case !inCode[id.Name] && !inTests[id.Name]:
+			dead = append(dead, at+" is declared and named nowhere else in the module")
+		case !inCode[id.Name] && testOnly:
+			dead = append(dead, at+" is named only by tests")
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is declared and named nowhere else in the module", d)
+		t.Error(d)
 	}
 }

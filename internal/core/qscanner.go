@@ -340,9 +340,13 @@ func (s *Scanner) retryBackoff() time.Duration {
 
 // ScanTarget attempts a full QUIC handshake plus an HTTP/3 HEAD
 // request against one target, re-probing silent targets up to Retries
-// times with exponential backoff. Each attempt gets its own Timeout
-// budget, so the worst case per target is (Retries+1)*Timeout plus
-// backoff pauses.
+// times with exponential backoff. Each attempt's handshake is bounded
+// by Timeout, the connection's own deadline, and only a timed-out
+// handshake is retried. A completed handshake's HEAD request then gets
+// a Timeout of its own, so the worst case per target is
+// (Retries+2)*Timeout plus backoff pauses ((Retries+1)*Timeout with
+// SkipHTTP). A ctx that ends mid-dial aborts it, and the target is
+// OutcomeOther with the context's error, not a timeout.
 func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 	mScanTargets.Inc()
 	backoff := s.retryBackoff()

@@ -188,6 +188,28 @@ func TestScanUnreachable(t *testing.T) {
 	}
 }
 
+// TestCancelledScanIsNotATimeout: a scan stopped while its dial is in
+// flight aborts the dial and records the target as "other" with the
+// context's error. "timeout" means only that the connection's own
+// handshake deadline or PTO budget ran out.
+func TestCancelledScanIsNotATimeout(t *testing.T) {
+	w := newWorld(t)
+	s := newScanner(t, w)
+	s.Timeout = 3 * time.Second
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+
+	start := time.Now()
+	res := s.ScanTarget(ctx, Target{Addr: netip.MustParseAddr("192.0.2.99")})
+	if res.Outcome != OutcomeOther || res.Error != context.Canceled.Error() {
+		t.Errorf("outcome = %s (%s), want %s (%v)", res.Outcome, res.Error, OutcomeOther, context.Canceled)
+	}
+	if elapsed := time.Since(start); elapsed > s.Timeout/2 {
+		t.Errorf("a scan cancelled at 100ms returned after %v", elapsed)
+	}
+}
+
 func TestScanBatchAndSummary(t *testing.T) {
 	w := newWorld(t)
 	ok := w.addServer(t, "192.0.2.20:443", serverParams(), quic.ServerPolicy{}, "LiteSpeed", "a.example")

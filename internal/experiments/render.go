@@ -459,10 +459,3 @@ func (r *Report) RenderDiversity() string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

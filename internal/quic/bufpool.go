@@ -1,7 +1,5 @@
 package quic
 
-import "sync"
-
 // Pooled packet memory for the datagram hot path.
 //
 // Ownership rules (see DESIGN.md §8):
@@ -19,15 +17,16 @@ import "sync"
 //     none: the socket hands it the network's own copy of each
 //     datagram, under the same rule, and takes it back when the call
 //     returns.
-//   - Sized-class packet buffers back short-lived retained copies
-//     (decryption scratch, next-key trials). The function that leases
-//     one releases it; a leased buffer must never be stored in a
-//     struct that outlives the call.
+//   - Nothing else is pooled. The short-lived copies a connection makes
+//     of a datagram (the pristine copy for the stateless-reset check,
+//     the next-key decryption trial) and its outgoing assembly buffers
+//     are its own scratch, guarded by c.mu and reused by its next
+//     datagram; no other connection ever sees them.
 //
 // The aliasing contract is enforced by TestPoolAliasingSafety, which
-// scribbles over released buffers while handshakes are in flight, and
-// by TestFrameStorageNotRetained, which destroys every received frame
-// and the payload bytes under it the moment its handler returns.
+// scribbles over released read buffers while handshakes are in flight,
+// and by TestFrameStorageNotRetained, which destroys every received
+// frame and the payload bytes under it the moment its handler returns.
 
 // readBufSize is the fixed size of pooled datagram read buffers: the
 // largest UDP payload the pump can receive.
@@ -64,48 +63,4 @@ func releaseReadBuf(b *[]byte) {
 	case readBufFree <- b:
 	default:
 	}
-}
-
-// packetClassSizes are the capacity classes for retained-packet
-// copies. 1536 covers every on-path MTU, 4096 jumbo frames, and the
-// top class anything a 64 KiB read can produce.
-var packetClassSizes = [...]int{1536, 4096, 16384, readBufSize}
-
-var packetClassPools [len(packetClassSizes)]sync.Pool
-
-func packetClassFor(n int) int {
-	for i, size := range packetClassSizes {
-		if n <= size {
-			return i
-		}
-	}
-	return -1
-}
-
-// leasePacket returns a length-n buffer backed by the smallest size
-// class that holds it. Buffers above the top class fall back to a
-// plain allocation (releasePacket discards them).
-func leasePacket(n int) []byte {
-	ci := packetClassFor(n)
-	if ci < 0 {
-		return make([]byte, n)
-	}
-	if v := packetClassPools[ci].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
-	}
-	return make([]byte, n, packetClassSizes[ci])[:n]
-}
-
-// releasePacket returns a buffer obtained from leasePacket to its
-// size-class pool. The caller must not touch the buffer afterwards.
-func releasePacket(b []byte) {
-	for ci, size := range packetClassSizes {
-		if cap(b) == size {
-			b = b[:size]
-			packetClassPools[ci].Put(&b)
-			return
-		}
-	}
-	// Off-class capacity (oversized lease or resliced buffer): let the
-	// GC have it rather than poison a class with the wrong capacity.
 }

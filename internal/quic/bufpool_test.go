@@ -43,12 +43,13 @@ func testCryptoCanary(t *testing.T) {
 
 	// The out-of-order tail is retained in a.segments until the prefix
 	// arrives: the retained-data canary.
-	buf := leasePacket(tailLen)
+	tp := leaseReadBuf()
+	buf := (*tp)[:tailLen]
 	copy(buf, want[prefixLen:])
 	if _, err := a.push(prefixLen, buf); err != nil {
 		t.Fatal(err)
 	}
-	releasePacket(buf)
+	releaseReadBuf(tp)
 	scribble(buf)
 
 	// The prefix arrives via a pooled read buffer, is delivered
@@ -77,7 +78,7 @@ func scribble(b []byte) {
 
 // testScribblerHandshakes runs concurrent handshakes through a shared
 // transport while hostile goroutines continuously lease, scribble, and
-// release buffers from every pool. If any read loop, frame parser, or
+// release read buffers. If any read loop, frame parser, or
 // packer still referenced a released buffer, the handshakes would
 // corrupt (or -race would flag the write/write conflict).
 func testScribblerHandshakes(t *testing.T) {
@@ -116,11 +117,6 @@ func testScribblerHandshakes(t *testing.T) {
 				bp := leaseReadBuf()
 				scribble(*bp)
 				releaseReadBuf(bp)
-				for _, size := range packetClassSizes {
-					b := leasePacket(size / 2)
-					scribble(b)
-					releasePacket(b)
-				}
 			}
 		}()
 	}

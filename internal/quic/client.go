@@ -148,6 +148,10 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	c.tls.SetTransportParameters(localParams(cfg, c.scid))
 
 	c.mu.Lock()
+	// The handshake deadline is the connection's own, enforced whether
+	// or not anyone waits in HandshakeComplete: an early-returned dial
+	// whose server has gone away dies at it too.
+	c.setIdleDeadlineLocked(deadline)
 	if err := c.tls.Start(ctx); err != nil {
 		c.mu.Unlock()
 		return fail(err)
@@ -171,9 +175,8 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 		// eventual outcome (including ErrParameterDowngrade).
 		return c, nil
 	}
-	if err := c.waitHandshake(ctx, deadline); err != nil {
-		c.abort(err)
-		return nil, err
+	if err := c.HandshakeComplete(ctx); err != nil {
+		return nil, err // the connection is closed on every error path
 	}
 	return c, nil
 }

@@ -140,10 +140,14 @@ type Conn struct {
 	dcidSeq    uint64 // sequence number of the peer CID in c.dcid
 
 	// Client-initiated migration (Migrate): the outstanding challenge
-	// rides the normal send queue, so it needs no pathState.
+	// rides the normal send queue, so it needs no pathState. migrDone is
+	// closed when the peer answers it; until then the connection's timer
+	// resends it at migrDeadline, backing off by how often it was sent.
 	migrChallenge        [8]byte
 	migrChallengePending bool
-	migrValidated        bool
+	migrDone             chan struct{}
+	migrDeadline         time.Time
+	migrSent             int
 
 	// Connection IDs this endpoint issued (sequence 0 is scid); the
 	// endpoint's retire parks every one still listed here.
@@ -161,13 +165,21 @@ type Conn struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	ptoTimer *time.Timer
-	ptoCount int
-	// idleTimer enforces idleDeadline: the idle period once the
-	// handshake is done, a server connection's handshake deadline until
-	// then (see onIdleTimer). A zero idleDeadline means disarmed.
-	idleTimer    *time.Timer
+	// timer is the connection's one clock: armTimerLocked points it at
+	// the earliest of the deadlines below (and migrDeadline and each
+	// path's probe deadline), and onTimer runs whichever are due. A zero
+	// deadline is disarmed. idleDeadline is the handshake deadline until
+	// the handshake completes and the idle deadline afterwards;
+	// ptoDeadline is the next retransmission, ptoCount expirations into
+	// the backoff.
+	timer        *time.Timer
 	idleDeadline time.Time
+	ptoDeadline  time.Time
+	ptoCount     int
+
+	// ackedCh is closed, and cleared, once nothing ack-eliciting is in
+	// flight; Ping waits on it.
+	ackedCh chan struct{}
 
 	// Reusable per-connection scratch memory, all guarded by mu, so
 	// the steady-state packet path allocates nothing:
@@ -608,19 +620,16 @@ func (c *Conn) completeHandshakeLocked() {
 	close(c.handshakeCh)
 }
 
-// waitHandshake blocks until the handshake completes, fails, or the
-// context expires.
-func (c *Conn) waitHandshake(ctx context.Context, deadline time.Time) error {
-	// The deadline is enforced with a plain timer instead of a derived
-	// context (see Transport.Dial). The caller's own ctx still aborts
-	// the dial when cancelled.
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
+// HandshakeComplete waits for the handshake to finish. The deadline is
+// the connection's own (Config.HandshakeTimeout from the dial, or from
+// the first Initial on a server), enforced whether or not anyone waits
+// here: ErrHandshakeTimeout means that deadline or the PTO budget ran
+// out. ctx ending aborts the connection, and the call then returns
+// ctx's error.
+func (c *Conn) HandshakeComplete(ctx context.Context) error {
 	select {
 	case <-c.handshakeCh:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.hsErr
+		return nil
 	case <-c.closed:
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -628,12 +637,9 @@ func (c *Conn) waitHandshake(ctx context.Context, deadline time.Time) error {
 			return c.hsErr
 		}
 		return c.closeErr
-	case <-timer.C:
-		c.abort(ErrHandshakeTimeout)
-		return ErrHandshakeTimeout
 	case <-ctx.Done():
-		c.abort(ErrHandshakeTimeout)
-		return ErrHandshakeTimeout
+		c.abort(ctx.Err())
+		return ctx.Err()
 	}
 }
 
@@ -651,57 +657,99 @@ func (c *Conn) idleTimeoutLocked() time.Duration {
 	return d
 }
 
-// armIdleTimerLocked (re)starts the idle teardown timer. The
-// connection has one timer for its whole life — the handshake deadline
-// of a server connection, then the idle period — and re-arming it is a
-// Reset, not a new timer per received datagram.
+// armIdleTimerLocked moves the idle deadline to the idle period from
+// now; a period <= 0 disarms it.
 func (c *Conn) armIdleTimerLocked() {
-	c.setIdleDeadlineLocked(c.idleTimeoutLocked())
+	var at time.Time
+	if d := c.idleTimeoutLocked(); d > 0 {
+		at = time.Now().Add(d)
+	}
+	c.setIdleDeadlineLocked(at)
 }
 
-// setIdleDeadlineLocked moves the deadline onIdleTimer enforces to d
-// from now; d <= 0 disarms it.
-func (c *Conn) setIdleDeadlineLocked(d time.Duration) {
-	if d <= 0 {
-		c.idleDeadline = time.Time{}
-		if c.idleTimer != nil {
-			c.idleTimer.Stop()
-		}
+// setIdleDeadlineLocked sets the handshake/idle deadline (zero
+// disarms it) and re-arms the timer.
+func (c *Conn) setIdleDeadlineLocked(at time.Time) {
+	c.idleDeadline = at
+	c.armTimerLocked()
+}
+
+// armTimerLocked points the connection's one timer at the earliest
+// armed deadline, or stops it when none is armed. Re-arming is a Reset
+// of the same timer, never a new one.
+func (c *Conn) armTimerLocked() {
+	if c.isClosed() {
 		return
 	}
-	c.idleDeadline = time.Now().Add(d)
-	if c.idleTimer == nil {
-		c.idleTimer = time.AfterFunc(d, c.onIdleTimer)
-	} else {
-		c.idleTimer.Reset(d)
+	next := earlier(c.idleDeadline, c.ptoDeadline)
+	next = earlier(next, c.migrDeadline)
+	for _, p := range c.paths {
+		next = earlier(next, p.deadline)
+	}
+	switch {
+	case next.IsZero():
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+	case c.timer == nil:
+		c.timer = time.AfterFunc(time.Until(next), c.onTimer)
+	default:
+		c.timer.Reset(time.Until(next))
 	}
 }
 
-// onIdleTimer fires when the deadline set by setIdleDeadlineLocked may
-// have passed. A timer that fired while a datagram was being processed
-// waits for mu and then finds the deadline moved: it lost the race with
-// the re-arm and goes back to sleep instead of closing a live
-// connection (Stop and Reset cannot recall a callback that has already
-// started). Before the handshake completes the deadline is the
-// server's HandshakeTimeout, enforced whether or not anyone is waiting
-// in HandshakeComplete; afterwards it is the idle period, which RFC
-// 9000 Section 10.1 ends silently — the IdleCloseNotify quirk announces
-// the teardown with CONNECTION_CLOSE(NO_ERROR) first.
-func (c *Conn) onIdleTimer() {
+// earlier returns the earlier of two deadlines, where zero is unarmed.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
+}
+
+// due reports whether the armed deadline at has passed by now.
+func due(at, now time.Time) bool { return !at.IsZero() && !now.Before(at) }
+
+// onTimer runs every deadline that is due, in a fixed order, and
+// re-arms the timer to the earliest one left. The handshake/idle
+// deadline runs first, since a dead connection retransmits nothing;
+// then the PTO; then path probes and the migration challenge. There is
+// one stale-fire rule for all of them: a deadline that moved after the
+// timer fired is simply not due (Stop and Reset cannot recall a
+// callback that has already started and is waiting for mu), so a fire
+// that finds nothing due only re-arms.
+func (c *Conn) onTimer() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	if c.idleDeadline.IsZero() {
-		return // disarmed after this callback started
-	}
-	if wait := time.Until(c.idleDeadline); wait > 0 {
-		c.idleTimer.Reset(wait)
+	if c.isClosed() {
 		return
 	}
+	now := time.Now()
+	if due(c.idleDeadline, now) {
+		c.onIdleDeadlineLocked()
+		return
+	}
+	if due(c.ptoDeadline, now) {
+		c.ptoDeadline = time.Time{}
+		c.onPTOLocked()
+	}
+	for _, p := range c.paths {
+		if due(p.deadline, now) && !c.isClosed() {
+			p.deadline = time.Time{}
+			c.onPathTimeoutLocked(p, now)
+		}
+	}
+	if due(c.migrDeadline, now) && !c.isClosed() {
+		c.sendMigrChallengeLocked(now)
+	}
+	c.armTimerLocked()
+}
+
+// onIdleDeadlineLocked closes the connection at its handshake/idle
+// deadline. Before the handshake completes that is the handshake
+// deadline; afterwards it is the idle period, which RFC 9000 Section
+// 10.1 ends silently — the IdleCloseNotify quirk announces the
+// teardown with CONNECTION_CLOSE(NO_ERROR) first.
+func (c *Conn) onIdleDeadlineLocked() {
 	if !c.handshakeDone {
 		if c.hsErr == nil {
 			c.hsErr = ErrHandshakeTimeout
@@ -714,6 +762,16 @@ func (c *Conn) onIdleTimer() {
 			ErrorCode: uint64(quicwire.NoError), ReasonPhrase: "idle timeout"})
 	}
 	c.closeLocked(ErrIdleTimeout)
+}
+
+// isClosed reports whether the connection has closed.
+func (c *Conn) isClosed() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // handleDatagram processes one received UDP payload, which may contain
@@ -729,13 +787,11 @@ func (c *Conn) onIdleTimer() {
 func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		// Looked up just before close retired the routes. Processing it
 		// could register new routes (RETIRE_CONNECTION_ID, a validated
 		// path) that nothing would ever remove.
 		return
-	default:
 	}
 	c.rxFromAP = addrPortOf(from)
 	c.rxDgramLen = len(data)
@@ -745,16 +801,21 @@ func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 	}
 
 	for len(data) > 0 {
-		if quicwire.IsLongHeader(data[0]) {
-			n := c.handleLongPacketLocked(data)
-			if n <= 0 {
-				return
-			}
-			data = data[n:]
-			continue
+		if !quicwire.IsLongHeader(data[0]) {
+			c.handleShortPacketLocked(data)
+			break // a short header packet extends to the datagram's end
 		}
-		c.handleShortPacketLocked(data)
-		return // a short header packet extends to the datagram's end
+		n := c.handleLongPacketLocked(data)
+		if n <= 0 {
+			break
+		}
+		data = data[n:]
+	}
+	// Wake Ping once everything in flight is acknowledged: by an ACK, or
+	// by a space whose keys this datagram retired.
+	if c.ackedCh != nil && !c.anyUnackedLocked() {
+		close(c.ackedCh)
+		c.ackedCh = nil
 	}
 }
 
@@ -1063,10 +1124,8 @@ func (c *Conn) processPayloadLocked(spIdx int, pt quicwire.PacketType, pn uint64
 		if testHookFrameHandled != nil {
 			testHookFrameHandled(f)
 		}
-		select {
-		case <-c.closed:
+		if c.isClosed() {
 			return
-		default:
 		}
 	}
 	c.sendPendingLocked()
@@ -1208,10 +1267,8 @@ func (c *Conn) handleStreamFrameLocked(fr *quicwire.StreamFrame) {
 func (c *Conn) OpenStream() (*Stream, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		return nil, c.closeErr
-	default:
 	}
 	id := c.nextBidi
 	c.nextBidi += 4
@@ -1227,10 +1284,8 @@ func (c *Conn) OpenStream() (*Stream, error) {
 func (c *Conn) OpenUniStream() (*Stream, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		return nil, c.closeErr
-	default:
 	}
 	id := c.nextUni
 	c.nextUni += 4
@@ -1269,10 +1324,8 @@ func (c *Conn) AcceptStream(ctx context.Context) (*Stream, error) {
 func (c *Conn) queueStreamData(id uint64, data []byte, fin bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		return c.closeErr
-	default:
 	}
 	sp := &c.spaces[spaceApp]
 	var offset uint64
@@ -1379,13 +1432,9 @@ func (c *Conn) closeLocked(err error) {
 			c.trace.Event("connection_closed", "error", errStr)
 			c.trace.Close()
 		}
-		if c.ptoTimer != nil {
-			c.ptoTimer.Stop()
+		if c.timer != nil {
+			c.timer.Stop()
 		}
-		if c.idleTimer != nil {
-			c.idleTimer.Stop()
-		}
-		c.stopPathTimersLocked()
 		close(c.closed)
 		for _, s := range c.streams {
 			s.connClosed(err)
@@ -1474,64 +1523,50 @@ func (c *Conn) Ping(ctx context.Context) error {
 		c.mu.Unlock()
 		return errors.New("quic: ping before handshake completion")
 	}
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		err := c.closeErr
 		c.mu.Unlock()
 		return err
-	default:
 	}
 	sp := &c.spaces[spaceApp]
 	sp.outFrames = append(sp.outFrames, &quicwire.PingFrame{})
 	c.sendPendingLocked()
+	if c.ackedCh == nil {
+		c.ackedCh = make(chan struct{})
+	}
+	acked := c.ackedCh
 	c.mu.Unlock()
 
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.closed:
-			return c.Err()
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-			c.mu.Lock()
-			unacked := c.anyUnackedLocked()
-			c.mu.Unlock()
-			if !unacked {
-				return nil
-			}
-		}
+	select {
+	case <-acked:
+		return nil
+	case <-c.closed:
+		return c.Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// schedulePTOLocked arms the retransmission timer with exponential
-// backoff, capped at MaxPTOBackoff.
-func (c *Conn) schedulePTOLocked() {
-	if c.ptoTimer != nil {
-		c.ptoTimer.Stop()
+// armPTOLocked moves the retransmission deadline to the current
+// backoff interval from now. It is disarmed when retransmission is off
+// (MaxPTOs < 0) and, after the handshake, while nothing awaits an ACK.
+func (c *Conn) armPTOLocked() {
+	c.ptoDeadline = time.Time{}
+	if c.cfg.MaxPTOs >= 0 && (!c.handshakeDone || c.anyUnackedLocked()) {
+		c.ptoDeadline = time.Now().Add(c.backoff(c.ptoCount))
 	}
-	if c.cfg.MaxPTOs < 0 {
-		return
-	}
-	if c.handshakeDone && !c.anyUnackedLocked() {
-		return
-	}
-	shift := c.ptoCount
-	if shift > 16 {
-		shift = 16
-	}
-	d := c.cfg.PTO << shift
+	c.armTimerLocked()
+}
+
+// backoff is the retransmission interval after n expirations: PTO
+// doubled n times, capped at MaxPTOBackoff. Path probes and the
+// migration challenge back off on the same schedule.
+func (c *Conn) backoff(n int) time.Duration {
+	d := c.cfg.PTO << min(n, 16)
 	if c.cfg.MaxPTOBackoff > 0 && d > c.cfg.MaxPTOBackoff {
 		d = c.cfg.MaxPTOBackoff
 	}
-	// Reuse one timer per connection; onPTO re-validates state under
-	// mu, so a stale fire racing the Stop above is harmless.
-	if c.ptoTimer == nil {
-		c.ptoTimer = time.AfterFunc(d, c.onPTO)
-	} else {
-		c.ptoTimer.Reset(d)
-	}
+	return d
 }
 
 func (c *Conn) anyUnackedLocked() bool {
@@ -1548,19 +1583,15 @@ func (c *Conn) anyUnackedLocked() bool {
 	return false
 }
 
-func (c *Conn) onPTO() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
+// onPTOLocked runs at the retransmission deadline: it re-sends every
+// unacknowledged frame and backs off, or gives up once MaxPTOs
+// expirations in a row went unanswered.
+func (c *Conn) onPTOLocked() {
 	if c.ptoCount >= c.cfg.MaxPTOs {
 		// Retransmission budget exhausted. A handshake that could not
 		// be repaired in MaxPTOs rounds is dead: fail fast with the
 		// timeout outcome instead of waiting out the deadline. After
-		// the handshake the idle timer signals failure instead.
+		// the handshake the idle deadline signals failure instead.
 		if !c.handshakeDone {
 			if c.hsErr == nil {
 				c.hsErr = ErrHandshakeTimeout
@@ -1593,6 +1624,6 @@ func (c *Conn) onPTO() {
 		}
 		c.sendPendingLocked()
 	} else {
-		c.schedulePTOLocked()
+		c.armPTOLocked()
 	}
 }

@@ -76,7 +76,7 @@ func TestIdleTimerLostRace(t *testing.T) {
 	}
 
 	conn.mu.Lock()
-	conn.setIdleDeadlineLocked(20 * time.Millisecond)
+	conn.setIdleDeadlineLocked(time.Now().Add(20 * time.Millisecond))
 	time.Sleep(100 * time.Millisecond) // the timer has fired; its callback waits for mu
 	conn.armIdleTimerLocked()          // what handleDatagram does for the datagram in hand
 	conn.mu.Unlock()
@@ -97,9 +97,9 @@ func TestIdleTimerLostRace(t *testing.T) {
 }
 
 // TestHandshakeDeadlineYieldsToIdle: a server connection's handshake
-// deadline and its idle period share one timer (the stalled-handshake
+// deadline and its idle period share one slot (the stalled-handshake
 // half is TestServerConnLifecycle's "handshake-timeout" case). A
-// handshake that completes must move that timer to the idle period,
+// handshake that completes must move that slot to the idle period,
 // not be cut off when the handshake deadline comes round.
 func TestHandshakeDeadlineYieldsToIdle(t *testing.T) {
 	scfg, pool := serverConfig(t, "idle.test")

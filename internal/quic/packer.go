@@ -29,7 +29,7 @@ func (c *Conn) sendPendingLocked() {
 			return
 		}
 	}
-	c.schedulePTOLocked()
+	c.armPTOLocked()
 }
 
 // cryptoOffsets tracks per-space CRYPTO send offsets. They live on the

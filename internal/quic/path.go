@@ -49,7 +49,9 @@ type pathState struct {
 
 	challenge [8]byte // outstanding PATH_CHALLENGE data
 	retries   int
-	timer     *time.Timer
+	// deadline is when the connection's timer re-sends the challenge
+	// (zero while no challenge is outstanding).
+	deadline time.Time
 
 	// Anti-amplification accounting (RFC 9000, Section 8): until the
 	// path is validated a server may send at most three times the bytes
@@ -228,7 +230,7 @@ func (c *Conn) reservePathCIDLocked(p *pathState) {
 }
 
 // startPathValidationLocked issues a fresh PATH_CHALLENGE on the path
-// and arms the probe-timeout retry timer.
+// and arms its probe deadline.
 func (c *Conn) startPathValidationLocked(p *pathState) {
 	if _, err := crand.Read(p.challenge[:]); err != nil {
 		return
@@ -241,35 +243,13 @@ func (c *Conn) startPathValidationLocked(p *pathState) {
 		c.trace.Event("path_challenge_sent", "path", p.ap.String())
 	}
 	c.sendPathProbeLocked(p, true, &quicwire.PathChallengeFrame{Data: p.challenge})
-	c.armPathTimerLocked(p)
+	p.deadline = time.Now().Add(c.backoff(0))
+	c.armTimerLocked()
 }
 
-// armPathTimerLocked schedules the next PATH_CHALLENGE retransmission
-// with per-retry doubling of the configured PTO.
-func (c *Conn) armPathTimerLocked(p *pathState) {
-	d := c.cfg.PTO << p.retries
-	if c.cfg.MaxPTOBackoff > 0 && d > c.cfg.MaxPTOBackoff {
-		d = c.cfg.MaxPTOBackoff
-	}
-	if p.timer == nil {
-		p.timer = time.AfterFunc(d, func() { c.onPathTimeout(p) })
-	} else {
-		p.timer.Reset(d)
-	}
-}
-
-// onPathTimeout retries or abandons an unanswered PATH_CHALLENGE.
-func (c *Conn) onPathTimeout(p *pathState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	if p.status != pathValidating {
-		return
-	}
+// onPathTimeoutLocked retries or abandons an unanswered PATH_CHALLENGE
+// at the path's probe deadline.
+func (c *Conn) onPathTimeoutLocked(p *pathState, now time.Time) {
 	if p.retries >= maxPathProbes {
 		p.status = pathFailed
 		c.stats.PathValidationFailures++
@@ -283,7 +263,7 @@ func (c *Conn) onPathTimeout(p *pathState) {
 	c.stats.PathChallengesSent++
 	mPathChallengesSent.Inc()
 	c.sendPathProbeLocked(p, true, &quicwire.PathChallengeFrame{Data: p.challenge})
-	c.armPathTimerLocked(p)
+	p.deadline = now.Add(c.backoff(p.retries))
 }
 
 // sendPathProbeLocked builds and transmits one 1-RTT probe datagram on
@@ -403,18 +383,20 @@ func (c *Conn) handlePathChallengeLocked(data [8]byte) {
 func (c *Conn) handlePathResponseLocked(data [8]byte) {
 	if c.migrChallengePending && c.migrChallenge == data {
 		c.migrChallengePending = false
-		c.migrValidated = true
+		c.migrDeadline = time.Time{}
+		close(c.migrDone)
+		c.migrDone = nil
 		c.stats.PathValidations++
+		c.stats.Migrations++
 		mPathValidated.Inc()
+		mMigrations.Inc()
 		return
 	}
 	for _, p := range c.paths {
 		if p.status == pathValidating && p.challenge == data {
 			p.status = pathValidated
 			p.retries = 0
-			if p.timer != nil {
-				p.timer.Stop()
-			}
+			p.deadline = time.Time{}
 			c.stats.PathValidations++
 			mPathValidated.Inc()
 			if c.trace != nil {
@@ -472,15 +454,6 @@ func (c *Conn) promotePathLocked(p *pathState) {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.
 		c.closeWithTransportErrorLocked(quicwire.NoError, "migration disabled")
-	}
-}
-
-// stopPathTimersLocked halts outstanding probe timers at teardown.
-func (c *Conn) stopPathTimersLocked() {
-	for _, p := range c.paths {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
 	}
 }
 
@@ -600,12 +573,10 @@ func (c *Conn) migrate(ctx context.Context, force bool) error {
 		c.mu.Unlock()
 		return errors.New("quic: migrate before handshake completion")
 	}
-	select {
-	case <-c.closed:
+	if c.isClosed() {
 		err := c.closeErr
 		c.mu.Unlock()
 		return err
-	default:
 	}
 	if !force && c.havePeerParams && c.peerParams.DisableActiveMigration {
 		c.mu.Unlock()
@@ -625,59 +596,47 @@ func (c *Conn) migrate(ctx context.Context, force bool) error {
 		return err
 	}
 	c.migrChallengePending = true
-	c.migrValidated = false
+	if c.migrDone == nil {
+		c.migrDone = make(chan struct{})
+	}
+	done := c.migrDone
+	// Retransmit the challenge on the connection's timer, not only by
+	// loss recovery: the datagram that carried it may be ACKed (loss
+	// recovery will never resend it) while the peer's PATH_RESPONSE is
+	// still blocked behind its anti-amplification budget, so only fresh
+	// challenges — which credit that budget — break the deadlock (RFC
+	// 9000, Section 8.2.1).
+	c.migrSent = 0
+	c.sendMigrChallengeLocked(time.Now())
+	c.mu.Unlock()
+
+	select {
+	case <-done:
+		return nil
+	case <-c.closed:
+		return c.Err()
+	case <-ctx.Done():
+		c.mu.Lock()
+		c.migrChallengePending = false
+		c.migrDeadline = time.Time{}
+		c.stats.PathValidationFailures++
+		c.mu.Unlock()
+		mPathValidationFail.Inc()
+		return ErrPathValidationFailed
+	}
+}
+
+// sendMigrChallengeLocked sends the outstanding migration challenge
+// and arms its resend one backoff interval later. The challenge rides
+// the normal send queue: it must leave from the (already rebound)
+// local socket toward the active peer address, and queueing it makes
+// it loss-tracked, so PTO retransmission covers probe loss.
+func (c *Conn) sendMigrChallengeLocked(now time.Time) {
+	c.migrDeadline = now.Add(c.backoff(c.migrSent))
+	c.migrSent++
 	c.stats.PathChallengesSent++
 	mPathChallengesSent.Inc()
-	// The challenge rides the normal send queue: it must leave from the
-	// (already rebound) local socket toward the active peer address, and
-	// queueing it makes it loss-tracked, so PTO retransmission covers
-	// probe loss.
 	c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
 		&quicwire.PathChallengeFrame{Data: c.migrChallenge})
 	c.sendPendingLocked()
-	c.mu.Unlock()
-
-	// Retransmit the challenge on our own PTO schedule: the datagram
-	// that carried it may be ACKed (loss recovery will never resend it)
-	// while the peer's PATH_RESPONSE is still blocked behind its
-	// anti-amplification budget, so only fresh challenges — which credit
-	// that budget — break the deadlock (RFC 9000, Section 8.2.1).
-	pto := c.cfg.PTO
-	resend := time.Now().Add(pto)
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.closed:
-			return c.Err()
-		case <-ctx.Done():
-			c.mu.Lock()
-			c.migrChallengePending = false
-			c.stats.PathValidationFailures++
-			c.mu.Unlock()
-			mPathValidationFail.Inc()
-			return ErrPathValidationFailed
-		case <-ticker.C:
-			c.mu.Lock()
-			ok := c.migrValidated
-			if ok {
-				c.stats.Migrations++
-			} else if time.Now().After(resend) {
-				c.stats.PathChallengesSent++
-				mPathChallengesSent.Inc()
-				c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-					&quicwire.PathChallengeFrame{Data: c.migrChallenge})
-				c.sendPendingLocked()
-				if pto *= 2; c.cfg.MaxPTOBackoff > 0 && pto > c.cfg.MaxPTOBackoff {
-					pto = c.cfg.MaxPTOBackoff
-				}
-				resend = time.Now().Add(pto)
-			}
-			c.mu.Unlock()
-			if ok {
-				mMigrations.Inc()
-				return nil
-			}
-		}
-	}
 }

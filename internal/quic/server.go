@@ -223,8 +223,7 @@ func DefaultServerParams() transportparams.Parameters {
 }
 
 // Accept returns the next handshaking connection. The handshake may
-// still be in progress; use Conn.waitHandshake via AcceptEstablished
-// for completed ones.
+// still be in progress; Conn.HandshakeComplete waits for it.
 func (l *Listener) Accept(ctx context.Context) (*Conn, error) {
 	select {
 	case c := <-l.acceptCh:
@@ -555,16 +554,9 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	if err := c.drainTLSEvents(); err != nil {
 		return fail(err)
 	}
-	// The handshake deadline belongs to the listener, not to whoever may
-	// call HandshakeComplete: a peer that never finishes its ClientHello
-	// is dropped even if the connection is never accepted.
-	c.setIdleDeadlineLocked(l.cfg.HandshakeTimeout)
+	// The handshake deadline belongs to the connection, not to whoever
+	// may call HandshakeComplete: a peer that never finishes its
+	// ClientHello is dropped even if the connection is never accepted.
+	c.setIdleDeadlineLocked(time.Now().Add(l.cfg.HandshakeTimeout))
 	return c
-}
-
-// HandshakeComplete waits for the server-side handshake to finish.
-func (c *Conn) HandshakeComplete(ctx context.Context) error {
-	// Servers bound the handshake by HandshakeTimeout from the moment
-	// the caller starts waiting.
-	return c.waitHandshake(ctx, time.Now().Add(c.cfg.HandshakeTimeout))
 }

@@ -127,10 +127,10 @@ func (t *Transport) DialEarly(ctx context.Context, remote net.Addr, config *Conf
 
 func (t *Transport) dial(ctx context.Context, remote net.Addr, config *Config, early bool) (*Conn, error) {
 	cfg := config.clone()
-	// The handshake deadline is enforced with one plain timer inside
-	// waitHandshake rather than a derived context: a context chain
-	// costs several allocations per dial and its only consumer here
-	// would be that same select. The caller's ctx still cancels dials.
+	// One handshake deadline for the dial, VN retry included. It is the
+	// connection's own (its timer enforces it) rather than a derived
+	// context, which would cost several allocations per dial. The
+	// caller's ctx still cancels a dial, which then returns ctx's error.
 	deadline := time.Now().Add(cfg.HandshakeTimeout)
 
 	version := cfg.Versions[0]

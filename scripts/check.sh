@@ -52,7 +52,7 @@ echo "==> go test -race ./... (Examples in their own step below)"
 # TestRunRepeats).
 go test -race -skip '^Example' ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any
 # host, and TestDefaultPoolSize holds it at every width. The rescan
@@ -78,8 +78,12 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, lis
 # lands in depends on which goroutine runs where, and the totals must not.
 # The simulated servers (the DNS server, the universe's listeners) are
 # here because simnet calls them on whichever goroutine sends, so how
-# their calls interleave depends on how many run at once.
-go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/listscan \
+# their calls interleave depends on how many run at once. The migration
+# and fingerprint modes are here because their verdicts rest on
+# Conn.Ping, which is woken by a channel that ACK processing closes,
+# possibly on another P at the same moment.
+go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/migration \
+	./internal/fingerprint ./internal/listscan \
 	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
 	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
 
