@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -28,19 +29,37 @@ func chaosScanConfig(retries int) ScanConfig {
 	}
 }
 
+// replay names what reproduces a chaos run: the seed, the population
+// and the profile, which fix every datagram's fate, and the first
+// targets rep failed, by index and address. In a synctest bubble
+// (bubble_test.go) each of them also fails alone in a fresh world.
+func replay(cfg simnet.Config, population int, rep Report) string {
+	var failed []string
+	for i, r := range rep.Results {
+		if r.Outcome != core.OutcomeSuccess && len(failed) < 5 {
+			failed = append(failed, fmt.Sprintf("#%d %v (%s)", i, r.Target.Addr, r.Outcome))
+		}
+	}
+	return fmt.Sprintf("replay with seed %d, %d targets, profile %+v; first failing targets: %v",
+		cfg.Seed, population, cfg.Profile, failed)
+}
+
 // TestChaosScanRecovers is the acceptance run: 500 targets behind a
-// deterministic 5% loss + 30ms±10ms jitter + 1% reorder profile. With
-// retries the scan must reach >=99% success; without them it must do
-// measurably worse; and the shared transport must never misroute a
-// datagram.
+// deterministic 5% loss + 30ms±10ms jitter + 1% reorder profile (which
+// datagram of which flow is lost is fixed by seed 42; on the wall clock
+// a PTO may still fire early or late, so the outcome counts are exact
+// only in a bubble). With retries the scan must reach >=99% success;
+// without them it must do measurably worse; and the shared transport
+// must never misroute a datagram.
 func TestChaosScanRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos tier skipped in -short mode")
 	}
 	const population = 500
+	cfg := simnet.Config{Seed: 42, Profile: DefaultProfile()}
 
 	run := func(retries int) Report {
-		w, err := NewWorld(population, simnet.Config{Seed: 42, Profile: DefaultProfile()})
+		w, err := NewWorld(population, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,18 +75,18 @@ func TestChaosScanRecovers(t *testing.T) {
 	t.Logf("without retries: %v", noRetries.Summary)
 
 	if rate := withRetries.Summary.Rate(core.OutcomeSuccess); rate < 99 {
-		t.Errorf("success with retries = %.2f%%, want >= 99%%", rate)
+		t.Errorf("success with retries = %.2f%%, want >= 99%%; %s", rate, replay(cfg, population, withRetries))
 	}
 	if noRetries.Summary.Success >= withRetries.Summary.Success {
-		t.Errorf("retries did not help: %d successes with vs %d without",
-			withRetries.Summary.Success, noRetries.Summary.Success)
+		t.Errorf("retries did not help: %d successes with vs %d without; %s",
+			withRetries.Summary.Success, noRetries.Summary.Success, replay(cfg, population, noRetries))
 	}
 	for _, rep := range []Report{withRetries, noRetries} {
 		if rep.Transport.RoutingMisses != 0 {
-			t.Errorf("transport misrouted %d datagrams: %+v", rep.Transport.RoutingMisses, rep.Transport)
+			t.Errorf("transport misrouted %d datagrams: %+v; %s", rep.Transport.RoutingMisses, rep.Transport, replay(cfg, population, rep))
 		}
 		if rep.Impair.Lost == 0 || rep.Impair.Reordered == 0 {
-			t.Errorf("profile was not adversarial: %+v", rep.Impair)
+			t.Errorf("profile was not adversarial: %+v; %s", rep.Impair, replay(cfg, population, rep))
 		}
 	}
 	// Recovery must be visible in the per-result accounting: some
@@ -79,7 +98,7 @@ func TestChaosScanRecovers(t *testing.T) {
 		}
 	}
 	if recovered == 0 {
-		t.Error("no target was recovered by a retry; the no-retry gap is unexplained")
+		t.Errorf("no target was recovered by a retry; the no-retry gap is unexplained; %s", replay(cfg, population, withRetries))
 	}
 }
 
@@ -94,7 +113,8 @@ func TestChaosRebindSurvival(t *testing.T) {
 		t.Skip("chaos tier skipped in -short mode")
 	}
 	before := telemetry.Default().Snapshot().Counters["quic_migrations_total"]
-	w, err := NewWorld(50, simnet.Config{Seed: 42, Profile: DefaultProfile()})
+	cfg := simnet.Config{Seed: 42, Profile: DefaultProfile()}
+	w, err := NewWorld(50, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +129,14 @@ func TestChaosRebindSurvival(t *testing.T) {
 	})
 	t.Logf("rebind survival: %+v", rep)
 	if rate := 100 * float64(rep.Completions) / float64(rep.Flows); rate < 99 {
-		t.Errorf("completions = %.2f%% (%d/%d), want >= 99%%", rate, rep.Completions, rep.Flows)
+		t.Errorf("completions = %.2f%% (%d/%d), want >= 99%%; %s", rate, rep.Completions, rep.Flows, replay(cfg, 50, Report{}))
 	}
 	if rep.HandshakeRebinds == 0 {
 		t.Error("no flow rebound mid-handshake; the scenario split is broken")
 	}
 	after := telemetry.Default().Snapshot().Counters["quic_migrations_total"]
 	if after <= before {
-		t.Errorf("no server promoted a migrated path (quic_migrations_total %d -> %d)", before, after)
+		t.Errorf("no server promoted a migrated path (quic_migrations_total %d -> %d); %s", before, after, replay(cfg, 50, Report{}))
 	}
 }
 
@@ -129,8 +149,8 @@ func TestChaosRebindForcedAgainstDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos tier skipped in -short mode")
 	}
-	w, err := NewWorldPolicy(20, simnet.Config{Seed: 43, Profile: DefaultProfile()},
-		quic.ServerPolicy{DisableMigration: true})
+	cfg := simnet.Config{Seed: 43, Profile: DefaultProfile()}
+	w, err := NewWorldPolicy(20, cfg, quic.ServerPolicy{DisableMigration: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +166,10 @@ func TestChaosRebindForcedAgainstDisabled(t *testing.T) {
 	})
 	t.Logf("forced against disabled: %+v", rep)
 	if rep.Completions != 0 {
-		t.Errorf("%d flows completed against a migration-disabled population, want 0", rep.Completions)
+		t.Errorf("%d flows completed against a migration-disabled population, want 0; %s", rep.Completions, replay(cfg, 20, Report{}))
 	}
 	if rep.ForcedRejected < rep.Flows*3/4 {
-		t.Errorf("only %d/%d forced migrations were explicitly rejected", rep.ForcedRejected, rep.Flows)
+		t.Errorf("only %d/%d forced migrations were explicitly rejected; %s", rep.ForcedRejected, rep.Flows, replay(cfg, 20, Report{}))
 	}
 }
 
@@ -160,9 +180,9 @@ func TestChaosCorruptionDoesNotMisroute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos tier skipped in -short mode")
 	}
-	p := DefaultProfile()
-	p.Corrupt = 0.02
-	w, err := NewWorld(60, simnet.Config{Seed: 7, Profile: p})
+	cfg := simnet.Config{Seed: 7, Profile: DefaultProfile()}
+	cfg.Profile.Corrupt = 0.02
+	w, err := NewWorld(60, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,10 +190,10 @@ func TestChaosCorruptionDoesNotMisroute(t *testing.T) {
 	rep := w.Scan(context.Background(), chaosScanConfig(3))
 	t.Logf("corruption run: %v transport=%+v impair=%+v", rep.Summary, rep.Transport, rep.Impair)
 	if rep.Impair.Corrupted == 0 {
-		t.Fatal("corruption profile produced no corrupted datagrams")
+		t.Fatalf("corruption profile produced no corrupted datagrams; %s", replay(cfg, 60, rep))
 	}
 	if rep.Transport.RoutingMisses != 0 {
-		t.Errorf("corrupted datagrams were misrouted: %+v", rep.Transport)
+		t.Errorf("corrupted datagrams were misrouted: %+v; %s", rep.Transport, replay(cfg, 60, rep))
 	}
 }
 
@@ -186,9 +206,9 @@ func TestChaosSoakSweep(t *testing.T) {
 	}
 	for _, loss := range []float64{0, 0.02, 0.05, 0.10, 0.20} {
 		for _, retries := range []int{0, 3} {
-			p := DefaultProfile()
-			p.Loss = loss
-			w, err := NewWorld(500, simnet.Config{Seed: 42, Profile: p})
+			cfg := simnet.Config{Seed: 42, Profile: DefaultProfile()}
+			cfg.Profile.Loss = loss
+			w, err := NewWorld(500, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +217,7 @@ func TestChaosSoakSweep(t *testing.T) {
 			t.Logf("loss=%.0f%% retries=%d: %v (routing misses %d)",
 				loss*100, retries, rep.Summary, rep.Transport.RoutingMisses)
 			if rep.Transport.RoutingMisses != 0 {
-				t.Errorf("loss=%v retries=%d: %d routing misses", loss, retries, rep.Transport.RoutingMisses)
+				t.Errorf("loss=%v retries=%d: %d routing misses; %s", loss, retries, rep.Transport.RoutingMisses, replay(cfg, 500, rep))
 			}
 		}
 	}

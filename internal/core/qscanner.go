@@ -198,10 +198,12 @@ type Scanner struct {
 	// Workers is the parallelism of Scan (default 64).
 	Workers int
 	// PoolSize is how many UDP sockets the shared transport opens
-	// (default 2, on every host, so that one seed dials from the same
-	// source ports whatever the core count). All concurrent handshakes
-	// are multiplexed over this fixed pool by connection ID, so socket
-	// consumption is independent of target count and worker count.
+	// (default 2, on every host). Each target is dialed from the socket
+	// its address hashes to, so under one seed a target leaves from the
+	// same source port whatever the core count or the dial order. All
+	// concurrent handshakes are multiplexed over this fixed pool by
+	// connection ID, so socket consumption is independent of target
+	// count and worker count.
 	PoolSize int
 	// SkipHTTP disables the HTTP/3 HEAD request.
 	SkipHTTP bool

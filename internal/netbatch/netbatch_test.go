@@ -45,7 +45,8 @@ func TestWrapKinds(t *testing.T) {
 
 // chaosProfile exercises every impairment the simnet link model has,
 // so the parity run below covers drop, delay, reorder, duplicate and
-// corrupt decisions — all drawn from the seeded rng in deliver order.
+// corrupt decisions, each keyed by the seed, the link and the
+// datagram's index in its flow.
 var chaosProfile = simnet.Profile{
 	Loss:      0.2,
 	Latency:   2 * time.Millisecond,
@@ -117,9 +118,9 @@ func parityRun(t *testing.T, hide bool) [][]byte {
 // TestFallbackNativeParity sends an identical probe sequence through
 // the native batch path and the concealed one-WriteTo-per-datagram
 // fallback over identically seeded chaos-tier networks, and asserts
-// the receiver observes byte-identical traffic. Both paths must drive
-// the impairment rng in the same per-datagram order, so every drop,
-// duplicate and bit-flip decision lands on the same probe.
+// the receiver observes byte-identical traffic. Both paths must number
+// the flow's datagrams in the same order, so every drop, duplicate and
+// bit-flip decision lands on the same probe.
 func TestFallbackNativeParity(t *testing.T) {
 	native := parityRun(t, false)
 	fallback := parityRun(t, true)

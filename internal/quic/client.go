@@ -65,7 +65,10 @@ func chooseVersion(offered, server []quicwire.Version) (quicwire.Version, bool) 
 // would otherwise never see one).
 func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote net.Addr, cfg *Config, version quicwire.Version, priorVN []quicwire.Version, early bool) (*Conn, error) {
 	c := newConn(cfg, true)
-	c.ep, c.sock = &t.endpoint, t.socks[int(t.next.Add(1)-1)%len(t.socks)] // round-robin
+	// The target picks the socket, not the dial order. FNV-1a spreads
+	// nearby addresses poorly; a Fibonacci multiply evens them out.
+	h := addrHash(addrPortOf(remote)) * 0x9e3779b97f4a7c15
+	c.ep, c.sock = &t.endpoint, t.socks[(h>>32)%uint64(len(t.socks))]
 	c.remote = remote
 	c.version = version
 	if priorVN != nil {
@@ -202,35 +205,19 @@ func resumptionTLSConfig(tlsCfg *tls.Config, cache *SessionCache, remote net.Add
 	return out
 }
 
-// handshakeResult buckets a failed dial for the quic_handshakes_total
+// handshakeCounter buckets a dial outcome for the quic_handshakes_total
 // metric, mirroring the paper's outcome classes at the QUIC layer.
-func handshakeResult(err error) string {
+func handshakeCounter(err error) *telemetry.Counter {
+	var vne *VersionNegotiationError
 	switch {
 	case err == nil:
-		return "success"
-	case errors.Is(err, ErrHandshakeTimeout), errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	default:
-		var vne *VersionNegotiationError
-		if errors.As(err, &vne) {
-			return "version_mismatch"
-		}
-		return "error"
-	}
-}
-
-// handshakeCounter maps a dial outcome to its pre-resolved counter.
-func handshakeCounter(err error) *telemetry.Counter {
-	switch handshakeResult(err) {
-	case "success":
 		return mHandshakeSuccess
-	case "timeout":
+	case errors.Is(err, ErrHandshakeTimeout), errors.Is(err, context.DeadlineExceeded):
 		return mHandshakeTimeout
-	case "version_mismatch":
+	case errors.As(err, &vne):
 		return mHandshakeVersionMismatch
-	default:
-		return mHandshakeError
 	}
+	return mHandshakeError
 }
 
 // forTLS13 clones a TLS config and pins the version to 1.3, which QUIC
@@ -270,15 +257,7 @@ func localParams(cfg *Config, scid quicwire.ConnID) []byte {
 
 // defaultTPPrefix is the marshaled DefaultClientParams without the
 // initial_source_connection_id, computed once.
-var (
-	defaultTPPrefixOnce  sync.Once
-	defaultTPPrefixBytes []byte
-)
-
-func defaultTPPrefix() []byte {
-	defaultTPPrefixOnce.Do(func() {
-		p := DefaultClientParams()
-		defaultTPPrefixBytes = p.Marshal()
-	})
-	return defaultTPPrefixBytes
-}
+var defaultTPPrefix = sync.OnceValue(func() []byte {
+	p := DefaultClientParams()
+	return p.Marshal()
+})

@@ -19,7 +19,7 @@ const drainingPeriod = 3 * time.Second
 // receive hot path used to funnel every datagram of every socket
 // through one endpoint-wide mutex; sharding by a hash of the route
 // key lets the per-socket pumps demux concurrently. Must stay a
-// power of two (shardIndex masks).
+// power of two (a key's shard is its hash, masked).
 const routeShards = 16
 
 // maxDrainingPerShard caps each shard's draining set (8192 tombstones
@@ -86,25 +86,27 @@ type routeShard struct {
 	drainHead int
 }
 
-// shardIndex hashes a route key (CID or address bytes) onto a shard
-// with FNV-1a.
-func shardIndex(key []byte) int {
+// fnv1a hashes a route key (CID or address bytes).
+func fnv1a(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
 		h = (h ^ uint64(b)) * 1099511628211
 	}
-	return int(h & (routeShards - 1))
+	return h
 }
 
-func (k *cidKey) shard() int { return shardIndex(k.b[:k.n]) }
+func (k *cidKey) shard() int { return int(fnv1a(k.b[:k.n]) & (routeShards - 1)) }
 
-func addrShard(ap netip.AddrPort) int {
+// addrHash is FNV-1a over an address's 16-byte form and port.
+func addrHash(ap netip.AddrPort) uint64 {
 	var b [18]byte
 	a := ap.Addr().As16()
 	copy(b[:], a[:])
 	b[16], b[17] = byte(ap.Port()>>8), byte(ap.Port())
-	return shardIndex(b[:])
+	return fnv1a(b[:])
 }
+
+func addrShard(ap netip.AddrPort) int { return int(addrHash(ap) & (routeShards - 1)) }
 
 // routeTable is the datagram demux state of one endpoint (a Transport's
 // client connections or a Listener's server connections):

@@ -71,11 +71,7 @@ func (l *Listener) sendStatelessReset(dcid quicwire.ConnID, from net.Addr, trigg
 	// The reset must look like a valid short header packet with random
 	// content: 0b01 fixed bits plus randomness, then unpredictable
 	// bytes, ending in the token. Keep it shorter than the trigger.
-	size := triggerLen - 1
-	if size > 41 {
-		size = 41
-	}
-	pkt := make([]byte, size)
+	pkt := make([]byte, min(triggerLen-1, 41))
 	if _, err := rand.Read(pkt); err != nil {
 		return
 	}

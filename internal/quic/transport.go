@@ -35,7 +35,6 @@ var ErrTransportClosed = errors.New("quic: transport closed")
 type Transport struct {
 	endpoint
 
-	next   atomic.Uint32 // round-robin socket assignment (dialVersion)
 	cDials atomic.Uint64
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"sync"
@@ -316,5 +317,77 @@ func TestTransportDropReasons(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTargetPicksSocket: a dial leaves from the pool socket its remote
+// picks, not the one the dial order reaches, so a target meets the same
+// source port (and on an impaired simnet link the same fates) however
+// many dials run beside it and in whatever order they start.
+func TestTargetPicksSocket(t *testing.T) {
+	const poolSize, remotes = 4, 32
+	n := simnet.New(simnet.Config{})
+	t.Cleanup(n.Close)
+	socks := make([]net.PacketConn, poolSize)
+	for i := range socks {
+		pc, err := n.DialUDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		socks[i] = pc
+	}
+	tr, err := NewTransport(socks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	// Each remote is a bare socket that only notes where Initials come
+	// from; every dial times out.
+	peers := make([]*simnet.PacketConn, remotes)
+	for i := range peers {
+		if peers[i], err = n.ListenUDP(netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, byte(1 + i)}), 443)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// dialAll dials every remote at once, starting them in an order the
+	// seed shuffles, and returns the source each remote saw.
+	dialAll := func(seed uint64) []string {
+		var wg sync.WaitGroup
+		for _, i := range rand.New(rand.NewPCG(seed, seed)).Perm(remotes) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tr.Dial(context.Background(), peers[i].LocalAddr(), &Config{HandshakeTimeout: 50 * time.Millisecond})
+			}()
+		}
+		wg.Wait()
+		from := make([]string, remotes)
+		buf := make([]byte, 2048)
+		for i, p := range peers {
+			p.SetReadDeadline(time.Now().Add(5 * time.Millisecond))
+			for {
+				_, src, err := p.ReadFrom(buf)
+				if err != nil {
+					break
+				}
+				if from[i] != "" && from[i] != src.String() {
+					t.Fatalf("remote %v heard one dial from both %s and %v", p.LocalAddr(), from[i], src)
+				}
+				from[i] = src.String()
+			}
+		}
+		return from
+	}
+
+	first, second := dialAll(1), dialAll(2)
+	used := map[string]bool{}
+	for i := range first {
+		if first[i] == "" || first[i] != second[i] {
+			t.Errorf("remote %v: dialed from %q, then from %q", peers[i].LocalAddr(), first[i], second[i])
+		}
+		used[first[i]] = true
+	}
+	if len(used) != poolSize {
+		t.Errorf("%d remotes used %d of the %d sockets: %v", remotes, len(used), poolSize, first)
 	}
 }

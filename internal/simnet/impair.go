@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sort"
 	"time"
@@ -8,17 +9,32 @@ import (
 	"quicscan/internal/telemetry"
 )
 
-// Registry metrics bridging the impairment counters (the simnet_*
-// family), so the exporter shows what the simulated Internet did to
-// traffic while a scan ran against it.
-var (
-	mDelivered  = telemetry.Default().Counter("simnet_delivered_total")
-	mLost       = telemetry.Default().Counter("simnet_lost_total")
-	mCorrupted  = telemetry.Default().Counter("simnet_corrupted_total")
-	mDuplicated = telemetry.Default().Counter("simnet_duplicated_total")
-	mReordered  = telemetry.Default().Counter("simnet_reordered_total")
-	mMTUDropped = telemetry.Default().Counter("simnet_mtu_dropped_total")
+// fate is one thing the network does to a datagram. Each is counted in
+// the network's ImpairmentStats and, beside it, in the registry's
+// simnet_* family, so the exporter shows what the simulated Internet
+// did to traffic while a scan ran against it.
+type fate int
 
+const (
+	fateDelivered fate = iota
+	fateLost
+	fateCorrupted
+	fateDuplicated
+	fateReordered
+	fateMTUDropped
+	numFates
+)
+
+var fateMetrics = [numFates]*telemetry.Counter{
+	telemetry.Default().Counter("simnet_delivered_total"),
+	telemetry.Default().Counter("simnet_lost_total"),
+	telemetry.Default().Counter("simnet_corrupted_total"),
+	telemetry.Default().Counter("simnet_duplicated_total"),
+	telemetry.Default().Counter("simnet_reordered_total"),
+	telemetry.Default().Counter("simnet_mtu_dropped_total"),
+}
+
+var (
 	// Datagrams that simnet_delivered_total counted (the link let them
 	// through) but no reader will ever see: the receive queue was full,
 	// or the socket closed while they were in flight.
@@ -33,9 +49,11 @@ var (
 // Profile describes the impairments of one network link: everything
 // that can happen to a datagram between the sender's socket and the
 // receiver's queue. The zero Profile is a perfect link (immediate,
-// lossless delivery). All probabilities are in [0,1); all random
-// decisions draw from the Network's seeded generator, so a scan over a
-// given network is reproducible under its seed.
+// lossless delivery). Probabilities are in [0,1]: 0 never happens, 1
+// always does. A datagram's fate is a function of the network's Seed,
+// its link (source and destination address), its index among the
+// datagrams its socket has sent to that destination, and its size;
+// other flows and the order goroutines run in do not enter into it.
 type Profile struct {
 	// Loss is the probability that a datagram is silently dropped.
 	Loss float64
@@ -117,11 +135,9 @@ func (n *Network) SetPrefixProfile(prefix netip.Prefix, p Profile) {
 
 // ImpairmentStats returns a snapshot of the impairment counters.
 func (n *Network) ImpairmentStats() ImpairmentStats {
-	n.stats.Lock()
-	defer n.stats.Unlock()
-	st := n.stats.impair
-	st.Delivered = int(n.delivered.Load())
-	return st
+	c := func(f fate) int { return int(n.fates[f].Load()) }
+	return ImpairmentStats{Delivered: c(fateDelivered), Lost: c(fateLost), Corrupted: c(fateCorrupted),
+		Duplicated: c(fateDuplicated), Reordered: c(fateReordered), MTUDropped: c(fateMTUDropped)}
 }
 
 // profileForLocked resolves the link profile for a datagram: the most
@@ -142,108 +158,115 @@ func (n *Network) profileForLocked(to, from netip.AddrPort) Profile {
 	return n.profile
 }
 
-// verdict is one datagram's fate under a profile.
-type verdict struct {
-	drop      bool
-	corrupt   bool
-	dup       bool
-	reordered bool
-	delay     time.Duration
-	dupDelay  time.Duration
+// fateKey names one datagram: the network's seed, the link it crosses,
+// its index among the datagrams its socket has sent to that
+// destination, and for a synthetic endpoint's answer, the answer's
+// position among the answers to that datagram, plus one.
+type fateKey struct {
+	seed         uint64
+	from, to     netip.AddrPort
+	index, reply uint64
 }
 
-// judge rolls the dice for one datagram and updates the impairment
-// counters. All draws come from the seeded generator under rngMu.
-func (n *Network) judge(p Profile, size int) verdict {
-	var v verdict
+// verdict is one datagram's fate under a profile.
+type verdict struct {
+	fates           [numFates]uint8 // how often each befell the datagram
+	bit             int             // the payload bit corruption flipped
+	delay, dupDelay time.Duration
+}
+
+func (v verdict) has(f fate) bool { return v.fates[f] > 0 }
+
+// delivered is a perfect link's verdict on every datagram.
+var delivered = verdict{fates: [numFates]uint8{fateDelivered: 1}}
+
+// judge decides the fate of the datagram k names, size bytes long, under
+// p, and reads nothing else. Each decision takes a numbered draw of its
+// own, so changing one probability leaves the other decisions as they were.
+func judge(p Profile, k *fateKey, size int) (v verdict) {
 	if p.MTU > 0 && size > p.MTU {
-		v.drop = true
-		n.stats.Lock()
-		n.stats.impair.MTUDropped++
-		n.stats.Unlock()
-		mMTUDropped.Inc()
+		v.fates[fateMTUDropped] = 1
 		return v
 	}
-	if p == (Profile{}) {
-		n.delivered.Add(1)
-		mDelivered.Inc()
+	d := k.draws()
+	if d.chance(0, p.Loss) {
+		v.fates[fateLost] = 1
 		return v
 	}
-
-	n.rngMu.Lock()
-	if p.Loss > 0 && n.rng.Float64() < p.Loss {
-		v.drop = true
+	v.fates[fateDelivered] = 1
+	v.delay = p.Latency + d.jitter(1, p.Jitter)
+	if d.chance(2, p.Reorder) {
+		hold := p.ReorderDelay
+		if hold == 0 {
+			hold = p.Latency + 2*p.Jitter + time.Millisecond
+		}
+		v.delay += hold
+		v.fates[fateReordered] = 1
 	}
-	if !v.drop {
-		v.delay = p.Latency + n.jitterLocked(p.Jitter)
-		if p.Reorder > 0 && n.rng.Float64() < p.Reorder {
-			d := p.ReorderDelay
-			if d == 0 {
-				d = p.Latency + 2*p.Jitter + time.Millisecond
-			}
-			v.delay += d
-			v.reordered = true
-		}
-		if p.Corrupt > 0 && n.rng.Float64() < p.Corrupt {
-			v.corrupt = true
-		}
-		if p.Duplicate > 0 && n.rng.Float64() < p.Duplicate {
-			v.dup = true
-			v.dupDelay = p.Latency + n.jitterLocked(p.Jitter)
-		}
+	if size > 0 && d.chance(3, p.Corrupt) {
+		v.fates[fateCorrupted] = 1
+		v.bit = int(d.at(4) % uint64(8*size))
 	}
-	n.rngMu.Unlock()
-
-	n.stats.Lock()
-	if v.drop {
-		n.stats.impair.Lost++
-	} else {
-		n.delivered.Add(1)
-		if v.reordered {
-			n.stats.impair.Reordered++
-		}
-		if v.corrupt {
-			n.stats.impair.Corrupted++
-		}
-		if v.dup {
-			n.delivered.Add(1)
-			n.stats.impair.Duplicated++
-		}
-	}
-	n.stats.Unlock()
-	if v.drop {
-		mLost.Inc()
-	} else {
-		mDelivered.Inc()
-		if v.reordered {
-			mReordered.Inc()
-		}
-		if v.corrupt {
-			mCorrupted.Inc()
-		}
-		if v.dup {
-			mDelivered.Inc()
-			mDuplicated.Inc()
-		}
+	if d.chance(5, p.Duplicate) {
+		v.fates[fateDelivered], v.fates[fateDuplicated] = 2, 1
+		v.dupDelay = p.Latency + d.jitter(6, p.Jitter)
 	}
 	return v
 }
 
-// jitterLocked samples U(-j, +j). Caller holds rngMu.
-func (n *Network) jitterLocked(j time.Duration) time.Duration {
+// flip applies a corrupt verdict to b, the network's copy.
+func (v verdict) flip(b []byte) {
+	if v.has(fateCorrupted) {
+		b[v.bit/8] ^= 1 << (v.bit % 8)
+	}
+}
+
+// count records v: each fate in the network's counts and, beside it,
+// in the registry's.
+func (n *Network) count(v verdict) {
+	for f, times := range v.fates {
+		if times > 0 {
+			n.fates[f].Add(int64(times))
+			fateMetrics[f].Add(uint64(times))
+		}
+	}
+}
+
+// draws are the random numbers one datagram's verdict is made of: draw
+// i is a function of the datagram's key and i alone.
+type draws uint64
+
+func (k *fateKey) draws() draws {
+	h := k.seed
+	for _, ap := range [2]netip.AddrPort{k.from, k.to} {
+		a := ap.Addr().As16()
+		h = mix64(h ^ binary.LittleEndian.Uint64(a[:8]))
+		h = mix64(h ^ binary.LittleEndian.Uint64(a[8:]))
+		h = mix64(h ^ uint64(ap.Port()))
+	}
+	return draws(mix64(mix64(h^k.index) ^ k.reply))
+}
+
+// at returns draw i, a splitmix64 output.
+func (d draws) at(i uint64) uint64 { return mix64(uint64(d) + (i+1)*0x9e3779b97f4a7c15) }
+
+// chance reports whether draw i falls under probability p: never when
+// p is 0, always when it is 1.
+func (d draws) chance(i uint64, p float64) bool {
+	return p > 0 && float64(d.at(i)>>11)/(1<<53) < p
+}
+
+// jitter maps draw i onto U(-j, +j).
+func (d draws) jitter(i uint64, j time.Duration) time.Duration {
 	if j <= 0 {
 		return 0
 	}
-	return time.Duration(n.rng.Int64N(int64(2*j+1))) - j
+	return time.Duration(d.at(i)%uint64(2*j+1)) - j
 }
 
-// corruptPayload flips one random bit in place.
-func (n *Network) corruptPayload(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	n.rngMu.Lock()
-	bit := n.rng.IntN(len(b) * 8)
-	n.rngMu.Unlock()
-	b[bit/8] ^= 1 << (bit % 8)
+// mix64 is splitmix64's finaliser.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }

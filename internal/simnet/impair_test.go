@@ -252,7 +252,7 @@ func TestSyntheticImpairedBothWays(t *testing.T) {
 // TestTrafficCountersExactUnderConcurrentWriters: the per-datagram
 // counters are updated without a lock, and must still add up to the
 // datagram: on a perfect network, and when half the traffic crosses a
-// lossy link, whose fates are counted under the stats lock.
+// lossy link.
 func TestTrafficCountersExactUnderConcurrentWriters(t *testing.T) {
 	const writers, perWriter, size = 8, 50000, 48
 	lossy := netip.MustParsePrefix("203.0.113.0/24")
@@ -310,5 +310,140 @@ func TestTrafficCountersExactUnderConcurrentWriters(t *testing.T) {
 				t.Errorf("Lost = %d of the %d datagrams on a 30 %% loss link", st.Lost, sent/2)
 			}
 		})
+	}
+}
+
+// TestJudgeIsAFunction: a verdict is a function of the profile, the
+// datagram's key and its size. judge reads nothing else, so the same
+// arguments give the same verdict, and a decision whose probability is
+// 0 or 1 never depends on the draw.
+func TestJudgeIsAFunction(t *testing.T) {
+	const datagrams = 10000
+	key := func(i uint64) *fateKey {
+		return &fateKey{seed: 42, from: ap("198.18.0.1:40000"), to: ap("192.0.2.1:443"), index: i}
+	}
+	size := func(i uint64) int { return 1 + int(i%1500) }
+	every := Profile{Loss: 0.2, Latency: 30 * time.Millisecond, Jitter: 10 * time.Millisecond,
+		Reorder: 0.2, Duplicate: 0.2, Corrupt: 0.2}
+	for _, c := range []struct {
+		name string
+		p    Profile
+		// wrong says what is wrong with v as datagram i's verdict, or "".
+		wrong func(i uint64, v verdict) string
+	}{
+		{"same key, same verdict", every, func(i uint64, v verdict) string {
+			if again := judge(every, key(i), size(i)); again != v {
+				return fmt.Sprintf("judged again: %+v", again)
+			}
+			return ""
+		}},
+		{"the zero profile draws nothing", Profile{}, func(_ uint64, v verdict) string {
+			if v != delivered {
+				return "want an immediate, unaltered delivery"
+			}
+			return ""
+		}},
+		{"Loss 1 always drops", Profile{Loss: 1, Duplicate: 1, Corrupt: 1}, func(_ uint64, v verdict) string {
+			if v != (verdict{fates: [numFates]uint8{fateLost: 1}}) {
+				return "want a loss"
+			}
+			return ""
+		}},
+		{"the corrupt bit is in range", Profile{Corrupt: 1}, func(i uint64, v verdict) string {
+			if !v.has(fateCorrupted) || v.bit < 0 || v.bit >= 8*size(i) {
+				return fmt.Sprintf("want a flipped bit in [0, %d)", 8*size(i))
+			}
+			return ""
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for i := uint64(0); i < datagrams; i++ {
+				v := judge(c.p, key(i), size(i))
+				if msg := c.wrong(i, v); msg != "" {
+					t.Fatalf("datagram %d (%d bytes): %+v: %s", i, size(i), v, msg)
+				}
+			}
+		})
+	}
+
+	// Binomial(10,000, 0.3) has a standard deviation of 46 datagrams;
+	// the bound is five of them either side of 3,000.
+	lost := 0
+	for i := uint64(0); i < datagrams; i++ {
+		if judge(Profile{Loss: 0.3}, key(i), 1200).has(fateLost) {
+			lost++
+		}
+	}
+	if lost < 2770 || lost > 3230 {
+		t.Errorf("Loss 0.3 dropped %d of %d datagrams, want 3000 ± 230", lost, datagrams)
+	}
+}
+
+// TestFateIgnoresOtherFlows: which of A's datagrams to B survive a
+// lossy link is decided by the seed, the link and their indices, so it
+// is the same whether A sends alone or while eight other sockets send
+// to the same endpoints. So are the answers a synthetic endpoint sends
+// back to A, each keyed by its probe and its position.
+func TestFateIgnoresOtherFlows(t *testing.T) {
+	const sends, others = 200, 8
+	synthetic := net.UDPAddrFromAddrPort(ap("203.0.113.5:443"))
+	run := func(crowd bool) (direct, answers []string) {
+		n := New(Config{Seed: 9, Profile: Profile{Loss: 0.4}})
+		defer n.Close()
+		n.SetSyntheticResponder(func(_ netip.AddrPort, payload []byte) [][]byte {
+			return [][]byte{payload, append([]byte("again "), payload...)}
+		})
+		b, err := n.ListenUDP(ap("192.0.2.1:443"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := n.DialUDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started, done sync.WaitGroup
+		for w := 0; crowd && w < others; w++ {
+			pc, err := n.DialUDP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			started.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				for i := 0; i < sends; i++ {
+					pc.WriteTo([]byte("noise"), b.LocalAddr())
+					pc.WriteTo([]byte("noise"), synthetic)
+					if i == 0 {
+						started.Done()
+					}
+				}
+			}()
+		}
+		started.Wait() // the crowd is sending before A starts
+		for i := 0; i < sends; i++ {
+			p := fmt.Appendf(nil, "%03d", i)
+			a.WriteTo(p, b.LocalAddr())
+			a.WriteTo(p, synthetic)
+		}
+		done.Wait()
+		for _, d := range drain(t, b, 50*time.Millisecond) {
+			if d != "noise" {
+				direct = append(direct, d)
+			}
+		}
+		return direct, drain(t, a, 50*time.Millisecond)
+	}
+
+	direct, answers := run(false)
+	if len(direct) == 0 || len(direct) == sends {
+		t.Fatalf("degenerate survivor count %d of %d", len(direct), sends)
+	}
+	crowdDirect, crowdAnswers := run(true)
+	if fmt.Sprint(direct) != fmt.Sprint(crowdDirect) {
+		t.Errorf("A→B survivors changed when other flows shared the network:\nalone: %v\ncrowd: %v", direct, crowdDirect)
+	}
+	if fmt.Sprint(answers) != fmt.Sprint(crowdAnswers) {
+		t.Errorf("synthetic answers to A changed when other flows shared the network:\nalone: %v\ncrowd: %v", answers, crowdAnswers)
 	}
 }

@@ -351,9 +351,10 @@ func TestIdleSocketFootprint(t *testing.T) {
 	}
 	grew := int64(after) - int64(before)
 	t.Logf("%d idle sockets hold %.2f MB (%d B each)", sockets, float64(grew)/(1<<20), grew/sockets)
-	// Measured 3.27 MB; the ceiling is 10 % above it. This is the price
-	// in bytes of the socket the root package's SimnetDialClose budget
-	// counts the allocations of.
+	// Measured 3.42 MB (3.27 before each socket could number its flows);
+	// the ceiling is 5 % above it. This is the price in bytes of the
+	// socket the root package's SimnetDialClose budget counts the
+	// allocations of.
 	if grew > 36<<20/10 {
 		t.Errorf("%d idle sockets hold %.2f MB, want <= 3.6 MB", sockets, float64(grew)/(1<<20))
 	}

@@ -130,10 +130,9 @@ func (s *scheduler) close() {
 // run drains the heap: each wakeup delivers every due envelope in one
 // batch, then sleeps until the next due time (or a push).
 func (s *scheduler) run() {
+	// A stopped or reset timer delivers no stale tick (Go 1.23 on).
 	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	timer.Stop()
 	var batch []delayed
 	for {
 		s.mu.Lock()
@@ -159,12 +158,7 @@ func (s *scheduler) run() {
 			select {
 			case <-timer.C:
 			case <-s.wake:
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
+				timer.Stop()
 			case <-s.done:
 				timer.Stop()
 				return

@@ -18,7 +18,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
 	"net/netip"
 	"os"
@@ -52,9 +51,7 @@ type Network struct {
 	// it for links to matching prefixes (longest prefix first).
 	profile        Profile
 	prefixProfiles []prefixProfile
-
-	rng   *rand.Rand
-	rngMu sync.Mutex
+	seed           uint64
 
 	// sched delivers delayed datagrams (jitter, reordering) from one
 	// goroutine with one timer; see sched.go.
@@ -63,23 +60,20 @@ type Network struct {
 	ephemeral uint32
 	closed    bool
 
-	// Traffic crossing the network. The counters every datagram moves
-	// are atomics, so that senders share no lock on a perfect link; the
-	// impairments a perfect link never causes are counted under stats.
+	// Traffic crossing the network, in atomics, so that senders share no
+	// lock: the datagrams and bytes sent, and what became of them.
 	udpDatagrams atomic.Int64
 	udpBytes     atomic.Int64
-	delivered    atomic.Int64
-	stats        struct {
-		sync.Mutex
-		impair ImpairmentStats // all but Delivered
-	}
+	fates        [numFates]atomic.Int64
 }
 
 // Config parameterizes a Network.
 type Config struct {
 	// Profile is the default link impairment profile.
 	Profile Profile
-	// Seed makes impairment decisions reproducible.
+	// Seed keys every impairment verdict. With a datagram's link, its
+	// index in its flow and its size, it decides the datagram's fate
+	// (see Profile).
 	Seed uint64
 }
 
@@ -89,7 +83,7 @@ func New(cfg Config) *Network {
 		udp:       make(map[netip.AddrPort]*PacketConn),
 		listeners: make(map[netip.AddrPort]*streamListener),
 		profile:   cfg.Profile,
-		rng:       rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)),
+		seed:      cfg.Seed,
 	}
 }
 
@@ -118,8 +112,8 @@ func (n *Network) UDPSocketCount() int {
 // mirroring the paper's dedicated research prefix.
 var scannerBase = netip.MustParseAddr("198.18.0.1")
 
-// nextEphemeral allocates a unique client address:port.
-func (n *Network) nextEphemeral() netip.AddrPort {
+// nextEphemeral allocates a client address:port no UDP socket holds.
+func (n *Network) nextEphemeral() (netip.AddrPort, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.nextEphemeralLocked()
@@ -127,17 +121,21 @@ func (n *Network) nextEphemeral() netip.AddrPort {
 
 // nextEphemeralLocked is nextEphemeral for callers already holding
 // n.mu (Rebind allocates while it rewires the socket map).
-func (n *Network) nextEphemeralLocked() netip.AddrPort {
-	n.ephemeral++
-	// Spread clients over the 198.18.0.0/15 benchmarking range with
-	// ports above 32768.
-	idx := n.ephemeral
-	addr := scannerBase
-	a4 := addr.As4()
-	a4[2] += byte(idx >> 14 & 0x7f)
-	a4[3] += byte(idx >> 7 & 0x7f)
-	port := uint16(32768 + idx%32000)
-	return netip.AddrPortFrom(netip.AddrFrom4(a4), port)
+func (n *Network) nextEphemeralLocked() (netip.AddrPort, error) {
+	for range 64 {
+		n.ephemeral++
+		// Spread clients over the 198.18.0.0/15 benchmarking range with
+		// ports above 32768.
+		idx := n.ephemeral
+		a4 := scannerBase.As4()
+		a4[2] += byte(idx >> 14 & 0x7f)
+		a4[3] += byte(idx >> 7 & 0x7f)
+		at := netip.AddrPortFrom(netip.AddrFrom4(a4), uint16(32768+idx%32000))
+		if n.udp[at] == nil {
+			return at, nil
+		}
+	}
+	return netip.AddrPort{}, errors.New("simnet: ephemeral address space exhausted")
 }
 
 var errNetClosed = errors.New("simnet: network closed")
@@ -161,13 +159,11 @@ func (n *Network) ListenUDP(at netip.AddrPort) (*PacketConn, error) {
 
 // DialUDP creates an ephemeral client socket.
 func (n *Network) DialUDP() (*PacketConn, error) {
-	for i := 0; i < 64; i++ {
-		pc, err := n.ListenUDP(n.nextEphemeral())
-		if err == nil {
-			return pc, nil
-		}
+	at, err := n.nextEphemeral()
+	if err != nil {
+		return nil, err
 	}
-	return nil, errors.New("simnet: ephemeral address space exhausted")
+	return n.ListenUDP(at)
 }
 
 func (n *Network) unbindUDP(at netip.AddrPort, pc *PacketConn) {
@@ -182,7 +178,8 @@ func (n *Network) unbindUDP(at netip.AddrPort, pc *PacketConn) {
 // it left. The forward path is judged under the destination link's
 // profile; replies synthesized for socketless endpoints go back to src
 // and are judged independently under the reverse link's profile, so a
-// round trip pays both directions' impairments.
+// round trip pays both directions' impairments. A reply's fate is keyed
+// by its probe's index and its position among the replies.
 func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []byte) {
 	n.udpDatagrams.Add(1)
 	n.udpBytes.Add(int64(len(payload)))
@@ -199,67 +196,66 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 	}
 	n.mu.RUnlock()
 
-	v := n.judge(profile, len(payload))
-	if v.drop {
+	// A perfect link is not judged: its datagrams need no key.
+	var key fateKey
+	v := delivered
+	if profile != (Profile{}) || back != (Profile{}) {
+		key = fateKey{seed: n.seed, from: from, to: to, index: src.nextIndex(to)}
+		v = judge(profile, &key, len(payload))
+	}
+	n.count(v)
+	if !v.has(fateDelivered) {
 		return
 	}
 
 	if dst != nil {
-		buf := leasePayload(len(payload))
-		copy(buf, payload)
-		if v.corrupt {
-			n.corruptPayload(buf)
-		}
-		// The duplicate is copied before buf is handed off (ownership
-		// transfers to the receive path at scheduleAfter) but scheduled
-		// second, preserving the original delivery order.
-		var dup []byte
-		if v.dup {
-			dup = leasePayload(len(buf))
-			copy(dup, buf)
-		}
-		n.scheduleAfter(src, dst, datagram{payload: buf, from: from}, v.delay)
-		if dup != nil {
-			n.scheduleAfter(src, dst, datagram{payload: dup, from: from}, v.dupDelay)
-		}
+		n.land(src, dst, from, payload, v, 0)
 		return
 	}
+	if synth == nil {
+		return
+	}
+	probe := payload
+	if v.has(fateCorrupted) {
+		probe = leasePayload(len(payload))
+		copy(probe, payload)
+		v.flip(probe)
+	}
+	// The responder must not retain probe past the call: it lives in the
+	// sender's buffer (or a pooled copy released here).
+	replies := synth(to, probe)
+	if v.has(fateCorrupted) {
+		releasePayload(probe)
+	}
+	for i, r := range replies {
+		rv := delivered
+		if back != (Profile{}) {
+			rv = judge(back, &fateKey{n.seed, to, from, key.index, uint64(i) + 1}, len(r))
+		}
+		n.count(rv)
+		if rv.has(fateDelivered) {
+			n.land(src, src, to, r, rv, v.delay)
+		}
+	}
+}
 
-	if synth != nil {
-		probe := payload
-		var corrupted []byte
-		if v.corrupt {
-			corrupted = leasePayload(len(payload))
-			copy(corrupted, payload)
-			n.corruptPayload(corrupted)
-			probe = corrupted
-		}
-		// The responder must not retain probe past the call: it lives
-		// in the sender's buffer (or a pooled copy released below).
-		replies := synth(to, probe)
-		if corrupted != nil {
-			releasePayload(corrupted)
-		}
-		for _, r := range replies {
-			rv := n.judge(back, len(r))
-			if rv.drop {
-				continue
-			}
-			buf := leasePayload(len(r))
-			copy(buf, r)
-			if rv.corrupt {
-				n.corruptPayload(buf)
-			}
-			var dup []byte
-			if rv.dup {
-				dup = leasePayload(len(buf))
-				copy(dup, buf)
-			}
-			n.scheduleAfter(src, src, datagram{payload: buf, from: to}, v.delay+rv.delay)
-			if dup != nil {
-				n.scheduleAfter(src, src, datagram{payload: dup, from: to}, v.delay+rv.dupDelay)
-			}
-		}
+// land hands a copy of payload, judged v, to dst after base plus the
+// verdict's delay, and a duplicate if the verdict made one.
+func (n *Network) land(src, dst *PacketConn, from netip.AddrPort, payload []byte, v verdict, base time.Duration) {
+	buf := leasePayload(len(payload))
+	copy(buf, payload)
+	v.flip(buf)
+	// The duplicate is copied before buf is handed off (ownership
+	// transfers to the receive path at scheduleAfter) but scheduled
+	// second, preserving the original delivery order.
+	var dup []byte
+	if v.has(fateDuplicated) {
+		dup = leasePayload(len(buf))
+		copy(dup, buf)
+	}
+	n.scheduleAfter(src, dst, datagram{payload: buf, from: from}, base+v.delay)
+	if dup != nil {
+		n.scheduleAfter(src, dst, datagram{payload: dup, from: from}, base+v.dupDelay)
 	}
 }
 
@@ -309,6 +305,10 @@ type PacketConn struct {
 	// dlCh exists while a reader is blocked; a deadline change closes
 	// and forgets it, so a socket nobody reads carries no channel for it.
 	dlCh chan struct{}
+	// flows counts the datagrams sent to each destination over an
+	// impaired link: the index that keys the next one's fate. It exists
+	// from the first such send until Close.
+	flows map[netip.AddrPort]uint64
 	// srv is set once, by Serve, and never cleared: from then on the
 	// socket pushes each datagram to its handler instead of the ring.
 	srv atomic.Pointer[server]
@@ -538,6 +538,20 @@ func (pc *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	return len(p), nil
 }
 
+// nextIndex returns the index of the socket's next datagram to dst. A
+// flow is one connection in practice, which sends under a lock of its
+// own, so the numbering follows that connection's sends alone.
+func (pc *PacketConn) nextIndex(dst netip.AddrPort) uint64 {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.flows == nil {
+		pc.flows = make(map[netip.AddrPort]uint64)
+	}
+	i := pc.flows[dst]
+	pc.flows[dst] = i + 1
+	return i
+}
+
 // Rebind moves the socket to a fresh ephemeral address, simulating a
 // NAT rebinding: the old mapping disappears and subsequent sends leave
 // from the new address. The socket's receive queue is preserved, so
@@ -551,18 +565,9 @@ func (pc *PacketConn) Rebind() (netip.AddrPort, error) {
 	if n.closed {
 		return netip.AddrPort{}, errNetClosed
 	}
-	var newAddr netip.AddrPort
-	found := false
-	for i := 0; i < 64; i++ {
-		cand := n.nextEphemeralLocked()
-		if _, exists := n.udp[cand]; !exists {
-			newAddr = cand
-			found = true
-			break
-		}
-	}
-	if !found {
-		return netip.AddrPort{}, errors.New("simnet: ephemeral address space exhausted")
+	newAddr, err := n.nextEphemeralLocked()
+	if err != nil {
+		return netip.AddrPort{}, err
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -584,9 +589,8 @@ var _ netbatch.BatchConn = (*PacketConn)(nil)
 
 // WriteBatch implements netbatch.BatchConn. The simulated network has
 // no syscall boundary, so batching is one closed check followed by
-// sequential delivery. Delivering in message order keeps the seeded
-// impairment rng draws identical to a WriteTo loop, which the
-// fallback-parity tests rely on.
+// sequential delivery, which numbers each flow's datagrams as a WriteTo
+// loop would: the same batch meets the same fates either way.
 func (pc *PacketConn) WriteBatch(ms []netbatch.Message) (int, error) {
 	pc.mu.Lock()
 	if pc.closed {
@@ -649,7 +653,7 @@ func (pc *PacketConn) Close() error {
 	for pc.count > 0 {
 		releasePayload(pc.popLocked().payload)
 	}
-	pc.ring = nil
+	pc.ring, pc.flows = nil, nil
 	close(pc.ready)
 	addr := pc.addr
 	pc.mu.Unlock()

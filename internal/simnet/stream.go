@@ -78,7 +78,10 @@ func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
 	if l == nil {
 		return nil, ErrConnectionRefused
 	}
-	clientAddr := n.nextEphemeral()
+	clientAddr, err := n.nextEphemeral()
+	if err != nil {
+		return nil, err
+	}
 	c1, c2 := net.Pipe()
 	client := &streamConn{Conn: c1, local: clientAddr, remote: dst}
 	server := &streamConn{Conn: c2, local: dst, remote: clientAddr}

@@ -87,6 +87,10 @@ go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./int
 	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
 	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
 
+echo "==> GOEXPERIMENT=synctest go test -cpu 1,2,4 ./internal/chaos"
+# Time is exact in a synctest bubble: an impaired scan must repeat target for target under its seed at every width.
+GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 ./internal/chaos
+
 echo "==> Examples at GOMAXPROCS=1,2,4, then under -race one package at a time"
 # `go test -cpu 1,2,4` runs each Example once, at the first width, so
 # the widths are a loop here. Each Example's output is a function of its
