@@ -291,7 +291,10 @@ func TestMalformedFrameActsOnNothing(t *testing.T) {
 	if !errors.As(r.c.Err(), &te) || te.Code != quicwire.FrameEncodingError {
 		t.Fatalf("close error %v, want FRAME_ENCODING_ERROR", r.c.Err())
 	}
-	if n := len(r.c.PeerConnectionIDs()); n != 0 {
+	r.c.mu.Lock()
+	n := len(r.c.peerConnIDs)
+	r.c.mu.Unlock()
+	if n != 0 {
 		t.Errorf("%d connection IDs stored from a rejected packet", n)
 	}
 }

@@ -40,8 +40,8 @@ const (
 	pathFailed
 )
 
-// pathState tracks one peer address and its validation progress. All
-// fields are guarded by Conn.mu.
+// pathState tracks one peer address and its validation progress.
+// Guarded by c.mu.
 type pathState struct {
 	remote net.Addr       // materialized peer address (never aliases read-loop scratch)
 	ap     netip.AddrPort // canonical (unmapped) form of remote

@@ -104,10 +104,24 @@ func (w *simWorld) ping(t *testing.T, timeout time.Duration) error {
 // must trigger server-side path validation (PATH_CHALLENGE toward the
 // new address over a fresh connection ID), and once the client's
 // PATH_RESPONSE lands the server must promote the path and resume
-// traffic there.
+// traffic there. RemoteAddr, read throughout as any caller may, moves
+// with the path without a data race.
 func TestPathValidationPromotesReboundClient(t *testing.T) {
 	w := newSimWorld(t, ServerPolicy{}, nil)
 	sc := w.serverConn(t)
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sc.RemoteAddr()
+			}
+		}
+	}()
+	defer func() { close(stop); <-polled }()
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("pre-rebind ping: %v", err)
 	}
@@ -302,7 +316,10 @@ func TestCIDChurn(t *testing.T) {
 		t.Fatalf("concurrent pinger died: %v", err)
 	}
 
-	if ids := w.client.PeerConnectionIDs(); len(ids) == 0 {
+	w.client.mu.Lock()
+	spare := len(w.client.peerConnIDs)
+	w.client.mu.Unlock()
+	if spare == 0 {
 		t.Error("client ran out of peer connection IDs")
 	}
 	if err := w.ping(t, 5*time.Second); err != nil {

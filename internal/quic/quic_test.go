@@ -520,21 +520,3 @@ func TestLossState(t *testing.T) {
 		t.Error("takeUnacked did not clear")
 	}
 }
-
-func TestStreamDirOf(t *testing.T) {
-	cases := []struct {
-		id         uint64
-		dir        StreamDir
-		clientInit bool
-	}{
-		{0, StreamBidi, true}, {1, StreamBidi, false},
-		{2, StreamUni, true}, {3, StreamUni, false},
-		{4, StreamBidi, true}, {7, StreamUni, false},
-	}
-	for _, c := range cases {
-		dir, ci := streamDirOf(c.id)
-		if dir != c.dir || ci != c.clientInit {
-			t.Errorf("streamDirOf(%d) = %v %v", c.id, dir, ci)
-		}
-	}
-}

@@ -193,7 +193,12 @@ func TestNewConnectionIDsIssued(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var ids []quicwire.ConnID
 	for time.Now().Before(deadline) {
-		ids = conn.PeerConnectionIDs()
+		conn.mu.Lock()
+		ids = ids[:0]
+		for _, p := range conn.peerConnIDs {
+			ids = append(ids, p.id)
+		}
+		conn.mu.Unlock()
 		if len(ids) >= 2 {
 			break
 		}

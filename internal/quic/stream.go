@@ -3,57 +3,100 @@ package quic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 
 	"quicscan/internal/quicwire"
 )
 
-// StreamDir classifies stream IDs.
-type StreamDir int
+// streamSet is a connection's stream bookkeeping: its streams by ID,
+// how many of each direction it has opened, and the peer-opened streams
+// waiting for AcceptStream. Conn embeds it by value. It holds no
+// pointer back; the methods that make a Stream are handed its Conn.
+type streamSet struct {
+	// Set once before publication: the initiator bit of the stream IDs
+	// this side opens (RFC 9000, Section 2.1), 0 on a client.
+	local uint64
 
-const (
-	// StreamBidi is a bidirectional stream.
-	StreamBidi StreamDir = iota
-	// StreamUni is a unidirectional stream.
-	StreamUni
-)
+	// Guarded by c.mu. opened counts the streams this side opened,
+	// bidirectional first.
+	byID   map[uint64]*Stream
+	accept chan *Stream
+	opened [2]uint64
+}
 
-// streamDirOf reports direction and initiator of a stream ID.
-func streamDirOf(id uint64) (dir StreamDir, clientInitiated bool) {
-	clientInitiated = id&0x1 == 0
-	if id&0x2 != 0 {
-		dir = StreamUni
+// init makes the map and the accept queue on first use: a connection
+// that never carries a stream (a scan that ends at the handshake) pays
+// for neither. The queue holds 16 peer-opened streams; one that finds
+// it full is still served, but never accepted.
+func (ss *streamSet) init() {
+	if ss.byID == nil {
+		ss.byID = make(map[uint64]*Stream)
+		ss.accept = make(chan *Stream, 16)
 	}
-	return dir, clientInitiated
+}
+
+// open makes the next stream this side initiates, unidirectional if
+// uni.
+func (ss *streamSet) open(c *Conn, uni bool) *Stream {
+	dir := uint64(0)
+	if uni {
+		dir = 1
+	}
+	s := newStream(ss.opened[dir]<<2|dir<<1|ss.local, c)
+	ss.opened[dir]++
+	ss.init()
+	ss.byID[s.id] = s
+	return s
+}
+
+// peer returns the stream a frame from the peer names. The peer's first
+// frame for a stream it initiates creates the stream and queues it for
+// AcceptStream; a frame for a stream this side would have initiated but
+// has not is a STREAM_STATE_ERROR (RFC 9000, Section 19.8).
+func (ss *streamSet) peer(c *Conn, id uint64) (*Stream, *quicwire.TransportErrorError) {
+	if s, ok := ss.byID[id]; ok {
+		return s, nil
+	}
+	if id&1 == ss.local {
+		return nil, &quicwire.TransportErrorError{Code: quicwire.StreamStateError,
+			Reason: fmt.Sprintf("stream %d not opened", id)}
+	}
+	s := newStream(id, c)
+	ss.init()
+	ss.byID[id] = s
+	select {
+	case ss.accept <- s:
+	default:
+	}
+	return s, nil
 }
 
 // Stream is a QUIC stream. Reads block until data arrives; writes are
-// buffered and flushed by the connection's send path. A Stream is
-// owned by its Conn; closing the Conn invalidates all streams.
+// queued on the connection's send path. A Stream has no lock of its
+// own: it lives under its Conn's, and closing the Conn invalidates all
+// its streams.
 type Stream struct {
+	// Set once before publication. cond waits on conn.mu.
 	id   uint64
 	conn *Conn
+	cond sync.Cond
 
-	mu       sync.Mutex
-	cond     sync.Cond // on mu
-	recvBuf  []byte
-	recvFin  bool
-	finOff   uint64 // final size once recvFin is set
-	recvOff  uint64
-	segments map[uint64][]byte // out-of-order stream data; made on first use
-	resetErr error
-
+	// Guarded by c.mu.
+	recvBuf    []byte
+	recvFin    bool
+	finOff     uint64 // final size once recvFin is set
+	recvOff    uint64
+	segments   map[uint64][]byte // out-of-order stream data; made on first use
+	resetErr   error
 	sendClosed bool   // FIN queued
 	sendOff    uint64 // next write offset
 }
 
-// sendOffset returns the current write offset. Callers hold s.mu.
-func (s *Stream) sendOffset() uint64 { return s.sendOff }
-
 func newStream(id uint64, conn *Conn) *Stream {
 	s := &Stream{id: id, conn: conn}
-	s.cond.L = &s.mu
+	s.cond.L = &conn.mu
 	return s
 }
 
@@ -62,8 +105,12 @@ func (s *Stream) ID() uint64 { return s.id }
 
 // handleData delivers an incoming STREAM frame.
 func (s *Stream) handleData(offset uint64, data []byte, fin bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if fin {
+		// The final size is where the frame ends as sent, even when the
+		// frame lies wholly below the bytes already delivered.
+		s.recvFin = true
+		s.finOff = offset + uint64(len(data))
+	}
 	if len(data) > 0 {
 		if offset < s.recvOff {
 			// Trim the already-delivered prefix of a retransmission.
@@ -89,10 +136,6 @@ func (s *Stream) handleData(offset uint64, data []byte, fin bool) {
 				s.segments[offset] = append([]byte(nil), data...)
 			}
 		}
-	}
-	if fin {
-		s.recvFin = true
-		s.finOff = offset + uint64(len(data))
 	}
 	// Drain contiguous segments into recvBuf. Besides exact matches at
 	// the delivery offset, segments starting earlier that extend past
@@ -128,32 +171,30 @@ func (s *Stream) handleData(offset uint64, data []byte, fin bool) {
 
 // handleReset delivers a RESET_STREAM.
 func (s *Stream) handleReset(code uint64) {
-	s.mu.Lock()
 	s.resetErr = &quicwire.TransportErrorError{Code: quicwire.TransportError(code), Reason: "stream reset", Remote: true}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // connClosed wakes blocked readers when the connection dies.
 func (s *Stream) connClosed(err error) {
-	s.mu.Lock()
 	if s.resetErr == nil {
 		s.resetErr = err
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
+
+// complete reports whether every byte up to the peer's FIN has been
+// delivered; a FIN-only frame arriving ahead of retransmitted data must
+// not truncate the stream.
+func (s *Stream) complete() bool { return s.recvFin && s.recvOff >= s.finOff }
 
 // Read implements io.Reader. It returns io.EOF after the peer's FIN
 // once all data has been consumed.
 func (s *Stream) Read(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.conn.mu.Lock()
+	defer s.conn.mu.Unlock()
 	for len(s.recvBuf) == 0 {
-		// EOF only once every byte up to the FIN's final size has been
-		// delivered; a FIN-only frame arriving ahead of retransmitted
-		// data must not truncate the stream.
-		if s.recvFin && s.recvOff >= s.finOff {
+		if s.complete() {
 			return 0, io.EOF
 		}
 		if s.resetErr != nil {
@@ -166,50 +207,70 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAll reads until EOF or error, respecting the context deadline
-// via the connection close.
+// ReadAll waits until every byte up to the peer's FIN has arrived and
+// returns the bytes not yet read, or until the stream is reset, the
+// connection closes or ctx ends, and returns why. It starts no
+// goroutine: ctx's end wakes the wait through the stream's cond.
 func (s *Stream) ReadAll(ctx context.Context) ([]byte, error) {
-	type result struct {
-		b   []byte
-		err error
+	c := s.conn
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		s.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !s.complete() {
+		if s.resetErr != nil {
+			return nil, s.resetErr
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.cond.Wait()
 	}
-	ch := make(chan result, 1)
-	go func() {
-		b, err := io.ReadAll(s)
-		ch <- result{b, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.b, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	b := s.recvBuf
+	s.recvBuf = nil
+	return b, nil
 }
 
 var errStreamClosed = errors.New("quic: write on closed stream")
 
 // Write queues data for transmission.
 func (s *Stream) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	closed := s.sendClosed
-	s.mu.Unlock()
-	if closed {
-		return 0, errStreamClosed
-	}
-	if err := s.conn.queueStreamData(s.id, p, false); err != nil {
+	if err := s.queue(p, false); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
 // Close sends a FIN, half-closing the send direction.
-func (s *Stream) Close() error {
-	s.mu.Lock()
+func (s *Stream) Close() error { return s.queue(nil, true) }
+
+// queue appends data, with a FIN if fin, to the connection's send
+// queue. The check that the stream is still open and the queueing are
+// one critical section, so no byte can follow the FIN.
+func (s *Stream) queue(data []byte, fin bool) error {
+	c := s.conn
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if s.sendClosed {
-		s.mu.Unlock()
-		return nil
+		if fin {
+			return nil
+		}
+		return errStreamClosed
 	}
-	s.sendClosed = true
-	s.mu.Unlock()
-	return s.conn.queueStreamData(s.id, nil, true)
+	s.sendClosed = fin
+	if c.isClosed() {
+		return c.closeErr
+	}
+	sp := &c.spaces[spaceApp]
+	// The frame owns a copy of data until it is acknowledged.
+	sp.outFrames = append(sp.outFrames, &quicwire.StreamFrame{
+		StreamID: s.id, Offset: s.sendOff, Data: append([]byte(nil), data...), Fin: fin,
+	})
+	s.sendOff += uint64(len(data))
+	c.sendPendingLocked()
+	return nil
 }

@@ -52,7 +52,7 @@ echo "==> go test -race ./... (Examples in their own step below)"
 # TestRunRepeats).
 go test -race -skip '^Example' ./...
 
-echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
+echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any
 # host, and TestDefaultPoolSize holds it at every width. The rescan
@@ -81,8 +81,10 @@ echo "==> go test -cpu 1,2,4 (root package, internal/quic, core, resumption, mig
 # their calls interleave depends on how many run at once. The migration
 # and fingerprint modes are here because their verdicts rest on
 # Conn.Ping, which is woken by a channel that ACK processing closes,
-# possibly on another P at the same moment.
-go test -cpu 1,2,4 . ./internal/quic ./internal/core ./internal/resumption ./internal/migration \
+# possibly on another P at the same moment. HTTP/3 is here because a
+# stream read is woken through its connection's lock by whichever P
+# processes the datagram that completes it.
+go test -cpu 1,2,4 . ./internal/quic ./internal/h3 ./internal/core ./internal/resumption ./internal/migration \
 	./internal/fingerprint ./internal/listscan \
 	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
 	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
