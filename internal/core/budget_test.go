@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,6 +32,16 @@ import (
 // between runs, not for a new per-packet allocation: those come 15 to
 // a target.
 const oursCeiling = 273
+
+// oursBytesCeiling bounds the same difference in bytes
+// (runtime.MemStats.TotalAlloc over the same two runs), which counts
+// alone cannot hold: a connection that grows by a size class allocates
+// no more often. When committed (go1.24): 126.7 KB per target in all,
+// 81.6 KB of it the handshake, 45,017–45,264 B ours over repeated runs;
+// the commit before, whose Conn still carried three 1,536-byte send
+// arrays (8,192-byte size class, now 3,456), measured 136.2 / 81.6 /
+// 54,455–54,687. The headroom is under a fifth of that step.
+const oursBytesCeiling = 47000
 
 func TestScanTargetAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -73,7 +84,7 @@ func TestScanTargetAllocationBudget(t *testing.T) {
 	}
 	defer s.Close()
 	ctx := context.Background()
-	total := testing.AllocsPerRun(100, func() {
+	total, totalBytes := perRun(100, func() {
 		res := s.ScanTarget(ctx, Target{Addr: ap.Addr(), SNI: sni})
 		if res.Outcome != OutcomeSuccess || res.HTTP == nil || !res.HTTP.RequestOK {
 			t.Fatalf("scan: %s %s %+v", res.Outcome, res.Error, res.HTTP)
@@ -85,18 +96,40 @@ func TestScanTargetAllocationBudget(t *testing.T) {
 		CurvePreferences: onlyX25519, MinVersion: tls.VersionTLS13}
 	clientParams := quic.DefaultClientParams()
 	clientTP, serverTP := clientParams.Marshal(), params.Marshal()
-	floor := testing.AllocsPerRun(100, func() {
+	floor, floorBytes := perRun(100, func() {
 		if err := tlsHandshake(clientTLS, serverTLS, clientTP, serverTP); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	ours := total - floor
+	ours, oursBytes := total-floor, totalBytes-floorBytes
 	t.Logf("allocations per target: %.0f in all, %.0f the crypto/tls handshake it contains, %.0f ours (ceiling %d)",
 		total, floor, ours, oursCeiling)
+	t.Logf("bytes per target: %.0f in all, %.0f the crypto/tls handshake it contains, %.0f ours (ceiling %d)",
+		totalBytes, floorBytes, oursBytes, oursBytesCeiling)
 	if ours > oursCeiling {
 		t.Errorf("our share is %.0f allocations per target, over the ceiling of %d", ours, oursCeiling)
 	}
+	if oursBytes > oursBytesCeiling {
+		t.Errorf("our share is %.0f bytes per target, over the ceiling of %d", oursBytes, oursBytesCeiling)
+	}
+}
+
+// perRun is testing.AllocsPerRun for allocations and bytes at once: it
+// runs f once to warm up, then runs times at GOMAXPROCS 1, and returns
+// the process-wide allocations (runtime.MemStats.Mallocs) and bytes
+// (TotalAlloc) per run.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // tlsHandshake pumps a client and a server QUIC TLS state machine

@@ -1,5 +1,7 @@
 package quic
 
+import "sync"
+
 // Pooled packet memory for the datagram hot path.
 //
 // Ownership rules (see DESIGN.md §8):
@@ -17,11 +19,20 @@ package quic
 //     none: the socket hands it the network's own copy of each
 //     datagram, under the same rule, and takes it back when the call
 //     returns.
+//   - Send buffers are leased by sendPendingLocked (and a path probe)
+//     at the start of a send and released before it returns. Every
+//     packet of every datagram the send emits is built in place in that
+//     one buffer, and endpoint.send never retains it: simnet copies the
+//     datagram, and the kernel copies it on sendmsg. So the number of
+//     live send buffers follows the number of concurrent senders, not
+//     of live connections. A MaxDatagramSize beyond sendBufSize grows
+//     that send's buffer onto the heap; the grown slice is dropped, and
+//     only the leased array goes back.
 //   - Nothing else is pooled. The short-lived copies a connection makes
 //     of a datagram (the pristine copy for the stateless-reset check,
-//     the next-key decryption trial) and its outgoing assembly buffers
-//     are its own scratch, guarded by c.mu and reused by its next
-//     datagram; no other connection ever sees them.
+//     the next-key decryption trial) are its own scratch, guarded by
+//     c.mu and reused by its next datagram; no other connection ever
+//     sees them.
 //
 // The aliasing contract is enforced by TestPoolAliasingSafety, which
 // scribbles over released read buffers while handshakes are in flight,
@@ -64,3 +75,18 @@ func releaseReadBuf(b *[]byte) {
 	default:
 	}
 }
+
+// sendBufSize is the capacity of a leased send buffer: the default
+// 1,350-byte datagram budget with room for a packet that overshoots it.
+const sendBufSize = 1536
+
+// sendBufPool holds idle send buffers as array pointers, which go into
+// a sync.Pool as they are, where a slice would be boxed on every Put.
+var sendBufPool = sync.Pool{New: func() any { return new([sendBufSize]byte) }}
+
+// leaseSendBuf returns a send buffer for one send.
+func leaseSendBuf() *[sendBufSize]byte { return sendBufPool.Get().(*[sendBufSize]byte) }
+
+// releaseSendBuf returns a send buffer when its send is done. The caller
+// must not touch the buffer, nor anything sliced from it, afterwards.
+func releaseSendBuf(b *[sendBufSize]byte) { sendBufPool.Put(b) }

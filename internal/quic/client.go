@@ -88,6 +88,11 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	t.cDials.Add(1)
 	mDials.Inc()
 	c.scid = quicwire.ConnID(ids[connIDLen:])
+
+	// From registration on the connection is reachable (by a packet, by
+	// Transport.Close), so the rest of the set-up runs under c.mu, and
+	// every failure leaves through closeLocked and thereby retire.
+	c.mu.Lock()
 	// A fresh source ID on the (cosmically unlikely) random collision.
 	for attempt := 0; ; attempt++ {
 		err := t.register(c)
@@ -95,19 +100,23 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 			break
 		}
 		if err != errDuplicateCID || attempt == 3 {
+			c.mu.Unlock()
 			return nil, err
 		}
 		c.scid = quicwire.NewRandomConnID(connIDLen)
+	}
+	fail := func(err error) (*Conn, error) {
+		if c.hsErr == nil {
+			c.hsErr = err
+		}
+		c.closeLocked(err) // retires the registered IDs
+		c.mu.Unlock()
+		return nil, err
 	}
 	if cfg.Tracer != nil {
 		c.trace = cfg.Tracer.Conn(fmt.Sprintf("client_%x", c.scid))
 		c.trace.Event("connection_started",
 			"remote", remote.String(), "version", version.String(), "odcid", fmt.Sprintf("%x", c.origDcid))
-	}
-
-	fail := func(err error) (*Conn, error) {
-		c.abort(err) // retires the registered IDs
-		return nil, err
 	}
 
 	if err := c.setupInitialKeys(); err != nil {
@@ -150,17 +159,14 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	})
 	c.tls.SetTransportParameters(localParams(cfg, c.scid))
 
-	c.mu.Lock()
 	// The handshake deadline is the connection's own, enforced whether
 	// or not anyone waits in HandshakeComplete: an early-returned dial
 	// whose server has gone away dies at it too.
 	c.setIdleDeadlineLocked(deadline)
 	if err := c.tls.Start(ctx); err != nil {
-		c.mu.Unlock()
 		return fail(err)
 	}
 	if err := c.drainTLSEvents(); err != nil {
-		c.mu.Unlock()
 		return fail(err)
 	}
 	c.sendPendingLocked()

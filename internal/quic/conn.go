@@ -99,6 +99,9 @@ type Conn struct {
 	// IDs and to retire at close; ep never calls into a Conn while
 	// holding a table lock. handshakeCh and closed are closed, with mu
 	// held, when the handshake completes and when the connection dies.
+	// Publication is the release of mu that ends set-up: a dial and an
+	// accept both register the connection's routes with mu held, so a
+	// packet or a Close that reaches it through a route takes mu first.
 	cfg         *Config
 	isClient    bool
 	ep          *endpoint
@@ -176,31 +179,17 @@ type Conn struct {
 	ackedCh      chan struct{}
 
 	// Guarded by c.mu: reusable per-connection scratch memory, so the
-	// steady-state packet path allocates nothing:
-	// rawScratch holds the pristine copy of a short-header datagram
-	// for stateless-reset checks, keyScratch the decryption trial for
-	// key updates, payloadScratch/pktScratch/datagramScratch the
-	// outgoing frame, packet, and datagram assembly buffers, and
-	// frameScratch the per-packet frame list (loss tracking copies
-	// what it retains).
-	rawScratch      []byte
-	keyScratch      []byte
-	payloadScratch  []byte
-	pktScratch      []byte
-	datagramScratch []byte
-	frameScratch    []quicwire.Frame
-
-	// Guarded by c.mu. The assembly buffers above start out backed by
-	// these inline arrays, sized for the default 1350-byte datagram
-	// budget. Scratch slices do not amortize across connections (a
-	// scanner builds a fresh Conn per target), so backing them by the
-	// Conn's own allocation keeps a one-datagram handshake attempt from
-	// paying append-growth allocations. A larger MaxDatagramSize simply
-	// grows past the array onto the heap.
-	payloadArr  [1536]byte
-	pktArr      [1536]byte
-	datagramArr [1536]byte
-	frameArr    [8]quicwire.Frame
+	// steady-state packet path allocates nothing: rawScratch holds the
+	// pristine copy of a short-header datagram for stateless-reset
+	// checks, keyScratch the decryption trial for key updates, and
+	// frameScratch the per-packet frame list (loss tracking copies what
+	// it retains), backed at first by frameArr. Outgoing packets need no
+	// scratch here: they are built in place in a send buffer leased for
+	// the length of one send (bufpool.go).
+	rawScratch   []byte
+	keyScratch   []byte
+	frameScratch []quicwire.Frame
+	frameArr     [8]quicwire.Frame
 
 	// Guarded by c.mu. hdrScratch is the outgoing long-header scratch
 	// for the packer and ackScratch the ACK frame it leads a packet with;
@@ -294,9 +283,6 @@ func newConn(cfg *Config, isClient bool) *Conn {
 		closed:      make(chan struct{}),
 		started:     time.Now(),
 	}
-	c.payloadScratch = c.payloadArr[:0]
-	c.pktScratch = c.pktArr[:0]
-	c.datagramScratch = c.datagramArr[:0]
 	c.frameScratch = c.frameArr[:0]
 	for i := range c.spaces {
 		c.spaces[i].init()

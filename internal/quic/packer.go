@@ -1,12 +1,14 @@
 package quic
 
 import (
+	"slices"
+
 	"quicscan/internal/quiccrypto"
 	"quicscan/internal/quicwire"
 )
 
-// maxCryptoChunk bounds CRYPTO frame data per packet, leaving room for
-// headers and the AEAD tag within a datagram.
+// packetOverheadBudget is what a packet's frame budget holds back for
+// its header and AEAD tag within a datagram.
 const packetOverheadBudget = 96
 
 // zeroPad is the shared source of PADDING bytes (frame type 0x00):
@@ -15,12 +17,16 @@ const packetOverheadBudget = 96
 var zeroPad [quicwire.MinInitialSize]byte
 
 // sendPendingLocked drains all queued frames and crypto data into
-// protected datagrams and transmits them. Must be called with c.mu
-// held.
+// protected datagrams and transmits them. Every datagram is built in
+// place in one send buffer leased for this call (bufpool.go); the
+// socket write copies it, so the next datagram reuses it. Must be
+// called with c.mu held.
 func (c *Conn) sendPendingLocked() {
+	buf := leaseSendBuf()
+	defer releaseSendBuf(buf)
+	datagram := buf[:0]
 	for {
-		datagram, sentAny := c.packDatagramLocked()
-		if !sentAny {
+		if datagram = c.packDatagramLocked(datagram[:0]); len(datagram) == 0 {
 			break
 		}
 		c.stats.BytesSent += len(datagram)
@@ -32,8 +38,9 @@ func (c *Conn) sendPendingLocked() {
 	c.armPTOLocked()
 }
 
-// cryptoOffsets tracks per-space CRYPTO send offsets. They live on the
-// space to survive multiple pack calls.
+// takeCrypto cuts the next CRYPTO frame, of at most max bytes, off the
+// space's pending TLS data. The send offset lives on the space, so it
+// survives from one packet to the next.
 func (sp *pnSpace) takeCrypto(max int) *quicwire.CryptoFrame {
 	if len(sp.outCrypto) == 0 || max <= 0 {
 		return nil
@@ -48,16 +55,18 @@ func (sp *pnSpace) takeCrypto(max int) *quicwire.CryptoFrame {
 	return f
 }
 
-// packDatagramLocked assembles one datagram with as many coalesced
-// packets as fit. It returns the datagram and whether anything was
-// packed.
-func (c *Conn) packDatagramLocked() ([]byte, bool) {
+// pnLen is the length the space's next packet number is encoded with.
+// It is never below 2, which keeps headers uniform and samples long
+// enough.
+func (sp *pnSpace) pnLen() int {
+	return max(2, quicwire.PacketNumberLenFor(sp.nextPN, sp.loss.largestAcked))
+}
+
+// packDatagramLocked appends to datagram (an empty send buffer) one
+// datagram with as many coalesced packets as fit, and returns it; it
+// stays empty when nothing is pending.
+func (c *Conn) packDatagramLocked(datagram []byte) []byte {
 	budget := c.cfg.MaxDatagramSize
-	// The datagram is assembled in per-conn scratch (guarded by mu):
-	// the socket write never retains it, so the buffer is reusable the
-	// moment sendPendingLocked's send returns.
-	datagram := c.datagramScratch[:0]
-	packedAny := false
 	containsInitial := false
 
 	for idx := spaceInitial; idx <= spaceApp; idx++ {
@@ -82,71 +91,67 @@ func (c *Conn) packDatagramLocked() ([]byte, bool) {
 		if remaining < 256 {
 			break // leave for the next datagram
 		}
-		pkt := c.packPacketLocked(idx, remaining)
-		if pkt == nil {
-			continue
-		}
-		if idx == spaceInitial {
+		n := len(datagram)
+		datagram = c.appendPacketLocked(datagram, idx, early, remaining)
+		if idx == spaceInitial && len(datagram) > n {
 			containsInitial = true
 		}
-		datagram = append(datagram, pkt...)
-		packedAny = true
-	}
-
-	if !packedAny {
-		c.datagramScratch = datagram
-		return nil, false
 	}
 
 	// Datagrams carrying Initial packets must be at least 1200 bytes
-	// (RFC 9000, Section 14.1). packPacketLocked pads the plaintext of
-	// every Initial so the sealed packet alone satisfies this; the
-	// check here is a defensive backstop.
+	// (RFC 9000, Section 14.1). appendPacketLocked pads every Initial
+	// so the sealed packet alone satisfies this; the check here is a
+	// defensive backstop.
 	if containsInitial && len(datagram) < quicwire.MinInitialSize {
 		datagram = append(datagram, zeroPad[:quicwire.MinInitialSize-len(datagram)]...)
 	}
-	c.datagramScratch = datagram
-	return datagram, true
+	return datagram
 }
 
-// packPacketLocked builds one protected packet for the given space
-// within the size budget, or nil if nothing is pending.
-func (c *Conn) packPacketLocked(idx int, budget int) []byte {
+// appendPacketLocked builds one protected packet for the given space in
+// place at the end of b, within budget bytes, and returns b; b is
+// returned unchanged, and no packet number is used, if nothing is
+// pending.
+func (c *Conn) appendPacketLocked(b []byte, idx int, early bool, budget int) []byte {
 	sp := &c.spaces[idx]
 	sendKeys := sp.sendKeys
-	early := false
-	if idx == spaceApp && sendKeys == nil && c.earlySendKeys != nil {
+	if early {
 		sendKeys = c.earlySendKeys
-		early = true
 	}
+	start := len(b)
+	pn, pnLen := sp.nextPN, sp.pnLen()
+	b, pnOff := c.appendHeaderLocked(b, idx, early, c.dcid, pn, pnLen)
 
-	// The frame list and the payload they are serialized into, as they
-	// are chosen, are per-conn scratch: loss tracking copies the
-	// ack-eliciting frames it retains (lossState.onSent), so both are
-	// free for reuse by the next packet. Queued frames go first, then
-	// fresh CRYPTO data. Oversized CRYPTO and STREAM frames (e.g.
+	// The frame list is per-conn scratch: loss tracking copies the
+	// ack-eliciting frames it retains (lossState.onSent), so it is free
+	// for reuse by the next packet. Queued frames are serialized straight
+	// after the header, then fresh CRYPTO data; a frame that does not fit
+	// is rolled back. Oversized CRYPTO and STREAM frames (e.g.
 	// retransmitted ClientHello chunks after a Retry) are split so a
 	// frame larger than one packet can never stall the queue. The size
-	// budget counts the queued and CRYPTO frames only, not the ACK in
-	// front of them.
+	// budget counts the queued and CRYPTO frames only, not the header or
+	// the ACK in front of them.
 	frames := c.frameScratch[:0]
-	payload := c.payloadScratch[:0]
 	if sp.acks.needsAck() && !early && sp.acks.buildAck(&c.ackScratch) {
 		frames = append(frames, &c.ackScratch)
-		payload = c.ackScratch.Append(payload)
+		b = c.ackScratch.Append(b)
 	}
-	ackLen := len(payload)
+	ackEnd := len(b)
 	taken := 0
 	for taken < len(sp.outFrames) {
 		f := sp.outFrames[taken]
-		avail := budget - packetOverheadBudget - (len(payload) - ackLen)
-		before := len(payload)
-		payload = f.Append(payload)
-		if len(payload)-before > avail {
-			payload = payload[:before]
+		avail := budget - packetOverheadBudget - (len(b) - ackEnd)
+		before := len(b)
+		fits := !dataExceeds(f, avail)
+		if fits {
+			b = f.Append(b)
+			fits = len(b)-before <= avail
+		}
+		if !fits {
+			b = b[:before]
 			if head, rest, ok := splitFrame(f, avail); ok {
 				sp.outFrames[taken] = rest
-				payload = head.Append(payload)
+				b = head.Append(b)
 				frames = append(frames, head)
 			}
 			break
@@ -161,87 +166,25 @@ func (c *Conn) packPacketLocked(idx int, budget int) []byte {
 	sp.outFrames = sp.outFrames[:rest]
 
 	if !early {
-		if cf := sp.takeCrypto(budget - packetOverheadBudget - (len(payload) - ackLen)); cf != nil {
-			payload = cf.Append(payload)
+		if cf := sp.takeCrypto(budget - packetOverheadBudget - (len(b) - ackEnd)); cf != nil {
+			b = cf.Append(b)
 			frames = append(frames, cf)
 		}
 	}
 
 	c.frameScratch = frames
 	if len(frames) == 0 {
-		return nil
+		return b[:start]
 	}
-
-	pn := sp.nextPN
 	sp.nextPN++
-	pnLen := quicwire.PacketNumberLenFor(pn, sp.loss.largestAcked)
-	if pnLen < 2 {
-		pnLen = 2 // keep headers uniform and samples long enough
-	}
 
-	// The payload plus packet number must be at least 4 bytes for
-	// header protection sampling.
-	for len(payload)+pnLen < 4 {
-		payload = append(payload, 0)
+	// A client Initial must arrive in a 1200-byte datagram; every
+	// Initial is padded so the sealed packet alone satisfies it.
+	padTo := 0
+	if idx == spaceInitial {
+		padTo = quicwire.MinInitialSize
 	}
-
-	pkt := c.pktScratch[:0]
-	var pnOff int
-	switch idx {
-	case spaceInitial, spaceHandshake:
-		typ := quicwire.PacketInitial
-		token := []byte(nil)
-		if idx == spaceInitial {
-			if c.isClient {
-				token = c.retryToken
-			}
-		} else {
-			typ = quicwire.PacketHandshake
-		}
-		// A client Initial must arrive in a 1200-byte datagram; pad
-		// the plaintext so the sealed packet alone satisfies it.
-		if idx == spaceInitial {
-			target := quicwire.MinInitialSize - c.headerOverheadLocked(typ, len(token), pnLen) - quiccrypto.SealOverhead
-			if n := target - len(payload); n > 0 {
-				payload = append(payload, zeroPad[:n]...)
-			}
-		}
-		// The header lives in per-conn scratch: AppendLongHeader
-		// serializes it immediately and nothing retains it.
-		c.hdrScratch = quicwire.Header{
-			Type:            typ,
-			Version:         c.version,
-			DstID:           c.dcid,
-			SrcID:           c.scid,
-			Token:           token,
-			PacketNumber:    pn,
-			PacketNumberLen: pnLen,
-		}
-		pkt, pnOff = quicwire.AppendLongHeader(pkt, &c.hdrScratch, len(payload)+quiccrypto.SealOverhead)
-	default:
-		if early {
-			// 0-RTT uses a long header: the server must learn the
-			// version and connection IDs before 1-RTT short headers
-			// become routable (RFC 9000, Section 17.2.3).
-			c.hdrScratch = quicwire.Header{
-				Type:            quicwire.Packet0RTT,
-				Version:         c.version,
-				DstID:           c.dcid,
-				SrcID:           c.scid,
-				PacketNumber:    pn,
-				PacketNumberLen: pnLen,
-			}
-			pkt, pnOff = quicwire.AppendLongHeader(pkt, &c.hdrScratch, len(payload)+quiccrypto.SealOverhead)
-			break
-		}
-		pkt, pnOff = quicwire.AppendShortHeader(pkt, c.dcid, pn, pnLen, sp.sendPhase)
-	}
-	pkt = append(pkt, payload...)
-	c.payloadScratch = payload
-	pkt = sendKeys.SealPacket(pkt, pnOff, pnLen, pn)
-	// Keep the grown buffer; the caller copies pkt into the datagram
-	// before the next packPacketLocked call reuses it.
-	c.pktScratch = pkt
+	b = sealPacket(b, start, pnOff, pnLen, pn, sendKeys, padTo)
 
 	sp.loss.onSent(pn, frames)
 	if c.trace != nil {
@@ -249,9 +192,83 @@ func (c *Conn) packPacketLocked(idx int, budget int) []byte {
 		if early {
 			space = "0rtt"
 		}
-		c.trace.Event("packet_sent", "space", space, "pn", pn, "size", len(pkt))
+		c.trace.Event("packet_sent", "space", space, "pn", pn, "size", len(b)-start)
 	}
-	return pkt
+	return b
+}
+
+// appendHeaderLocked appends the header of packet pn in space idx,
+// addressed to dcid, and returns b and the offset of the packet number
+// in it. A long header's Length is a placeholder until sealPacket
+// patches it.
+func (c *Conn) appendHeaderLocked(b []byte, idx int, early bool, dcid quicwire.ConnID, pn uint64, pnLen int) ([]byte, int) {
+	var typ quicwire.PacketType
+	var token []byte
+	switch {
+	case idx == spaceInitial:
+		typ = quicwire.PacketInitial
+		if c.isClient {
+			token = c.retryToken
+		}
+	case idx == spaceHandshake:
+		typ = quicwire.PacketHandshake
+	case early:
+		// 0-RTT uses a long header: the server must learn the version
+		// and connection IDs before 1-RTT short headers become routable
+		// (RFC 9000, Section 17.2.3).
+		typ = quicwire.Packet0RTT
+	default:
+		return quicwire.AppendShortHeader(b, dcid, pn, pnLen, c.spaces[spaceApp].sendPhase)
+	}
+	// The header lives in per-conn scratch: AppendLongHeader serializes
+	// it immediately and nothing retains it.
+	c.hdrScratch = quicwire.Header{
+		Type:            typ,
+		Version:         c.version,
+		DstID:           dcid,
+		SrcID:           c.scid,
+		Token:           token,
+		PacketNumber:    pn,
+		PacketNumberLen: pnLen,
+	}
+	return quicwire.AppendLongHeader(b, &c.hdrScratch, 0)
+}
+
+// sealPacket finishes the packet whose header starts at b[start] and
+// whose frames follow it to the end of b. It pads the payload so header
+// protection has its sample and the sealed packet is at least padTo
+// bytes long, patches a long header's Length (always a 2-byte varint),
+// and protects the packet in place; it returns b extended by the AEAD
+// tag.
+func sealPacket(b []byte, start, pnOff, pnLen int, pn uint64, keys *quiccrypto.Keys, padTo int) []byte {
+	// The packet number and payload together must be at least 4 bytes
+	// for header protection sampling.
+	for len(b)-pnOff < 4 {
+		b = append(b, 0)
+	}
+	if n := padTo - quiccrypto.SealOverhead - (len(b) - start); n > 0 {
+		b = append(b, zeroPad[:n]...)
+	}
+	if quicwire.IsLongHeader(b[start]) {
+		quicwire.AppendVarintWithLen(b[:pnOff-2], uint64(len(b)-pnOff+quiccrypto.SealOverhead), 2)
+	}
+	// With room for the tag, SealPacket seals in place.
+	b = slices.Grow(b, quiccrypto.SealOverhead)
+	return b[:start+len(keys.SealPacket(b[start:], pnOff-start, pnLen, pn))]
+}
+
+// dataExceeds reports whether f is a CRYPTO or STREAM frame whose data
+// alone is at least avail bytes, so its encoding cannot fit in avail.
+// Such a frame is split without being serialized first: a frame larger
+// than the send buffer must not grow it only to be rolled back.
+func dataExceeds(f quicwire.Frame, avail int) bool {
+	switch fr := f.(type) {
+	case *quicwire.CryptoFrame:
+		return len(fr.Data) >= avail
+	case *quicwire.StreamFrame:
+		return len(fr.Data) >= avail
+	}
+	return false
 }
 
 // splitFrame cuts a CRYPTO or STREAM frame so its head fits in avail
@@ -279,15 +296,4 @@ func splitFrame(f quicwire.Frame, avail int) (head, rest quicwire.Frame, ok bool
 		return head, rest, true
 	}
 	return nil, nil, false
-}
-
-// headerOverheadLocked computes the long header size for padding math.
-func (c *Conn) headerOverheadLocked(typ quicwire.PacketType, tokenLen, pnLen int) int {
-	n := 1 + 4 + 1 + len(c.dcid) + 1 + len(c.scid)
-	if typ == quicwire.PacketInitial {
-		n += quicwire.VarintLen(uint64(tokenLen)) + tokenLen
-	}
-	n += 2 // Length field (2-byte varint)
-	n += pnLen
-	return n
 }

@@ -273,8 +273,9 @@ func (c *Conn) onPathTimeoutLocked(p *pathState, now time.Time) {
 // limit while the path is unvalidated. pad expands PATH_CHALLENGE
 // datagrams toward 1200 bytes to also probe the path MTU, as far as
 // the amplification budget allows. Reports whether the datagram was
-// actually sent — the budget can block it entirely.
-func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, frames ...quicwire.Frame) bool {
+// actually sent — the budget can block it entirely, and then no packet
+// number is used.
+func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, f quicwire.Frame) bool {
 	sp := &c.spaces[spaceApp]
 	if sp.sendKeys == nil || sp.dropped {
 		return false
@@ -282,16 +283,6 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, frames ...quicwire.Fr
 	dcid := p.dcid
 	if dcid == nil {
 		dcid = c.dcid
-	}
-	var payload []byte
-	for _, f := range frames {
-		payload = f.Append(payload)
-	}
-	pn := sp.nextPN
-	sp.nextPN++
-	pnLen := 2
-	for len(payload)+pnLen < 4 {
-		payload = append(payload, 0)
 	}
 	// Size budget: the sealed datagram must stay within the
 	// amplification limit on server-unvalidated paths.
@@ -301,22 +292,22 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, frames ...quicwire.Fr
 			budget = allowed
 		}
 	}
-	overhead := 1 + len(dcid) + pnLen + quiccrypto.SealOverhead
-	if len(payload)+overhead > budget {
+	buf := leaseSendBuf()
+	defer releaseSendBuf(buf)
+	pn, pnLen := sp.nextPN, sp.pnLen()
+	pkt, pnOff := c.appendHeaderLocked(buf[:0], spaceApp, false, dcid, pn, pnLen)
+	pkt = f.Append(pkt)
+	// The smallest packet sealPacket can make of it: the sample needs
+	// four bytes from the packet number on.
+	if max(len(pkt), pnOff+4)+quiccrypto.SealOverhead > budget {
 		return false // amplification budget exhausted; the retry timer tries again
 	}
+	padTo := 0
 	if pad {
-		target := quicwire.MinInitialSize
-		if target > budget {
-			target = budget
-		}
-		if n := target - overhead - len(payload); n > 0 {
-			payload = append(payload, zeroPad[:n]...)
-		}
+		padTo = min(quicwire.MinInitialSize, budget)
 	}
-	pkt, pnOff := quicwire.AppendShortHeader(nil, dcid, pn, pnLen, sp.sendPhase)
-	pkt = append(pkt, payload...)
-	pkt = sp.sendKeys.SealPacket(pkt, pnOff, pnLen, pn)
+	sp.nextPN++
+	pkt = sealPacket(pkt, 0, pnOff, pnLen, pn, sp.sendKeys, padTo)
 	p.bytesOut += len(pkt)
 	c.stats.BytesSent += len(pkt)
 	if c.trace != nil {

@@ -61,7 +61,12 @@ func newUDP(t testing.TB) net.PacketConn {
 // startServer launches a listener that echoes on accepted streams.
 func startServer(t testing.TB, cfg *Config, policy ServerPolicy) (*Listener, net.Addr) {
 	t.Helper()
-	pc := newUDP(t)
+	return serveEcho(t, newUDP(t), cfg, policy)
+}
+
+// serveEcho is startServer on a socket of the caller's.
+func serveEcho(t testing.TB, pc net.PacketConn, cfg *Config, policy ServerPolicy) (*Listener, net.Addr) {
+	t.Helper()
 	l, err := Listen(pc, cfg, policy)
 	if err != nil {
 		t.Fatal(err)

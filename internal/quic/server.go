@@ -383,11 +383,6 @@ func AppendInitialClose(dst []byte, hdr *quicwire.Header, code quicwire.Transpor
 	if err != nil {
 		return dst, err
 	}
-	var payload []byte
-	payload = (&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: reason}).Append(payload)
-	for len(payload) < 3 {
-		payload = append(payload, 0)
-	}
 	respHdr := &quicwire.Header{
 		Type:            quicwire.PacketInitial,
 		Version:         hdr.Version,
@@ -397,10 +392,9 @@ func AppendInitialClose(dst []byte, hdr *quicwire.Header, code quicwire.Transpor
 		PacketNumberLen: 1,
 	}
 	start := len(dst)
-	pkt, pnOff := quicwire.AppendLongHeader(dst, respHdr, len(payload)+16)
-	pkt = append(pkt, payload...)
-	// Sealing treats its argument as one whole packet and may move it.
-	return append(pkt[:start], ik.Server.SealPacket(pkt[start:], pnOff-start, 1, 0)...), nil
+	pkt, pnOff := quicwire.AppendLongHeader(dst, respHdr, 0)
+	pkt = (&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: reason}).Append(pkt)
+	return sealPacket(pkt, start, pnOff, 1, 0, ik.Server, 0), nil
 }
 
 // newServerConn creates the per-connection state. retryODCID is the

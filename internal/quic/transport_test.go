@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -389,5 +390,55 @@ func TestTargetPicksSocket(t *testing.T) {
 	}
 	if len(used) != poolSize {
 		t.Errorf("%d remotes used %d of the %d sockets: %v", remotes, len(used), poolSize, first)
+	}
+}
+
+// TestTransportCloseRacesDialSetUp: a Transport closed while its dials
+// are still setting up their connections. A dial's connection is
+// reachable from the moment it registers its routes, and Close aborts it
+// from there, reading its trace and TLS state under c.mu; so the dial
+// sets those under c.mu too. Meaningful under -race, which reports the
+// dial's writes against closeLocked's reads when they are unlocked.
+func TestTransportCloseRacesDialSetUp(t *testing.T) {
+	const (
+		rounds = 20
+		dials  = 4
+	)
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	tracer, err := telemetry.NewTracer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing listens there, so no dial completes before Close.
+	silent := net.UDPAddrFromAddrPort(netip.MustParseAddrPort("192.0.2.1:443"))
+	cfg := &Config{Tracer: tracer, HandshakeTimeout: 5 * time.Second}
+	for round := 0; round < rounds; round++ {
+		pc, err := n.DialUDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTransport(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < dials; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if conn, err := tr.Dial(context.Background(), silent, cfg); err == nil {
+					t.Error("a dial to a silent address succeeded")
+					conn.Close()
+				}
+			}()
+		}
+		// Close as soon as the first connection is reachable, while the
+		// others are still registering or setting up.
+		for tr.Stats().ActiveConns == 0 {
+			runtime.Gosched()
+		}
+		tr.Close()
+		wg.Wait()
 	}
 }
