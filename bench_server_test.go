@@ -76,16 +76,16 @@ func benchH3ServerMain() error {
 	if err != nil {
 		return err
 	}
+	srv := &h3.Server{Handler: func(*h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "bench"}}}
+	}}
 	l, err := quic.Listen(pc, &quic.Config{
 		TLS: &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: []string{"h3"}},
-	}, quic.ServerPolicy{})
+	}, quic.ServerPolicy{}, srv.ServeConn)
 	if err != nil {
 		return err
 	}
 	defer l.Close()
-	go (&h3.Server{Handler: func(*h3.Request) *h3.Response {
-		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "bench"}}}
-	}}).ServeListener(l)
 
 	hello := benchServerHello{
 		Addr:  pc.LocalAddr().String(),

@@ -127,14 +127,13 @@ func serveDeployment(ca *certgen.CA, d *internet.Deployment, port int, sni strin
 		NextProtos:   []string{"h3", "h3-34", "h3-32", "h3-29"},
 	})
 	cfg.Tracer = tracer
-	l, err := quic.Listen(pc, cfg, policy)
-	if err != nil {
+	server := d.ServerHeader
+	h3srv := &h3.Server{Handler: func(*h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: server}}}
+	}}
+	if _, err := quic.Listen(pc, cfg, policy, h3srv.ServeConn); err != nil {
 		return err
 	}
-	server := d.ServerHeader
-	go (&h3.Server{Handler: func(*h3.Request) *h3.Response {
-		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: server}}}
-	}}).ServeListener(l)
 
 	// HTTPS/TCP with Alt-Svc.
 	tl, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", port))

@@ -99,22 +99,21 @@ func (w *World) addServer(addr netip.Addr, cert tls.Certificate, params transpor
 	if err != nil {
 		return fmt.Errorf("chaos: listening on %v: %w", addr, err)
 	}
+	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "chaos/1.0"}}}
+	}}
 	l, err := quic.Listen(pc, &quic.Config{
 		TLS: &tls.Config{
 			Certificates: []tls.Certificate{cert},
 			NextProtos:   []string{"h3", "h3-34", "h3-32", "h3-29"},
 		},
 		TransportParams: params,
-	}, w.policy)
+	}, w.policy, srv.ServeConn)
 	if err != nil {
 		pc.Close()
 		return err
 	}
 	w.listeners = append(w.listeners, l)
-	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
-		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: "chaos/1.0"}}}
-	}}
-	go srv.ServeListener(l)
 	return nil
 }
 

@@ -70,13 +70,12 @@ func TestScanTargetAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := quic.Listen(pc, &quic.Config{TLS: serverTLS, TransportParams: params}, quic.ServerPolicy{})
+	srv := &h3.Server{Handler: func(*h3.Request) *h3.Response { return &h3.Response{Status: "200"} }}
+	l, err := quic.Listen(pc, &quic.Config{TLS: serverTLS, TransportParams: params}, quic.ServerPolicy{}, srv.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	srv := &h3.Server{Handler: func(*h3.Request) *h3.Response { return &h3.Response{Status: "200"} }}
-	go srv.ServeListener(l)
 	s := &Scanner{
 		DialPacket: func() (net.PacketConn, error) { return sim.DialUDP() },
 		RootCAs:    pool,

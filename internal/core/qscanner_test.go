@@ -68,15 +68,14 @@ func (w *testWorld) addServer(t *testing.T, addr string, params transportparams.
 		TLS:             &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: []string{"h3", "h3-34", "h3-32", "h3-29"}},
 		TransportParams: params,
 	}
-	l, err := quic.Listen(pc, cfg, policy)
+	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
+		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: serverHeader}}}
+	}}
+	l, err := quic.Listen(pc, cfg, policy, srv.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	srv := &h3.Server{Handler: func(req *h3.Request) *h3.Response {
-		return &h3.Response{Status: "200", Headers: []h3.HeaderField{{Name: "server", Value: serverHeader}}}
-	}}
-	go srv.ServeListener(l)
 	return ap.Addr()
 }
 
@@ -308,18 +307,11 @@ func TestSelfSignedDetection(t *testing.T) {
 	}
 	l, err := quic.Listen(pc, &quic.Config{
 		TLS: &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: []string{"h3"}},
-	}, quic.ServerPolicy{})
+	}, quic.ServerPolicy{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go func() {
-		for {
-			if _, err := l.Accept(context.Background()); err != nil {
-				return
-			}
-		}
-	}()
 
 	s := newScanner(t, w)
 	s.SkipHTTP = true

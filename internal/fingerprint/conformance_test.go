@@ -48,7 +48,7 @@ func startProfileListener(t *testing.T, p *internet.Profile) netip.AddrPort {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := quic.Listen(pc, cfg, policy)
+	l, err := quic.Listen(pc, cfg, policy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

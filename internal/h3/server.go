@@ -27,81 +27,49 @@ func (r *Request) Header(name string) string {
 	return ""
 }
 
-// Handler produces a response for a request. The connection's TLS SNI
-// is available through the quic.Conn passed at Serve time.
+// Handler produces a response for a request.
 type Handler func(req *Request) *Response
 
-// Server serves HTTP/3 on accepted QUIC connections.
+// Server serves HTTP/3 on QUIC connections.
 type Server struct {
 	// Handler handles requests. nil responds 404 to everything.
 	Handler Handler
-	// Settings are sent on the control stream. nil sends defaults.
-	Settings []Setting
 }
 
-// Serve runs the HTTP/3 session on one QUIC connection, blocking until
-// the connection closes. It is typically invoked per accepted
-// connection in its own goroutine.
-func (srv *Server) Serve(ctx context.Context, conn *quic.Conn) error {
+// serverControl opens a server's control stream: the stream type, then
+// SETTINGS for an all-static QPACK configuration.
+var serverControl = AppendSettings(appendStreamType(nil, StreamTypeControl), []Setting{
+	{ID: SettingQPACKMaxTableCapacity, Value: 0},
+	{ID: SettingQPACKBlockedStreams, Value: 0},
+	{ID: SettingMaxFieldSectionSize, Value: 1 << 16},
+})
+
+// ServeConn runs the HTTP/3 session on one handshaken QUIC connection
+// until it closes: each request stream is answered on a goroutine of its
+// own. It is a quic.Listen serve function. The peer's unidirectional
+// streams (control, QPACK) need no answer with an all-static QPACK
+// configuration, so they are left unread.
+func (srv *Server) ServeConn(conn *quic.Conn) {
 	ctrl, err := conn.OpenUniStream()
 	if err != nil {
-		return err
+		return
 	}
-	settings := srv.Settings
-	if settings == nil {
-		settings = []Setting{
-			{ID: SettingQPACKMaxTableCapacity, Value: 0},
-			{ID: SettingQPACKBlockedStreams, Value: 0},
-			{ID: SettingMaxFieldSectionSize, Value: 1 << 16},
-		}
+	if _, err := ctrl.Write(serverControl); err != nil {
+		return
 	}
-	var b []byte
-	b = appendStreamType(b, StreamTypeControl)
-	b = AppendSettings(b, settings)
-	if _, err := ctrl.Write(b); err != nil {
-		return err
-	}
-
+	ctx := context.Background()
 	for {
 		s, err := conn.AcceptStream(ctx)
 		if err != nil {
-			return err
-		}
-		if s.ID()%4 == 0 { // client-initiated bidirectional: a request
-			go srv.serveRequest(ctx, conn, s)
-		} else {
-			go srv.consumeUniStream(ctx, s)
-		}
-	}
-}
-
-// ServeListener accepts connections from l until it is closed and
-// runs Serve on each, on a goroutine of its own, once its handshake has
-// completed. It blocks: a server runs it on one goroutine per listener.
-func (srv *Server) ServeListener(l *quic.Listener) {
-	ctx := context.Background()
-	for {
-		conn, err := l.Accept(ctx)
-		if err != nil {
 			return
 		}
-		go func() {
-			if conn.HandshakeComplete(ctx) == nil {
-				srv.Serve(ctx, conn)
-			}
-		}()
+		if s.ID()%4 == 0 { // client-initiated bidirectional: a request
+			go srv.serveRequest(ctx, s)
+		}
 	}
 }
 
-// consumeUniStream drains a peer control/QPACK stream.
-func (srv *Server) consumeUniStream(ctx context.Context, s *quic.Stream) {
-	// The content (SETTINGS etc.) requires no action with an
-	// all-static QPACK configuration; drain to keep flow control
-	// moving.
-	s.ReadAll(ctx)
-}
-
-func (srv *Server) serveRequest(ctx context.Context, conn *quic.Conn, s *quic.Stream) {
+func (srv *Server) serveRequest(ctx context.Context, s *quic.Stream) {
 	data, err := s.ReadAll(ctx)
 	if err != nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
+	"net"
 	"net/http"
 	"net/netip"
 	"sync"
@@ -22,18 +23,19 @@ type StartOptions struct {
 	// complete handshakes (active and require-SNI). Without it, only
 	// the stateless synthetic responder answers QUIC probes.
 	Stateful bool
-	// Web instantiates HTTPS (TLS-over-TCP) servers for deployments,
-	// required for Alt-Svc discovery and the Table 5 comparison.
+	// Web serves HTTPS (TLS-over-TCP) for every deployment, required
+	// for Alt-Svc discovery and the Table 5 comparison.
 	Web bool
 }
 
 // servers holds the running infrastructure of a universe.
 type servers struct {
-	dns       *dnsserver.Server
-	rootCA    *certgen.CA
-	rootPool  *x509.CertPool
-	quicLs    []*quic.Listener
-	webSrvs   []*http.Server
+	dns      *dnsserver.Server
+	rootCA   *certgen.CA
+	rootPool *x509.CertPool
+	quicLs   []*quic.Listener
+	// web is the one HTTPS server that answers on every deployment's :443.
+	web       *http.Server
 	certCache map[string]tls.Certificate
 	mu        sync.Mutex
 }
@@ -85,11 +87,9 @@ func (u *Universe) start(opts StartOptions) error {
 				return fmt.Errorf("internet: QUIC server for %v: %w", d.Addr, err)
 			}
 		}
-		if opts.Web {
-			if err := u.startWebServer(d); err != nil {
-				return fmt.Errorf("internet: web server for %v: %w", d.Addr, err)
-			}
-		}
+	}
+	if opts.Web {
+		return u.startWebServer()
 	}
 	return nil
 }
@@ -100,8 +100,8 @@ func (s *servers) close() {
 	for _, l := range s.quicLs {
 		l.Close()
 	}
-	for _, srv := range s.webSrvs {
-		srv.Close()
+	if s.web != nil {
+		s.web.Close()
 	}
 	if s.dns != nil {
 		s.dns.Close()
@@ -251,14 +251,13 @@ func (u *Universe) startQUICServer(d *Deployment) error {
 		Certificates: []tls.Certificate{cert},
 		NextProtos:   []string{"h3", "h3-34", "h3-32", "h3-29", "h3-28", "h3-27"},
 	})
-	l, err := quic.Listen(pc, cfg, policy)
+	srv := &h3.Server{Handler: u.h3HandlerFor(d)}
+	l, err := quic.Listen(pc, cfg, policy, srv.ServeConn)
 	if err != nil {
 		pc.Close()
 		return err
 	}
 	u.servers.quicLs = append(u.servers.quicLs, l)
-
-	go (&h3.Server{Handler: u.h3HandlerFor(d)}).ServeListener(l)
 	return nil
 }
 
@@ -300,17 +299,51 @@ func altSvcValue(alpns []string) string {
 	return altsvc.Format(services)
 }
 
-// startWebServer runs the TLS-over-TCP HTTP/1.1 side of a deployment.
-func (u *Universe) startWebServer(d *Deployment) error {
+// startWebServer runs the TLS-over-TCP HTTP/1.1 side of every
+// deployment: one server on one listener bound to each deployment's
+// :443. The address a client dialled picks the deployment's TLS
+// configuration and, in the handler, its headers.
+func (u *Universe) startWebServer() error {
+	configs := make(map[netip.Addr]*tls.Config, len(u.Deployments))
+	addrs := make([]netip.AddrPort, 0, len(u.Deployments))
+	for _, d := range u.Deployments {
+		tcfg, err := u.webTLSConfig(d)
+		if err != nil {
+			return fmt.Errorf("internet: web server for %v: %w", d.Addr, err)
+		}
+		configs[d.Addr] = tcfg
+		addrs = append(addrs, netip.AddrPortFrom(d.Addr, 443))
+	}
+	l, err := u.Net.ListenStream(addrs...)
+	if err != nil {
+		return fmt.Errorf("internet: web server: %w", err)
+	}
+	outer := &tls.Config{GetConfigForClient: func(chi *tls.ClientHelloInfo) (*tls.Config, error) {
+		return configs[hostOf(chi.Conn.LocalAddr())], nil
+	}}
+	week := u.Spec.Week
+	u.servers.web = &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		d := u.ByAddr[hostOf(r.Context().Value(http.LocalAddrContextKey).(net.Addr))]
+		if d.ServerHeader != "" {
+			rw.Header().Set("Server", d.ServerHeader)
+		}
+		if d.AltVisible && d.Profile.ALPNSet != nil {
+			rw.Header().Set("Alt-Svc", altSvcValue(d.Profile.ALPNSet(week)))
+		}
+		rw.WriteHeader(200)
+	})}
+	go u.servers.web.Serve(tls.NewListener(l, outer))
+	return nil
+}
+
+// webTLSConfig builds a deployment's TLS-over-TCP configuration: its
+// certificate generation, its ALPN and version cap, and Google's
+// self-signed answer to a ClientHello without SNI.
+func (u *Universe) webTLSConfig(d *Deployment) (*tls.Config, error) {
 	cert, err := u.certFor(d, u.tcpCertGeneration(d))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	l, err := u.Net.ListenStream(netip.AddrPortFrom(d.Addr, 443))
-	if err != nil {
-		return err
-	}
-
 	tcfg := &tls.Config{Certificates: []tls.Certificate{cert}}
 	if !d.Profile.TCPNoALPN {
 		tcfg.NextProtos = []string{"http/1.1"}
@@ -321,8 +354,7 @@ func (u *Universe) startWebServer(d *Deployment) error {
 	if d.Profile.TCPSelfSignedNoSNI {
 		selfSigned, err := u.selfSignedFor(d)
 		if err != nil {
-			l.Close()
-			return err
+			return nil, err
 		}
 		// Certificates would take precedence over GetCertificate, so
 		// the SNI-dependent selection must be the only source.
@@ -334,21 +366,11 @@ func (u *Universe) startWebServer(d *Deployment) error {
 			return &cert, nil
 		}
 	}
-
-	week := u.Spec.Week
-	srv := &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if d.ServerHeader != "" {
-			rw.Header().Set("Server", d.ServerHeader)
-		}
-		if d.AltVisible && d.Profile.ALPNSet != nil {
-			rw.Header().Set("Alt-Svc", altSvcValue(d.Profile.ALPNSet(week)))
-		}
-		rw.WriteHeader(200)
-	})}
-	u.servers.webSrvs = append(u.servers.webSrvs, srv)
-	go srv.Serve(tls.NewListener(l, tcfg))
-	return nil
+	return tcfg, nil
 }
+
+// hostOf is the IP address of a simnet stream end.
+func hostOf(a net.Addr) netip.Addr { return a.(*net.TCPAddr).AddrPort().Addr() }
 
 // tcpCertGeneration: Google's weekly rotation means the TCP scan can
 // observe a different certificate generation than the QUIC scan for a

@@ -81,9 +81,6 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	c.dcid = quicwire.ConnID(ids[:connIDLen:connIDLen])
 	c.origDcid = c.dcid
 	c.initPathLocked(remote) // also the address route, for stateless resets
-	// Give the server spare client connection IDs so it can rotate on
-	// its side of a migration (RFC 9000, Section 5.1.1).
-	c.onHandshakeDone = func() { c.issueConnIDsLocked(2) }
 
 	t.cDials.Add(1)
 	mDials.Inc()

@@ -222,24 +222,13 @@ type Conn struct {
 
 	// Set once before publication. sessionCache/sessionKey tie the
 	// connection to the Config.SessionCache entry used to store or
-	// restore its ticket. onHandshakeDone installs the server's
-	// post-handshake behaviour (HANDSHAKE_DONE frame). The rest are quirk
-	// knobs copied from ServerPolicy at accept time (see that type):
-	// disableMigration ignores peer address changes outright;
-	// migrateBreak validates the new path and then closes the
-	// connection; declineEarlyData declines the 0-RTT offer on
-	// resumption, and tlsParamsFn supplies transport parameters lazily
-	// so they can be downgraded once resumption is known.
-	sessionCache     *SessionCache
-	sessionKey       string
-	onHandshakeDone  func()
-	keyUpdatePolicy  KeyUpdatePolicy
-	rejectUnknownTP  bool
-	idleCloseNotify  bool
-	disableMigration bool
-	migrateBreak     bool
-	declineEarlyData bool
-	tlsParamsFn      func() []byte
+	// restore its ticket; tlsParamsFn supplies a server's transport
+	// parameters lazily so they can be downgraded once resumption is
+	// known. A server's quirks are not copied here: policy reads them
+	// from its Listener.
+	sessionCache *SessionCache
+	sessionKey   string
+	tlsParamsFn  func() []byte
 
 	// forceCloseCode, when non-zero, overrides the CONNECTION_CLOSE
 	// error code chosen for TLS failures. The simulated deployments
@@ -273,6 +262,19 @@ func (c *Conn) forcedClose() (quicwire.TransportError, string) {
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	return c.forceCloseCode, c.forceCloseReason
+}
+
+// clientPolicy is the ServerPolicy of a connection with no Listener: a
+// client's, which has no quirks.
+var clientPolicy ServerPolicy
+
+// policy returns the ServerPolicy of the Listener that accepted c, read
+// in place, or clientPolicy on a client.
+func (c *Conn) policy() *ServerPolicy {
+	if c.ep.srv == nil {
+		return &clientPolicy
+	}
+	return &c.ep.srv.policy
 }
 
 func newConn(cfg *Config, isClient bool) *Conn {

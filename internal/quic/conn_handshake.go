@@ -64,7 +64,7 @@ func (c *Conn) drainTLSEvents() error {
 			if err != nil {
 				return &quicwire.TransportErrorError{Code: quicwire.TransportParameterError, Reason: err.Error()}
 			}
-			if c.rejectUnknownTP && len(params.Unknown) > 0 {
+			if c.policy().RejectUnknownTP && len(params.Unknown) > 0 {
 				// Quirk: RFC 9000 Section 7.4.2 says unknown transport
 				// parameters MUST be ignored; this endpoint instead
 				// refuses them with the exact 0x8 code on the wire, so
@@ -129,7 +129,7 @@ func (c *Conn) drainTLSEvents() error {
 						break
 					}
 				}
-			} else if c.declineEarlyData {
+			} else if c.policy().Decline0RTTOnResume {
 				// Quirk: issue early-data-capable tickets but refuse the
 				// 0-RTT offer on resumption (ticket-no-0rtt profiles).
 				ev.SessionState.EarlyData = false
@@ -243,13 +243,15 @@ func (c *Conn) completeHandshakeLocked() {
 			"duration_ms", float64(c.stats.HandshakeDuration.Microseconds())/1000)
 	}
 	c.armIdleTimerLocked()
-	// A client that finished TLS has 1-RTT keys and never sends at the
-	// Initial level again (RFC 9001, Section 4.9.1).
 	if c.isClient {
+		// A client that finished TLS has 1-RTT keys and never sends at
+		// the Initial level again (RFC 9001, Section 4.9.1). It gives the
+		// server spare connection IDs, so the server can rotate on its
+		// side of a migration (RFC 9000, Section 5.1.1).
 		c.spaces[spaceInitial].dropped = true
-	}
-	if c.onHandshakeDone != nil {
-		c.onHandshakeDone()
+		c.issueConnIDsLocked(2)
+	} else {
+		c.ep.srv.handshakeDone(c)
 	}
 	close(c.handshakeCh)
 }

@@ -203,7 +203,7 @@ func (c *Conn) tryNextKeysLocked(sp *pnSpace, raw []byte, pnOff int) ([]byte, ui
 	// The packet provably carries the next key generation; quirk
 	// policies react now, after authentication, so garbage can never
 	// trigger them.
-	switch c.keyUpdatePolicy {
+	switch c.policy().KeyUpdate {
 	case KeyUpdateRefuse:
 		c.closeWithTransportErrorLocked(quicwire.KeyUpdateError, "key update not supported")
 		return nil, 0, false

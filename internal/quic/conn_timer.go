@@ -120,7 +120,7 @@ func (c *Conn) onIdleDeadlineLocked() {
 		c.closeLocked(ErrHandshakeTimeout)
 		return
 	}
-	if c.idleCloseNotify {
+	if c.policy().IdleCloseNotify {
 		c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{
 			ErrorCode: uint64(quicwire.NoError), ReasonPhrase: "idle timeout"})
 	}

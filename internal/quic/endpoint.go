@@ -59,7 +59,6 @@ type endpoint struct {
 	// endpoint issues.
 	reset resetKeys
 
-	done   chan struct{} // closed by Close
 	readWG sync.WaitGroup
 
 	// Tallies behind Transport.Stats.
@@ -105,7 +104,7 @@ type pushConn interface {
 // pull even on simnet: a Conn sends under c.mu, so with both ends
 // pushing each side's send would take the other's connection lock.
 func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error {
-	e.role, e.srv, e.socks, e.done = r, srv, socks, make(chan struct{})
+	e.role, e.srv, e.socks = r, srv, socks
 	if ps, ok := socks[0].(pushConn); ok && srv != nil {
 		// The socket makes one call at a time, so one parse scratch and
 		// one source address serve every datagram.
@@ -131,7 +130,6 @@ func (e *endpoint) Close() error {
 	if !ok {
 		return nil
 	}
-	close(e.done)
 	for _, c := range conns {
 		c.abort(e.role.closedErr)
 	}

@@ -105,16 +105,13 @@ func TestHandshakeDeadlineYieldsToIdle(t *testing.T) {
 	scfg, pool := serverConfig(t, "idle.test")
 	scfg.TransportParams = DefaultServerParams()
 	scfg.HandshakeTimeout = 200 * time.Millisecond
-	l, addr := listenBare(t, scfg, ServerPolicy{})
+	_, addr, conns := listenHanding(t, scfg, ServerPolicy{})
 	conn, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "idle.test"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	server := acceptConn(t, l)
-	if err := server.HandshakeComplete(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	server := handedConn(t, conns)
 	select {
 	case <-server.Closed():
 		t.Fatalf("an established connection died at the handshake deadline: %v", server.Err())

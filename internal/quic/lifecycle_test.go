@@ -33,12 +33,17 @@ func (rt *routeTable) tombstones() int {
 	return n
 }
 
-// listenBare starts a listener nobody accepts from; tests take the
-// server side of a connection out of it with acceptConn.
+// listenBare starts a listener that serves nothing: its connections are
+// state in the route table, and tests that need one find it there.
 func listenBare(t *testing.T, cfg *Config, policy ServerPolicy) (*Listener, net.Addr) {
 	t.Helper()
+	return listenServing(t, cfg, policy, nil)
+}
+
+func listenServing(t *testing.T, cfg *Config, policy ServerPolicy, serve func(*Conn)) (*Listener, net.Addr) {
+	t.Helper()
 	pc := newUDP(t)
-	l, err := Listen(pc, cfg, policy)
+	l, err := Listen(pc, cfg, policy, serve)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +51,32 @@ func listenBare(t *testing.T, cfg *Config, policy ServerPolicy) (*Listener, net.
 	return l, pc.LocalAddr()
 }
 
-func acceptConn(t *testing.T, l *Listener) *Conn {
+// listenHanding starts a listener that hands each connection whose
+// handshake completes to the returned channel; handedConn takes the
+// next one out.
+func listenHanding(t *testing.T, cfg *Config, policy ServerPolicy) (*Listener, net.Addr, <-chan *Conn) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	c, err := l.Accept(ctx)
-	if err != nil {
-		t.Fatalf("Accept: %v", err)
+	conns := make(chan *Conn, 64)
+	l, addr := listenServing(t, cfg, policy, func(c *Conn) { conns <- c })
+	return l, addr, conns
+}
+
+func handedConn(t *testing.T, conns <-chan *Conn) *Conn {
+	t.Helper()
+	select {
+	case c := <-conns:
+		return c
+	case <-time.After(5 * time.Second):
+		t.Fatal("the listener handed over no connection")
+		return nil
 	}
-	return c
+}
+
+// soleConn returns the one connection l routes to, once it has one.
+func soleConn(t *testing.T, l *Listener) *Conn {
+	t.Helper()
+	waitFor(t, "the connection to open", func() bool { return l.routes.activeConns() == 1 })
+	return l.routes.liveConns()[0]
 }
 
 // waitClosed waits for c to close and for its endpoint's retire to
@@ -140,17 +162,14 @@ func TestServerConnLifecycle(t *testing.T) {
 			if mutate != nil {
 				mutate(scfg)
 			}
-			l, addr := listenBare(t, scfg, policy)
+			l, addr, conns := listenHanding(t, scfg, policy)
 			l.routes.drainFor.Store(int64(drainFor))
 			client, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "life.test"))
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
 			}
 			t.Cleanup(func() { client.Close() })
-			server := acceptConn(t, l)
-			if err := server.HandshakeComplete(context.Background()); err != nil {
-				t.Fatalf("server handshake: %v", err)
-			}
+			server := handedConn(t, conns)
 			if got := l.routes.activeConns(); got != 1 {
 				t.Fatalf("active connections = %d, want 1", got)
 			}
@@ -163,9 +182,10 @@ func TestServerConnLifecycle(t *testing.T) {
 			return l
 		}
 	}
-	// halfOpen runs a case against a handshake that cannot finish and
-	// that nobody waits on in HandshakeComplete: only the listener's own
-	// timers can end it.
+	// halfOpen runs a case against a handshake that cannot finish, so
+	// that the listener never hands the connection over: only its own
+	// timers can end it, and the route table is where it is seen to
+	// open and to retire.
 	halfOpen := func(mutate func(*Config)) func(*testing.T) *Listener {
 		return func(t *testing.T) *Listener {
 			initial := captureInitial(t)
@@ -178,7 +198,9 @@ func TestServerConnLifecycle(t *testing.T) {
 			if _, err := raw.WriteTo(initial, addr); err != nil {
 				t.Fatal(err)
 			}
-			waitClosed(t, acceptConn(t, l))
+			waitFor(t, "the half-open connection to retire", func() bool {
+				return l.routes.activeConns() == 0 && l.routes.tombstones() > 0
+			})
 			return l
 		}
 	}
@@ -229,13 +251,6 @@ func TestListenerStateBounded(t *testing.T) {
 	l, addr := listenBare(t, scfg, ServerPolicy{})
 	const drainFor = 100 * time.Millisecond
 	l.routes.drainFor.Store(int64(drainFor))
-	go func() {
-		for {
-			if _, err := l.Accept(context.Background()); err != nil {
-				return
-			}
-		}
-	}()
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +313,7 @@ func TestDrainingThenStatelessReset(t *testing.T) {
 	if _, err := raw.WriteTo(initial, addr); err != nil {
 		t.Fatal(err)
 	}
-	server := acceptConn(t, l)
+	server := soleConn(t, l)
 	scid := append(quicwire.ConnID(nil), server.scid...)
 	server.Close()
 	waitClosed(t, server)
@@ -343,7 +358,7 @@ func TestDrainingThenStatelessReset(t *testing.T) {
 func TestListenerCloseRacesConnCloses(t *testing.T) {
 	const n = 64
 	scfg, pool := serverConfig(t, "race.test")
-	l, addr := listenBare(t, scfg, ServerPolicy{})
+	l, addr, conns := listenHanding(t, scfg, ServerPolicy{})
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +371,7 @@ func TestListenerCloseRacesConnCloses(t *testing.T) {
 		if _, err := tr.Dial(context.Background(), addr, ccfg); err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
-		servers[i] = acceptConn(t, l)
+		servers[i] = handedConn(t, conns)
 	}
 
 	start := make(chan struct{})
@@ -388,38 +403,10 @@ func TestListenerCloseRacesConnCloses(t *testing.T) {
 	}
 }
 
-// TestAcceptQueueFullRefuses: with nobody accepting, further attempts
-// are refused before any state exists.
-func TestAcceptQueueFullRefuses(t *testing.T) {
-	scfg, pool := serverConfig(t, "queue.test")
-	l, addr := listenBare(t, scfg, ServerPolicy{})
-	for i := 0; i < cap(l.acceptCh); i++ {
-		l.acceptCh <- newConn(l.cfg, false)
-	}
-	before := mListenerDropAcceptQueue.Value()
-
-	ccfg := clientConfig(pool, "queue.test")
-	ccfg.HandshakeTimeout = 200 * time.Millisecond
-	if conn, err := Dial(context.Background(), newUDP(t), addr, ccfg); err == nil {
-		conn.Close()
-		t.Fatal("dial succeeded against a listener whose accept queue is full")
-	}
-	if got := l.routes.activeConns(); got != 0 {
-		t.Errorf("refused attempt left %d connection(s) routed", got)
-	}
-	if got := l.routes.tombstones(); got != 0 {
-		t.Errorf("refused attempt left %d tombstone(s)", got)
-	}
-	if mListenerDropAcceptQueue.Value() == before {
-		t.Error("quic_listener_drops_total{reason=accept_queue} did not move")
-	}
-}
-
 // TestListenerClosesWithNetwork: a Listener on a simnet socket starts no
 // goroutine; when Network.Close closes the socket under it, it closes
-// as a listener whose pump fails does — Accept returns
-// ErrConnectionClosed (h3's ServeListener returns on it) and its
-// connections are aborted — and nothing it started is left running.
+// as a listener whose pump fails does — its connections are aborted —
+// and nothing it started is left running.
 func TestListenerClosesWithNetwork(t *testing.T) {
 	goroutines0 := runtime.NumGoroutine()
 	n := simnet.New(simnet.Config{})
@@ -428,7 +415,8 @@ func TestListenerClosesWithNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg, pool := serverConfig(t, "netclose.test")
-	l, err := Listen(pc, scfg, ServerPolicy{})
+	conns := make(chan *Conn, 1)
+	l, err := Listen(pc, scfg, ServerPolicy{}, func(c *Conn) { conns <- c })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,23 +435,13 @@ func TestListenerClosesWithNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	server := acceptConn(t, l)
-	accepted := make(chan error, 1)
-	go func() {
-		_, err := l.Accept(context.Background())
-		accepted <- err
-	}()
+	server := handedConn(t, conns)
 
 	n.Close()
-	select {
-	case err := <-accepted:
-		if !errors.Is(err, ErrConnectionClosed) {
-			t.Errorf("Accept after Network.Close = %v, want ErrConnectionClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept still blocked after Network.Close")
-	}
 	waitClosed(t, server)
+	if !errors.Is(server.Err(), ErrConnectionClosed) {
+		t.Errorf("server connection after Network.Close: %v, want ErrConnectionClosed", server.Err())
+	}
 	client.Close()
 	tr.Close()
 	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= goroutines0 })

@@ -40,39 +40,27 @@ func lossyWorld(t *testing.T, loss float64, seed uint64) (*simnet.Network, *List
 	l, err := Listen(pc, &Config{
 		TLS: &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: []string{"h3"}},
 		PTO: 40 * time.Millisecond,
-	}, ServerPolicy{})
+	}, ServerPolicy{}, func(conn *Conn) {
+		ctx := context.Background()
+		for {
+			s, err := conn.AcceptStream(ctx)
+			if err != nil {
+				return
+			}
+			go func(s *Stream) {
+				data, err := io.ReadAll(s)
+				if err != nil {
+					return
+				}
+				s.Write(data)
+				s.Close()
+			}(s)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *Conn) {
-				ctx := context.Background()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				for {
-					s, err := conn.AcceptStream(ctx)
-					if err != nil {
-						return
-					}
-					go func(s *Stream) {
-						data, err := io.ReadAll(s)
-						if err != nil {
-							return
-						}
-						s.Write(data)
-						s.Close()
-					}(s)
-				}
-			}(conn)
-		}
-	}()
 	return n, l, pool
 }
 

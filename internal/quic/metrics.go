@@ -6,11 +6,10 @@ import (
 	"quicscan/internal/telemetry"
 )
 
-// Registry metrics for the QUIC layer (the quic_* family). They are
-// resolved once at init and updated on the atomic fast path alongside
-// the legacy per-Transport/per-Conn stats structs, which remain as
-// compatibility shims; new consumers should read these through a
-// telemetry Snapshot or the /metrics exporter instead.
+// Registry metrics for the QUIC layer (the quic_* family), resolved once
+// at init and updated on the atomic fast path. They are process-wide
+// totals; Conn.Stats and Transport.Stats count the same events for one
+// connection and one Transport.
 var (
 	mDials        = telemetry.Default().Counter("quic_dials_total")
 	mDatagramsIn  = telemetry.Default().Counter("quic_datagrams_in_total")
@@ -84,12 +83,10 @@ var (
 
 	// The Listener's own drop reasons, beside route's four (see
 	// serverRole). token: an address validation token failed validation;
-	// accept_queue: nobody is accepting; short_initial: Initial in a
-	// datagram under 1200 bytes; draining_initial: Initial for a
+	// short_initial: Initial in a datagram under 1200 bytes; draining_initial: Initial for a
 	// connection ID that is draining; no_route: anything else that
 	// matches no connection and cannot start one.
 	mListenerDropToken           = mListenerDrops.With("token")
-	mListenerDropAcceptQueue     = mListenerDrops.With("accept_queue")
 	mListenerDropShortInitial    = mListenerDrops.With("short_initial")
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
 	mListenerDropNoRoute         = mListenerDrops.With("no_route")

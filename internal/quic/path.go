@@ -182,7 +182,7 @@ func (c *Conn) notePeerAddressLocked(dgramLen int) {
 		// bindings. Promote without a fresh round trip.
 		c.promotePathLocked(p)
 	case pathUnvalidated:
-		if c.disableMigration {
+		if c.policy().DisableMigration {
 			// Policy quirk: the deployment advertises (or just enforces)
 			// disable_active_migration by pretending not to notice the
 			// move. Traffic keeps flowing to the old, now-dead address.
@@ -349,7 +349,7 @@ func (c *Conn) handlePathChallengeLocked(data [8]byte) {
 			&quicwire.PathResponseFrame{Data: data})
 		return
 	}
-	if c.disableMigration && !c.isClient {
+	if c.policy().DisableMigration {
 		return // the migration-hostile quirk stays silent off-path
 	}
 	p := c.findPathLocked(ap)
@@ -441,7 +441,7 @@ func (c *Conn) promotePathLocked(p *pathState) {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
 	c.ep.routes.rebindAddr(c, oldAP, c.activeAP)
-	if c.migrateBreak {
+	if c.policy().MigrationValidateBreak {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.
 		c.closeWithTransportErrorLocked(quicwire.NoError, "migration disabled")

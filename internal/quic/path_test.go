@@ -45,27 +45,11 @@ func newSimWorld(t *testing.T, policy ServerPolicy, mutate func(server, client *
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.listener, err = Listen(spc, scfg, policy)
+	w.listener, err = Listen(spc, scfg, policy, func(conn *Conn) { w.accepted <- conn })
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.listener.Close() })
-	go func() {
-		for {
-			conn, err := w.listener.Accept(context.Background())
-			if err != nil {
-				return
-			}
-			go func(conn *Conn) {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				w.accepted <- conn
-			}(conn)
-		}
-	}()
 
 	cpc, err := w.net.DialUDP()
 	if err != nil {

@@ -67,41 +67,32 @@ func startServer(t testing.TB, cfg *Config, policy ServerPolicy) (*Listener, net
 // serveEcho is startServer on a socket of the caller's.
 func serveEcho(t testing.TB, pc net.PacketConn, cfg *Config, policy ServerPolicy) (*Listener, net.Addr) {
 	t.Helper()
-	l, err := Listen(pc, cfg, policy)
+	l, err := Listen(pc, cfg, policy, echoUpper)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept(context.Background())
+	return l, pc.LocalAddr()
+}
+
+// echoUpper answers each stream of conn with its data upper-cased.
+func echoUpper(conn *Conn) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		s, err := conn.AcceptStream(ctx)
+		if err != nil {
+			return
+		}
+		go func(s *Stream) {
+			data, err := io.ReadAll(s)
 			if err != nil {
 				return
 			}
-			go func(conn *Conn) {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := conn.HandshakeComplete(ctx); err != nil {
-					return
-				}
-				for {
-					s, err := conn.AcceptStream(ctx)
-					if err != nil {
-						return
-					}
-					go func(s *Stream) {
-						data, err := io.ReadAll(s)
-						if err != nil {
-							return
-						}
-						s.Write(bytes.ToUpper(data))
-						s.Close()
-					}(s)
-				}
-			}(conn)
-		}
-	}()
-	return l, pc.LocalAddr()
+			s.Write(bytes.ToUpper(data))
+			s.Close()
+		}(s)
+	}
 }
 
 func serverConfig(t testing.TB, names ...string) (*Config, *x509.CertPool) {

@@ -158,7 +158,7 @@ const (
 	KeyUpdateIgnore
 )
 
-// Listener accepts QUIC connections on a PacketConn, demultiplexing by
+// Listener serves QUIC connections on a PacketConn, demultiplexing by
 // connection ID: the accepting face of an endpoint, as a Transport is
 // the dialing one. Its state is proportional to the connections open,
 // not the connections ever served: a closing connection retires its
@@ -167,7 +167,9 @@ const (
 type Listener struct {
 	endpoint
 
-	cfg    *Config
+	cfg *Config
+	// policy is read in place by every connection of this listener
+	// (Conn.policy); it never changes after Listen.
 	policy ServerPolicy
 	// tlsBase is the shared per-listener TLS config. Sharing matters
 	// for session resumption: ticket keys are pinned once here, so a
@@ -175,12 +177,16 @@ type Listener struct {
 	// (per-connection clones would each auto-generate their own keys).
 	tlsBase *tls.Config
 	retry   retryMinter
-
-	acceptCh chan *Conn
+	// serve is the application, started on a goroutine of its own for
+	// each connection whose handshake completes; nil runs none.
+	serve func(*Conn)
 }
 
-// Listen starts a QUIC server on pconn.
-func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listener, error) {
+// Listen starts a QUIC server on pconn. Each connection is handed to
+// serve, on a goroutine of its own, once its handshake completes; until
+// then it is state in the route table, not a goroutine. A nil serve
+// completes handshakes and serves nothing.
+func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy, serve func(*Conn)) (*Listener, error) {
 	if config == nil || config.TLS == nil {
 		return nil, errors.New("quic: Listen requires a TLS config with certificates")
 	}
@@ -198,10 +204,10 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy) (*Listene
 	}
 	base.SetSessionTicketKeys([][32]byte{ticketKey})
 	l := &Listener{
-		cfg:      cfg,
-		policy:   policy,
-		tlsBase:  base,
-		acceptCh: make(chan *Conn, 64),
+		cfg:     cfg,
+		policy:  policy,
+		tlsBase: base,
+		serve:   serve,
 	}
 	if err := l.start(&serverRole, l, pconn); err != nil {
 		return nil, err
@@ -220,19 +226,6 @@ func DefaultServerParams() transportparams.Parameters {
 	p.InitialMaxStreamsBidi = 100
 	p.InitialMaxStreamsUni = 3
 	return p
-}
-
-// Accept returns the next handshaking connection. The handshake may
-// still be in progress; Conn.HandshakeComplete waits for it.
-func (l *Listener) Accept(ctx context.Context) (*Conn, error) {
-	select {
-	case c := <-l.acceptCh:
-		return c, nil
-	case <-l.done:
-		return nil, ErrConnectionClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // Addr returns the listener's address.
@@ -338,18 +331,9 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		// client did not see a Retry from us in this exchange).
 	}
 
-	// Nobody is draining the accept queue: refuse before any state
-	// exists rather than hold connections no one will ever serve.
-	if len(l.acceptCh) == cap(l.acceptCh) {
-		mListenerDropAcceptQueue.Inc()
-		return
+	if conn := l.newServerConn(hdr, from, retryODCID); conn != nil {
+		conn.handleDatagram(data, from)
 	}
-	conn := l.newServerConn(hdr, from, retryODCID)
-	if conn == nil {
-		return
-	}
-	l.acceptCh <- conn // never blocks: datagrams are handled one at a time, and this one saw room above
-	conn.handleDatagram(data, from)
 }
 
 // maybeSendVersionNegotiation emits a VN packet per policy.
@@ -406,11 +390,6 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	c.ep, c.sock = &l.endpoint, l.socks[0]
 	c.remote = from
 	c.version = hdr.Version
-	c.keyUpdatePolicy = l.policy.KeyUpdate
-	c.rejectUnknownTP = l.policy.RejectUnknownTP
-	c.idleCloseNotify = l.policy.IdleCloseNotify
-	c.disableMigration = l.policy.DisableMigration
-	c.migrateBreak = l.policy.MigrationValidateBreak
 	c.origDcid = append(quicwire.ConnID(nil), hdr.DstID...)
 	c.dcid = append(quicwire.ConnID(nil), hdr.SrcID...)
 	c.scid = quicwire.NewRandomConnID(connIDLen)
@@ -473,11 +452,10 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 		}
 	}
 
-	c.declineEarlyData = l.policy.Decline0RTTOnResume
 	c.tls = tls.QUICServer(&tls.QUICConfig{
 		TLSConfig: tlsCfg,
 		// Session events put ticket issuance under ServerPolicy control
-		// (SendSessionTicket in onHandshakeDone) and surface
+		// (SendSessionTicket in handshakeDone) and surface
 		// QUICResumeSession so Decline0RTTOnResume can veto early data.
 		EnableSessionEvents: true,
 	})
@@ -512,45 +490,49 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 		c.tls.SetTransportParameters(params.Marshal())
 	}
 
-	c.onHandshakeDone = func() {
-		// Confirm the handshake to the client and retire the
-		// handshake space (RFC 9001, Section 4.9.2).
-		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-			&quicwire.HandshakeDoneFrame{})
-		c.spaces[spaceHandshake].dropped = true
-		// Issue alternate connection IDs (RFC 9000, Section 5.1.1),
-		// registered with the listener so packets using them route to
-		// this connection; each carries its stateless reset token.
-		c.issueConnIDsLocked(2)
-		if !l.policy.DisableSessionTickets {
-			// The NewSessionTicket's CRYPTO data surfaces as QUICWriteData
-			// events picked up by the drain loop still running above this
-			// callback, so the ticket rides the same flight as
-			// HANDSHAKE_DONE.
-			if err := c.tls.SendSessionTicket(tls.QUICSessionTicketOptions{EarlyData: true}); err == nil {
-				mTicketsIssued.Inc()
-				if c.trace != nil {
-					c.trace.Event("session_ticket_sent")
-				}
-			}
-		}
-		if l.policy.UseRetry {
-			// A validating server hands the client a NEW_TOKEN so its next
-			// connection skips the Retry round trip (RFC 9000, 8.1.3).
-			c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-				&quicwire.NewTokenFrame{Token: l.retry.mintResumption(from)})
-		}
-	}
-
 	if err := c.tls.Start(context.Background()); err != nil {
 		return fail(err)
 	}
 	if err := c.drainTLSEvents(); err != nil {
 		return fail(err)
 	}
-	// The handshake deadline belongs to the connection, not to whoever
-	// may call HandshakeComplete: a peer that never finishes its
-	// ClientHello is dropped even if the connection is never accepted.
+	// The handshake deadline belongs to the connection: nothing else
+	// holds it before its handshake completes, so a peer that never
+	// finishes its ClientHello is dropped by this timer.
 	c.setIdleDeadlineLocked(time.Now().Add(l.cfg.HandshakeTimeout))
 	return c
+}
+
+// handshakeDone is a server connection's step when its handshake
+// completes, run with c.mu held: it confirms the handshake to the client
+// and retires the handshake space (RFC 9001, Section 4.9.2), issues
+// alternate connection IDs, a session ticket and, after address
+// validation, a NEW_TOKEN, and hands the connection to serve.
+func (l *Listener) handshakeDone(c *Conn) {
+	app := &c.spaces[spaceApp]
+	app.outFrames = append(app.outFrames, &quicwire.HandshakeDoneFrame{})
+	c.spaces[spaceHandshake].dropped = true
+	// Alternate connection IDs (RFC 9000, Section 5.1.1) route to this
+	// connection; each carries its stateless reset token.
+	c.issueConnIDsLocked(2)
+	if !l.policy.DisableSessionTickets {
+		// The NewSessionTicket's CRYPTO data surfaces as QUICWriteData
+		// events picked up by the drain loop still running above this
+		// call, so the ticket rides the same flight as HANDSHAKE_DONE.
+		if err := c.tls.SendSessionTicket(tls.QUICSessionTicketOptions{EarlyData: true}); err == nil {
+			mTicketsIssued.Inc()
+			if c.trace != nil {
+				c.trace.Event("session_ticket_sent")
+			}
+		}
+	}
+	if l.policy.UseRetry {
+		// A validating server hands the client a NEW_TOKEN so its next
+		// connection skips the Retry round trip (RFC 9000, 8.1.3). It
+		// binds the address the handshake completed from.
+		app.outFrames = append(app.outFrames, &quicwire.NewTokenFrame{Token: l.retry.mintResumption(c.remote)})
+	}
+	if l.serve != nil {
+		go l.serve(c)
+	}
 }

@@ -266,7 +266,7 @@ func TestTransportDropReasons(t *testing.T) {
 				t.Fatal(err)
 			}
 			scfg, _ := serverConfig(t, "drops.test")
-			if _, err := Listen(pc, scfg, ServerPolicy{}); err != nil {
+			if _, err := Listen(pc, scfg, ServerPolicy{}, nil); err != nil {
 				t.Fatal(err)
 			}
 			peer, err := n.DialUDP()

@@ -272,6 +272,69 @@ func TestStreamPlane(t *testing.T) {
 	}
 }
 
+// TestStreamListenerSeveralAddresses: one listener answers on every
+// address it binds, each accepted connection says which was dialled,
+// and a bind that collides binds nothing.
+func TestStreamListenerSeveralAddresses(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	addrs := []netip.AddrPort{ap("192.0.2.1:443"), ap("[2001:db8::1]:443")}
+	l, err := n.ListenStream(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs {
+		c, err := n.DialStream(a)
+		if err != nil {
+			t.Fatalf("dial %v: %v", a, err)
+		}
+		defer c.Close()
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.LocalAddr().String(); got != a.String() {
+			t.Errorf("accepted connection's local address = %s, want %s", got, a)
+		}
+	}
+	if _, err := n.ListenStream(ap("192.0.2.2:443"), addrs[1]); err == nil {
+		t.Error("a bind over an address in use succeeded")
+	}
+	if _, err := n.DialStream(ap("192.0.2.2:443")); err != ErrConnectionRefused {
+		t.Errorf("a failed bind left 192.0.2.2:443 bound: dial = %v", err)
+	}
+	l.Close()
+	for _, a := range addrs {
+		if _, err := n.DialStream(a); err != ErrConnectionRefused {
+			t.Errorf("dial %v after Close = %v", a, err)
+		}
+	}
+}
+
+// TestStreamListenerCloseResetsQueued: a connection dialled but never
+// accepted fails at once when its listener closes, as a kernel's reset
+// makes it, instead of waiting out its read deadline.
+func TestStreamListenerCloseResetsQueued(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	l, err := n.ListenStream(ap("192.0.2.1:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.DialStream(ap("192.0.2.1:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l.Close()
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	_, err = c.Read(make([]byte, 1))
+	if err == nil || os.IsTimeout(err) {
+		t.Errorf("read on a connection its listener dropped = %v, want an immediate error", err)
+	}
+}
+
 func TestEphemeralAddressesUnique(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()

@@ -8,20 +8,24 @@ import (
 	"sync"
 )
 
-// streamListener is a simulated TCP listener.
+// streamListener is a simulated TCP listener, bound to one address or
+// to several: a server that answers for many hosts accepts from one.
 type streamListener struct {
 	net    *Network
-	addr   netip.AddrPort
+	addrs  []netip.AddrPort
 	accept chan net.Conn
 	done   chan struct{}
 	once   sync.Once
 }
 
-// ListenStream binds a TCP-like listener at a fixed address.
-func (n *Network) ListenStream(at netip.AddrPort) (net.Listener, error) {
+// ListenStream binds a TCP-like listener at one fixed address or more;
+// a connection to any of them is accepted from it, and its LocalAddr
+// says which was dialled. Binding fails, and binds nothing, if one of
+// them is in use.
+func (n *Network) ListenStream(at ...netip.AddrPort) (net.Listener, error) {
 	l := &streamListener{
 		net:    n,
-		addr:   at,
+		addrs:  at,
 		accept: make(chan net.Conn, 64),
 		done:   make(chan struct{}),
 	}
@@ -30,10 +34,14 @@ func (n *Network) ListenStream(at netip.AddrPort) (net.Listener, error) {
 	if n.closed {
 		return nil, errNetClosed
 	}
-	if _, exists := n.listeners[at]; exists {
-		return nil, fmt.Errorf("simnet: stream address %v in use", at)
+	for _, a := range at {
+		if n.listeners[a] != nil {
+			return nil, fmt.Errorf("simnet: stream address %v in use", a)
+		}
 	}
-	n.listeners[at] = l
+	for _, a := range at {
+		n.listeners[a] = l
+	}
 	return l, nil
 }
 
@@ -47,21 +55,38 @@ func (l *streamListener) Accept() (net.Conn, error) {
 	}
 }
 
-// Close implements net.Listener.
+// Close implements net.Listener. Connections still queued, which nobody
+// will accept now, are closed, so their dialers fail at once, as a
+// kernel's reset would make them, instead of waiting out a deadline.
 func (l *streamListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.net.mu.Lock()
-		if l.net.listeners[l.addr] == l {
-			delete(l.net.listeners, l.addr)
+		for _, a := range l.addrs {
+			if l.net.listeners[a] == l {
+				delete(l.net.listeners, a)
+			}
 		}
 		l.net.mu.Unlock()
+		l.resetQueued()
 	})
 	return nil
 }
 
-// Addr implements net.Listener.
-func (l *streamListener) Addr() net.Addr { return net.TCPAddrFromAddrPort(l.addr) }
+// resetQueued closes every connection waiting in the accept queue.
+func (l *streamListener) resetQueued() {
+	for {
+		select {
+		case c := <-l.accept:
+			c.Close()
+		default:
+			return
+		}
+	}
+}
+
+// Addr implements net.Listener: the first address bound.
+func (l *streamListener) Addr() net.Addr { return net.TCPAddrFromAddrPort(l.addrs[0]) }
 
 // ErrConnectionRefused is returned by DialStream when nothing listens
 // at the destination.
@@ -87,6 +112,11 @@ func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
 	server := &streamConn{Conn: c2, local: dst, remote: clientAddr}
 	select {
 	case l.accept <- server:
+		select {
+		case <-l.done: // Close may have drained the queue before this arrived
+			l.resetQueued()
+		default:
+		}
 		return client, nil
 	case <-l.done:
 		return nil, ErrConnectionRefused

@@ -324,7 +324,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"quic_listener_conns ",
 		"quic_listener_late_packets_total ",
 		"quic_listener_drops_total{reason=\"token\"} ",
-		"quic_listener_drops_total{reason=\"accept_queue\"} ",
 		"quic_listener_drops_total{reason=\"short_initial\"} ",
 		"quic_listener_drops_total{reason=\"draining_initial\"} ",
 		"quic_listener_drops_total{reason=\"no_route\"} ",
