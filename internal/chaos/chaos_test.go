@@ -150,7 +150,7 @@ func TestChaosRebindForcedAgainstDisabled(t *testing.T) {
 		t.Skip("chaos tier skipped in -short mode")
 	}
 	cfg := simnet.Config{Seed: 43, Profile: DefaultProfile()}
-	w, err := NewWorldPolicy(20, cfg, quic.ServerPolicy{DisableMigration: true})
+	w, err := NewWorldPolicy(20, cfg, quic.ServerPolicy{Quirks: quic.Quirks{Migration: quic.MigrationDisabled}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type RebindConfig struct {
 	// Force replaces the passive-survival flow with an explicit
 	// MigrateForce after the rebind: the client insists on the new
 	// path even when the server refuses migration. Against a
-	// DisableMigration world every flow must die.
+	// quic.MigrationDisabled world every flow must die.
 	Force bool
 }
 

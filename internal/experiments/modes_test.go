@@ -8,6 +8,7 @@ import (
 	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
 	"quicscan/internal/migration"
+	"quicscan/internal/quic"
 	"quicscan/internal/resumption"
 )
 
@@ -17,12 +18,12 @@ import (
 // modes_*.golden). No network: this is also the only tier-1 cover of
 // the MIGRATION table, which smallCampaign leaves off.
 func TestModeTablesGolden(t *testing.T) {
-	nginx := &internet.Profile{Name: "nginx", Impl: "nginx-quic", Quirks: internet.Quirks{
-		Migration: internet.MigrationDisabled, Resumption: internet.Resumption0RTT}}
-	google := &internet.Profile{Name: "google", Impl: "google-quic", Quirks: internet.Quirks{
-		Migration: internet.MigrationSupported, Resumption: internet.ResumptionNoTicket}}
-	amazon := &internet.Profile{Name: "amazon", Impl: "cloud-mixed", Quirks: internet.Quirks{
-		Migration: internet.MigrationValidateBreak, Resumption: internet.ResumptionDowngrade}}
+	nginx := &internet.Profile{Name: "nginx", Impl: "nginx-quic", Quirks: quic.Quirks{
+		Migration: quic.MigrationDisabled, Resumption: quic.Resumption0RTT}}
+	google := &internet.Profile{Name: "google", Impl: "google-quic", Quirks: quic.Quirks{
+		Migration: quic.MigrationSupported, Resumption: quic.ResumptionNoTicket}}
+	amazon := &internet.Profile{Name: "amazon", Impl: "cloud-mixed", Quirks: quic.Quirks{
+		Migration: quic.MigrationValidateBreak, Resumption: quic.ResumptionDowngrade}}
 	// Profiles deliberately interleaved and out of name order.
 	deps := []*internet.Deployment{
 		{Profile: nginx}, {Profile: google}, {Profile: amazon}, {Profile: google}, {Profile: nginx},

@@ -143,7 +143,7 @@ func TestServerGoroutinesFollowConnections(t *testing.T) {
 	srv := &Server{Handler: func(*Request) *Response { return &Response{Status: "200"} }}
 	l, err := quic.Listen(spc, &quic.Config{
 		TLS: &tls.Config{Certificates: []tls.Certificate{cert}, NextProtos: []string{"h3"}},
-	}, quic.ServerPolicy{RequireSNI: func(sni string) bool { return sni != "" }}, srv.ServeConn)
+	}, quic.ServerPolicy{RequireSNI: true}, srv.ServeConn)
 	if err != nil {
 		t.Fatal(err)
 	}

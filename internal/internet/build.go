@@ -392,7 +392,7 @@ func fbEdgeProfile() *Profile {
 	return &Profile{
 		Name:       "facebook-edge",
 		Impl:       "mvfst-edge",
-		Quirks:     Quirks{Retry: RetryStrictClose, RejectGreaseTP: true},
+		Quirks:     quic.Quirks{Retry: quic.RetryStrictClose, RejectUnknownTP: true},
 		VersionSet: vFacebook,
 		ALPNSet:    aFacebook,
 		Mix:        BehaviorMix{{B: BehaviorActive, W: 1}},
@@ -410,7 +410,7 @@ func gvsEdgeProfile() *Profile {
 	return &Profile{
 		Name:           "google-edge",
 		Impl:           "gvs",
-		Quirks:         Quirks{KeyUpdate: quic.KeyUpdateIgnore, RejectGreaseTP: true, Migration: MigrationValidateBreak},
+		Quirks:         quic.Quirks{KeyUpdate: quic.KeyUpdateIgnore, RejectUnknownTP: true, Migration: quic.MigrationValidateBreak},
 		VersionSet:     vGoogle,
 		ALPNSet:        aGoogle,
 		Mix:            BehaviorMix{{B: BehaviorActive, W: 1}},
@@ -423,7 +423,7 @@ func liteSpeedProfile() *Profile {
 	return &Profile{
 		Name:       "litespeed",
 		Impl:       "litespeed",
-		Quirks:     Quirks{GreaseVN: true, DisableStatelessReset: true},
+		Quirks:     quic.Quirks{GreaseVN: true, DisableStatelessReset: true},
 		VersionSet: vIETF,
 		ALPNSet:    aLiteSpeed,
 		HTTPSRR:    true,
@@ -445,7 +445,7 @@ func nginxProfile() *Profile {
 	return &Profile{
 		Name:       "nginx",
 		Impl:       "nginx-quic",
-		Quirks:     Quirks{DisableStatelessReset: true, RejectGreaseTP: true, Migration: MigrationDisabled},
+		Quirks:     quic.Quirks{DisableStatelessReset: true, RejectUnknownTP: true, Migration: quic.MigrationDisabled},
 		VersionSet: vIETF,
 		ALPNSet:    aIETF,
 		Mix: BehaviorMix{
@@ -467,7 +467,7 @@ func caddyProfile() *Profile {
 	return &Profile{
 		Name:           "caddy",
 		Impl:           "caddy-quicgo",
-		Quirks:         Quirks{GreaseVN: true, Retry: RetryLax},
+		Quirks:         quic.Quirks{GreaseVN: true, Retry: quic.RetryLax},
 		VersionSet:     vIETF,
 		ALPNSet:        aIETF,
 		HTTPSRR:        true,
@@ -508,7 +508,7 @@ func unpaddedProfile() *Profile {
 	p.Name = "unpadded-responder"
 	p.Impl = "unpadded-responder"
 	p.RespondToUnpadded = true
-	p.Quirks = Quirks{IdleCloseNotify: true, Migration: MigrationDisabled}
+	p.Quirks = quic.Quirks{IdleCloseNotify: true, Migration: quic.MigrationDisabled}
 	return p
 }
 

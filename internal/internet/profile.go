@@ -65,125 +65,17 @@ type BehaviorMix []struct {
 	W float64
 }
 
-// RetryQuirk selects a profile's Retry/address-validation behaviour.
-type RetryQuirk int
-
+// The benchmark harness under bench/ names these four quirk values and
+// Profile.UseRetry, and that harness changes only together with the
+// benchmark it measures. They remain for it alone: everything else
+// names quic's values. Once the benchmark moves to quic's names, this
+// block and UseRetry go.
 const (
-	// RetryOff performs no Retry unless Profile.UseRetry is set (in
-	// which case invalid tokens are silently dropped, like
-	// RetryStrictDrop).
-	RetryOff RetryQuirk = iota
-	// RetryStrictDrop validates tokens and silently drops Initials
-	// carrying invalid ones.
-	RetryStrictDrop
-	// RetryStrictClose validates tokens and refuses invalid ones with
-	// an immediate INVALID_TOKEN (0x0b) close.
-	RetryStrictClose
-	// RetryLax demands a token but accepts any non-empty value.
-	RetryLax
+	RetryOff               = quic.RetryOff
+	Resumption0RTT         = quic.Resumption0RTT
+	ResumptionTicketNo0RTT = quic.ResumptionTicketNo0RTT
+	ResumptionDowngrade    = quic.ResumptionDowngrade
 )
-
-// MigrationQuirk selects a profile's connection-migration behaviour —
-// what its deployments do when an established client's address changes
-// (NAT rebinding or deliberate migration, RFC 9000, Section 9).
-type MigrationQuirk int
-
-const (
-	// MigrationSupported validates the new path with PATH_CHALLENGE and
-	// migrates to it — the RFC-conforming default.
-	MigrationSupported MigrationQuirk = iota
-	// MigrationDisabled ignores peer address changes entirely: no
-	// PATH_CHALLENGE is sent and traffic keeps targeting the old
-	// address, so a rebound client goes dark (stateless load balancers
-	// that hash on the 4-tuple).
-	MigrationDisabled
-	// MigrationValidateBreak walks the validation handshake correctly
-	// and then closes the connection instead of switching paths — the
-	// half-implemented middle ground the migration scan mode exists to
-	// expose.
-	MigrationValidateBreak
-)
-
-func (m MigrationQuirk) String() string {
-	switch m {
-	case MigrationSupported:
-		return "supported"
-	case MigrationDisabled:
-		return "disabled"
-	case MigrationValidateBreak:
-		return "validate-break"
-	}
-	return fmt.Sprintf("MigrationQuirk(%d)", int(m))
-}
-
-// ResumptionQuirk selects a profile's session-resumption and 0-RTT
-// behaviour — what a returning client experiences when it presents the
-// session ticket from an earlier visit (RFC 9000, Section 7.4.1; the
-// resumption scan mode classifies deployments into exactly these
-// classes, so the String values double as its verdict vocabulary).
-type ResumptionQuirk int
-
-const (
-	// Resumption0RTT issues tickets with early data enabled and accepts
-	// the returning client's 0-RTT flight — the full fast path (the
-	// zero-value default).
-	Resumption0RTT ResumptionQuirk = iota
-	// ResumptionNoTicket never issues session tickets: every visit pays
-	// the full handshake (stateless frontends without shared ticket
-	// keys).
-	ResumptionNoTicket
-	// ResumptionTicketNo0RTT issues tickets and resumes sessions but
-	// declines the early data each time, forcing a 1-RTT replay (the
-	// anti-replay-cautious configuration).
-	ResumptionTicketNo0RTT
-	// ResumptionDowngrade resumes with reduced flow-control limits,
-	// violating RFC 9000, Section 7.4.1; conforming clients abort with
-	// PROTOCOL_VIOLATION (a resumption path reading a staler, smaller
-	// configuration than the full-handshake path).
-	ResumptionDowngrade
-)
-
-func (r ResumptionQuirk) String() string {
-	switch r {
-	case Resumption0RTT:
-		return "0rtt"
-	case ResumptionNoTicket:
-		return "no-ticket"
-	case ResumptionTicketNo0RTT:
-		return "ticket-no-0rtt"
-	case ResumptionDowngrade:
-		return "0rtt-downgrade"
-	}
-	return fmt.Sprintf("ResumptionQuirk(%d)", int(r))
-}
-
-// Quirks are small implementation-level behavioural deviations, wired
-// through quic.ServerPolicy for this profile's stateful listeners.
-// Each simulated implementation enables a distinct pair, so the
-// fingerprint scenario engine (internal/fingerprint) can classify
-// deployments with pairwise signature distances of at least two cells.
-type Quirks struct {
-	// GreaseVN appends a reserved version to VN responses for
-	// non-standard reserved probe versions (quic.ServerPolicy.GreaseVN).
-	GreaseVN bool
-	// Retry selects address-validation behaviour.
-	Retry RetryQuirk
-	// DisableStatelessReset keeps the deployment silent instead of
-	// answering orphan 1-RTT packets with a stateless reset.
-	DisableStatelessReset bool
-	// KeyUpdate is the reaction to client-initiated key updates.
-	KeyUpdate quic.KeyUpdatePolicy
-	// RejectGreaseTP closes on unknown (GREASE) transport parameters
-	// with TRANSPORT_PARAMETER_ERROR instead of ignoring them.
-	RejectGreaseTP bool
-	// IdleCloseNotify announces idle teardown with
-	// CONNECTION_CLOSE(NO_ERROR) instead of going silent.
-	IdleCloseNotify bool
-	// Migration is the deployment's reaction to peer address changes.
-	Migration MigrationQuirk
-	// Resumption is the deployment's session-resumption behaviour.
-	Resumption ResumptionQuirk
-}
 
 // Profile describes one provider's deployment blueprint.
 type Profile struct {
@@ -198,8 +90,12 @@ type Profile struct {
 	Impl string
 
 	// Quirks are the implementation-distinguishing edge-case behaviours
-	// of this profile's stateful deployments.
-	Quirks Quirks
+	// of this profile's stateful deployments, handed to their listeners
+	// as they are. Each simulated implementation enables a distinct
+	// combination, so the fingerprint scenario engine
+	// (internal/fingerprint) can classify deployments with pairwise
+	// signature distances of at least two cells.
+	Quirks quic.Quirks
 
 	// VersionSet returns the versions advertised in version
 	// negotiation for a calendar week; nil disables VN responses
@@ -233,8 +129,9 @@ type Profile struct {
 	// violating RFC 9000 (the paper's Section 3.1 single-AS anomaly).
 	RespondToUnpadded bool
 
-	// UseRetry performs Retry-based address validation before
-	// handshakes (Facebook's mvfst deployments).
+	// UseRetry is set by no profile and read only by the benchmark
+	// harness; see the constant block above. Quirks.Retry selects
+	// address validation.
 	UseRetry bool
 
 	// CertRotationWeekly reissues leaf certificates every week

@@ -207,32 +207,17 @@ func (d *Deployment) ListenerSetup(week int, tlsCfg *tls.Config) (*quic.Config, 
 		Versions:        d.acceptedVersions(week),
 		TransportParams: d.TPConfig,
 	}
-	q := d.Profile.Quirks
 	policy := quic.ServerPolicy{
-		AdvertisedVersions:     d.quicVersionsForWeek(week),
-		AcceptVersions:         d.acceptedVersions(week),
-		RespondToUnpadded:      d.Profile.RespondToUnpadded,
-		UseRetry:               d.Profile.UseRetry || q.Retry != RetryOff,
-		GreaseVN:               q.GreaseVN,
-		InvalidTokenClose:      q.Retry == RetryStrictClose,
-		AcceptAnyToken:         q.Retry == RetryLax,
-		KeyUpdate:              q.KeyUpdate,
-		RejectUnknownTP:        q.RejectGreaseTP,
-		DisableStatelessReset:  q.DisableStatelessReset,
-		IdleCloseNotify:        q.IdleCloseNotify,
-		DisableMigration:       q.Migration == MigrationDisabled,
-		MigrationValidateBreak: q.Migration == MigrationValidateBreak,
-		DisableSessionTickets:  q.Resumption == ResumptionNoTicket,
-		Decline0RTTOnResume:    q.Resumption == ResumptionTicketNo0RTT,
-		ResumptionTPDowngrade:  q.Resumption == ResumptionDowngrade,
+		AdvertisedVersions: d.quicVersionsForWeek(week),
+		RespondToUnpadded:  d.Profile.RespondToUnpadded,
+		Quirks:             d.Profile.Quirks,
 	}
 	if !d.ZMapVisible {
 		// Alt-Svc-only deployments stay invisible to forced VN.
 		policy.AdvertisedVersions = []quicwire.Version{}
 	}
 	if d.Behavior == BehaviorRequireSNI {
-		policy.RequireSNI = func(sni string) bool { return sni != "" }
-		policy.CloseCode = quicwire.CryptoError0x128
+		policy.RequireSNI = true
 		policy.CloseReason = closeReasonFor(d.Provider)
 	}
 	return cfg, policy

@@ -262,7 +262,7 @@ func cloudflareProfile() *Profile {
 	return &Profile{
 		Name:       "cloudflare",
 		Impl:       "cloudflare-quiche",
-		Quirks:     Quirks{GreaseVN: true, IdleCloseNotify: true, Migration: MigrationDisabled},
+		Quirks:     quic.Quirks{GreaseVN: true, IdleCloseNotify: true, Migration: quic.MigrationDisabled},
 		VersionSet: vCloudflare,
 		ALPNSet:    aCloudflare,
 		HTTPSRR:    true,
@@ -280,7 +280,7 @@ func googleProfile() *Profile {
 	return &Profile{
 		Name:           "google",
 		Impl:           "google-quic",
-		Quirks:         Quirks{DisableStatelessReset: true, KeyUpdate: quic.KeyUpdateRefuse, Resumption: ResumptionNoTicket},
+		Quirks:         quic.Quirks{DisableStatelessReset: true, KeyUpdate: quic.KeyUpdateRefuse, Resumption: quic.ResumptionNoTicket},
 		VersionSet:     vGoogle,
 		AcceptVersions: []quicwire.Version{quicwire.VersionGoogleQ050}, // IETF versions advertised but not accepted: the roll-out anomaly
 		ALPNSet:        aGoogle,
@@ -301,7 +301,7 @@ func akamaiProfile() *Profile {
 	return &Profile{
 		Name:       "akamai",
 		Impl:       "akamai-quic",
-		Quirks:     Quirks{GreaseVN: true, KeyUpdate: quic.KeyUpdateRefuse, Migration: MigrationDisabled},
+		Quirks:     quic.Quirks{GreaseVN: true, KeyUpdate: quic.KeyUpdateRefuse, Migration: quic.MigrationDisabled},
 		VersionSet: vAkamai,
 		ALPNSet:    aQuicOnly,
 		Mix: BehaviorMix{
@@ -317,7 +317,7 @@ func fastlyProfile() *Profile {
 	return &Profile{
 		Name:       "fastly",
 		Impl:       "fastly-quicly",
-		Quirks:     Quirks{Retry: RetryStrictClose, DisableStatelessReset: true, Migration: MigrationValidateBreak},
+		Quirks:     quic.Quirks{Retry: quic.RetryStrictClose, DisableStatelessReset: true, Migration: quic.MigrationValidateBreak},
 		VersionSet: vFastly,
 		ALPNSet:    aIETF,
 		Mix: BehaviorMix{
@@ -333,11 +333,10 @@ func facebookProfile() *Profile {
 	return &Profile{
 		Name:       "facebook",
 		Impl:       "mvfst-origin",
-		Quirks:     Quirks{Retry: RetryStrictDrop, IdleCloseNotify: true},
+		Quirks:     quic.Quirks{Retry: quic.RetryStrictDrop, IdleCloseNotify: true},
 		VersionSet: vFacebook,
 		ALPNSet:    aFacebook,
 		Mix:        BehaviorMix{{B: BehaviorActive, W: 1}},
-		UseRetry:   true,
 		TPConfigOf: func(i int) transportparamsParameters {
 			if i%2 == 0 {
 				return tpFacebook1500
@@ -352,7 +351,7 @@ func hostingProfile() *Profile {
 	return &Profile{
 		Name:       "hosting",
 		Impl:       "hosting-lsws",
-		Quirks:     Quirks{RejectGreaseTP: true, IdleCloseNotify: true, Resumption: ResumptionTicketNo0RTT},
+		Quirks:     quic.Quirks{RejectUnknownTP: true, IdleCloseNotify: true, Resumption: quic.ResumptionTicketNo0RTT},
 		VersionSet: vIETF,
 		ALPNSet:    aLiteSpeed,
 		HTTPSRR:    true,
@@ -380,7 +379,7 @@ func cloudProfile() *Profile {
 	return &Profile{
 		Name:       "cloud",
 		Impl:       "cloud-mixed",
-		Quirks:     Quirks{KeyUpdate: quic.KeyUpdateIgnore, IdleCloseNotify: true, Migration: MigrationValidateBreak, Resumption: ResumptionDowngrade},
+		Quirks:     quic.Quirks{KeyUpdate: quic.KeyUpdateIgnore, IdleCloseNotify: true, Migration: quic.MigrationValidateBreak, Resumption: quic.ResumptionDowngrade},
 		VersionSet: vIETF,
 		ALPNSet:    aIETF,
 		HTTPSRR:    true,

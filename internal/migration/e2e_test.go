@@ -10,6 +10,7 @@ import (
 	"quicscan/internal/internet"
 	"quicscan/internal/migration"
 	"quicscan/internal/probe"
+	"quicscan/internal/quic"
 )
 
 // TestE2EClassification probes every BehaviorActive deployment of a
@@ -28,7 +29,7 @@ func TestE2EClassification(t *testing.T) {
 	defer u.Stop()
 
 	var targets []probe.Target
-	var truth []internet.MigrationQuirk
+	var truth []quic.MigrationPolicy
 	for _, d := range u.Deployments {
 		if d.Behavior != internet.BehaviorActive {
 			continue
@@ -92,7 +93,7 @@ func TestTPOnlyFallback(t *testing.T) {
 		switch {
 		case disabled == nil && d.TPConfig.DisableActiveMigration:
 			disabled = d
-		case supported == nil && !d.TPConfig.DisableActiveMigration && d.Profile.Quirks.Migration == internet.MigrationSupported:
+		case supported == nil && !d.TPConfig.DisableActiveMigration && d.Profile.Quirks.Migration == quic.MigrationSupported:
 			supported = d
 		}
 	}

@@ -21,7 +21,7 @@ import (
 )
 
 // Verdict names. The behavioral classes mirror
-// internet.MigrationQuirk.String() so simulated ground truth and scan
+// quic.MigrationPolicy.String() so simulated ground truth and scan
 // output compare directly; the tp-* classes are the low-confidence
 // fallback when the socket cannot rebind (plain kernel sockets) and
 // only the advertised transport parameter is observable.

@@ -229,16 +229,6 @@ type Conn struct {
 	sessionCache *SessionCache
 	sessionKey   string
 	tlsParamsFn  func() []byte
-
-	// forceCloseCode, when non-zero, overrides the CONNECTION_CLOSE
-	// error code chosen for TLS failures. The simulated deployments
-	// use it to reproduce provider-specific close behaviour such as
-	// the generic crypto error 0x128. Guarded by policyMu, not mu: it
-	// is written from TLS callbacks that run while mu is held. policyMu
-	// is Atomic, as a lock is.
-	policyMu         sync.Mutex
-	forceCloseCode   quicwire.TransportError
-	forceCloseReason string
 }
 
 // peerConnID is an alternate connection ID issued by the peer via
@@ -247,21 +237,6 @@ type peerConnID struct {
 	seq   uint64
 	id    quicwire.ConnID
 	token [16]byte
-}
-
-// setForcedClose records a policy-mandated close code. Safe to call
-// from TLS callbacks.
-func (c *Conn) setForcedClose(code quicwire.TransportError, reason string) {
-	c.policyMu.Lock()
-	c.forceCloseCode = code
-	c.forceCloseReason = reason
-	c.policyMu.Unlock()
-}
-
-func (c *Conn) forcedClose() (quicwire.TransportError, string) {
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
-	return c.forceCloseCode, c.forceCloseReason
 }
 
 // clientPolicy is the ServerPolicy of a connection with no Listener: a

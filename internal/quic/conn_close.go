@@ -56,18 +56,23 @@ func (c *Conn) closeWithTransportErrorLocked(code quicwire.TransportError, reaso
 }
 
 // closeWithTLSErrorLocked maps a crypto/tls handshake error onto a
-// CONNECTION_CLOSE crypto error frame (RFC 9001, Section 4.8).
+// CONNECTION_CLOSE crypto error frame (RFC 9001, Section 4.8). A
+// RequireSNI refusal goes out as the generic crypto error 0x128 with
+// the policy's reason phrase.
 func (c *Conn) closeWithTLSErrorLocked(err error) {
 	code := quicwire.CryptoError(80) // internal_error
+	reason := ""
 	var alert tls.AlertError
-	if errors.As(err, &alert) {
+	switch {
+	case errors.Is(err, errSNIRequired):
+		code, reason = quicwire.CryptoError0x128, c.policy().CloseReason
+		if reason == "" {
+			reason = "handshake failure"
+		}
+	case errors.As(err, &alert):
 		code = quicwire.CryptoError(uint8(alert))
 	}
-	forcedCode, forcedReason := c.forcedClose()
-	if forcedCode != 0 {
-		code = forcedCode
-	}
-	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: forcedReason})
+	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{ErrorCode: uint64(code), ReasonPhrase: reason})
 	terr := &quicwire.TransportErrorError{Code: code, Reason: err.Error()}
 	if !c.handshakeDone && c.hsErr == nil {
 		c.hsErr = terr

@@ -129,7 +129,7 @@ func (c *Conn) drainTLSEvents() error {
 						break
 					}
 				}
-			} else if c.policy().Decline0RTTOnResume {
+			} else if c.policy().Resumption == ResumptionTicketNo0RTT {
 				// Quirk: issue early-data-capable tickets but refuse the
 				// 0-RTT offer on resumption (ticket-no-0rtt profiles).
 				ev.SessionState.EarlyData = false

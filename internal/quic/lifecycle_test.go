@@ -213,7 +213,7 @@ func TestServerConnLifecycle(t *testing.T) {
 		{"local-close", established(nil, ServerPolicy{}, func(_ *Listener, _, server *Conn) { server.Close() })},
 		{"local-close-with-error", established(nil, ServerPolicy{}, func(_ *Listener, _, server *Conn) { server.CloseWithError(7, "done") })},
 		{"idle-timeout", established(func(c *Config) { c.MaxIdleTimeout = 250 * time.Millisecond }, ServerPolicy{}, func(*Listener, *Conn, *Conn) {})},
-		{"idle-timeout-notify", established(func(c *Config) { c.MaxIdleTimeout = 250 * time.Millisecond }, ServerPolicy{IdleCloseNotify: true}, func(*Listener, *Conn, *Conn) {})},
+		{"idle-timeout-notify", established(func(c *Config) { c.MaxIdleTimeout = 250 * time.Millisecond }, ServerPolicy{Quirks: Quirks{IdleCloseNotify: true}}, func(*Listener, *Conn, *Conn) {})},
 		{"listener-close", established(nil, ServerPolicy{}, func(l *Listener, _, _ *Conn) { l.Close() })},
 		{"handshake-timeout", halfOpen(func(c *Config) { c.HandshakeTimeout = 100 * time.Millisecond; c.MaxPTOs = -1 })},
 		{"pto-exhaustion", halfOpen(func(c *Config) { c.PTO = 5 * time.Millisecond; c.MaxPTOs = 2 })},

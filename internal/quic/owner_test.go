@@ -13,7 +13,7 @@ import (
 
 // ownerMarker is how a comment names what keeps a field consistent: the
 // lock that guards it, or why it needs none (DESIGN.md section 5).
-var ownerMarker = regexp.MustCompile(`\b(Guarded by c\.mu|Guarded by policyMu|Set once before publication|Atomic)\b`)
+var ownerMarker = regexp.MustCompile(`\b(Guarded by c\.mu|Set once before publication|Atomic)\b`)
 
 // TestEveryFieldHasAnOwner fails on a field of a connection's state
 // whose owner is not written down. A marker in a type's doc comment

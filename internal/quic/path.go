@@ -182,7 +182,7 @@ func (c *Conn) notePeerAddressLocked(dgramLen int) {
 		// bindings. Promote without a fresh round trip.
 		c.promotePathLocked(p)
 	case pathUnvalidated:
-		if c.policy().DisableMigration {
+		if c.policy().Migration == MigrationDisabled {
 			// Policy quirk: the deployment advertises (or just enforces)
 			// disable_active_migration by pretending not to notice the
 			// move. Traffic keeps flowing to the old, now-dead address.
@@ -349,7 +349,7 @@ func (c *Conn) handlePathChallengeLocked(data [8]byte) {
 			&quicwire.PathResponseFrame{Data: data})
 		return
 	}
-	if c.policy().DisableMigration {
+	if c.policy().Migration == MigrationDisabled {
 		return // the migration-hostile quirk stays silent off-path
 	}
 	p := c.findPathLocked(ap)
@@ -441,7 +441,7 @@ func (c *Conn) promotePathLocked(p *pathState) {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
 	c.ep.routes.rebindAddr(c, oldAP, c.activeAP)
-	if c.policy().MigrationValidateBreak {
+	if c.policy().Migration == MigrationValidateBreak {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.
 		c.closeWithTransportErrorLocked(quicwire.NoError, "migration disabled")

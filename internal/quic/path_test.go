@@ -140,7 +140,7 @@ func TestPathValidationPromotesReboundClient(t *testing.T) {
 // neither validate nor adopt the moved client; traffic stays pointed
 // at the dead address and the connection starves.
 func TestDisableMigrationIgnoresRebound(t *testing.T) {
-	w := newSimWorld(t, ServerPolicy{DisableMigration: true}, nil)
+	w := newSimWorld(t, ServerPolicy{Quirks: Quirks{Migration: MigrationDisabled}}, nil)
 	sc := w.serverConn(t)
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("pre-rebind ping: %v", err)
@@ -169,7 +169,7 @@ func TestDisableMigrationIgnoresRebound(t *testing.T) {
 // quirk must run the full validation handshake and then close the
 // connection cleanly instead of using the promoted path.
 func TestValidateBreakTearsDownAfterPromotion(t *testing.T) {
-	w := newSimWorld(t, ServerPolicy{MigrationValidateBreak: true}, nil)
+	w := newSimWorld(t, ServerPolicy{Quirks: Quirks{Migration: MigrationValidateBreak}}, nil)
 	sc := w.serverConn(t)
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("pre-rebind ping: %v", err)
@@ -202,7 +202,7 @@ func TestValidateBreakTearsDownAfterPromotion(t *testing.T) {
 // MigrateForce against a server that also behaviorally ignores moved
 // peers must fail path validation rather than hang.
 func TestMigrateHonorsDisableActiveMigration(t *testing.T) {
-	w := newSimWorld(t, ServerPolicy{DisableMigration: true}, func(server, client *Config) {
+	w := newSimWorld(t, ServerPolicy{Quirks: Quirks{Migration: MigrationDisabled}}, func(server, client *Config) {
 		server.TransportParams.DisableActiveMigration = true
 	})
 	w.serverConn(t)

@@ -10,9 +10,12 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,48 +230,108 @@ func TestVersionMismatch(t *testing.T) {
 	}
 }
 
-func TestDropAllInitialsTimesOut(t *testing.T) {
-	scfg, pool := serverConfig(t, "drop.test")
-	_, addr := startServer(t, scfg, ServerPolicy{DropAllInitials: true})
+// TestRequireSNIRejectsWith0x128: a RequireSNI listener refuses a
+// ClientHello without server_name with crypto error 0x128, and the
+// reason phrase reaches the client: the policy's, or "handshake
+// failure" by default. The check is one callback shared by every
+// connection, so 16 refused and 16 admitted dials run at once against
+// one listener, and each must get its own answer.
+func TestRequireSNIRejectsWith0x128(t *testing.T) {
+	for _, tc := range []struct{ name, policyReason, wantReason string }{
+		{"policy-reason", "tls handshake failure", "tls handshake failure"},
+		{"default-reason", "", "handshake failure"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg, pool := serverConfig(t, "sni.test")
+			_, addr := startServer(t, scfg, ServerPolicy{RequireSNI: true, CloseReason: tc.policyReason})
 
-	ccfg := clientConfig(pool, "drop.test")
-	ccfg.HandshakeTimeout = 300 * time.Millisecond
-	ccfg.PTO = 50 * time.Millisecond
-	start := time.Now()
-	_, err := Dial(context.Background(), newUDP(t), addr, ccfg)
-	if !errors.Is(err, ErrHandshakeTimeout) {
-		t.Fatalf("err = %v, want handshake timeout", err)
-	}
-	if time.Since(start) < 250*time.Millisecond {
-		t.Error("timed out too early")
+			const each = 16
+			errs := make(chan error, 2*each)
+			var wg sync.WaitGroup
+			for i := 0; i < each; i++ {
+				noSNI, withSNI := newUDP(t), newUDP(t)
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					ccfg := clientConfig(nil, "")
+					ccfg.TLS.InsecureSkipVerify = true
+					_, err := Dial(context.Background(), noSNI, addr, ccfg)
+					var terr *quicwire.TransportErrorError
+					switch {
+					case !errors.As(err, &terr):
+						errs <- fmt.Errorf("without SNI: err = %v (%T), want TransportErrorError", err, err)
+					case terr.Code != quicwire.CryptoError0x128 || terr.Reason != tc.wantReason:
+						errs <- fmt.Errorf("without SNI: code %v reason %q, want CRYPTO_ERROR(0x128) %q", terr.Code, terr.Reason, tc.wantReason)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					conn, err := Dial(context.Background(), withSNI, addr, clientConfig(pool, "sni.test"))
+					if err != nil {
+						errs <- fmt.Errorf("with SNI: %v", err)
+						return
+					}
+					conn.Close()
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }
 
-func TestRequireSNIRejectsWith0x128(t *testing.T) {
-	scfg, pool := serverConfig(t, "sni.test")
-	_, addr := startServer(t, scfg, ServerPolicy{
-		RequireSNI:  func(sni string) bool { return sni != "" },
-		CloseReason: "tls handshake failure",
-	})
+// TestAdvertisedVersions pins the three states of
+// ServerPolicy.AdvertisedVersions against a padded forced-negotiation
+// probe: nil advertises Config.Versions, a non-nil empty slice stays
+// silent, and an explicit list is advertised as it is.
+func TestAdvertisedVersions(t *testing.T) {
+	accepted := []quicwire.Version{quicwire.VersionDraft29, quicwire.Version1}
+	explicit := []quicwire.Version{quicwire.VersionGoogleQ050, quicwire.VersionGoogleQ046}
+	for _, tc := range []struct {
+		name       string
+		advertised []quicwire.Version
+		want       []quicwire.Version // nil: no answer
+	}{
+		{"nil", nil, accepted},
+		{"empty", []quicwire.Version{}, nil},
+		{"explicit", explicit, explicit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg, _ := serverConfig(t, "vn.test")
+			scfg.Versions = accepted
+			_, addr := startServer(t, scfg, ServerPolicy{AdvertisedVersions: tc.advertised})
 
-	// Without SNI: rejected with the generic crypto error 0x128.
-	ccfg := clientConfig(nil, "")
-	ccfg.TLS.InsecureSkipVerify = true
-	_, err := Dial(context.Background(), newUDP(t), addr, ccfg)
-	var terr *quicwire.TransportErrorError
-	if !errors.As(err, &terr) {
-		t.Fatalf("err = %v (%T), want TransportErrorError", err, err)
+			pc := newUDP(t)
+			defer pc.Close()
+			pc.WriteTo(buildProbe(t, quicwire.MinInitialSize), addr)
+			wait := 2 * time.Second
+			if tc.want == nil {
+				wait = 300 * time.Millisecond
+			}
+			pc.SetReadDeadline(time.Now().Add(wait))
+			buf := make([]byte, 2048)
+			n, _, err := pc.ReadFrom(buf)
+			if tc.want == nil {
+				if err == nil {
+					t.Fatalf("got a %d-byte answer, want silence", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("no answer: %v", err)
+			}
+			hdr, _, err := quicwire.ParseLongHeader(buf[:n])
+			if err != nil || hdr.Type != quicwire.PacketVersionNegotiation {
+				t.Fatalf("answer not a version negotiation: %v %v", hdr, err)
+			}
+			if !slices.Equal(hdr.SupportedVersions, tc.want) {
+				t.Errorf("advertised %v, want %v", hdr.SupportedVersions, tc.want)
+			}
+		})
 	}
-	if terr.Code != quicwire.CryptoError0x128 {
-		t.Errorf("code = %v, want CRYPTO_ERROR(0x128)", terr.Code)
-	}
-
-	// With SNI: succeeds.
-	conn, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "sni.test"))
-	if err != nil {
-		t.Fatalf("Dial with SNI: %v", err)
-	}
-	conn.Close()
 }
 
 func TestUnpaddedInitialIgnored(t *testing.T) {

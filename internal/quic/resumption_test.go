@@ -112,7 +112,7 @@ func TestSessionResumptionAnd0RTT(t *testing.T) {
 // issues one, and a follow-up dial runs a full handshake.
 func TestResumptionNoTicket(t *testing.T) {
 	scfg, pool := serverConfig(t, "noticket.test")
-	_, addr := startServer(t, scfg, ServerPolicy{DisableSessionTickets: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Resumption: ResumptionNoTicket}})
 
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
@@ -126,7 +126,7 @@ func TestResumptionNoTicket(t *testing.T) {
 	conn1 := dialFull(t, tr, addr, ccfg)
 	select {
 	case <-conn1.SessionTicketReceived():
-		t.Fatal("received a ticket from a DisableSessionTickets server")
+		t.Fatal("received a ticket from a ResumptionNoTicket server")
 	case <-time.After(500 * time.Millisecond):
 	}
 	conn1.Close()
@@ -137,12 +137,12 @@ func TestResumptionNoTicket(t *testing.T) {
 	}
 }
 
-// TestZeroRTTRejectedReplay: a Decline0RTTOnResume server resumes the
+// TestZeroRTTRejectedReplay: a ResumptionTicketNo0RTT server resumes the
 // session but refuses the early data; the client's 0-RTT flight is
 // replayed in 1-RTT and the request still completes.
 func TestZeroRTTRejectedReplay(t *testing.T) {
 	scfg, pool := serverConfig(t, "no0rtt.test")
-	_, addr := startServer(t, scfg, ServerPolicy{Decline0RTTOnResume: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Resumption: ResumptionTicketNo0RTT}})
 
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
@@ -188,7 +188,7 @@ func TestZeroRTTRejectedReplay(t *testing.T) {
 // falls back to a clean full handshake.
 func TestParameterDowngradeOnResume(t *testing.T) {
 	scfg, pool := serverConfig(t, "downgrade.test")
-	_, addr := startServer(t, scfg, ServerPolicy{ResumptionTPDowngrade: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Resumption: ResumptionDowngrade}})
 
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
@@ -229,7 +229,7 @@ func TestParameterDowngradeOnResume(t *testing.T) {
 // admitted without the extra Retry round trip.
 func TestNewTokenSkipsRetry(t *testing.T) {
 	scfg, pool := serverConfig(t, "token.test")
-	_, addr := startServer(t, scfg, ServerPolicy{UseRetry: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Retry: RetryStrictDrop}})
 
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {

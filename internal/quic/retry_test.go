@@ -3,6 +3,7 @@ package quic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 
 func TestRetryHandshake(t *testing.T) {
 	scfg, pool := serverConfig(t, "retry.test")
-	_, addr := startServer(t, scfg, ServerPolicy{UseRetry: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Retry: RetryStrictDrop}})
 
 	conn, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "retry.test"))
 	if err != nil {
@@ -105,7 +106,7 @@ func TestRetryTokenValidation(t *testing.T) {
 // Retry-tagged token is still dropped.
 func TestStaleNewTokenFallsBackToRetry(t *testing.T) {
 	scfg, pool := serverConfig(t, "stale.test")
-	_, addr := startServer(t, scfg, ServerPolicy{UseRetry: true})
+	_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Retry: RetryStrictDrop}})
 	var foreign retryMinter // another key: what a restarted server leaves clients holding
 	drops := mListenerDropToken.Value()
 
@@ -129,6 +130,52 @@ func TestStaleNewTokenFallsBackToRetry(t *testing.T) {
 	if conn, err := Dial(context.Background(), newUDP(t), addr, ccfg); err == nil {
 		conn.Close()
 		t.Error("dial with a forged Retry token succeeded; it must be dropped")
+	}
+}
+
+// TestRetryPolicies dials a listener of each RetryPolicy with a forged
+// token, as the fingerprint prober does: 32 bytes of 0x5a, tagged
+// neither as a Retry (0x01) nor as a NEW_TOKEN (0x02) token, which
+// would be answered with a fresh Retry.
+func TestRetryPolicies(t *testing.T) {
+	forged := bytes.Repeat([]byte{0x5a}, 32)
+	for _, tc := range []struct {
+		name  string
+		retry RetryPolicy
+		want  string // "complete", "timeout" or "invalid-token"
+	}{
+		{"off", RetryOff, "complete"},
+		{"strict-drop", RetryStrictDrop, "timeout"},
+		{"strict-close", RetryStrictClose, "invalid-token"},
+		{"lax", RetryLax, "complete"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scfg, pool := serverConfig(t, "retry.test")
+			_, addr := startServer(t, scfg, ServerPolicy{Quirks: Quirks{Retry: tc.retry}})
+			ccfg := clientConfig(pool, "retry.test")
+			ccfg.InitialToken = forged
+			ccfg.HandshakeTimeout = 300 * time.Millisecond
+			conn, err := Dial(context.Background(), newUDP(t), addr, ccfg)
+			var terr *quicwire.TransportErrorError
+			switch tc.want {
+			case "complete":
+				if err != nil {
+					t.Fatalf("Dial: %v", err)
+				}
+				if conn.Stats().Retried {
+					t.Error("a forged token drew a Retry")
+				}
+				conn.Close()
+			case "timeout":
+				if !errors.Is(err, ErrHandshakeTimeout) {
+					t.Errorf("err = %v, want handshake timeout", err)
+				}
+			case "invalid-token":
+				if !errors.As(err, &terr) || terr.Code != quicwire.InvalidToken {
+					t.Errorf("err = %v, want INVALID_TOKEN (0x0b)", err)
+				}
+			}
+		})
 	}
 }
 

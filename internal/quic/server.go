@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"quicscan/internal/quiccrypto"
@@ -18,22 +19,17 @@ import (
 // scanning behaviour. The simulated Internet uses it to reproduce the
 // provider quirks the paper documents: servers that ignore the forced
 // version negotiation, servers whose advertised and accepted version
-// sets disagree (Google's IETF QUIC roll-out), servers that silently
-// drop Initials (Akamai/Fastly without SNI), and servers that reject
-// handshakes with the generic crypto error 0x128 (Cloudflare without
-// SNI).
+// sets disagree (Google's IETF QUIC roll-out: advertise one set, accept
+// Config.Versions), and servers that reject handshakes with the generic
+// crypto error 0x128 (Cloudflare without SNI).
 type ServerPolicy struct {
 	// AdvertisedVersions is the list sent in Version Negotiation
-	// packets. nil disables VN responses entirely (such deployments
-	// are invisible to the ZMap module but may still be reachable
-	// statefully).
+	// packets. nil advertises Config.Versions; a non-nil empty slice
+	// sends no VN responses at all (such deployments are invisible to
+	// the ZMap module but may still be reachable statefully). A version
+	// advertised but not in Config.Versions produces the paper's
+	// "version mismatch" behaviour.
 	AdvertisedVersions []quicwire.Version
-
-	// AcceptVersions is the set the server actually completes
-	// handshakes with. If empty, the listener Config.Versions apply.
-	// A version in AdvertisedVersions but not here produces the
-	// paper's "version mismatch" behaviour.
-	AcceptVersions []quicwire.Version
 
 	// RespondToUnpadded makes the server answer forced version
 	// negotiation even for datagrams below 1200 bytes, violating
@@ -41,122 +37,14 @@ type ServerPolicy struct {
 	// in a single AS (Section 3.1).
 	RespondToUnpadded bool
 
-	// DropAllInitials silently discards every Initial packet,
-	// producing the "Timeout" outcome for stateful scans while still
-	// (optionally) answering version negotiation.
-	DropAllInitials bool
-
-	// RequireSNI, when non-nil, is consulted with the ClientHello SNI
-	// value; returning false fails the handshake with CloseCode.
-	RequireSNI func(sni string) bool
-
-	// CloseCode and CloseReason configure the CONNECTION_CLOSE sent
-	// on policy rejections (default: crypto error 0x128 with an
-	// implementation-specific reason phrase, as observed by the
-	// paper).
-	CloseCode   quicwire.TransportError
+	// RequireSNI refuses a ClientHello without server_name with the
+	// generic crypto error 0x128, as the paper observed, carrying
+	// CloseReason (default "handshake failure") as its reason phrase.
+	RequireSNI  bool
 	CloseReason string
 
-	// UseRetry performs address validation: token-less Initials are
-	// answered with a Retry packet (RFC 9000, Section 8.1).
-	UseRetry bool
-
-	// The remaining knobs model implementation quirks: small, legal (or
-	// borderline) behavioural deviations that differ between QUIC
-	// stacks. The fingerprint scenario engine (internal/fingerprint)
-	// classifies implementations by observing them, so each simulated
-	// provider profile enables a distinct combination.
-
-	// GreaseVN appends GreaseVersion to Version Negotiation responses,
-	// but only when the client offered a reserved 0x?a?a?a?a version
-	// other than ForcedNegotiationVersion. The standard ZMap probe
-	// (which always offers ForcedNegotiationVersion) therefore sees the
-	// plain advertised set, keeping the discovery figures calibrated,
-	// while the fingerprint prober's distinct reserved version elicits
-	// the grease entry.
-	GreaseVN bool
-
-	// InvalidTokenClose answers an Initial carrying an invalid or
-	// expired Retry token with an immediate INVALID_TOKEN (0x0b)
-	// CONNECTION_CLOSE instead of silently dropping it (RFC 9000,
-	// Section 8.1.3 permits either).
-	InvalidTokenClose bool
-
-	// AcceptAnyToken skips Retry token validation entirely: any
-	// non-empty token passes. A lax address validator.
-	AcceptAnyToken bool
-
-	// KeyUpdate selects how server connections respond to a
-	// client-initiated key update (RFC 9001, Section 6).
-	KeyUpdate KeyUpdatePolicy
-
-	// RejectUnknownTP closes connections whose client advertised any
-	// unknown (e.g. GREASE) transport parameter with
-	// TRANSPORT_PARAMETER_ERROR (0x8). RFC 9000 Section 7.4.2 requires
-	// ignoring unknown parameters, but early stacks got this wrong.
-	RejectUnknownTP bool
-
-	// DisableStatelessReset suppresses stateless resets for orphan
-	// short-header datagrams; the deployment stays silent instead.
-	DisableStatelessReset bool
-
-	// IdleCloseNotify sends CONNECTION_CLOSE(NO_ERROR) when the idle
-	// timer fires instead of tearing the connection down silently.
-	IdleCloseNotify bool
-
-	// DisableMigration models a deployment that does not support
-	// connection migration at all: peer address changes after the
-	// handshake are ignored (no PATH_CHALLENGE, traffic keeps targeting
-	// the old address) and off-path PATH_CHALLENGEs go unanswered.
-	// Deployments pairing this with DisableActiveMigration in their
-	// transport parameters are honest; pairing it with a permissive
-	// parameter set reproduces load balancers that advertise support
-	// they do not have.
-	DisableMigration bool
-
-	// MigrationValidateBreak models the half-broken middle ground the
-	// migration scan mode exists to find: the server performs path
-	// validation correctly (PATH_CHALLENGE out, PATH_RESPONSE verified)
-	// and then closes the connection the moment it would switch to the
-	// new path.
-	MigrationValidateBreak bool
-
-	// DisableSessionTickets suppresses the NewSessionTicket normally
-	// sent after the handshake, so clients can never resume. Models
-	// deployments that terminate TLS on stateless frontends without a
-	// shared ticket key.
-	DisableSessionTickets bool
-
-	// Decline0RTTOnResume issues tickets with early_data enabled but
-	// declines the early data on every resumed handshake, forcing the
-	// client to replay its 0-RTT flight in 1-RTT. Models deployments
-	// that resume sessions but keep 0-RTT switched off (the common
-	// anti-replay-cautious configuration).
-	Decline0RTTOnResume bool
-
-	// ResumptionTPDowngrade advertises halved flow-control limits on
-	// resumed handshakes only. RFC 9000, Section 7.4.1 forbids reducing
-	// remembered limits while accepting 0-RTT; conforming clients must
-	// close with PROTOCOL_VIOLATION. Models frontends whose resumption
-	// path reads a different (staler, smaller) configuration than the
-	// full-handshake path.
-	ResumptionTPDowngrade bool
+	Quirks
 }
-
-// KeyUpdatePolicy selects a server's reaction to a peer-initiated key
-// update (RFC 9001, Section 6).
-type KeyUpdatePolicy int
-
-const (
-	// KeyUpdateAccept completes the update normally (the default).
-	KeyUpdateAccept KeyUpdatePolicy = iota
-	// KeyUpdateRefuse closes the connection with KEY_UPDATE_ERROR
-	// (0x0e) when the peer flips the key phase.
-	KeyUpdateRefuse
-	// KeyUpdateIgnore silently drops packets protected with the next
-	// key generation, as if they never decrypted.
-	KeyUpdateIgnore
-)
 
 // Listener serves QUIC connections on a PacketConn, demultiplexing by
 // connection ID: the accepting face of an endpoint, as a Transport is
@@ -175,6 +63,8 @@ type Listener struct {
 	// for session resumption: ticket keys are pinned once here, so a
 	// ticket minted on one connection decrypts on every later one
 	// (per-connection clones would each auto-generate their own keys).
+	// A RequireSNI listener's SNI check lives here too, as one
+	// stateless callback.
 	tlsBase *tls.Config
 	retry   retryMinter
 	// serve is the application, started on a goroutine of its own for
@@ -203,6 +93,9 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy, serve fun
 		return nil, err
 	}
 	base.SetSessionTicketKeys([][32]byte{ticketKey})
+	if policy.RequireSNI {
+		base.GetConfigForClient = refuseNoSNI
+	}
 	l := &Listener{
 		cfg:     cfg,
 		policy:  policy,
@@ -258,18 +151,18 @@ func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid [
 	}
 }
 
-// acceptsVersion reports whether the server completes handshakes with v.
-func (l *Listener) acceptsVersion(v quicwire.Version) bool {
-	set := l.policy.AcceptVersions
-	if len(set) == 0 {
-		set = l.cfg.Versions
+// errSNIRequired is a RequireSNI listener's refusal of a ClientHello
+// without server_name. crypto/tls wraps it, and closeWithTLSErrorLocked
+// recognises it to answer with crypto error 0x128.
+var errSNIRequired = errors.New("quic: policy rejected client hello")
+
+// refuseNoSNI is the GetConfigForClient of a RequireSNI listener's
+// shared TLS config: it keeps no state, so every connection uses it.
+func refuseNoSNI(chi *tls.ClientHelloInfo) (*tls.Config, error) {
+	if chi.ServerName == "" {
+		return nil, errSNIRequired
 	}
-	for _, s := range set {
-		if s == v {
-			return true
-		}
-	}
-	return false
+	return nil, nil
 }
 
 func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Addr) {
@@ -279,15 +172,12 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 	// Version negotiation: forced (0x?a?a?a?a), genuinely unsupported,
 	// or unknown-version packets all elicit a VN response if policy
 	// provides an advertised set.
-	if hdr.Version.IsForcedNegotiation() || !l.acceptsVersion(hdr.Version) {
+	if hdr.Version.IsForcedNegotiation() || !slices.Contains(l.cfg.Versions, hdr.Version) {
 		l.maybeSendVersionNegotiation(hdr, len(data), from)
 		return
 	}
 	if hdr.Type != quicwire.PacketInitial {
 		mListenerDropNoRoute.Inc() // Handshake or 0-RTT for no connection
-		return
-	}
-	if l.policy.DropAllInitials {
 		return
 	}
 	// RFC 9000, Section 14.1: servers must drop Initials in datagrams
@@ -301,12 +191,12 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		return
 	}
 	var retryODCID quicwire.ConnID
-	if l.policy.UseRetry {
+	if l.policy.Retry != RetryOff {
 		if len(hdr.Token) == 0 {
 			l.sendRetry(hdr, from)
 			return
 		}
-		if !l.policy.AcceptAnyToken {
+		if l.policy.Retry != RetryLax {
 			odcid, ok := l.retry.validate(from, hdr.Token)
 			if !ok {
 				mListenerDropToken.Inc()
@@ -316,7 +206,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 					// client moved, server key rotated) is treated as absent
 					// (RFC 9000, Section 8.1.3): validate the address afresh.
 					l.sendRetry(hdr, from)
-				case l.policy.InvalidTokenClose:
+				case l.policy.Retry == RetryStrictClose:
 					if pkt, err := AppendInitialClose(nil, hdr, quicwire.InvalidToken, "invalid address validation token"); err == nil {
 						l.socks[0].WriteTo(pkt, from)
 					}
@@ -325,7 +215,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 			}
 			retryODCID = odcid
 		}
-		// AcceptAnyToken: the token is taken at face value and the
+		// RetryLax: the token is taken at face value and the
 		// original destination ID is unknown, so the handshake proceeds
 		// without the Retry transport-parameter authentication (the
 		// client did not see a Retry from us in this exchange).
@@ -422,41 +312,11 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 			"remote", from.String(), "version", c.version.String(), "odcid", fmt.Sprintf("%x", c.origDcid))
 	}
 
-	tlsCfg := l.tlsBase
-	if l.policy.RequireSNI != nil {
-		// The SNI check closes over this connection, so it needs a
-		// per-connection clone; the clone keeps the shared ticket keys.
-		tlsCfg = tlsCfg.Clone()
-		inner := tlsCfg.GetConfigForClient
-		check := l.policy.RequireSNI
-		tlsCfg.GetConfigForClient = func(chi *tls.ClientHelloInfo) (*tls.Config, error) {
-			if !check(chi.ServerName) {
-				// This callback runs on the TLS handshake goroutine
-				// while c.mu may be held by the packet path, so it
-				// must not take c.mu itself.
-				code := l.policy.CloseCode
-				if code == 0 {
-					code = quicwire.CryptoError0x128
-				}
-				reason := l.policy.CloseReason
-				if reason == "" {
-					reason = "handshake failure"
-				}
-				c.setForcedClose(code, reason)
-				return nil, errors.New("quic: policy rejected client hello")
-			}
-			if inner != nil {
-				return inner(chi)
-			}
-			return nil, nil
-		}
-	}
-
 	c.tls = tls.QUICServer(&tls.QUICConfig{
-		TLSConfig: tlsCfg,
+		TLSConfig: l.tlsBase,
 		// Session events put ticket issuance under ServerPolicy control
 		// (SendSessionTicket in handshakeDone) and surface
-		// QUICResumeSession so Decline0RTTOnResume can veto early data.
+		// QUICResumeSession so ResumptionTicketNo0RTT can veto early data.
 		EnableSessionEvents: true,
 	})
 	params := l.cfg.TransportParams
@@ -471,7 +331,7 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	}
 	params.InitialSourceConnectionID = c.scid
 	params.HasInitialSourceConnectionID = true
-	if l.policy.ResumptionTPDowngrade {
+	if l.policy.Resumption == ResumptionDowngrade {
 		// Defer parameter marshaling: crypto/tls only asks for transport
 		// parameters (QUICTransportParametersRequired) after the
 		// ClientHello — and with it any session resumption — has been
@@ -515,7 +375,7 @@ func (l *Listener) handshakeDone(c *Conn) {
 	// Alternate connection IDs (RFC 9000, Section 5.1.1) route to this
 	// connection; each carries its stateless reset token.
 	c.issueConnIDsLocked(2)
-	if !l.policy.DisableSessionTickets {
+	if l.policy.Resumption != ResumptionNoTicket {
 		// The NewSessionTicket's CRYPTO data surfaces as QUICWriteData
 		// events picked up by the drain loop still running above this
 		// call, so the ticket rides the same flight as HANDSHAKE_DONE.
@@ -526,7 +386,7 @@ func (l *Listener) handshakeDone(c *Conn) {
 			}
 		}
 	}
-	if l.policy.UseRetry {
+	if l.policy.Retry != RetryOff {
 		// A validating server hands the client a NEW_TOKEN so its next
 		// connection skips the Retry round trip (RFC 9000, 8.1.3). It
 		// binds the address the handshake completed from.

@@ -9,6 +9,7 @@ import (
 
 	"quicscan/internal/internet"
 	"quicscan/internal/probe"
+	"quicscan/internal/quic"
 	"quicscan/internal/resumption"
 )
 
@@ -26,7 +27,7 @@ func TestE2EClassification(t *testing.T) {
 	defer u.Stop()
 
 	var targets []probe.Target
-	var truth []internet.ResumptionQuirk
+	var truth []quic.ResumptionPolicy
 	var retryServer []bool
 	for _, d := range u.Deployments {
 		if d.Behavior != internet.BehaviorActive {
@@ -41,7 +42,7 @@ func TestE2EClassification(t *testing.T) {
 			SNI:  sni,
 		})
 		truth = append(truth, d.Profile.Quirks.Resumption)
-		retryServer = append(retryServer, d.Profile.UseRetry || d.Profile.Quirks.Retry != internet.RetryOff)
+		retryServer = append(retryServer, d.Profile.Quirks.Retry != quic.RetryOff)
 	}
 	if len(targets) < 20 {
 		t.Fatalf("only %d active deployments at this seed; universe changed?", len(targets))
@@ -93,7 +94,7 @@ func TestNoTicketShortCircuit(t *testing.T) {
 
 	var noTicket *internet.Deployment
 	for _, d := range u.Deployments {
-		if d.Behavior == internet.BehaviorActive && d.Profile.Quirks.Resumption == internet.ResumptionNoTicket {
+		if d.Behavior == internet.BehaviorActive && d.Profile.Quirks.Resumption == quic.ResumptionNoTicket {
 			noTicket = d
 			break
 		}

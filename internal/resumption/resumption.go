@@ -26,7 +26,7 @@ import (
 )
 
 // Verdict names. The behavioural classes mirror
-// internet.ResumptionQuirk.String() so simulated ground truth and
+// quic.ResumptionPolicy.String() so simulated ground truth and
 // scan output compare directly.
 const (
 	Verdict0RTT         = "0rtt"

@@ -106,10 +106,12 @@ go test -race -p 1 -count=1 -run '^Example' $examples
 echo "==> seed-42 report and TSVs equal the committed ones"
 # report.txt and results/ are what this command writes, byte for byte;
 # the manifest.json beside them holds wall-clock values and is not
-# committed. About 20 s, which is why it is here and not a tier-1 test.
+# committed. The three behavioural modes ride along so that their tables
+# (FINGERPRINT, MIGRATION, RESUMPTION) are byte-compared too. About 50 s,
+# which is why it is here and not a tier-1 test.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go run ./cmd/experiments -scale 2048 -seed 42 -out "$tmp/report.txt" -tsv "$tmp/results"
+go run ./cmd/experiments -scale 2048 -seed 42 -fingerprint -migration -resumption -out "$tmp/report.txt" -tsv "$tmp/results"
 diff report.txt "$tmp/report.txt"
 diff -r --exclude=manifest.json results "$tmp/results"
 

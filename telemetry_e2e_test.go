@@ -179,7 +179,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	migFound := false
 	for _, d := range u.Deployments {
 		if d.Behavior == internet.BehaviorActive && d.Addr.Is4() && len(d.Domains) > 0 &&
-			d.Profile.Quirks.Migration == internet.MigrationSupported {
+			d.Profile.Quirks.Migration == quic.MigrationSupported {
 			migTarget = probe.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
 			migFound = true
 			break
@@ -210,7 +210,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	resFound := false
 	for _, d := range u.Deployments {
 		if d.Behavior == internet.BehaviorActive && d.Addr.Is4() && len(d.Domains) > 0 &&
-			d.Profile.Quirks.Resumption == internet.Resumption0RTT {
+			d.Profile.Quirks.Resumption == quic.Resumption0RTT {
 			resTarget = probe.Target{Addr: netip.AddrPortFrom(d.Addr, 443), SNI: d.Domains[0]}
 			resCore = core.Target{Addr: d.Addr, SNI: d.Domains[0], Source: "zmap"}
 			resFound = true
