@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,10 @@ import (
 // TestStatsRaceDuringScan is the torn-read regression test: it
 // hammers Scanner.TransportStats and the registry snapshot while a
 // 256-connection scan is in flight. Any non-atomic counter access in
-// the stats paths shows up under -race.
+// the stats paths shows up under -race. Every reader sees its counts
+// only grow, and the scanner's Transport is the registry's count of its
+// traffic: over the scan each quic_* client series moved by exactly the
+// final TransportStats field it reads.
 func TestStatsRaceDuringScan(t *testing.T) {
 	w := newWorld(t)
 	var servers []netip.Addr
@@ -34,12 +38,39 @@ func TestStatsRaceDuringScan(t *testing.T) {
 		targets[i] = Target{Addr: servers[i%len(servers)], SNI: "race.test"}
 	}
 
+	// The series each TransportStats field feeds (the full table is
+	// quic's TestStatsFeedTheirSeries).
+	series := func(st quic.TransportStats) map[string]uint64 {
+		return map[string]uint64{
+			"quic_dials_total":             st.Dials,
+			"quic_datagrams_in_total":      st.DatagramsIn,
+			"quic_datagrams_out_total":     st.DatagramsOut,
+			"quic_bytes_in_total":          st.BytesIn,
+			"quic_bytes_out_total":         st.BytesOut,
+			"quic_routing_misses_total":    st.RoutingMisses,
+			"quic_late_packets_total":      st.LatePackets,
+			"quic_dropped_datagrams_total": st.Dropped,
+		}
+	}
+	read := func(snap telemetry.Snapshot, name string) uint64 {
+		sum := snap.Counters[name]
+		for sn, v := range snap.Counters {
+			if strings.HasPrefix(sn, name+"{") {
+				sum += v
+			}
+		}
+		return sum
+	}
+	before := telemetry.Default().Snapshot()
+
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var last quic.TransportStats
+			var lastDials uint64
 			for {
 				select {
 				case <-done:
@@ -47,14 +78,19 @@ func TestStatsRaceDuringScan(t *testing.T) {
 				default:
 				}
 				if st, ok := s.TransportStats(); ok {
-					// Consistency property that survives concurrency:
-					// datagram counts never lag behind what any torn
-					// read could produce as garbage (both fit uint64;
-					// the -race detector does the real work here).
-					_ = st.DatagramsIn + st.DatagramsOut
+					if st.Dials < last.Dials || st.DatagramsIn < last.DatagramsIn || st.BytesOut < last.BytesOut {
+						t.Errorf("TransportStats went back: %+v after %+v", st, last)
+						return
+					}
+					last = st
 				}
 				snap := telemetry.Default().Snapshot()
-				_ = snap.Counters["quic_dials_total"]
+				d := snap.Counters["quic_dials_total"]
+				if d < lastDials {
+					t.Errorf("quic_dials_total went back: %d after %d", d, lastDials)
+					return
+				}
+				lastDials = d
 				_ = snap.Histograms["core_handshake_ms"].Count
 			}
 		}()
@@ -72,8 +108,14 @@ func TestStatsRaceDuringScan(t *testing.T) {
 	if !ok {
 		t.Fatal("no transport opened")
 	}
+	after := telemetry.Default().Snapshot()
 	if st.Dials < uint64(len(targets)) {
 		t.Errorf("dials = %d, want >= %d", st.Dials, len(targets))
+	}
+	for name, want := range series(st) {
+		if moved := read(after, name) - read(before, name); moved != want {
+			t.Errorf("%s moved by %d over the scan, want the transport's %d", name, moved, want)
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ func (t *Transport) dialVersion(ctx context.Context, deadline time.Time, remote 
 	c.origDcid = c.dcid
 	c.initPathLocked(remote) // also the address route, for stateless resets
 
-	t.cDials.Add(1)
-	mDials.Inc()
+	t.tally.dials.Add(1)
 	c.scid = quicwire.ConnID(ids[connIDLen:])
 
 	// From registration on the connection is reachable (by a packet, by

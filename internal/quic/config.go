@@ -220,9 +220,9 @@ var ErrParameterDowngrade = errors.New("quic: transport parameters reduced on re
 // Stats captures measurement-relevant facts about one connection
 // attempt: what the scanner records per target and what the
 // behavioural scan modes compute their verdicts from (Retried,
-// PathChallengesReceived). The telemetry registry (quic_* metric
-// family) holds the process-wide aggregates of the same events; it
-// cannot answer for a single connection.
+// PathChallengesReceived). Its counts are the only count of these
+// events: a connection adds Retried, Retransmits and the path and
+// migration counts to their quic_* series once, as it closes.
 type Stats struct {
 	// VersionNegotiation is true if the server replied with a Version
 	// Negotiation packet during the handshake.

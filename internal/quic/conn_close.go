@@ -126,6 +126,7 @@ func (c *Conn) closeLocked(err error) {
 		c.tls.Close()
 	}
 	c.ep.retire(c)
+	c.stats.publish()
 }
 
 // Closed returns a channel closed when the connection dies.

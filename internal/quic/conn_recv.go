@@ -236,9 +236,10 @@ func (c *Conn) handleVersionNegotiationLocked(hdr *quicwire.Header) {
 	// survives this call (Stats, the handshake error) shares one copy.
 	serverVersions := append([]quicwire.Version(nil), hdr.SupportedVersions...)
 	c.stats.ServerVersions = serverVersions
+	// Not from Stats at close: the retry connection also reports this VN.
 	mVNReceived.Inc()
 	for _, v := range serverVersions {
-		vnVersionCounter(v.String()).Inc()
+		mVNByVersion.With(v.String()).Inc()
 	}
 	if c.trace != nil {
 		names := make([]string, len(serverVersions))
@@ -265,7 +266,6 @@ func (c *Conn) handleRetryLocked(hdr *quicwire.Header, pkt []byte) {
 		return
 	}
 	c.stats.Retried = true
-	mRetries.Inc()
 	if c.trace != nil {
 		c.trace.Event("retry_received", "token_len", len(hdr.Token))
 	}

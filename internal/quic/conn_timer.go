@@ -198,7 +198,6 @@ func (c *Conn) onPTOLocked() {
 	}
 	if resent {
 		c.stats.Retransmits++
-		mRetransmits.Inc()
 		if c.trace != nil {
 			c.trace.Event("retransmit", "pto_count", c.ptoCount)
 		}

@@ -35,8 +35,8 @@ const maxConsecutiveReadTimeouts = 64
 // (accept) are thin faces of: it holds the sockets, the route table,
 // the stateless-reset key, the pump and the one demux, route. The two
 // roles differ only in data fixed at construction: the role (the
-// metric set they bill and the error their Close hands connections),
-// and srv, which decides what a lookup miss does.
+// metrics they bill and the error their Close hands connections), srv,
+// which decides what a lookup miss does, and a Transport's tally.
 //
 // Ownership rule: the endpoint owns its sockets. They are closed by
 // Close and by nothing else; connections never close, nor set deadlines
@@ -61,34 +61,34 @@ type endpoint struct {
 
 	readWG sync.WaitGroup
 
-	// Tallies behind Transport.Stats.
-	cDatagramsIn, cDatagramsOut, cBytesIn, cBytesOut atomic.Uint64
-	cRoutingMisses, cLatePackets, cDropped           atomic.Uint64
+	// tally is a Transport's count of its traffic (nil on a Listener),
+	// and detach takes it off the registry once Close has stopped it.
+	tally  *tally
+	detach func()
+}
+
+// tally is what a Transport counts, behind its Stats and the client
+// quic_* series alike (Transport.readCounts).
+type tally struct {
+	dials, routingMisses, latePackets atomic.Uint64
+	datagramsIn, datagramsOut         atomic.Uint64
+	bytesIn, bytesOut                 atomic.Uint64
+	dropped                           [numDropReasons]atomic.Uint64
 }
 
 // role is what a client endpoint and a server endpoint bill and what
-// their closing surfaces. The server's per-datagram counters are nil (a
-// nil counter counts nothing), so quic_datagrams_*, quic_bytes_*, the
-// shard hits and the address-mismatch count stay the client's socket
-// traffic alone and the simulated listeners pay for none of it.
+// their closing surfaces. A counter a role leaves nil counts nothing, so
+// the simulated listeners pay for no shard hits or address mismatches.
 type role struct {
 	closedErr error // what Close aborts live connections with
 
-	datagramsIn, datagramsOut *telemetry.Counter
-	bytesIn, bytesOut         *telemetry.Counter
-	shardHits                 [routeShards]*telemetry.Counter
-	addrMiss                  *telemetry.Counter
-	conns                     *telemetry.Gauge
+	shardHits [routeShards]*telemetry.Counter
+	addrMiss  *telemetry.Counter
+	conns     *telemetry.Gauge // a Listener's; a Transport's is read
 	// drainEvicted counts tombstones the per-shard cap pushed out before
 	// their draining period was up: their late packets become no_route
 	// drops, and this is the record of why.
 	drainEvicted *telemetry.Counter
-
-	// The drop reasons route counts. empty: a zero-length datagram;
-	// badHeader: a long header that does not parse; shortHeader: a short
-	// header too short to hold a connection ID; noRoute: nothing owns the
-	// destination (the client's address fallback included).
-	empty, badHeader, shortHeader, noRoute *telemetry.Counter
 }
 
 // pushConn is a socket that calls its owner with each datagram instead
@@ -123,8 +123,8 @@ func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error 
 }
 
 // Close tears the endpoint down: it refuses new routes, aborts every
-// live connection with the role's error, closes the sockets and waits
-// for the pumps. Only the first call does anything.
+// live connection with the role's error, closes the sockets, waits for
+// the pumps and detaches. Only the first call does anything.
 func (e *endpoint) Close() error {
 	conns, ok := e.routes.close()
 	if !ok {
@@ -140,6 +140,9 @@ func (e *endpoint) Close() error {
 		}
 	}
 	e.readWG.Wait()
+	if e.detach != nil {
+		e.detach()
+	}
 	return err
 }
 
@@ -194,12 +197,12 @@ func (e *endpoint) pump(pc net.PacketConn) {
 // and from are only valid for the duration of the call.
 func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	r := e.role
-	e.cDatagramsIn.Add(1)
-	e.cBytesIn.Add(uint64(len(data)))
-	r.datagramsIn.Inc()
-	r.bytesIn.Add(uint64(len(data)))
+	if t := e.tally; t != nil {
+		t.datagramsIn.Add(1)
+		t.bytesIn.Add(uint64(len(data)))
+	}
 	if len(data) == 0 {
-		e.drop(r.empty)
+		e.drop(dropEmpty)
 		return
 	}
 	// Every connection ID an endpoint issues has the fixed connIDLen, so
@@ -209,13 +212,13 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	var dstID []byte
 	if long {
 		if _, err := quicwire.ParseLongHeaderInto(hdr, data); err != nil {
-			e.drop(r.badHeader)
+			e.drop(dropBadHeader)
 			return
 		}
 		dstID = hdr.DstID
 	} else {
 		if len(data) < 1+connIDLen {
-			e.drop(r.shortHeader)
+			e.drop(dropShortHeader)
 			return
 		}
 		dstID = data[1 : 1+connIDLen]
@@ -239,36 +242,39 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		c.handleDatagram(data, from)
 	case e.srv != nil:
 		e.srv.miss(hdr, data, from, dstID, late)
+	// From here on the endpoint is a Transport's, which has a tally.
 	case late:
-		e.cLatePackets.Add(1)
-		mLatePackets.Inc()
+		e.tally.latePackets.Add(1)
 	default:
 		// Unknown destination ID: stateless resets (and corrupted
 		// headers) land here. Fall back to the per-address route so the
 		// owning connection can run its reset-token check.
 		if c = e.routes.lookupAddr(addrPortOf(from)); c == nil {
-			e.drop(r.noRoute)
+			e.drop(dropNoRoute)
 			return
 		}
-		e.cRoutingMisses.Add(1)
-		mRoutingMiss.Inc()
+		e.tally.routingMisses.Add(1)
 		c.handleDatagram(data, from)
 	}
 }
 
 // drop counts a datagram route could not deliver, under its reason.
-func (e *endpoint) drop(reason *telemetry.Counter) {
-	e.cDropped.Add(1)
-	reason.Inc()
+func (e *endpoint) drop(why dropReason) {
+	if t := e.tally; t != nil {
+		t.dropped[why].Add(1)
+	} else {
+		mListenerDropsBy[why].Inc()
+	}
 }
 
-// send writes one of a connection's datagrams on its socket and bills it.
+// send writes one of a connection's datagrams on its socket; a
+// Transport counts it if the socket took it.
 func (e *endpoint) send(pc net.PacketConn, b []byte, to net.Addr) error {
 	n, err := pc.WriteTo(b, to)
-	e.cDatagramsOut.Add(1)
-	e.cBytesOut.Add(uint64(n))
-	e.role.datagramsOut.Inc()
-	e.role.bytesOut.Add(uint64(n))
+	if t := e.tally; t != nil && err == nil {
+		t.datagramsOut.Add(1)
+		t.bytesOut.Add(uint64(n))
+	}
 	return err
 }
 

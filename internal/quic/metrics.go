@@ -1,15 +1,11 @@
 package quic
 
-import (
-	"sync"
-
-	"quicscan/internal/telemetry"
-)
+import "quicscan/internal/telemetry"
 
 // Registry metrics for the QUIC layer (the quic_* family), resolved once
-// at init and updated on the atomic fast path. They are process-wide
-// totals; Conn.Stats and Transport.Stats count the same events for one
-// connection and one Transport.
+// at init. An event a Transport or a Conn counts in its Stats reaches
+// them from there (Transport.readCounts, Stats.publish); the rest are
+// updated on the atomic fast path where they happen.
 var (
 	mDials        = telemetry.Default().Counter("quic_dials_total")
 	mDatagramsIn  = telemetry.Default().Counter("quic_datagrams_in_total")
@@ -82,45 +78,41 @@ var (
 	mHandshakeError           = mHandshakes.With("error")
 
 	// The Listener's own drop reasons, beside route's four (see
-	// serverRole). token: an address validation token failed validation;
+	// dropReason). token: an address validation token failed validation;
 	// short_initial: Initial in a datagram under 1200 bytes; draining_initial: Initial for a
-	// connection ID that is draining; no_route: anything else that
-	// matches no connection and cannot start one.
+	// connection ID that is draining.
 	mListenerDropToken           = mListenerDrops.With("token")
 	mListenerDropShortInitial    = mListenerDrops.With("short_initial")
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
-	mListenerDropNoRoute         = mListenerDrops.With("no_route")
 )
 
-// The two roles of an endpoint. Both count the same four route drops
-// (empty, bad_header, short_header, no_route), the client under
-// quic_dropped_datagrams_total and the server under
-// quic_listener_drops_total.
+// dropReason is why route delivered a datagram to no connection: it is
+// empty, its long header does not parse, its short header cannot hold a
+// connection ID, or nothing owns its destination (no_route; on a server
+// also anything that cannot start a connection).
+type dropReason int
+
+const (
+	dropEmpty dropReason = iota
+	dropBadHeader
+	dropShortHeader
+	dropNoRoute
+	numDropReasons
+)
+
+// Each reason's series for a Transport and for a Listener.
+var mDroppedBy, mListenerDropsBy = func() (client, server [numDropReasons]*telemetry.Counter) {
+	for i, name := range [numDropReasons]string{"empty", "bad_header", "short_header", "no_route"} {
+		client[i], server[i] = mDropped.With(name), mListenerDrops.With(name)
+	}
+	return client, server
+}()
+
 var (
-	clientRole = role{
-		closedErr:    ErrTransportClosed,
-		datagramsIn:  mDatagramsIn,
-		datagramsOut: mDatagramsOut,
-		bytesIn:      mBytesIn,
-		bytesOut:     mBytesOut,
-		shardHits:    mRouteShardHits,
-		addrMiss:     mRouteAddrMiss,
-		conns:        mActiveConns,
-		drainEvicted: mDrainEvicted,
-		empty:        mDropped.With("empty"),
-		badHeader:    mDropped.With("bad_header"),
-		shortHeader:  mDropped.With("short_header"),
-		noRoute:      mDropped.With("no_route"),
-	}
-	serverRole = role{
-		closedErr:    ErrConnectionClosed,
-		conns:        mListenerConns,
-		drainEvicted: mListenerDrainEvicted,
-		empty:        mListenerDrops.With("empty"),
-		badHeader:    mListenerDrops.With("bad_header"),
-		shortHeader:  mListenerDrops.With("short_header"),
-		noRoute:      mListenerDropNoRoute,
-	}
+	clientRole = role{closedErr: ErrTransportClosed, drainEvicted: mDrainEvicted,
+		shardHits: mRouteShardHits, addrMiss: mRouteAddrMiss}
+	serverRole = role{closedErr: ErrConnectionClosed, drainEvicted: mListenerDrainEvicted,
+		conns: mListenerConns}
 )
 
 // mRouteShardHits holds the pre-resolved per-shard children of
@@ -133,16 +125,18 @@ var mRouteShardHits = func() [routeShards]*telemetry.Counter {
 	return out
 }()
 
-// vnVersionCounters caches mVNByVersion children per advertised
-// version string; the set of versions a run observes is tiny.
-var vnVersionCounters sync.Map // string -> *telemetry.Counter
-
-func vnVersionCounter(name string) *telemetry.Counter {
-	if c, ok := vnVersionCounters.Load(name); ok {
-		return c.(*telemetry.Counter)
+// publish adds a closing connection's counted fields to their series,
+// once (closeLocked).
+func (s *Stats) publish() {
+	mRetransmits.Add(uint64(s.Retransmits))
+	mPathChallengesSent.Add(uint64(s.PathChallengesSent))
+	mPathChallengesReceived.Add(uint64(s.PathChallengesReceived))
+	mPathValidated.Add(uint64(s.PathValidations))
+	mPathValidationFail.Add(uint64(s.PathValidationFailures))
+	mMigrations.Add(uint64(s.Migrations))
+	if s.Retried {
+		mRetries.Inc()
 	}
-	c, _ := vnVersionCounters.LoadOrStore(name, mVNByVersion.With(name))
-	return c.(*telemetry.Counter)
 }
 
 // spaceNames maps packet number space indices to qlog-style names.

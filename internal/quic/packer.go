@@ -29,11 +29,11 @@ func (c *Conn) sendPendingLocked() {
 		if datagram = c.packDatagramLocked(datagram[:0]); len(datagram) == 0 {
 			break
 		}
-		c.stats.BytesSent += len(datagram)
 		if err := c.ep.send(c.sock, datagram, c.remote); err != nil {
 			c.closeLocked(err)
 			return
 		}
+		c.stats.BytesSent += len(datagram)
 	}
 	c.armPTOLocked()
 }

@@ -238,7 +238,6 @@ func (c *Conn) startPathValidationLocked(p *pathState) {
 	p.status = pathValidating
 	p.retries = 0
 	c.stats.PathChallengesSent++
-	mPathChallengesSent.Inc()
 	if c.trace != nil {
 		c.trace.Event("path_challenge_sent", "path", p.ap.String())
 	}
@@ -253,7 +252,6 @@ func (c *Conn) onPathTimeoutLocked(p *pathState, now time.Time) {
 	if p.retries >= maxPathProbes {
 		p.status = pathFailed
 		c.stats.PathValidationFailures++
-		mPathValidationFail.Inc()
 		if c.trace != nil {
 			c.trace.Event("path_validation_failed", "path", p.ap.String())
 		}
@@ -261,7 +259,6 @@ func (c *Conn) onPathTimeoutLocked(p *pathState, now time.Time) {
 	}
 	p.retries++
 	c.stats.PathChallengesSent++
-	mPathChallengesSent.Inc()
 	c.sendPathProbeLocked(p, true, &quicwire.PathChallengeFrame{Data: p.challenge})
 	p.deadline = now.Add(c.backoff(p.retries))
 }
@@ -309,11 +306,12 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, f quicwire.Frame) boo
 	sp.nextPN++
 	pkt = sealPacket(pkt, 0, pnOff, pnLen, pn, sp.sendKeys, padTo)
 	p.bytesOut += len(pkt)
-	c.stats.BytesSent += len(pkt)
 	if c.trace != nil {
 		c.trace.Event("packet_sent", "space", spaceNames[spaceApp], "pn", pn, "size", len(pkt), "path", p.ap.String())
 	}
-	c.ep.send(c.sock, pkt, p.remote)
+	if c.ep.send(c.sock, pkt, p.remote) == nil {
+		c.stats.BytesSent += len(pkt)
+	}
 	return true
 }
 
@@ -342,7 +340,6 @@ func (c *Conn) flushPathResponseLocked(p *pathState) {
 // for an alternate address it goes out as an immediate probe datagram.
 func (c *Conn) handlePathChallengeLocked(data [8]byte) {
 	c.stats.PathChallengesReceived++
-	mPathChallengesReceived.Inc()
 	ap := c.rxFromAP
 	if !ap.IsValid() || !c.activeAP.IsValid() || ap == c.activeAP {
 		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
@@ -379,8 +376,6 @@ func (c *Conn) handlePathResponseLocked(data [8]byte) {
 		c.migrDone = nil
 		c.stats.PathValidations++
 		c.stats.Migrations++
-		mPathValidated.Inc()
-		mMigrations.Inc()
 		return
 	}
 	for _, p := range c.paths {
@@ -389,7 +384,6 @@ func (c *Conn) handlePathResponseLocked(data [8]byte) {
 			p.retries = 0
 			p.deadline = time.Time{}
 			c.stats.PathValidations++
-			mPathValidated.Inc()
 			if c.trace != nil {
 				c.trace.Event("path_validated", "path", p.ap.String())
 			}
@@ -436,7 +430,6 @@ func (c *Conn) promotePathLocked(p *pathState) {
 	p.dcid = nil
 	p.dcidSeq = 0
 	c.stats.Migrations++
-	mMigrations.Inc()
 	if c.trace != nil {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
@@ -608,11 +601,13 @@ func (c *Conn) migrate(ctx context.Context, force bool) error {
 		return c.Err()
 	case <-ctx.Done():
 		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.isClosed() {
+			return c.closeErr // its Stats are final, and published
+		}
 		c.migrChallengePending = false
 		c.migrDeadline = time.Time{}
 		c.stats.PathValidationFailures++
-		c.mu.Unlock()
-		mPathValidationFail.Inc()
 		return ErrPathValidationFailed
 	}
 }
@@ -626,7 +621,6 @@ func (c *Conn) sendMigrChallengeLocked(now time.Time) {
 	c.migrDeadline = now.Add(c.backoff(c.migrSent))
 	c.migrSent++
 	c.stats.PathChallengesSent++
-	mPathChallengesSent.Inc()
 	c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
 		&quicwire.PathChallengeFrame{Data: c.migrChallenge})
 	c.sendPendingLocked()

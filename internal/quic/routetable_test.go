@@ -116,7 +116,7 @@ func TestOverlongConnIDIsAMiss(t *testing.T) {
 func TestAddressFallbackAllocatesNothing(t *testing.T) {
 	for _, src := range []string{"1.2.3.4:443", "[::ffff:1.2.3.4]:443"} {
 		t.Run(src, func(t *testing.T) {
-			e := &endpoint{role: &clientRole}
+			e := &endpoint{role: &clientRole, tally: new(tally)}
 			c := newConn((&Config{}).clone(), true)
 			c.ep = e
 			c.scid = quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8}
@@ -141,12 +141,12 @@ func TestAddressFallbackAllocatesNothing(t *testing.T) {
 				dgram[i] = 9
 			}
 			var hdr quicwire.Header
-			misses := e.cRoutingMisses.Load()
+			misses := e.tally.routingMisses.Load()
 			const runs = 100
 			if allocs := testing.AllocsPerRun(runs, func() { e.route(&hdr, dgram, from) }); allocs != 0 {
 				t.Errorf("routing through the address fallback: %.1f allocations per datagram, want 0", allocs)
 			}
-			if got := e.cRoutingMisses.Load() - misses; got != runs+1 {
+			if got := e.tally.routingMisses.Load() - misses; got != runs+1 {
 				t.Errorf("%d of %d datagrams reached the connection by address", got, runs+1)
 			}
 

@@ -144,7 +144,7 @@ func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid [
 	default:
 		// 1-RTT packet for a connection this endpoint has no state for:
 		// answer with a stateless reset so the peer can stop retrying.
-		mListenerDropNoRoute.Inc()
+		mListenerDropsBy[dropNoRoute].Inc()
 		if !l.policy.DisableStatelessReset {
 			l.sendStatelessReset(dcid, from, len(data))
 		}
@@ -177,7 +177,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		return
 	}
 	if hdr.Type != quicwire.PacketInitial {
-		mListenerDropNoRoute.Inc() // Handshake or 0-RTT for no connection
+		mListenerDropsBy[dropNoRoute].Inc() // Handshake or 0-RTT for no connection
 		return
 	}
 	// RFC 9000, Section 14.1: servers must drop Initials in datagrams
@@ -187,7 +187,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		return
 	}
 	if len(hdr.DstID) < 8 {
-		mListenerDropNoRoute.Inc() // too short to derive distinct Initial keys from
+		mListenerDropsBy[dropNoRoute].Inc() // too short to derive distinct Initial keys from
 		return
 	}
 	var retryODCID quicwire.ConnID

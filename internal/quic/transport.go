@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"quicscan/internal/quicwire"
+	"quicscan/internal/telemetry"
 )
 
 // ErrTransportClosed is returned for operations on a closed Transport.
@@ -32,18 +32,13 @@ var ErrTransportClosed = errors.New("quic: transport closed")
 // Transport.Close (or when one of them fails) and by nothing else;
 // connections dialed through a Transport never close, nor set deadlines
 // on, the underlying sockets.
-type Transport struct {
-	endpoint
-
-	cDials atomic.Uint64
-}
+type Transport struct{ endpoint }
 
 // TransportStats is a snapshot of a Transport's routing counters: the
 // facts of one socket pool, which core.Scanner.TransportStats reports
-// per scanner (sockets, routing misses, drops). The telemetry registry
-// (quic_datagrams_in_total, quic_bytes_out_total,
-// quic_routing_misses_total, ...) holds the process-wide sums of the
-// same events; it cannot answer for a single transport.
+// per scanner (sockets, routing misses, drops). They are the only count
+// of these events: the registry's client series (quic_dials_total,
+// quic_datagrams_in_total, ...) read them.
 type TransportStats struct {
 	// Sockets is the fixed pool size.
 	Sockets int
@@ -64,8 +59,8 @@ type TransportStats struct {
 	// the draining period — expected tail traffic, not a loss.
 	LatePackets uint64
 	// Dropped counts datagrams delivered to no connection: empty,
-	// unparsable, or with no route at all (the split by reason is
-	// quic_dropped_datagrams_total{reason}).
+	// unparsable, or with no route at all; it is the sum of the reasons
+	// quic_dropped_datagrams_total{reason} splits it by.
 	Dropped uint64
 }
 
@@ -75,25 +70,45 @@ func NewTransport(pconns ...net.PacketConn) (*Transport, error) {
 	if len(pconns) == 0 {
 		return nil, errors.New("quic: NewTransport requires at least one socket")
 	}
-	t := &Transport{}
+	t := &Transport{endpoint{tally: new(tally)}}
+	t.detach = telemetry.Default().Attach(t.readCounts)
 	t.start(&clientRole, nil, pconns...) // pulls, so it cannot fail
 	return t, nil
 }
 
 // Stats returns a snapshot of the transport counters.
 func (t *Transport) Stats() TransportStats {
-	return TransportStats{
+	c := t.tally
+	st := TransportStats{
 		Sockets:       len(t.socks),
 		ActiveConns:   t.routes.activeConns(),
-		Dials:         t.cDials.Load(),
-		DatagramsIn:   t.cDatagramsIn.Load(),
-		DatagramsOut:  t.cDatagramsOut.Load(),
-		BytesIn:       t.cBytesIn.Load(),
-		BytesOut:      t.cBytesOut.Load(),
-		RoutingMisses: t.cRoutingMisses.Load(),
-		LatePackets:   t.cLatePackets.Load(),
-		Dropped:       t.cDropped.Load(),
+		Dials:         c.dials.Load(),
+		DatagramsIn:   c.datagramsIn.Load(),
+		DatagramsOut:  c.datagramsOut.Load(),
+		BytesIn:       c.bytesIn.Load(),
+		BytesOut:      c.bytesOut.Load(),
+		RoutingMisses: c.routingMisses.Load(),
+		LatePackets:   c.latePackets.Load(),
 	}
+	for i := range c.dropped {
+		st.Dropped += c.dropped[i].Load()
+	}
+	return st
+}
+
+func (t *Transport) readCounts(rd *telemetry.Reading) {
+	c := t.tally
+	rd.Count(mDials, c.dials.Load())
+	rd.Count(mDatagramsIn, c.datagramsIn.Load())
+	rd.Count(mDatagramsOut, c.datagramsOut.Load())
+	rd.Count(mBytesIn, c.bytesIn.Load())
+	rd.Count(mBytesOut, c.bytesOut.Load())
+	rd.Count(mRoutingMiss, c.routingMisses.Load())
+	rd.Count(mLatePackets, c.latePackets.Load())
+	for i := range c.dropped {
+		rd.Count(mDroppedBy[i], c.dropped[i].Load())
+	}
+	rd.Level(mActiveConns, int64(t.routes.activeConns()))
 }
 
 // Dial establishes a QUIC connection to remote over the socket pool,

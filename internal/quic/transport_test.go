@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net"
 	"net/netip"
@@ -236,11 +237,10 @@ func TestTransportDropReasons(t *testing.T) {
 	// Each start opens the endpoint under test and a peer socket that
 	// can reach it; a client's returns its Transport.
 	cases := []struct {
-		name  string
-		role  *role
-		start func(t *testing.T) (at net.Addr, peer net.PacketConn, tr *Transport)
+		name, family string
+		start        func(t *testing.T) (at net.Addr, peer net.PacketConn, tr *Transport)
 	}{
-		{"client", &clientRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+		{"client", "quic_dropped_datagrams_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			n := simnet.New(simnet.Config{})
 			t.Cleanup(n.Close)
 			pc, err := n.DialUDP()
@@ -258,7 +258,7 @@ func TestTransportDropReasons(t *testing.T) {
 			}
 			return pc.LocalAddr(), peer, tr
 		}},
-		{"server-simnet", &serverRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+		{"server-simnet", "quic_listener_drops_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			n := simnet.New(simnet.Config{})
 			t.Cleanup(n.Close)
 			pc, err := n.ListenUDP(netip.MustParseAddrPort("192.0.2.9:443"))
@@ -275,7 +275,7 @@ func TestTransportDropReasons(t *testing.T) {
 			}
 			return pc.LocalAddr(), peer, nil
 		}},
-		{"server-kernel", &serverRole, func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
+		{"server-kernel", "quic_listener_drops_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			scfg, _ := serverConfig(t, "drops.test")
 			_, addr := listenBare(t, scfg, ServerPolicy{})
 			peer := newUDP(t)
@@ -285,16 +285,18 @@ func TestTransportDropReasons(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			counters := []*telemetry.Counter{tc.role.empty, tc.role.badHeader, tc.role.shortHeader, tc.role.noRoute}
-			before := make([]uint64, len(counters))
-			for i, c := range counters {
-				before[i] = c.Value()
-			}
-			moved := func() (sum uint64) {
-				for i, c := range counters {
-					sum += c.Value() - before[i]
+			counts := func() (by []uint64, sum uint64) {
+				snap := telemetry.Default().Snapshot()
+				for _, d := range datagrams {
+					n := snap.Counters[fmt.Sprintf("%s{reason=%q}", tc.family, d.name)]
+					by, sum = append(by, n), sum+n
 				}
-				return sum
+				return by, sum
+			}
+			before, sum0 := counts()
+			moved := func() uint64 {
+				_, sum := counts()
+				return sum - sum0
 			}
 			at, peer, tr := tc.start(t)
 			for _, d := range datagrams {
@@ -307,8 +309,9 @@ func TestTransportDropReasons(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			time.Sleep(20 * time.Millisecond) // room for a count past the four
+			after, _ := counts()
 			for i, d := range datagrams {
-				if got := counters[i].Value() - before[i]; got != 1 {
+				if got := after[i] - before[i]; got != 1 {
 					t.Errorf("reason %q moved by %d, want 1", d.name, got)
 				}
 			}

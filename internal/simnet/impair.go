@@ -10,9 +10,9 @@ import (
 )
 
 // fate is one thing the network does to a datagram. Each is counted in
-// the network's ImpairmentStats and, beside it, in the registry's
-// simnet_* family, so the exporter shows what the simulated Internet
-// did to traffic while a scan ran against it.
+// the network's fates, which the registry's simnet_* family reads, so
+// the exporter shows what the simulated Internet did to traffic while a
+// scan ran against it.
 type fate int
 
 const (
@@ -86,10 +86,8 @@ type Profile struct {
 // individually); the remaining counters classify interference.
 //
 // These are the facts of one Network, which is what chaos.Report sets
-// against one scan's outcomes. The telemetry registry
-// (simnet_delivered_total, simnet_lost_total, ...) holds the
-// process-wide sums of the same events; it cannot answer for a single
-// network.
+// against one scan's outcomes, and the only count of them: the registry's
+// simnet_delivered_total, simnet_lost_total, ... read them.
 type ImpairmentStats struct {
 	Delivered  int
 	Lost       int
@@ -221,14 +219,18 @@ func (v verdict) flip(b []byte) {
 	}
 }
 
-// count records v: each fate in the network's counts and, beside it,
-// in the registry's.
+// count records v: each fate in the network's counts.
 func (n *Network) count(v verdict) {
 	for f, times := range v.fates {
 		if times > 0 {
 			n.fates[f].Add(int64(times))
-			fateMetrics[f].Add(uint64(times))
 		}
+	}
+}
+
+func (n *Network) readCounts(rd *telemetry.Reading) {
+	for f := range n.fates {
+		rd.Count(fateMetrics[f], uint64(n.fates[f].Load()))
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"quicscan/internal/netbatch"
+	"quicscan/internal/telemetry"
 )
 
 // datagram is one in-flight UDP payload.
@@ -65,6 +66,8 @@ type Network struct {
 	udpDatagrams atomic.Int64
 	udpBytes     atomic.Int64
 	fates        [numFates]atomic.Int64
+	// detach takes the fates off the registry (Close).
+	detach func()
 }
 
 // Config parameterizes a Network.
@@ -79,12 +82,14 @@ type Config struct {
 
 // New creates a network.
 func New(cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		udp:       make(map[netip.AddrPort]*PacketConn),
 		listeners: make(map[netip.AddrPort]*streamListener),
 		profile:   cfg.Profile,
 		seed:      cfg.Seed,
 	}
+	n.detach = telemetry.Default().Attach(n.readCounts)
+	return n
 }
 
 // SetSyntheticResponder installs the fallback responder.
@@ -279,6 +284,7 @@ func (n *Network) Close() {
 		l.Close()
 	}
 	n.sched.close()
+	n.detach()
 }
 
 // rcvQueueCap bounds a socket's receive queue, in datagrams: the

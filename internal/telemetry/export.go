@@ -5,75 +5,48 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): one TYPE line per family,
-// series sorted by name so output is stable for diffing and tests.
+// WritePrometheus renders a Snapshot in the Prometheus text exposition
+// format (version 0.0.4): one TYPE line per family, series sorted by
+// name so output is stable for diffing and tests.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	entries := make(map[string]*entry, len(r.metrics))
-	for n, e := range r.metrics {
-		names = append(names, n)
-		entries[n] = e
+	s := r.Snapshot()
+	series := make(map[string][]string) // counter family -> its series
+	for _, sn := range slices.Sorted(maps.Keys(s.Counters)) {
+		family, _, _ := strings.Cut(sn, "{")
+		series[family] = append(series[family], sn)
 	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
+	names := slices.Concat(slices.Collect(maps.Keys(series)),
+		slices.Collect(maps.Keys(s.Gauges)), slices.Collect(maps.Keys(s.Histograms)))
+	slices.Sort(names)
+	var b strings.Builder
 	for _, n := range names {
-		e := entries[n]
-		var err error
-		switch e.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, e.c.Value())
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, e.g.Value())
-		case kindHistogram:
-			err = writePromHistogram(w, n, e.h.snapshot())
-		case kindCounterVec:
-			err = writePromCounterVec(w, n, e.cv)
-		}
-		if err != nil {
-			return err
+		if g, ok := s.Gauges[n]; ok {
+			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", n, n, g)
+		} else if h, ok := s.Histograms[n]; ok {
+			writePromHistogram(&b, n, h)
+		} else {
+			fmt.Fprintf(&b, "# TYPE %s counter\n", n)
+			for _, sn := range series[n] {
+				fmt.Fprintf(&b, "%s %d\n", sn, s.Counters[sn])
+			}
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
-func writePromCounterVec(w io.Writer, name string, cv *CounterVec) error {
-	cv.mu.RLock()
-	series := make([]string, 0, len(cv.children))
-	values := make(map[string]uint64, len(cv.children))
-	for _, ch := range cv.children {
-		sn := seriesName(name, cv.labels, ch.values)
-		series = append(series, sn)
-		values[sn] = ch.c.Value()
-	}
-	cv.mu.RUnlock()
-	sort.Strings(series)
-
-	if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
-		return err
-	}
-	for _, sn := range series {
-		if _, err := fmt.Fprintf(w, "%s %d\n", sn, values[sn]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
+func writePromHistogram(b *strings.Builder, name string, h HistogramSnapshot) {
+	fmt.Fprintf(b, "# TYPE %s histogram\n", name)
 	var cum uint64
 	for i, n := range h.Counts {
 		cum += n
@@ -81,12 +54,9 @@ func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) error {
 		if i < len(h.Bounds) {
 			le = formatFloat(h.Bounds[i])
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, le, cum)
 	}
-	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, formatFloat(h.Sum), name, h.Count)
-	return err
+	fmt.Fprintf(b, "%s_sum %s\n%s_count %d\n", name, formatFloat(h.Sum), name, h.Count)
 }
 
 func formatFloat(f float64) string {

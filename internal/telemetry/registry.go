@@ -7,9 +7,10 @@
 // The paper's headline results — handshake success rates, version
 // negotiation behaviour, Alt-Svc yield per provider — are all
 // aggregations over millions of protocol events. Every scanning layer
-// (quic, core, zmapquic, simnet, dnsclient, tlsscan) registers its
+// (quic, core, zmapquic, simnet, dnsclient, tlsscan) resolves its
 // metrics here at package init, so one Snapshot covers the whole
-// pipeline and one -metrics-addr flag exports it live.
+// pipeline and one -metrics-addr flag exports it live. An owner that
+// counts in fields of its own attaches a read of them (Registry.Attach).
 //
 // Design notes:
 //
@@ -149,7 +150,8 @@ func (c *Counter) Add(n uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
+// Value returns the count added through this handle, without the
+// attached owners' counts a Snapshot adds.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -237,37 +239,67 @@ func LatencyBucketsMs() []float64 {
 	return []float64{0.25, 0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 }
 
-// metric kinds for collision detection.
-const (
-	kindCounter = iota
-	kindGauge
-	kindHistogram
-	kindCounterVec
-)
-
-var kindNames = [...]string{"counter", "gauge", "histogram", "counter vec"}
-
-type entry struct {
-	kind int
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-	cv   *CounterVec
-}
-
 // Registry holds named metrics. The zero value is not usable; use
 // NewRegistry or the process-wide Default registry. Registration
 // takes a lock and validates names (panicking on programmer error:
 // invalid names or kind collisions); updates through the returned
 // handles never touch the registry again.
 type Registry struct {
-	mu      sync.RWMutex
-	metrics map[string]*entry
+	mu      sync.RWMutex   // a Snapshot holds it across metrics and owners
+	metrics map[string]any // *Counter, *Gauge, *Histogram or *CounterVec
+	owners  map[*func(*Reading)]struct{}
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*entry)}
+	return &Registry{metrics: make(map[string]any), owners: make(map[*func(*Reading)]struct{})}
+}
+
+// Reading is what attached owners report to a Snapshot: counts to add
+// to counters, and levels, what an owner holds now, to add to gauges.
+type Reading struct {
+	counts map[*Counter]uint64
+	levels map[*Gauge]int64
+}
+
+// Count adds n to c in this reading. A detaching owner's reading has no
+// maps and folds n into c itself.
+func (rd *Reading) Count(c *Counter, n uint64) {
+	if rd.counts == nil {
+		// Past the enable switch: the events were counted when they
+		// happened, and the next Snapshot must not lose them.
+		c.cells[cellIndex()].n.Add(n)
+		return
+	}
+	rd.counts[c] += n
+}
+
+// Level adds v to g in this reading; a detaching owner's levels lapse.
+func (rd *Reading) Level(g *Gauge, v int64) {
+	if rd.levels != nil {
+		rd.levels[g] += v
+	}
+}
+
+// Attach makes an owner's fields the registry's count of their events:
+// every Snapshot adds what read reports. The returned detach, for when
+// the owner has stopped counting, folds its last counts into their
+// counters and forgets it; later calls do nothing.
+// A Snapshot never overlaps a detach, so it sees each event exactly
+// once. read must not call the registry.
+func (r *Registry) Attach(read func(*Reading)) (detach func()) {
+	key := &read
+	r.mu.Lock()
+	r.owners[key] = struct{}{}
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if _, ok := r.owners[key]; ok {
+			delete(r.owners, key)
+			read(&Reading{})
+		}
+	}
 }
 
 var defaultRegistry = NewRegistry()
@@ -276,67 +308,52 @@ var defaultRegistry = NewRegistry()
 // registers into.
 func Default() *Registry { return defaultRegistry }
 
-func (r *Registry) lookup(name string, kind int) *entry {
+// lookup returns the metric of kind M registered under name. On first
+// use it creates it and, under the registry's lock, lets init set it up
+// before anyone else can see it. A name taken by another kind panics.
+func lookup[M any](r *Registry, name string, init func(*M)) *M {
 	if err := CheckMetricName(name); err != nil {
 		panic(err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.metrics[name]; ok {
-		if e.kind != kind {
-			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s, was %s",
-				name, kindNames[kind], kindNames[e.kind]))
+	m, ok := r.metrics[name].(*M)
+	if !ok {
+		if other, taken := r.metrics[name]; taken {
+			panic(fmt.Sprintf("telemetry: metric %q re-registered as %T, was %T", name, m, other))
 		}
-		return e
+		m = new(M)
+		init(m)
+		r.metrics[name] = m
 	}
-	e := &entry{kind: kind}
-	switch kind {
-	case kindCounter:
-		e.c = &Counter{}
-	case kindGauge:
-		e.g = &Gauge{}
-	case kindHistogram:
-		e.h = &Histogram{}
-	case kindCounterVec:
-		e.cv = &CounterVec{children: make(map[string]*vecChild)}
-	}
-	r.metrics[name] = e
-	return e
+	return m
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	return r.lookup(name, kindCounter).c
-}
+func (r *Registry) Counter(name string) *Counter { return lookup(r, name, func(*Counter) {}) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.lookup(name, kindGauge).g
-}
+func (r *Registry) Gauge(name string) *Gauge { return lookup(r, name, func(*Gauge) {}) }
 
 // Histogram returns the named histogram, creating it on first use
 // with the given bucket upper bounds (must be sorted ascending; an
 // +Inf bucket is implicit). Buckets passed on later calls for an
 // existing histogram are ignored.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
-	e := r.lookup(name, kindHistogram)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.h.cells == nil {
+	return lookup(r, name, func(h *Histogram) {
 		if len(buckets) == 0 {
 			buckets = LatencyBucketsMs()
 		}
 		if !sort.Float64sAreSorted(buckets) {
 			panic(fmt.Sprintf("telemetry: histogram %q buckets not sorted", name))
 		}
-		e.h.bounds = append([]float64(nil), buckets...)
+		h.bounds = append([]float64(nil), buckets...)
 		// The slab is pointer-free and a multiple of 64 bytes long, so
 		// the allocator starts it, and with it every cell, on a line.
 		const perLine = cacheLine / 8
-		e.h.stride = (histBuckets + len(buckets) + 1 + perLine - 1) / perLine * perLine
-		e.h.cells = make([]atomic.Uint64, numCells*e.h.stride)
-	}
-	return e.h
+		h.stride = (histBuckets + len(buckets) + 1 + perLine - 1) / perLine * perLine
+		h.cells = make([]atomic.Uint64, numCells*h.stride)
+	})
 }
 
 // CounterVec is a family of counters split by label values.
@@ -363,19 +380,18 @@ func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 			panic(err)
 		}
 	}
-	e := r.lookup(name, kindCounterVec)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.cv.labels == nil {
+	cv := lookup(r, name, func(cv *CounterVec) {
 		if len(labels) == 0 {
 			panic(fmt.Sprintf("telemetry: counter vec %q needs at least one label", name))
 		}
-		e.cv.labels = append([]string(nil), labels...)
-	} else if len(e.cv.labels) != len(labels) {
+		cv.labels = append([]string(nil), labels...)
+		cv.children = make(map[string]*vecChild)
+	})
+	if len(cv.labels) != len(labels) { // labels never change once set
 		panic(fmt.Sprintf("telemetry: counter vec %q re-registered with %d labels, was %d",
-			name, len(labels), len(e.cv.labels)))
+			name, len(labels), len(cv.labels)))
 	}
-	return e.cv
+	return cv
 }
 
 // With returns the child counter for the given label values (one per
@@ -479,7 +495,7 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// Snapshot copies every metric's current value.
+// Snapshot copies every metric's value, attached owners' counts included.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
@@ -487,29 +503,25 @@ func (r *Registry) Snapshot() Snapshot {
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	r.mu.RLock()
-	names := make([]string, 0, len(r.metrics))
-	entries := make(map[string]*entry, len(r.metrics))
-	for n, e := range r.metrics {
-		names = append(names, n)
-		entries[n] = e
+	defer r.mu.RUnlock()
+	live := Reading{make(map[*Counter]uint64), make(map[*Gauge]int64)}
+	for read := range r.owners {
+		(*read)(&live)
 	}
-	r.mu.RUnlock()
-
-	for _, n := range names {
-		e := entries[n]
-		switch e.kind {
-		case kindCounter:
-			s.Counters[n] = e.c.Value()
-		case kindGauge:
-			s.Gauges[n] = e.g.Value()
-		case kindHistogram:
-			s.Histograms[n] = e.h.snapshot()
-		case kindCounterVec:
-			e.cv.mu.RLock()
-			for _, ch := range e.cv.children {
-				s.Counters[seriesName(n, e.cv.labels, ch.values)] = ch.c.Value()
+	for n, m := range r.metrics {
+		switch m := m.(type) {
+		case *Counter:
+			s.Counters[n] = m.Value() + live.counts[m]
+		case *Gauge:
+			s.Gauges[n] = m.Value() + live.levels[m]
+		case *Histogram:
+			s.Histograms[n] = m.snapshot()
+		case *CounterVec:
+			m.mu.RLock()
+			for _, ch := range m.children {
+				s.Counters[seriesName(n, m.labels, ch.values)] = ch.c.Value() + live.counts[ch.c]
 			}
-			e.cv.mu.RUnlock()
+			m.mu.RUnlock()
 		}
 	}
 	return s

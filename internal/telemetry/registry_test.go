@@ -6,9 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -324,6 +326,103 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if vecSum != total {
 		t.Errorf("vec sum = %d, want %d", vecSum, total)
+	}
+}
+
+// TestAttachExactlyOnce: while owners attach, count in fields of their
+// own and detach, snapshots taken from several goroutines at once see
+// every event once: each reader's sequence of totals never falls, and
+// once every owner has detached the total is exact, folded into the
+// counters, and no owner's level is left in a gauge.
+func TestAttachExactlyOnce(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("test_owned_total")
+	vec := r.CounterVec("test_owned_vec_total", "owner").With("all")
+	g := r.Gauge("test_owned_open")
+	const owners, rounds, events = 8, 5, 20
+	const total = owners * rounds * events
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 3 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last, lastVec uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := r.Snapshot()
+				got, gotVec := s.Counters["test_owned_total"], s.Counters[`test_owned_vec_total{owner="all"}`]
+				if got < last || gotVec < lastVec {
+					t.Errorf("snapshot went back: %d after %d, vec %d after %d", got, last, gotVec, lastVec)
+					return
+				}
+				if open := s.Gauges["test_owned_open"]; open < 0 || open > owners {
+					t.Errorf("open owners = %d, want 0..%d", open, owners)
+					return
+				}
+				last, lastVec = got, gotVec
+			}
+		}()
+	}
+
+	var wg sync.WaitGroup
+	for range owners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				var n atomic.Uint64
+				detach := r.Attach(func(rd *Reading) {
+					rd.Count(c, n.Load())
+					rd.Count(vec, n.Load())
+					rd.Level(g, 1)
+				})
+				for range events {
+					n.Add(1)
+					runtime.Gosched()
+				}
+				detach()
+				detach() // the second does nothing
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+
+	s := r.Snapshot()
+	if got := s.Counters["test_owned_total"]; got != total || c.Value() != total {
+		t.Errorf("total = %d (folded %d), want %d", got, c.Value(), total)
+	}
+	if got := s.Counters[`test_owned_vec_total{owner="all"}`]; got != total {
+		t.Errorf("vec total = %d, want %d", got, total)
+	}
+	if open := s.Gauges["test_owned_open"]; open != 0 {
+		t.Errorf("open owners = %d after every detach, want 0", open)
+	}
+	if len(r.owners) != 0 {
+		t.Errorf("%d owners still attached", len(r.owners))
+	}
+}
+
+// TestDetachWhileDisabled: a fold is not an update the switch drops.
+// The events were counted when they happened; dropping them at detach
+// would make the next snapshot smaller than the last.
+func TestDetachWhileDisabled(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("test_fold_total")
+	detach := r.Attach(func(rd *Reading) { rd.Count(c, 3) })
+	before := r.Snapshot().Counters["test_fold_total"]
+	SetEnabled(false)
+	detach()
+	SetEnabled(true)
+	if after := r.Snapshot().Counters["test_fold_total"]; before != 3 || after != 3 {
+		t.Errorf("snapshot %d before the detach and %d after it, want 3 and 3", before, after)
 	}
 }
 

@@ -52,6 +52,12 @@ echo "==> go test -race ./... (Examples in their own step below)"
 # TestRunRepeats).
 go test -race -skip '^Example' ./...
 
+echo "==> registry exactly-once test, 20 runs under -race"
+# Snapshots racing owners that attach, count and detach must see each
+# event once (DESIGN.md section 7). An interleaving that counts one
+# twice or not at all is rare, so the test runs twenty times.
+go test -race -count=20 -run '^TestAttachExactlyOnce$' ./internal/telemetry
+
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any
