@@ -623,7 +623,7 @@ func newEngineSweep(tb testing.TB) func(seed uint64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	zs := &zmapquic.Scanner{Conn: pc}
+	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 20 * time.Millisecond}
 	return func(seed uint64) {
 		sw := zmapquic.NewSweep(seed, prefixes)
 		eng, err := campaignpkg.New(campaignpkg.Config{
@@ -637,8 +637,7 @@ func newEngineSweep(tb testing.TB) func(seed uint64) {
 			tb.Fatal(err)
 		}
 		hits := 0
-		err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, 20*time.Millisecond,
-			func(zmapquic.Result) { hits++ })
+		err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, func(zmapquic.Result) { hits++ })
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -72,6 +72,15 @@ func main() {
 		recvSocks  = flag.Int("recv-sockets", 1, "SO_REUSEPORT-sharded receive sockets, one collector each (-prefixes only; Linux)")
 	)
 	flag.Parse()
+	// A -prefixes sweep makes one pass, and a -hitlist scan reads only
+	// the socket it probes from: answers hashed to another socket of an
+	// SO_REUSEPORT group would vanish.
+	switch {
+	case *prefixes != "" && *retries != 0:
+		fatal("-retries applies to -hitlist scans, not to -prefixes sweeps")
+	case *prefixes == "" && *recvSocks > 1:
+		fatal("-recv-sockets applies to -prefixes sweeps, not to -hitlist scans")
+	}
 
 	if *metrics != "" {
 		srv, ln, err := telemetry.Default().Serve(*metrics)
@@ -98,13 +107,8 @@ func main() {
 
 	// Campaign mode may shard the receive path over an SO_REUSEPORT
 	// socket group (one collector per socket, the kernel hashing
-	// responses across them). Hitlist mode keeps a single socket: Scan
-	// reads only its own conn, and responses hashed to an undrained
-	// group socket would silently vanish.
-	nsock := *recvSocks
-	if *prefixes == "" || nsock < 1 {
-		nsock = 1
-	}
+	// responses across them). Hitlist mode keeps a single socket.
+	nsock := max(*recvSocks, 1)
 	conns, err := netbatch.ListenReusePortUDP("udp", ":0", nsock)
 	if err != nil {
 		fatal("%v", err)
@@ -156,7 +160,6 @@ func main() {
 			seed: *seed, rate: *rate, shards: *shards, shardList: *shardList,
 			workers: *workers, checkpoint: *checkpoint, resume: *resume,
 			ckptEvery: *ckptEvery, output: *output, journal: *journal,
-			cooldown: scanner.Cooldown,
 		})
 	case *hitlist != "":
 		scanner.Rate = *rate
@@ -205,7 +208,6 @@ type campaignFlags struct {
 	ckptEvery  time.Duration
 	output     string
 	journal    bool
-	cooldown   time.Duration
 }
 
 // runCampaign drives a prefix sweep through the campaign engine: the
@@ -307,7 +309,7 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 	defer stop()
 	var writeErr error
 	hits := 0
-	runErr := eng.Sweep(ctx, scanner, conns, cf.cooldown, func(r zmapquic.Result) {
+	runErr := eng.Sweep(ctx, scanner, conns, func(r zmapquic.Result) {
 		hits++
 		names := make([]string, len(r.Versions))
 		for i, v := range r.Versions {

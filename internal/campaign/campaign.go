@@ -257,6 +257,17 @@ func (e *Engine) Run(ctx context.Context) error {
 	}
 	mRateLimit.Set(int64(e.cfg.Rate))
 
+	// The engine's probes and the shards it completes are
+	// campaign_probes_total and campaign_shards_completed_total: the
+	// registry reads them while it runs.
+	restored := e.Progress().ShardsDone
+	detach := telemetry.Default().Attach(func(rd *telemetry.Reading) {
+		p := e.Progress()
+		rd.Count(mProbes, p.Probes)
+		rd.Count(mShardsDone, uint64(p.ShardsDone-restored))
+	})
+	defer detach()
+
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -371,11 +382,10 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		// context's mutex, which every worker would fight over.
 		cancelled = ctx.Done()
 		// probes is what this walk has issued since it last published:
-		// the shared counters are written once per yield, not per unit,
+		// the engine's count is written once per yield, not per unit,
 		// and on every way out.
 		probes  uint64
 		publish = func() {
-			mProbes.Add(probes)
 			e.probes.Add(probes)
 			probes = 0
 		}
@@ -428,7 +438,6 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		}
 	}
 	st.done.Store(true)
-	mShardsDone.Inc()
 	return nil
 }
 

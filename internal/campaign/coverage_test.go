@@ -17,7 +17,7 @@ import (
 
 // TestKillResumeCoversMillionsExactlyOnce is the acceptance proof: a
 // simulated sweep over a multi-million-address prefix (sized by build
-// tag; see budget_norace.go) enclosing every IPv4 deployment of the
+// tag; see budget_norace_test.go) enclosing every IPv4 deployment of the
 // simulated Internet is killed partway and resumed by a fresh engine
 // from checkpoint plus journal — and across both runs every address
 // in the prefix is visited exactly once. Probes are counted in a

@@ -75,12 +75,12 @@ func TestSweepMatchesScanAddrs(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pc.Close()
-		zs := &zmapquic.Scanner{Conn: pc}
+		zs := &zmapquic.Scanner{Conn: pc, Cooldown: 200 * time.Millisecond}
 		eng, err := New(Config{Sweep: sw, Shards: 4, Probe: ProbeWith(zs)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, 200*time.Millisecond, func(r zmapquic.Result) {
+		err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, func(r zmapquic.Result) {
 			sweepHits[r.Addr]++ // unguarded on purpose: hit is called one at a time
 		})
 		if err != nil {
@@ -149,7 +149,7 @@ func TestSweepCancelIsTheGracefulStop(t *testing.T) {
 		defer pc.Close()
 		conns = append(conns, pc)
 	}
-	zs := &zmapquic.Scanner{Conn: conns[0]}
+	zs := &zmapquic.Scanner{Conn: conns[0], Cooldown: 3 * time.Second}
 	probe := ProbeWith(zs)
 	baseline := runtime.NumGoroutine()
 
@@ -177,7 +177,7 @@ func TestSweepCancelIsTheGracefulStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = eng.Sweep(ctx, zs, conns, 3*time.Second, func(zmapquic.Result) {})
+	err = eng.Sweep(ctx, zs, conns, func(zmapquic.Result) {})
 	took := time.Since(time.Unix(0, cancelledAt.Load()))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sweep = %v, want context.Canceled", err)
@@ -223,7 +223,7 @@ func TestSweepCancelInTheCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	zs := &zmapquic.Scanner{Conn: pc}
+	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 3 * time.Second}
 	eng, err := New(Config{
 		Sweep: zmapquic.NewSweep(9, []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")}),
 		Probe: ProbeWith(zs),
@@ -242,7 +242,7 @@ func TestSweepCancelInTheCooldown(t *testing.T) {
 		cancelledAt.Store(time.Now().UnixNano())
 		cancel()
 	}()
-	err = eng.Sweep(ctx, zs, []net.PacketConn{pc}, 3*time.Second, func(zmapquic.Result) {})
+	err = eng.Sweep(ctx, zs, []net.PacketConn{pc}, func(zmapquic.Result) {})
 	took := time.Since(time.Unix(0, cancelledAt.Load()))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("Sweep = %v after a cancel in its cooldown, want context.Canceled", err)

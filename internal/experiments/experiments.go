@@ -352,7 +352,7 @@ func sweepV4(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 		return err
 	}
 	defer pc.Close()
-	zs := &zmapquic.Scanner{Conn: pc}
+	zs := &zmapquic.Scanner{Conn: pc, Cooldown: 400 * time.Millisecond}
 	eng, err := campaign.New(campaign.Config{
 		Sweep: zmapquic.NewSweep(u.Spec.Seed, u.V4Prefixes()),
 		Probe: campaign.ProbeWith(zs),
@@ -360,7 +360,7 @@ func sweepV4(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 	if err != nil {
 		return err
 	}
-	err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, 400*time.Millisecond, func(r zmapquic.Result) {
+	err = eng.Sweep(context.Background(), zs, []net.PacketConn{pc}, func(r zmapquic.Result) {
 		wd.V4.ZMap[r.Addr] = r.Versions
 	})
 	if err != nil {

@@ -84,8 +84,7 @@ type localConnID struct {
 
 // ErrMigrationDisabled is returned by Migrate when the peer forbade
 // active migration via the disable_active_migration transport
-// parameter. MigrateForce ignores the parameter deliberately, to
-// measure how deployments treat clients that migrate anyway.
+// parameter. MigrateForce ignores the parameter.
 var ErrMigrationDisabled = errors.New("quic: peer disabled active migration")
 
 // ErrPathValidationFailed is returned when a probed path never
@@ -546,9 +545,10 @@ func (c *Conn) nextPeerConnIDLocked() (peerConnID, bool) {
 // active migration.
 func (c *Conn) Migrate(ctx context.Context) error { return c.migrate(ctx, false) }
 
-// MigrateForce is Migrate without the disable_active_migration check:
-// the scan mode uses it to observe how deployments that forbid
-// migration treat clients that migrate anyway.
+// MigrateForce is Migrate without the disable_active_migration check.
+// The rebind chaos runs (internal/chaos, RebindConfig.Force) use it to
+// check that a server forbidding migration refuses a client that
+// migrates anyway; the migration scan mode only rebinds and pings.
 func (c *Conn) MigrateForce(ctx context.Context) error { return c.migrate(ctx, true) }
 
 func (c *Conn) migrate(ctx context.Context, force bool) error {

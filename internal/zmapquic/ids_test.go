@@ -90,7 +90,7 @@ func TestCollectorRejectsNearMisses(t *testing.T) {
 	before := mInvalidResp.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	var hits []Result
-	invalid := s.CollectResponsesOn(ctx, pc, func(r Result) {
+	responses, invalid := s.CollectResponsesOn(ctx, pc, func(r Result) {
 		hits = append(hits, r)
 		cancel() // the real answer was written last
 	})
@@ -98,8 +98,8 @@ func TestCollectorRejectsNearMisses(t *testing.T) {
 		t.Errorf("collector counted %d invalid responses, zmapquic_invalid_responses_total moved by %d, want %d",
 			invalid, mInvalidResp.Value()-before, len(bad))
 	}
-	if len(hits) != 1 || hits[0].Addr != addr {
-		t.Errorf("hits = %v, want one from %v", hits, addr)
+	if responses != 1 || len(hits) != 1 || hits[0].Addr != addr {
+		t.Errorf("%d responses, hits = %v, want one from %v", responses, hits, addr)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quicscan/internal/netbatch"
@@ -52,18 +53,6 @@ var (
 	mBatchSize     = telemetry.Default().Histogram("zmapquic_batch_size",
 		[]float64{1, 2, 4, 8, 16, 32, 64})
 )
-
-// vnVersionCounters caches the per-version child counters so the
-// response path performs no label join or vec lookup per packet.
-var vnVersionCounters sync.Map // quicwire.Version -> *telemetry.Counter
-
-func vnCounter(v quicwire.Version) *telemetry.Counter {
-	if c, ok := vnVersionCounters.Load(v); ok {
-		return c.(*telemetry.Counter)
-	}
-	c, _ := vnVersionCounters.LoadOrStore(v, mVNByVersions.With(v.String()))
-	return c.(*telemetry.Counter)
-}
 
 // recvBufPool recycles the response collection buffers across scan
 // passes.
@@ -176,11 +165,12 @@ func (s *Scanner) leaseSendBatch() *sendBatch {
 }
 
 // flush hands the first n probes of b to the socket in one WriteBatch
-// (one sendmmsg on the Linux path) and accounts for what actually left:
-// every probe this package sends goes through here. A partial send
-// drops the tail — probe loss is inherent to the scan model, so the
-// caller reports it (SendProbe) or leaves it to a re-probe pass
-// (ScanAddrs) and nothing is retried.
+// (one sendmmsg on the Linux path) and counts the batch: every probe
+// this package sends goes through here. The caller counts the probes
+// that left, as its owner's (ScanAddrs) or the registry's (SendProbe).
+// A partial send drops the tail — probe loss is inherent to the scan
+// model, so the caller reports it (SendProbe) or leaves it to a
+// re-probe pass (ScanAddrs) and nothing is retried.
 func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
 	if n == 0 {
 		return 0, nil
@@ -200,8 +190,6 @@ func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
 			}
 		}
 		mBatchProbes.Add(uint64(sent))
-		mProbesSent.Add(uint64(sent))
-		mProbeBytes.Add(uint64(sent * len(s.template())))
 	}
 	return sent, err
 }
@@ -231,11 +219,10 @@ type Result struct {
 	Versions []quicwire.Version
 }
 
-// Stats summarizes one scan: what every ScanAddrs caller prints or
-// checks its scan against. The telemetry registry
-// (zmapquic_probes_sent_total, zmapquic_responses_total, ...) holds the
-// process-wide sums of the same events; it cannot answer for a single
-// scan.
+// Stats summarizes one ScanAddrs call. Its counts are the only count of
+// the call's events: the registry reads them while the call runs and
+// adds them to zmapquic_probes_sent_total, zmapquic_responses_total and
+// the rest of the family when it returns.
 type Stats struct {
 	ProbesSent       int
 	BytesSent        int64
@@ -246,6 +233,19 @@ type Stats struct {
 	// Reprobes counts probes sent in second and later passes over
 	// silent targets (included in ProbesSent).
 	Reprobes int
+}
+
+// sendCounts is a list scan's count of what it sent and skipped while
+// it runs. Registry.Attach reads it; its collectors count the answers.
+type sendCounts struct {
+	probes, bytes, blocked, reprobes atomic.Uint64
+}
+
+func (c *sendCounts) read(rd *telemetry.Reading) {
+	rd.Count(mProbesSent, c.probes.Load())
+	rd.Count(mProbeBytes, c.bytes.Load())
+	rd.Count(mBlocked, c.blocked.Load())
+	rd.Count(mReprobes, c.reprobes.Load())
 }
 
 func (s *Scanner) port() uint16 {
@@ -367,7 +367,8 @@ func (s *Scanner) ValidateResponse(addr netip.Addr, pkt []byte) ([]quicwire.Vers
 // Each call is its own send: a batch leased from the pool, one slot
 // filled, one WriteBatch, nothing shared with the callers beside it but
 // the socket. It returns after that WriteBatch did, which is what the
-// campaign's journal and resume rely on.
+// campaign's journal and resume rely on. A probe has no scan to own
+// its count here, so the registry's zmapquic_* series are the count.
 func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 	if s.Blocklist.Blocked(addr) {
 		mBlocked.Inc()
@@ -378,6 +379,8 @@ func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 	n, err := s.flush(b, 1)
 	s.batchPool.Put(b)
 	if n == 1 {
+		mProbesSent.Inc()
+		mProbeBytes.Add(uint64(len(s.template())))
 		return true, nil
 	}
 	if err == nil {
@@ -386,11 +389,33 @@ func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
 	return false, err
 }
 
-// collectLoop drains conn in batches (one recvmmsg per wakeup on
-// Linux), invoking handle for every received datagram until a read
-// error — deadline expiry or close — ends the loop. Buffers come from
-// recvBufPool and are reused across reads; handle must not retain pkt.
-func (s *Scanner) collectLoop(conn net.PacketConn, handle func(from netip.AddrPort, pkt []byte)) {
+// CollectResponsesOn runs the receive loop on conn until ctx is done,
+// invoking fn for each validated Version Negotiation response
+// (duplicates included; deduplication is the caller's concern), and
+// returns how many datagrams it took as responses and how many failed
+// validation. Those two counts are the run's own, and the registry
+// reads them while it runs (zmapquic_responses_total,
+// zmapquic_invalid_responses_total). It is the one response handler:
+// Collect runs one per socket beside a sweep or a ScanAddrs pass.
+//
+// With SO_REUSEPORT-sharded receive sockets the kernel hashes inbound
+// datagrams across the whole group, so a campaign must run one
+// collector per group socket; conn must share the probe socket's
+// port or validation will reject everything it reads.
+func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, fn func(Result)) (responses, invalid int) {
+	var nResp, nInvalid atomic.Uint64
+	detach := telemetry.Default().Attach(func(rd *telemetry.Reading) {
+		rd.Count(mResponses, nResp.Load())
+		rd.Count(mInvalidResp, nInvalid.Load())
+	})
+	defer detach()
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetReadDeadline(time.Now())
+	})
+	defer stop()
+	// Datagrams are drained in batches (one recvmmsg per wakeup on
+	// Linux) into pooled buffers until a read error (the deadline ctx
+	// sets, or a close) ends the loop.
 	bc, _ := netbatch.Wrap(conn)
 	var msgs [recvBatchSize]netbatch.Message
 	var leased [recvBatchSize]*[]byte
@@ -406,54 +431,81 @@ func (s *Scanner) collectLoop(conn net.PacketConn, handle func(from netip.AddrPo
 	for {
 		got, err := bc.ReadBatch(msgs[:])
 		if err != nil {
-			return
+			break
 		}
-		for i := 0; i < got; i++ {
-			if !msgs[i].Addr.IsValid() {
+		for _, m := range msgs[:got] {
+			if !m.Addr.IsValid() {
 				continue
 			}
-			handle(msgs[i].Addr, msgs[i].Buf[:msgs[i].N])
+			addr, pkt := m.Addr.Addr().Unmap(), m.Buf[:m.N]
+			if s.Capture != nil {
+				s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, m.Addr.Port()), s.localAddrPort(), pkt)
+			}
+			versions, ok := s.ValidateResponse(addr, pkt)
+			if !ok {
+				nInvalid.Add(1)
+				continue
+			}
+			nResp.Add(1)
+			for _, v := range versions {
+				mVNByVersions.With(v.String()).Inc()
+			}
+			fn(Result{Addr: addr, Versions: versions})
 		}
 	}
-}
-
-// CollectResponsesOn runs the receive loop on conn until ctx is done,
-// invoking fn for each validated Version Negotiation response
-// (duplicates included; deduplication is the caller's concern), and
-// returns how many datagrams failed validation. It is the one response
-// handler: a campaign keeps a collector alive for the whole run while
-// workers call SendProbe, and ScanAddrs runs one beside each pass.
-//
-// With SO_REUSEPORT-sharded receive sockets the kernel hashes inbound
-// datagrams across the whole group, so a campaign must run one
-// collector per group socket; conn must share the probe socket's
-// port or validation will reject everything it reads.
-func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, fn func(Result)) (invalid int) {
-	stop := context.AfterFunc(ctx, func() {
-		conn.SetReadDeadline(time.Now())
-	})
-	defer stop()
-	s.collectLoop(conn, func(from netip.AddrPort, pkt []byte) {
-		addr := from.Addr().Unmap()
-		if s.Capture != nil {
-			s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, from.Port()), s.localAddrPort(), pkt)
-		}
-		versions, ok := s.ValidateResponse(addr, pkt)
-		if !ok {
-			invalid++
-			mInvalidResp.Inc()
-			return
-		}
-		mResponses.Inc()
-		for _, v := range versions {
-			vnCounter(v).Inc()
-		}
-		fn(Result{Addr: addr, Versions: versions})
-	})
 	if ctx.Err() != nil {
 		conn.SetReadDeadline(time.Time{})
 	}
-	return invalid
+	return int(nResp.Load()), int(nInvalid.Load())
+}
+
+// Collect is the receive side of a stateless scan around send, which
+// probes through this Scanner: one CollectResponsesOn collector per
+// socket of conns while send runs, then for Cooldown more, so that
+// answers still in flight when the last probe left are heard. hit is
+// called for the first valid response of each address, one call at a
+// time. responses and invalid sum what the collectors returned.
+//
+// The cooldown belongs to a send that finished: when send fails or ctx
+// ends, before or during the cooldown, Collect stops the collectors and
+// returns the error at once. Every collector has exited when it
+// returns.
+func (s *Scanner) Collect(ctx context.Context, conns []net.PacketConn, send func(context.Context) error, hit func(Result)) (responses, invalid int, err error) {
+	collectCtx, stop := context.WithCancel(ctx)
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex // guards seen and the sums, and serializes hit
+		seen = make(map[netip.Addr]bool)
+	)
+	for _, conn := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, i := s.CollectResponsesOn(collectCtx, conn, func(r Result) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !seen[r.Addr] {
+					seen[r.Addr] = true
+					hit(r)
+				}
+			})
+			mu.Lock()
+			responses += r
+			invalid += i
+			mu.Unlock()
+		}()
+	}
+	err = send(ctx)
+	if err == nil {
+		select {
+		case <-time.After(s.cooldown()):
+		case <-ctx.Done():
+			err = ctx.Err() // late answers went unheard: not a clean scan
+		}
+	}
+	stop()
+	wg.Wait()
+	return responses, invalid, err
 }
 
 // ScanAddrs scans a slice of targets, making up to 1+Retries passes:
@@ -464,25 +516,31 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, 
 	var (
 		results   []Result
 		stats     Stats
+		sent      sendCounts
 		responded = make(map[netip.Addr]bool)
 		limiter   = NewLimiter(s.Rate)
+		err       error
 	)
+	detach := telemetry.Default().Attach(sent.read)
 	mRateGauge.Set(int64(s.Rate))
 	pending := addrs
 	for pass := 0; pass <= s.Retries && len(pending) > 0; pass++ {
-		before := stats.ProbesSent
-		err := s.scanPass(ctx, pending, limiter, &stats, func(r Result) {
+		before := sent.probes.Load()
+		var responses, invalid int
+		responses, invalid, err = s.scanPass(ctx, pending, limiter, &sent, func(r Result) {
+			// A late answer to an earlier pass is a first sighting here.
 			if !responded[r.Addr] {
 				responded[r.Addr] = true
 				results = append(results, r)
 			}
 		})
+		stats.Responses += responses
+		stats.InvalidResponses += invalid
 		if pass > 0 {
-			stats.Reprobes += stats.ProbesSent - before
-			mReprobes.Add(uint64(stats.ProbesSent - before))
+			sent.reprobes.Add(sent.probes.Load() - before)
 		}
 		if err != nil {
-			return results, stats, err
+			break
 		}
 		// The next pass re-probes only silent, probeable targets.
 		var silent []netip.Addr
@@ -493,81 +551,68 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, 
 		}
 		pending = silent
 	}
-	return results, stats, ctx.Err()
+	detach()
+	stats.ProbesSent = int(sent.probes.Load())
+	stats.BytesSent = int64(sent.bytes.Load())
+	stats.Blocked = int(sent.blocked.Load())
+	stats.Reprobes = int(sent.reprobes.Load())
+	if err == nil {
+		err = ctx.Err()
+	}
+	return results, stats, err
 }
 
-// scanPass probes every address of addrs once, with a collector beside
-// it that hands each valid response to hit, and returns when the
-// cooldown after the last probe has passed or ctx is cancelled. hit runs
-// on the collector's goroutine, which has exited by the time scanPass
-// returns.
-func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Limiter, stats *Stats, hit func(Result)) error {
-	collectCtx, stopCollect := context.WithCancel(ctx)
-	var responses, invalid int
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		invalid = s.CollectResponsesOn(collectCtx, s.Conn, func(r Result) {
-			responses++
-			hit(r)
-		})
-	}()
-
-	// Each admitted target is patched into the next slot of a pooled
-	// batch; a full batch, or a pause for the next rate token, flushes.
-	b := s.leaseSendBatch()
-	n := 0
-	flush := func() {
-		sent, _ := s.flush(b, n)
-		stats.ProbesSent += sent
-		stats.BytesSent += int64(sent * len(s.template()))
-		n = 0
-	}
-	for _, addr := range addrs {
-		// Cancellation is looked for between batches, and by Wait.
-		if n == 0 && ctx.Err() != nil {
-			break
+// scanPass probes every address of addrs once, counting into sent,
+// inside Collect on the scanning socket.
+func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Limiter, sent *sendCounts, hit func(Result)) (responses, invalid int, err error) {
+	return s.Collect(ctx, []net.PacketConn{s.Conn}, func(ctx context.Context) error {
+		// Each admitted target is patched into the next slot of a pooled
+		// batch; a full batch, or a pause for the next rate token, flushes.
+		b := s.leaseSendBatch()
+		n := 0
+		flush := func() {
+			k, _ := s.flush(b, n)
+			sent.probes.Add(uint64(k))
+			sent.bytes.Add(uint64(k * len(s.template())))
+			n = 0
 		}
-		if s.Blocklist.Blocked(addr) {
-			stats.Blocked++
-			mBlocked.Inc()
-			continue
-		}
-		if !limiter.TryTake() {
-			// Out of tokens: flush what is buffered so pacing gaps never
-			// sit on already-admitted probes, then block for the next
-			// token.
-			flush()
-			if limiter.Wait(ctx) != nil {
+		for _, addr := range addrs {
+			// Cancellation is looked for between batches, and by Wait.
+			if n == 0 && ctx.Err() != nil {
 				break
 			}
+			if s.Blocklist.Blocked(addr) {
+				sent.blocked.Add(1)
+				continue
+			}
+			if !limiter.TryTake() {
+				// Out of tokens: flush what is buffered so pacing gaps
+				// never sit on already-admitted probes, then block for
+				// the next token.
+				flush()
+				if limiter.Wait(ctx) != nil {
+					break
+				}
+			}
+			s.fill(&b.msgs[n], addr, &b.ids)
+			n++
+			if n == SendBatchSize {
+				flush()
+				// An unpaced loop over a slice never blocks, so on one
+				// core nothing else runs until the scheduler preempts it:
+				// not the collector, not an in-process responder.
+				// Meanwhile the socket's receive queue fills with the
+				// answers of whoever did get to run, and drops every
+				// later one. Give the core away once per batch, as a
+				// kernel socket's sendmmsg would.
+				runtime.Gosched()
+			}
 		}
-		s.fill(&b.msgs[n], addr, &b.ids)
-		n++
-		if n == SendBatchSize {
-			flush()
-			// An unpaced loop over a slice never blocks, so on one core
-			// nothing else runs until the scheduler preempts it: not the
-			// collector, not an in-process responder. Meanwhile the
-			// socket's receive queue fills with the answers of whoever
-			// did get to run, and drops every later one. Give the core
-			// away once per batch, as a kernel socket's sendmmsg would.
-			runtime.Gosched()
-		}
-	}
-	// Targets buffered at loop exit consumed rate tokens; send them.
-	flush()
-	s.batchPool.Put(b)
-
-	select {
-	case <-ctx.Done():
-	case <-time.After(s.cooldown()):
-	}
-	stopCollect()
-	<-collected
-	stats.Responses += responses
-	stats.InvalidResponses += invalid
-	return ctx.Err()
+		// Targets buffered at loop exit consumed rate tokens; send them.
+		flush()
+		s.batchPool.Put(b)
+		return ctx.Err()
+	}, hit)
 }
 
 // localAddrPort resolves the scanning socket's own address.

@@ -58,6 +58,13 @@ echo "==> registry exactly-once test, 20 runs under -race"
 # twice or not at all is rare, so the test runs twenty times.
 go test -race -count=20 -run '^TestAttachExactlyOnce$' ./internal/telemetry
 
+echo "==> sweep receive lifecycle and its counts, 20 runs under -race"
+# Collect's collectors racing a cancel in the send or in the cooldown,
+# and snapshots racing a list scan's and a campaign's detach
+# (DESIGN.md sections 7 and 9).
+go test -race -count=20 -run '^TestSweep' ./internal/campaign
+go test -race -count=20 -run '^TestStatsFeedTheirSeries$' ./internal/zmapquic
+
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any

@@ -52,7 +52,7 @@ function flush(    i, f, lock, bucket) {
 		else if (f ~ /^quicscan\/internal\/telemetry\./) bucket = "telemetry"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.(SendProbe|fill|flush|leaseSendBatch|batchConn|template)/)
 			bucket = lock ? "SendProbe locks" : "send"
-		else if (f ~ /zmapquic\.\(\*Scanner\)\.|zmapquic\.vnCounter/) bucket = "collector"
+		else if (f ~ /zmapquic\.\(\*Scanner\)\./) bucket = "collector"
 		else if (f ~ /^quicscan\/internal\/campaign\.|zmapquic\.\(\*Sweep\)|zmapquic\.\(\*Limiter\)|\.ProbeWith\.|^context\./) bucket = "campaign walk"
 		else if (f ~ /^quicscan/) bucket = "other"
 	}
