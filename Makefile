@@ -46,7 +46,7 @@ cpu-sweep:
 fuzz:
 	./scripts/fuzz-smoke.sh
 
-# Chaos/soak tier: the extended impairment sweep behind EXPERIMENTS.md
+# Soak tier: the impaired universe's loss sweep behind EXPERIMENTS.md
 # (minutes of runtime, race detector on).
 soak:
-	SOAK=1 $(GO) test -race -v -run 'Chaos' ./internal/chaos/
+	SOAK=1 $(GO) test -race -count=1 -v -run 'TestStatefulScanBehaviours' ./internal/internet/

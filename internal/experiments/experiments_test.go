@@ -67,6 +67,35 @@ func TestCampaignTable3Shape(t *testing.T) {
 	t.Logf("SNI:    %s", sni)
 }
 
+// TestCampaignStatefulMatchesOracle scores every stateful result of the
+// headline week with the universe's ground truth: outcome, transport
+// parameters and, on success, the Server header. Under the race
+// detector a handshake or a HEAD can outlast its 2 s timer (see
+// raceEnabled); there a slow answer may turn into a timeout, but never
+// into another answer.
+func TestCampaignStatefulMatchesOracle(t *testing.T) {
+	r := smallCampaign(t)
+	n, off := 0, 0
+	for list, results := range r.statefulLists() {
+		for _, res := range results {
+			n++
+			err := r.Universe.Expect(res)
+			if err == nil {
+				continue
+			}
+			off++
+			timedOut := res.Outcome == core.OutcomeTimeout || res.HTTP != nil && !res.HTTP.RequestOK
+			if !(raceEnabled && timedOut) {
+				t.Errorf("%s: %v", list, err)
+			}
+		}
+	}
+	t.Logf("%d/%d stateful results equal the oracle", n-off, n)
+	if n == 0 {
+		t.Fatal("the campaign scanned no stateful targets")
+	}
+}
+
 func TestCampaignVersionMismatchIsGoogle(t *testing.T) {
 	r := smallCampaign(t)
 	googleMismatch, otherMismatch := 0, 0

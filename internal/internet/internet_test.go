@@ -233,77 +233,6 @@ func TestDNSDiscovery(t *testing.T) {
 	t.Logf("alexa HTTPS RR rate: %d/%d", withRR, len(names))
 }
 
-func TestStatefulScanBehaviours(t *testing.T) {
-	u := startedUniverse(t, tinySpec(), StartOptions{Stateful: true})
-
-	sc := &core.Scanner{
-		DialPacket: func() (net.PacketConn, error) { return u.Net.DialUDP() },
-		RootCAs:    u.RootCAs(),
-		Timeout:    700 * time.Millisecond,
-		Workers:    32,
-	}
-
-	find := func(provider string, b Behavior) *Deployment {
-		for _, d := range u.Deployments {
-			if d.Provider == provider && d.Behavior == b && d.Addr.Is4() {
-				return d
-			}
-		}
-		return nil
-	}
-
-	if d := find("cloudflare", BehaviorGhost0x128); d != nil {
-		res := sc.ScanTarget(context.Background(), core.Target{Addr: d.Addr})
-		if res.Outcome != core.OutcomeCryptoError {
-			t.Errorf("cloudflare ghost: %s (%s)", res.Outcome, res.Error)
-		}
-	} else {
-		t.Error("no cloudflare ghost deployment generated")
-	}
-
-	if d := find("akamai", BehaviorGhostTimeout); d != nil {
-		res := sc.ScanTarget(context.Background(), core.Target{Addr: d.Addr})
-		if res.Outcome != core.OutcomeTimeout {
-			t.Errorf("akamai ghost: %s (%s)", res.Outcome, res.Error)
-		}
-	}
-
-	if d := find("google", BehaviorMismatch); d != nil {
-		res := sc.ScanTarget(context.Background(), core.Target{Addr: d.Addr})
-		if res.Outcome != core.OutcomeVersionMismatch {
-			t.Errorf("google mismatch: %s (%s)", res.Outcome, res.Error)
-		}
-	} else {
-		t.Error("no google mismatch deployment generated")
-	}
-
-	// An active deployment with one of its domains as SNI succeeds and
-	// reports the provider's transport parameter fingerprint.
-	var active *Deployment
-	for _, d := range u.Deployments {
-		if d.Behavior == BehaviorActive && len(d.Domains) > 0 && d.Addr.Is4() {
-			active = d
-			break
-		}
-	}
-	if active == nil {
-		t.Fatal("no active deployment with domains")
-	}
-	res := sc.ScanTarget(context.Background(), core.Target{Addr: active.Addr, SNI: active.Domains[0]})
-	if res.Outcome != core.OutcomeSuccess {
-		t.Fatalf("active scan: %s (%s)", res.Outcome, res.Error)
-	}
-	if res.TPFingerprint != active.TPConfig.Fingerprint() {
-		t.Errorf("fingerprint mismatch:\n got %s\nwant %s", res.TPFingerprint, active.TPConfig.Fingerprint())
-	}
-	if res.HTTP == nil || res.HTTP.Server != active.ServerHeader {
-		t.Errorf("server header: %+v (want %q)", res.HTTP, active.ServerHeader)
-	}
-	if !res.TLS.CertValid {
-		t.Errorf("certificate for %s did not validate", active.Domains[0])
-	}
-}
-
 func TestAltSvcDiscovery(t *testing.T) {
 	u := startedUniverse(t, tinySpec(), StartOptions{Web: true})
 

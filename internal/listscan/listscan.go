@@ -1,7 +1,7 @@
 // Package listscan is what every scan over a target list shares: the
-// QScanner (internal/core), the TLS-over-TCP scan, the DNS scan, the
-// three behavioural modes and the chaos rebind tier are each a function
-// over one target, and everything around that function lives here once
+// QScanner (internal/core), the TLS-over-TCP scan, the DNS scan and the
+// three behavioural modes are each a function over one target, and
+// everything around that function lives here once
 // — the bounded pool that keeps input order (Run), the record stream
 // that writes while the scan runs (Stream), the target-file reader
 // (ReadTargets, ReadNames) and the signal that stops a command

@@ -11,6 +11,8 @@ import (
 	"quicscan/internal/migration"
 	"quicscan/internal/probe"
 	"quicscan/internal/quic"
+	"quicscan/internal/simnet"
+	"quicscan/internal/telemetry"
 )
 
 // TestE2EClassification probes every BehaviorActive deployment of a
@@ -20,13 +22,35 @@ import (
 // (supported / disabled / validate-break) are separated by hard
 // evidence — traffic resumed, no challenge ever arrived, or a
 // challenge arrived and the connection still died — so every verdict
-// must be exact.
+// must be exact, on a clean link and behind 5 % loss, 30 ms ± 10 ms
+// latency and 1 % reordering. There a supported verdict is a client
+// that survived its rebind because the server validated and promoted
+// the new path through the loss.
 func TestE2EClassification(t *testing.T) {
+	lossy := simnet.Profile{Loss: 0.05, Latency: 30 * time.Millisecond, Jitter: 10 * time.Millisecond, Reorder: 0.01}
+	for _, row := range []struct {
+		name    string
+		profile simnet.Profile
+	}{
+		{"clean", simnet.Profile{}},
+		{"lossy", lossy},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if testing.Short() && row.profile != (simnet.Profile{}) {
+				t.Skip("impaired rows skipped in -short mode")
+			}
+			classify(t, row.profile)
+		})
+	}
+}
+
+func classify(t *testing.T, profile simnet.Profile) {
 	u := internet.Build(internet.Spec{Seed: 2, Scale: 16384, ASScale: 64, DomainScale: 65536, Week: 18})
 	if err := u.Start(internet.StartOptions{Stateful: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer u.Stop()
+	u.Net.SetProfile(profile)
 
 	var targets []probe.Target
 	var truth []quic.MigrationPolicy
@@ -59,7 +83,9 @@ func TestE2EClassification(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
-	results := p.Scan(ctx, 8, targets, nil)
+	migrations := func() uint64 { return telemetry.Default().Snapshot().Counters["quic_migrations_total"] }
+	before := migrations()
+	results := p.Scan(ctx, 32, targets, nil)
 
 	for i, r := range results {
 		want := truth[i].String()
@@ -73,6 +99,9 @@ func TestE2EClassification(t *testing.T) {
 		if r.Verdict == migration.VerdictDisabled && r.Honest != r.TPDisabled {
 			t.Errorf("target %s: honest=%t with tp-disabled=%t", r.Target.Addr, r.Honest, r.TPDisabled)
 		}
+	}
+	if after := migrations(); after <= before {
+		t.Errorf("no server promoted a migrated path (quic_migrations_total %d -> %d)", before, after)
 	}
 }
 

@@ -117,7 +117,7 @@ func parityRun(t *testing.T, hide bool) [][]byte {
 
 // TestFallbackNativeParity sends an identical probe sequence through
 // the native batch path and the concealed one-WriteTo-per-datagram
-// fallback over identically seeded chaos-tier networks, and asserts
+// fallback over identically seeded impaired networks, and asserts
 // the receiver observes byte-identical traffic. Both paths must number
 // the flow's datagrams in the same order, so every drop, duplicate and
 // bit-flip decision lands on the same probe.

@@ -84,6 +84,7 @@ func (c *Conn) handleFrameLocked(spIdx int, f quicwire.Frame) {
 	case *quicwire.AckFrame:
 		if sp.loss.onAck(fr) {
 			c.ptoCount = 0
+			c.armPTOLocked()
 		}
 	case *quicwire.CryptoFrame:
 		out, err := sp.crypto.push(fr.Offset, fr.Data)

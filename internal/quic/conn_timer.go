@@ -196,13 +196,26 @@ func (c *Conn) onPTOLocked() {
 			resent = true
 		}
 	}
-	if resent {
+	switch {
+	case resent:
 		c.stats.Retransmits++
 		if c.trace != nil {
 			c.trace.Event("retransmit", "pto_count", c.ptoCount)
 		}
 		c.sendPendingLocked()
-	} else {
+	case c.isClient && !c.handshakeDone:
+		// Nothing of ours awaits an ACK, yet the server's flight has
+		// not arrived: it was lost, or went to an address this socket
+		// no longer has. Only a probe from here can tell the server
+		// (RFC 9002, Section 6.2.2.1): a Handshake PING once there are
+		// Handshake keys, an Initial one before.
+		sp := &c.spaces[spaceHandshake]
+		if sp.dropped || sp.sendKeys == nil {
+			sp = &c.spaces[spaceInitial]
+		}
+		sp.outFrames = append(sp.outFrames, &quicwire.PingFrame{})
+		c.sendPendingLocked()
+	default:
 		c.armPTOLocked()
 	}
 }

@@ -25,6 +25,7 @@ func (c *Conn) sendPendingLocked() {
 	buf := leaseSendBuf()
 	defer releaseSendBuf(buf)
 	datagram := buf[:0]
+	tracked := c.trackedLocked()
 	for {
 		if datagram = c.packDatagramLocked(datagram[:0]); len(datagram) == 0 {
 			break
@@ -35,7 +36,23 @@ func (c *Conn) sendPendingLocked() {
 		}
 		c.stats.BytesSent += len(datagram)
 	}
-	c.armPTOLocked()
+	// While packets await an ACK, their retransmission deadline
+	// restarts when an ack-eliciting packet leaves or is acknowledged
+	// (handleFrameLocked), not for an ACK alone (RFC 9002, Section
+	// 6.2.1): a peer whose probes this side only acknowledges must not
+	// postpone its retransmission forever.
+	if c.ptoDeadline.IsZero() || !c.anyUnackedLocked() || c.trackedLocked() != tracked {
+		c.armPTOLocked()
+	}
+}
+
+// trackedLocked counts the ack-eliciting packets awaiting an ACK.
+func (c *Conn) trackedLocked() int {
+	n := 0
+	for i := range c.spaces {
+		n += len(c.spaces[i].loss.sent)
+	}
+	return n
 }
 
 // takeCrypto cuts the next CRYPTO frame, of at most max bytes, off the

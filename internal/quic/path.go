@@ -84,7 +84,7 @@ type localConnID struct {
 
 // ErrMigrationDisabled is returned by Migrate when the peer forbade
 // active migration via the disable_active_migration transport
-// parameter. MigrateForce ignores the parameter.
+// parameter.
 var ErrMigrationDisabled = errors.New("quic: peer disabled active migration")
 
 // ErrPathValidationFailed is returned when a probed path never
@@ -545,12 +545,8 @@ func (c *Conn) nextPeerConnIDLocked() (peerConnID, bool) {
 // active migration.
 func (c *Conn) Migrate(ctx context.Context) error { return c.migrate(ctx, false) }
 
-// MigrateForce is Migrate without the disable_active_migration check.
-// The rebind chaos runs (internal/chaos, RebindConfig.Force) use it to
-// check that a server forbidding migration refuses a client that
-// migrates anyway; the migration scan mode only rebinds and pings.
-func (c *Conn) MigrateForce(ctx context.Context) error { return c.migrate(ctx, true) }
-
+// migrate is Migrate; force skips the disable_active_migration check,
+// so a test can make a client migrate against a server that forbids it.
 func (c *Conn) migrate(ctx context.Context, force bool) error {
 	c.mu.Lock()
 	if !c.handshakeDone {

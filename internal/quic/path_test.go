@@ -5,9 +5,11 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
+	"quicscan/internal/listscan"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
 )
@@ -89,8 +91,16 @@ func (w *simWorld) ping(t *testing.T, timeout time.Duration) error {
 // new address over a fresh connection ID), and once the client's
 // PATH_RESPONSE lands the server must promote the path and resume
 // traffic there. RemoteAddr, read throughout as any caller may, moves
-// with the path without a data race.
+// with the path without a data race. The lossy row drives 200 flows
+// through the same rebind, half of them while the handshake is in
+// flight (RFC 9000 Section 8.1: the handshake itself validates the new
+// address), and at least 99 % of them must survive.
 func TestPathValidationPromotesReboundClient(t *testing.T) {
+	t.Run("clean", testPromotesReboundClient)
+	t.Run("lossy", testReboundFlowsSurviveLoss)
+}
+
+func testPromotesReboundClient(t *testing.T) {
 	w := newSimWorld(t, ServerPolicy{}, nil)
 	sc := w.serverConn(t)
 	stop, polled := make(chan struct{}), make(chan struct{})
@@ -198,10 +208,17 @@ func TestValidateBreakTearsDownAfterPromotion(t *testing.T) {
 }
 
 // TestMigrateHonorsDisableActiveMigration: Migrate must refuse when
-// the peer's transport parameters forbid active migration, and
-// MigrateForce against a server that also behaviorally ignores moved
-// peers must fail path validation rather than hang.
+// the peer's transport parameters forbid active migration, and a forced
+// migration against a server that also behaviorally ignores moved peers
+// must fail path validation rather than hang. In the lossy row no
+// forced flow completes, and at least three in four fail path
+// validation explicitly.
 func TestMigrateHonorsDisableActiveMigration(t *testing.T) {
+	t.Run("clean", testMigrateHonorsDisable)
+	t.Run("lossy", testForcedFlowsAgainstDisabled)
+}
+
+func testMigrateHonorsDisable(t *testing.T) {
 	w := newSimWorld(t, ServerPolicy{Quirks: Quirks{Migration: MigrationDisabled}}, func(server, client *Config) {
 		server.TransportParams.DisableActiveMigration = true
 	})
@@ -218,13 +235,218 @@ func TestMigrateHonorsDisableActiveMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
-	err = w.client.MigrateForce(ctx)
+	err = w.client.migrate(ctx, true)
 	cancel()
 	if !errors.Is(err, ErrPathValidationFailed) {
-		t.Fatalf("MigrateForce = %v, want ErrPathValidationFailed", err)
+		t.Fatalf("forced migrate = %v, want ErrPathValidationFailed", err)
 	}
 	if cs := w.client.Stats(); cs.PathValidationFailures == 0 {
 		t.Error("failed forced migration not counted in PathValidationFailures")
+	}
+}
+
+// lossyLink is the adversarial link of the lossy rows: 5 % loss, 30 ms
+// ± 10 ms latency and 1 % reordering.
+var lossyLink = simnet.Profile{Loss: 0.05, Latency: 30 * time.Millisecond, Jitter: 10 * time.Millisecond, Reorder: 0.01}
+
+// lossyPTO and lossyStage are the lossy flows' retransmission timeout
+// and the bound on each stage of a flow (its handshake, each ping, a
+// forced migration); they hold with and without the race detector.
+const (
+	lossyPTO   = 150 * time.Millisecond
+	lossyStage = 2400 * time.Millisecond
+)
+
+// flow is what one client flow of a lossy row came to.
+type flow struct {
+	// completed: the flow's last ping after its rebind was answered.
+	completed bool
+	// midHandshake: the socket moved while the handshake was in flight.
+	midHandshake bool
+	// rejected: a forced migration failed path validation.
+	rejected bool
+	// attempts is how many tries the flow took.
+	attempts int
+}
+
+// lossyFlows starts a server with policy on a network behind lossyLink
+// and drives n client flows at it, workers at a time. A flow is tried
+// up to attempts times, each from a fresh socket, until it completes.
+// It returns each flow's last attempt and the server's connections.
+func lossyFlows(t *testing.T, policy ServerPolicy, n, attempts, workers int,
+	run func(i int, pc *simnet.PacketConn, dial func() (*Conn, error)) flow) ([]flow, []*Conn) {
+	t.Helper()
+	nw := simnet.New(simnet.Config{Seed: 42, Profile: lossyLink})
+	t.Cleanup(func() { nw.Close() })
+	scfg, pool := serverConfig(t, "example.org")
+	scfg.TransportParams = DefaultServerParams()
+	spc, err := nw.ListenUDP(simServerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var served []*Conn
+	l, err := Listen(spc, scfg, policy, func(c *Conn) { mu.Lock(); served = append(served, c); mu.Unlock() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+
+	ccfg := clientConfig(pool, "example.org")
+	ccfg.TransportParams = DefaultClientParams()
+	ccfg.HandshakeTimeout = lossyStage
+	ccfg.PTO = lossyPTO
+	ccfg.MaxPTOs = 6
+	ccfg.MaxPTOBackoff = 4 * lossyPTO
+	flows := listscan.Run(context.Background(), workers, n, func(_, i int) flow {
+		var f flow
+		for a := 1; a <= attempts && !f.completed; a++ {
+			pc, err := nw.DialUDP()
+			if err != nil {
+				t.Error(err)
+				return f
+			}
+			f = run(i, pc, func() (*Conn, error) {
+				ctx, cancel := context.WithTimeout(context.Background(), lossyStage+time.Second)
+				defer cancel()
+				return Dial(ctx, pc, net.UDPAddrFromAddrPort(simServerAddr), ccfg)
+			})
+			f.attempts = a
+			pc.Close()
+		}
+		return f
+	}, func(int, error) flow { return flow{} }, nil)
+	mu.Lock()
+	defer mu.Unlock()
+	return flows, served
+}
+
+// pingWithin pings c, waiting at most one lossy stage.
+func pingWithin(c *Conn) error {
+	ctx, cancel := context.WithTimeout(context.Background(), lossyStage)
+	defer cancel()
+	return c.Ping(ctx)
+}
+
+// testReboundFlowsSurviveLoss: even flows rebind while the handshake
+// is in flight, odd ones between two pings, which only survives if the
+// server validates the moved client and promotes its path. A flow
+// completes when its last ping is answered; each gets four attempts.
+func testReboundFlowsSurviveLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lossy rows skipped in -short mode")
+	}
+	flows, served := lossyFlows(t, ServerPolicy{}, 200, 4, 64, func(i int, pc *simnet.PacketConn, dial func() (*Conn, error)) flow {
+		var f flow
+		var c *Conn
+		var err error
+		if i%2 == 0 {
+			// The sleep lands the rebind between flights often
+			// enough; when the handshake wins the race the flow is a
+			// rebind right after it, still a survival case.
+			done := make(chan struct{})
+			go func() { c, err = dial(); close(done) }()
+			time.Sleep(lossyPTO / 2)
+			select {
+			case <-done:
+			default:
+				f.midHandshake = true
+			}
+			if _, err := pc.Rebind(); err != nil {
+				t.Error(err)
+			}
+			<-done
+		} else {
+			c, err = dial()
+		}
+		if err != nil {
+			return f
+		}
+		defer c.Close()
+		if pingWithin(c) != nil {
+			return f
+		}
+		if i%2 == 1 {
+			if _, err := pc.Rebind(); err != nil {
+				return f
+			}
+		}
+		f.completed = pingWithin(c) == nil
+		return f
+	})
+	completed, midHandshake, retried := 0, 0, 0
+	for _, f := range flows {
+		if f.completed {
+			completed++
+		}
+		if f.midHandshake {
+			midHandshake++
+		}
+		if f.attempts > 1 {
+			retried++
+		}
+	}
+	migrations := 0
+	for _, c := range served {
+		migrations += c.Stats().Migrations
+	}
+	t.Logf("%d/%d flows survived, %d of them after a retry; %d rebound mid-handshake; the server promoted %d paths",
+		completed, len(flows), retried, midHandshake, migrations)
+	if rate := 100 * float64(completed) / float64(len(flows)); rate < 99 {
+		t.Errorf("%.1f%% of flows survived their rebind, want >= 99%%", rate)
+	}
+	if midHandshake == 0 {
+		t.Error("no flow rebound while its handshake was in flight")
+	}
+	if migrations == 0 {
+		t.Error("the server promoted no migrated path")
+	}
+}
+
+// testForcedFlowsAgainstDisabled: 80 flows rebind after a ping and
+// force a migration to the new path against a server that ignores moved
+// peers. The server sends nothing toward the new address, so the
+// forced path validation fails and the flow's next ping goes
+// unanswered.
+func testForcedFlowsAgainstDisabled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lossy rows skipped in -short mode")
+	}
+	policy := ServerPolicy{Quirks: Quirks{Migration: MigrationDisabled}}
+	flows, _ := lossyFlows(t, policy, 80, 1, 80, func(_ int, pc *simnet.PacketConn, dial func() (*Conn, error)) flow {
+		var f flow
+		c, err := dial()
+		if err != nil {
+			return f
+		}
+		defer c.Close()
+		if pingWithin(c) != nil {
+			return f
+		}
+		if _, err := pc.Rebind(); err != nil {
+			return f
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), lossyStage)
+		f.rejected = errors.Is(c.migrate(ctx, true), ErrPathValidationFailed)
+		cancel()
+		f.completed = pingWithin(c) == nil
+		return f
+	})
+	completed, rejected := 0, 0
+	for _, f := range flows {
+		if f.completed {
+			completed++
+		}
+		if f.rejected {
+			rejected++
+		}
+	}
+	t.Logf("%d/%d forced flows completed, %d failed path validation", completed, len(flows), rejected)
+	if completed != 0 {
+		t.Errorf("%d flows completed against a server that refuses migration, want 0", completed)
+	}
+	if rejected < len(flows)*3/4 {
+		t.Errorf("only %d/%d forced migrations failed path validation", rejected, len(flows))
 	}
 }
 

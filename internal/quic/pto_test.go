@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
 )
 
@@ -97,4 +98,65 @@ func TestMaxPTOsNegativeDisablesRetransmission(t *testing.T) {
 	if !errors.Is(err, ErrHandshakeTimeout) {
 		t.Errorf("err = %v, want ErrHandshakeTimeout", err)
 	}
+}
+
+// handshakeGatePC hides every Handshake packet from the client until
+// the client has sent one itself: the server's flight is lost however
+// often it is retransmitted, as when it goes to an address the client's
+// socket no longer has.
+type handshakeGatePC struct {
+	net.PacketConn
+	open atomic.Bool
+}
+
+func isHandshakePacket(b []byte) bool {
+	hdr, _, err := quicwire.ParseLongHeader(b)
+	return err == nil && hdr.Type == quicwire.PacketHandshake
+}
+
+func (g *handshakeGatePC) WriteTo(b []byte, addr net.Addr) (int, error) {
+	if isHandshakePacket(b) {
+		g.open.Store(true)
+	}
+	return g.PacketConn.WriteTo(b, addr)
+}
+
+func (g *handshakeGatePC) ReadFrom(b []byte) (int, net.Addr, error) {
+	for {
+		n, addr, err := g.PacketConn.ReadFrom(b)
+		if err != nil || g.open.Load() || !isHandshakePacket(b[:n]) {
+			return n, addr, err
+		}
+	}
+}
+
+// TestClientProbesForALostServerFlight: once the server has
+// acknowledged its Initial, the client has nothing left to retransmit.
+// If the server's Handshake flight never arrives, only a probe from the
+// client can unblock the handshake (RFC 9002, Section 6.2.2.1), and the
+// ACKs the server sends for those probes must not postpone its own
+// retransmission.
+func TestClientProbesForALostServerFlight(t *testing.T) {
+	n := simnet.New(simnet.Config{Seed: 1})
+	defer n.Close()
+	scfg, pool := serverConfig(t, "pto.test")
+	scfg.PTO = 150 * time.Millisecond
+	spc, err := n.ListenUDP(simServerAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveEcho(t, spc, scfg, ServerPolicy{})
+
+	cpc, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := &handshakeGatePC{PacketConn: cpc}
+	cfg := clientConfig(pool, "pto.test")
+	cfg.PTO = 30 * time.Millisecond
+	conn, err := Dial(context.Background(), pc, addr, cfg)
+	if err != nil {
+		t.Fatalf("handshake did not survive a lost server flight: %v", err)
+	}
+	conn.Close()
 }

@@ -85,9 +85,9 @@ type Profile struct {
 // counts transmissions that reached a receive queue (duplicates count
 // individually); the remaining counters classify interference.
 //
-// These are the facts of one Network, which is what chaos.Report sets
-// against one scan's outcomes, and the only count of them: the registry's
-// simnet_delivered_total, simnet_lost_total, ... read them.
+// These are the facts of one Network, which the impaired scans of a
+// universe set against their outcomes, and the only count of them: the
+// registry's simnet_delivered_total, simnet_lost_total, ... read them.
 type ImpairmentStats struct {
 	Delivered  int
 	Lost       int

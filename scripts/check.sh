@@ -102,9 +102,9 @@ go test -cpu 1,2,4 . ./internal/quic ./internal/h3 ./internal/core ./internal/re
 	./internal/probe ./internal/simnet ./internal/dnsclient ./internal/dnsserver ./internal/internet \
 	./internal/netbatch ./internal/experiments ./internal/zmapquic ./internal/campaign ./internal/telemetry ./bench
 
-echo "==> GOEXPERIMENT=synctest go test -cpu 1,2,4 ./internal/chaos"
+echo "==> GOEXPERIMENT=synctest go test -cpu 1,2,4 -run TestScanRepeatsInBubble ./internal/internet"
 # Time is exact in a synctest bubble: an impaired scan must repeat target for target under its seed at every width.
-GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 ./internal/chaos
+GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 -run TestScanRepeatsInBubble ./internal/internet
 
 echo "==> Examples at GOMAXPROCS=1,2,4, then under -race one package at a time"
 # `go test -cpu 1,2,4` runs each Example once, at the first width, so
