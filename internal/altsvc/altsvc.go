@@ -27,9 +27,8 @@ type Service struct {
 	Persist bool
 }
 
-// Clear reports whether a header value was the special token "clear",
-// invalidating all alternatives.
-const Clear = "clear"
+// clearToken is the header value that invalidates all alternatives.
+const clearToken = "clear"
 
 // Parse decodes an Alt-Svc header value. It returns the parsed
 // services and whether the value was the "clear" token. Malformed
@@ -40,7 +39,7 @@ func Parse(v string) (services []Service, clear bool) {
 	if v == "" {
 		return nil, false
 	}
-	if strings.EqualFold(v, Clear) {
+	if strings.EqualFold(v, clearToken) {
 		return nil, true
 	}
 	for _, entry := range splitEntries(v) {
@@ -213,7 +212,7 @@ func Format(services []Service) string {
 func H3ALPNs(services []Service) []string {
 	set := make(map[string]bool)
 	for _, s := range services {
-		if IndicatesQUIC(s.ALPN) {
+		if indicatesQUIC(s.ALPN) {
 			set[s.ALPN] = true
 		}
 	}
@@ -225,10 +224,10 @@ func H3ALPNs(services []Service) []string {
 	return out
 }
 
-// IndicatesQUIC reports whether an ALPN token implies a QUIC endpoint:
+// indicatesQUIC reports whether an ALPN token implies a QUIC endpoint:
 // h3 and its draft variants, Google's h3-QNNN forms, and the legacy
 // "quic" token.
-func IndicatesQUIC(alpn string) bool {
+func indicatesQUIC(alpn string) bool {
 	if alpn == "quic" || alpn == "h3" {
 		return true
 	}

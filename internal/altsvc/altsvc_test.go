@@ -91,12 +91,12 @@ func TestFormatRoundTrip(t *testing.T) {
 
 func TestIndicatesQUIC(t *testing.T) {
 	for _, alpn := range []string{"h3", "h3-29", "h3-Q050", "h3-T051", "quic", "h3-34"} {
-		if !IndicatesQUIC(alpn) {
+		if !indicatesQUIC(alpn) {
 			t.Errorf("%s should indicate QUIC", alpn)
 		}
 	}
 	for _, alpn := range []string{"h2", "http/1.1", "spdy/3", ""} {
-		if IndicatesQUIC(alpn) {
+		if indicatesQUIC(alpn) {
 			t.Errorf("%s should not indicate QUIC", alpn)
 		}
 	}

@@ -247,9 +247,9 @@ type SetShare struct {
 	Share float64
 }
 
-// VersionSetKey canonicalizes a version list the way the paper labels
+// versionSetKey canonicalizes a version list the way the paper labels
 // Figure 5 (order as advertised).
-func VersionSetKey(versions []quicwire.Version) string {
+func versionSetKey(versions []quicwire.Version) string {
 	parts := make([]string, len(versions))
 	for i, v := range versions {
 		parts[i] = v.String()
@@ -257,9 +257,9 @@ func VersionSetKey(versions []quicwire.Version) string {
 	return strings.Join(parts, " ")
 }
 
-// RankSets tallies arbitrary set keys into ranked shares, folding
+// rankSets tallies arbitrary set keys into ranked shares, folding
 // everything below minShare into "Other".
-func RankSets(counts map[string]int, minShare float64) []SetShare {
+func rankSets(counts map[string]int, minShare float64) []SetShare {
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -293,9 +293,9 @@ func RankSets(counts map[string]int, minShare float64) []SetShare {
 func VersionSetShares(zmap map[netip.Addr][]quicwire.Version, minShare float64) []SetShare {
 	counts := make(map[string]int)
 	for _, versions := range zmap {
-		counts[VersionSetKey(versions)]++
+		counts[versionSetKey(versions)]++
 	}
-	return RankSets(counts, minShare)
+	return rankSets(counts, minShare)
 }
 
 // IndividualVersionShares computes Figure 6: the share of responding
@@ -335,7 +335,7 @@ func ALPNSetShares(altSvc map[netip.Addr][]string, domainsByAddr map[netip.Addr]
 		}
 		counts[key] += weight
 	}
-	return RankSets(counts, minShare)
+	return rankSets(counts, minShare)
 }
 
 // RenderTable formats rows of labelled integer columns as an aligned

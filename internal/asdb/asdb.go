@@ -80,7 +80,6 @@ type DB struct {
 	v4, v6 map[int]map[netip.Addr]ASN
 	v4Lens []int
 	v6Lens []int
-	count  int
 }
 
 // New creates an empty database.
@@ -107,9 +106,6 @@ func (db *DB) Add(prefix netip.Prefix, asn ASN) {
 		*lens = append(*lens, prefix.Bits())
 		sort.Sort(sort.Reverse(sort.IntSlice(*lens)))
 	}
-	if _, exists := m[prefix.Addr()]; !exists {
-		db.count++
-	}
 	m[prefix.Addr()] = asn
 }
 
@@ -134,11 +130,4 @@ func (db *DB) Lookup(addr netip.Addr) (ASN, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Size returns the number of registered prefixes.
-func (db *DB) Size() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.count
 }

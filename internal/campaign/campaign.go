@@ -60,9 +60,9 @@ var (
 	mSinkDrops    = telemetry.Default().Counter("campaign_sink_drops_total")
 )
 
-// ErrKilled is returned by Run after Kill: the campaign stopped
+// errKilled is returned by Run after a test's kill: the campaign stopped
 // abruptly and wrote no final checkpoint, like a process that died.
-var ErrKilled = errors.New("campaign: killed")
+var errKilled = errors.New("campaign: killed")
 
 // ProbeFunc issues one probe. Errors are counted, not retried: the
 // unit is spent either way, and loss tolerance belongs to a re-probe
@@ -192,7 +192,7 @@ func (e *Engine) ID() string { return e.id }
 func (e *Engine) Restore(c *Checkpoint) error {
 	if c.Campaign != e.id {
 		return fmt.Errorf("%w: file %s, campaign %s (seed/prefixes/shards differ)",
-			ErrCheckpointMismatch, c.Campaign, e.id)
+			errCheckpointMismatch, c.Campaign, e.id)
 	}
 	for _, sc := range c.Cursors {
 		if st := e.byID[sc.Shard]; st != nil {
@@ -240,15 +240,8 @@ func (e *Engine) Progress() Progress {
 	return p
 }
 
-// Kill stops the campaign abruptly: workers halt at their next unit
-// boundary and no final checkpoint is written, so the only durable
-// state is the last periodic checkpoint plus whatever the sink
-// recorded. It models SIGKILL for the resume tests and for operators
-// wiring it to a hard-shutdown signal.
-func (e *Engine) Kill() { e.killed.Store(true) }
-
 // Run walks every owned shard to completion. It returns nil when all
-// shards finished, ErrKilled after Kill, ctx.Err() on cancellation
+// shards finished, errKilled after kill, ctx.Err() on cancellation
 // (after writing a final checkpoint — cancellation is the graceful
 // stop), or the first sink/checkpoint failure.
 func (e *Engine) Run(ctx context.Context) error {
@@ -353,7 +346,7 @@ func (e *Engine) Run(ctx context.Context) error {
 	switch {
 	case e.killed.Load():
 		// SIGKILL semantics: leave only the periodic state behind.
-		return ErrKilled
+		return errKilled
 	case firstErr != nil && !errors.Is(firstErr, context.Canceled):
 		return firstErr
 	}
@@ -393,7 +386,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 	defer publish()
 	for {
 		if e.killed.Load() {
-			return ErrKilled
+			return errKilled
 		}
 		select {
 		case <-cancelled:
@@ -410,7 +403,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 				return err
 			}
 			if e.killed.Load() {
-				return ErrKilled
+				return errKilled
 			}
 			if err := e.cfg.Probe(ctx, addr); err != nil {
 				mProbeErrors.Inc()
@@ -418,7 +411,7 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 				probes++
 			}
 			if journal {
-				rec := Record{Type: RecordProbe, Shard: st.id, Pos: i, Addr: addr.String()}
+				rec := Record{Type: recordProbe, Shard: st.id, Pos: i, Addr: addr.String()}
 				if err := e.sink.Write(rec); err != nil {
 					return fmt.Errorf("campaign: journaling shard %d unit %d: %w", st.id, i, err)
 				}
@@ -452,7 +445,7 @@ func (e *Engine) checkpoint() error {
 		return nil
 	}
 	c := &Checkpoint{
-		Version:  CheckpointVersion,
+		Version:  checkpointVersion,
 		Campaign: e.id,
 		Seed:     e.cfg.Sweep.Seed(),
 		Shards:   e.cfg.Shards,
@@ -469,7 +462,7 @@ func (e *Engine) checkpoint() error {
 			Done:   st.done.Load(),
 		})
 	}
-	data, err := MarshalCheckpoint(c)
+	data, err := marshalCheckpoint(c)
 	if err != nil {
 		return err
 	}

@@ -195,7 +195,7 @@ func TestNDJSONSinkOutput(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewNDJSONSink(&buf, 0, false)
 	recs := []Record{
-		{Type: RecordProbe, Shard: 3, Pos: 17, Addr: "10.0.0.1"},
+		{Type: recordProbe, Shard: 3, Pos: 17, Addr: "10.0.0.1"},
 		{Type: RecordHit, Shard: -1, Addr: "10.0.0.1", Versions: []string{"draft-29", "v1"}},
 	}
 	for _, r := range recs {
@@ -219,8 +219,8 @@ func TestNDJSONSinkOutput(t *testing.T) {
 	if len(cursors) != 1 || cursors[3] != 18 {
 		t.Fatalf("replay = %v, want shard 3 at cursor 18", cursors)
 	}
-	if err := sink.Write(Record{}); !errors.Is(err, ErrSinkClosed) {
-		t.Fatalf("write after close = %v, want ErrSinkClosed", err)
+	if err := sink.Write(Record{}); !errors.Is(err, errSinkClosed) {
+		t.Fatalf("write after close = %v, want errSinkClosed", err)
 	}
 }
 
@@ -334,7 +334,7 @@ func (s *stopAfterSink) Write(Record) error {
 }
 
 // TestProbeCountExactOnEveryExit: the walkers publish their probe
-// counts once per yield, and whatever way a walk ends — Kill, cancel,
+// counts once per yield, and whatever way a walk ends — kill, cancel,
 // a sink failure, completion — what it had not yet published must
 // arrive too. Progress().Probes and campaign_probes_total are the
 // number of probes that returned nil, exactly, and a resumed engine
@@ -367,7 +367,7 @@ func TestProbeCountExactOnEveryExit(t *testing.T) {
 				if called.Add(1) == stopAt {
 					switch how {
 					case "kill":
-						eng.Kill()
+						eng.kill()
 					case "cancel":
 						cancel()
 					}
@@ -392,7 +392,7 @@ func TestProbeCountExactOnEveryExit(t *testing.T) {
 		before := mProbes.Value()
 		err = eng.Run(ctx)
 		switch {
-		case how == "kill" && !errors.Is(err, ErrKilled),
+		case how == "kill" && !errors.Is(err, errKilled),
 			how == "cancel" && !errors.Is(err, context.Canceled),
 			how == "sink" && (err == nil || !strings.Contains(err.Error(), "disk full")),
 			how == "finish" && err != nil:
@@ -423,3 +423,9 @@ func TestProbeCountExactOnEveryExit(t *testing.T) {
 		}
 	}
 }
+
+// kill stops the campaign abruptly: workers halt at their next unit
+// boundary and no final checkpoint is written, so the only durable
+// state is the last periodic checkpoint plus whatever the sink
+// recorded. It models SIGKILL for the resume tests.
+func (e *Engine) kill() { e.killed.Store(true) }

@@ -13,24 +13,24 @@ import (
 	"time"
 )
 
-// CheckpointVersion is the current on-disk state-file format. Version
+// checkpointVersion is the current on-disk state-file format. Version
 // bumps are deliberate compatibility breaks: a resume against a file
 // written by a different version fails loudly instead of silently
 // misreading cursors.
-const CheckpointVersion = 1
+const checkpointVersion = 1
 
 var (
-	// ErrCorruptCheckpoint marks a state file that is truncated, not
+	// errCorruptCheckpoint marks a state file that is truncated, not
 	// JSON, fails its checksum, or is internally inconsistent. A
 	// corrupt checkpoint must never be partially trusted: the caller
 	// either falls back to the sink journal or restarts the campaign.
-	ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
-	// ErrCheckpointVersion marks a structurally valid file written by
+	errCorruptCheckpoint = errors.New("corrupt checkpoint")
+	// errCheckpointVersion marks a structurally valid file written by
 	// an incompatible engine version.
-	ErrCheckpointVersion = errors.New("unsupported checkpoint version")
-	// ErrCheckpointMismatch marks a valid checkpoint that belongs to a
+	errCheckpointVersion = errors.New("unsupported checkpoint version")
+	// errCheckpointMismatch marks a valid checkpoint that belongs to a
 	// different campaign (seed, prefix set, or shard count differ).
-	ErrCheckpointMismatch = errors.New("checkpoint belongs to a different campaign")
+	errCheckpointMismatch = errors.New("checkpoint belongs to a different campaign")
 )
 
 // ShardCursor is one shard's durable progress: Cursor units of its
@@ -89,8 +89,8 @@ func (c *Checkpoint) checksum() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// MarshalCheckpoint encodes c, stamping its checksum.
-func MarshalCheckpoint(c *Checkpoint) ([]byte, error) {
+// marshalCheckpoint encodes c, stamping its checksum.
+func marshalCheckpoint(c *Checkpoint) ([]byte, error) {
 	sum, err := c.checksum()
 	if err != nil {
 		return nil, err
@@ -104,37 +104,37 @@ func MarshalCheckpoint(c *Checkpoint) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseCheckpoint decodes and validates a state file. Every failure
+// parseCheckpoint decodes and validates a state file. Every failure
 // mode maps to a typed error: syntactic damage and checksum failures
-// to ErrCorruptCheckpoint, format skew to ErrCheckpointVersion.
-func ParseCheckpoint(data []byte) (*Checkpoint, error) {
+// to errCorruptCheckpoint, format skew to errCheckpointVersion.
+func parseCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
+		return nil, fmt.Errorf("%w: %v", errCorruptCheckpoint, err)
 	}
-	if c.Version != CheckpointVersion {
+	if c.Version != checkpointVersion {
 		return nil, fmt.Errorf("%w: file has version %d, this engine writes version %d",
-			ErrCheckpointVersion, c.Version, CheckpointVersion)
+			errCheckpointVersion, c.Version, checkpointVersion)
 	}
 	want, err := c.checksum()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptCheckpoint, err)
+		return nil, fmt.Errorf("%w: %v", errCorruptCheckpoint, err)
 	}
 	if c.Checksum != want {
 		return nil, fmt.Errorf("%w: checksum mismatch (file %.12s…, computed %.12s…)",
-			ErrCorruptCheckpoint, c.Checksum, want)
+			errCorruptCheckpoint, c.Checksum, want)
 	}
 	if c.Shards <= 0 {
-		return nil, fmt.Errorf("%w: non-positive shard count %d", ErrCorruptCheckpoint, c.Shards)
+		return nil, fmt.Errorf("%w: non-positive shard count %d", errCorruptCheckpoint, c.Shards)
 	}
 	seen := make(map[int]bool, len(c.Cursors))
 	for _, sc := range c.Cursors {
 		if sc.Shard < 0 || sc.Shard >= c.Shards {
 			return nil, fmt.Errorf("%w: cursor for shard %d outside [0,%d)",
-				ErrCorruptCheckpoint, sc.Shard, c.Shards)
+				errCorruptCheckpoint, sc.Shard, c.Shards)
 		}
 		if seen[sc.Shard] {
-			return nil, fmt.Errorf("%w: duplicate cursor for shard %d", ErrCorruptCheckpoint, sc.Shard)
+			return nil, fmt.Errorf("%w: duplicate cursor for shard %d", errCorruptCheckpoint, sc.Shard)
 		}
 		seen[sc.Shard] = true
 	}
@@ -147,7 +147,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := ParseCheckpoint(data)
+	c, err := parseCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
@@ -159,7 +159,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // previous complete file or a stray temp file — never a torn state
 // file at the final name.
 func WriteCheckpoint(path string, c *Checkpoint) error {
-	data, err := MarshalCheckpoint(c)
+	data, err := marshalCheckpoint(c)
 	if err != nil {
 		return err
 	}

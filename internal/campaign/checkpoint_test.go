@@ -11,7 +11,7 @@ import (
 
 func testCheckpoint() *Checkpoint {
 	return &Checkpoint{
-		Version:  CheckpointVersion,
+		Version:  checkpointVersion,
 		Campaign: "abcdef0123456789abcdef01",
 		Seed:     7,
 		Shards:   8,
@@ -27,11 +27,11 @@ func testCheckpoint() *Checkpoint {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := testCheckpoint()
-	data, err := MarshalCheckpoint(c)
+	data, err := marshalCheckpoint(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseCheckpoint(data)
+	got, err := parseCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,15 +52,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // as JSON. Each must surface a typed, descriptive error — never a
 // silently misread cursor.
 func TestCheckpointCorruptionDetected(t *testing.T) {
-	valid, err := MarshalCheckpoint(testCheckpoint())
+	valid, err := marshalCheckpoint(testCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("truncated", func(t *testing.T) {
 		for _, n := range []int{0, 1, len(valid) / 2, len(valid) - 2} {
-			if _, err := ParseCheckpoint(valid[:n]); !errors.Is(err, ErrCorruptCheckpoint) {
-				t.Errorf("truncation to %d bytes: err = %v, want ErrCorruptCheckpoint", n, err)
+			if _, err := parseCheckpoint(valid[:n]); !errors.Is(err, errCorruptCheckpoint) {
+				t.Errorf("truncation to %d bytes: err = %v, want errCorruptCheckpoint", n, err)
 			}
 		}
 	})
@@ -72,21 +72,21 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		if mangled == string(valid) {
 			t.Fatal("test setup: cursor field not found")
 		}
-		if _, err := ParseCheckpoint([]byte(mangled)); !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("bit flip: err = %v, want ErrCorruptCheckpoint", err)
+		if _, err := parseCheckpoint([]byte(mangled)); !errors.Is(err, errCorruptCheckpoint) {
+			t.Errorf("bit flip: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
 
 	t.Run("version-skew", func(t *testing.T) {
 		skewed := *testCheckpoint()
-		skewed.Version = CheckpointVersion + 1
-		data, err := MarshalCheckpoint(&skewed)
+		skewed.Version = checkpointVersion + 1
+		data, err := marshalCheckpoint(&skewed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ParseCheckpoint(data)
-		if !errors.Is(err, ErrCheckpointVersion) {
-			t.Errorf("version skew: err = %v, want ErrCheckpointVersion", err)
+		_, err = parseCheckpoint(data)
+		if !errors.Is(err, errCheckpointVersion) {
+			t.Errorf("version skew: err = %v, want errCheckpointVersion", err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "version") {
 			t.Errorf("version skew error not descriptive: %v", err)
@@ -101,12 +101,12 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 		} {
 			c := testCheckpoint()
 			mutate(c)
-			data, err := MarshalCheckpoint(c)
+			data, err := marshalCheckpoint(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ParseCheckpoint(data); !errors.Is(err, ErrCorruptCheckpoint) {
-				t.Errorf("structural damage: err = %v, want ErrCorruptCheckpoint", err)
+			if _, err := parseCheckpoint(data); !errors.Is(err, errCorruptCheckpoint) {
+				t.Errorf("structural damage: err = %v, want errCorruptCheckpoint", err)
 			}
 		}
 	})
@@ -117,8 +117,8 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := LoadCheckpoint(path)
-		if !errors.Is(err, ErrCorruptCheckpoint) {
-			t.Errorf("LoadCheckpoint(truncated) = %v, want ErrCorruptCheckpoint", err)
+		if !errors.Is(err, errCorruptCheckpoint) {
+			t.Errorf("LoadCheckpoint(truncated) = %v, want errCorruptCheckpoint", err)
 		}
 		if err == nil || !strings.Contains(err.Error(), path) {
 			t.Errorf("error does not name the offending file: %v", err)
@@ -159,7 +159,7 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 // files: parsing must never panic, and anything that parses cleanly
 // must survive a marshal/parse round trip unchanged.
 func FuzzCheckpointParse(f *testing.F) {
-	valid, err := MarshalCheckpoint(testCheckpoint())
+	valid, err := marshalCheckpoint(testCheckpoint())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -167,22 +167,22 @@ func FuzzCheckpointParse(f *testing.F) {
 	f.Add(valid[:len(valid)/2]) // truncated
 	skewed := *testCheckpoint()
 	skewed.Version = 99 // version-skewed
-	if data, err := MarshalCheckpoint(&skewed); err == nil {
+	if data, err := marshalCheckpoint(&skewed); err == nil {
 		f.Add(data)
 	}
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"version":1,"cursors":[{"shard":-1}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ParseCheckpoint(data)
+		c, err := parseCheckpoint(data)
 		if err != nil {
 			return
 		}
-		re, err := MarshalCheckpoint(c)
+		re, err := marshalCheckpoint(c)
 		if err != nil {
 			t.Fatalf("re-marshal of accepted checkpoint failed: %v", err)
 		}
-		c2, err := ParseCheckpoint(re)
+		c2, err := parseCheckpoint(re)
 		if err != nil {
 			t.Fatalf("round trip of accepted checkpoint failed: %v", err)
 		}

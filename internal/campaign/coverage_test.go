@@ -90,7 +90,7 @@ func TestKillResumeCoversMillionsExactlyOnce(t *testing.T) {
 		Probe: func(_ context.Context, addr netip.Addr) error {
 			mark(addr)
 			if probed1.Add(1) == killAt {
-				eng1.Kill()
+				eng1.kill()
 			}
 			return nil
 		},
@@ -102,8 +102,8 @@ func TestKillResumeCoversMillionsExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng1.Run(context.Background()); !errors.Is(err, ErrKilled) {
-		t.Fatalf("run 1 = %v, want ErrKilled", err)
+	if err := eng1.Run(context.Background()); !errors.Is(err, errKilled) {
+		t.Fatalf("run 1 = %v, want errKilled", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

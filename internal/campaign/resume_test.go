@@ -78,7 +78,7 @@ func TestKillResumeTorture(t *testing.T) {
 				counts[addr]++
 				mu.Unlock()
 				if probed.Add(1) == killAt {
-					eng.Kill()
+					eng.kill()
 				}
 				return nil
 			},
@@ -116,7 +116,7 @@ func TestKillResumeTorture(t *testing.T) {
 			switch {
 			case errors.Is(err, os.ErrNotExist):
 				// Died before the first checkpoint: journal-only resume.
-			case errors.Is(err, ErrCorruptCheckpoint):
+			case errors.Is(err, errCorruptCheckpoint):
 				sawTornCkpt = true // detected and rejected; fall back to journal
 			case err != nil:
 				t.Fatalf("attempt %d: unexpected checkpoint error: %v", attempts, err)
@@ -149,9 +149,9 @@ func TestKillResumeTorture(t *testing.T) {
 		// A torn run may finish its walk and then die on the final
 		// checkpoint write — that injected failure is also a valid
 		// "process died" outcome; resume from the wreckage as usual.
-		if !errors.Is(lastErr, ErrKilled) &&
+		if !errors.Is(lastErr, errKilled) &&
 			!strings.Contains(lastErr.Error(), "injected mid-checkpoint failure") {
-			t.Fatalf("attempt %d: Run = %v, want nil or ErrKilled", attempts, lastErr)
+			t.Fatalf("attempt %d: Run = %v, want nil or errKilled", attempts, lastErr)
 		}
 		if tornWrote.Load() {
 			tornOnDisk = true // the torn write is the newest state file
@@ -226,14 +226,14 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 		"different shards":   mk(1, 8, "10.0.0.0/24"),
 		"different prefixes": mk(1, 4, "10.0.1.0/24"),
 	} {
-		if err := other.Restore(cp); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("%s: Restore = %v, want ErrCheckpointMismatch", name, err)
+		if err := other.Restore(cp); !errors.Is(err, errCheckpointMismatch) {
+			t.Errorf("%s: Restore = %v, want errCheckpointMismatch", name, err)
 		}
 	}
 }
 
 // TestGracefulCancelWritesFinalCheckpoint: context cancellation is
-// the graceful stop — unlike Kill it persists final cursors, so a
+// the graceful stop — unlike kill it persists final cursors, so a
 // follow-up resume does no redundant work at all.
 func TestGracefulCancelWritesFinalCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")

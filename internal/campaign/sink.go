@@ -32,7 +32,7 @@ type Record struct {
 
 // Record kinds.
 const (
-	RecordProbe = "probe"
+	recordProbe = "probe"
 	RecordHit   = "hit"
 )
 
@@ -73,8 +73,8 @@ type Sink interface {
 	Close() error
 }
 
-// ErrSinkClosed is returned by writes to a closed sink.
-var ErrSinkClosed = errors.New("campaign: sink closed")
+// errSinkClosed is returned by writes to a closed sink.
+var errSinkClosed = errors.New("campaign: sink closed")
 
 // NullSink discards every record; benches and probe-only campaigns
 // use it to measure engine overhead without I/O.
@@ -103,17 +103,17 @@ type NDJSONSink struct {
 	flush bool // flush after every record (exact journal mode)
 }
 
-// NDJSONQueueLen is the default bounded queue length.
-const NDJSONQueueLen = 1024
+// ndjsonQueueLen is the default bounded queue length.
+const ndjsonQueueLen = 1024
 
 // NewNDJSONSink builds a sink over w with the given queue length
-// (<=0 selects NDJSONQueueLen). If flushEach is set every record is
+// (<=0 selects ndjsonQueueLen). If flushEach is set every record is
 // flushed to w before the queue accepts more — the durable-journal
 // mode the kill-and-resume proof relies on; leave it off for
 // throughput and flush on Close.
 func NewNDJSONSink(w io.Writer, queueLen int, flushEach bool) *NDJSONSink {
 	if queueLen <= 0 {
-		queueLen = NDJSONQueueLen
+		queueLen = ndjsonQueueLen
 	}
 	s := &NDJSONSink{
 		q:     make(chan Record, queueLen),
@@ -174,7 +174,7 @@ func (s *NDJSONSink) Write(rec Record) error {
 	if s.closed {
 		s.mu.RUnlock()
 		mSinkDrops.Inc()
-		return ErrSinkClosed
+		return errSinkClosed
 	}
 	// The queue send happens under the read lock so Close cannot close
 	// the channel out from under a blocked producer.
@@ -220,7 +220,7 @@ func ReplayJournal(r io.Reader) (map[int]uint64, error) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			continue
 		}
-		if rec.Type != RecordProbe || rec.Shard < 0 {
+		if rec.Type != recordProbe || rec.Shard < 0 {
 			continue
 		}
 		if next := rec.Pos + 1; next > cursors[rec.Shard] {

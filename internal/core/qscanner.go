@@ -49,28 +49,6 @@ var (
 	mCertCacheMiss = telemetry.Default().Counter("core_certcache_misses_total")
 )
 
-// outcomeCounters pre-resolves the per-outcome children for the fixed
-// outcome set, so finishTarget does no label join per target; unknown
-// outcome strings (none today) fall back to the vec lookup.
-var outcomeCounters = map[Outcome]*telemetry.Counter{
-	OutcomeSuccess:         mScanOutcomes.With(string(OutcomeSuccess)),
-	OutcomeTimeout:         mScanOutcomes.With(string(OutcomeTimeout)),
-	OutcomeCryptoError:     mScanOutcomes.With(string(OutcomeCryptoError)),
-	OutcomeVersionMismatch: mScanOutcomes.With(string(OutcomeVersionMismatch)),
-	OutcomeOther:           mScanOutcomes.With(string(OutcomeOther)),
-}
-
-// sourceCounters caches mScanSourced children per discovery source.
-var sourceCounters sync.Map // string -> *telemetry.Counter
-
-func sourceCounter(src string) *telemetry.Counter {
-	if c, ok := sourceCounters.Load(src); ok {
-		return c.(*telemetry.Counter)
-	}
-	c, _ := sourceCounters.LoadOrStore(src, mScanSourced.With(src))
-	return c.(*telemetry.Counter)
-}
-
 // Target identifies one scan destination: an address, optionally
 // paired with a domain to use as SNI.
 type Target struct {
@@ -372,17 +350,13 @@ func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 // finishTarget records the final (post-retry) per-target outcome in
 // the registry, mirroring the paper's Table 3 tally.
 func (s *Scanner) finishTarget(res Result) Result {
-	if c := outcomeCounters[res.Outcome]; c != nil {
-		c.Inc()
-	} else {
-		mScanOutcomes.With(string(res.Outcome)).Inc()
-	}
+	mScanOutcomes.With(string(res.Outcome)).Inc()
 	if res.Outcome == OutcomeSuccess {
 		src := res.Target.Source
 		if src == "" {
 			src = "unknown"
 		}
-		sourceCounter(src).Inc()
+		mScanSourced.With(src).Inc()
 	}
 	return res
 }
@@ -483,7 +457,7 @@ func (s *Scanner) scanOnce(ctx context.Context, t Target) Result {
 	mHandshakeMs.Observe(res.HandshakeMillis)
 
 	cs := conn.ConnectionState()
-	res.TLS = s.tlsInfo(&cs, t.SNI)
+	res.TLS = s.certs.TLSInfo(&cs, t.SNI, s.RootCAs)
 
 	if params, ok := conn.PeerTransportParameters(); ok {
 		p := params
@@ -521,8 +495,10 @@ func classify(err error) (Outcome, string) {
 	return OutcomeOther, err.Error()
 }
 
-// tlsInfo extracts the TLS facts of a completed handshake.
-func (s *Scanner) tlsInfo(cs *tls.ConnectionState, sni string) *TLSInfo {
+// TLSInfo extracts the TLS facts of a completed handshake, over QUIC or
+// TCP, verifying the chain for sni against roots (if not nil) through
+// the memo.
+func (m *ChainMemo) TLSInfo(cs *tls.ConnectionState, sni string, roots *x509.CertPool) *TLSInfo {
 	info := &TLSInfo{
 		Version:     cs.Version,
 		CipherSuite: cs.CipherSuite,
@@ -532,22 +508,27 @@ func (s *Scanner) tlsInfo(cs *tls.ConnectionState, sni string) *TLSInfo {
 		KeyExchangeGroup: "X25519",
 		Extensions:       ExtensionSet(cs.NegotiatedProtocol != "", sni != ""),
 	}
+	if cs.Version < tls.VersionTLS13 {
+		// Pre-1.3 key exchange is not pinned by CurvePreferences the
+		// same way (TLS over TCP only); record the unknown.
+		info.KeyExchangeGroup = "pre-TLS1.3"
+	}
 	if len(cs.PeerCertificates) > 0 {
 		leaf := cs.PeerCertificates[0]
 		info.CertFingerprint = certgen.FingerprintOf(leaf)
 		info.CertCommonName = leaf.Subject.CommonName
 		info.CertDNSNames = leaf.DNSNames
-		info.SelfSigned = IsSelfSigned(leaf)
-		if s.RootCAs != nil {
-			info.CertValid = s.certs.Verify(s.RootCAs, cs.PeerCertificates, sni)
+		info.SelfSigned = isSelfSigned(leaf)
+		if roots != nil {
+			info.CertValid = m.verify(roots, cs.PeerCertificates, sni)
 		}
 	}
 	return info
 }
 
-// Verify reports whether chain (leaf first) verifies for sni against
+// verify reports whether chain (leaf first) verifies for sni against
 // roots, running the signature checks once per distinct (chain, SNI).
-func (m *ChainMemo) Verify(roots *x509.CertPool, chain []*x509.Certificate, sni string) bool {
+func (m *ChainMemo) verify(roots *x509.CertPool, chain []*x509.Certificate, sni string) bool {
 	h := sha256.New()
 	for _, c := range chain {
 		h.Write(c.Raw)
@@ -587,7 +568,7 @@ func (m *ChainMemo) Verify(roots *x509.CertPool, chain []*x509.Certificate, sni 
 	return valid
 }
 
-// IsSelfSigned reports whether leaf is genuinely self-signed: the
+// isSelfSigned reports whether leaf is genuinely self-signed: the
 // issuer and subject distinguished names must match byte-for-byte AND
 // the certificate's signature must verify under its own public key.
 // Comparing CommonName strings is wrong on both axes: two unrelated
@@ -595,7 +576,7 @@ func (m *ChainMemo) Verify(roots *x509.CertPool, chain []*x509.Certificate, sni 
 // subject CN with the leaf compares equal too. CheckSignature is used
 // rather than CheckSignatureFrom because the latter also enforces CA
 // basic constraints, which self-signed leaf certificates rarely carry.
-func IsSelfSigned(leaf *x509.Certificate) bool {
+func isSelfSigned(leaf *x509.Certificate) bool {
 	if !bytes.Equal(leaf.RawIssuer, leaf.RawSubject) {
 		return false
 	}

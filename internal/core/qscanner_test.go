@@ -483,13 +483,13 @@ func TestTLSInfoSelfSignedEmptyCN(t *testing.T) {
 		{"ca-signed, CA shares the leaf's CN", leafSameCN, false},
 	}
 
-	s := &Scanner{}
+	var m ChainMemo
 	for _, tc := range cases {
 		cs := &tls.ConnectionState{
 			Version:          tls.VersionTLS13,
 			PeerCertificates: []*x509.Certificate{tc.cert},
 		}
-		info := s.tlsInfo(cs, "")
+		info := m.TLSInfo(cs, "", nil)
 		if info.SelfSigned != tc.want {
 			t.Errorf("%s: SelfSigned = %v, want %v", tc.name, info.SelfSigned, tc.want)
 		}
@@ -522,7 +522,7 @@ func TestChainMemo(t *testing.T) {
 		{"other.example", false, true},
 	} {
 		hits, misses := mCertCacheHits.Value(), mCertCacheMiss.Value()
-		if got := m.Verify(pool, chain, tc.sni); got != tc.valid {
+		if got := m.verify(pool, chain, tc.sni); got != tc.valid {
 			t.Errorf("visit %d (%s): valid = %v, want %v", i, tc.sni, got, tc.valid)
 		}
 		hit, miss := mCertCacheHits.Value()-hits == 1, mCertCacheMiss.Value()-misses == 1

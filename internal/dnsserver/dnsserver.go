@@ -86,10 +86,10 @@ func isAddressOnly(rr dnswire.Record) bool {
 		rr.Target == "" && rr.TXT == nil && rr.Priority == 0 && rr.Params == nil && rr.RawData == nil
 }
 
-// Lookup returns records of the given type for a name, following one
+// lookup returns records of the given type for a name, following one
 // level of CNAME indirection. The returned slice includes the CNAME
 // record itself when followed, mirroring real responses.
-func (z *Zone) Lookup(name string, qtype uint16) (answers []dnswire.Record, found bool) {
+func (z *Zone) lookup(name string, qtype uint16) (answers []dnswire.Record, found bool) {
 	name = canonical(name)
 	z.mu.RLock()
 	defer z.mu.RUnlock()
@@ -154,13 +154,6 @@ func (z *Zone) record(name string, i int32) dnswire.Record {
 	return rr
 }
 
-// Names returns the number of distinct names in the zone.
-func (z *Zone) Names() int {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return len(z.first)
-}
-
 func canonical(name string) string {
 	return strings.ToLower(strings.TrimSuffix(name, "."))
 }
@@ -193,9 +186,6 @@ func Serve(pconn net.PacketConn, zone *Zone) *Server {
 	go s.loop()
 	return s
 }
-
-// Addr returns the server's listening address.
-func (s *Server) Addr() net.Addr { return s.pconn.LocalAddr() }
 
 // Close stops the server.
 func (s *Server) Close() error {
@@ -249,7 +239,7 @@ func (s *Server) handle(query []byte) []byte {
 	if question.Class != dnswire.ClassINET {
 		resp.Header.RCode = dnswire.RCodeRefused
 	} else {
-		answers, found := s.zone.Lookup(question.Name, question.Type)
+		answers, found := s.zone.lookup(question.Name, question.Type)
 		switch {
 		case !found:
 			resp.Header.RCode = dnswire.RCodeNXDomain

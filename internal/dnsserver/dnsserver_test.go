@@ -35,7 +35,7 @@ func startServer(t *testing.T) (*Server, *dnsclient.Client) {
 	}
 	srv := Serve(pc, testZone(t))
 	t.Cleanup(func() { srv.Close() })
-	cl := &dnsclient.Client{Server: srv.Addr(), Timeout: time.Second, Retries: 1}
+	cl := &dnsclient.Client{Server: srv.pconn.LocalAddr(), Timeout: time.Second, Retries: 1}
 	return srv, cl
 }
 
@@ -134,13 +134,13 @@ func TestResultAddrs(t *testing.T) {
 
 func TestZoneLookupDirect(t *testing.T) {
 	z := testZone(t)
-	if z.Names() != 3 {
-		t.Errorf("names = %d", z.Names())
+	if z.names() != 3 {
+		t.Errorf("names = %d", z.names())
 	}
-	if _, found := z.Lookup("WWW.EXAMPLE.COM.", dnswire.TypeA); !found {
+	if _, found := z.lookup("WWW.EXAMPLE.COM.", dnswire.TypeA); !found {
 		t.Error("case-insensitive lookup failed")
 	}
-	answers, found := z.Lookup("www.example.com", dnswire.TypeTXT)
+	answers, found := z.lookup("www.example.com", dnswire.TypeTXT)
 	if !found || len(answers) != 0 {
 		t.Errorf("TXT lookup: %v %v", answers, found)
 	}
@@ -151,10 +151,10 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	// Raw garbage and a response-bit query must be dropped silently.
 	pc, _ := net.ListenPacket("udp", "127.0.0.1:0")
 	defer pc.Close()
-	pc.WriteTo([]byte{1, 2, 3}, srv.Addr())
+	pc.WriteTo([]byte{1, 2, 3}, srv.pconn.LocalAddr())
 	resp := &dnswire.Message{Header: dnswire.Header{ID: 1, Response: true}}
 	wire, _ := resp.Marshal()
-	pc.WriteTo(wire, srv.Addr())
+	pc.WriteTo(wire, srv.pconn.LocalAddr())
 	// The server must still answer proper queries afterwards.
 	if _, err := cl.Query(context.Background(), "www.example.com", dnswire.TypeA); err != nil {
 		t.Fatalf("server wedged after garbage: %v", err)
@@ -172,7 +172,7 @@ func TestPushedQueries(t *testing.T) {
 	}
 	srv := Serve(pc, testZone(t))
 	cl := &dnsclient.Client{
-		Server:     srv.Addr(),
+		Server:     srv.pconn.LocalAddr(),
 		DialPacket: func() (net.PacketConn, error) { return n.DialUDP() },
 		Timeout:    time.Second,
 		Retries:    1,

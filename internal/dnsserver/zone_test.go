@@ -128,7 +128,7 @@ func FuzzZone(f *testing.F) {
 				rr.Type, rr.Target = dnswire.TypeCNAME, p.name()
 			default:
 				qtype := qtypes[int(rr.TTL)%len(qtypes)]
-				got, gotFound := z.Lookup(rr.Name, qtype)
+				got, gotFound := z.lookup(rr.Name, qtype)
 				want, wantFound := ref.lookup(rr.Name, qtype)
 				if gotFound != wantFound || !reflect.DeepEqual(got, want) {
 					t.Fatalf("Lookup(%q, %s) = %+v, %v; want %+v, %v", rr.Name, dnswire.TypeName(qtype), got, gotFound, want, wantFound)
@@ -145,8 +145,8 @@ func FuzzZone(f *testing.F) {
 			}
 			z.Add(rr)
 			ref.add(rr)
-			if z.Names() != len(ref) {
-				t.Fatalf("Names() = %d, want %d", z.Names(), len(ref))
+			if z.names() != len(ref) {
+				t.Fatalf("names() = %d, want %d", z.names(), len(ref))
 			}
 		}
 		checkReply(t, srv, data)
@@ -201,7 +201,7 @@ func TestZoneRecordIsPointerFree(t *testing.T) {
 func TestLookupAllocatesOnlyAnswers(t *testing.T) {
 	z := testZone(t)
 	allocs := testing.AllocsPerRun(100, func() {
-		if answers, _ := z.Lookup("www.example.com", dnswire.TypeA); len(answers) != 1 {
+		if answers, _ := z.lookup("www.example.com", dnswire.TypeA); len(answers) != 1 {
 			t.Fatalf("answers = %+v", answers)
 		}
 	})
@@ -225,12 +225,19 @@ func TestAddressFormsRoundTrip(t *testing.T) {
 	for _, rr := range want {
 		z.Add(rr)
 	}
-	got, _ := z.Lookup("a.test", dnswire.TypeAAAA)
+	got, _ := z.lookup("a.test", dnswire.TypeAAAA)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("records came back as\n%+v\nwant\n%+v", got, want)
 	}
-	a, _ := z.Lookup("a.test", dnswire.TypeA)
+	a, _ := z.lookup("a.test", dnswire.TypeA)
 	if len(a) != 1 || a[0].Addr != netip.MustParseAddr("192.0.2.1") || !a[0].Addr.Is4() {
 		t.Errorf("A lookup = %+v", a)
 	}
+}
+
+// names returns the number of distinct names in the zone.
+func (z *Zone) names() int {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return len(z.first)
 }

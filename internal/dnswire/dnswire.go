@@ -15,9 +15,9 @@ import (
 // Resource record types.
 const (
 	TypeA     uint16 = 1
-	TypeNS    uint16 = 2
+	typeNS    uint16 = 2
 	TypeCNAME uint16 = 5
-	TypeSOA   uint16 = 6
+	typeSOA   uint16 = 6
 	TypeTXT   uint16 = 16
 	TypeAAAA  uint16 = 28
 	TypeSVCB  uint16 = 64
@@ -38,7 +38,7 @@ const (
 // SvcParam keys (RFC 9460, Section 14.3.2).
 const (
 	SvcParamALPN     uint16 = 1
-	SvcParamPort     uint16 = 3
+	svcParamPort     uint16 = 3
 	SvcParamIPv4Hint uint16 = 4
 	SvcParamIPv6Hint uint16 = 6
 )
@@ -67,7 +67,7 @@ type SvcParamValue struct {
 	Key uint16
 	// ALPN values for SvcParamALPN.
 	ALPN []string
-	// Port for SvcParamPort.
+	// Port for svcParamPort.
 	Port uint16
 	// Hints for SvcParamIPv4Hint / SvcParamIPv6Hint.
 	Hints []netip.Addr
@@ -116,8 +116,8 @@ func appendUint32(b []byte, v uint32) []byte {
 	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// AppendName appends a domain name in uncompressed wire format.
-func AppendName(b []byte, name string) ([]byte, error) {
+// appendName appends a domain name in uncompressed wire format.
+func appendName(b []byte, name string) ([]byte, error) {
 	name = strings.TrimSuffix(name, ".")
 	if name != "" {
 		for _, label := range strings.Split(name, ".") {
@@ -210,7 +210,7 @@ func (m *Message) Marshal() ([]byte, error) {
 
 	var err error
 	for _, q := range m.Questions {
-		if b, err = AppendName(b, q.Name); err != nil {
+		if b, err = appendName(b, q.Name); err != nil {
 			return nil, err
 		}
 		b = appendUint16(b, q.Type)
@@ -228,7 +228,7 @@ func (m *Message) Marshal() ([]byte, error) {
 
 func appendRecord(b []byte, rr Record) ([]byte, error) {
 	var err error
-	if b, err = AppendName(b, rr.Name); err != nil {
+	if b, err = appendName(b, rr.Name); err != nil {
 		return nil, err
 	}
 	b = appendUint16(b, rr.Type)
@@ -261,8 +261,8 @@ func marshalRData(rr Record) ([]byte, error) {
 		}
 		v6 := rr.Addr.As16()
 		return v6[:], nil
-	case TypeCNAME, TypeNS:
-		return AppendName(nil, rr.Target)
+	case TypeCNAME, typeNS:
+		return appendName(nil, rr.Target)
 	case TypeTXT:
 		var b []byte
 		for _, s := range rr.TXT {
@@ -276,7 +276,7 @@ func marshalRData(rr Record) ([]byte, error) {
 	case TypeSVCB, TypeHTTPS:
 		b := appendUint16(nil, rr.Priority)
 		var err error
-		if b, err = AppendName(b, rr.Target); err != nil {
+		if b, err = appendName(b, rr.Target); err != nil {
 			return nil, err
 		}
 		for _, p := range rr.Params {
@@ -304,7 +304,7 @@ func appendSvcParam(b []byte, p SvcParamValue) ([]byte, error) {
 		}
 		b = appendUint16(b, uint16(len(v)))
 		return append(b, v...), nil
-	case SvcParamPort:
+	case svcParamPort:
 		b = appendUint16(b, 2)
 		return appendUint16(b, p.Port), nil
 	case SvcParamIPv4Hint:
@@ -429,7 +429,7 @@ func parseRData(rr *Record, msg []byte, off, rdlen int) error {
 			return fmt.Errorf("dnswire: AAAA RDATA of %d bytes", rdlen)
 		}
 		rr.Addr = netip.AddrFrom16([16]byte(rdata))
-	case TypeCNAME, TypeNS:
+	case TypeCNAME, typeNS:
 		// Names in RDATA may use compression pointers into the message.
 		target, _, err := parseName(msg, off)
 		if err != nil {
@@ -492,7 +492,7 @@ func parseSvcParam(key uint16, val []byte) (SvcParamValue, error) {
 			p.ALPN = append(p.ALPN, string(val[i+1:i+1+l]))
 			i += 1 + l
 		}
-	case SvcParamPort:
+	case svcParamPort:
 		if len(val) != 2 {
 			return p, errors.New("dnswire: bad port param")
 		}
@@ -522,11 +522,11 @@ func TypeName(t uint16) string {
 	switch t {
 	case TypeA:
 		return "A"
-	case TypeNS:
+	case typeNS:
 		return "NS"
 	case TypeCNAME:
 		return "CNAME"
-	case TypeSOA:
+	case typeSOA:
 		return "SOA"
 	case TypeTXT:
 		return "TXT"

@@ -80,7 +80,7 @@ func TestHTTPSRecordRoundTrip(t *testing.T) {
 		Target:   "",
 		Params: []SvcParamValue{
 			{Key: SvcParamALPN, ALPN: []string{"h3", "h3-29", "h2"}},
-			{Key: SvcParamPort, Port: 443},
+			{Key: svcParamPort, Port: 443},
 			{Key: SvcParamIPv4Hint, Hints: []netip.Addr{mustAddr(t, "192.0.2.1"), mustAddr(t, "192.0.2.2")}},
 			{Key: SvcParamIPv6Hint, Hints: []netip.Addr{mustAddr(t, "2001:db8::1")}},
 		},
@@ -127,7 +127,7 @@ func TestNameCompressionParsing(t *testing.T) {
 	b = appendUint16(b, 1)      // AN
 	b = appendUint16(b, 0)
 	b = appendUint16(b, 0)
-	b, _ = AppendName(b, "www.example.com")
+	b, _ = appendName(b, "www.example.com")
 	b = appendUint16(b, TypeA)
 	b = appendUint16(b, ClassINET)
 	// Answer with pointer name 0xc00c.

@@ -79,8 +79,8 @@ type DNSSourceStats struct {
 	WithRR   int
 }
 
-// Rate returns the HTTPS-RR success rate in percent.
-func (s DNSSourceStats) Rate() float64 {
+// rate returns the HTTPS-RR success rate in percent.
+func (s DNSSourceStats) rate() float64 {
 	if s.Resolved == 0 {
 		return 0
 	}

@@ -254,13 +254,13 @@ func TestCampaignResumptionTable(t *testing.T) {
 	total, correct := 0, 0
 	for _, row := range r.ResumptionTable {
 		total += row.Targets
-		correct += row.Correct()
+		correct += row.correct()
 	}
 	if total < 20 {
 		t.Fatalf("only %d active deployments probed", total)
 	}
 	if correct != total {
-		t.Errorf("classified %d/%d deployments correctly:\n%s", correct, total, r.RenderResumption())
+		t.Errorf("classified %d/%d deployments correctly:\n%s", correct, total, r.renderResumption())
 	}
 	out := r.Render("RESUMPTION")
 	if !strings.Contains(out, "Token-reuse") {

@@ -114,7 +114,7 @@ func (r *Report) writeFigure3TSV(w io.Writer) error {
 	fmt.Fprintln(w, "week\tsource\tresolved\twith_rr\trate_pct")
 	for _, wd := range r.Weeks {
 		for _, s := range wd.DNS {
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%.3f\n", wd.Week, s.Source, s.Resolved, s.WithRR, s.Rate())
+			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%.3f\n", wd.Week, s.Source, s.Resolved, s.WithRR, s.rate())
 		}
 	}
 	return nil

@@ -31,8 +31,8 @@ type ProfileRow struct {
 	Verdicts map[string]int
 }
 
-// Correct counts deployments whose verdict matched the ground truth.
-func (m ProfileRow) Correct() int { return m.Verdicts[m.Truth] }
+// correct counts deployments whose verdict matched the ground truth.
+func (m ProfileRow) correct() int { return m.Verdicts[m.Truth] }
 
 // activeTargets lists every BehaviorActive deployment of the universe
 // as a probe target (its first domain as SNI), alongside the
@@ -132,10 +132,10 @@ func (r *Report) runModes(u *internet.Universe, opts Options) {
 	}
 }
 
-// RenderFingerprint emits the implementation-fingerprinting confusion
+// renderFingerprint emits the implementation-fingerprinting confusion
 // matrix (the extension beyond the paper's Table 6, which stops at
 // passively observed transport parameters).
-func (r *Report) RenderFingerprint() string {
+func (r *Report) renderFingerprint() string {
 	if r.FingerprintConfusion == nil {
 		return "Fingerprinting disabled: enable Options.Fingerprint (experiments -fingerprint) to classify active deployments behaviorally.\n"
 	}
@@ -148,12 +148,12 @@ func (r *Report) RenderFingerprint() string {
 	return b.String()
 }
 
-// RenderMigration emits the migration-support classification table:
+// renderMigration emits the migration-support classification table:
 // per profile, the advertised transport parameter versus the
 // behaviorally observed class. The split exposes deployments whose
 // advertisement and behavior disagree (e.g. stacks that advertise
 // migration support but silently ignore a moved peer).
-func (r *Report) RenderMigration() string {
+func (r *Report) renderMigration() string {
 	if r.MigrationTable == nil {
 		return "Migration scan disabled: enable Options.Migration (experiments -migration) to classify active deployments.\n"
 	}
@@ -166,7 +166,7 @@ func (r *Report) RenderMigration() string {
 	total, correct := 0, 0
 	for _, row := range r.MigrationTable {
 		total += row.Targets
-		correct += row.Correct()
+		correct += row.correct()
 		rows = append(rows, []string{
 			row.Profile,
 			fmt.Sprint(row.Targets),
@@ -183,12 +183,12 @@ func (r *Report) RenderMigration() string {
 	return b.String()
 }
 
-// RenderResumption emits the handshake fast-path classification
+// renderResumption emits the handshake fast-path classification
 // table: per profile, the observed ticket/0-RTT behaviour of the
 // second dial. The token-reuse column counts deployments whose Retry
 // round trip disappeared on the rescan because the client replayed
 // the NEW_TOKEN from the first connection.
-func (r *Report) RenderResumption() string {
+func (r *Report) renderResumption() string {
 	if r.ResumptionTable == nil {
 		return "Resumption scan disabled: enable Options.Resumption (experiments -resumption) to classify active deployments.\n"
 	}
@@ -201,7 +201,7 @@ func (r *Report) RenderResumption() string {
 	total, correct := 0, 0
 	for _, row := range r.ResumptionTable {
 		total += row.Targets
-		correct += row.Correct()
+		correct += row.correct()
 		rows = append(rows, []string{
 			row.Profile,
 			fmt.Sprint(row.Targets),

@@ -52,9 +52,9 @@ func TestModeTablesGolden(t *testing.T) {
 		}),
 	}
 	for name, got := range map[string]string{
-		"fingerprint": r.RenderFingerprint(),
-		"migration":   r.RenderMigration(),
-		"resumption":  r.RenderResumption(),
+		"fingerprint": r.renderFingerprint(),
+		"migration":   r.renderMigration(),
+		"resumption":  r.renderResumption(),
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", "modes_"+name+".golden"))
 		if err != nil {

@@ -11,56 +11,48 @@ import (
 	"quicscan/internal/core"
 )
 
-// ExperimentIDs lists every reproducible artifact in rendering order.
-var ExperimentIDs = []string{
-	"T1", "T2", "T3", "T4", "T5", "T6", "T7",
-	"F3", "F4", "F5", "F6", "F7", "F8", "F9",
-	"OVERLAP", "PADDING", "DIVERSITY", "FINGERPRINT", "MIGRATION", "RESUMPTION",
+// artifacts lists every reproducible artifact in rendering order.
+var artifacts = []struct {
+	id     string
+	render func(*Report) string
+}{
+	{"T1", (*Report).renderTable1},
+	{"T2", (*Report).renderTable2},
+	{"T3", (*Report).renderTable3},
+	{"T4", (*Report).renderTable4},
+	{"T5", (*Report).renderTable5},
+	{"T6", (*Report).renderTable6},
+	{"T7", (*Report).renderTable7},
+	{"F3", (*Report).renderFigure3},
+	{"F4", (*Report).renderFigure4},
+	{"F5", (*Report).renderFigure5},
+	{"F6", (*Report).renderFigure6},
+	{"F7", (*Report).renderFigure7},
+	{"F8", (*Report).renderFigure8},
+	{"F9", (*Report).renderFigure9},
+	{"OVERLAP", (*Report).renderOverlap},
+	{"PADDING", (*Report).renderPadding},
+	{"DIVERSITY", (*Report).renderDiversity},
+	{"FINGERPRINT", (*Report).renderFingerprint},
+	{"MIGRATION", (*Report).renderMigration},
+	{"RESUMPTION", (*Report).renderResumption},
 }
+
+// ExperimentIDs lists every artifact's ID in rendering order.
+var ExperimentIDs = func() []string {
+	ids := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		ids[i] = a.id
+	}
+	return ids
+}()
 
 // Render produces the text artifact for one experiment ID.
 func (r *Report) Render(id string) string {
-	switch strings.ToUpper(id) {
-	case "T1":
-		return r.RenderTable1()
-	case "T2":
-		return r.RenderTable2()
-	case "T3":
-		return r.RenderTable3()
-	case "T4":
-		return r.RenderTable4()
-	case "T5":
-		return r.RenderTable5()
-	case "T6":
-		return r.RenderTable6()
-	case "T7":
-		return r.RenderTable7()
-	case "F3":
-		return r.RenderFigure3()
-	case "F4":
-		return r.RenderFigure4()
-	case "F5":
-		return r.RenderFigure5()
-	case "F6":
-		return r.RenderFigure6()
-	case "F7":
-		return r.RenderFigure7()
-	case "F8":
-		return r.RenderFigure8()
-	case "F9":
-		return r.RenderFigure9()
-	case "OVERLAP":
-		return r.RenderOverlap()
-	case "PADDING":
-		return r.RenderPadding()
-	case "DIVERSITY":
-		return r.RenderDiversity()
-	case "FINGERPRINT":
-		return r.RenderFingerprint()
-	case "MIGRATION":
-		return r.RenderMigration()
-	case "RESUMPTION":
-		return r.RenderResumption()
+	for _, a := range artifacts {
+		if strings.EqualFold(a.id, id) {
+			return a.render(r)
+		}
 	}
 	return fmt.Sprintf("unknown experiment %q (known: %s)\n", id, strings.Join(ExperimentIDs, ", "))
 }
@@ -68,14 +60,14 @@ func (r *Report) Render(id string) string {
 // RenderAll produces every artifact.
 func (r *Report) RenderAll() string {
 	var b strings.Builder
-	for _, id := range ExperimentIDs {
-		fmt.Fprintf(&b, "==== %s ====\n%s\n", id, r.Render(id))
+	for _, a := range artifacts {
+		fmt.Fprintf(&b, "==== %s ====\n%s\n", a.id, a.render(r))
 	}
 	return b.String()
 }
 
-// RenderTable1 is Table 1: found QUIC targets per method.
-func (r *Report) RenderTable1() string {
+// renderTable1 is Table 1: found QUIC targets per method.
+func (r *Report) renderTable1() string {
 	wd := r.Headline()
 	db := r.Universe.ASDB
 	rows4 := analysis.Table1(wd.V4, db, "IPv4", wd.ZMapProbesV4, wd.TLSTargets, wd.DomainsResolved)
@@ -91,8 +83,8 @@ func (r *Report) RenderTable1() string {
 		analysis.RenderTable([]string{"Method", "Family", "Scanned", "Addresses", "ASes", "Domains"}, rows)
 }
 
-// RenderTable2 is Table 2: top-5 providers per source.
-func (r *Report) RenderTable2() string {
+// renderTable2 is Table 2: top-5 providers per source.
+func (r *Report) renderTable2() string {
 	wd := r.Headline()
 	db := r.Universe.ASDB
 	var b strings.Builder
@@ -126,8 +118,8 @@ func (r *Report) RenderTable2() string {
 	return b.String()
 }
 
-// RenderTable3 is Table 3: stateful scan outcome shares.
-func (r *Report) RenderTable3() string {
+// renderTable3 is Table 3: stateful scan outcome shares.
+func (r *Report) renderTable3() string {
 	var b strings.Builder
 	b.WriteString("Table 3: stateful scan results of combined sources\n")
 	for _, c := range []analysis.OutcomeShares{
@@ -142,8 +134,8 @@ func (r *Report) RenderTable3() string {
 	return b.String()
 }
 
-// RenderTable4 is Table 4: success rate per input source.
-func (r *Report) RenderTable4() string {
+// renderTable4 is Table 4: success rate per input source.
+func (r *Report) renderTable4() string {
 	var b strings.Builder
 	b.WriteString("Table 4: individual success rate per input\n")
 	for _, fam := range []struct {
@@ -165,9 +157,9 @@ func (r *Report) RenderTable4() string {
 	return b.String()
 }
 
-// RenderTable5 is Table 5: share of hosts with equal TLS properties
+// renderTable5 is Table 5: share of hosts with equal TLS properties
 // over QUIC and TLS-over-TCP.
-func (r *Report) RenderTable5() string {
+func (r *Report) renderTable5() string {
 	var b strings.Builder
 	b.WriteString("Table 5: share of hosts (%) with same TLS properties on TCP and QUIC\n")
 	render := func(label string, quic []core.Result) {
@@ -186,8 +178,8 @@ func (r *Report) RenderTable5() string {
 	return b.String()
 }
 
-// RenderTable6 is Table 6: top HTTP Server values.
-func (r *Report) RenderTable6() string {
+// renderTable6 is Table 6: top HTTP Server values.
+func (r *Report) renderTable6() string {
 	all := append(append([]core.Result{}, r.StatefulSNIV4...), r.StatefulNoSNIV4...)
 	all = append(all, r.StatefulSNIV6...)
 	top := analysis.TopServerValues(all, r.Universe.ASDB, 8)
@@ -199,8 +191,8 @@ func (r *Report) RenderTable6() string {
 		analysis.RenderTable([]string{"Server", "#ASes", "#Targets", "#TPConfigs"}, rows)
 }
 
-// RenderTable7 is Table 7: AS number to name mapping.
-func (r *Report) RenderTable7() string {
+// renderTable7 is Table 7: AS number to name mapping.
+func (r *Report) renderTable7() string {
 	asns := []asdb.ASN{
 		asdb.ASGTSTelecom, asdb.ASIonos, asdb.ASCloudflare, asdb.ASDigitalOcean,
 		asdb.ASGoogle, asdb.ASOVH, asdb.ASAmazon, asdb.ASAkamai,
@@ -216,8 +208,8 @@ func (r *Report) RenderTable7() string {
 		analysis.RenderTable([]string{"AS", "Name"}, rows)
 }
 
-// RenderFigure3 is the weekly HTTPS-RR success rate per source.
-func (r *Report) RenderFigure3() string {
+// renderFigure3 is the weekly HTTPS-RR success rate per source.
+func (r *Report) renderFigure3() string {
 	var b strings.Builder
 	b.WriteString("Figure 3: HTTPS DNS RR success rate per source over calendar weeks (%)\n")
 	sources := map[string]bool{}
@@ -242,7 +234,7 @@ func (r *Report) RenderFigure3() string {
 			rate := 0.0
 			for _, s := range wd.DNS {
 				if s.Source == src {
-					rate = s.Rate()
+					rate = s.rate()
 				}
 			}
 			row = append(row, fmt.Sprintf("%.2f", rate))
@@ -253,8 +245,8 @@ func (r *Report) RenderFigure3() string {
 	return b.String()
 }
 
-// RenderFigure4 is the AS-rank CDF per discovery method.
-func (r *Report) RenderFigure4() string {
+// renderFigure4 is the AS-rank CDF per discovery method.
+func (r *Report) renderFigure4() string {
 	wd := r.Headline()
 	db := r.Universe.ASDB
 	var b strings.Builder
@@ -280,8 +272,8 @@ func (r *Report) RenderFigure4() string {
 	return b.String()
 }
 
-// RenderFigure5 is the version-set distribution over weeks.
-func (r *Report) RenderFigure5() string {
+// renderFigure5 is the version-set distribution over weeks.
+func (r *Report) renderFigure5() string {
 	var b strings.Builder
 	b.WriteString("Figure 5: supported QUIC version sets per IPv4 address from ZMap scans (%)\n")
 	for _, wd := range r.Weeks {
@@ -293,8 +285,8 @@ func (r *Report) RenderFigure5() string {
 	return b.String()
 }
 
-// RenderFigure6 is the individual-version support over weeks.
-func (r *Report) RenderFigure6() string {
+// renderFigure6 is the individual-version support over weeks.
+func (r *Report) renderFigure6() string {
 	var b strings.Builder
 	b.WriteString("Figure 6: supported individual QUIC versions from ZMap scans (% of addresses)\n")
 	versions := map[string]bool{}
@@ -325,8 +317,8 @@ func (r *Report) RenderFigure6() string {
 	return b.String()
 }
 
-// RenderFigure7 is the ALPN-set distribution over weeks.
-func (r *Report) RenderFigure7() string {
+// renderFigure7 is the ALPN-set distribution over weeks.
+func (r *Report) renderFigure7() string {
 	var b strings.Builder
 	b.WriteString("Figure 7: QUIC-related ALPN sets for (domain, address) targets from TLS scans (%)\n")
 	for _, wd := range r.Weeks {
@@ -338,8 +330,8 @@ func (r *Report) RenderFigure7() string {
 	return b.String()
 }
 
-// RenderFigure8 is the AS-rank CDF of successfully scanned targets.
-func (r *Report) RenderFigure8() string {
+// renderFigure8 is the AS-rank CDF of successfully scanned targets.
+func (r *Report) renderFigure8() string {
 	db := r.Universe.ASDB
 	var b strings.Builder
 	b.WriteString("Figure 8: AS distribution of successfully scanned targets (CDF over AS rank)\n")
@@ -360,8 +352,8 @@ func (r *Report) RenderFigure8() string {
 	return b.String()
 }
 
-// RenderFigure9 is the transport parameter configuration distribution.
-func (r *Report) RenderFigure9() string {
+// renderFigure9 is the transport parameter configuration distribution.
+func (r *Report) renderFigure9() string {
 	all := append(append([]core.Result{}, r.StatefulSNIV4...), r.StatefulNoSNIV4...)
 	all = append(all, r.StatefulSNIV6...)
 	all = append(all, r.StatefulNoSNIV6...)
@@ -378,8 +370,8 @@ func (r *Report) RenderFigure9() string {
 	return b.String()
 }
 
-// RenderOverlap reports the per-source unique and shared addresses.
-func (r *Report) RenderOverlap() string {
+// renderOverlap reports the per-source unique and shared addresses.
+func (r *Report) renderOverlap() string {
 	wd := r.Headline()
 	var b strings.Builder
 	b.WriteString("Overlap between discovery sources\n")
@@ -394,8 +386,8 @@ func (r *Report) RenderOverlap() string {
 	return b.String()
 }
 
-// RenderPadding reports the Section 3.1 padding ablation.
-func (r *Report) RenderPadding() string {
+// renderPadding reports the Section 3.1 padding ablation.
+func (r *Report) renderPadding() string {
 	rate := 0.0
 	if r.PaddedResponses > 0 {
 		rate = 100 * float64(r.UnpaddedResponses) / float64(r.PaddedResponses)
@@ -419,10 +411,10 @@ func withDomains(d *analysis.Discovery) []netip.Addr {
 	return out
 }
 
-// RenderDiversity reports configuration diversity within single ASes
+// renderDiversity reports configuration diversity within single ASes
 // (Section 5.2): how many distinct transport parameter configurations
 // each AS exposes, led by cloud providers hosting customer setups.
-func (r *Report) RenderDiversity() string {
+func (r *Report) renderDiversity() string {
 	all := append(append([]core.Result{}, r.StatefulSNIV4...), r.StatefulNoSNIV4...)
 	all = append(all, r.StatefulSNIV6...)
 	all = append(all, r.StatefulNoSNIV6...)

@@ -1,4 +1,4 @@
-package fingerprint_test
+package fingerprint
 
 import (
 	"context"
@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"quicscan/internal/certgen"
-	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
 	"quicscan/internal/probe"
 	"quicscan/internal/quic"
@@ -56,11 +55,11 @@ func startProfileListener(t *testing.T, p *internet.Profile) netip.AddrPort {
 	return netip.MustParseAddrPort(pc.LocalAddr().String())
 }
 
-func testProber() *fingerprint.Prober {
+func testProber() *Prober {
 	// Generous waits: the suite runs all profiles in parallel under
 	// -race, and a starved scenario goroutine must not read as
 	// "silent".
-	return &fingerprint.Prober{
+	return &Prober{
 		Dialer: probe.Dialer{
 			DialPacket: func() (net.PacketConn, error) {
 				return net.ListenPacket("udp", "127.0.0.1:0")
@@ -73,15 +72,15 @@ func testProber() *fingerprint.Prober {
 }
 
 // sigFor returns the database row for an implementation blueprint.
-func sigFor(t *testing.T, name string) fingerprint.Matrix {
+func sigFor(t *testing.T, name string) Matrix {
 	t.Helper()
-	for _, s := range fingerprint.DefaultDB() {
+	for _, s := range defaultDB() {
 		if s.Name == name {
 			return s.M
 		}
 	}
 	t.Fatalf("no signature for %q", name)
-	return fingerprint.Matrix{}
+	return Matrix{}
 }
 
 // TestConformanceMatrix is the ground-truth alignment proof: for every
@@ -99,7 +98,7 @@ func TestConformanceMatrix(t *testing.T) {
 			defer cancel()
 			res := testProber().Fingerprint(ctx, probe.Target{Addr: addr, SNI: "fp.test"})
 			want := sigFor(t, p.Impl)
-			for _, s := range fingerprint.Scenarios() {
+			for _, s := range scenarios() {
 				s := s
 				t.Run(s.String(), func(t *testing.T) {
 					if res.Matrix[s] != want[s] {

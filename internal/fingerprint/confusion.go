@@ -39,8 +39,8 @@ func (c *ConfusionMatrix) Total() int {
 	return n
 }
 
-// Correct counts outcomes whose verdict equals the ground truth.
-func (c *ConfusionMatrix) Correct() int {
+// correct counts outcomes whose verdict equals the ground truth.
+func (c *ConfusionMatrix) correct() int {
 	n := 0
 	for truth, row := range c.counts {
 		n += row[truth]
@@ -48,13 +48,13 @@ func (c *ConfusionMatrix) Correct() int {
 	return n
 }
 
-// Accuracy is Correct/Total (zero for an empty matrix).
+// Accuracy is correct/Total (zero for an empty matrix).
 func (c *ConfusionMatrix) Accuracy() float64 {
 	t := c.Total()
 	if t == 0 {
 		return 0
 	}
-	return float64(c.Correct()) / float64(t)
+	return float64(c.correct()) / float64(t)
 }
 
 // Misclassified counts outcomes assigned to a *different* known
@@ -63,7 +63,7 @@ func (c *ConfusionMatrix) Misclassified() int {
 	n := 0
 	for truth, row := range c.counts {
 		for verdict, v := range row {
-			if verdict != truth && verdict != VerdictUnknown {
+			if verdict != truth && verdict != verdictUnknown {
 				n += v
 			}
 		}
@@ -84,15 +84,15 @@ func (c *ConfusionMatrix) Render() string {
 		}
 	}
 	sort.Strings(truths)
-	hasUnknown := verdictSet[VerdictUnknown]
-	delete(verdictSet, VerdictUnknown)
+	hasUnknown := verdictSet[verdictUnknown]
+	delete(verdictSet, verdictUnknown)
 	verdicts := make([]string, 0, len(verdictSet)+1)
 	for v := range verdictSet {
 		verdicts = append(verdicts, v)
 	}
 	sort.Strings(verdicts)
 	if hasUnknown {
-		verdicts = append(verdicts, VerdictUnknown)
+		verdicts = append(verdicts, verdictUnknown)
 	}
 
 	var b strings.Builder
@@ -121,7 +121,7 @@ func (c *ConfusionMatrix) Render() string {
 		fmt.Fprintf(&b, " %d |\n", total)
 	}
 	fmt.Fprintf(&b, "\nTargets: %d, correct: %d (%.1f%%), misclassified: %d, unknown: %d\n",
-		c.Total(), c.Correct(), 100*c.Accuracy(), c.Misclassified(),
-		c.Total()-c.Correct()-c.Misclassified())
+		c.Total(), c.correct(), 100*c.Accuracy(), c.Misclassified(),
+		c.Total()-c.correct()-c.Misclassified())
 	return b.String()
 }

@@ -1,4 +1,4 @@
-package fingerprint_test
+package fingerprint
 
 import (
 	"context"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"quicscan/internal/fingerprint"
 	"quicscan/internal/internet"
 	"quicscan/internal/probe"
 )
@@ -54,7 +53,7 @@ func TestE2EClassification(t *testing.T) {
 
 	// Generous waits: under -race a slow scheduler must not turn a
 	// live scenario cell into "silent" and flake the golden diff.
-	p := &fingerprint.Prober{
+	p := &Prober{
 		Dialer: probe.Dialer{
 			DialPacket:       func() (net.PacketConn, error) { return u.Net.DialUDP() },
 			HandshakeTimeout: 4 * time.Second,
@@ -66,7 +65,7 @@ func TestE2EClassification(t *testing.T) {
 	defer cancel()
 	results := p.Scan(ctx, 8, targets, nil)
 
-	cm := fingerprint.NewConfusionMatrix()
+	cm := NewConfusionMatrix()
 	for i, r := range results {
 		cm.Add(truth[i], r.Verdict.Name)
 		if r.Verdict.Name != truth[i] {
@@ -77,7 +76,7 @@ func TestE2EClassification(t *testing.T) {
 
 	if acc := cm.Accuracy(); acc < 0.95 {
 		t.Errorf("accuracy %.1f%% (%d/%d), want >= 95%%",
-			100*acc, cm.Correct(), cm.Total())
+			100*acc, cm.correct(), cm.Total())
 	}
 	if mis := cm.Misclassified(); mis != 0 {
 		t.Errorf("%d targets misclassified as a different known implementation", mis)

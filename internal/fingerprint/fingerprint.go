@@ -22,97 +22,88 @@ import (
 	"strings"
 )
 
-// Scenario identifies one active edge-case exchange. The order is the
+// scenario identifies one active edge-case exchange. The order is the
 // canonical matrix order.
-type Scenario int
+type scenario int
 
 const (
-	// ScenarioVN offers a reserved 0x?a?a?a?a version (distinct from
+	// scenarioVN offers a reserved 0x?a?a?a?a version (distinct from
 	// the ZMap module's) in a fully padded Initial and inspects the
 	// Version Negotiation answer — in particular whether the server
 	// greases its version list.
-	ScenarioVN Scenario = iota
-	// ScenarioPadding sends the same probe without padding; answering
+	scenarioVN scenario = iota
+	// scenarioPadding sends the same probe without padding; answering
 	// it violates RFC 9000 Section 14.1.
-	ScenarioPadding
-	// ScenarioRetry dials twice: once to learn whether the target
+	scenarioPadding
+	// scenarioRetry dials twice: once to learn whether the target
 	// performs Retry-based address validation, then with a forged
 	// token to observe the validator's strictness.
-	ScenarioRetry
-	// ScenarioReset sends an orphan 1-RTT-shaped datagram and watches
+	scenarioRetry
+	// scenarioReset sends an orphan 1-RTT-shaped datagram and watches
 	// for a stateless reset.
-	ScenarioReset
-	// ScenarioKeyUpdate completes a handshake, initiates an RFC 9001
+	scenarioReset
+	// scenarioKeyUpdate completes a handshake, initiates an RFC 9001
 	// Section 6 key update, and forces a round trip.
-	ScenarioKeyUpdate
-	// ScenarioGreaseTP completes a handshake offering an unknown
+	scenarioKeyUpdate
+	// scenarioGreaseTP completes a handshake offering an unknown
 	// (GREASE) transport parameter, which RFC 9000 Section 7.4.2 says
 	// must be ignored.
-	ScenarioGreaseTP
-	// ScenarioIdle advertises a tiny max_idle_timeout, goes quiet, and
+	scenarioGreaseTP
+	// scenarioIdle advertises a tiny max_idle_timeout, goes quiet, and
 	// observes whether the teardown is silent or announced.
-	ScenarioIdle
+	scenarioIdle
 
-	// NumScenarios is the matrix width.
-	NumScenarios
+	// numScenarios is the matrix width.
+	numScenarios
 )
 
 // scenarioKeys are the stable wire/report names, in matrix order.
-var scenarioKeys = [NumScenarios]string{
+var scenarioKeys = [numScenarios]string{
 	"vn", "pad", "retry", "reset", "ku", "tp", "idle",
 }
 
-func (s Scenario) String() string {
-	if s >= 0 && s < NumScenarios {
+func (s scenario) String() string {
+	if s >= 0 && s < numScenarios {
 		return scenarioKeys[s]
 	}
 	return fmt.Sprintf("Scenario(%d)", int(s))
 }
 
-// Scenarios lists every scenario in matrix order.
-func Scenarios() []Scenario {
-	out := make([]Scenario, NumScenarios)
-	for i := range out {
-		out[i] = Scenario(i)
-	}
-	return out
-}
-
 // Cell outcome classes. Scenario-specific values (Retry strictness)
 // live beside the shared ones.
 const (
-	// CellSilent: no observable response (timeout).
-	CellSilent = "silent"
-	// CellVN: a plain Version Negotiation answer.
-	CellVN = "vn"
-	// CellVNGrease: a VN answer whose version list contains a reserved
+	// cellSilent: no observable response (timeout).
+	cellSilent = "silent"
+	// cellVN: a plain Version Negotiation answer.
+	cellVN = "vn"
+	// cellVNGrease: a VN answer whose version list contains a reserved
 	// grease version.
-	CellVNGrease = "vn-grease"
-	// CellOK: the exchange completed normally.
-	CellOK = "ok"
-	// CellReset: a stateless reset (or reset-shaped answer) arrived.
-	CellReset = "reset"
-	// CellRetryNone: the target performs no Retry address validation.
-	CellRetryNone = "none"
-	// CellRetryDrop: Retry performed; a forged token is silently
+	cellVNGrease = "vn-grease"
+	// cellOK: the exchange completed normally.
+	cellOK = "ok"
+	// cellReset: a stateless reset (or reset-shaped answer) arrived.
+	cellReset = "reset"
+	// cellRetryNone: the target performs no Retry address validation.
+	cellRetryNone = "none"
+	// cellRetryDrop: Retry performed; a forged token is silently
 	// dropped.
-	CellRetryDrop = "drop"
-	// CellRetryClose: Retry performed; a forged token draws an
+	cellRetryDrop = "drop"
+	// cellRetryClose: Retry performed; a forged token draws an
 	// immediate INVALID_TOKEN close.
-	CellRetryClose = "close"
-	// CellRetryLax: Retry performed; a forged token is accepted.
-	CellRetryLax = "lax"
+	cellRetryClose = "close"
+	// cellRetryLax: Retry performed; a forged token is accepted.
+	cellRetryLax = "lax"
 )
 
-// CellClose renders a CONNECTION_CLOSE outcome with its transport
+// cellClose renders a CONNECTION_CLOSE outcome with its transport
 // error code, e.g. "close-0x8".
-func CellClose(code uint64) string {
+func cellClose(code uint64) string {
 	return fmt.Sprintf("close-0x%x", code)
 }
 
 // Matrix is one response row: the outcome class of every scenario, in
-// Scenario order. The zero value ("" cells) means "not probed".
-type Matrix [NumScenarios]string
+// scenario order. The zero value ("" cells) means "not probed".
+type Matrix [numScenarios]string
 
 // String encodes the matrix in the canonical single-line form used in
 // reports, goldens, and the fuzzable decoder:
@@ -131,63 +122,10 @@ func (m Matrix) String() string {
 	return b.String()
 }
 
-// maxCellLen bounds a single cell value; real outcome classes are far
-// shorter, and the parser must not let hostile input balloon.
-const maxCellLen = 32
-
-// ParseMatrix decodes the canonical encoding produced by
-// Matrix.String. Cells may arrive in any order; every key must be
-// known and appear at most once; missing keys yield empty ("not
-// probed") cells. Values are restricted to the outcome-class alphabet
-// [a-z0-9*-] so a matrix round-trips losslessly through reports.
-func ParseMatrix(s string) (Matrix, error) {
-	var m Matrix
-	if s == "" {
-		return m, nil
-	}
-	if len(s) > int(NumScenarios)*(maxCellLen+8) {
-		return m, fmt.Errorf("fingerprint: matrix encoding too long (%d bytes)", len(s))
-	}
-	var seen [NumScenarios]bool
-	for _, part := range strings.Split(s, "|") {
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Matrix{}, fmt.Errorf("fingerprint: cell %q: missing '='", part)
-		}
-		idx := -1
-		for i, k := range scenarioKeys {
-			if k == key {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return Matrix{}, fmt.Errorf("fingerprint: unknown scenario key %q", key)
-		}
-		if seen[idx] {
-			return Matrix{}, fmt.Errorf("fingerprint: duplicate scenario key %q", key)
-		}
-		seen[idx] = true
-		if val == "" {
-			return Matrix{}, fmt.Errorf("fingerprint: empty cell value for %q", key)
-		}
-		if len(val) > maxCellLen {
-			return Matrix{}, fmt.Errorf("fingerprint: cell value for %q too long", key)
-		}
-		for _, r := range val {
-			if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' && r != '*' {
-				return Matrix{}, fmt.Errorf("fingerprint: cell value %q for %q: invalid character", val, key)
-			}
-		}
-		m[idx] = val
-	}
-	return m, nil
-}
-
-// Distance counts the cells where m and o disagree. Empty cells
+// distance counts the cells where m and o disagree. Empty cells
 // ("not probed") count as disagreement unless both are empty: an
 // unprobed scenario must not make two matrices look closer.
-func (m Matrix) Distance(o Matrix) int {
+func (m Matrix) distance(o Matrix) int {
 	n := 0
 	for i := range m {
 		if m[i] != o[i] {

@@ -7,7 +7,7 @@ import "testing"
 func FuzzScenarioResponse(f *testing.F) {
 	f.Add("")
 	f.Add(baseline().String())
-	for _, sig := range DefaultDB() {
+	for _, sig := range defaultDB() {
 		f.Add(sig.M.String())
 	}
 	f.Add("vn=vn-grease|ku=close-0xe")
@@ -18,12 +18,12 @@ func FuzzScenarioResponse(f *testing.F) {
 	f.Add("bogus=value")
 	f.Add("vn=vn|pad=silent|retry=none|reset=reset|ku=ok|tp=ok|idle=silent|")
 	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseMatrix(s)
+		m, err := parseMatrix(s)
 		if err != nil {
 			return
 		}
 		enc := m.String()
-		m2, err := ParseMatrix(enc)
+		m2, err := parseMatrix(enc)
 		if err != nil {
 			// Matrices with empty (unprobed) cells encode those
 			// cells as empty values, which the strict parser
@@ -47,27 +47,27 @@ func FuzzScenarioResponse(f *testing.F) {
 // agrees with a zero distance.
 func FuzzSignatureMatch(f *testing.F) {
 	f.Add(baseline().String())
-	for _, sig := range DefaultDB() {
+	for _, sig := range defaultDB() {
 		f.Add(sig.M.String())
 	}
 	f.Add("vn=silent|pad=silent|retry=none|reset=silent|ku=silent|tp=silent|idle=silent")
 	f.Add("vn=x|pad=y|retry=z|reset=w|ku=v|tp=u|idle=t")
-	db := DefaultDB()
-	names := map[string]bool{VerdictUnknown: true}
+	db := defaultDB()
+	names := map[string]bool{verdictUnknown: true}
 	for _, sig := range db {
 		names[sig.Name] = true
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseMatrix(s)
+		m, err := parseMatrix(s)
 		if err != nil {
 			return
 		}
-		v := db.Match(m)
+		v := db.match(m)
 		if !names[v.Name] {
 			t.Fatalf("verdict names unknown signature %q", v.Name)
 		}
-		if v.Name != VerdictUnknown {
-			if v.Distance < 0 || v.Distance > MaxDistance {
+		if v.Name != verdictUnknown {
+			if v.Distance < 0 || v.Distance > maxDistance {
 				t.Fatalf("accepted at distance %d", v.Distance)
 			}
 			if v.Exact != (v.Distance == 0) {

@@ -12,8 +12,8 @@ var (
 
 // mScenarioRuns holds the per-scenario children, resolved once: the
 // scenario set is fixed at compile time.
-var mScenarioRuns = func() [NumScenarios]*telemetry.Counter {
-	var out [NumScenarios]*telemetry.Counter
+var mScenarioRuns = func() [numScenarios]*telemetry.Counter {
+	var out [numScenarios]*telemetry.Counter
 	for i := range out {
 		out[i] = mScenarios.With(scenarioKeys[i])
 	}

@@ -17,12 +17,12 @@ import (
 	"quicscan/internal/transportparams"
 )
 
-// ProbeVersion is the reserved version the raw VN and padding probes
+// probeVersion is the reserved version the raw VN and padding probes
 // offer. It is deliberately distinct from the ZMap module's
 // ForcedNegotiationVersion so that grease-version quirks (which key on
 // "some reserved version other than the classic scanner's") are
 // exercised without perturbing the ZMap sweep's calibrated answers.
-const ProbeVersion quicwire.Version = 0x2a3a4a5a
+const probeVersion quicwire.Version = 0x2a3a4a5a
 
 // greaseTPID is a reserved transport parameter identifier of the form
 // 31*N+27 (RFC 9000, Section 18.1; N=173), which a conforming peer
@@ -83,7 +83,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// Prober runs the scenario engine against DefaultDB. One Prober is
+// Prober runs the scenario engine against defaultDB. One Prober is
 // safe for concurrent use.
 type Prober struct {
 	// Dialer opens a fresh socket per scenario connection.
@@ -117,7 +117,7 @@ func (p *Prober) pingWait() time.Duration {
 func (p *Prober) Fingerprint(ctx context.Context, t probe.Target) Result {
 	var m Matrix
 	var wg sync.WaitGroup
-	run := func(s Scenario, f func(context.Context, probe.Target) string) {
+	run := func(s scenario, f func(context.Context, probe.Target) string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -125,18 +125,18 @@ func (p *Prober) Fingerprint(ctx context.Context, t probe.Target) Result {
 			m[s] = f(ctx, t)
 		}()
 	}
-	run(ScenarioVN, p.probeVN)
-	run(ScenarioPadding, p.probePadding)
-	run(ScenarioRetry, p.probeRetry)
-	run(ScenarioReset, p.probeReset)
-	run(ScenarioKeyUpdate, p.probeKeyUpdate)
-	run(ScenarioGreaseTP, p.probeGreaseTP)
-	run(ScenarioIdle, p.probeIdle)
+	run(scenarioVN, p.probeVN)
+	run(scenarioPadding, p.probePadding)
+	run(scenarioRetry, p.probeRetry)
+	run(scenarioReset, p.probeReset)
+	run(scenarioKeyUpdate, p.probeKeyUpdate)
+	run(scenarioGreaseTP, p.probeGreaseTP)
+	run(scenarioIdle, p.probeIdle)
 	wg.Wait()
-	v := DefaultDB().Match(m)
+	v := defaultDB().match(m)
 	mode.Settle(v.Name, nil)
 	switch {
-	case v.Name == VerdictUnknown:
+	case v.Name == verdictUnknown:
 		mUnknown.Inc()
 	case v.Exact:
 		mExact.Inc()
@@ -157,12 +157,12 @@ func (p *Prober) Scan(ctx context.Context, workers int, targets []probe.Target, 
 }
 
 // buildRawProbe assembles a ZMap-style forced-VN Initial at
-// ProbeVersion: valid long header, unencrypted padding body. Servers
+// probeVersion: valid long header, unencrypted padding body. Servers
 // must answer the unknown version (or not) before parsing further.
 func buildRawProbe(size int, dcid, scid []byte) []byte {
 	b := make([]byte, 0, size)
 	b = append(b, 0xc0|0x40) // long header, fixed bit, type Initial
-	v := uint32(ProbeVersion)
+	v := uint32(probeVersion)
 	b = append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	b = append(b, byte(len(dcid)))
 	b = append(b, dcid...)
@@ -176,12 +176,12 @@ func buildRawProbe(size int, dcid, scid []byte) []byte {
 }
 
 // rawVNExchange sends one raw probe of the given size and classifies
-// the answer: CellVNGrease for a VN listing any reserved version,
-// CellVN for a plain VN, CellSilent on timeout or socket failure.
+// the answer: cellVNGrease for a VN listing any reserved version,
+// cellVN for a plain VN, cellSilent on timeout or socket failure.
 func (p *Prober) rawVNExchange(ctx context.Context, t probe.Target, size int) string {
 	pc, err := p.DialPacket()
 	if err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	defer pc.Close()
 	dcid := quicwire.NewRandomConnID(8)
@@ -189,7 +189,7 @@ func (p *Prober) rawVNExchange(ctx context.Context, t probe.Target, size int) st
 	dgram := buildRawProbe(size, dcid, scid)
 	remote := net.UDPAddrFromAddrPort(t.Addr)
 	if _, err := pc.WriteTo(dgram, remote); err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	deadline := time.Now().Add(p.probeWait())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -198,11 +198,11 @@ func (p *Prober) rawVNExchange(ctx context.Context, t probe.Target, size int) st
 	buf := make([]byte, 2048)
 	for {
 		if err := pc.SetReadDeadline(deadline); err != nil {
-			return CellSilent
+			return cellSilent
 		}
 		n, _, err := pc.ReadFrom(buf)
 		if err != nil {
-			return CellSilent
+			return cellSilent
 		}
 		hdr, _, err := quicwire.ParseLongHeader(buf[:n])
 		if err != nil || hdr.Type != quicwire.PacketVersionNegotiation {
@@ -215,10 +215,10 @@ func (p *Prober) rawVNExchange(ctx context.Context, t probe.Target, size int) st
 		}
 		for _, v := range hdr.SupportedVersions {
 			if v.IsForcedNegotiation() {
-				return CellVNGrease
+				return cellVNGrease
 			}
 		}
-		return CellVN
+		return cellVN
 	}
 }
 
@@ -236,17 +236,17 @@ func (p *Prober) probePadding(ctx context.Context, t probe.Target) string {
 func (p *Prober) probeReset(ctx context.Context, t probe.Target) string {
 	pc, err := p.DialPacket()
 	if err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	defer pc.Close()
 	dgram := make([]byte, resetProbeSize)
 	if _, err := rand.Read(dgram[1:]); err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	dgram[0] = 0x40 | (dgram[1] & 0x3f)
 	remote := net.UDPAddrFromAddrPort(t.Addr)
 	if _, err := pc.WriteTo(dgram, remote); err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	deadline := time.Now().Add(p.probeWait())
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -255,14 +255,14 @@ func (p *Prober) probeReset(ctx context.Context, t probe.Target) string {
 	buf := make([]byte, 2048)
 	for {
 		if err := pc.SetReadDeadline(deadline); err != nil {
-			return CellSilent
+			return cellSilent
 		}
 		n, _, err := pc.ReadFrom(buf)
 		if err != nil {
-			return CellSilent
+			return cellSilent
 		}
 		if n >= 21 && buf[0]&0xc0 == 0x40 {
-			return CellReset
+			return cellReset
 		}
 	}
 }
@@ -285,25 +285,25 @@ func forgedToken() []byte {
 func (p *Prober) probeRetry(ctx context.Context, t probe.Target) string {
 	conn, _, err := p.Dial(ctx, t, p.Config(mode, t))
 	if err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	retried := conn.Stats().Retried
 	conn.Close()
 	if !retried {
-		return CellRetryNone
+		return cellRetryNone
 	}
 	cfg := p.Config(mode, t)
 	cfg.InitialToken = forgedToken()
 	conn2, _, err := p.Dial(ctx, t, cfg)
 	if err == nil {
 		conn2.Close()
-		return CellRetryLax
+		return cellRetryLax
 	}
 	var terr *quicwire.TransportErrorError
 	if errors.As(err, &terr) && terr.Remote {
-		return CellRetryClose
+		return cellRetryClose
 	}
-	return CellRetryDrop
+	return cellRetryDrop
 }
 
 // probeKeyUpdate completes a handshake, initiates an RFC 9001
@@ -311,22 +311,22 @@ func (p *Prober) probeRetry(ctx context.Context, t probe.Target) string {
 func (p *Prober) probeKeyUpdate(ctx context.Context, t probe.Target) string {
 	conn, _, err := p.Dial(ctx, t, p.Config(mode, t))
 	if err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	defer conn.Close()
 	if err := conn.UpdateKeys(); err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	pctx, cancel := context.WithTimeout(ctx, p.pingWait())
 	defer cancel()
 	if err := conn.Ping(pctx); err == nil {
-		return CellOK
+		return cellOK
 	}
 	var terr *quicwire.TransportErrorError
 	if errors.As(conn.Err(), &terr) && terr.Remote {
-		return CellClose(uint64(terr.Code))
+		return cellClose(uint64(terr.Code))
 	}
-	return CellSilent
+	return cellSilent
 }
 
 // probeGreaseTP offers a reserved transport parameter the peer must
@@ -341,13 +341,13 @@ func (p *Prober) probeGreaseTP(ctx context.Context, t probe.Target) string {
 	conn, _, err := p.Dial(ctx, t, cfg)
 	if err == nil {
 		conn.Close()
-		return CellOK
+		return cellOK
 	}
 	var terr *quicwire.TransportErrorError
 	if errors.As(err, &terr) && terr.Remote {
-		return CellClose(uint64(terr.Code))
+		return cellClose(uint64(terr.Code))
 	}
-	return CellSilent
+	return cellSilent
 }
 
 // probeIdle advertises a tiny max_idle_timeout, goes quiet after the
@@ -361,7 +361,7 @@ func (p *Prober) probeIdle(ctx context.Context, t probe.Target) string {
 	cfg.MaxIdleTimeout = time.Hour
 	conn, _, err := p.Dial(ctx, t, cfg)
 	if err != nil {
-		return CellSilent
+		return cellSilent
 	}
 	timer := time.NewTimer(idleWait)
 	defer timer.Stop()
@@ -369,14 +369,14 @@ func (p *Prober) probeIdle(ctx context.Context, t probe.Target) string {
 	case <-conn.Closed():
 		var terr *quicwire.TransportErrorError
 		if errors.As(conn.Err(), &terr) && terr.Remote {
-			return CellClose(uint64(terr.Code))
+			return cellClose(uint64(terr.Code))
 		}
-		return CellSilent
+		return cellSilent
 	case <-timer.C:
 		conn.Close()
-		return CellSilent
+		return cellSilent
 	case <-ctx.Done():
 		conn.Close()
-		return CellSilent
+		return cellSilent
 	}
 }

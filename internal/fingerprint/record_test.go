@@ -1,4 +1,4 @@
-package fingerprint_test
+package fingerprint
 
 import (
 	"net/netip"
@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"quicscan/internal/fingerprint"
 	"quicscan/internal/listscan"
 	"quicscan/internal/probe"
 )
@@ -15,24 +14,24 @@ import (
 // qscanner (with SNI) and zmapquic (without) printed before the two
 // CLIs shared one record type.
 func TestRecordGolden(t *testing.T) {
-	matrix := func(s string) fingerprint.Matrix {
-		m, err := fingerprint.ParseMatrix(s)
+	matrix := func(s string) Matrix {
+		m, err := parseMatrix(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	addr := netip.MustParseAddrPort("127.0.0.1:8443")
-	results := []fingerprint.Result{
+	results := []Result{
 		{
 			Target:  probe.Target{Addr: addr, SNI: "w000001.cloudflare-sites.com"},
 			Matrix:  matrix("vn=vn-grease|pad=silent|retry=none|reset=reset|ku=ok|tp=ok|idle=close-0x0"),
-			Verdict: fingerprint.Verdict{Name: "cloudflare-quiche", Exact: true},
+			Verdict: Verdict{Name: "cloudflare-quiche", Exact: true},
 		},
 		{
 			Target:  probe.Target{Addr: addr},
 			Matrix:  matrix("vn=vn-grease|pad=silent|retry=silent|reset=reset|ku=silent|tp=close-0x128|idle=silent"),
-			Verdict: fingerprint.Verdict{Name: fingerprint.VerdictUnknown, Distance: 3},
+			Verdict: Verdict{Name: verdictUnknown, Distance: 3},
 		},
 	}
 	const want = `{"addr":"127.0.0.1","sni":"w000001.cloudflare-sites.com","matrix":"vn=vn-grease|pad=silent|retry=none|reset=reset|ku=ok|tp=ok|idle=close-0x0","verdict":"cloudflare-quiche","distance":0,"exact":true}
@@ -43,7 +42,7 @@ func TestRecordGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listscan.Emit[fingerprint.Result](out)(results)
+	listscan.Emit[Result](out)(results)
 	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}

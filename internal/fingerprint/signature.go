@@ -1,7 +1,7 @@
 package fingerprint
 
-// Signature is a known implementation's expected response matrix.
-type Signature struct {
+// signature is a known implementation's expected response matrix.
+type signature struct {
 	// Name labels the implementation blueprint, matching
 	// internet.Profile.Impl for the simulated ground truth.
 	Name string
@@ -9,53 +9,53 @@ type Signature struct {
 	M Matrix
 }
 
-// DB is an ordered signature database. Order does not affect
+// signatureDB is an ordered signature database. Order does not affect
 // classification: an observation equally distant from two signatures
 // is ambiguous and abstains.
-type DB []Signature
+type signatureDB []signature
 
-// MaxDistance is the acceptance radius of Match: an observation
+// maxDistance is the acceptance radius of Match: an observation
 // farther than this from every signature classifies as unknown.
 // One unit absorbs a single corrupted cell (an Alt-Svc-only
 // deployment suppresses its VN answer, turning the vn cell silent);
 // two keeps ghosts — which blank out every handshake scenario — out.
-const MaxDistance = 2
+const maxDistance = 2
 
-// VerdictUnknown is the Name reported when nothing matches within
-// MaxDistance.
-const VerdictUnknown = "unknown"
+// verdictUnknown is the Name reported when nothing matches within
+// maxDistance.
+const verdictUnknown = "unknown"
 
 // Verdict is the result of a database lookup.
 type Verdict struct {
-	// Name is the best-matching signature's name, or VerdictUnknown.
+	// Name is the best-matching signature's name, or verdictUnknown.
 	Name string
 	// Distance is the cell distance to the best match (0 on an exact
-	// hit). Meaningless when Name is VerdictUnknown.
+	// hit). Meaningless when Name is verdictUnknown.
 	Distance int
 	// Exact reports a zero-distance match.
 	Exact bool
 }
 
-// Match classifies an observed matrix: nearest signature by cell
-// distance, VerdictUnknown beyond MaxDistance. A distance tie between
+// match classifies an observed matrix: nearest signature by cell
+// distance, verdictUnknown beyond maxDistance. A distance tie between
 // two signatures is ambiguous evidence and abstains rather than
 // guessing — combined with the database invariant that signatures are
 // pairwise ≥2 cells apart, this makes single-cell corruption safe by
 // construction: the true row drops to distance 1, every other row
 // stays at ≥1, so a wrong row can at worst tie (→ unknown), never
 // win.
-func (db DB) Match(m Matrix) Verdict {
-	best, bestDist, ties := -1, int(NumScenarios)+1, 0
+func (db signatureDB) match(m Matrix) Verdict {
+	best, bestDist, ties := -1, int(numScenarios)+1, 0
 	for i := range db {
-		switch d := db[i].M.Distance(m); {
+		switch d := db[i].M.distance(m); {
 		case d < bestDist:
 			best, bestDist, ties = i, d, 1
 		case d == bestDist:
 			ties++
 		}
 	}
-	if best < 0 || bestDist > MaxDistance || ties > 1 {
-		return Verdict{Name: VerdictUnknown, Distance: bestDist}
+	if best < 0 || bestDist > maxDistance || ties > 1 {
+		return Verdict{Name: verdictUnknown, Distance: bestDist}
 	}
 	return Verdict{Name: db[best].Name, Distance: bestDist, Exact: bestDist == 0}
 }
@@ -67,18 +67,18 @@ func (db DB) Match(m Matrix) Verdict {
 // silently.
 func baseline() Matrix {
 	return Matrix{
-		ScenarioVN:        CellVN,
-		ScenarioPadding:   CellSilent,
-		ScenarioRetry:     CellRetryNone,
-		ScenarioReset:     CellReset,
-		ScenarioKeyUpdate: CellOK,
-		ScenarioGreaseTP:  CellOK,
-		ScenarioIdle:      CellSilent,
+		scenarioVN:        cellVN,
+		scenarioPadding:   cellSilent,
+		scenarioRetry:     cellRetryNone,
+		scenarioReset:     cellReset,
+		scenarioKeyUpdate: cellOK,
+		scenarioGreaseTP:  cellOK,
+		scenarioIdle:      cellSilent,
 	}
 }
 
 // deviate returns the baseline with the given cells overridden.
-func deviate(cells map[Scenario]string) Matrix {
+func deviate(cells map[scenario]string) Matrix {
 	m := baseline()
 	for s, v := range cells {
 		m[s] = v
@@ -86,7 +86,7 @@ func deviate(cells map[Scenario]string) Matrix {
 	return m
 }
 
-// DefaultDB is the signature database for the simulated Internet's
+// defaultDB is the signature database for the simulated Internet's
 // implementation blueprints (internet.AllProfiles). Each signature
 // deviates from the baseline in a distinct *pair* of cells, so every
 // two signatures differ in at least two cells: distinct pairs that
@@ -94,37 +94,37 @@ func deviate(cells map[Scenario]string) Matrix {
 // all-baseline "individual" row is two deviations away from everyone.
 // One corrupted cell therefore never turns one implementation into
 // another.
-func DefaultDB() DB {
-	closeNoError := CellClose(0x0) // NO_ERROR
-	closeTPError := CellClose(0x8) // TRANSPORT_PARAMETER_ERROR
-	closeKUError := CellClose(0xe) // KEY_UPDATE_ERROR
-	return DB{
-		{Name: "cloudflare-quiche", M: deviate(map[Scenario]string{
-			ScenarioVN: CellVNGrease, ScenarioIdle: closeNoError})},
-		{Name: "google-quic", M: deviate(map[Scenario]string{
-			ScenarioReset: CellSilent, ScenarioKeyUpdate: closeKUError})},
-		{Name: "akamai-quic", M: deviate(map[Scenario]string{
-			ScenarioVN: CellVNGrease, ScenarioKeyUpdate: closeKUError})},
-		{Name: "fastly-quicly", M: deviate(map[Scenario]string{
-			ScenarioRetry: CellRetryClose, ScenarioReset: CellSilent})},
-		{Name: "mvfst-origin", M: deviate(map[Scenario]string{
-			ScenarioRetry: CellRetryDrop, ScenarioIdle: closeNoError})},
-		{Name: "hosting-lsws", M: deviate(map[Scenario]string{
-			ScenarioGreaseTP: closeTPError, ScenarioIdle: closeNoError})},
-		{Name: "cloud-mixed", M: deviate(map[Scenario]string{
-			ScenarioKeyUpdate: CellSilent, ScenarioIdle: closeNoError})},
-		{Name: "mvfst-edge", M: deviate(map[Scenario]string{
-			ScenarioRetry: CellRetryClose, ScenarioGreaseTP: closeTPError})},
-		{Name: "gvs", M: deviate(map[Scenario]string{
-			ScenarioKeyUpdate: CellSilent, ScenarioGreaseTP: closeTPError})},
-		{Name: "litespeed", M: deviate(map[Scenario]string{
-			ScenarioVN: CellVNGrease, ScenarioReset: CellSilent})},
-		{Name: "nginx-quic", M: deviate(map[Scenario]string{
-			ScenarioReset: CellSilent, ScenarioGreaseTP: closeTPError})},
-		{Name: "caddy-quicgo", M: deviate(map[Scenario]string{
-			ScenarioVN: CellVNGrease, ScenarioRetry: CellRetryLax})},
+func defaultDB() signatureDB {
+	closeNoError := cellClose(0x0) // NO_ERROR
+	closeTPError := cellClose(0x8) // TRANSPORT_PARAMETER_ERROR
+	closeKUError := cellClose(0xe) // KEY_UPDATE_ERROR
+	return signatureDB{
+		{Name: "cloudflare-quiche", M: deviate(map[scenario]string{
+			scenarioVN: cellVNGrease, scenarioIdle: closeNoError})},
+		{Name: "google-quic", M: deviate(map[scenario]string{
+			scenarioReset: cellSilent, scenarioKeyUpdate: closeKUError})},
+		{Name: "akamai-quic", M: deviate(map[scenario]string{
+			scenarioVN: cellVNGrease, scenarioKeyUpdate: closeKUError})},
+		{Name: "fastly-quicly", M: deviate(map[scenario]string{
+			scenarioRetry: cellRetryClose, scenarioReset: cellSilent})},
+		{Name: "mvfst-origin", M: deviate(map[scenario]string{
+			scenarioRetry: cellRetryDrop, scenarioIdle: closeNoError})},
+		{Name: "hosting-lsws", M: deviate(map[scenario]string{
+			scenarioGreaseTP: closeTPError, scenarioIdle: closeNoError})},
+		{Name: "cloud-mixed", M: deviate(map[scenario]string{
+			scenarioKeyUpdate: cellSilent, scenarioIdle: closeNoError})},
+		{Name: "mvfst-edge", M: deviate(map[scenario]string{
+			scenarioRetry: cellRetryClose, scenarioGreaseTP: closeTPError})},
+		{Name: "gvs", M: deviate(map[scenario]string{
+			scenarioKeyUpdate: cellSilent, scenarioGreaseTP: closeTPError})},
+		{Name: "litespeed", M: deviate(map[scenario]string{
+			scenarioVN: cellVNGrease, scenarioReset: cellSilent})},
+		{Name: "nginx-quic", M: deviate(map[scenario]string{
+			scenarioReset: cellSilent, scenarioGreaseTP: closeTPError})},
+		{Name: "caddy-quicgo", M: deviate(map[scenario]string{
+			scenarioVN: cellVNGrease, scenarioRetry: cellRetryLax})},
 		{Name: "individual", M: baseline()},
-		{Name: "unpadded-responder", M: deviate(map[Scenario]string{
-			ScenarioPadding: CellVN, ScenarioIdle: closeNoError})},
+		{Name: "unpadded-responder", M: deviate(map[scenario]string{
+			scenarioPadding: cellVN, scenarioIdle: closeNoError})},
 	}
 }

@@ -21,10 +21,10 @@ func NewClientConn(qconn *quic.Conn) (*ClientConn, error) {
 		return nil, err
 	}
 	var b []byte
-	b = appendStreamType(b, StreamTypeControl)
-	b = AppendSettings(b, []Setting{
-		{ID: SettingQPACKMaxTableCapacity, Value: 0},
-		{ID: SettingQPACKBlockedStreams, Value: 0},
+	b = appendStreamType(b, streamTypeControl)
+	b = appendSettings(b, []setting{
+		{ID: settingQPACKMaxTableCapacity, Value: 0},
+		{ID: settingQPACKBlockedStreams, Value: 0},
 	})
 	if _, err := ctrl.Write(b); err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func (c *ClientConn) RoundTrip(ctx context.Context, method, authority, path stri
 		{Name: ":path", Value: path},
 	}
 	fields = append(fields, extra...)
-	req := AppendFrame(nil, FrameHeaders, EncodeHeaders(fields))
+	req := appendFrame(nil, frameHeaders, EncodeHeaders(fields))
 	if _, err := s.Write(req); err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func parseResponse(data []byte) (*Response, error) {
 			return nil, fmt.Errorf("h3: response without HEADERS: %w", err)
 		}
 		switch t {
-		case FrameHeaders:
+		case frameHeaders:
 			fields, err := DecodeHeaders(payload)
 			if err != nil {
 				return nil, err
@@ -109,7 +109,7 @@ func parseResponse(data []byte) (*Response, error) {
 					}
 				}
 			} // trailers ignored
-		case FrameData:
+		case frameData:
 			resp.Body = append(resp.Body, payload...)
 		default:
 			// Unknown frames are ignored per RFC 9114.

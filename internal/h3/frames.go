@@ -10,65 +10,43 @@ import (
 
 // HTTP/3 frame types (RFC 9114, Section 7.2).
 const (
-	FrameData     uint64 = 0x00
-	FrameHeaders  uint64 = 0x01
-	FrameSettings uint64 = 0x04
+	frameData     uint64 = 0x00
+	frameHeaders  uint64 = 0x01
+	frameSettings uint64 = 0x04
 )
 
-// Unidirectional stream types (RFC 9114, Section 6.2).
-const (
-	StreamTypeControl      uint64 = 0x00
-	StreamTypeQPACKEncoder uint64 = 0x02
-	StreamTypeQPACKDecoder uint64 = 0x03
-)
+// streamTypeControl is the control stream's unidirectional stream type
+// (RFC 9114, Section 6.2).
+const streamTypeControl uint64 = 0x00
 
 // Settings identifiers.
 const (
-	SettingQPACKMaxTableCapacity uint64 = 0x01
-	SettingMaxFieldSectionSize   uint64 = 0x06
-	SettingQPACKBlockedStreams   uint64 = 0x07
+	settingQPACKMaxTableCapacity uint64 = 0x01
+	settingMaxFieldSectionSize   uint64 = 0x06
+	settingQPACKBlockedStreams   uint64 = 0x07
 )
 
-// Setting is one HTTP/3 SETTINGS entry.
-type Setting struct {
+// setting is one HTTP/3 SETTINGS entry.
+type setting struct {
 	ID    uint64
 	Value uint64
 }
 
-// AppendFrame serializes an HTTP/3 frame (type, length, payload).
-func AppendFrame(b []byte, frameType uint64, payload []byte) []byte {
+// appendFrame serializes an HTTP/3 frame (type, length, payload).
+func appendFrame(b []byte, frameType uint64, payload []byte) []byte {
 	b = quicwire.AppendVarint(b, frameType)
 	b = quicwire.AppendVarint(b, uint64(len(payload)))
 	return append(b, payload...)
 }
 
-// AppendSettings serializes a SETTINGS frame.
-func AppendSettings(b []byte, settings []Setting) []byte {
+// appendSettings serializes a SETTINGS frame.
+func appendSettings(b []byte, settings []setting) []byte {
 	var payload []byte
 	for _, s := range settings {
 		payload = quicwire.AppendVarint(payload, s.ID)
 		payload = quicwire.AppendVarint(payload, s.Value)
 	}
-	return AppendFrame(b, FrameSettings, payload)
-}
-
-// ParseSettings decodes a SETTINGS payload.
-func ParseSettings(payload []byte) ([]Setting, error) {
-	var out []Setting
-	for len(payload) > 0 {
-		id, n, err := quicwire.ParseVarint(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[n:]
-		v, n, err := quicwire.ParseVarint(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[n:]
-		out = append(out, Setting{ID: id, Value: v})
-	}
-	return out, nil
+	return appendFrame(b, frameSettings, payload)
 }
 
 // frameReader reads HTTP/3 frames from a stream.

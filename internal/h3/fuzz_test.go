@@ -22,7 +22,7 @@ func FuzzDecodeHeaders(f *testing.F) {
 	f.Add(EncodeHeaders([]HeaderField{{Name: ":status", Value: "200"}, {Name: "alt-svc", Value: `h3-29=":443"; ma=3600`}}))
 	f.Add(EncodeHeaders(nil))
 	// Literal with name reference ("server"), Huffman-coded value.
-	val := HuffmanEncode("cloudflare")
+	val := huffmanEncode("cloudflare")
 	huff := appendPrefixedInt([]byte{0, 0}, 0x50, 4, 92)
 	huff = appendPrefixedInt(huff, 0x80, 7, uint64(len(val)))
 	f.Add(append(huff, val...))
@@ -56,18 +56,18 @@ func FuzzDecodeHeaders(f *testing.F) {
 // FuzzHuffmanDecode: arbitrary bytes must never panic the decoder, and
 // a string it yields encodes back to bytes that decode to it.
 func FuzzHuffmanDecode(f *testing.F) {
-	f.Add(HuffmanEncode("www.example.com"))
-	f.Add(HuffmanEncode("no-cache"))
+	f.Add(huffmanEncode("www.example.com"))
+	f.Add(huffmanEncode("no-cache"))
 	f.Add([]byte{0x07})                   // '0' plus three bits of valid padding
 	f.Add([]byte{0x00})                   // padding that is not an EOS prefix
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // EOS in the body
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := HuffmanDecode(b)
+		s, err := huffmanDecode(b)
 		if err != nil {
 			return
 		}
-		if again, err := HuffmanDecode(HuffmanEncode(s)); err != nil || again != s {
-			t.Fatalf("HuffmanDecode(%x) = %q, which re-encodes and decodes to %q, %v", b, s, again, err)
+		if again, err := huffmanDecode(huffmanEncode(s)); err != nil || again != s {
+			t.Fatalf("huffmanDecode(%x) = %q, which re-encodes and decodes to %q, %v", b, s, again, err)
 		}
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"quicscan/internal/quicwire"
 )
 
 func TestPrefixedIntRoundTrip(t *testing.T) {
@@ -164,7 +166,7 @@ func TestDecodeHeadersRefusesUpperCaseNames(t *testing.T) {
 	line := func(name string, huffman bool) []byte {
 		first, raw := byte(0x20), []byte(name)
 		if huffman {
-			first, raw = 0x28, HuffmanEncode(name)
+			first, raw = 0x28, huffmanEncode(name)
 		}
 		b := appendPrefixedInt([]byte{0, 0}, first, 3, uint64(len(raw)))
 		return append(append(b, raw...), 0x01, 'v')
@@ -191,39 +193,36 @@ func TestDecodeHeadersRefusesUpperCaseNames(t *testing.T) {
 }
 
 func TestSettingsRoundTrip(t *testing.T) {
-	in := []Setting{
-		{ID: SettingQPACKMaxTableCapacity, Value: 0},
-		{ID: SettingMaxFieldSectionSize, Value: 65536},
+	in := []setting{
+		{ID: settingQPACKMaxTableCapacity, Value: 0},
+		{ID: settingMaxFieldSectionSize, Value: 65536},
 		{ID: 0x21, Value: 123}, // GREASE
 	}
-	frame := AppendSettings(nil, in)
+	frame := appendSettings(nil, in)
 	fr := &frameReader{r: bytes.NewReader(frame)}
 	t2, payload, err := fr.next()
-	if err != nil || t2 != FrameSettings {
+	if err != nil || t2 != frameSettings {
 		t.Fatalf("frame: %d %v", t2, err)
 	}
-	got, err := ParseSettings(payload)
+	got, err := parseSettings(payload)
 	if err != nil || !reflect.DeepEqual(got, in) {
 		t.Errorf("settings = %+v, %v", got, err)
-	}
-	if _, err := ParseSettings([]byte{0x40}); err == nil {
-		t.Error("truncated settings accepted")
 	}
 }
 
 func TestFrameReader(t *testing.T) {
 	var b []byte
-	b = AppendFrame(b, FrameHeaders, []byte("hdr"))
-	b = AppendFrame(b, FrameData, []byte("body"))
-	b = AppendFrame(b, 0x21, nil) // unknown/GREASE
+	b = appendFrame(b, frameHeaders, []byte("hdr"))
+	b = appendFrame(b, frameData, []byte("body"))
+	b = appendFrame(b, 0x21, nil) // unknown/GREASE
 
 	fr := &frameReader{r: bytes.NewReader(b)}
 	t1, p1, err := fr.next()
-	if err != nil || t1 != FrameHeaders || string(p1) != "hdr" {
+	if err != nil || t1 != frameHeaders || string(p1) != "hdr" {
 		t.Fatalf("frame 1: %d %q %v", t1, p1, err)
 	}
 	t2, p2, err := fr.next()
-	if err != nil || t2 != FrameData || string(p2) != "body" {
+	if err != nil || t2 != frameData || string(p2) != "body" {
 		t.Fatalf("frame 2: %d %q %v", t2, p2, err)
 	}
 	t3, p3, err := fr.next()
@@ -234,7 +233,7 @@ func TestFrameReader(t *testing.T) {
 		t.Error("read past end succeeded")
 	}
 	// Oversized frame.
-	huge := AppendFrame(nil, FrameData, nil)
+	huge := appendFrame(nil, frameData, nil)
 	huge = huge[:1] // keep type
 	huge = appendHugeLen(huge)
 	fr = &frameReader{r: bytes.NewReader(huge)}
@@ -255,7 +254,7 @@ func TestParseRequestResponse(t *testing.T) {
 		{Name: ":path", Value: "/index.html"},
 		{Name: "user-agent", Value: "test"},
 	}
-	raw := AppendFrame(nil, FrameHeaders, EncodeHeaders(reqFields))
+	raw := appendFrame(nil, frameHeaders, EncodeHeaders(reqFields))
 	req, err := parseRequest(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +262,7 @@ func TestParseRequestResponse(t *testing.T) {
 	if req.Method != "HEAD" || req.Authority != "example.com" || req.Path != "/index.html" {
 		t.Errorf("req = %+v", req)
 	}
-	if req.Header("user-agent") != "test" || req.Header("missing") != "" {
+	if req.header("user-agent") != "test" || req.header("missing") != "" {
 		t.Error("header lookup broken")
 	}
 
@@ -271,8 +270,8 @@ func TestParseRequestResponse(t *testing.T) {
 		{Name: ":status", Value: "200"},
 		{Name: "server", Value: "LiteSpeed"},
 	}
-	raw = AppendFrame(nil, FrameHeaders, EncodeHeaders(respFields))
-	raw = AppendFrame(raw, FrameData, []byte("hello"))
+	raw = appendFrame(nil, frameHeaders, EncodeHeaders(respFields))
+	raw = appendFrame(raw, frameData, []byte("hello"))
 	resp, err := parseResponse(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -283,4 +282,34 @@ func TestParseRequestResponse(t *testing.T) {
 	if _, err := parseResponse([]byte{0x00}); err == nil {
 		t.Error("garbage response accepted")
 	}
+}
+
+// parseSettings decodes a SETTINGS payload. The stack never reads the
+// peer's SETTINGS; this is the round trip's reference.
+func parseSettings(payload []byte) ([]setting, error) {
+	var out []setting
+	for len(payload) > 0 {
+		id, n, err := quicwire.ParseVarint(payload)
+		if err != nil {
+			return nil, err
+		}
+		payload = payload[n:]
+		v, n, err := quicwire.ParseVarint(payload)
+		if err != nil {
+			return nil, err
+		}
+		payload = payload[n:]
+		out = append(out, setting{ID: id, Value: v})
+	}
+	return out, nil
+}
+
+// header returns the first value of a (lower-case) field name.
+func (r *Request) header(name string) string {
+	for _, f := range r.Headers {
+		if f.Name == name {
+			return f.Value
+		}
+	}
+	return ""
 }

@@ -83,29 +83,6 @@ var huffmanTable = [257]huffmanCode{
 	{0x3fffffff, 30},
 }
 
-// HuffmanEncode compresses s with the HPACK Huffman code, padding the
-// final byte with EOS-prefix bits.
-func HuffmanEncode(s string) []byte {
-	var out []byte
-	var cur uint64
-	var bits uint8
-	for i := 0; i < len(s); i++ {
-		hc := huffmanTable[s[i]]
-		cur = cur<<hc.bits | uint64(hc.code)
-		bits += hc.bits
-		for bits >= 8 {
-			bits -= 8
-			out = append(out, byte(cur>>bits))
-		}
-	}
-	if bits > 0 {
-		// Pad with the EOS prefix (all ones).
-		cur = cur<<(8-bits) | uint64(0xff>>bits)
-		out = append(out, byte(cur))
-	}
-	return out
-}
-
 // huffmanNode is a binary decoding tree node.
 type huffmanNode struct {
 	children [2]*huffmanNode
@@ -133,10 +110,10 @@ func buildHuffmanTree() *huffmanNode {
 
 var errHuffman = errors.New("h3: invalid huffman encoding")
 
-// HuffmanDecode decompresses an HPACK-Huffman-coded string. The final
+// huffmanDecode decompresses an HPACK-Huffman-coded string. The final
 // partial code must be a prefix of EOS — i.e. all ones and shorter
 // than 8 bits (RFC 7541, Section 5.2).
-func HuffmanDecode(b []byte) (string, error) {
+func huffmanDecode(b []byte) (string, error) {
 	var out []byte
 	n := huffmanRoot
 	depth := 0

@@ -25,7 +25,7 @@ func TestHuffmanRFC7541Vectors(t *testing.T) {
 		{"https://www.example.com", "9d29ad171863c78f0b97c8e9ae82ae43d3"},
 	}
 	for _, v := range vectors {
-		enc := HuffmanEncode(v.text)
+		enc := huffmanEncode(v.text)
 		if got := hex.EncodeToString(enc); got != v.hex {
 			t.Errorf("encode %q = %s want %s", v.text, got, v.hex)
 		}
@@ -33,7 +33,7 @@ func TestHuffmanRFC7541Vectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := HuffmanDecode(raw)
+		dec, err := huffmanDecode(raw)
 		if err != nil || dec != v.text {
 			t.Errorf("decode %s = %q, %v", v.hex, dec, err)
 		}
@@ -42,7 +42,7 @@ func TestHuffmanRFC7541Vectors(t *testing.T) {
 
 func TestHuffmanRoundTripProperty(t *testing.T) {
 	f := func(s string) bool {
-		dec, err := HuffmanDecode(HuffmanEncode(s))
+		dec, err := huffmanDecode(huffmanEncode(s))
 		return err == nil && dec == s
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -53,7 +53,7 @@ func TestHuffmanRoundTripProperty(t *testing.T) {
 	for i := range all {
 		all[i] = byte(i)
 	}
-	dec, err := HuffmanDecode(HuffmanEncode(string(all)))
+	dec, err := huffmanDecode(huffmanEncode(string(all)))
 	if err != nil || !bytes.Equal([]byte(dec), all) {
 		t.Errorf("full byte range: %v", err)
 	}
@@ -62,20 +62,20 @@ func TestHuffmanRoundTripProperty(t *testing.T) {
 func TestHuffmanInvalidPadding(t *testing.T) {
 	// 0x00 = five-bit code for '0' plus three zero padding bits, which
 	// is not an EOS prefix (padding must be all ones).
-	if _, err := HuffmanDecode([]byte{0x00}); err == nil {
+	if _, err := huffmanDecode([]byte{0x00}); err == nil {
 		t.Error("zero padding accepted")
 	}
 	// 0x07 is '0' plus three ones of valid padding.
-	if s, err := HuffmanDecode([]byte{0x07}); err != nil || s != "0" {
+	if s, err := huffmanDecode([]byte{0x07}); err != nil || s != "0" {
 		t.Errorf("0x07 = %q, %v", s, err)
 	}
 	// A full byte of EOS prefix alone is fine padding? No: 8 bits of
 	// padding are forbidden (must be < 8).
-	if _, err := HuffmanDecode([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
+	if _, err := huffmanDecode([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Error("EOS in body accepted")
 	}
 	// Empty input decodes to empty string.
-	if s, err := HuffmanDecode(nil); err != nil || s != "" {
+	if s, err := huffmanDecode(nil); err != nil || s != "" {
 		t.Errorf("empty = %q, %v", s, err)
 	}
 }
@@ -87,7 +87,7 @@ func TestHuffmanFuzzNoPanic(t *testing.T) {
 		for j := range b {
 			b[j] = byte(rng.Uint32())
 		}
-		HuffmanDecode(b) // must not panic
+		huffmanDecode(b) // must not panic
 	}
 }
 
@@ -96,7 +96,7 @@ func TestHuffmanFuzzNoPanic(t *testing.T) {
 func TestDecodeHeadersWithHuffman(t *testing.T) {
 	// Literal With Name Reference, static index 92 ("server"),
 	// Huffman-coded value.
-	val := HuffmanEncode("cloudflare")
+	val := huffmanEncode("cloudflare")
 	var b []byte
 	b = append(b, 0, 0) // prefix
 	b = appendPrefixedInt(b, 0x50, 4, 92)
@@ -110,4 +110,28 @@ func TestDecodeHeadersWithHuffman(t *testing.T) {
 	if len(fields) != 1 || fields[0].Name != "server" || fields[0].Value != "cloudflare" {
 		t.Errorf("fields = %+v", fields)
 	}
+}
+
+// huffmanEncode compresses s with the HPACK Huffman code, padding the
+// final byte with EOS-prefix bits: the reference the decoder is tested
+// against (the encoder never Huffman-codes).
+func huffmanEncode(s string) []byte {
+	var out []byte
+	var cur uint64
+	var bits uint8
+	for i := 0; i < len(s); i++ {
+		hc := huffmanTable[s[i]]
+		cur = cur<<hc.bits | uint64(hc.code)
+		bits += hc.bits
+		for bits >= 8 {
+			bits -= 8
+			out = append(out, byte(cur>>bits))
+		}
+	}
+	if bits > 0 {
+		// Pad with the EOS prefix (all ones).
+		cur = cur<<(8-bits) | uint64(0xff>>bits)
+		out = append(out, byte(cur))
+	}
+	return out
 }

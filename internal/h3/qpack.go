@@ -313,7 +313,7 @@ func parseString(b []byte, prefixBits int) (string, int, error) {
 	}
 	raw := b[n : n+int(length)]
 	if huffman {
-		s, err := HuffmanDecode(raw)
+		s, err := huffmanDecode(raw)
 		if err != nil {
 			return "", 0, err
 		}

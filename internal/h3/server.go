@@ -17,16 +17,6 @@ type Request struct {
 	Headers   []HeaderField
 }
 
-// Header returns the first value of a (lower-case) field name.
-func (r *Request) Header(name string) string {
-	for _, f := range r.Headers {
-		if f.Name == name {
-			return f.Value
-		}
-	}
-	return ""
-}
-
 // Handler produces a response for a request.
 type Handler func(req *Request) *Response
 
@@ -38,10 +28,10 @@ type Server struct {
 
 // serverControl opens a server's control stream: the stream type, then
 // SETTINGS for an all-static QPACK configuration.
-var serverControl = AppendSettings(appendStreamType(nil, StreamTypeControl), []Setting{
-	{ID: SettingQPACKMaxTableCapacity, Value: 0},
-	{ID: SettingQPACKBlockedStreams, Value: 0},
-	{ID: SettingMaxFieldSectionSize, Value: 1 << 16},
+var serverControl = appendSettings(appendStreamType(nil, streamTypeControl), []setting{
+	{ID: settingQPACKMaxTableCapacity, Value: 0},
+	{ID: settingQPACKBlockedStreams, Value: 0},
+	{ID: settingMaxFieldSectionSize, Value: 1 << 16},
 })
 
 // ServeConn runs the HTTP/3 session on one handshaken QUIC connection
@@ -92,9 +82,9 @@ func (srv *Server) serveRequest(ctx context.Context, s *quic.Stream) {
 	if len(resp.Body) > 0 && req.Method != "HEAD" {
 		fields = append(fields, HeaderField{Name: "content-length", Value: strconv.Itoa(len(resp.Body))})
 	}
-	out := AppendFrame(nil, FrameHeaders, EncodeHeaders(fields))
+	out := appendFrame(nil, frameHeaders, EncodeHeaders(fields))
 	if len(resp.Body) > 0 && req.Method != "HEAD" {
-		out = AppendFrame(out, FrameData, resp.Body)
+		out = appendFrame(out, frameData, resp.Body)
 	}
 	s.Write(out)
 	s.Close()
@@ -107,7 +97,7 @@ func parseRequest(data []byte) (*Request, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t != FrameHeaders {
+		if t != frameHeaders {
 			continue
 		}
 		fields, err := DecodeHeaders(payload)

@@ -489,7 +489,7 @@ func genericProfile() *Profile {
 			{B: BehaviorGhostTimeout, W: 0.35},
 		},
 		TPConfigOf: func(i int) transportparamsParameters {
-			all := AllTPConfigs()
+			all := allTPConfigs()
 			return all[i%len(all)]
 		},
 		ServerHeaderOf: func(i int) string {

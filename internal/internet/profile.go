@@ -244,9 +244,9 @@ func buildCloudConfigs() []transportparams.Parameters {
 	return out // 11
 }
 
-// AllTPConfigs returns every distinct configuration the model can
+// allTPConfigs returns every distinct configuration the model can
 // emit; its length is the paper's "45 different configurations".
-func AllTPConfigs() []transportparams.Parameters {
+func allTPConfigs() []transportparams.Parameters {
 	out := []transportparams.Parameters{
 		tpCloudflare,
 		tpFacebook1500, tpFacebook1404, tpFBEdge1500, tpFBEdge1404,

@@ -45,11 +45,11 @@ var (
 	mTPMismatch = telemetry.Default().Counter("migration_tp_mismatch_total")
 )
 
-// Rebinder is the optional capability the behavioral probe needs: a
+// rebinder is the optional capability the behavioral probe needs: a
 // socket that can atomically move to a fresh source address while
 // keeping its receive path (simnet.PacketConn implements it; kernel
 // UDP sockets do not, and such targets fall back to a tp-* verdict).
-type Rebinder interface {
+type rebinder interface {
 	Rebind() (netip.AddrPort, error)
 }
 
@@ -99,7 +99,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 // use.
 type Prober struct {
 	// Dialer opens a fresh socket per target. When the socket
-	// implements Rebinder the full behavioral probe runs; otherwise
+	// implements rebinder the full behavioral probe runs; otherwise
 	// only the transport parameter is read.
 	probe.Dialer
 
@@ -151,7 +151,7 @@ func (p *Prober) scenario(ctx context.Context, t probe.Target, res *Result) (str
 		res.TPDisabled = tp.DisableActiveMigration
 	}
 
-	rb, ok := pc.(Rebinder)
+	rb, ok := pc.(rebinder)
 	if !ok {
 		// Kernel sockets cannot move mid-connection; the advertised
 		// transport parameter is the only signal.

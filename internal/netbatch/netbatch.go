@@ -178,13 +178,14 @@ func (c *fallbackConn) ReadBatch(ms []Message) (int, error) {
 }
 
 // addrPortOf extracts the AddrPort from the address types datagram
-// sockets return.
+// sockets return, unmapped as sockaddrToAddrPort does: a dual-stack
+// socket reports an IPv4 source as ::ffff:a.b.c.d. A zone is kept.
 func addrPortOf(addr net.Addr) netip.AddrPort {
+	var ap netip.AddrPort
 	if ua, ok := addr.(*net.UDPAddr); ok {
-		return ua.AddrPort()
+		ap = ua.AddrPort()
+	} else {
+		ap, _ = netip.ParseAddrPort(addr.String())
 	}
-	if ap, err := netip.ParseAddrPort(addr.String()); err == nil {
-		return ap
-	}
-	return netip.AddrPort{}
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }

@@ -285,3 +285,41 @@ func TestSetUDPAddr(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBatchUnmapsSource reads one datagram from 127.0.0.1 on a
+// dual-stack socket (the ":0" the scanner listens on), through Wrap's
+// choice for a kernel socket and through the portable fallback. The
+// kernel reports the source as ::ffff:127.0.0.1 on such a socket; both
+// paths must return it as the IPv4 address, as the syscall path does.
+func TestReadBatchUnmapsSource(t *testing.T) {
+	recv, err := net.ListenPacket("udp", ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	to := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: recv.LocalAddr().(*net.UDPAddr).Port}
+	want := send.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	for _, c := range []struct {
+		name string
+		pc   net.PacketConn
+	}{{"wrap", recv}, {"fallback", hideBatch{recv}}} {
+		bc, kind := netbatch.Wrap(c.pc)
+		if _, err := send.WriteTo([]byte("x"), to); err != nil {
+			t.Fatal(err)
+		}
+		recv.SetReadDeadline(time.Now().Add(5 * time.Second))
+		ms := []netbatch.Message{{Buf: make([]byte, 16)}}
+		if _, err := bc.ReadBatch(ms); err != nil {
+			t.Fatalf("%s (%v): %v", c.name, kind, err)
+		}
+		if ms[0].Addr != want {
+			t.Errorf("%s (%v): source %v, want %v", c.name, kind, ms[0].Addr, want)
+		}
+	}
+}

@@ -107,10 +107,10 @@ type Config struct {
 	defaultParams bool
 }
 
-// ScannerVersions is the version set supported by the QScanner in the
+// scannerVersions is the version set supported by the QScanner in the
 // paper's measurement window: drafts 29, 32, 34 (and version 1 after
 // the RFC 9000 release).
-func ScannerVersions() []quicwire.Version {
+func scannerVersions() []quicwire.Version {
 	return []quicwire.Version{
 		quicwire.VersionDraft29,
 		quicwire.VersionDraft32,
@@ -122,7 +122,7 @@ func ScannerVersions() []quicwire.Version {
 func (c *Config) clone() *Config {
 	out := *c
 	if out.Versions == nil {
-		out.Versions = ScannerVersions()
+		out.Versions = scannerVersions()
 	}
 	if out.HandshakeTimeout == 0 {
 		out.HandshakeTimeout = 5 * time.Second
@@ -199,14 +199,14 @@ func (e *VersionNegotiationError) Error() string {
 // the paper's "Timeout" outcome.
 var ErrHandshakeTimeout = errors.New("quic: handshake timeout")
 
-// ErrConnectionClosed is returned for operations on a closed
+// errConnectionClosed is returned for operations on a closed
 // connection.
-var ErrConnectionClosed = errors.New("quic: connection closed")
+var errConnectionClosed = errors.New("quic: connection closed")
 
-// ErrIdleTimeout is the error a connection dies with after the
+// errIdleTimeout is the error a connection dies with after the
 // negotiated max_idle_timeout elapses without traffic (RFC 9000,
 // Section 10.1).
-var ErrIdleTimeout = errors.New("quic: connection idle timeout")
+var errIdleTimeout = errors.New("quic: connection idle timeout")
 
 // ErrParameterDowngrade is the error a resumed connection dies with
 // when the client sent 0-RTT data, the server accepted it, and the
@@ -248,7 +248,7 @@ type Stats struct {
 	// round trips; PathValidationFailures counts probes abandoned after
 	// their retry budget.
 	PathValidations, PathValidationFailures int
-	// Migrations counts active-path switches (both deliberate Migrate
-	// calls and server-side promotions after a peer address change).
+	// Migrations counts active-path switches (both deliberate client
+	// migrations and server-side promotions after a peer address change).
 	Migrations int
 }

@@ -83,7 +83,7 @@ func newRig(t *testing.T, isClient bool) *rig {
 	keys := func(label byte) *quiccrypto.Keys {
 		secret := make([]byte, 32)
 		secret[0] = label
-		k, err := quiccrypto.NewKeys(quiccrypto.TLSAes128GcmSha256, secret)
+		k, err := quiccrypto.NewKeys(tls.TLS_AES_128_GCM_SHA256, secret)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func newRig(t *testing.T, isClient bool) *rig {
 	// Two issued connection IDs, so RETIRE_CONNECTION_ID has a
 	// sequence number it may legitimately retire.
 	c.issueConnIDsLocked(2)
-	t.Cleanup(func() { c.abort(ErrConnectionClosed) })
+	t.Cleanup(func() { c.abort(errConnectionClosed) })
 	return r
 }
 
@@ -285,7 +285,7 @@ func TestPacketWithoutFrames(t *testing.T) {
 func TestMalformedFrameActsOnNothing(t *testing.T) {
 	r := newRig(t, true)
 	payload := (&quicwire.NewConnectionIDFrame{SequenceNumber: 1, ConnectionID: quicwire.ConnID{5, 5, 5, 5, 5, 5, 5, 5}}).Append(nil)
-	payload = append(payload, byte(quicwire.FrameTypePathChallenge), 1, 2, 3) // truncated
+	payload = append(payload, 0x1a, 1, 2, 3) // a PATH_CHALLENGE frame, truncated
 	r.deliver(quicwire.Packet1RTT, payload)
 	var te *quicwire.TransportErrorError
 	if !errors.As(r.c.Err(), &te) || te.Code != quicwire.FrameEncodingError {
@@ -309,7 +309,7 @@ func TestAppCloseBeforeOneRTTKeys(t *testing.T) {
 	r.c.spaces[spaceApp].sendKeys = nil
 	r.c.spaces[spaceInitial].dropped = true
 	r.c.mu.Unlock()
-	r.c.CloseWithError(0x101, "application detail")
+	r.c.closeWithError(0x101, "application detail")
 
 	pkt := r.sock.sent[len(r.sock.sent)-1]
 	var hdr quicwire.Header

@@ -148,7 +148,7 @@ type Conn struct {
 	rxDgramLen int
 	dcidSeq    uint64 // sequence number of the peer CID in c.dcid
 
-	// Guarded by c.mu: client-initiated migration (Migrate). The
+	// Guarded by c.mu: client-initiated migration (migrate). The
 	// outstanding challenge rides the normal send queue, so it needs no
 	// pathState. migrDone is closed when the peer answers it; until then
 	// the connection's timer resends it at migrDeadline, backing off by
@@ -297,14 +297,6 @@ func (c *Conn) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// RemoteAddr returns the peer address, which moves when the server
-// side of a connection migrates it to a validated path.
-func (c *Conn) RemoteAddr() net.Addr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.remote
 }
 
 // setupInitialKeys derives Initial packet protection from origDcid.

@@ -17,22 +17,12 @@ func (c *Conn) isClosed() bool {
 	}
 }
 
-// CloseWithError sends CONNECTION_CLOSE with an application error code
-// and tears the connection down.
-func (c *Conn) CloseWithError(code uint64, reason string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{IsApp: true, ErrorCode: code, ReasonPhrase: reason})
-	c.closeLocked(&quicwire.TransportErrorError{Code: quicwire.ApplicationError, Reason: reason})
-	return nil
-}
-
 // Close closes the connection immediately with NO_ERROR.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{ErrorCode: uint64(quicwire.NoError)})
-	c.closeLocked(ErrConnectionClosed)
+	c.closeLocked(errConnectionClosed)
 	return nil
 }
 

@@ -146,7 +146,7 @@ func (c *Conn) handleShortPacketLocked(data []byte) {
 	_, pnOff, err := quicwire.ParseShortHeader(data, len(c.scid))
 	if err != nil {
 		if c.isStatelessResetLocked(raw) {
-			c.closeLocked(ErrStatelessReset)
+			c.closeLocked(errStatelessReset)
 		}
 		return
 	}
@@ -169,7 +169,7 @@ func (c *Conn) handleShortPacketLocked(data []byte) {
 			return
 		}
 		if c.isStatelessResetLocked(raw) {
-			c.closeLocked(ErrStatelessReset)
+			c.closeLocked(errStatelessReset)
 		}
 		return
 	}

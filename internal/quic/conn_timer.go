@@ -124,7 +124,7 @@ func (c *Conn) onIdleDeadlineLocked() {
 		c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{
 			ErrorCode: uint64(quicwire.NoError), ReasonPhrase: "idle timeout"})
 	}
-	c.closeLocked(ErrIdleTimeout)
+	c.closeLocked(errIdleTimeout)
 }
 
 // armPTOLocked moves the retransmission deadline to the current

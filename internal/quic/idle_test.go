@@ -53,7 +53,7 @@ func TestIdleTimeoutTearsDown(t *testing.T) {
 	conn.mu.Lock()
 	err = conn.closeErr
 	conn.mu.Unlock()
-	if !errors.Is(err, ErrIdleTimeout) {
+	if !errors.Is(err, errIdleTimeout) {
 		t.Errorf("close error = %v", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestIdleTimerLostRace(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("the re-armed idle deadline was never enforced")
 	}
-	if err := conn.Err(); !errors.Is(err, ErrIdleTimeout) {
+	if err := conn.Err(); !errors.Is(err, errIdleTimeout) {
 		t.Errorf("close error = %v", err)
 	}
 }

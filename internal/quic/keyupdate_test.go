@@ -3,6 +3,7 @@ package quic
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"io"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestKeyUpdateBeforeHandshakeRejected(t *testing.T) {
 // header protection stays constant.
 func TestKeysNextDerivation(t *testing.T) {
 	secret := bytes.Repeat([]byte{7}, 32)
-	k0, err := quiccrypto.NewKeys(quiccrypto.TLSAes128GcmSha256, secret)
+	k0, err := quiccrypto.NewKeys(tls.TLS_AES_128_GCM_SHA256, secret)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestServerConnLifecycle(t *testing.T) {
 	}{
 		{"peer-close", established(nil, ServerPolicy{}, func(_ *Listener, client, _ *Conn) { client.Close() })},
 		{"local-close", established(nil, ServerPolicy{}, func(_ *Listener, _, server *Conn) { server.Close() })},
-		{"local-close-with-error", established(nil, ServerPolicy{}, func(_ *Listener, _, server *Conn) { server.CloseWithError(7, "done") })},
+		{"local-close-with-error", established(nil, ServerPolicy{}, func(_ *Listener, _, server *Conn) { server.closeWithError(7, "done") })},
 		{"idle-timeout", established(func(c *Config) { c.MaxIdleTimeout = 250 * time.Millisecond }, ServerPolicy{}, func(*Listener, *Conn, *Conn) {})},
 		{"idle-timeout-notify", established(func(c *Config) { c.MaxIdleTimeout = 250 * time.Millisecond }, ServerPolicy{Quirks: Quirks{IdleCloseNotify: true}}, func(*Listener, *Conn, *Conn) {})},
 		{"listener-close", established(nil, ServerPolicy{}, func(l *Listener, _, _ *Conn) { l.Close() })},
@@ -439,8 +439,8 @@ func TestListenerClosesWithNetwork(t *testing.T) {
 
 	n.Close()
 	waitClosed(t, server)
-	if !errors.Is(server.Err(), ErrConnectionClosed) {
-		t.Errorf("server connection after Network.Close: %v, want ErrConnectionClosed", server.Err())
+	if !errors.Is(server.Err(), errConnectionClosed) {
+		t.Errorf("server connection after Network.Close: %v, want errConnectionClosed", server.Err())
 	}
 	client.Close()
 	tr.Close()

@@ -109,9 +109,9 @@ var mDroppedBy, mListenerDropsBy = func() (client, server [numDropReasons]*telem
 }()
 
 var (
-	clientRole = role{closedErr: ErrTransportClosed, drainEvicted: mDrainEvicted,
+	clientRole = role{closedErr: errTransportClosed, drainEvicted: mDrainEvicted,
 		shardHits: mRouteShardHits, addrMiss: mRouteAddrMiss}
-	serverRole = role{closedErr: ErrConnectionClosed, drainEvicted: mListenerDrainEvicted,
+	serverRole = role{closedErr: errConnectionClosed, drainEvicted: mListenerDrainEvicted,
 		conns: mListenerConns}
 )
 

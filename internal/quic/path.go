@@ -1,9 +1,7 @@
 package quic
 
 import (
-	"context"
 	crand "crypto/rand"
-	"errors"
 	"net"
 	"net/netip"
 	"time"
@@ -17,7 +15,7 @@ import (
 // pair traffic currently flows on — plus up to maxPaths alternates in
 // various states of validation. Servers react to a peer address change
 // by validating the new path with PATH_CHALLENGE before redirecting
-// traffic to it; clients change paths only deliberately, via Migrate,
+// traffic to it; clients change paths only deliberately (migrate),
 // because a server's packets may legitimately arrive from addresses
 // the client never sent to (a load balancer's egress).
 
@@ -82,15 +80,6 @@ type localConnID struct {
 	id  quicwire.ConnID
 }
 
-// ErrMigrationDisabled is returned by Migrate when the peer forbade
-// active migration via the disable_active_migration transport
-// parameter.
-var ErrMigrationDisabled = errors.New("quic: peer disabled active migration")
-
-// ErrPathValidationFailed is returned when a probed path never
-// answered the PATH_CHALLENGE retries.
-var ErrPathValidationFailed = errors.New("quic: path validation failed")
-
 // addrPortOf canonicalizes a net.Addr to an unmapped netip.AddrPort.
 // The *net.UDPAddr fast path is allocation-free, which matters because
 // every received datagram passes through here.
@@ -153,7 +142,7 @@ func (c *Conn) notePeerAddressLocked(dgramLen int) {
 	if c.isClient {
 		// A server may legitimately send from addresses the client
 		// never targeted (load balancer egress); clients change paths
-		// only via Migrate.
+		// only deliberately.
 		return
 	}
 	if !c.handshakeDone {
@@ -534,78 +523,6 @@ func (c *Conn) nextPeerConnIDLocked() (peerConnID, bool) {
 		}
 	}
 	return best, found
-}
-
-// Migrate performs client-initiated active migration on the current
-// socket: it rotates to a fresh peer-issued destination connection ID,
-// retires the old one, and validates the (possibly rebound) path with
-// a PATH_CHALLENGE, blocking until the peer's PATH_RESPONSE arrives,
-// the connection dies, or ctx expires. It fails fast with
-// ErrMigrationDisabled when the peer's transport parameters forbid
-// active migration.
-func (c *Conn) Migrate(ctx context.Context) error { return c.migrate(ctx, false) }
-
-// migrate is Migrate; force skips the disable_active_migration check,
-// so a test can make a client migrate against a server that forbids it.
-func (c *Conn) migrate(ctx context.Context, force bool) error {
-	c.mu.Lock()
-	if !c.handshakeDone {
-		c.mu.Unlock()
-		return errors.New("quic: migrate before handshake completion")
-	}
-	if c.isClosed() {
-		err := c.closeErr
-		c.mu.Unlock()
-		return err
-	}
-	if !force && c.havePeerParams && c.peerParams.DisableActiveMigration {
-		c.mu.Unlock()
-		return ErrMigrationDisabled
-	}
-	// Rotate the destination connection ID so the new path is not
-	// linkable to the old one (RFC 9000, Section 9.5).
-	if next, ok := c.nextPeerConnIDLocked(); ok {
-		retired := c.dcidSeq
-		c.dcid = append(quicwire.ConnID(nil), next.id...)
-		c.dcidSeq = next.seq
-		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-			&quicwire.RetireConnectionIDFrame{SequenceNumber: retired})
-	}
-	if _, err := crand.Read(c.migrChallenge[:]); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	c.migrChallengePending = true
-	if c.migrDone == nil {
-		c.migrDone = make(chan struct{})
-	}
-	done := c.migrDone
-	// Retransmit the challenge on the connection's timer, not only by
-	// loss recovery: the datagram that carried it may be ACKed (loss
-	// recovery will never resend it) while the peer's PATH_RESPONSE is
-	// still blocked behind its anti-amplification budget, so only fresh
-	// challenges — which credit that budget — break the deadlock (RFC
-	// 9000, Section 8.2.1).
-	c.migrSent = 0
-	c.sendMigrChallengeLocked(time.Now())
-	c.mu.Unlock()
-
-	select {
-	case <-done:
-		return nil
-	case <-c.closed:
-		return c.Err()
-	case <-ctx.Done():
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.isClosed() {
-			return c.closeErr // its Stats are final, and published
-		}
-		c.migrChallengePending = false
-		c.migrDeadline = time.Time{}
-		c.stats.PathValidationFailures++
-		return ErrPathValidationFailed
-	}
 }
 
 // sendMigrChallengeLocked sends the outstanding migration challenge

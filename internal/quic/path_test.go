@@ -2,6 +2,7 @@ package quic
 
 import (
 	"context"
+	crand "crypto/rand"
 	"errors"
 	"net"
 	"net/netip"
@@ -90,7 +91,7 @@ func (w *simWorld) ping(t *testing.T, timeout time.Duration) error {
 // must trigger server-side path validation (PATH_CHALLENGE toward the
 // new address over a fresh connection ID), and once the client's
 // PATH_RESPONSE lands the server must promote the path and resume
-// traffic there. RemoteAddr, read throughout as any caller may, moves
+// traffic there. remoteAddr, read throughout by another goroutine, moves
 // with the path without a data race. The lossy row drives 200 flows
 // through the same rebind, half of them while the handshake is in
 // flight (RFC 9000 Section 8.1: the handshake itself validates the new
@@ -111,7 +112,7 @@ func testPromotesReboundClient(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				sc.RemoteAddr()
+				sc.remoteAddr()
 			}
 		}
 	}()
@@ -141,7 +142,7 @@ func testPromotesReboundClient(t *testing.T) {
 	if cs.PathChallengesReceived == 0 {
 		t.Error("client saw no PATH_CHALLENGE")
 	}
-	if got := sc.RemoteAddr().String(); got != newAddr.String() {
+	if got := sc.remoteAddr().String(); got != newAddr.String() {
 		t.Errorf("server remote address = %s, want rebound %s", got, newAddr)
 	}
 }
@@ -155,7 +156,7 @@ func TestDisableMigrationIgnoresRebound(t *testing.T) {
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("pre-rebind ping: %v", err)
 	}
-	oldAddr := sc.RemoteAddr().String()
+	oldAddr := sc.remoteAddr().String()
 
 	if _, err := w.clientPC.Rebind(); err != nil {
 		t.Fatal(err)
@@ -170,7 +171,7 @@ func TestDisableMigrationIgnoresRebound(t *testing.T) {
 	if ss.Migrations != 0 {
 		t.Errorf("migration-disabled server recorded %d migrations", ss.Migrations)
 	}
-	if got := sc.RemoteAddr().String(); got != oldAddr {
+	if got := sc.remoteAddr().String(); got != oldAddr {
 		t.Errorf("server adopted %s, want it pinned to %s", got, oldAddr)
 	}
 }
@@ -207,7 +208,7 @@ func TestValidateBreakTearsDownAfterPromotion(t *testing.T) {
 	}
 }
 
-// TestMigrateHonorsDisableActiveMigration: Migrate must refuse when
+// TestMigrateHonorsDisableActiveMigration: migrate must refuse when
 // the peer's transport parameters forbid active migration, and a forced
 // migration against a server that also behaviorally ignores moved peers
 // must fail path validation rather than hang. In the lossy row no
@@ -225,10 +226,10 @@ func testMigrateHonorsDisable(t *testing.T) {
 	w.serverConn(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	err := w.client.Migrate(ctx)
+	err := w.client.migrate(ctx, false)
 	cancel()
-	if !errors.Is(err, ErrMigrationDisabled) {
-		t.Fatalf("Migrate = %v, want ErrMigrationDisabled", err)
+	if !errors.Is(err, errMigrationDisabled) {
+		t.Fatalf("migrate = %v, want errMigrationDisabled", err)
 	}
 
 	if _, err := w.clientPC.Rebind(); err != nil {
@@ -237,8 +238,8 @@ func testMigrateHonorsDisable(t *testing.T) {
 	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
 	err = w.client.migrate(ctx, true)
 	cancel()
-	if !errors.Is(err, ErrPathValidationFailed) {
-		t.Fatalf("forced migrate = %v, want ErrPathValidationFailed", err)
+	if !errors.Is(err, errPathValidationFailed) {
+		t.Fatalf("forced migrate = %v, want errPathValidationFailed", err)
 	}
 	if cs := w.client.Stats(); cs.PathValidationFailures == 0 {
 		t.Error("failed forced migration not counted in PathValidationFailures")
@@ -427,7 +428,7 @@ func testForcedFlowsAgainstDisabled(t *testing.T) {
 			return f
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), lossyStage)
-		f.rejected = errors.Is(c.migrate(ctx, true), ErrPathValidationFailed)
+		f.rejected = errors.Is(c.migrate(ctx, true), errPathValidationFailed)
 		cancel()
 		f.completed = pingWithin(c) == nil
 		return f
@@ -463,10 +464,10 @@ func TestMigrateRotatesActivePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err := w.client.Migrate(ctx)
+	err := w.client.migrate(ctx, false)
 	cancel()
 	if err != nil {
-		t.Fatalf("Migrate: %v", err)
+		t.Fatalf("migrate: %v", err)
 	}
 	if err := w.ping(t, 5*time.Second); err != nil {
 		t.Fatalf("post-migrate ping: %v", err)
@@ -505,7 +506,7 @@ func TestCIDChurn(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := w.client.Migrate(ctx)
+		err := w.client.migrate(ctx, false)
 		cancel()
 		if err != nil {
 			t.Fatalf("migrate %d: %v", i, err)
@@ -576,4 +577,84 @@ func TestRetireConnIDViolations(t *testing.T) {
 			t.Errorf("close error = %v, want PROTOCOL_VIOLATION", err)
 		}
 	})
+}
+
+// errMigrationDisabled is returned by migrate when the peer forbade
+// active migration via the disable_active_migration transport
+// parameter.
+var errMigrationDisabled = errors.New("quic: peer disabled active migration")
+
+// errPathValidationFailed is returned when a probed path never
+// answered the PATH_CHALLENGE retries.
+var errPathValidationFailed = errors.New("quic: path validation failed")
+
+// migrate performs client-initiated active migration on the current
+// socket: it rotates to a fresh peer-issued destination connection ID,
+// retires the old one, and validates the (possibly rebound) path with
+// a PATH_CHALLENGE, blocking until the peer's PATH_RESPONSE arrives,
+// the connection dies, or ctx expires. It fails fast with
+// errMigrationDisabled when the peer's transport parameters forbid
+// active migration, unless force is set: force makes a client migrate
+// against a server that forbids it. The scanner never migrates, so the
+// client half lives here, as the harness that drives a server's path
+// validation.
+func (c *Conn) migrate(ctx context.Context, force bool) error {
+	c.mu.Lock()
+	if !c.handshakeDone {
+		c.mu.Unlock()
+		return errors.New("quic: migrate before handshake completion")
+	}
+	if c.isClosed() {
+		err := c.closeErr
+		c.mu.Unlock()
+		return err
+	}
+	if !force && c.havePeerParams && c.peerParams.DisableActiveMigration {
+		c.mu.Unlock()
+		return errMigrationDisabled
+	}
+	// Rotate the destination connection ID so the new path is not
+	// linkable to the old one (RFC 9000, Section 9.5).
+	if next, ok := c.nextPeerConnIDLocked(); ok {
+		retired := c.dcidSeq
+		c.dcid = append(quicwire.ConnID(nil), next.id...)
+		c.dcidSeq = next.seq
+		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
+			&quicwire.RetireConnectionIDFrame{SequenceNumber: retired})
+	}
+	if _, err := crand.Read(c.migrChallenge[:]); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	c.migrChallengePending = true
+	if c.migrDone == nil {
+		c.migrDone = make(chan struct{})
+	}
+	done := c.migrDone
+	// Retransmit the challenge on the connection's timer, not only by
+	// loss recovery: the datagram that carried it may be ACKed (loss
+	// recovery will never resend it) while the peer's PATH_RESPONSE is
+	// still blocked behind its anti-amplification budget, so only fresh
+	// challenges — which credit that budget — break the deadlock (RFC
+	// 9000, Section 8.2.1).
+	c.migrSent = 0
+	c.sendMigrChallengeLocked(time.Now())
+	c.mu.Unlock()
+
+	select {
+	case <-done:
+		return nil
+	case <-c.closed:
+		return c.Err()
+	case <-ctx.Done():
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.isClosed() {
+			return c.closeErr // its Stats are final, and published
+		}
+		c.migrChallengePending = false
+		c.migrDeadline = time.Time{}
+		c.stats.PathValidationFailures++
+		return errPathValidationFailed
+	}
 }

@@ -482,7 +482,7 @@ func TestCloseWithErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.CloseWithError(0x0100, "h3 no error")
+	conn.closeWithError(0x0100, "h3 no error")
 	select {
 	case <-conn.Closed():
 	case <-time.After(time.Second):
@@ -578,4 +578,22 @@ func TestLossState(t *testing.T) {
 	if len(l.sent) != 0 || len(l.frames) != 0 {
 		t.Error("takeUnacked did not clear")
 	}
+}
+
+// closeWithError sends CONNECTION_CLOSE with an application error code
+// and tears the connection down.
+func (c *Conn) closeWithError(code uint64, reason string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sendConnectionCloseLocked(&quicwire.ConnectionCloseFrame{IsApp: true, ErrorCode: code, ReasonPhrase: reason})
+	c.closeLocked(&quicwire.TransportErrorError{Code: quicwire.ApplicationError, Reason: reason})
+	return nil
+}
+
+// remoteAddr returns the peer address, which moves when the server
+// side of a connection migrates it to a validated path.
+func (c *Conn) remoteAddr() net.Addr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.remote
 }

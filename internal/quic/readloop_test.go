@@ -165,8 +165,8 @@ func TestListenerKeepsPeerZone(t *testing.T) {
 		t.Fatalf("echo = %q, %v", data, err)
 	}
 	sc := <-accepted
-	if ua, ok := sc.RemoteAddr().(*net.UDPAddr); !ok || ua.Zone != "zone0" || !ua.IP.Equal(zonedPeer) {
-		t.Errorf("server connection's peer = %v, want fe80::1%%zone0", sc.RemoteAddr())
+	if ua, ok := sc.remoteAddr().(*net.UDPAddr); !ok || ua.Zone != "zone0" || !ua.IP.Equal(zonedPeer) {
+		t.Errorf("server connection's peer = %v, want fe80::1%%zone0", sc.remoteAddr())
 	}
 	zc.mu.Lock()
 	defer zc.mu.Unlock()

@@ -2,6 +2,7 @@ package quic
 
 import (
 	"bytes"
+	"crypto/tls"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -125,7 +126,7 @@ func TestAddressFallbackAllocatesNothing(t *testing.T) {
 			if err := e.register(c); err != nil {
 				t.Fatal(err)
 			}
-			keys, err := quiccrypto.NewKeys(quiccrypto.TLSAes128GcmSha256, make([]byte, 32))
+			keys, err := quiccrypto.NewKeys(tls.TLS_AES_128_GCM_SHA256, make([]byte, 32))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +158,8 @@ func TestAddressFallbackAllocatesNothing(t *testing.T) {
 			default:
 				t.Fatal("a stateless reset from this address form did not close the connection")
 			}
-			if err := c.Err(); !errors.Is(err, ErrStatelessReset) {
-				t.Errorf("close error = %v, want ErrStatelessReset", err)
+			if err := c.Err(); !errors.Is(err, errStatelessReset) {
+				t.Errorf("close error = %v, want errStatelessReset", err)
 			}
 			if got := e.routes.lookupAddr(c.activeAP); got != nil {
 				t.Error("the address route outlived the connection")

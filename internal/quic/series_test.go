@@ -199,7 +199,7 @@ func TestStatsFeedTheirSeries(t *testing.T) {
 	if err := migrating.Ping(ctx); err != nil {
 		t.Fatalf("ping after the rebinding: %v", err)
 	}
-	if err := migrating.Migrate(ctx); err != nil {
+	if err := migrating.migrate(ctx, false); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -80,9 +80,9 @@ func (l *Listener) sendStatelessReset(dcid quicwire.ConnID, from net.Addr, trigg
 	l.socks[0].WriteTo(pkt, from)
 }
 
-// ErrStatelessReset is the error a connection dies with when the peer
+// errStatelessReset is the error a connection dies with when the peer
 // signals a stateless reset.
-var ErrStatelessReset = errors.New("quic: received stateless reset")
+var errStatelessReset = errors.New("quic: received stateless reset")
 
 // isStatelessResetLocked checks an undecryptable datagram against
 // every reset token the peer announced: the handshake transport

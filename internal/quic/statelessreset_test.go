@@ -45,7 +45,7 @@ func (rt *routeTable) forget(c *Conn) {
 
 // TestStatelessResetEndToEnd: the server loses connection state; the
 // client's next 1-RTT packet elicits a stateless reset, and the client
-// terminates with ErrStatelessReset.
+// terminates with errStatelessReset.
 func TestStatelessResetEndToEnd(t *testing.T) {
 	scfg, pool := serverConfig(t, "reset.test")
 	l, addr := startServer(t, scfg, ServerPolicy{})
@@ -89,7 +89,7 @@ func TestStatelessResetEndToEnd(t *testing.T) {
 	conn.mu.Lock()
 	err = conn.closeErr
 	conn.mu.Unlock()
-	if !errors.Is(err, ErrStatelessReset) {
+	if !errors.Is(err, errStatelessReset) {
 		t.Errorf("close error = %v, want stateless reset", err)
 	}
 }

@@ -155,7 +155,7 @@ func TestStreamWakesReaders(t *testing.T) {
 			return errors.As(err, &te) && te.Code == 7 && te.Remote
 		}},
 		{"connection close", func(c *Conn, _ *Stream) { c.Close() },
-			func(err error) bool { return errors.Is(err, ErrConnectionClosed) }},
+			func(err error) bool { return errors.Is(err, errConnectionClosed) }},
 	} {
 		for name, read := range reads {
 			c := newRig(t, true).c

@@ -10,8 +10,8 @@ import (
 	"quicscan/internal/telemetry"
 )
 
-// ErrTransportClosed is returned for operations on a closed Transport.
-var ErrTransportClosed = errors.New("quic: transport closed")
+// errTransportClosed is returned for operations on a closed Transport.
+var errTransportClosed = errors.New("quic: transport closed")
 
 // Transport multiplexes many client connections over a small, fixed
 // pool of UDP sockets — the architecture high-rate scanners need:

@@ -126,7 +126,7 @@ func TestTransportDialFailureUnregisters(t *testing.T) {
 }
 
 // TestTransportDialAfterClose: dialing through a closed transport fails
-// fast with ErrTransportClosed.
+// fast with errTransportClosed.
 func TestTransportDialAfterClose(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	t.Cleanup(n.Close)
@@ -141,8 +141,8 @@ func TestTransportDialAfterClose(t *testing.T) {
 	tr.Close()
 	addr := net.UDPAddrFromAddrPort(netip.MustParseAddrPort("192.0.2.9:443"))
 	_, err = tr.Dial(context.Background(), addr, &Config{HandshakeTimeout: time.Second})
-	if !errors.Is(err, ErrTransportClosed) {
-		t.Errorf("err = %v, want ErrTransportClosed", err)
+	if !errors.Is(err, errTransportClosed) {
+		t.Errorf("err = %v, want errTransportClosed", err)
 	}
 }
 

@@ -62,11 +62,11 @@ func chaCha20XOR(dst, src []byte, key *[32]byte, counter uint32, nonce *[12]byte
 	}
 }
 
-// ChaCha20HeaderMask computes the 5-byte QUIC header protection mask
+// chaCha20HeaderMask computes the 5-byte QUIC header protection mask
 // for ChaCha20-based cipher suites (RFC 9001, Section 5.4.4): the first
 // 4 bytes of the sample are the block counter, the remaining 12 the
 // nonce, and the mask is the first 5 bytes of the keystream.
-func ChaCha20HeaderMask(hpKey []byte, sample []byte) [5]byte {
+func chaCha20HeaderMask(hpKey []byte, sample []byte) [5]byte {
 	if len(hpKey) != 32 || len(sample) != 16 {
 		panic("quiccrypto: bad ChaCha20 header protection inputs")
 	}

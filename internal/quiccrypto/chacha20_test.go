@@ -128,5 +128,5 @@ func TestChaChaHeaderMaskPanics(t *testing.T) {
 			t.Error("bad input sizes did not panic")
 		}
 	}()
-	ChaCha20HeaderMask(make([]byte, 5), make([]byte, 16))
+	chaCha20HeaderMask(make([]byte, 5), make([]byte, 16))
 }

@@ -18,10 +18,10 @@ import (
 	"sync"
 )
 
-// ExpandLabel implements HKDF-Expand-Label from TLS 1.3 (RFC 8446,
+// expandLabel implements HKDF-Expand-Label from TLS 1.3 (RFC 8446,
 // Section 7.1) as used by QUIC: the label is prefixed with "tls13 "
 // and the context is empty for all QUIC usages.
-func ExpandLabel[H hash.Hash](h func() H, secret []byte, label string, length int) []byte {
+func expandLabel[H hash.Hash](h func() H, secret []byte, label string, length int) []byte {
 	info := make([]byte, 0, 2+1+6+len(label)+1)
 	info = append(info, byte(length>>8), byte(length))
 	info = append(info, byte(6+len(label)))
@@ -40,7 +40,7 @@ func ExpandLabel[H hash.Hash](h func() H, secret []byte, label string, length in
 // nine HKDF computations, and the stdlib hkdf/hmac packages construct
 // two fresh hash states per computation. A pooled HMAC over reusable
 // SHA-256 states and caller-provided outputs keeps a whole Initial
-// derivation at a handful of allocations. The generic ExpandLabel
+// derivation at a handful of allocations. The generic expandLabel
 // stays for SHA-384 suites and external callers.
 
 // hmac256 is an HMAC-SHA256 computation over a pooled SHA-256 state.
@@ -128,7 +128,7 @@ func expandLabel256(secret []byte, label string, out []byte) {
 
 // hashForSuite returns the hash constructor for a TLS 1.3 cipher suite.
 func hashForSuite(suite uint16) func() hash.Hash {
-	if suite == TLSAes256GcmSha384 {
+	if suite == tlsAes256GcmSha384 {
 		return sha512.New384
 	}
 	return sha256.New

@@ -25,9 +25,9 @@ var (
 	}
 )
 
-// InitialSalt returns the HKDF salt used to derive Initial secrets for
+// initialSalt returns the HKDF salt used to derive Initial secrets for
 // a QUIC version.
-func InitialSalt(v quicwire.Version) ([]byte, error) {
+func initialSalt(v quicwire.Version) ([]byte, error) {
 	if v == quicwire.Version1 {
 		return saltV1, nil
 	}
@@ -55,7 +55,7 @@ type InitialKeys struct {
 // endpoints can compute these; the scanner uses Client for sealing and
 // Server for opening, a server the reverse.
 func NewInitialKeys(v quicwire.Version, clientDstID quicwire.ConnID) (*InitialKeys, error) {
-	salt, err := InitialSalt(v)
+	salt, err := initialSalt(v)
 	if err != nil {
 		return nil, err
 	}
@@ -64,11 +64,11 @@ func NewInitialKeys(v quicwire.Version, clientDstID quicwire.ConnID) (*InitialKe
 	expandLabel256(initialSecret[:], "client in", clientSecret[:])
 	expandLabel256(initialSecret[:], "server in", serverSecret[:])
 
-	ck, err := NewKeys(TLSAes128GcmSha256, clientSecret[:])
+	ck, err := NewKeys(tlsAes128GcmSha256, clientSecret[:])
 	if err != nil {
 		return nil, err
 	}
-	sk, err := NewKeys(TLSAes128GcmSha256, serverSecret[:])
+	sk, err := NewKeys(tlsAes128GcmSha256, serverSecret[:])
 	if err != nil {
 		return nil, err
 	}

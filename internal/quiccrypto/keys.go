@@ -12,9 +12,9 @@ import (
 // TLS 1.3 cipher suite identifiers (duplicated here to avoid importing
 // crypto/tls from a low-level package).
 const (
-	TLSAes128GcmSha256        uint16 = 0x1301
-	TLSAes256GcmSha384        uint16 = 0x1302
-	TLSChaCha20Poly1305Sha256 uint16 = 0x1303
+	tlsAes128GcmSha256        uint16 = 0x1301
+	tlsAes256GcmSha384        uint16 = 0x1302
+	tlsChaCha20Poly1305Sha256 uint16 = 0x1303
 )
 
 // SealOverhead is the AEAD expansion of a protected packet (all QUIC
@@ -35,7 +35,7 @@ type headerProtection struct {
 
 func (p *headerProtection) mask(sample []byte) [5]byte {
 	if p.block == nil {
-		return ChaCha20HeaderMask(p.chachaKey[:], sample)
+		return chaCha20HeaderMask(p.chachaKey[:], sample)
 	}
 	p.block.Encrypt(p.buf[:], sample)
 	return [5]byte{p.buf[0], p.buf[1], p.buf[2], p.buf[3], p.buf[4]}
@@ -73,11 +73,11 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 	h := hashForSuite(suite)
 	var keyLen int
 	switch suite {
-	case TLSAes128GcmSha256:
+	case tlsAes128GcmSha256:
 		keyLen = 16
-	case TLSAes256GcmSha384:
+	case tlsAes256GcmSha384:
 		keyLen = 32
-	case TLSChaCha20Poly1305Sha256:
+	case tlsChaCha20Poly1305Sha256:
 		keyLen = 32
 	default:
 		return nil, fmt.Errorf("quiccrypto: unsupported cipher suite %#04x", suite)
@@ -89,10 +89,10 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 	var key, hpKey []byte
 	k := &Keys{suite: suite}
 	k.secretLen = copy(k.secret[:], secret)
-	if suite == TLSAes256GcmSha384 {
-		key = ExpandLabel(h, secret, "quic key", keyLen)
-		copy(k.iv[:], ExpandLabel(h, secret, "quic iv", 12))
-		hpKey = ExpandLabel(h, secret, "quic hp", keyLen)
+	if suite == tlsAes256GcmSha384 {
+		key = expandLabel(h, secret, "quic key", keyLen)
+		copy(k.iv[:], expandLabel(h, secret, "quic iv", 12))
+		hpKey = expandLabel(h, secret, "quic hp", keyLen)
 	} else {
 		// SHA-256 suites take the pooled fast path; the key buffers
 		// live on the stack and are consumed before return (every
@@ -104,7 +104,7 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 		key, hpKey = keyBuf[:keyLen], hpBuf[:keyLen]
 	}
 	switch suite {
-	case TLSAes128GcmSha256, TLSAes256GcmSha384:
+	case tlsAes128GcmSha256, tlsAes256GcmSha384:
 		block, err := aes.NewCipher(key)
 		if err != nil {
 			return nil, err
@@ -118,7 +118,7 @@ func NewKeys(suite uint16, secret []byte) (*Keys, error) {
 		if err != nil {
 			return nil, err
 		}
-	case TLSChaCha20Poly1305Sha256:
+	case tlsChaCha20Poly1305Sha256:
 		aead, err := NewChaCha20Poly1305(key)
 		if err != nil {
 			return nil, err
@@ -137,7 +137,7 @@ func (k *Keys) Next() (*Keys, error) {
 		return nil, errors.New("quiccrypto: keys not derived from a secret")
 	}
 	h := hashForSuite(k.suite)
-	nextSecret := ExpandLabel(h, k.secret[:k.secretLen], "quic ku", k.secretLen)
+	nextSecret := expandLabel(h, k.secret[:k.secretLen], "quic ku", k.secretLen)
 	nk, err := NewKeys(k.suite, nextSecret)
 	if err != nil {
 		return nil, err
@@ -189,8 +189,8 @@ func (k *Keys) SealPacket(pkt []byte, pnOffset, pnLen int, pn uint64) []byte {
 	return pkt
 }
 
-// ErrDecryptFailed is returned when a packet fails authentication.
-var ErrDecryptFailed = errors.New("quiccrypto: packet decryption failed")
+// errDecryptFailed is returned when a packet fails authentication.
+var errDecryptFailed = errors.New("quiccrypto: packet decryption failed")
 
 // OpenPacket removes header protection and decrypts a packet.
 //
@@ -203,7 +203,7 @@ var ErrDecryptFailed = errors.New("quiccrypto: packet decryption failed")
 // unprotected; the payload is decrypted into the same backing array).
 func (k *Keys) OpenPacket(pkt []byte, pnOffset int, largestPN int64) (payload []byte, pn uint64, pnLen int, err error) {
 	if len(pkt) < pnOffset+4+16 {
-		return nil, 0, 0, ErrDecryptFailed
+		return nil, 0, 0, errDecryptFailed
 	}
 	sample := pkt[pnOffset+4 : pnOffset+4+16]
 	mask := k.hp.mask(sample)
@@ -215,7 +215,7 @@ func (k *Keys) OpenPacket(pkt []byte, pnOffset int, largestPN int64) (payload []
 	}
 	pnLen = int(first&0x03) + 1
 	if len(pkt) < pnOffset+pnLen {
-		return nil, 0, 0, ErrDecryptFailed
+		return nil, 0, 0, errDecryptFailed
 	}
 	pkt[0] = first
 	var truncated uint64
@@ -228,7 +228,7 @@ func (k *Keys) OpenPacket(pkt []byte, pnOffset int, largestPN int64) (payload []
 	hdrLen := pnOffset + pnLen
 	payload, aeadErr := k.aead.Open(pkt[hdrLen:hdrLen], k.nonceFor(pn), pkt[hdrLen:], pkt[:hdrLen])
 	if aeadErr != nil {
-		return nil, 0, 0, ErrDecryptFailed
+		return nil, 0, 0, errDecryptFailed
 	}
 	return payload, pn, pnLen, nil
 }

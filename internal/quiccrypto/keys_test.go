@@ -24,7 +24,7 @@ func unhex(t *testing.T, s string) []byte {
 func TestInitialSecretsRFC9001A1(t *testing.T) {
 	dcid := quicwire.ConnID(unhex(t, "8394c8f03e515708"))
 
-	salt, err := InitialSalt(quicwire.Version1)
+	salt, err := initialSalt(quicwire.Version1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +51,16 @@ func TestInitialSecretsRFC9001A1(t *testing.T) {
 // A.1 client_initial_secret derivation.
 func TestExpandLabelVector(t *testing.T) {
 	initialSecret := unhex(t, "7db5df06e7a69e432496adedb00851923595221596ae2ae9fb8115c1e9ed0a44")
-	clientSecret := ExpandLabel(sha256.New, initialSecret, "client in", 32)
+	clientSecret := expandLabel(sha256.New, initialSecret, "client in", 32)
 	want := unhex(t, "c00cf151ca5be075ed0ebfb5c80323c42d6b7db67881289af4008f1f6c357aea")
 	if !bytes.Equal(clientSecret, want) {
 		t.Errorf("client in secret = %x want %x", clientSecret, want)
 	}
-	key := ExpandLabel(sha256.New, clientSecret, "quic key", 16)
+	key := expandLabel(sha256.New, clientSecret, "quic key", 16)
 	if !bytes.Equal(key, unhex(t, "1f369613dd76d5467730efcbe3b1a22d")) {
 		t.Errorf("quic key = %x", key)
 	}
-	hp := ExpandLabel(sha256.New, clientSecret, "quic hp", 16)
+	hp := expandLabel(sha256.New, clientSecret, "quic hp", 16)
 	if !bytes.Equal(hp, unhex(t, "9f50449e04a0e810283a1e9933adedd2")) {
 		t.Errorf("quic hp = %x", hp)
 	}
@@ -129,7 +129,7 @@ func TestClientInitialProtectionRFC9001A2(t *testing.T) {
 // carrying a single PING frame.
 func TestChaChaShortPacketRFC9001A5(t *testing.T) {
 	secret := unhex(t, "9ac312a7f877468ebe69422748ad00a15443f18203a07d6060f688f30f21632b")
-	k, err := NewKeys(TLSChaCha20Poly1305Sha256, secret)
+	k, err := NewKeys(tlsChaCha20Poly1305Sha256, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestChaChaShortPacketRFC9001A5(t *testing.T) {
 	}
 
 	// And open it again.
-	k2, err := NewKeys(TLSChaCha20Poly1305Sha256, secret)
+	k2, err := NewKeys(tlsChaCha20Poly1305Sha256, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,22 +194,22 @@ func TestSaltSelection(t *testing.T) {
 		{quicwire.VersionDraft27, saltDraft23},
 	}
 	for _, c := range cases {
-		got, err := InitialSalt(c.v)
+		got, err := initialSalt(c.v)
 		if err != nil || !bytes.Equal(got, c.want) {
-			t.Errorf("InitialSalt(%v) = %x, %v", c.v, got, err)
+			t.Errorf("initialSalt(%v) = %x, %v", c.v, got, err)
 		}
 	}
-	if _, err := InitialSalt(quicwire.VersionGoogleQ050); err == nil {
+	if _, err := initialSalt(quicwire.VersionGoogleQ050); err == nil {
 		t.Error("Google version should have no IETF salt")
 	}
-	if _, err := InitialSalt(quicwire.ForcedNegotiationVersion); err == nil {
+	if _, err := initialSalt(quicwire.ForcedNegotiationVersion); err == nil {
 		t.Error("forced negotiation version should have no salt")
 	}
 }
 
 func TestSealOpenAllSuites(t *testing.T) {
 	secret := bytes.Repeat([]byte{0x42}, 48)
-	for _, suite := range []uint16{TLSAes128GcmSha256, TLSAes256GcmSha384, TLSChaCha20Poly1305Sha256} {
+	for _, suite := range []uint16{tlsAes128GcmSha256, tlsAes256GcmSha384, tlsChaCha20Poly1305Sha256} {
 		k, err := NewKeys(suite, secret)
 		if err != nil {
 			t.Fatalf("suite %#x: %v", suite, err)
@@ -297,9 +297,9 @@ func TestNonceXOR(t *testing.T) {
 // every suite, and across a key update (Next hands the header
 // protection state to the new generation by value).
 func TestKeysSingleOwnerPerDirection(t *testing.T) {
-	for _, suite := range []uint16{TLSAes128GcmSha256, TLSAes256GcmSha384, TLSChaCha20Poly1305Sha256} {
+	for _, suite := range []uint16{tlsAes128GcmSha256, tlsAes256GcmSha384, tlsChaCha20Poly1305Sha256} {
 		secret := bytes.Repeat([]byte{byte(suite)}, 32)
-		if suite == TLSAes256GcmSha384 {
+		if suite == tlsAes256GcmSha384 {
 			secret = bytes.Repeat([]byte{byte(suite)}, 48)
 		}
 		mk := func() *Keys {
@@ -353,11 +353,11 @@ func TestKeysSingleOwnerPerDirection(t *testing.T) {
 // expansion.
 func TestKeyUpdateRFC9001A5(t *testing.T) {
 	secret := unhex(t, "9ac312a7f877468ebe69422748ad00a15443f18203a07d6060f688f30f21632b")
-	k, err := NewKeys(TLSChaCha20Poly1305Sha256, secret)
+	k, err := NewKeys(tlsChaCha20Poly1305Sha256, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := ExpandLabel(sha256.New, secret, "quic ku", 32)
+	next := expandLabel(sha256.New, secret, "quic ku", 32)
 	want := unhex(t, "1223504755036d556342ee9361d253421a826c9ecdf3c7148684b36b714881f9")
 	if !bytes.Equal(next, want) {
 		t.Fatalf("quic ku = %x want %x", next, want)
@@ -368,7 +368,7 @@ func TestKeyUpdateRFC9001A5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKeys, err := NewKeys(TLSChaCha20Poly1305Sha256, want)
+	wantKeys, err := NewKeys(tlsChaCha20Poly1305Sha256, want)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,14 +58,14 @@ func RetryIntegrityTag(v quicwire.Version, origDstID quicwire.ConnID, retryWitho
 	return tag, nil
 }
 
-// ErrRetryIntegrity indicates a Retry packet with an invalid tag.
-var ErrRetryIntegrity = errors.New("quiccrypto: retry integrity check failed")
+// errRetryIntegrity indicates a Retry packet with an invalid tag.
+var errRetryIntegrity = errors.New("quiccrypto: retry integrity check failed")
 
 // VerifyRetryIntegrity checks the tag of a full Retry packet (tag in
 // the final 16 bytes).
 func VerifyRetryIntegrity(v quicwire.Version, origDstID quicwire.ConnID, retryPacket []byte) error {
 	if len(retryPacket) < 16 {
-		return ErrRetryIntegrity
+		return errRetryIntegrity
 	}
 	body := retryPacket[:len(retryPacket)-16]
 	got := retryPacket[len(retryPacket)-16:]
@@ -74,7 +74,7 @@ func VerifyRetryIntegrity(v quicwire.Version, origDstID quicwire.ConnID, retryPa
 		return err
 	}
 	if subtle.ConstantTimeCompare(got, want[:]) != 1 {
-		return ErrRetryIntegrity
+		return errRetryIntegrity
 	}
 	return nil
 }

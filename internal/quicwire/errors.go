@@ -40,17 +40,9 @@ func CryptoError(alert uint8) TransportError {
 // paper reports as the dominant error class (TLS alert 40 = 0x28).
 const CryptoError0x128 = CryptoErrorBase + 0x28
 
-// IsCryptoError reports whether e is in the crypto error range.
-func (e TransportError) IsCryptoError() bool {
+// isCryptoError reports whether e is in the crypto error range.
+func (e TransportError) isCryptoError() bool {
 	return e >= CryptoErrorBase && e < CryptoErrorBase+0x100
-}
-
-// TLSAlert returns the TLS alert for a crypto error (0 otherwise).
-func (e TransportError) TLSAlert() uint8 {
-	if !e.IsCryptoError() {
-		return 0
-	}
-	return uint8(e - CryptoErrorBase)
 }
 
 func (e TransportError) String() string {
@@ -90,7 +82,7 @@ func (e TransportError) String() string {
 	case NoViablePath:
 		return "NO_VIABLE_PATH"
 	}
-	if e.IsCryptoError() {
+	if e.isCryptoError() {
 		return fmt.Sprintf("CRYPTO_ERROR(0x%x)", uint64(e))
 	}
 	return fmt.Sprintf("TRANSPORT_ERROR(0x%x)", uint64(e))

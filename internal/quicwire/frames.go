@@ -6,30 +6,30 @@ import (
 
 // Frame type identifiers (RFC 9000, Section 19).
 const (
-	FrameTypePadding                  uint64 = 0x00
-	FrameTypePing                     uint64 = 0x01
-	FrameTypeAck                      uint64 = 0x02
-	FrameTypeAckECN                   uint64 = 0x03
-	FrameTypeResetStream              uint64 = 0x04
-	FrameTypeStopSending              uint64 = 0x05
-	FrameTypeCrypto                   uint64 = 0x06
-	FrameTypeNewToken                 uint64 = 0x07
-	FrameTypeStreamBase               uint64 = 0x08 // 0x08-0x0f with OFF/LEN/FIN bits
-	FrameTypeMaxData                  uint64 = 0x10
-	FrameTypeMaxStreamData            uint64 = 0x11
-	FrameTypeMaxStreamsBidi           uint64 = 0x12
-	FrameTypeMaxStreamsUni            uint64 = 0x13
-	FrameTypeDataBlocked              uint64 = 0x14
-	FrameTypeStreamDataBlocked        uint64 = 0x15
-	FrameTypeStreamsBlockedBidi       uint64 = 0x16
-	FrameTypeStreamsBlockedUni        uint64 = 0x17
-	FrameTypeNewConnectionID          uint64 = 0x18
-	FrameTypeRetireConnectionID       uint64 = 0x19
-	FrameTypePathChallenge            uint64 = 0x1a
-	FrameTypePathResponse             uint64 = 0x1b
-	FrameTypeConnectionCloseTransport uint64 = 0x1c
-	FrameTypeConnectionCloseApp       uint64 = 0x1d
-	FrameTypeHandshakeDone            uint64 = 0x1e
+	frameTypePadding                  uint64 = 0x00
+	frameTypePing                     uint64 = 0x01
+	frameTypeAck                      uint64 = 0x02
+	frameTypeAckECN                   uint64 = 0x03
+	frameTypeResetStream              uint64 = 0x04
+	frameTypeStopSending              uint64 = 0x05
+	frameTypeCrypto                   uint64 = 0x06
+	frameTypeNewToken                 uint64 = 0x07
+	frameTypeStreamBase               uint64 = 0x08 // 0x08-0x0f with OFF/LEN/FIN bits
+	frameTypeMaxData                  uint64 = 0x10
+	frameTypeMaxStreamData            uint64 = 0x11
+	frameTypeMaxStreamsBidi           uint64 = 0x12
+	frameTypeMaxStreamsUni            uint64 = 0x13
+	frameTypeDataBlocked              uint64 = 0x14
+	frameTypeStreamDataBlocked        uint64 = 0x15
+	frameTypeStreamsBlockedBidi       uint64 = 0x16
+	frameTypeStreamsBlockedUni        uint64 = 0x17
+	frameTypeNewConnectionID          uint64 = 0x18
+	frameTypeRetireConnectionID       uint64 = 0x19
+	frameTypePathChallenge            uint64 = 0x1a
+	frameTypePathResponse             uint64 = 0x1b
+	frameTypeConnectionCloseTransport uint64 = 0x1c
+	frameTypeConnectionCloseApp       uint64 = 0x1d
+	frameTypeHandshakeDone            uint64 = 0x1e
 )
 
 // Frame is implemented by every QUIC frame type. Append serializes the
@@ -75,7 +75,7 @@ func AllowedIn(f Frame, pt PacketType) bool {
 // PaddingFrame represents Count consecutive PADDING bytes.
 type PaddingFrame struct{ Count int }
 
-func (f *PaddingFrame) frameType() uint64 { return FrameTypePadding }
+func (f *PaddingFrame) frameType() uint64 { return frameTypePadding }
 
 func (f *PaddingFrame) Append(b []byte) []byte {
 	for i := 0; i < f.Count; i++ {
@@ -87,8 +87,8 @@ func (f *PaddingFrame) Append(b []byte) []byte {
 // PingFrame elicits an acknowledgement.
 type PingFrame struct{}
 
-func (f *PingFrame) frameType() uint64      { return FrameTypePing }
-func (f *PingFrame) Append(b []byte) []byte { return append(b, byte(FrameTypePing)) }
+func (f *PingFrame) frameType() uint64      { return frameTypePing }
+func (f *PingFrame) Append(b []byte) []byte { return append(b, byte(frameTypePing)) }
 
 // AckRange is one contiguous range of acknowledged packet numbers,
 // inclusive on both ends.
@@ -104,13 +104,13 @@ type AckFrame struct {
 	DelayRaw uint64     // ACK Delay field, already scaled by the exponent
 }
 
-func (f *AckFrame) frameType() uint64 { return FrameTypeAck }
+func (f *AckFrame) frameType() uint64 { return frameTypeAck }
 
 func (f *AckFrame) Append(b []byte) []byte {
 	if len(f.Ranges) == 0 {
 		panic("quicwire: ACK frame without ranges")
 	}
-	b = AppendVarint(b, FrameTypeAck)
+	b = AppendVarint(b, frameTypeAck)
 	b = AppendVarint(b, f.Ranges[0].Largest)
 	b = AppendVarint(b, f.DelayRaw)
 	b = AppendVarint(b, uint64(len(f.Ranges)-1))
@@ -142,10 +142,10 @@ type ResetStreamFrame struct {
 	FinalSize uint64
 }
 
-func (f *ResetStreamFrame) frameType() uint64 { return FrameTypeResetStream }
+func (f *ResetStreamFrame) frameType() uint64 { return frameTypeResetStream }
 
 func (f *ResetStreamFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeResetStream)
+	b = AppendVarint(b, frameTypeResetStream)
 	b = AppendVarint(b, f.StreamID)
 	b = AppendVarint(b, f.ErrorCode)
 	return AppendVarint(b, f.FinalSize)
@@ -157,10 +157,10 @@ type StopSendingFrame struct {
 	ErrorCode uint64
 }
 
-func (f *StopSendingFrame) frameType() uint64 { return FrameTypeStopSending }
+func (f *StopSendingFrame) frameType() uint64 { return frameTypeStopSending }
 
 func (f *StopSendingFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeStopSending)
+	b = AppendVarint(b, frameTypeStopSending)
 	b = AppendVarint(b, f.StreamID)
 	return AppendVarint(b, f.ErrorCode)
 }
@@ -171,10 +171,10 @@ type CryptoFrame struct {
 	Data   []byte
 }
 
-func (f *CryptoFrame) frameType() uint64 { return FrameTypeCrypto }
+func (f *CryptoFrame) frameType() uint64 { return frameTypeCrypto }
 
 func (f *CryptoFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeCrypto)
+	b = AppendVarint(b, frameTypeCrypto)
 	b = AppendVarint(b, f.Offset)
 	b = AppendVarint(b, uint64(len(f.Data)))
 	return append(b, f.Data...)
@@ -183,10 +183,10 @@ func (f *CryptoFrame) Append(b []byte) []byte {
 // NewTokenFrame provides a token for use in a future Initial packet.
 type NewTokenFrame struct{ Token []byte }
 
-func (f *NewTokenFrame) frameType() uint64 { return FrameTypeNewToken }
+func (f *NewTokenFrame) frameType() uint64 { return frameTypeNewToken }
 
 func (f *NewTokenFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeNewToken)
+	b = AppendVarint(b, frameTypeNewToken)
 	b = AppendVarint(b, uint64(len(f.Token)))
 	return append(b, f.Token...)
 }
@@ -202,10 +202,10 @@ type StreamFrame struct {
 	Implicit bool // omit the Length field
 }
 
-func (f *StreamFrame) frameType() uint64 { return FrameTypeStreamBase }
+func (f *StreamFrame) frameType() uint64 { return frameTypeStreamBase }
 
 func (f *StreamFrame) Append(b []byte) []byte {
-	t := FrameTypeStreamBase
+	t := frameTypeStreamBase
 	if f.Offset > 0 {
 		t |= 0x04
 	}
@@ -229,10 +229,10 @@ func (f *StreamFrame) Append(b []byte) []byte {
 // MaxDataFrame updates the connection-level flow control limit.
 type MaxDataFrame struct{ MaximumData uint64 }
 
-func (f *MaxDataFrame) frameType() uint64 { return FrameTypeMaxData }
+func (f *MaxDataFrame) frameType() uint64 { return frameTypeMaxData }
 
 func (f *MaxDataFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeMaxData)
+	b = AppendVarint(b, frameTypeMaxData)
 	return AppendVarint(b, f.MaximumData)
 }
 
@@ -242,10 +242,10 @@ type MaxStreamDataFrame struct {
 	MaximumData uint64
 }
 
-func (f *MaxStreamDataFrame) frameType() uint64 { return FrameTypeMaxStreamData }
+func (f *MaxStreamDataFrame) frameType() uint64 { return frameTypeMaxStreamData }
 
 func (f *MaxStreamDataFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeMaxStreamData)
+	b = AppendVarint(b, frameTypeMaxStreamData)
 	b = AppendVarint(b, f.StreamID)
 	return AppendVarint(b, f.MaximumData)
 }
@@ -258,9 +258,9 @@ type MaxStreamsFrame struct {
 
 func (f *MaxStreamsFrame) frameType() uint64 {
 	if f.Bidi {
-		return FrameTypeMaxStreamsBidi
+		return frameTypeMaxStreamsBidi
 	}
-	return FrameTypeMaxStreamsUni
+	return frameTypeMaxStreamsUni
 }
 
 func (f *MaxStreamsFrame) Append(b []byte) []byte {
@@ -271,10 +271,10 @@ func (f *MaxStreamsFrame) Append(b []byte) []byte {
 // DataBlockedFrame indicates connection-level flow control blocking.
 type DataBlockedFrame struct{ Limit uint64 }
 
-func (f *DataBlockedFrame) frameType() uint64 { return FrameTypeDataBlocked }
+func (f *DataBlockedFrame) frameType() uint64 { return frameTypeDataBlocked }
 
 func (f *DataBlockedFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeDataBlocked)
+	b = AppendVarint(b, frameTypeDataBlocked)
 	return AppendVarint(b, f.Limit)
 }
 
@@ -284,10 +284,10 @@ type StreamDataBlockedFrame struct {
 	Limit    uint64
 }
 
-func (f *StreamDataBlockedFrame) frameType() uint64 { return FrameTypeStreamDataBlocked }
+func (f *StreamDataBlockedFrame) frameType() uint64 { return frameTypeStreamDataBlocked }
 
 func (f *StreamDataBlockedFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeStreamDataBlocked)
+	b = AppendVarint(b, frameTypeStreamDataBlocked)
 	b = AppendVarint(b, f.StreamID)
 	return AppendVarint(b, f.Limit)
 }
@@ -300,9 +300,9 @@ type StreamsBlockedFrame struct {
 
 func (f *StreamsBlockedFrame) frameType() uint64 {
 	if f.Bidi {
-		return FrameTypeStreamsBlockedBidi
+		return frameTypeStreamsBlockedBidi
 	}
-	return FrameTypeStreamsBlockedUni
+	return frameTypeStreamsBlockedUni
 }
 
 func (f *StreamsBlockedFrame) Append(b []byte) []byte {
@@ -318,10 +318,10 @@ type NewConnectionIDFrame struct {
 	StatelessResetToken [16]byte
 }
 
-func (f *NewConnectionIDFrame) frameType() uint64 { return FrameTypeNewConnectionID }
+func (f *NewConnectionIDFrame) frameType() uint64 { return frameTypeNewConnectionID }
 
 func (f *NewConnectionIDFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeNewConnectionID)
+	b = AppendVarint(b, frameTypeNewConnectionID)
 	b = AppendVarint(b, f.SequenceNumber)
 	b = AppendVarint(b, f.RetirePriorTo)
 	b = append(b, byte(len(f.ConnectionID)))
@@ -332,30 +332,30 @@ func (f *NewConnectionIDFrame) Append(b []byte) []byte {
 // RetireConnectionIDFrame retires a connection ID by sequence number.
 type RetireConnectionIDFrame struct{ SequenceNumber uint64 }
 
-func (f *RetireConnectionIDFrame) frameType() uint64 { return FrameTypeRetireConnectionID }
+func (f *RetireConnectionIDFrame) frameType() uint64 { return frameTypeRetireConnectionID }
 
 func (f *RetireConnectionIDFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypeRetireConnectionID)
+	b = AppendVarint(b, frameTypeRetireConnectionID)
 	return AppendVarint(b, f.SequenceNumber)
 }
 
 // PathChallengeFrame probes path reachability.
 type PathChallengeFrame struct{ Data [8]byte }
 
-func (f *PathChallengeFrame) frameType() uint64 { return FrameTypePathChallenge }
+func (f *PathChallengeFrame) frameType() uint64 { return frameTypePathChallenge }
 
 func (f *PathChallengeFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypePathChallenge)
+	b = AppendVarint(b, frameTypePathChallenge)
 	return append(b, f.Data[:]...)
 }
 
 // PathResponseFrame answers a PATH_CHALLENGE.
 type PathResponseFrame struct{ Data [8]byte }
 
-func (f *PathResponseFrame) frameType() uint64 { return FrameTypePathResponse }
+func (f *PathResponseFrame) frameType() uint64 { return frameTypePathResponse }
 
 func (f *PathResponseFrame) Append(b []byte) []byte {
-	b = AppendVarint(b, FrameTypePathResponse)
+	b = AppendVarint(b, frameTypePathResponse)
 	return append(b, f.Data[:]...)
 }
 
@@ -370,9 +370,9 @@ type ConnectionCloseFrame struct {
 
 func (f *ConnectionCloseFrame) frameType() uint64 {
 	if f.IsApp {
-		return FrameTypeConnectionCloseApp
+		return frameTypeConnectionCloseApp
 	}
-	return FrameTypeConnectionCloseTransport
+	return frameTypeConnectionCloseTransport
 }
 
 func (f *ConnectionCloseFrame) Append(b []byte) []byte {
@@ -388,10 +388,10 @@ func (f *ConnectionCloseFrame) Append(b []byte) []byte {
 // HandshakeDoneFrame confirms the handshake to the client.
 type HandshakeDoneFrame struct{}
 
-func (f *HandshakeDoneFrame) frameType() uint64 { return FrameTypeHandshakeDone }
+func (f *HandshakeDoneFrame) frameType() uint64 { return frameTypeHandshakeDone }
 
 func (f *HandshakeDoneFrame) Append(b []byte) []byte {
-	return AppendVarint(b, FrameTypeHandshakeDone)
+	return AppendVarint(b, frameTypeHandshakeDone)
 }
 
 // FrameIter decodes the frames of one packet payload in place, without
@@ -447,7 +447,7 @@ func (it *FrameIter) Next() Frame {
 	}
 	var f Frame
 	switch {
-	case t == FrameTypePadding:
+	case t == frameTypePadding:
 		n := 1
 		for r.remaining() > 0 && r.b[r.off] == 0 {
 			r.off++
@@ -455,9 +455,9 @@ func (it *FrameIter) Next() Frame {
 		}
 		it.padding.Count = n
 		f = &it.padding
-	case t == FrameTypePing:
+	case t == frameTypePing:
 		f = &it.ping
-	case t == FrameTypeAck || t == FrameTypeAckECN:
+	case t == frameTypeAck || t == frameTypeAckECN:
 		ack := &it.ack
 		if ack.Ranges == nil {
 			// The iterator's one allocation, made for its first ACK and
@@ -488,25 +488,25 @@ func (it *FrameIter) Next() Frame {
 			smallest = largest - length
 			ack.Ranges = append(ack.Ranges, AckRange{Smallest: smallest, Largest: largest})
 		}
-		if t == FrameTypeAckECN {
+		if t == frameTypeAckECN {
 			r.varint() // ECT0
 			r.varint() // ECT1
 			r.varint() // ECN-CE
 		}
 		f = ack
-	case t == FrameTypeResetStream:
+	case t == frameTypeResetStream:
 		it.resetStream = ResetStreamFrame{StreamID: r.varint(), ErrorCode: r.varint(), FinalSize: r.varint()}
 		f = &it.resetStream
-	case t == FrameTypeStopSending:
+	case t == frameTypeStopSending:
 		it.stopSending = StopSendingFrame{StreamID: r.varint(), ErrorCode: r.varint()}
 		f = &it.stopSending
-	case t == FrameTypeCrypto:
+	case t == frameTypeCrypto:
 		it.crypto = CryptoFrame{Offset: r.varint(), Data: r.varbytes()}
 		f = &it.crypto
-	case t == FrameTypeNewToken:
+	case t == frameTypeNewToken:
 		it.newToken = NewTokenFrame{Token: r.varbytes()}
 		f = &it.newToken
-	case t >= FrameTypeStreamBase && t <= FrameTypeStreamBase|0x07:
+	case t >= frameTypeStreamBase && t <= frameTypeStreamBase|0x07:
 		sf := &it.stream
 		*sf = StreamFrame{StreamID: r.varint(), Fin: t&0x01 != 0}
 		if t&0x04 != 0 {
@@ -519,25 +519,25 @@ func (it *FrameIter) Next() Frame {
 			sf.Data = r.bytes(r.remaining())
 		}
 		f = sf
-	case t == FrameTypeMaxData:
+	case t == frameTypeMaxData:
 		it.maxData = MaxDataFrame{MaximumData: r.varint()}
 		f = &it.maxData
-	case t == FrameTypeMaxStreamData:
+	case t == frameTypeMaxStreamData:
 		it.maxStreamData = MaxStreamDataFrame{StreamID: r.varint(), MaximumData: r.varint()}
 		f = &it.maxStreamData
-	case t == FrameTypeMaxStreamsBidi || t == FrameTypeMaxStreamsUni:
-		it.maxStreams = MaxStreamsFrame{Bidi: t == FrameTypeMaxStreamsBidi, MaximumStreams: r.varint()}
+	case t == frameTypeMaxStreamsBidi || t == frameTypeMaxStreamsUni:
+		it.maxStreams = MaxStreamsFrame{Bidi: t == frameTypeMaxStreamsBidi, MaximumStreams: r.varint()}
 		f = &it.maxStreams
-	case t == FrameTypeDataBlocked:
+	case t == frameTypeDataBlocked:
 		it.dataBlocked = DataBlockedFrame{Limit: r.varint()}
 		f = &it.dataBlocked
-	case t == FrameTypeStreamDataBlocked:
+	case t == frameTypeStreamDataBlocked:
 		it.streamDataBlocked = StreamDataBlockedFrame{StreamID: r.varint(), Limit: r.varint()}
 		f = &it.streamDataBlocked
-	case t == FrameTypeStreamsBlockedBidi || t == FrameTypeStreamsBlockedUni:
-		it.streamsBlocked = StreamsBlockedFrame{Bidi: t == FrameTypeStreamsBlockedBidi, Limit: r.varint()}
+	case t == frameTypeStreamsBlockedBidi || t == frameTypeStreamsBlockedUni:
+		it.streamsBlocked = StreamsBlockedFrame{Bidi: t == frameTypeStreamsBlockedBidi, Limit: r.varint()}
 		f = &it.streamsBlocked
-	case t == FrameTypeNewConnectionID:
+	case t == frameTypeNewConnectionID:
 		nc := &it.newConnID
 		*nc = NewConnectionIDFrame{SequenceNumber: r.varint(), RetirePriorTo: r.varint()}
 		idLen := int(r.byte())
@@ -547,24 +547,24 @@ func (it *FrameIter) Next() Frame {
 		nc.ConnectionID = ConnID(r.bytes(idLen))
 		copy(nc.StatelessResetToken[:], r.bytes(16))
 		f = nc
-	case t == FrameTypeRetireConnectionID:
+	case t == frameTypeRetireConnectionID:
 		it.retireConnID = RetireConnectionIDFrame{SequenceNumber: r.varint()}
 		f = &it.retireConnID
-	case t == FrameTypePathChallenge:
+	case t == frameTypePathChallenge:
 		copy(it.pathChallenge.Data[:], r.bytes(8))
 		f = &it.pathChallenge
-	case t == FrameTypePathResponse:
+	case t == frameTypePathResponse:
 		copy(it.pathResponse.Data[:], r.bytes(8))
 		f = &it.pathResponse
-	case t == FrameTypeConnectionCloseTransport:
+	case t == frameTypeConnectionCloseTransport:
 		it.connClose = ConnectionCloseFrame{ErrorCode: r.varint(), FrameType: r.varint()}
 		it.connClose.ReasonPhrase = string(r.varbytes())
 		f = &it.connClose
-	case t == FrameTypeConnectionCloseApp:
+	case t == frameTypeConnectionCloseApp:
 		it.connClose = ConnectionCloseFrame{IsApp: true, ErrorCode: r.varint()}
 		it.connClose.ReasonPhrase = string(r.varbytes())
 		f = &it.connClose
-	case t == FrameTypeHandshakeDone:
+	case t == frameTypeHandshakeDone:
 		f = &it.handshakeDone
 	default:
 		return it.fail(fmt.Errorf("quicwire: unknown frame type 0x%x", t))
@@ -641,22 +641,6 @@ func cloneFrame(f Frame) Frame {
 func clone[T any](f *T) *T {
 	c := *f
 	return &c
-}
-
-// ParseFrame decodes a single frame from the front of b, returning a
-// copy of it (see cloneFrame) and the number of bytes consumed. It is a
-// convenience over FrameIter for tests and tools.
-func ParseFrame(b []byte) (Frame, int, error) {
-	var it FrameIter
-	it.Reset(b)
-	f := it.Next()
-	if f == nil {
-		if err := it.Err(); err != nil {
-			return nil, 0, err
-		}
-		return nil, 0, ErrTruncated
-	}
-	return cloneFrame(f), it.r.off, nil
 }
 
 // ParseFrames decodes all frames in a packet payload into copies that

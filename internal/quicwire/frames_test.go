@@ -11,9 +11,9 @@ import (
 func roundTripFrame(t *testing.T, f Frame) Frame {
 	t.Helper()
 	b := f.Append(nil)
-	got, n, err := ParseFrame(b)
+	got, n, err := parseFrame(b)
 	if err != nil {
-		t.Fatalf("ParseFrame(%x): %v", b, err)
+		t.Fatalf("parseFrame(%x): %v", b, err)
 	}
 	if n != len(b) {
 		t.Fatalf("consumed %d of %d bytes", n, len(b))
@@ -61,7 +61,7 @@ func TestPaddingCoalescing(t *testing.T) {
 	if len(b) != 17 {
 		t.Fatalf("padding length %d", len(b))
 	}
-	f, n, err := ParseFrame(b)
+	f, n, err := parseFrame(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPaddingCoalescing(t *testing.T) {
 func TestImplicitLengthStream(t *testing.T) {
 	f := &StreamFrame{StreamID: 4, Data: []byte("tail data"), Implicit: true, Fin: true}
 	b := f.Append(nil)
-	got, n, err := ParseFrame(b)
+	got, n, err := parseFrame(b)
 	if err != nil || n != len(b) {
 		t.Fatalf("parse: %v (n=%d)", err, n)
 	}
@@ -129,8 +129,8 @@ func TestParseFrameErrors(t *testing.T) {
 		AppendVarint(nil, 0x30),        // unknown frame type
 	}
 	for _, b := range cases {
-		if _, _, err := ParseFrame(b); err == nil {
-			t.Errorf("ParseFrame(%x) succeeded", b)
+		if _, _, err := parseFrame(b); err == nil {
+			t.Errorf("parseFrame(%x) succeeded", b)
 		}
 	}
 }
@@ -138,14 +138,14 @@ func TestParseFrameErrors(t *testing.T) {
 func TestAckMalformedGap(t *testing.T) {
 	// Range count 1 with a gap that would underflow below zero.
 	var b []byte
-	b = AppendVarint(b, FrameTypeAck)
+	b = AppendVarint(b, frameTypeAck)
 	b = AppendVarint(b, 5) // largest
 	b = AppendVarint(b, 0) // delay
 	b = AppendVarint(b, 1) // range count
 	b = AppendVarint(b, 2) // first range -> smallest = 3
 	b = AppendVarint(b, 5) // gap 5 -> largest would underflow
 	b = AppendVarint(b, 0)
-	if _, _, err := ParseFrame(b); err == nil {
+	if _, _, err := parseFrame(b); err == nil {
 		t.Error("underflowing ACK gap accepted")
 	}
 }
@@ -170,7 +170,7 @@ func TestAckEliciting(t *testing.T) {
 // vocabulary.
 func TestFrameFuzzRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 24))
-	rv := func() uint64 { return rng.Uint64() % (MaxVarint + 1) }
+	rv := func() uint64 { return rng.Uint64() % (maxVarint + 1) }
 	rbytes := func(n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
@@ -236,13 +236,13 @@ func TestTransportErrorStrings(t *testing.T) {
 	if CryptoError0x128.String() != "CRYPTO_ERROR(0x128)" {
 		t.Errorf("CryptoError0x128 = %s", CryptoError0x128)
 	}
-	if !CryptoError0x128.IsCryptoError() || CryptoError0x128.TLSAlert() != 0x28 {
+	if !CryptoError0x128.isCryptoError() {
 		t.Error("0x128 crypto error classification broken")
 	}
 	if NoError.String() != "NO_ERROR" || ProtocolViolation.String() != "PROTOCOL_VIOLATION" {
 		t.Error("error names wrong")
 	}
-	if NoError.IsCryptoError() || NoError.TLSAlert() != 0 {
+	if NoError.isCryptoError() {
 		t.Error("NoError misclassified")
 	}
 	if CryptoError(40) != CryptoError0x128 {
@@ -364,4 +364,19 @@ func TestAllowedIn(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parseFrame decodes a single frame from the front of b, returning a
+// copy of it (see cloneFrame) and the number of bytes consumed.
+func parseFrame(b []byte) (Frame, int, error) {
+	var it FrameIter
+	it.Reset(b)
+	f := it.Next()
+	if f == nil {
+		if err := it.Err(); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, ErrTruncated
+	}
+	return cloneFrame(f), it.r.off, nil
 }

@@ -74,7 +74,7 @@ func FuzzParseHeader(f *testing.F) {
 // included; and every accepted frame sequence must survive an
 // append/re-parse round trip.
 func FuzzParseFrames(f *testing.F) {
-	f.Add([]byte{byte(FrameTypePing)})
+	f.Add([]byte{byte(frameTypePing)})
 	f.Add((&CryptoFrame{Offset: 0, Data: []byte("hello")}).Append(nil))
 	f.Add((&AckFrame{Ranges: []AckRange{{Largest: 10, Smallest: 8}}, DelayRaw: 1}).Append(nil))
 	f.Add((&StreamFrame{StreamID: 4, Offset: 7, Fin: true, Data: []byte("x")}).Append(nil))

@@ -19,7 +19,7 @@ import (
 )
 
 // Maximum value representable as a QUIC variable-length integer.
-const MaxVarint = 1<<62 - 1
+const maxVarint = 1<<62 - 1
 
 // ErrTruncated is returned when the input is too short for the value it
 // claims to contain.
@@ -44,8 +44,8 @@ func ParseVarint(b []byte) (v uint64, n int, err error) {
 }
 
 // AppendVarint appends the minimal variable-length encoding of v to b.
-// It panics if v exceeds MaxVarint; use VarintLen to validate first when
-// handling untrusted values.
+// It panics if v exceeds maxVarint; check v against maxVarint first
+// when handling untrusted values.
 func AppendVarint(b []byte, v uint64) []byte {
 	switch {
 	case v < 1<<6:
@@ -54,7 +54,7 @@ func AppendVarint(b []byte, v uint64) []byte {
 		return append(b, 0x40|byte(v>>8), byte(v))
 	case v < 1<<30:
 		return append(b, 0x80|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	case v <= MaxVarint:
+	case v <= maxVarint:
 		return append(b, 0xc0|byte(v>>56), byte(v>>48), byte(v>>40),
 			byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
@@ -83,28 +83,13 @@ func AppendVarintWithLen(b []byte, v uint64, length int) []byte {
 		}
 		return append(b, 0x80|byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	case 8:
-		if v > MaxVarint {
+		if v > maxVarint {
 			panic("quicwire: varint does not fit in 8 bytes")
 		}
 		return append(b, 0xc0|byte(v>>56), byte(v>>48), byte(v>>40),
 			byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 	}
 	panic("quicwire: invalid varint length")
-}
-
-// VarintLen reports the number of bytes the minimal encoding of v uses.
-func VarintLen(v uint64) int {
-	switch {
-	case v < 1<<6:
-		return 1
-	case v < 1<<14:
-		return 2
-	case v < 1<<30:
-		return 4
-	case v <= MaxVarint:
-		return 8
-	}
-	return 0
 }
 
 // reader is a cursor over a byte slice used by the frame and header

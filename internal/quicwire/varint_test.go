@@ -2,13 +2,12 @@ package quicwire
 
 import (
 	"bytes"
-	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestVarintRoundTrip(t *testing.T) {
-	cases := []uint64{0, 1, 37, 63, 64, 151288809941952652 % MaxVarint, 15293, 494878333, 1<<14 - 1, 1 << 14, 1<<30 - 1, 1 << 30, MaxVarint}
+	cases := []uint64{0, 1, 37, 63, 64, 151288809941952652 % maxVarint, 15293, 494878333, 1<<14 - 1, 1 << 14, 1<<30 - 1, 1 << 30, maxVarint}
 	for _, v := range cases {
 		b := AppendVarint(nil, v)
 		got, n, err := ParseVarint(b)
@@ -18,8 +17,8 @@ func TestVarintRoundTrip(t *testing.T) {
 		if got != v || n != len(b) {
 			t.Errorf("round trip %d: got %d (n=%d, len=%d)", v, got, n, len(b))
 		}
-		if n != VarintLen(v) {
-			t.Errorf("VarintLen(%d) = %d, encoded %d bytes", v, VarintLen(v), n)
+		if want := minVarintLen(v); n != want {
+			t.Errorf("%d encoded in %d bytes, want the minimal %d", v, n, want)
 		}
 	}
 }
@@ -46,7 +45,7 @@ func TestVarintRFCVectors(t *testing.T) {
 
 func TestVarintProperty(t *testing.T) {
 	f := func(v uint64) bool {
-		v %= MaxVarint + 1
+		v %= maxVarint + 1
 		b := AppendVarint(nil, v)
 		got, n, err := ParseVarint(b)
 		return err == nil && got == v && n == len(b)
@@ -71,10 +70,10 @@ func TestVarintTruncated(t *testing.T) {
 func TestVarintPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("AppendVarint(MaxVarint+1) did not panic")
+			t.Error("AppendVarint(maxVarint+1) did not panic")
 		}
 	}()
-	AppendVarint(nil, MaxVarint+1)
+	AppendVarint(nil, maxVarint+1)
 }
 
 func TestAppendVarintWithLen(t *testing.T) {
@@ -106,12 +105,6 @@ func TestAppendVarintWithLenPanics(t *testing.T) {
 	}
 }
 
-func TestVarintLenMax(t *testing.T) {
-	if VarintLen(math.MaxUint64) != 0 {
-		t.Error("VarintLen of out-of-range value should be 0")
-	}
-}
-
 func TestReaderVarbytes(t *testing.T) {
 	b := AppendVarint(nil, 3)
 	b = append(b, 'a', 'b', 'c')
@@ -124,4 +117,17 @@ func TestReaderVarbytes(t *testing.T) {
 	if got := r.varbytes(); got != nil || r.err == nil {
 		t.Errorf("oversized varbytes: got %q err=%v", got, r.err)
 	}
+}
+
+// minVarintLen is the number of bytes the minimal encoding of v uses.
+func minVarintLen(v uint64) int {
+	switch {
+	case v < 1<<6:
+		return 1
+	case v < 1<<14:
+		return 2
+	case v < 1<<30:
+		return 4
+	}
+	return 8
 }

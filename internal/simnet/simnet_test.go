@@ -263,11 +263,11 @@ func TestStreamPlane(t *testing.T) {
 	wg.Wait()
 
 	// Refused connection.
-	if _, err := n.DialStream(ap("192.0.2.99:443")); err != ErrConnectionRefused {
+	if _, err := n.DialStream(ap("192.0.2.99:443")); err != errConnectionRefused {
 		t.Errorf("dial unbound = %v", err)
 	}
 	l.Close()
-	if _, err := n.DialStream(ap("192.0.2.1:443")); err != ErrConnectionRefused {
+	if _, err := n.DialStream(ap("192.0.2.1:443")); err != errConnectionRefused {
 		t.Errorf("dial closed = %v", err)
 	}
 }
@@ -301,12 +301,12 @@ func TestStreamListenerSeveralAddresses(t *testing.T) {
 	if _, err := n.ListenStream(ap("192.0.2.2:443"), addrs[1]); err == nil {
 		t.Error("a bind over an address in use succeeded")
 	}
-	if _, err := n.DialStream(ap("192.0.2.2:443")); err != ErrConnectionRefused {
+	if _, err := n.DialStream(ap("192.0.2.2:443")); err != errConnectionRefused {
 		t.Errorf("a failed bind left 192.0.2.2:443 bound: dial = %v", err)
 	}
 	l.Close()
 	for _, a := range addrs {
-		if _, err := n.DialStream(a); err != ErrConnectionRefused {
+		if _, err := n.DialStream(a); err != errConnectionRefused {
 			t.Errorf("dial %v after Close = %v", a, err)
 		}
 	}

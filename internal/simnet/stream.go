@@ -88,12 +88,12 @@ func (l *streamListener) resetQueued() {
 // Addr implements net.Listener: the first address bound.
 func (l *streamListener) Addr() net.Addr { return net.TCPAddrFromAddrPort(l.addrs[0]) }
 
-// ErrConnectionRefused is returned by DialStream when nothing listens
+// errConnectionRefused is returned by DialStream when nothing listens
 // at the destination.
-var ErrConnectionRefused = errors.New("simnet: connection refused")
+var errConnectionRefused = errors.New("simnet: connection refused")
 
 // DialStream opens a TCP-like connection to dst. It fails immediately
-// with ErrConnectionRefused if no listener is bound — the equivalent
+// with errConnectionRefused if no listener is bound — the equivalent
 // of a TCP RST, which the TLS scanner records as an unreachable
 // target.
 func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
@@ -101,7 +101,7 @@ func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
 	l := n.listeners[dst]
 	n.mu.RUnlock()
 	if l == nil {
-		return nil, ErrConnectionRefused
+		return nil, errConnectionRefused
 	}
 	clientAddr, err := n.nextEphemeral()
 	if err != nil {
@@ -119,7 +119,7 @@ func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
 		}
 		return client, nil
 	case <-l.done:
-		return nil, ErrConnectionRefused
+		return nil, errConnectionRefused
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders a Snapshot in the Prometheus text exposition
+// writePrometheus renders a Snapshot in the Prometheus text exposition
 // format (version 0.0.4): one TYPE line per family, series sorted by
 // name so output is stable for diffing and tests.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	s := r.Snapshot()
 	series := make(map[string][]string) // counter family -> its series
 	for _, sn := range slices.Sorted(maps.Keys(s.Counters)) {
@@ -63,18 +63,18 @@ func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// Handler returns an http.Handler exposing the registry:
+// handler returns an http.Handler exposing the registry:
 //
 //	/metrics  Prometheus text exposition
 //	/metricz  the same data as a JSON Snapshot
 //	/debug/pprof/...  the standard runtime profiles
 //
 // It is what -metrics-addr serves in the scanning binaries.
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		r.writePrometheus(w)
 	})
 	mux.HandleFunc("/metricz", func(w http.ResponseWriter, req *http.Request) {
 		// Into a buffer first: a snapshot JSON cannot carry must be a
@@ -112,7 +112,7 @@ func (r *Registry) Serve(addr string) (*http.Server, net.Addr, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: r.Handler()}
+	srv := &http.Server{Handler: r.handler()}
 	go srv.Serve(ln)
 	return srv, ln.Addr(), nil
 }

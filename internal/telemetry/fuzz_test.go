@@ -18,12 +18,12 @@ func FuzzMetricName(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
-		err := CheckMetricName(name)
+		err := checkMetricName(name)
 		if (err == nil) != refValidMetricName(name) {
-			t.Fatalf("CheckMetricName(%q) = %v, reference says valid=%v", name, err, refValidMetricName(name))
+			t.Fatalf("checkMetricName(%q) = %v, reference says valid=%v", name, err, refValidMetricName(name))
 		}
-		lerr := CheckLabelName(name)
-		if lerr == nil && CheckMetricName(name) != nil {
+		lerr := checkLabelName(name)
+		if lerr == nil && checkMetricName(name) != nil {
 			// Every valid label name is also a valid metric name
 			// (labels are the stricter grammar, minus ':').
 			t.Fatalf("label %q accepted but metric name rejected", name)
@@ -35,8 +35,8 @@ func FuzzMetricName(f *testing.F) {
 		r := NewRegistry()
 		r.Counter(name).Inc()
 		var b bytes.Buffer
-		if werr := r.WritePrometheus(&b); werr != nil {
-			t.Fatalf("WritePrometheus(%q): %v", name, werr)
+		if werr := r.writePrometheus(&b); werr != nil {
+			t.Fatalf("writePrometheus(%q): %v", name, werr)
 		}
 		if snap := r.Snapshot(); snap.Counters[name] != 1 {
 			t.Fatalf("snapshot lost counter %q", name)
@@ -71,7 +71,7 @@ func refValidMetricName(name string) bool {
 // surviving prefix).
 func FuzzParseTrace(f *testing.F) {
 	var seedBuf bytes.Buffer
-	ct := NewConnTrace(&seedBuf, "seed")
+	ct := newConnTrace(&seedBuf, "seed")
 	ct.Event("packet_sent", "space", "initial", "pn", 1, "size", 1200)
 	ct.Event("connection_closed", "error", "timeout")
 	ct.Close()
@@ -81,17 +81,17 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add([]byte("\x1e{\"name\":\"x\"}\n\x1enot json\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := ParseTrace(bytes.NewReader(data))
+		events, err := parseTrace(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var reenc bytes.Buffer
-		rt := NewConnTrace(&reenc, "roundtrip")
+		rt := newConnTrace(&reenc, "roundtrip")
 		for _, ev := range events {
 			rt.Event(ev.Name)
 		}
 		rt.Close()
-		again, err := ParseTrace(bytes.NewReader(reenc.Bytes()))
+		again, err := parseTrace(bytes.NewReader(reenc.Bytes()))
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}

@@ -59,9 +59,9 @@ func init() { enabled.Store(true) }
 // benchmarks and ablations, not production use.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// CheckMetricName validates a metric family name against the
+// checkMetricName validates a metric family name against the
 // Prometheus data model: [a-zA-Z_:][a-zA-Z0-9_:]*.
-func CheckMetricName(name string) error {
+func checkMetricName(name string) error {
 	if name == "" {
 		return fmt.Errorf("telemetry: empty metric name")
 	}
@@ -77,9 +77,9 @@ func CheckMetricName(name string) error {
 	return nil
 }
 
-// CheckLabelName validates a label key: [a-zA-Z_][a-zA-Z0-9_]*,
+// checkLabelName validates a label key: [a-zA-Z_][a-zA-Z0-9_]*,
 // and rejects the reserved double-underscore prefix.
-func CheckLabelName(name string) error {
+func checkLabelName(name string) error {
 	if name == "" {
 		return fmt.Errorf("telemetry: empty label name")
 	}
@@ -184,8 +184,8 @@ func (g *Gauge) Add(d int64) {
 	g.v.Add(d)
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
+// value returns the current value.
+func (g *Gauge) value() int64 {
 	if g == nil {
 		return 0
 	}
@@ -312,7 +312,7 @@ func Default() *Registry { return defaultRegistry }
 // use it creates it and, under the registry's lock, lets init set it up
 // before anyone else can see it. A name taken by another kind panics.
 func lookup[M any](r *Registry, name string, init func(*M)) *M {
-	if err := CheckMetricName(name); err != nil {
+	if err := checkMetricName(name); err != nil {
 		panic(err)
 	}
 	r.mu.Lock()
@@ -376,7 +376,7 @@ type vecChild struct {
 // must match.
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	for _, l := range labels {
-		if err := CheckLabelName(l); err != nil {
+		if err := checkLabelName(l); err != nil {
 			panic(err)
 		}
 	}
@@ -513,7 +513,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case *Counter:
 			s.Counters[n] = m.Value() + live.counts[m]
 		case *Gauge:
-			s.Gauges[n] = m.Value() + live.levels[m]
+			s.Gauges[n] = m.value() + live.levels[m]
 		case *Histogram:
 			s.Histograms[n] = m.snapshot()
 		case *CounterVec:

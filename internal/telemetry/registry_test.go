@@ -31,7 +31,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("test_active")
 	g.Set(7)
 	g.Add(-3)
-	if got := g.Value(); got != 4 {
+	if got := g.value(); got != 4 {
 		t.Errorf("gauge = %d, want 4", got)
 	}
 
@@ -63,7 +63,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	v.With("x").Inc()
-	if c.Value() != 0 || g.Value() != 0 {
+	if c.Value() != 0 || g.value() != 0 {
 		t.Error("nil metrics returned non-zero values")
 	}
 }
@@ -185,7 +185,7 @@ func TestObserveIgnoresNonFinite(t *testing.T) {
 	}
 	get := func() (int, string) {
 		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
+		r.handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
 		return rec.Code, rec.Body.String()
 	}
 	code, body := get()
@@ -434,7 +434,7 @@ func TestPrometheusText(t *testing.T) {
 	r.CounterVec("test_vn_total", "version").With(`dr"aft`).Inc()
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -505,18 +505,18 @@ func TestFamilies(t *testing.T) {
 
 func TestCheckMetricName(t *testing.T) {
 	for _, ok := range []string{"a", "quic_dials_total", "ns:sub_total", "_x", "A9_b"} {
-		if err := CheckMetricName(ok); err != nil {
-			t.Errorf("CheckMetricName(%q) = %v, want nil", ok, err)
+		if err := checkMetricName(ok); err != nil {
+			t.Errorf("checkMetricName(%q) = %v, want nil", ok, err)
 		}
 	}
 	for _, bad := range []string{"", "9x", "a-b", "a b", "é", "a\x00b"} {
-		if err := CheckMetricName(bad); err == nil {
-			t.Errorf("CheckMetricName(%q) = nil, want error", bad)
+		if err := checkMetricName(bad); err == nil {
+			t.Errorf("checkMetricName(%q) = nil, want error", bad)
 		}
 	}
 	for _, bad := range []string{"", "__reserved", "9x", "a:b"} {
-		if err := CheckLabelName(bad); err == nil {
-			t.Errorf("CheckLabelName(%q) = nil, want error", bad)
+		if err := checkLabelName(bad); err == nil {
+			t.Errorf("checkLabelName(%q) = nil, want error", bad)
 		}
 	}
 }

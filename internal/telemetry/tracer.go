@@ -66,14 +66,6 @@ func NewTracer(dir string) (*Tracer, error) {
 	return &Tracer{dir: dir}, nil
 }
 
-// Dir returns the trace directory.
-func (t *Tracer) Dir() string {
-	if t == nil {
-		return ""
-	}
-	return t.dir
-}
-
 // Conn opens a trace for one connection. Returns nil (a no-op trace)
 // when the tracer is nil or the file cannot be created — tracing
 // failures never break a scan.
@@ -86,7 +78,7 @@ func (t *Tracer) Conn(label string) *ConnTrace {
 	if err != nil {
 		return nil
 	}
-	return NewConnTrace(f, label)
+	return newConnTrace(f, label)
 }
 
 // sanitizeLabel keeps file names portable.
@@ -118,10 +110,10 @@ type ConnTrace struct {
 	closed bool
 }
 
-// NewConnTrace wraps an arbitrary writer (a file, or a bytes.Buffer
+// newConnTrace wraps an arbitrary writer (a file, or a bytes.Buffer
 // in tests) as a connection trace and emits the trace_start record.
 // If w implements io.Closer, Close closes it.
-func NewConnTrace(w io.Writer, label string) *ConnTrace {
+func newConnTrace(w io.Writer, label string) *ConnTrace {
 	ct := &ConnTrace{w: w, bw: bufio.NewWriter(w), start: time.Now()}
 	if c, ok := w.(io.Closer); ok {
 		ct.closer = c
@@ -186,10 +178,10 @@ func (ct *ConnTrace) Close() {
 	}
 }
 
-// ParseTrace decodes a JSON-seq trace back into its events. Records
+// parseTrace decodes a JSON-seq trace back into its events. Records
 // that fail to decode are reported as an error with their index;
 // leading/trailing whitespace between records is tolerated.
-func ParseTrace(r io.Reader) ([]Event, error) {
+func parseTrace(r io.Reader) ([]Event, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -216,7 +208,7 @@ func ParseTraceFile(path string) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ParseTrace(f)
+	return parseTrace(f)
 }
 
 // EventNames projects a trace onto its ordered event kinds — what the
@@ -229,8 +221,8 @@ func EventNames(events []Event) []string {
 	return out
 }
 
-// ErrNoTraces is returned by TraceFiles for an empty directory.
-var ErrNoTraces = errors.New("telemetry: no trace files")
+// errNoTraces is returned by TraceFiles for an empty directory.
+var errNoTraces = errors.New("telemetry: no trace files")
 
 // TraceFiles lists the trace files under dir in creation order.
 func TraceFiles(dir string) ([]string, error) {
@@ -239,7 +231,7 @@ func TraceFiles(dir string) ([]string, error) {
 		return nil, err
 	}
 	if len(matches) == 0 {
-		return nil, ErrNoTraces
+		return nil, errNoTraces
 	}
 	return matches, nil
 }

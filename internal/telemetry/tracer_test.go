@@ -10,14 +10,14 @@ import (
 
 func TestConnTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	ct := NewConnTrace(&buf, "client-abc")
+	ct := newConnTrace(&buf, "client-abc")
 	ct.Event("packet_sent", "space", "initial", "pn", 0, "size", 1200)
 	ct.Event("handshake_state", "state", "done")
 	ct.Close()
 	ct.Event("after_close") // must be dropped, not panic
 	ct.Close()              // idempotent
 
-	events, err := ParseTrace(&buf)
+	events, err := parseTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +44,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 	ct.Event("anything", "k", "v")
 	ct.Close()
-	if tr.Dir() != "" {
-		t.Error("nil tracer has a dir")
-	}
 }
 
 func TestTracerWritesFiles(t *testing.T) {
@@ -60,7 +57,7 @@ func TestTracerWritesFiles(t *testing.T) {
 		ct.Event("connection_started", "remote", "192.0.2.1:443")
 		ct.Close()
 	}
-	files, err := TraceFiles(tr.Dir())
+	files, err := TraceFiles(tr.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +71,8 @@ func TestTracerWritesFiles(t *testing.T) {
 	if len(events) != 2 || events[1].Name != "connection_started" {
 		t.Errorf("events = %v", EventNames(events))
 	}
-	if _, err := TraceFiles(dir); err != ErrNoTraces {
-		t.Errorf("TraceFiles on empty dir = %v, want ErrNoTraces", err)
+	if _, err := TraceFiles(dir); err != errNoTraces {
+		t.Errorf("TraceFiles on empty dir = %v, want errNoTraces", err)
 	}
 }
 
@@ -83,7 +80,7 @@ func TestTracerWritesFiles(t *testing.T) {
 // -race; the trace must stay a well-formed JSON sequence.
 func TestConnTraceConcurrent(t *testing.T) {
 	var buf syncBuffer
-	ct := NewConnTrace(&buf, "conc")
+	ct := newConnTrace(&buf, "conc")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -96,7 +93,7 @@ func TestConnTraceConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	ct.Close()
-	events, err := ParseTrace(bytes.NewReader(buf.Bytes()))
+	events, err := parseTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

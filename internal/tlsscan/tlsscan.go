@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"quicscan/internal/altsvc"
-	"quicscan/internal/certgen"
 	"quicscan/internal/core"
 	"quicscan/internal/listscan"
 	"quicscan/internal/telemetry"
@@ -157,7 +156,7 @@ func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 	res.OK = true
 	mHSSuccess.Inc()
 	cs := conn.ConnectionState()
-	res.TLS = s.tlsInfo(&cs, t.SNI)
+	res.TLS = s.certs.TLSInfo(&cs, t.SNI, s.RootCAs)
 
 	if !s.SkipHTTP {
 		res.HTTP = s.doHTTP(conn, t)
@@ -173,32 +172,6 @@ func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 		}
 	}
 	return res
-}
-
-func (s *Scanner) tlsInfo(cs *tls.ConnectionState, sni string) *core.TLSInfo {
-	info := &core.TLSInfo{
-		Version:          cs.Version,
-		CipherSuite:      cs.CipherSuite,
-		ALPN:             cs.NegotiatedProtocol,
-		KeyExchangeGroup: "X25519",
-		Extensions:       core.ExtensionSet(cs.NegotiatedProtocol != "", sni != ""),
-	}
-	if cs.Version < tls.VersionTLS13 {
-		// Pre-1.3 key exchange is not pinned by CurvePreferences the
-		// same way; record the version-specific unknown.
-		info.KeyExchangeGroup = "pre-TLS1.3"
-	}
-	if len(cs.PeerCertificates) > 0 {
-		leaf := cs.PeerCertificates[0]
-		info.CertFingerprint = certgen.FingerprintOf(leaf)
-		info.CertCommonName = leaf.Subject.CommonName
-		info.CertDNSNames = leaf.DNSNames
-		info.SelfSigned = core.IsSelfSigned(leaf)
-		if s.RootCAs != nil {
-			info.CertValid = s.certs.Verify(s.RootCAs, cs.PeerCertificates, sni)
-		}
-	}
-	return info
 }
 
 func (s *Scanner) doHTTP(conn *tls.Conn, t Target) *HTTPInfo {

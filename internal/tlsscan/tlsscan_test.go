@@ -39,6 +39,13 @@ func (w *world) addWebServer(t *testing.T, addr string, tcfg func(*tls.Config), 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w.serveCert(t, addr, cert, tcfg, hdr)
+}
+
+// serveCert starts an HTTPS server on the simnet stream plane that
+// presents cert.
+func (w *world) serveCert(t *testing.T, addr string, cert tls.Certificate, tcfg func(*tls.Config), hdr map[string]string) netip.Addr {
+	t.Helper()
 	ap := netip.MustParseAddrPort(addr)
 	l, err := w.net.ListenStream(ap)
 	if err != nil {
@@ -177,42 +184,6 @@ func TestNoSNICertMismatch(t *testing.T) {
 	}
 }
 
-// TestSelfSignedIsNotCommonNameEquality: a leaf is self-signed when it
-// signed itself, not when its issuer's CN reads like its own.
-func TestSelfSignedIsNotCommonNameEquality(t *testing.T) {
-	issue := func(caName string, opts certgen.LeafOptions) *x509.Certificate {
-		t.Helper()
-		ca, err := certgen.NewCA(caName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cert, err := ca.Issue(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cert.Leaf
-	}
-	s := &Scanner{}
-	for _, tc := range []struct {
-		name string
-		leaf *x509.Certificate
-		want bool
-	}{
-		{"CA shares the leaf's CN", issue("shared.example", certgen.LeafOptions{CommonName: "shared.example"}), false},
-		{"CA and leaf both without a CN", issue("", certgen.LeafOptions{}), false},
-		{"self-signed leaf", issue("unused-ca", certgen.LeafOptions{DNSNames: []string{"self.example"}, SelfSigned: true}), true},
-	} {
-		if tc.leaf.Issuer.CommonName != tc.leaf.Subject.CommonName {
-			t.Fatalf("%s: fixture CNs differ (%q, %q): the case no longer tells the two tests apart",
-				tc.name, tc.leaf.Issuer.CommonName, tc.leaf.Subject.CommonName)
-		}
-		info := s.tlsInfo(&tls.ConnectionState{Version: tls.VersionTLS13, PeerCertificates: []*x509.Certificate{tc.leaf}}, "")
-		if info.SelfSigned != tc.want {
-			t.Errorf("%s: SelfSigned = %v, want %v", tc.name, info.SelfSigned, tc.want)
-		}
-	}
-}
-
 // TestChainVerifiedOncePerScanner: the second visit of a chain is
 // answered by the scanner's memo.
 func TestChainVerifiedOncePerScanner(t *testing.T) {
@@ -229,6 +200,48 @@ func TestChainVerifiedOncePerScanner(t *testing.T) {
 		}
 		if hit, miss := hits.Value()-h0 == 1, misses.Value()-m0 == 1; hit != wantHit || miss == wantHit {
 			t.Errorf("visit %d: memo hit %v, miss %v; want a %v hit", visit, hit, miss, wantHit)
+		}
+	}
+}
+
+// TestSelfSignedIsNotCommonNameEquality: a leaf is self-signed when it
+// signed itself, not when its issuer's CN reads like its own. Each row
+// is served and scanned end to end.
+func TestSelfSignedIsNotCommonNameEquality(t *testing.T) {
+	issue := func(caName string, opts certgen.LeafOptions) tls.Certificate {
+		t.Helper()
+		ca, err := certgen.NewCA(caName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := ca.Issue(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cert
+	}
+	w := newWorld(t)
+	s := newScanner(w)
+	for i, tc := range []struct {
+		name string
+		cert tls.Certificate
+		want bool
+	}{
+		{"CA shares the leaf's CN", issue("shared.example", certgen.LeafOptions{CommonName: "shared.example"}), false},
+		{"CA and leaf both without a CN", issue("", certgen.LeafOptions{}), false},
+		{"self-signed leaf", issue("unused-ca", certgen.LeafOptions{DNSNames: []string{"self.example"}, SelfSigned: true}), true},
+	} {
+		if leaf := tc.cert.Leaf; leaf.Issuer.CommonName != leaf.Subject.CommonName {
+			t.Fatalf("%s: fixture CNs differ (%q, %q): the case no longer tells the two tests apart",
+				tc.name, leaf.Issuer.CommonName, leaf.Subject.CommonName)
+		}
+		addr := w.serveCert(t, netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, byte(90 + i)}), 443).String(), tc.cert, nil, nil)
+		res := s.ScanTarget(context.Background(), Target{Addr: addr})
+		if !res.OK {
+			t.Fatalf("%s: scan failed: %s", tc.name, res.Error)
+		}
+		if res.TLS.SelfSigned != tc.want {
+			t.Errorf("%s: SelfSigned = %v, want %v", tc.name, res.TLS.SelfSigned, tc.want)
 		}
 	}
 }

@@ -51,23 +51,23 @@ func FuzzPreferredAddress(f *testing.F) {
 		ConnID:              quicwire.ConnID{1, 2, 3, 4, 5, 6, 7, 8},
 		StatelessResetToken: [16]byte{0: 0xaa, 15: 0x55},
 	}
-	f.Add(valid.Encode())
+	f.Add(valid.encode())
 	v4only := &PreferredAddress{
 		V4:     netip.MustParseAddrPort("203.0.113.1:4433"),
 		ConnID: quicwire.ConnID{9},
 	}
-	f.Add(v4only.Encode())
+	f.Add(v4only.encode())
 	f.Add([]byte{})
 	f.Add(make([]byte, preferredAddressFixedLen))      // zero-length CID: rejected
 	f.Add(append(make([]byte, 24), 21))                // CID length over 20
-	f.Add(valid.Encode()[:preferredAddressFixedLen-1]) // truncated
-	f.Add(append(valid.Encode(), 0))                   // trailing garbage
+	f.Add(valid.encode()[:preferredAddressFixedLen-1]) // truncated
+	f.Add(append(valid.encode(), 0))                   // trailing garbage
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pa, err := parsePreferredAddress(b)
 		if err != nil {
 			return
 		}
-		enc := pa.Encode()
+		enc := pa.encode()
 		if string(enc) != string(b) {
 			t.Fatalf("accepted value does not re-encode identically:\n in  %x\n out %x", b, enc)
 		}

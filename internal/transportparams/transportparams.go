@@ -22,34 +22,34 @@ import (
 // Transport parameter IDs (RFC 9000, Section 18.2). Seventeen
 // parameters were defined at the time of the paper.
 const (
-	IDOriginalDestinationConnectionID uint64 = 0x00
-	IDMaxIdleTimeout                  uint64 = 0x01
-	IDStatelessResetToken             uint64 = 0x02
-	IDMaxUDPPayloadSize               uint64 = 0x03
-	IDInitialMaxData                  uint64 = 0x04
-	IDInitialMaxStreamDataBidiLocal   uint64 = 0x05
-	IDInitialMaxStreamDataBidiRemote  uint64 = 0x06
-	IDInitialMaxStreamDataUni         uint64 = 0x07
-	IDInitialMaxStreamsBidi           uint64 = 0x08
-	IDInitialMaxStreamsUni            uint64 = 0x09
-	IDAckDelayExponent                uint64 = 0x0a
-	IDMaxAckDelay                     uint64 = 0x0b
-	IDDisableActiveMigration          uint64 = 0x0c
-	IDPreferredAddress                uint64 = 0x0d
-	IDActiveConnectionIDLimit         uint64 = 0x0e
+	idOriginalDestinationConnectionID uint64 = 0x00
+	idMaxIdleTimeout                  uint64 = 0x01
+	idStatelessResetToken             uint64 = 0x02
+	idMaxUDPPayloadSize               uint64 = 0x03
+	idInitialMaxData                  uint64 = 0x04
+	idInitialMaxStreamDataBidiLocal   uint64 = 0x05
+	idInitialMaxStreamDataBidiRemote  uint64 = 0x06
+	idInitialMaxStreamDataUni         uint64 = 0x07
+	idInitialMaxStreamsBidi           uint64 = 0x08
+	idInitialMaxStreamsUni            uint64 = 0x09
+	idAckDelayExponent                uint64 = 0x0a
+	idMaxAckDelay                     uint64 = 0x0b
+	idDisableActiveMigration          uint64 = 0x0c
+	idPreferredAddress                uint64 = 0x0d
+	idActiveConnectionIDLimit         uint64 = 0x0e
 	IDInitialSourceConnectionID       uint64 = 0x0f
-	IDRetrySourceConnectionID         uint64 = 0x10
+	idRetrySourceConnectionID         uint64 = 0x10
 )
 
 // Defaults per RFC 9000, Section 18.2.
 const (
 	DefaultMaxUDPPayloadSize = 65527
-	DefaultAckDelayExponent  = 3
-	DefaultMaxAckDelay       = 25
-	DefaultActiveConnIDLimit = 2
-	MaxAckDelayExponent      = 20
-	MaxMaxAckDelay           = 1<<14 - 1
-	MinMaxUDPPayloadSize     = 1200
+	defaultAckDelayExponent  = 3
+	defaultMaxAckDelay       = 25
+	defaultActiveConnIDLimit = 2
+	maxAckDelayExponent      = 20
+	maxMaxAckDelay           = 1<<14 - 1
+	minMaxUDPPayloadSize     = 1200
 )
 
 // Parameters is a decoded transport parameter set. Integer fields use
@@ -107,10 +107,10 @@ type PreferredAddress struct {
 // connection ID: 4+2 (IPv4), 16+2 (IPv6), 1 (CID length), 16 (token).
 const preferredAddressFixedLen = 41
 
-// Encode renders pa in the RFC 9000 Section 18.2 wire layout. An
+// encode renders pa in the RFC 9000 Section 18.2 wire layout. An
 // AddrPort that is invalid or of the wrong family encodes as all-zero
 // (family not offered).
-func (pa *PreferredAddress) Encode() []byte {
+func (pa *PreferredAddress) encode() []byte {
 	b := make([]byte, 0, preferredAddressFixedLen+len(pa.ConnID))
 	if a := pa.V4.Addr().Unmap(); a.Is4() {
 		a4 := a.As4()
@@ -167,9 +167,9 @@ func parsePreferredAddress(value []byte) (*PreferredAddress, error) {
 func Default() Parameters {
 	return Parameters{
 		MaxUDPPayloadSize:       DefaultMaxUDPPayloadSize,
-		AckDelayExponent:        DefaultAckDelayExponent,
-		MaxAckDelay:             DefaultMaxAckDelay,
-		ActiveConnectionIDLimit: DefaultActiveConnIDLimit,
+		AckDelayExponent:        defaultAckDelayExponent,
+		MaxAckDelay:             defaultMaxAckDelay,
+		ActiveConnectionIDLimit: defaultActiveConnIDLimit,
 	}
 }
 
@@ -195,55 +195,55 @@ func (p *Parameters) Marshal() []byte {
 	// single allocation.
 	b := make([]byte, 0, 128)
 	if p.OriginalDestinationConnectionID != nil {
-		b = appendParam(b, IDOriginalDestinationConnectionID, p.OriginalDestinationConnectionID)
+		b = appendParam(b, idOriginalDestinationConnectionID, p.OriginalDestinationConnectionID)
 	}
 	if p.MaxIdleTimeout != 0 {
-		b = appendIntParam(b, IDMaxIdleTimeout, p.MaxIdleTimeout)
+		b = appendIntParam(b, idMaxIdleTimeout, p.MaxIdleTimeout)
 	}
 	if p.StatelessResetToken != nil {
-		b = appendParam(b, IDStatelessResetToken, p.StatelessResetToken)
+		b = appendParam(b, idStatelessResetToken, p.StatelessResetToken)
 	}
 	if p.MaxUDPPayloadSize != DefaultMaxUDPPayloadSize {
-		b = appendIntParam(b, IDMaxUDPPayloadSize, p.MaxUDPPayloadSize)
+		b = appendIntParam(b, idMaxUDPPayloadSize, p.MaxUDPPayloadSize)
 	}
 	if p.InitialMaxData != 0 {
-		b = appendIntParam(b, IDInitialMaxData, p.InitialMaxData)
+		b = appendIntParam(b, idInitialMaxData, p.InitialMaxData)
 	}
 	if p.InitialMaxStreamDataBidiLocal != 0 {
-		b = appendIntParam(b, IDInitialMaxStreamDataBidiLocal, p.InitialMaxStreamDataBidiLocal)
+		b = appendIntParam(b, idInitialMaxStreamDataBidiLocal, p.InitialMaxStreamDataBidiLocal)
 	}
 	if p.InitialMaxStreamDataBidiRemote != 0 {
-		b = appendIntParam(b, IDInitialMaxStreamDataBidiRemote, p.InitialMaxStreamDataBidiRemote)
+		b = appendIntParam(b, idInitialMaxStreamDataBidiRemote, p.InitialMaxStreamDataBidiRemote)
 	}
 	if p.InitialMaxStreamDataUni != 0 {
-		b = appendIntParam(b, IDInitialMaxStreamDataUni, p.InitialMaxStreamDataUni)
+		b = appendIntParam(b, idInitialMaxStreamDataUni, p.InitialMaxStreamDataUni)
 	}
 	if p.InitialMaxStreamsBidi != 0 {
-		b = appendIntParam(b, IDInitialMaxStreamsBidi, p.InitialMaxStreamsBidi)
+		b = appendIntParam(b, idInitialMaxStreamsBidi, p.InitialMaxStreamsBidi)
 	}
 	if p.InitialMaxStreamsUni != 0 {
-		b = appendIntParam(b, IDInitialMaxStreamsUni, p.InitialMaxStreamsUni)
+		b = appendIntParam(b, idInitialMaxStreamsUni, p.InitialMaxStreamsUni)
 	}
-	if p.AckDelayExponent != DefaultAckDelayExponent {
-		b = appendIntParam(b, IDAckDelayExponent, p.AckDelayExponent)
+	if p.AckDelayExponent != defaultAckDelayExponent {
+		b = appendIntParam(b, idAckDelayExponent, p.AckDelayExponent)
 	}
-	if p.MaxAckDelay != DefaultMaxAckDelay {
-		b = appendIntParam(b, IDMaxAckDelay, p.MaxAckDelay)
+	if p.MaxAckDelay != defaultMaxAckDelay {
+		b = appendIntParam(b, idMaxAckDelay, p.MaxAckDelay)
 	}
 	if p.DisableActiveMigration {
-		b = appendParam(b, IDDisableActiveMigration, nil)
+		b = appendParam(b, idDisableActiveMigration, nil)
 	}
 	if p.PreferredAddress != nil {
-		b = appendParam(b, IDPreferredAddress, p.PreferredAddress.Encode())
+		b = appendParam(b, idPreferredAddress, p.PreferredAddress.encode())
 	}
-	if p.ActiveConnectionIDLimit != DefaultActiveConnIDLimit {
-		b = appendIntParam(b, IDActiveConnectionIDLimit, p.ActiveConnectionIDLimit)
+	if p.ActiveConnectionIDLimit != defaultActiveConnIDLimit {
+		b = appendIntParam(b, idActiveConnectionIDLimit, p.ActiveConnectionIDLimit)
 	}
 	if p.HasInitialSourceConnectionID {
 		b = appendParam(b, IDInitialSourceConnectionID, p.InitialSourceConnectionID)
 	}
 	if p.RetrySourceConnectionID != nil {
-		b = appendParam(b, IDRetrySourceConnectionID, p.RetrySourceConnectionID)
+		b = appendParam(b, idRetrySourceConnectionID, p.RetrySourceConnectionID)
 	}
 	for _, u := range p.Unknown {
 		b = appendParam(b, u.ID, u.Value)
@@ -288,50 +288,50 @@ func Unmarshal(b []byte) (Parameters, error) {
 
 		var err2 error
 		switch id {
-		case IDOriginalDestinationConnectionID:
+		case idOriginalDestinationConnectionID:
 			p.OriginalDestinationConnectionID = append(quicwire.ConnID(nil), value...)
-		case IDMaxIdleTimeout:
+		case idMaxIdleTimeout:
 			p.MaxIdleTimeout, err2 = intVal()
-		case IDStatelessResetToken:
+		case idStatelessResetToken:
 			if len(value) != 16 {
 				return p, fmt.Errorf("transportparams: stateless reset token of %d bytes", len(value))
 			}
 			p.StatelessResetToken = append([]byte(nil), value...)
-		case IDMaxUDPPayloadSize:
+		case idMaxUDPPayloadSize:
 			p.MaxUDPPayloadSize, err2 = intVal()
-			if err2 == nil && p.MaxUDPPayloadSize < MinMaxUDPPayloadSize {
+			if err2 == nil && p.MaxUDPPayloadSize < minMaxUDPPayloadSize {
 				return p, fmt.Errorf("transportparams: max_udp_payload_size %d below 1200", p.MaxUDPPayloadSize)
 			}
-		case IDInitialMaxData:
+		case idInitialMaxData:
 			p.InitialMaxData, err2 = intVal()
-		case IDInitialMaxStreamDataBidiLocal:
+		case idInitialMaxStreamDataBidiLocal:
 			p.InitialMaxStreamDataBidiLocal, err2 = intVal()
-		case IDInitialMaxStreamDataBidiRemote:
+		case idInitialMaxStreamDataBidiRemote:
 			p.InitialMaxStreamDataBidiRemote, err2 = intVal()
-		case IDInitialMaxStreamDataUni:
+		case idInitialMaxStreamDataUni:
 			p.InitialMaxStreamDataUni, err2 = intVal()
-		case IDInitialMaxStreamsBidi:
+		case idInitialMaxStreamsBidi:
 			p.InitialMaxStreamsBidi, err2 = intVal()
-		case IDInitialMaxStreamsUni:
+		case idInitialMaxStreamsUni:
 			p.InitialMaxStreamsUni, err2 = intVal()
-		case IDAckDelayExponent:
+		case idAckDelayExponent:
 			p.AckDelayExponent, err2 = intVal()
-			if err2 == nil && p.AckDelayExponent > MaxAckDelayExponent {
+			if err2 == nil && p.AckDelayExponent > maxAckDelayExponent {
 				return p, fmt.Errorf("transportparams: ack_delay_exponent %d > 20", p.AckDelayExponent)
 			}
-		case IDMaxAckDelay:
+		case idMaxAckDelay:
 			p.MaxAckDelay, err2 = intVal()
-			if err2 == nil && p.MaxAckDelay > MaxMaxAckDelay {
+			if err2 == nil && p.MaxAckDelay > maxMaxAckDelay {
 				return p, fmt.Errorf("transportparams: max_ack_delay %d out of range", p.MaxAckDelay)
 			}
-		case IDDisableActiveMigration:
+		case idDisableActiveMigration:
 			if len(value) != 0 {
 				return p, fmt.Errorf("transportparams: disable_active_migration with a value")
 			}
 			p.DisableActiveMigration = true
-		case IDPreferredAddress:
+		case idPreferredAddress:
 			p.PreferredAddress, err2 = parsePreferredAddress(value)
-		case IDActiveConnectionIDLimit:
+		case idActiveConnectionIDLimit:
 			p.ActiveConnectionIDLimit, err2 = intVal()
 			if err2 == nil && p.ActiveConnectionIDLimit < 2 {
 				return p, fmt.Errorf("transportparams: active_connection_id_limit %d < 2", p.ActiveConnectionIDLimit)
@@ -339,7 +339,7 @@ func Unmarshal(b []byte) (Parameters, error) {
 		case IDInitialSourceConnectionID:
 			p.InitialSourceConnectionID = append(quicwire.ConnID(nil), value...)
 			p.HasInitialSourceConnectionID = true
-		case IDRetrySourceConnectionID:
+		case idRetrySourceConnectionID:
 			p.RetrySourceConnectionID = append(quicwire.ConnID(nil), value...)
 		default:
 			p.Unknown = append(p.Unknown, RawParameter{ID: id, Value: append([]byte(nil), value...)})

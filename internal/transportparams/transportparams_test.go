@@ -66,9 +66,9 @@ func TestDefaultsOmittedFromWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.MaxUDPPayloadSize != DefaultMaxUDPPayloadSize ||
-		got.AckDelayExponent != DefaultAckDelayExponent ||
-		got.MaxAckDelay != DefaultMaxAckDelay ||
-		got.ActiveConnectionIDLimit != DefaultActiveConnIDLimit {
+		got.AckDelayExponent != defaultAckDelayExponent ||
+		got.MaxAckDelay != defaultMaxAckDelay ||
+		got.ActiveConnectionIDLimit != defaultActiveConnIDLimit {
 		t.Errorf("defaults not applied: %+v", got)
 	}
 }
@@ -126,8 +126,8 @@ func TestGreaseParametersIgnored(t *testing.T) {
 
 func TestDuplicateParameterRejected(t *testing.T) {
 	var b []byte
-	b = appendIntParam(b, IDInitialMaxData, 100)
-	b = appendIntParam(b, IDInitialMaxData, 200)
+	b = appendIntParam(b, idInitialMaxData, 100)
+	b = appendIntParam(b, idInitialMaxData, 200)
 	if _, err := Unmarshal(b); err == nil {
 		t.Error("duplicate parameter accepted")
 	}
@@ -138,17 +138,17 @@ func TestValidationErrors(t *testing.T) {
 		name string
 		b    []byte
 	}{
-		{"udp payload below 1200", appendIntParam(nil, IDMaxUDPPayloadSize, 1199)},
-		{"ack delay exponent over 20", appendIntParam(nil, IDAckDelayExponent, 21)},
-		{"max ack delay over 2^14", appendIntParam(nil, IDMaxAckDelay, 1<<14)},
-		{"active cid limit below 2", appendIntParam(nil, IDActiveConnectionIDLimit, 1)},
-		{"reset token wrong size", appendParam(nil, IDStatelessResetToken, make([]byte, 5))},
-		{"disable migration with value", appendParam(nil, IDDisableActiveMigration, []byte{1})},
-		{"preferred address too short", appendParam(nil, IDPreferredAddress, make([]byte, 40))},
-		{"preferred address zero-length CID", appendParam(nil, IDPreferredAddress, make([]byte, 41))},
-		{"preferred address CID over 20", appendParam(nil, IDPreferredAddress, append(append(make([]byte, 24), 21), make([]byte, 37)...))},
-		{"preferred address trailing bytes", appendParam(nil, IDPreferredAddress, append(append(make([]byte, 24), 1), make([]byte, 18)...))},
-		{"non-varint int param", appendParam(nil, IDInitialMaxData, []byte{0x40})},
+		{"udp payload below 1200", appendIntParam(nil, idMaxUDPPayloadSize, 1199)},
+		{"ack delay exponent over 20", appendIntParam(nil, idAckDelayExponent, 21)},
+		{"max ack delay over 2^14", appendIntParam(nil, idMaxAckDelay, 1<<14)},
+		{"active cid limit below 2", appendIntParam(nil, idActiveConnectionIDLimit, 1)},
+		{"reset token wrong size", appendParam(nil, idStatelessResetToken, make([]byte, 5))},
+		{"disable migration with value", appendParam(nil, idDisableActiveMigration, []byte{1})},
+		{"preferred address too short", appendParam(nil, idPreferredAddress, make([]byte, 40))},
+		{"preferred address zero-length CID", appendParam(nil, idPreferredAddress, make([]byte, 41))},
+		{"preferred address CID over 20", appendParam(nil, idPreferredAddress, append(append(make([]byte, 24), 21), make([]byte, 37)...))},
+		{"preferred address trailing bytes", appendParam(nil, idPreferredAddress, append(append(make([]byte, 24), 1), make([]byte, 18)...))},
+		{"non-varint int param", appendParam(nil, idInitialMaxData, []byte{0x40})},
 		{"trailing garbage length", []byte{0x04, 0x0a, 0x01}},
 		{"truncated id", []byte{0x40}},
 	}

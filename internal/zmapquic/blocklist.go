@@ -16,15 +16,6 @@ type Blocklist struct {
 	prefixes []netip.Prefix
 }
 
-// NewBlocklist builds a blocklist from prefixes.
-func NewBlocklist(prefixes ...netip.Prefix) *Blocklist {
-	b := &Blocklist{}
-	for _, p := range prefixes {
-		b.add(p)
-	}
-	return b
-}
-
 // add excludes p. netip keeps an IPv4 address and its IPv4-mapped IPv6
 // form apart, and a prefix of one family contains no address of the
 // other, so the list holds IPv4 prefixes in IPv4 form only and Blocked
@@ -68,9 +59,9 @@ func ParseBlocklist(r io.Reader) (*Blocklist, error) {
 	return b, nil
 }
 
-// Blocked reports whether addr, in either of an IPv4 address's two
+// blocked reports whether addr, in either of an IPv4 address's two
 // forms, falls in an excluded range.
-func (b *Blocklist) Blocked(addr netip.Addr) bool {
+func (b *Blocklist) blocked(addr netip.Addr) bool {
 	if b == nil {
 		return false
 	}

@@ -120,7 +120,7 @@ func TestMappedAddressIsItsIPv4Address(t *testing.T) {
 		Conn:      pc,
 		Cooldown:  50 * time.Millisecond,
 		Retries:   2,
-		Blocklist: NewBlocklist(netip.MustParsePrefix("10.0.0.0/8")),
+		Blocklist: newBlocklist(netip.MustParsePrefix("10.0.0.0/8")),
 	}
 	blocked := netip.MustParseAddr("::ffff:10.1.2.3")
 	sentBefore, blockedBefore := mProbesSent.Value(), mBlocked.Value()

@@ -58,10 +58,10 @@ func (l *Limiter) take() (ok bool, wait time.Duration) {
 	return false, time.Duration((1 - l.tokens) / l.rate * float64(time.Second))
 }
 
-// TryTake takes a token if one is available now and never blocks. A
+// tryTake takes a token if one is available now and never blocks. A
 // batching sender uses it to tell "keep filling the batch" from "paced:
 // flush what is buffered, then Wait".
-func (l *Limiter) TryTake() bool {
+func (l *Limiter) tryTake() bool {
 	if l == nil {
 		return true
 	}

@@ -10,7 +10,7 @@ import (
 // drain empties a limiter's starting burst, so that what a test times
 // afterwards is refill alone.
 func drain(l *Limiter) {
-	for l.TryTake() {
+	for l.tryTake() {
 	}
 }
 
@@ -135,7 +135,7 @@ func TestRateLimiterBurstCap(t *testing.T) {
 	// However long the bucket sits idle, it holds no more than the cap.
 	l := NewLimiter(50000)
 	l.last = l.last.Add(-time.Minute)
-	if !l.TryTake() || l.tokens != l.burst-1 {
+	if !l.tryTake() || l.tokens != l.burst-1 {
 		t.Errorf("after an idle minute the bucket held %v tokens, want the cap of %v", l.tokens+1, l.burst)
 	}
 }
@@ -145,22 +145,22 @@ func TestRateLimiterBurstCap(t *testing.T) {
 // mixed with Wait the way that loop mixes them.
 func TestRateLimiterTryWait(t *testing.T) {
 	unlimited := NewLimiter(0)
-	if unlimited != nil || !unlimited.TryTake() || unlimited.Wait(context.Background()) != nil {
+	if unlimited != nil || !unlimited.tryTake() || unlimited.Wait(context.Background()) != nil {
 		t.Error("rate 0 is not the nil, unlimited limiter")
 	}
 
 	l := NewLimiter(5)
-	if !l.TryTake() {
-		t.Error("TryTake refused the token a fresh bucket starts with")
+	if !l.tryTake() {
+		t.Error("tryTake refused the token a fresh bucket starts with")
 	}
-	// Empty now, and 200 ms from the next token: TryTake must report
+	// Empty now, and 200 ms from the next token: tryTake must report
 	// pacing pressure without waiting for it.
 	start := time.Now()
-	if l.TryTake() {
-		t.Error("TryTake succeeded on an empty bucket")
+	if l.tryTake() {
+		t.Error("tryTake succeeded on an empty bucket")
 	}
 	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Errorf("TryTake on an empty bucket took %v", d)
+		t.Errorf("tryTake on an empty bucket took %v", d)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -173,7 +173,7 @@ func TestRateLimiterTryWait(t *testing.T) {
 	}
 	// ScanAddrs' pattern: take while tokens last, block for the next.
 	mix := func(l *Limiter) error {
-		if l.TryTake() {
+		if l.tryTake() {
 			return nil
 		}
 		return l.Wait(context.Background())

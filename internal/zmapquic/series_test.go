@@ -105,11 +105,15 @@ func TestStatsFeedTheirSeries(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		targets = append(targets, netip.AddrFrom4([4]byte{203, 0, 113, byte(i)}))
 	}
+	blocklist, err := zmapquic.ParseBlocklist(strings.NewReader("203.0.113.0/28"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lister := &zmapquic.Scanner{
 		Conn:      listConn,
 		Cooldown:  100 * time.Millisecond,
 		Retries:   1,
-		Blocklist: zmapquic.NewBlocklist(netip.MustParsePrefix("203.0.113.0/28")),
+		Blocklist: blocklist,
 	}
 	sweeper := &zmapquic.Scanner{Conn: sweepConn, Cooldown: 100 * time.Millisecond}
 	eng, err := campaign.New(campaign.Config{

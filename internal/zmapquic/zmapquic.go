@@ -370,7 +370,7 @@ func (s *Scanner) ValidateResponse(addr netip.Addr, pkt []byte) ([]quicwire.Vers
 // campaign's journal and resume rely on. A probe has no scan to own
 // its count here, so the registry's zmapquic_* series are the count.
 func (s *Scanner) SendProbe(addr netip.Addr) (sent bool, err error) {
-	if s.Blocklist.Blocked(addr) {
+	if s.Blocklist.blocked(addr) {
 		mBlocked.Inc()
 		return false, nil
 	}
@@ -545,7 +545,7 @@ func (s *Scanner) ScanAddrs(ctx context.Context, addrs []netip.Addr) ([]Result, 
 		// The next pass re-probes only silent, probeable targets.
 		var silent []netip.Addr
 		for _, a := range pending {
-			if !responded[a.Unmap()] && !s.Blocklist.Blocked(a) {
+			if !responded[a.Unmap()] && !s.Blocklist.blocked(a) {
 				silent = append(silent, a)
 			}
 		}
@@ -581,11 +581,11 @@ func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Lim
 			if n == 0 && ctx.Err() != nil {
 				break
 			}
-			if s.Blocklist.Blocked(addr) {
+			if s.Blocklist.blocked(addr) {
 				sent.blocked.Add(1)
 				continue
 			}
-			if !limiter.TryTake() {
+			if !limiter.tryTake() {
 				// Out of tokens: flush what is buffered so pacing gaps
 				// never sit on already-admitted probes, then block for
 				// the next token.

@@ -386,13 +386,13 @@ func TestBlocklist(t *testing.T) {
 		{"::ffff:203.0.113.9", true},
 	}
 	for _, c := range cases {
-		if got := bl.Blocked(netip.MustParseAddr(c.addr)); got != c.blocked {
+		if got := bl.blocked(netip.MustParseAddr(c.addr)); got != c.blocked {
 			t.Errorf("Blocked(%s) = %v", c.addr, got)
 		}
 	}
 	// Nil blocklist blocks nothing.
 	var nilBL *Blocklist
-	if nilBL.Blocked(netip.MustParseAddr("192.0.2.5")) || nilBL.Len() != 0 {
+	if nilBL.blocked(netip.MustParseAddr("192.0.2.5")) || nilBL.Len() != 0 {
 		t.Error("nil blocklist misbehaves")
 	}
 	// Malformed lines error out with the line number.
@@ -417,7 +417,7 @@ func TestScanHonoursBlocklist(t *testing.T) {
 	s := &Scanner{
 		Conn:      pc,
 		Cooldown:  100 * time.Millisecond,
-		Blocklist: NewBlocklist(netip.MustParsePrefix("203.0.113.0/28")),
+		Blocklist: newBlocklist(netip.MustParsePrefix("203.0.113.0/28")),
 	}
 	var targets []netip.Addr
 	for i := 1; i <= 30; i++ {
@@ -573,4 +573,13 @@ func TestSweepAddrAtGuards(t *testing.T) {
 	if a, ok := sw.addrAt(3); !ok || a != netip.MustParseAddr("10.0.0.3") {
 		t.Errorf("addrAt(3) = %v, %v", a, ok)
 	}
+}
+
+// newBlocklist builds a blocklist from prefixes.
+func newBlocklist(prefixes ...netip.Prefix) *Blocklist {
+	b := &Blocklist{}
+	for _, p := range prefixes {
+		b.add(p)
+	}
+	return b
 }
