@@ -710,7 +710,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				}
 			}
 			defer telemetry.SetEnabled(true)
-			op() // warm sockets, route shards, batch pools and counter children
+			op() // warm sockets, route tables, batch pools and counter children
 			overhead := medianOfPairs(b, with(true), with(false), func(on, off time.Duration) float64 {
 				return 100 * (on.Seconds() - off.Seconds()) / off.Seconds()
 			})

@@ -272,8 +272,8 @@ func (u *Universe) buildTail() {
 	// At strong downscaling the per-AS minimum of one address would
 	// inflate the edge POP populations, so the number of edge ASes is
 	// additionally bounded by the scaled address budget.
-	fbASes := min2(u.scaledAS(paperFBEdgeASes), u.scaled(paperFBEdgeAddrs))
-	gvsASes := min2(u.scaledAS(paperGVSEdgeASes), u.scaled(paperGVSEdgeAddrs))
+	fbASes := min(u.scaledAS(paperFBEdgeASes), u.scaled(paperFBEdgeAddrs))
+	gvsASes := min(u.scaledAS(paperGVSEdgeASes), u.scaled(paperGVSEdgeAddrs))
 	fbShare := float64(fbASes) / float64(max(1, nASes))
 	gvsShare := float64(gvsASes) / float64(max(1, nASes))
 	lsShare := float64(paperLiteSpeedASes) / paperTailASes
@@ -370,20 +370,6 @@ func (u *Universe) buildTail() {
 		}
 		u.finishDeployment(d)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Tail profiles (defined here because they depend on tail indexing).

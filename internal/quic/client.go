@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -53,6 +54,24 @@ func chooseVersion(offered, server []quicwire.Version) (quicwire.Version, bool) 
 		}
 	}
 	return 0, false
+}
+
+// fnv1a hashes a key's bytes.
+func fnv1a(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
+}
+
+// addrHash is FNV-1a over an address's 16-byte form and port.
+func addrHash(ap netip.AddrPort) uint64 {
+	var b [18]byte
+	a := ap.Addr().As16()
+	copy(b[:], a[:])
+	b[16], b[17] = byte(ap.Port()>>8), byte(ap.Port())
+	return fnv1a(b[:])
 }
 
 // dialVersion runs one handshake attempt at a fixed version. The

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quicscan/internal/quiccrypto"
@@ -113,11 +112,8 @@ type Conn struct {
 	handshakeCh chan struct{}
 	closed      chan struct{}
 
-	// mu is the connection's one lock. Atomic, as a lock is; so is
-	// activePub, the copy of activeAP that endpoint.route reads for its
-	// address-mismatch count without taking mu.
-	mu        sync.Mutex
-	activePub atomic.Value // netip.AddrPort
+	// mu is the connection's one lock. Atomic, as a lock is.
+	mu sync.Mutex
 
 	// Guarded by c.mu: read and written only while mu is held. closeErr
 	// is written before closed is closed, so a caller that has seen

@@ -27,6 +27,15 @@ func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 		return
 	}
 	c.rxFromAP = addrPortOf(from)
+	// Routed by connection ID but from an unexpected source address: the
+	// observable shadow of NAT rebinding and migration. Counted only — a
+	// client's address route moves when path validation succeeds
+	// (rebindAddr), never on sight of a new address. A datagram that came
+	// by the address route is from activeAP, so it never counts.
+	if ap := c.rxFromAP; c.isClient && !quicwire.IsLongHeader(data[0]) &&
+		ap.IsValid() && c.activeAP.IsValid() && ap != c.activeAP {
+		mRouteAddrMiss.Inc()
+	}
 	c.rxDgramLen = len(data)
 	c.stats.BytesReceived += len(data)
 	if c.handshakeDone {

@@ -77,15 +77,11 @@ type tally struct {
 }
 
 // role is what a client endpoint and a server endpoint bill and what
-// their closing surfaces. A counter a role leaves nil counts nothing, so
-// the simulated listeners pay for no shard hits or address mismatches.
+// their closing surfaces. A counter a role leaves nil counts nothing.
 type role struct {
-	closedErr error // what Close aborts live connections with
-
-	shardHits [routeShards]*telemetry.Counter
-	addrMiss  *telemetry.Counter
+	closedErr error            // what Close aborts live connections with
 	conns     *telemetry.Gauge // a Listener's; a Transport's is read
-	// drainEvicted counts tombstones the per-shard cap pushed out before
+	// drainEvicted counts tombstones the table's cap pushed out before
 	// their draining period was up: their late packets become no_route
 	// drops, and this is the record of why.
 	drainEvicted *telemetry.Counter
@@ -196,7 +192,6 @@ func (e *endpoint) pump(pc net.PacketConn) {
 // client falls back to the route by remote address. The datagram, hdr
 // and from are only valid for the duration of the call.
 func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
-	r := e.role
 	if t := e.tally; t != nil {
 		t.datagramsIn.Add(1)
 		t.bytesIn.Add(uint64(len(data)))
@@ -206,11 +201,10 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		return
 	}
 	// Every connection ID an endpoint issues has the fixed connIDLen, so
-	// the destination ID is extracted — and hashed onto its shard —
-	// exactly once per datagram, with no per-candidate-length retries.
-	long := quicwire.IsLongHeader(data[0])
+	// the destination ID is extracted exactly once per datagram, with no
+	// per-candidate-length retries.
 	var dstID []byte
-	if long {
+	if quicwire.IsLongHeader(data[0]) {
 		if _, err := quicwire.ParseLongHeaderInto(hdr, data); err != nil {
 			e.drop(dropBadHeader)
 			return
@@ -224,21 +218,9 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 		dstID = data[1 : 1+connIDLen]
 	}
 
-	c, late, shard := e.routes.lookup(dstID)
-	r.shardHits[shard].Inc()
+	c, late := e.routes.lookup(dstID)
 	switch {
 	case c != nil:
-		// Routed by connection ID but from an unexpected source address:
-		// the observable shadow of NAT rebinding and migration. Counted
-		// only — the address route moves when path validation succeeds
-		// (rebindAddr), never on sight of a new address.
-		if !long && r.addrMiss != nil {
-			if ap := addrPortOf(from); ap.IsValid() {
-				if active := c.publishedAddr(); active.IsValid() && active != ap {
-					r.addrMiss.Inc()
-				}
-			}
-		}
 		c.handleDatagram(data, from)
 	case e.srv != nil:
 		e.srv.miss(hdr, data, from, dstID, late)
@@ -306,8 +288,7 @@ func (e *endpoint) retire(c *Conn) {
 // removeConnID retires one of c's alternate connection IDs (the peer
 // sent RETIRE_CONNECTION_ID for it), parking it in the draining set.
 func (e *endpoint) removeConnID(c *Conn, id quicwire.ConnID) {
-	_, evicted := e.routes.park(id, c, monoNow())
-	e.role.drainEvicted.Add(uint64(evicted))
+	e.role.drainEvicted.Add(uint64(e.routes.park(c, id)))
 }
 
 // addConnID routes an additional local connection ID to c, returning

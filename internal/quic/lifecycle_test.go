@@ -19,20 +19,6 @@ import (
 // Listener's route table forgets it, its connection IDs drain as
 // tombstones, and nothing grows with the number of connections served.
 
-// tombstones expires what is due in every shard and counts the rest.
-func (rt *routeTable) tombstones() int {
-	now := monoNow()
-	n := 0
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		sh.mu.Lock()
-		sh.expireDrainingLocked(now, rt.period())
-		n += len(sh.draining)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // listenBare starts a listener that serves nothing: its connections are
 // state in the route table, and tests that need one find it there.
 func listenBare(t *testing.T, cfg *Config, policy ServerPolicy) (*Listener, net.Addr) {
@@ -267,8 +253,8 @@ func TestListenerStateBounded(t *testing.T) {
 			}
 			conn.Close()
 			if i%250 == 0 {
-				if got := l.routes.tombstones(); got > routeShards*maxDrainingPerShard {
-					t.Fatalf("tombstones = %d, above the cap of %d", got, routeShards*maxDrainingPerShard)
+				if got := l.routes.tombstones(); got > maxDraining {
+					t.Fatalf("tombstones = %d, above the cap of %d", got, maxDraining)
 				}
 			}
 		}

@@ -45,10 +45,10 @@ var (
 	mPathValidated          = telemetry.Default().Counter("quic_path_validations_total")
 	mPathValidationFail     = telemetry.Default().Counter("quic_path_validation_failures_total")
 	mMigrations             = telemetry.Default().Counter("quic_migrations_total")
-	// mRouteAddrMiss counts short-header datagrams that routed by
-	// connection ID but arrived from an address other than the
-	// connection's active path — the observable shadow of NAT rebinding
-	// and migration (endpoint.route, client role only).
+	// mRouteAddrMiss counts short-header datagrams that routed to a
+	// client connection by connection ID but arrived from an address
+	// other than its active path — the observable shadow of NAT
+	// rebinding and migration (Conn.handleDatagram).
 	mRouteAddrMiss = telemetry.Default().Counter("quic_route_addr_miss_total")
 
 	// Handshake fast path: session resumption, 0-RTT and NEW_TOKEN
@@ -62,11 +62,6 @@ var (
 	mZeroRTTOffered      = telemetry.Default().Counter("quic_zero_rtt_offered_total")
 	mZeroRTTAccepted     = telemetry.Default().Counter("quic_zero_rtt_accepted_total")
 	mZeroRTTRejected     = telemetry.Default().Counter("quic_zero_rtt_rejected_total")
-
-	// mRouteShard counts datagrams demuxed per route-table shard — a
-	// skew check for the sharded routing introduced to take the single
-	// Transport mutex off the receive hot path.
-	mRouteShard = telemetry.Default().CounterVec("quic_route_shard_hits_total", "shard")
 )
 
 // Fixed-label children of the vecs above, resolved once so the dial
@@ -109,21 +104,10 @@ var mDroppedBy, mListenerDropsBy = func() (client, server [numDropReasons]*telem
 }()
 
 var (
-	clientRole = role{closedErr: errTransportClosed, drainEvicted: mDrainEvicted,
-		shardHits: mRouteShardHits, addrMiss: mRouteAddrMiss}
+	clientRole = role{closedErr: errTransportClosed, drainEvicted: mDrainEvicted}
 	serverRole = role{closedErr: errConnectionClosed, drainEvicted: mListenerDrainEvicted,
 		conns: mListenerConns}
 )
-
-// mRouteShardHits holds the pre-resolved per-shard children of
-// mRouteShard so route() pays one atomic add, no label join.
-var mRouteShardHits = func() [routeShards]*telemetry.Counter {
-	var out [routeShards]*telemetry.Counter
-	for i := range out {
-		out[i] = mRouteShard.With("s" + string(rune('0'+i/10)) + string(rune('0'+i%10)))
-	}
-	return out
-}()
 
 // publish adds a closing connection's counted fields to their series,
 // once (closeLocked).

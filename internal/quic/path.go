@@ -99,25 +99,10 @@ func addrPortOf(a net.Addr) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-// publishActiveLocked mirrors the active peer address into the
-// lock-free copy endpoint.route reads for the address-mismatch
-// counter.
-func (c *Conn) publishActiveLocked() {
-	c.activePub.Store(c.activeAP)
-}
-
-// publishedAddr returns the lock-free copy of the active peer address
-// (zero before the connection initialized it).
-func (c *Conn) publishedAddr() netip.AddrPort {
-	ap, _ := c.activePub.Load().(netip.AddrPort)
-	return ap
-}
-
 // initPathLocked records the handshake peer address as the active
 // path. Called once at connection setup.
 func (c *Conn) initPathLocked(remote net.Addr) {
 	c.activeAP = addrPortOf(remote)
-	c.publishActiveLocked()
 }
 
 // findPathLocked returns the alternate path for ap, or nil.
@@ -188,7 +173,6 @@ func (c *Conn) adoptPeerAddressLocked(ap netip.AddrPort) {
 	c.remote = net.UDPAddrFromAddrPort(ap)
 	old := c.activeAP
 	c.activeAP = ap
-	c.publishActiveLocked()
 	if c.trace != nil {
 		c.trace.Event("path_adopted", "old", old.String(), "new", ap.String())
 	}
@@ -402,7 +386,6 @@ func (c *Conn) promotePathLocked(p *pathState) {
 	oldAP := c.activeAP
 	c.remote = p.remote
 	c.activeAP = p.ap
-	c.publishActiveLocked()
 	if p.dcid != nil {
 		retired := c.dcidSeq
 		c.dcid = p.dcid

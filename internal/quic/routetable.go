@@ -15,16 +15,8 @@ import (
 // draining state of RFC 9000, Section 10.2.
 const drainingPeriod = 3 * time.Second
 
-// routeShards is the number of independent route-table shards. The
-// receive hot path used to funnel every datagram of every socket
-// through one endpoint-wide mutex; sharding by a hash of the route
-// key lets the per-socket pumps demux concurrently. Must stay a
-// power of two (a key's shard is its hash, masked).
-const routeShards = 16
-
-// maxDrainingPerShard caps each shard's draining set (8192 tombstones
-// per table).
-const maxDrainingPerShard = 8192 / routeShards
+// maxDraining caps a table's draining set.
+const maxDraining = 8192
 
 var (
 	errDuplicateCID = errors.New("quic: connection ID already registered")
@@ -65,72 +57,34 @@ type drainEntry struct {
 	at  time.Duration // on routeEpoch's clock
 }
 
-// routeShard is one slice of the demux state: connections keyed by
-// local CID, the remote-address fallback route, and the draining set
-// absorbing late packets for retired CIDs. CID keys and address keys
-// hash to shards independently — a connection's CID route and address
-// route usually live in different shards, and the two locks are only
-// ever taken sequentially, never nested.
-//
-// drainQ keeps the draining keys in retirement order so expiry is an
-// amortized O(1) pop from the front (a periodic full-map sweep goes
-// quadratic under scanner churn: with tens of thousands of short-lived
-// connections per draining period, every sweep scans entries that are
-// almost all too young to remove).
-type routeShard struct {
-	mu        sync.Mutex
-	conns     map[cidKey]*Conn         // local CID -> connection
-	byAddr    map[netip.AddrPort]*Conn // remote address -> connection (fallback)
-	draining  map[cidKey]time.Duration
-	drainQ    []drainEntry
-	drainHead int
-}
-
-// fnv1a hashes a route key (CID or address bytes).
-func fnv1a(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
-}
-
-func (k *cidKey) shard() int { return int(fnv1a(k.b[:k.n]) & (routeShards - 1)) }
-
-// addrHash is FNV-1a over an address's 16-byte form and port.
-func addrHash(ap netip.AddrPort) uint64 {
-	var b [18]byte
-	a := ap.Addr().As16()
-	copy(b[:], a[:])
-	b[16], b[17] = byte(ap.Port()>>8), byte(ap.Port())
-	return fnv1a(b[:])
-}
-
-func addrShard(ap netip.AddrPort) int { return int(addrHash(ap) & (routeShards - 1)) }
-
 // routeTable is the datagram demux state of one endpoint (a Transport's
-// client connections or a Listener's server connections):
-// live routes by connection ID, the client's remote-address fallback,
-// and key-only tombstones for the IDs of closed connections. The zero
-// value is ready to use; shard maps are created at first write (reads
-// and deletes on nil maps are safe, and most shards of a
-// one-connection Transport never see a key).
+// client connections or a Listener's server connections): live routes
+// by connection ID, the client's remote-address fallback, and key-only
+// tombstones for the IDs of closed connections. The zero value is ready
+// to use; its maps are made at first write (reads and deletes on nil
+// maps are safe).
 //
 // A connection's routes are its source ID, the other IDs it issued
 // (c.localCIDs), on a server the client's original destination ID, and
 // on a client its active address (c.activeAP). The table stores no copy
 // of them: retire rebuilds each key from the Conn, with c.mu held, as
 // every call of a connection into its endpoint is made. Lock order is
-// c.mu, then mu, then one shard mutex; no table lock is ever held while
-// calling into a Conn.
+// c.mu, then mu; mu is never held while calling into a Conn.
+//
+// drainQ keeps the draining keys in retirement order so expiry is an
+// amortized O(1) pop from the front (a periodic full-map sweep goes
+// quadratic under scanner churn: with tens of thousands of short-lived
+// connections per draining period, every sweep scans entries that are
+// almost all too young to remove).
 type routeTable struct {
-	shards [routeShards]routeShard
-
-	// mu guards only the registration control plane (closed, active);
-	// the datagram hot path never takes it.
-	mu     sync.Mutex
-	active int
-	closed bool
+	mu        sync.Mutex
+	conns     map[cidKey]*Conn         // local CID -> connection
+	byAddr    map[netip.AddrPort]*Conn // remote address -> connection (fallback)
+	draining  map[cidKey]time.Duration
+	drainQ    []drainEntry
+	drainHead int
+	active    int
+	closed    bool
 
 	// drainFor, when non-zero, overrides drainingPeriod (nanoseconds).
 	// Tests shorten it on a running endpoint; nothing else sets it.
@@ -154,56 +108,45 @@ func (rt *routeTable) register(c *Conn) error {
 	if rt.closed {
 		return errRoutesClosed
 	}
-	if !rt.insert(c.scid, c) {
+	if !rt.insertLocked(c.scid, c) {
 		return errDuplicateCID
 	}
 	if c.isClient {
-		rt.insertAddr(c.activeAP, c)
+		rt.insertAddrLocked(c.activeAP, c)
 	}
 	rt.active++
 	return nil
 }
 
-func (rt *routeTable) insert(id []byte, c *Conn) bool {
+func (rt *routeTable) insertLocked(id []byte, c *Conn) bool {
 	k, ok := keyOf(id)
 	if !ok {
 		return false
 	}
-	sh := &rt.shards[k.shard()]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.conns[k]; dup {
+	if _, dup := rt.conns[k]; dup {
 		return false
 	}
-	if sh.conns == nil {
-		sh.conns = make(map[cidKey]*Conn)
+	if rt.conns == nil {
+		rt.conns = make(map[cidKey]*Conn)
 	}
-	sh.conns[k] = c
+	rt.conns[k] = c
 	return true
 }
 
-func (rt *routeTable) insertAddr(ap netip.AddrPort, c *Conn) {
-	if !ap.IsValid() {
+func (rt *routeTable) insertAddrLocked(ap netip.AddrPort, c *Conn) {
+	if _, taken := rt.byAddr[ap]; taken || !ap.IsValid() {
 		return
 	}
-	sh := &rt.shards[addrShard(ap)]
-	sh.mu.Lock()
-	if _, taken := sh.byAddr[ap]; !taken {
-		if sh.byAddr == nil {
-			sh.byAddr = make(map[netip.AddrPort]*Conn)
-		}
-		sh.byAddr[ap] = c
+	if rt.byAddr == nil {
+		rt.byAddr = make(map[netip.AddrPort]*Conn)
 	}
-	sh.mu.Unlock()
+	rt.byAddr[ap] = c
 }
 
-func (rt *routeTable) removeAddr(ap netip.AddrPort, c *Conn) {
-	sh := &rt.shards[addrShard(ap)]
-	sh.mu.Lock()
-	if sh.byAddr[ap] == c {
-		delete(sh.byAddr, ap)
+func (rt *routeTable) removeAddrLocked(ap netip.AddrPort, c *Conn) {
+	if rt.byAddr[ap] == c {
+		delete(rt.byAddr, ap)
 	}
-	sh.mu.Unlock()
 }
 
 // addConnID routes an additional connection ID to c. It fails on
@@ -211,9 +154,8 @@ func (rt *routeTable) removeAddr(ap netip.AddrPort, c *Conn) {
 // be one, or after close.
 func (rt *routeTable) addConnID(c *Conn, id []byte) bool {
 	rt.mu.Lock()
-	closed := rt.closed
-	rt.mu.Unlock()
-	return !closed && rt.insert(id, c)
+	defer rt.mu.Unlock()
+	return !rt.closed && rt.insertLocked(id, c)
 }
 
 // retire removes every route of a closing connection and parks its
@@ -221,45 +163,49 @@ func (rt *routeTable) addConnID(c *Conn, id []byte) bool {
 // absorbed as tail traffic instead of being misread as drops, new
 // connections or stateless-reset triggers. Nothing in the table
 // references c afterwards. It reports whether c was still registered,
-// and how many older tombstones the per-shard cap evicted to make room.
+// and how many older tombstones the cap evicted to make room.
 func (rt *routeTable) retire(c *Conn) (ok bool, evicted int) {
 	now := monoNow()
-	if ok, evicted = rt.park(c.scid, c, now); !ok {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if ok, evicted = rt.parkLocked(c.scid, c, now); !ok {
 		return false, 0
 	}
 	if c.isClient {
-		rt.removeAddr(c.activeAP, c)
+		rt.removeAddrLocked(c.activeAP, c)
 	} else {
-		_, n := rt.park(c.origDcid, c, now)
+		_, n := rt.parkLocked(c.origDcid, c, now)
 		evicted += n
 	}
 	for _, lc := range c.localCIDs {
 		if lc.seq != 0 { // sequence 0 is the source ID, parked above
-			_, n := rt.park(lc.id, c, now)
+			_, n := rt.parkLocked(lc.id, c, now)
 			evicted += n
 		}
 	}
-	rt.mu.Lock()
 	rt.active--
-	rt.mu.Unlock()
 	return true, evicted
 }
 
-// park moves id from the live routes to the draining set if c owns it,
-// reporting whether it did and how many tombstones the cap evicted.
-func (rt *routeTable) park(id []byte, c *Conn, now time.Duration) (ok bool, evicted int) {
+// park retires one of c's connection IDs, returning how many tombstones
+// the cap evicted.
+func (rt *routeTable) park(c *Conn, id []byte) (evicted int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	_, evicted = rt.parkLocked(id, c, monoNow())
+	return evicted
+}
+
+// parkLocked moves id from the live routes to the draining set if c
+// owns it, reporting whether it did and how many tombstones the cap
+// evicted.
+func (rt *routeTable) parkLocked(id []byte, c *Conn, now time.Duration) (ok bool, evicted int) {
 	k, ok := keyOf(id)
-	if !ok {
+	if !ok || rt.conns[k] != c {
 		return false, 0
 	}
-	sh := &rt.shards[k.shard()]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.conns[k] != c {
-		return false, 0
-	}
-	delete(sh.conns, k)
-	return true, sh.parkLocked(k, now, rt.period())
+	delete(rt.conns, k)
+	return true, rt.drainLocked(k, now)
 }
 
 // rebindAddr moves a client connection's address-fallback route from
@@ -272,41 +218,39 @@ func (rt *routeTable) rebindAddr(c *Conn, from, to netip.AddrPort) {
 	if !c.isClient {
 		return
 	}
-	rt.removeAddr(from, c)
-	rt.insertAddr(to, c)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.removeAddrLocked(from, c)
+	rt.insertAddrLocked(to, c)
 }
 
 // lookup resolves a destination connection ID to its connection. A nil
 // connection with late set means the ID was retired within the
-// draining period. shard is the shard the ID hashed to. The key is
-// built on the stack, so no per-packet key is allocated.
-func (rt *routeTable) lookup(dstID []byte) (c *Conn, late bool, shard int) {
+// draining period. The key is built on the stack, so no per-packet key
+// is allocated.
+func (rt *routeTable) lookup(dstID []byte) (c *Conn, late bool) {
 	k, ok := keyOf(dstID)
-	shard = k.shard()
 	if !ok {
-		return nil, false, shard
+		return nil, false
 	}
-	sh := &rt.shards[shard]
-	sh.mu.Lock()
-	c = sh.conns[k]
+	rt.mu.Lock()
+	c = rt.conns[k]
 	var parkedAt time.Duration
 	if c == nil {
-		parkedAt, late = sh.draining[k]
+		parkedAt, late = rt.draining[k]
 	}
-	sh.mu.Unlock()
+	rt.mu.Unlock()
 	if late {
 		late = monoNow()-parkedAt <= rt.period()
 	}
-	return c, late, shard
+	return c, late
 }
 
 // lookupAddr resolves the remote-address fallback route.
 func (rt *routeTable) lookupAddr(ap netip.AddrPort) *Conn {
-	sh := &rt.shards[addrShard(ap)]
-	sh.mu.Lock()
-	c := sh.byAddr[ap]
-	sh.mu.Unlock()
-	return c
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.byAddr[ap]
 }
 
 // activeConns is the number of registered connections.
@@ -332,60 +276,56 @@ func (rt *routeTable) close() (conns []*Conn, ok bool) {
 }
 
 func (rt *routeTable) liveConns() []*Conn {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	var conns []*Conn
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		sh.mu.Lock()
-		for _, c := range sh.conns {
-			conns = append(conns, c)
-		}
-		sh.mu.Unlock()
+	for _, c := range rt.conns {
+		conns = append(conns, c)
 	}
 	return conns
 }
 
-// parkLocked adds a retired CID key to the shard's draining set and
-// pops expired entries, returning how many live tombstones the cap
-// evicted. Caller holds the shard mutex.
-func (sh *routeShard) parkLocked(k cidKey, now, period time.Duration) (evicted int) {
-	if sh.draining == nil {
-		sh.draining = make(map[cidKey]time.Duration)
+// drainLocked adds a retired CID key to the draining set and pops
+// expired entries, returning how many live tombstones the cap evicted.
+func (rt *routeTable) drainLocked(k cidKey, now time.Duration) (evicted int) {
+	if rt.draining == nil {
+		rt.draining = make(map[cidKey]time.Duration)
 	}
-	sh.draining[k] = now
-	sh.drainQ = append(sh.drainQ, drainEntry{key: k, at: now})
-	return sh.expireDrainingLocked(now, period)
+	rt.draining[k] = now
+	rt.drainQ = append(rt.drainQ, drainEntry{key: k, at: now})
+	return rt.expireDrainingLocked(now)
 }
 
 // expireDrainingLocked pops expired (or over-cap) entries from the
-// front of the shard's retirement-ordered queue. Entries past the cap
-// are evicted early (their late packets count as drops rather than
-// late packets), bounding memory when connections churn faster than
-// the draining period expires them; it returns how many. The queue is
+// front of the retirement-ordered queue. Entries past the cap are
+// evicted early (their late packets count as drops rather than late
+// packets), bounding memory when connections churn faster than the
+// draining period expires them; it returns how many. The queue is
 // compacted whenever its dead prefix is more than half of it, so its
-// backing array follows the shard's peak of live tombstones rather than
-// how many it has ever parked. Amortized O(1) per retire; caller holds
-// the shard mutex.
-func (sh *routeShard) expireDrainingLocked(now, period time.Duration) (evicted int) {
-	for sh.drainHead < len(sh.drainQ) {
-		e := &sh.drainQ[sh.drainHead]
+// backing array follows the table's peak of live tombstones rather than
+// how many it has ever parked. Amortized O(1) per retire.
+func (rt *routeTable) expireDrainingLocked(now time.Duration) (evicted int) {
+	period := rt.period()
+	for rt.drainHead < len(rt.drainQ) {
+		e := &rt.drainQ[rt.drainHead]
 		expired := now-e.at > period
-		if !expired && len(sh.drainQ)-sh.drainHead <= maxDrainingPerShard {
+		if !expired && len(rt.drainQ)-rt.drainHead <= maxDraining {
 			break
 		}
 		// A key can reappear in the queue only if the same CID was
 		// retired twice; keep the map entry unless it is this one's.
-		if at, ok := sh.draining[e.key]; ok && at == e.at {
-			delete(sh.draining, e.key)
+		if at, ok := rt.draining[e.key]; ok && at == e.at {
+			delete(rt.draining, e.key)
 			if !expired {
 				evicted++
 			}
 		}
-		sh.drainHead++
+		rt.drainHead++
 	}
-	if sh.drainHead > len(sh.drainQ)/2 {
-		n := copy(sh.drainQ, sh.drainQ[sh.drainHead:])
-		sh.drainQ = sh.drainQ[:n]
-		sh.drainHead = 0
+	if rt.drainHead > len(rt.drainQ)/2 {
+		n := copy(rt.drainQ, rt.drainQ[rt.drainHead:])
+		rt.drainQ = rt.drainQ[:n]
+		rt.drainHead = 0
 	}
 	return evicted
 }

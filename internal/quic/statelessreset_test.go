@@ -27,22 +27,6 @@ func TestStatelessResetTokens(t *testing.T) {
 	}
 }
 
-// forget drops every route to c without closing it and without leaving
-// tombstones, simulating a restarted or load-balanced-away endpoint:
-// state lost, not connection closed.
-func (rt *routeTable) forget(c *Conn) {
-	for i := range rt.shards {
-		sh := &rt.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.conns {
-			if v == c {
-				delete(sh.conns, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
 // TestStatelessResetEndToEnd: the server loses connection state; the
 // client's next 1-RTT packet elicits a stateless reset, and the client
 // terminates with errStatelessReset.

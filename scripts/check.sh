@@ -65,6 +65,13 @@ echo "==> sweep receive lifecycle and its counts, 20 runs under -race"
 go test -race -count=20 -run '^TestSweep' ./internal/campaign
 go test -race -count=20 -run '^TestStatsFeedTheirSeries$' ./internal/zmapquic
 
+echo "==> demux under -race, 20 runs"
+# One route table, one lock: connections registered, rebound and
+# retired from many goroutines, a Listener closed under its closing
+# connections, and a Transport closed under dials in set-up (DESIGN.md
+# section 5, Locks).
+go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp)$' ./internal/quic
+
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any

@@ -16,8 +16,8 @@
 # a stack with no such frame is "other" (the test harness, the runtime's
 # own). The last table buckets the same samples by what they belong to:
 #
-#   route table    quic's routeTable and routeShard: live routes and the
-#                  tombstones of closed connections
+#   route table    quic's routeTable: live routes and the tombstones of
+#                  closed connections
 #   zone           the DNS zone (internet's buildZone, dnsserver's NewZone
 #                  and Zone)
 #   domains        the names and the source lists (internet's buildDomains,
@@ -52,7 +52,7 @@ function flush(    i, f, owner, site, bucket) {
 	for (i = 0; i < depth; i++) {
 		f = stack[i]
 		if (bucket == "") {
-			if (f ~ /^quicscan\/internal\/quic\.\(\*route(Table|Shard)\)/) bucket = "route table"
+			if (f ~ /^quicscan\/internal\/quic\.\(\*routeTable\)/) bucket = "route table"
 			else if (f ~ /^quicscan\/internal\/(internet\.\(\*builder\)\.buildZone|dnsserver\.(NewZone|\(\*Zone\)))/) bucket = "zone"
 			else if (f ~ /^quicscan\/internal\/internet\.\(\*builder\)\.(buildDomains|attachDomains|addDomain|buildSourceLists|markSource)/) bucket = "domains"
 			else if (f ~ /^quicscan\/internal\/(internet\.\(\*Universe\)\.startQUICServer|quic\.Listen$|quic\.\(\*Listener\)|h3\.\(\*Server\))/) bucket = "listeners"
