@@ -191,6 +191,12 @@ func main() {
 	}
 
 	printSummary(scanStart)
+	if c := scanner.Capture; c != nil {
+		fmt.Fprintf(os.Stderr, "zmapquic: captured %d packets to %s\n", c.Count(), *pcapFile)
+		if err := c.Err(); err != nil && scanErr == nil {
+			scanErr = fmt.Errorf("capture: %w", err)
+		}
+	}
 	if scanErr != nil {
 		fatal("%v", scanErr)
 	}

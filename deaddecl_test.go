@@ -1,16 +1,23 @@
 package quicscan
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -89,9 +96,9 @@ const (
 // only: what it reports is dead, and a dead declaration that shares its
 // name with anything else in the module (a field, a local, a declaration
 // in another package) goes unreported. Methods are out of its reach for
-// the same reason and are not examined: they are used through
-// interfaces that never name them. There is no allowlist: a report is
-// answered by deleting the declaration or by using it.
+// the same reason, and the fifth rule covers them. There is no
+// allowlist: a report is answered by deleting the declaration or by
+// using it.
 //
 // A second rule holds product code to the same standard: an unexported
 // package-level func or var that only _test.go files name is reported
@@ -110,6 +117,19 @@ const (
 // second rule for exported names: an exported func or var that only P's
 // own test files name is reported.
 //
+// The fifth reads what the program is made of: the six commands and the
+// bench driver, built with inlining off for the module's packages, and
+// each binary's text symbols (go tool nm). A func or method declared in
+// a non-test file under internal/ that the host build compiles is
+// reported when no binary links it and no file outside its package names
+// it (another package's tests may: Go cannot share test files between
+// packages). A generic matches its instantiations. That closes the gap
+// of the rules above: a chain of functions that only call each other,
+// and a method only a test calls. Two kinds of method are exempt,
+// because the linker drops a method no interface call can reach: one
+// that an interface the module declares names (the frameType markers),
+// and one that makes its type satisfy a std interface of stdInterfaces.
+//
 // Run with -v, it logs each package's exported package-level names
 // (types included) and how many another package names.
 func TestNoDeadDeclarations(t *testing.T) {
@@ -121,6 +141,7 @@ func TestNoDeadDeclarations(t *testing.T) {
 	// the exported names under the last two, by package directory.
 	declared := map[*ast.Ident]bool{}
 	exported := map[string]map[string]*exportedDecl{}
+	var funcs []funcDecl // the fifth rule's
 	for _, f := range files {
 		if f.test || !strings.HasPrefix(f.dir, "internal/") {
 			continue
@@ -141,6 +162,9 @@ func TestNoDeadDeclarations(t *testing.T) {
 				if decl.Recv == nil && decl.Name.Name != "init" {
 					declared[decl.Name] = !decl.Name.IsExported()
 					export(decl.Name, &exportedDecl{funcOrVar: true})
+				}
+				if ok, _ := build.Default.MatchFile(f.dir, filepath.Base(fset.Position(decl.Pos()).Filename)); ok && decl.Name.Name != "init" {
+					funcs = append(funcs, funcDecl{decl, f.dir, recvName(decl)})
 				}
 			case *ast.GenDecl:
 				// A const spec without a type or a value repeats the
@@ -181,6 +205,10 @@ func TestNoDeadDeclarations(t *testing.T) {
 	// names its own program files mention.
 	inCode, inTests := map[string]bool{}, map[string]bool{}
 	inOwnCode := map[string]map[string]bool{}
+	// Selector names by the package directories whose files use them,
+	// and the methods the module's interfaces name.
+	selectedIn := map[string]map[string]bool{}
+	ifaceMethods := map[string]bool{}
 	// Who names each exported name, by package directory and name.
 	used := map[[2]string]int{}
 	for _, f := range files {
@@ -214,7 +242,17 @@ func TestNoDeadDeclarations(t *testing.T) {
 				if _, ok := exported[f.dir][n.Name]; ok && f.test && !f.extTest {
 					used[[2]string{f.dir, n.Name}] |= byOwnTest
 				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						ifaceMethods[name.Name] = true
+					}
+				}
 			case *ast.SelectorExpr:
+				if selectedIn[n.Sel.Name] == nil {
+					selectedIn[n.Sel.Name] = map[string]bool{}
+				}
+				selectedIn[n.Sel.Name][f.dir] = true
 				x, ok := n.X.(*ast.Ident)
 				if !ok {
 					break
@@ -286,8 +324,206 @@ func TestNoDeadDeclarations(t *testing.T) {
 	fmt.Fprintf(&table, "%-16s %8d %14d", "total", total, totalOutside)
 	t.Logf("exported package-level names under internal/, and how many another package names:\n%s", table.String())
 
+	linked, err := linkedFuncs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The method names each type under internal/ declares ("dir.T"), for
+	// the std interface exemption.
+	methodsOf := map[string]map[string]bool{}
+	for _, fd := range funcs {
+		if key := fd.dir + "." + fd.recv; fd.recv != "" {
+			if methodsOf[key] == nil {
+				methodsOf[key] = map[string]bool{}
+			}
+			methodsOf[key][fd.Name.Name] = true
+		}
+	}
+	// A function no binary links is reached when another package names
+	// it, and so is every function of its package that a reached
+	// function's body names (the helpers of another package's test
+	// support); the rest is reported.
+	var unlinked, reachedFuncs []funcDecl
+	for _, fd := range funcs {
+		name, key := fd.Name.Name, fd.dir+"."+fd.Name.Name
+		if fd.recv != "" {
+			key = fd.dir + "." + fd.recv + "." + name
+			if ifaceMethods[name] || satisfiesStd(methodsOf[fd.dir+"."+fd.recv], name) {
+				continue
+			}
+		}
+		if linked[key] {
+			continue
+		}
+		namedOutside := false
+		for dir := range selectedIn[name] {
+			namedOutside = namedOutside || (dir != fd.dir && fd.Name.IsExported())
+		}
+		if namedOutside {
+			reachedFuncs = append(reachedFuncs, fd)
+		} else {
+			unlinked = append(unlinked, fd)
+		}
+	}
+	reached := map[[2]string]bool{} // package directory, name
+	for len(reachedFuncs) > 0 {
+		fd := reachedFuncs[len(reachedFuncs)-1]
+		reachedFuncs = reachedFuncs[:len(reachedFuncs)-1]
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !reached[[2]string{fd.dir, id.Name}] {
+				reached[[2]string{fd.dir, id.Name}] = true
+				for _, u := range unlinked {
+					if u.dir == fd.dir && u.Name.Name == id.Name {
+						reachedFuncs = append(reachedFuncs, u)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, fd := range unlinked {
+		if !reached[[2]string{fd.dir, fd.Name.Name}] {
+			name := fd.Name.Name
+			if fd.recv != "" {
+				name = fd.recv + "." + name
+			}
+			dead = append(dead, fset.Position(fd.Name.Pos()).String()+": "+name+
+				" is linked into no command and named by no other package")
+		}
+	}
+
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Error(d)
 	}
+}
+
+// funcDecl is a func or method of a host-built file under internal/,
+// with its package directory and its receiver's type name ("" for a
+// func).
+type funcDecl struct {
+	*ast.FuncDecl
+	dir, recv string
+}
+
+// recvName is the name of the type a method is declared on, or "".
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return ""
+	}
+	typ := fd.Recv.List[0].Type
+	for {
+		switch t := typ.(type) {
+		case *ast.StarExpr:
+			typ = t.X
+		case *ast.IndexExpr:
+			typ = t.X
+		case *ast.IndexListExpr:
+			typ = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// stdInterfaces are the std interfaces whose methods a type under
+// internal/ may hold for std code to call through them, which the
+// linker keeps only where such a call can reach them.
+var stdInterfaces = []reflect.Type{
+	reflect.TypeFor[net.Listener](),
+	reflect.TypeFor[net.PacketConn](),
+	reflect.TypeFor[fmt.Stringer](),
+	reflect.TypeFor[error](),
+	reflect.TypeFor[json.Marshaler](),
+}
+
+// satisfiesStd reports whether method is one of a std interface that a
+// type declaring methods has every method of.
+func satisfiesStd(methods map[string]bool, method string) bool {
+	for _, iface := range stdInterfaces {
+		if _, ok := iface.MethodByName(method); !ok {
+			continue
+		}
+		all := true
+		for i := 0; i < iface.NumMethod(); i++ {
+			all = all && methods[iface.Method(i).Name]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// linkedFuncs builds the commands and the bench driver once per process,
+// with inlining off for the module's packages so that no function of
+// ours is linked only as inlined code, and returns what their text
+// symbols hold: for each function "dir.F" and for each method
+// "dir.T.M", dir its package directory below the module, with generic
+// instantiations folded into their generic.
+var linkedFuncs = sync.OnceValues(func() (map[string]bool, error) {
+	dir, err := os.MkdirTemp("", "deaddecl")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	build := exec.Command("go", "build", "-gcflags="+modulePath+"/...=-l", "-o", dir+string(filepath.Separator), "./cmd/...", "./bench")
+	if out, err := build.CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("building the commands: %v\n%s", err, out)
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	linked := map[string]bool{}
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", "-type", filepath.Join(dir, bin.Name())).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go tool nm %s: %v", bin.Name(), err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			fields := strings.Fields(line)
+			if len(fields) < 3 || (fields[1] != "T" && fields[1] != "t") {
+				continue
+			}
+			sym, ok := strings.CutPrefix(stripTypeArgs(strings.Join(fields[2:], " ")), modulePath+"/")
+			if !ok {
+				continue
+			}
+			// The package path ends at the first dot after its last slash.
+			slash := strings.LastIndex(sym, "/")
+			dot := strings.Index(sym[slash+1:], ".")
+			if slash < 0 || dot < 0 {
+				continue
+			}
+			pkg, rest := sym[:slash+1+dot], sym[slash+2+dot:]
+			// (*T).M is T.M; F.func1 is a closure inside F.
+			parts := strings.Split(strings.NewReplacer("(*", "", ")", "").Replace(rest), ".")
+			linked[pkg+"."+parts[0]] = true
+			if len(parts) > 1 {
+				linked[pkg+"."+parts[0]+"."+parts[1]] = true
+			}
+		}
+	}
+	return linked, nil
+})
+
+// stripTypeArgs drops every bracketed type-argument list from a symbol,
+// so that an instantiation reads as its generic.
+func stripTypeArgs(sym string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range sym {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }

@@ -25,7 +25,9 @@ const (
 	snapLen     = 65535
 )
 
-// Writer emits a pcap stream. Safe for concurrent use.
+// Writer emits a pcap stream. Safe for concurrent use. The first error
+// stops it: a packet it cannot synthesize or a write that fails is kept,
+// returned by every later WriteUDP, and reported by Err.
 type Writer struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -55,21 +57,25 @@ func (pw *Writer) Count() int {
 	return pw.n
 }
 
+// Err returns the error that stopped the capture, or nil.
+func (pw *Writer) Err() error {
+	pw.mu.Lock()
+	defer pw.mu.Unlock()
+	return pw.err
+}
+
 // WriteUDP records one UDP payload exchanged between src and dst,
 // wrapping it in synthesized IP/UDP headers.
 func (pw *Writer) WriteUDP(ts time.Time, src, dst netip.AddrPort, payload []byte) error {
 	pkt, err := buildIPUDP(src, dst, payload)
-	if err != nil {
-		return err
-	}
-	return pw.writeRecord(ts, pkt)
-}
-
-func (pw *Writer) writeRecord(ts time.Time, pkt []byte) error {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	if pw.err != nil {
 		return pw.err
+	}
+	if err != nil {
+		pw.err = err
+		return err
 	}
 	if len(pkt) > snapLen {
 		pkt = pkt[:snapLen]

@@ -225,10 +225,10 @@ func TestFrameStorageNotRetained(t *testing.T) {
 // decoder, per-space loss and ACK state) so that the packet path
 // allocates nothing, and the runtime rounds the one allocation that
 // holds it all up to a size class; a scan pays for two connections per
-// target. 3,456 bytes is a class. The next is 4,096: the class items
-// that add per-connection state (a flight recorder, drop counts by
-// reason) may deliberately move Conn into, if what they add is worth
-// 640 bytes twice per target.
+// target. 3,456 bytes is a class, and at 3,232 bytes Conn leaves 224 of
+// it free. The next is 4,096: the class items that add per-connection
+// state (a flight recorder, drop counts by reason) may deliberately move
+// Conn into, if what they add is worth 640 bytes twice per target.
 func TestConnFitsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Conn{}); size > 3456 {
 		t.Errorf("Conn is %d bytes: past the 3,456-byte size class, into the 4,096-byte one", size)

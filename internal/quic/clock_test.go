@@ -11,8 +11,8 @@ import (
 )
 
 // TestConnHasOneTimer: a connection keeps one clock. Its handshake/idle,
-// PTO, path-probe and migration deadlines are times that one timer
-// serves, so no other field of Conn holds a timer, and no path does.
+// PTO and path-probe deadlines are times that one timer serves, so no
+// other field of Conn holds a timer, and no path does.
 func TestConnHasOneTimer(t *testing.T) {
 	if n := countTimers(reflect.TypeOf(Conn{})); n != 1 {
 		t.Errorf("Conn holds %d timers, want 1", n)

@@ -248,7 +248,7 @@ type Stats struct {
 	// round trips; PathValidationFailures counts probes abandoned after
 	// their retry budget.
 	PathValidations, PathValidationFailures int
-	// Migrations counts active-path switches (both deliberate client
-	// migrations and server-side promotions after a peer address change).
+	// Migrations counts active-path switches: a server's promotions of a
+	// validated path after its peer's address changed.
 	Migrations int
 }

@@ -144,17 +144,6 @@ type Conn struct {
 	rxDgramLen int
 	dcidSeq    uint64 // sequence number of the peer CID in c.dcid
 
-	// Guarded by c.mu: client-initiated migration (migrate). The
-	// outstanding challenge rides the normal send queue, so it needs no
-	// pathState. migrDone is closed when the peer answers it; until then
-	// the connection's timer resends it at migrDeadline, backing off by
-	// how often it was sent.
-	migrChallenge        [8]byte
-	migrChallengePending bool
-	migrDone             chan struct{}
-	migrDeadline         time.Time
-	migrSent             int
-
 	// Guarded by c.mu: connection IDs this endpoint issued (sequence 0
 	// is scid); the endpoint's retire parks every one still listed here.
 	localCIDs       []localConnID
@@ -162,12 +151,12 @@ type Conn struct {
 
 	// Guarded by c.mu. timer is the connection's one clock:
 	// armTimerLocked points it at the earliest of the deadlines below
-	// (and migrDeadline and each path's probe deadline), and onTimer runs
-	// whichever are due. A zero deadline is disarmed. idleDeadline is the
-	// handshake deadline until the handshake completes and the idle
-	// deadline afterwards; ptoDeadline is the next retransmission,
-	// ptoCount expirations into the backoff. ackedCh is closed, and
-	// cleared, once nothing ack-eliciting is in flight; Ping waits on it.
+	// (and each path's probe deadline), and onTimer runs whichever are
+	// due. A zero deadline is disarmed. idleDeadline is the handshake
+	// deadline until the handshake completes and the idle deadline
+	// afterwards; ptoDeadline is the next retransmission, ptoCount
+	// expirations into the backoff. ackedCh is closed, and cleared, once
+	// nothing ack-eliciting is in flight; Ping waits on it.
 	timer        *time.Timer
 	idleDeadline time.Time
 	ptoDeadline  time.Time

@@ -45,7 +45,6 @@ func (c *Conn) armTimerLocked() {
 		return
 	}
 	next := earlier(c.idleDeadline, c.ptoDeadline)
-	next = earlier(next, c.migrDeadline)
 	for _, p := range c.paths {
 		next = earlier(next, p.deadline)
 	}
@@ -75,11 +74,10 @@ func due(at, now time.Time) bool { return !at.IsZero() && !now.Before(at) }
 // onTimer runs every deadline that is due, in a fixed order, and
 // re-arms the timer to the earliest one left. The handshake/idle
 // deadline runs first, since a dead connection retransmits nothing;
-// then the PTO; then path probes and the migration challenge. There is
-// one stale-fire rule for all of them: a deadline that moved after the
-// timer fired is simply not due (Stop and Reset cannot recall a
-// callback that has already started and is waiting for mu), so a fire
-// that finds nothing due only re-arms.
+// then the PTO; then path probes. There is one stale-fire rule for all
+// of them: a deadline that moved after the timer fired is simply not
+// due (Stop and Reset cannot recall a callback that has already started
+// and is waiting for mu), so a fire that finds nothing due only re-arms.
 func (c *Conn) onTimer() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -100,9 +98,6 @@ func (c *Conn) onTimer() {
 			p.deadline = time.Time{}
 			c.onPathTimeoutLocked(p, now)
 		}
-	}
-	if due(c.migrDeadline, now) && !c.isClosed() {
-		c.sendMigrChallengeLocked(now)
 	}
 	c.armTimerLocked()
 }
@@ -139,8 +134,8 @@ func (c *Conn) armPTOLocked() {
 }
 
 // backoff is the retransmission interval after n expirations: PTO
-// doubled n times, capped at MaxPTOBackoff. Path probes and the
-// migration challenge back off on the same schedule.
+// doubled n times, capped at MaxPTOBackoff. Path probes back off on
+// the same schedule.
 func (c *Conn) backoff(n int) time.Duration {
 	d := c.cfg.PTO << min(n, 16)
 	if c.cfg.MaxPTOBackoff > 0 && d > c.cfg.MaxPTOBackoff {

@@ -15,9 +15,9 @@ import (
 // pair traffic currently flows on — plus up to maxPaths alternates in
 // various states of validation. Servers react to a peer address change
 // by validating the new path with PATH_CHALLENGE before redirecting
-// traffic to it; clients change paths only deliberately (migrate),
-// because a server's packets may legitimately arrive from addresses
-// the client never sent to (a load balancer's egress).
+// traffic to it. A client never changes paths itself: the scanner does
+// not migrate, and a server's packets may legitimately arrive from
+// addresses the client never sent to (a load balancer's egress).
 
 // maxPaths bounds the per-connection alternate path set; an attacker
 // spraying spoofed source addresses must not grow connection state
@@ -341,15 +341,6 @@ func (c *Conn) handlePathChallengeLocked(data [8]byte) {
 // may arrive from a different address than the challenge probed
 // (RFC 9000, Section 8.2.3).
 func (c *Conn) handlePathResponseLocked(data [8]byte) {
-	if c.migrChallengePending && c.migrChallenge == data {
-		c.migrChallengePending = false
-		c.migrDeadline = time.Time{}
-		close(c.migrDone)
-		c.migrDone = nil
-		c.stats.PathValidations++
-		c.stats.Migrations++
-		return
-	}
 	for _, p := range c.paths {
 		if p.status == pathValidating && p.challenge == data {
 			p.status = pathValidated
@@ -479,45 +470,4 @@ func (c *Conn) handleRetireConnIDLocked(fr *quicwire.RetireConnectionIDFrame) {
 		c.ep.removeConnID(c, retired.id)
 	}
 	c.issueConnIDsLocked(1)
-}
-
-// nextPeerConnIDLocked picks the lowest-sequence peer-issued
-// connection ID newer than the one in use and not reserved by a path.
-func (c *Conn) nextPeerConnIDLocked() (peerConnID, bool) {
-	best := peerConnID{}
-	found := false
-	for _, pc := range c.peerConnIDs {
-		if pc.seq <= c.dcidSeq {
-			continue
-		}
-		reserved := false
-		for _, p := range c.paths {
-			if p.dcid != nil && p.dcidSeq == pc.seq {
-				reserved = true
-				break
-			}
-		}
-		if reserved {
-			continue
-		}
-		if !found || pc.seq < best.seq {
-			best = pc
-			found = true
-		}
-	}
-	return best, found
-}
-
-// sendMigrChallengeLocked sends the outstanding migration challenge
-// and arms its resend one backoff interval later. The challenge rides
-// the normal send queue: it must leave from the (already rebound)
-// local socket toward the active peer address, and queueing it makes
-// it loss-tracked, so PTO retransmission covers probe loss.
-func (c *Conn) sendMigrChallengeLocked(now time.Time) {
-	c.migrDeadline = now.Add(c.backoff(c.migrSent))
-	c.migrSent++
-	c.stats.PathChallengesSent++
-	c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-		&quicwire.PathChallengeFrame{Data: c.migrChallenge})
-	c.sendPendingLocked()
 }

@@ -2,10 +2,10 @@ package quic
 
 import (
 	"context"
-	crand "crypto/rand"
 	"errors"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -226,7 +226,7 @@ func testMigrateHonorsDisable(t *testing.T) {
 	w.serverConn(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	err := w.client.migrate(ctx, false)
+	err := migrate(ctx, w.client, false)
 	cancel()
 	if !errors.Is(err, errMigrationDisabled) {
 		t.Fatalf("migrate = %v, want errMigrationDisabled", err)
@@ -236,7 +236,7 @@ func testMigrateHonorsDisable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
-	err = w.client.migrate(ctx, true)
+	err = migrate(ctx, w.client, true)
 	cancel()
 	if !errors.Is(err, errPathValidationFailed) {
 		t.Fatalf("forced migrate = %v, want errPathValidationFailed", err)
@@ -428,7 +428,7 @@ func testForcedFlowsAgainstDisabled(t *testing.T) {
 			return f
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), lossyStage)
-		f.rejected = errors.Is(c.migrate(ctx, true), errPathValidationFailed)
+		f.rejected = errors.Is(migrate(ctx, c, true), errPathValidationFailed)
 		cancel()
 		f.completed = pingWithin(c) == nil
 		return f
@@ -464,7 +464,7 @@ func TestMigrateRotatesActivePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	err := w.client.migrate(ctx, false)
+	err := migrate(ctx, w.client, false)
 	cancel()
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
@@ -506,7 +506,7 @@ func TestCIDChurn(t *testing.T) {
 
 	for i := 0; i < 12; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err := w.client.migrate(ctx, false)
+		err := migrate(ctx, w.client, false)
 		cancel()
 		if err != nil {
 			t.Fatalf("migrate %d: %v", i, err)
@@ -588,73 +588,61 @@ var errMigrationDisabled = errors.New("quic: peer disabled active migration")
 // answered the PATH_CHALLENGE retries.
 var errPathValidationFailed = errors.New("quic: path validation failed")
 
-// migrate performs client-initiated active migration on the current
-// socket: it rotates to a fresh peer-issued destination connection ID,
-// retires the old one, and validates the (possibly rebound) path with
-// a PATH_CHALLENGE, blocking until the peer's PATH_RESPONSE arrives,
-// the connection dies, or ctx expires. It fails fast with
-// errMigrationDisabled when the peer's transport parameters forbid
-// active migration, unless force is set: force makes a client migrate
-// against a server that forbids it. The scanner never migrates, so the
-// client half lives here, as the harness that drives a server's path
-// validation.
-func (c *Conn) migrate(ctx context.Context, force bool) error {
+// migrate moves a connection's client half the way a client that
+// changes paths deliberately would, through the machinery that ships:
+// it rotates to the lowest unused peer-issued destination connection
+// ID (RFC 9000, Section 9.5), retiring the one in use, and validates the
+// active path with a PATH_CHALLENGE of its own (a pathState, as a
+// server's rebound peer gets), blocking until the PATH_RESPONSE lands,
+// the path fails, the connection dies, or ctx expires. The socket
+// rebind that moves the client is the caller's (simnet's Rebind). It
+// refuses with errMigrationDisabled when the peer's transport
+// parameters forbid active migration, unless force is set: force
+// migrates against a server that forbids it. The scanner never
+// migrates, so this is the harness that drives a server's side.
+func migrate(ctx context.Context, c *Conn, force bool) error {
 	c.mu.Lock()
-	if !c.handshakeDone {
-		c.mu.Unlock()
-		return errors.New("quic: migrate before handshake completion")
-	}
-	if c.isClosed() {
-		err := c.closeErr
-		c.mu.Unlock()
-		return err
-	}
-	if !force && c.havePeerParams && c.peerParams.DisableActiveMigration {
+	if !force && c.peerParams.DisableActiveMigration {
 		c.mu.Unlock()
 		return errMigrationDisabled
 	}
-	// Rotate the destination connection ID so the new path is not
-	// linkable to the old one (RFC 9000, Section 9.5).
-	if next, ok := c.nextPeerConnIDLocked(); ok {
-		retired := c.dcidSeq
-		c.dcid = append(quicwire.ConnID(nil), next.id...)
-		c.dcidSeq = next.seq
-		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
-			&quicwire.RetireConnectionIDFrame{SequenceNumber: retired})
-	}
-	if _, err := crand.Read(c.migrChallenge[:]); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	c.migrChallengePending = true
-	if c.migrDone == nil {
-		c.migrDone = make(chan struct{})
-	}
-	done := c.migrDone
-	// Retransmit the challenge on the connection's timer, not only by
-	// loss recovery: the datagram that carried it may be ACKed (loss
-	// recovery will never resend it) while the peer's PATH_RESPONSE is
-	// still blocked behind its anti-amplification budget, so only fresh
-	// challenges — which credit that budget — break the deadlock (RFC
-	// 9000, Section 8.2.1).
-	c.migrSent = 0
-	c.sendMigrChallengeLocked(time.Now())
-	c.mu.Unlock()
-
-	select {
-	case <-done:
-		return nil
-	case <-c.closed:
-		return c.Err()
-	case <-ctx.Done():
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.isClosed() {
-			return c.closeErr // its Stats are final, and published
+	next := -1
+	for i, pc := range c.peerConnIDs {
+		if pc.seq > c.dcidSeq && (next < 0 || pc.seq < c.peerConnIDs[next].seq) {
+			next = i
 		}
-		c.migrChallengePending = false
-		c.migrDeadline = time.Time{}
-		c.stats.PathValidationFailures++
-		return errPathValidationFailed
+	}
+	if next >= 0 {
+		c.spaces[spaceApp].outFrames = append(c.spaces[spaceApp].outFrames,
+			&quicwire.RetireConnectionIDFrame{SequenceNumber: c.dcidSeq})
+		c.dcid, c.dcidSeq = c.peerConnIDs[next].id, c.peerConnIDs[next].seq
+	}
+	p := &pathState{remote: c.remote, ap: c.activeAP}
+	c.paths = append(c.paths, p)
+	c.startPathValidationLocked(p)
+	c.sendPendingLocked()
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.paths = slices.DeleteFunc(c.paths, func(q *pathState) bool { return q == p })
+		c.mu.Unlock()
+	}()
+	for {
+		c.mu.Lock()
+		status := p.status
+		c.mu.Unlock()
+		switch status {
+		case pathValidated:
+			return nil
+		case pathFailed:
+			return errPathValidationFailed
+		}
+		select {
+		case <-c.closed:
+			return c.Err()
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"quicscan/internal/quicwire"
@@ -187,25 +186,6 @@ func (s *Stream) connClosed(err error) {
 // delivered; a FIN-only frame arriving ahead of retransmitted data must
 // not truncate the stream.
 func (s *Stream) complete() bool { return s.recvFin && s.recvOff >= s.finOff }
-
-// Read implements io.Reader. It returns io.EOF after the peer's FIN
-// once all data has been consumed.
-func (s *Stream) Read(p []byte) (int, error) {
-	s.conn.mu.Lock()
-	defer s.conn.mu.Unlock()
-	for len(s.recvBuf) == 0 {
-		if s.complete() {
-			return 0, io.EOF
-		}
-		if s.resetErr != nil {
-			return 0, s.resetErr
-		}
-		s.cond.Wait()
-	}
-	n := copy(p, s.recvBuf)
-	s.recvBuf = s.recvBuf[n:]
-	return n, nil
-}
 
 // ReadAll waits until every byte up to the peer's FIN has arrived and
 // returns the bytes not yet read, or until the stream is reset, the

@@ -254,3 +254,23 @@ func TestWriteCloseRace(t *testing.T) {
 		}
 	}
 }
+
+// Read implements io.Reader for the tests, which read a stream piecewise;
+// the program reads a whole stream with ReadAll. It returns io.EOF after
+// the peer's FIN once all data has been consumed.
+func (s *Stream) Read(p []byte) (int, error) {
+	s.conn.mu.Lock()
+	defer s.conn.mu.Unlock()
+	for len(s.recvBuf) == 0 {
+		if s.complete() {
+			return 0, io.EOF
+		}
+		if s.resetErr != nil {
+			return 0, s.resetErr
+		}
+		s.cond.Wait()
+	}
+	n := copy(p, s.recvBuf)
+	s.recvBuf = s.recvBuf[n:]
+	return n, nil
+}

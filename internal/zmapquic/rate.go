@@ -9,10 +9,10 @@ import (
 // Limiter is the token bucket every probe of a scan draws from: one per
 // ScanAddrs call, one per campaign shared by all of its workers, so the
 // configured rate is a global budget — the ZMap-style ethical ceiling —
-// however many goroutines send. Refill is computed from elapsed wall
-// time on each draw, in floating point, so no rate truncates (1999/s
-// accrues 1.999 tokens per millisecond). The bucket starts full and
-// holds 10 ms of budget: at least one token, and at most two send
+// however many goroutines send. Refill is computed from the time
+// elapsed since the last draw, in floating point, so no rate truncates
+// (1999/s accrues 1.999 tokens per millisecond). The bucket starts full
+// and holds 10 ms of budget: at least one token, and at most two send
 // batches, since at very high rates 10 ms would admit thousands of
 // probes back to back. That burst absorbs scheduler jitter without
 // letting the long-run rate drift. A nil Limiter is unlimited.
@@ -40,12 +40,11 @@ func NewLimiter(rate int) *Limiter {
 	return &Limiter{rate: float64(rate), burst: burst, tokens: burst, last: time.Now()}
 }
 
-// take refills the bucket and takes a token if one is there; otherwise
-// it returns how long until one will be.
-func (l *Limiter) take() (ok bool, wait time.Duration) {
+// take refills the bucket for the time up to now and takes a token if
+// one is there; otherwise it returns how long until one will be.
+func (l *Limiter) take(now time.Time) (ok bool, wait time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := time.Now()
 	l.tokens += now.Sub(l.last).Seconds() * l.rate
 	if l.tokens > l.burst {
 		l.tokens = l.burst
@@ -65,7 +64,7 @@ func (l *Limiter) tryTake() bool {
 	if l == nil {
 		return true
 	}
-	ok, _ := l.take()
+	ok, _ := l.take(time.Now())
 	return ok
 }
 
@@ -75,7 +74,7 @@ func (l *Limiter) Wait(ctx context.Context) error {
 		return nil
 	}
 	for {
-		ok, wait := l.take()
+		ok, wait := l.take(time.Now())
 		if ok {
 			return nil
 		}

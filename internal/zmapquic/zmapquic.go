@@ -186,7 +186,7 @@ func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
 		if s.Capture != nil {
 			for i := range b.msgs[:sent] {
 				m := &b.msgs[i]
-				s.Capture.WriteUDP(time.Now(), s.localAddrPort(), m.Addr, m.Buf[:m.N])
+				s.Capture.WriteUDP(time.Now(), s.localAddrPort(m.Addr.Addr()), m.Addr, m.Buf[:m.N])
 			}
 		}
 		mBatchProbes.Add(uint64(sent))
@@ -439,7 +439,7 @@ func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, f
 			}
 			addr, pkt := m.Addr.Addr().Unmap(), m.Buf[:m.N]
 			if s.Capture != nil {
-				s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, m.Addr.Port()), s.localAddrPort(), pkt)
+				s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, m.Addr.Port()), s.localAddrPort(addr), pkt)
 			}
 			versions, ok := s.ValidateResponse(addr, pkt)
 			if !ok {
@@ -615,17 +615,20 @@ func (s *Scanner) scanPass(ctx context.Context, addrs []netip.Addr, limiter *Lim
 	}, hit)
 }
 
-// localAddrPort resolves the scanning socket's own address.
-func (s *Scanner) localAddrPort() netip.AddrPort {
-	if ap, err := toAddrPort(s.Conn.LocalAddr()); err == nil {
-		return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+// localAddrPort resolves the scanning socket's own address as the
+// capture records it for traffic with peer. A socket bound to the
+// wildcard ([::]:p, 0.0.0.0:p) has no address of its own, so the
+// peer's family's unspecified address stands in for it.
+func (s *Scanner) localAddrPort(peer netip.Addr) netip.AddrPort {
+	var ap netip.AddrPort
+	if ua, ok := s.Conn.LocalAddr().(*net.UDPAddr); ok {
+		ap = ua.AddrPort()
 	}
-	return netip.AddrPortFrom(netip.IPv4Unspecified(), 0)
-}
-
-func toAddrPort(addr net.Addr) (netip.AddrPort, error) {
-	if ua, ok := addr.(*net.UDPAddr); ok {
-		return ua.AddrPort(), nil
+	if a := ap.Addr().Unmap(); a.IsValid() && !a.IsUnspecified() {
+		return netip.AddrPortFrom(a, ap.Port())
 	}
-	return netip.AddrPort{}, net.InvalidAddrError("not a UDP address")
+	if peer.Unmap().Is4() {
+		return netip.AddrPortFrom(netip.IPv4Unspecified(), ap.Port())
+	}
+	return netip.AddrPortFrom(netip.IPv6Unspecified(), ap.Port())
 }

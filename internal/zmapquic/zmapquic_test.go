@@ -3,6 +3,7 @@ package zmapquic
 import (
 	"bytes"
 	"context"
+	"net"
 	"net/netip"
 	"strings"
 	"sync/atomic"
@@ -501,6 +502,54 @@ func TestScanWithCapture(t *testing.T) {
 	}
 	if buf.Len() <= 24 {
 		t.Error("capture file empty")
+	}
+}
+
+// TestScanWithCaptureOnKernelSocket: on a kernel socket bound to the
+// wildcard, as cmd/zmapquic binds its own, the socket has no address of
+// its own to put in the synthesized IP header; the target's family's
+// unspecified address stands in, and every probe and every response is
+// captured. (simnet's sockets have a concrete IPv4 address, so
+// TestScanWithCapture cannot see this.)
+func TestScanWithCaptureOnKernelSocket(t *testing.T) {
+	responder, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer responder.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, from, err := responder.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			if hdr, _, err := quicwire.ParseLongHeader(buf[:n]); err == nil && hdr.Version.IsForcedNegotiation() {
+				responder.WriteTo(quicwire.AppendVersionNegotiation(nil, hdr.SrcID, hdr.DstID, 0,
+					[]quicwire.Version{quicwire.VersionDraft29}), from)
+			}
+		}
+	}()
+	pc, err := net.ListenPacket("udp", ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Scanner{Conn: pc, Port: uint16(responder.LocalAddr().(*net.UDPAddr).Port), Cooldown: 200 * time.Millisecond, Capture: w}
+	results, stats, err := s.ScanAddrs(context.Background(), []netip.Addr{netip.MustParseAddr("127.0.0.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || stats.ProbesSent != 1 {
+		t.Fatalf("%d results from %d probes, want 1 of each", len(results), stats.ProbesSent)
+	}
+	if got, want := w.Count(), stats.ProbesSent+stats.Responses; got != want || w.Err() != nil {
+		t.Errorf("captured %d packets (error %v), want %d: the probes and the responses", got, w.Err(), want)
 	}
 }
 

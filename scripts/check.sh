@@ -32,8 +32,9 @@ go vet ./...
 
 echo "==> dead declarations (deaddecl_test.go)"
 # A package-level func, type or var under internal/ that nothing in the
-# module names. It is a tier-1 test and so runs again below; it is named
-# here because a failure is a request to delete, and says so sooner.
+# module names, and a func or method no command links. It is a tier-1
+# test and so runs again below; it is named here because a failure is a
+# request to delete, and says so sooner.
 go test -count=1 -run '^TestNoDeadDeclarations$' .
 
 echo "==> cross-build (darwin) and the portable netbatch fallback"
@@ -123,17 +124,22 @@ for procs in 1 2 4; do
 done
 go test -race -p 1 -count=1 -run '^Example' $examples
 
-echo "==> seed-42 report and TSVs equal the committed ones"
+echo "==> seed-42 report and TSVs equal the committed ones, then the reach census"
 # report.txt and results/ are what this command writes, byte for byte;
 # the manifest.json beside them holds wall-clock values and is not
 # committed. The three behavioural modes ride along so that their tables
-# (FINGERPRINT, MIGRATION, RESUMPTION) are byte-compared too. About 50 s,
-# which is why it is here and not a tier-1 test.
+# (FINGERPRINT, MIGRATION, RESUMPTION) are byte-compared too. The run is
+# the first workload of scripts/reach.sh, made by the commands built with
+# coverage; the census of the functions no command enters follows it
+# (DESIGN.md section 19). About 80 s, which is why it is here and not a
+# tier-1 test.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-go run ./cmd/experiments -scale 2048 -seed 42 -fingerprint -migration -resumption -out "$tmp/report.txt" -tsv "$tmp/results"
-diff report.txt "$tmp/report.txt"
-diff -r --exclude=manifest.json results "$tmp/results"
+reach=0
+./scripts/reach.sh "$tmp/reach" || reach=$?
+diff report.txt "$tmp/reach/report.txt"
+diff -r --exclude=manifest.json results "$tmp/reach/results"
+[ "$reach" -eq 0 ]
 
 echo "==> fuzz smoke"
 FUZZTIME=${FUZZTIME:-5s} ./scripts/fuzz-smoke.sh
