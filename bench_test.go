@@ -680,12 +680,15 @@ func BenchmarkEngineSweep(b *testing.B) {
 //
 // stateful is the VN scan of BenchmarkScanSocketChurn/shared-transport,
 // held under 5 % ("overhead_pct"). sweep is newEngineSweep, where two
-// workers update the same eight metrics for every probe, held under
+// workers update the same seven metrics for every probe, held under
 // 25 % ("sweep_overhead_pct": 64 % while a Counter was one shared
-// word, ≈ 10 % since it is cells). The 5 % bar cannot hold there: eight
-// updates of ≈ 5 ns on a ≈ 280 ns probe are more than that by
-// themselves. Contention needs two Ps, so scripts/check.sh runs sweep
-// at -cpu 2 and stateful, whose median swings with two, at -cpu 1.
+// word, ≈ 10 % once it was cells, and ≈ 20 % — 16.6 to 23.5 % over
+// five runs of fifty pairs — since simnet's send path stopped sharing
+// words, which made the probe cheaper and left the updates as they
+// were). The 5 % bar cannot hold there: seven updates of ≈ 5 ns on a
+// ≈ 170 ns probe are more than that by themselves. Contention needs
+// two Ps, so scripts/check.sh runs sweep at -cpu 2 and stateful, whose
+// median swings with two, at -cpu 1.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	for _, arm := range []struct {
 		name, metric string

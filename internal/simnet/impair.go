@@ -133,7 +133,8 @@ func (n *Network) SetPrefixProfile(prefix netip.Prefix, p Profile) {
 
 // ImpairmentStats returns a snapshot of the impairment counters.
 func (n *Network) ImpairmentStats() ImpairmentStats {
-	c := func(f fate) int { return int(n.fates[f].Load()) }
+	fates := n.fates()
+	c := func(f fate) int { return int(fates[f]) }
 	return ImpairmentStats{Delivered: c(fateDelivered), Lost: c(fateLost), Corrupted: c(fateCorrupted),
 		Duplicated: c(fateDuplicated), Reordered: c(fateReordered), MTUDropped: c(fateMTUDropped)}
 }
@@ -219,18 +220,28 @@ func (v verdict) flip(b []byte) {
 	}
 }
 
-// count records v: each fate in the network's counts.
-func (n *Network) count(v verdict) {
+// count records v: each fate in the row's counts.
+func (row *trafficRow) count(v verdict) {
 	for f, times := range v.fates {
 		if times > 0 {
-			n.fates[f].Add(int64(times))
+			row.fates[f].Add(int64(times))
 		}
 	}
 }
 
+// fates sums the rows' fate counts.
+func (n *Network) fates() (sum [numFates]int64) {
+	for i := range n.traffic {
+		for f := range sum {
+			sum[f] += n.traffic[i].fates[f].Load()
+		}
+	}
+	return sum
+}
+
 func (n *Network) readCounts(rd *telemetry.Reading) {
-	for f := range n.fates {
-		rd.Count(fateMetrics[f], uint64(n.fates[f].Load()))
+	for f, times := range n.fates() {
+		rd.Count(fateMetrics[f], uint64(times))
 	}
 }
 

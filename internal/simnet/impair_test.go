@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"quicscan/internal/telemetry"
 )
 
 // drain reads every datagram arriving at pc within the window and
@@ -249,66 +251,97 @@ func TestSyntheticImpairedBothWays(t *testing.T) {
 	}
 }
 
-// TestTrafficCountersExactUnderConcurrentWriters: the per-datagram
-// counters are updated without a lock, and must still add up to the
-// datagram: on a perfect network, and when half the traffic crosses a
-// lossy link.
+// TestTrafficCountersExactUnderConcurrentWriters: the traffic counts
+// are rows of atomics that each sender picks by its goroutine, and must
+// still add up to the datagram when eight goroutines send on one
+// socket: over a perfect link, and over a link to a lossy prefix that
+// also delays, reorders, duplicates, corrupts and drops at its MTU.
+// Each writer has a flow of its own, so its fates are the verdicts of
+// indices 0..perWriter-1 at its datagram size, and replaying judge
+// gives their exact sums; every fate occurs. UDPTraffic,
+// ImpairmentStats and the registry's simnet_* series hold those sums,
+// before Close and after it, which detaches the series.
 func TestTrafficCountersExactUnderConcurrentWriters(t *testing.T) {
-	const writers, perWriter, size = 8, 50000, 48
-	lossy := netip.MustParsePrefix("203.0.113.0/24")
+	const writers, perWriter, seed = 8, 20000, 3
+	const sent = writers * perWriter
+	// Odd writers send datagrams over the impaired link's MTU.
+	size := func(w int) int { return 48 + w%2*1300 }
+	dst := func(w int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(w)}), 443)
+	}
+	series := [numFates]string{"simnet_delivered_total", "simnet_lost_total", "simnet_corrupted_total",
+		"simnet_duplicated_total", "simnet_reordered_total", "simnet_mtu_dropped_total"}
 	for _, c := range []struct {
 		name    string
 		profile Profile
 	}{
 		{"perfect", Profile{}},
-		{"lossy-prefix", Profile{Loss: 0.3}},
+		{"lossy-prefix", Profile{Loss: 0.2, Latency: time.Millisecond, Reorder: 0.1, Duplicate: 0.1, Corrupt: 0.1, MTU: 1200}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			n := New(Config{Seed: 3})
+			base := telemetry.Default().Snapshot().Counters
+			n := New(Config{Seed: seed})
 			defer n.Close()
-			n.SetPrefixProfile(lossy, c.profile)
+			n.SetPrefixProfile(netip.MustParsePrefix("203.0.113.0/24"), c.profile)
+			pc, err := n.DialUDP()
+			if err != nil {
+				t.Fatal(err)
+			}
 			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
+			for w := range writers {
 				wg.Add(1)
-				go func(w int) {
+				go func() {
 					defer wg.Done()
-					pc, err := n.DialUDP()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer pc.Close()
-					// Nobody listens at either: the datagrams are judged,
+					// Nobody listens at to: each datagram is judged,
 					// counted and gone.
-					dsts := []net.Addr{
-						net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(w)}), 443)),
-						net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.AddrFrom4([4]byte{192, 0, 2, byte(w)}), 443)),
-					}
-					payload := make([]byte, size)
-					for i := 0; i < perWriter; i++ {
-						if _, err := pc.WriteTo(payload, dsts[i%2]); err != nil {
+					payload := make([]byte, size(w))
+					to := net.UDPAddrFromAddrPort(dst(w))
+					for range perWriter {
+						if _, err := pc.WriteTo(payload, to); err != nil {
 							t.Error(err)
 							return
 						}
 					}
-				}(w)
+				}()
 			}
 			wg.Wait()
 
-			const sent = writers * perWriter
-			if datagrams, bytes := n.UDPTraffic(); datagrams != sent || bytes != sent*size {
-				t.Errorf("UDPTraffic() = %d datagrams, %d bytes; want %d, %d", datagrams, bytes, sent, sent*size)
+			var want [numFates]int64
+			var bytes int64
+			from := pc.LocalAddr().(*net.UDPAddr).AddrPort()
+			for w := range writers {
+				bytes += int64(perWriter * size(w))
+				for i := range uint64(perWriter) {
+					for f, times := range judge(c.profile, &fateKey{seed: seed, from: from, to: dst(w), index: i}, size(w)).fates {
+						want[f] += int64(times)
+					}
+				}
 			}
-			st := n.ImpairmentStats()
-			if st.Delivered+st.Lost != sent {
-				t.Errorf("Delivered %d + Lost %d = %d, want the %d datagrams sent", st.Delivered, st.Lost, st.Delivered+st.Lost, sent)
+			for f, times := range want {
+				if c.profile != (Profile{}) && times == 0 {
+					t.Fatalf("no datagram met fate %d", f)
+				}
 			}
-			if c.profile == (Profile{}) && st.Lost != 0 {
-				t.Errorf("a perfect network lost %d datagrams", st.Lost)
+			check := func(when string) {
+				t.Helper()
+				if gotDatagrams, gotBytes := n.UDPTraffic(); gotDatagrams != sent || gotBytes != bytes {
+					t.Errorf("%s: UDPTraffic() = %d datagrams, %d bytes; want %d, %d", when, gotDatagrams, gotBytes, sent, bytes)
+				}
+				w := func(f fate) int { return int(want[f]) }
+				if got, wantStats := n.ImpairmentStats(), (ImpairmentStats{w(fateDelivered), w(fateLost), w(fateCorrupted),
+					w(fateDuplicated), w(fateReordered), w(fateMTUDropped)}); got != wantStats {
+					t.Errorf("%s: ImpairmentStats() = %+v, want %+v", when, got, wantStats)
+				}
+				now := telemetry.Default().Snapshot().Counters
+				for f, name := range series {
+					if got := now[name] - base[name]; got != uint64(want[f]) {
+						t.Errorf("%s: %s moved by %d, want %d", when, name, got, want[f])
+					}
+				}
 			}
-			if c.profile.Loss > 0 && (st.Lost < sent/2/5 || st.Lost > sent/2/2) {
-				t.Errorf("Lost = %d of the %d datagrams on a 30 %% loss link", st.Lost, sent/2)
-			}
+			check("before Close")
+			n.Close()
+			check("after Close")
 		})
 	}
 }

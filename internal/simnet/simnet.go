@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"quicscan/internal/netbatch"
 	"quicscan/internal/telemetry"
@@ -43,7 +44,9 @@ type SyntheticResponder func(dst netip.AddrPort, payload []byte) [][]byte
 
 // Network is one simulated Internet.
 type Network struct {
-	mu        sync.RWMutex
+	// mu guards the socket and listener maps, the responder, the
+	// profiles and closed; see cellLock.
+	mu        *cellLock
 	udp       map[netip.AddrPort]*PacketConn
 	listeners map[netip.AddrPort]*streamListener
 	synth     SyntheticResponder
@@ -58,16 +61,60 @@ type Network struct {
 	// goroutine with one timer; see sched.go.
 	sched scheduler
 
-	ephemeral uint32
+	// ephemeral numbers the client addresses handed out. It is an
+	// atomic so that a stream dial can take one under a read lock.
+	ephemeral atomic.Uint32
 	closed    bool
 
-	// Traffic crossing the network, in atomics, so that senders share no
-	// lock: the datagrams and bytes sent, and what became of them.
-	udpDatagrams atomic.Int64
-	udpBytes     atomic.Int64
-	fates        [numFates]atomic.Int64
+	// traffic counts the datagrams and bytes sent and what became of
+	// them, one row per cell: a sender adds to the row its goroutine
+	// picks, which another busy sender seldom writes.
+	traffic *[telemetry.NumCells]trafficRow
 	// detach takes the fates off the registry (Close).
 	detach func()
+}
+
+// cellLock is Network.mu: a reader-biased RWMutex. A reader (deliver,
+// once per datagram) read-locks only the cell its goroutine picks, so
+// two senders touch two cache lines where one RWMutex would bounce its
+// reader count between them; a writer (bind, unbind, Rebind, the Set*
+// calls, Close, a stream listener's bind and close) locks all of the
+// cells, in index order. A writer waiting on one cell stalls the
+// readers of those it holds, so writers must stay rare next to
+// datagrams: a stream dial, for one, is a reader. Like a Counter, it is
+// a pointer-free allocation of its own, so its cells start on lines.
+type cellLock [telemetry.NumCells]struct {
+	sync.RWMutex
+	_ [64 - unsafe.Sizeof(sync.RWMutex{})]byte
+}
+
+// rlock read-locks the calling goroutine's cell and returns it, for
+// the matching RUnlock.
+func (l *cellLock) rlock() *sync.RWMutex {
+	c := &l[telemetry.CellIndex()].RWMutex
+	c.RLock()
+	return c
+}
+
+// Lock locks every cell, which excludes every reader.
+func (l *cellLock) Lock() {
+	for i := range l {
+		l[i].Lock()
+	}
+}
+
+// Unlock unlocks what Lock locked.
+func (l *cellLock) Unlock() {
+	for i := range l {
+		l[i].Unlock()
+	}
+}
+
+// trafficRow is one cell's share of a network's traffic counts, 64
+// bytes: one cache line.
+type trafficRow struct {
+	datagrams, bytes atomic.Int64
+	fates            [numFates]atomic.Int64
 }
 
 // Config parameterizes a Network.
@@ -87,6 +134,8 @@ func New(cfg Config) *Network {
 		listeners: make(map[netip.AddrPort]*streamListener),
 		profile:   cfg.Profile,
 		seed:      cfg.Seed,
+		mu:        new(cellLock),
+		traffic:   new([telemetry.NumCells]trafficRow),
 	}
 	n.detach = telemetry.Default().Attach(n.readCounts)
 	return n
@@ -101,15 +150,19 @@ func (n *Network) SetSyntheticResponder(r SyntheticResponder) {
 
 // UDPTraffic reports the datagram and byte counts seen so far.
 func (n *Network) UDPTraffic() (datagrams int, bytes int64) {
-	return int(n.udpDatagrams.Load()), n.udpBytes.Load()
+	for i := range n.traffic {
+		datagrams += int(n.traffic[i].datagrams.Load())
+		bytes += n.traffic[i].bytes.Load()
+	}
+	return datagrams, bytes
 }
 
 // UDPSocketCount reports how many UDP sockets are currently bound,
 // letting tests assert socket economy (pool-size sockets per scan, not
 // one per target).
 func (n *Network) UDPSocketCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	l := n.mu.rlock()
+	defer l.RUnlock()
 	return len(n.udp)
 }
 
@@ -117,21 +170,15 @@ func (n *Network) UDPSocketCount() int {
 // mirroring the paper's dedicated research prefix.
 var scannerBase = netip.MustParseAddr("198.18.0.1")
 
-// nextEphemeral allocates a client address:port no UDP socket holds.
-func (n *Network) nextEphemeral() (netip.AddrPort, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.nextEphemeralLocked()
-}
-
-// nextEphemeralLocked is nextEphemeral for callers already holding
-// n.mu (Rebind allocates while it rewires the socket map).
+// nextEphemeralLocked allocates a client address:port no UDP socket
+// holds. The caller holds n.mu, for reading at least: DialUDP and
+// Rebind allocate while they rewire the socket map, and DialStream
+// only reads it, so that a stream dial is no writer.
 func (n *Network) nextEphemeralLocked() (netip.AddrPort, error) {
 	for range 64 {
-		n.ephemeral++
 		// Spread clients over the 198.18.0.0/15 benchmarking range with
 		// ports above 32768.
-		idx := n.ephemeral
+		idx := n.ephemeral.Add(1)
 		a4 := scannerBase.As4()
 		a4[2] += byte(idx >> 14 & 0x7f)
 		a4[3] += byte(idx >> 7 & 0x7f)
@@ -148,27 +195,35 @@ var errNetClosed = errors.New("simnet: network closed")
 // ListenUDP binds a socket at a fixed address. Binding an in-use
 // address fails.
 func (n *Network) ListenUDP(at netip.AddrPort) (*PacketConn, error) {
-	pc := newPacketConn(n, at)
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.bindUDPLocked(at)
+}
+
+// DialUDP creates an ephemeral client socket. It allocates the address
+// and binds it under one hold of n.mu: a writer locks all of its cells.
+func (n *Network) DialUDP() (*PacketConn, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	at, err := n.nextEphemeralLocked()
+	if err != nil {
+		return nil, err
+	}
+	return n.bindUDPLocked(at)
+}
+
+// bindUDPLocked binds a new socket at at; the caller holds n.mu.
+func (n *Network) bindUDPLocked(at netip.AddrPort) (*PacketConn, error) {
 	if n.closed {
 		return nil, errNetClosed
 	}
 	if _, exists := n.udp[at]; exists {
 		return nil, fmt.Errorf("simnet: address %v in use", at)
 	}
+	pc := newPacketConn(n, at)
 	n.udp[at] = pc
 	mSocketsOpened.Inc()
 	return pc, nil
-}
-
-// DialUDP creates an ephemeral client socket.
-func (n *Network) DialUDP() (*PacketConn, error) {
-	at, err := n.nextEphemeral()
-	if err != nil {
-		return nil, err
-	}
-	return n.ListenUDP(at)
 }
 
 func (n *Network) unbindUDP(at netip.AddrPort, pc *PacketConn) {
@@ -186,12 +241,13 @@ func (n *Network) unbindUDP(at netip.AddrPort, pc *PacketConn) {
 // round trip pays both directions' impairments. A reply's fate is keyed
 // by its probe's index and its position among the replies.
 func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []byte) {
-	n.udpDatagrams.Add(1)
-	n.udpBytes.Add(int64(len(payload)))
+	row := &n.traffic[telemetry.CellIndex()]
+	row.datagrams.Add(1)
+	row.bytes.Add(int64(len(payload)))
 
 	// Everything the routing reads under n.mu, in one acquisition; back
 	// is only needed for a synthetic reply.
-	n.mu.RLock()
+	l := n.mu.rlock()
 	profile := n.profileForLocked(to, from)
 	dst := n.udp[to]
 	synth := n.synth
@@ -199,7 +255,7 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 	if dst == nil && synth != nil {
 		back = n.profileForLocked(from, to)
 	}
-	n.mu.RUnlock()
+	l.RUnlock()
 
 	// A perfect link is not judged: its datagrams need no key.
 	var key fateKey
@@ -208,7 +264,7 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 		key = fateKey{seed: n.seed, from: from, to: to, index: src.nextIndex(to)}
 		v = judge(profile, &key, len(payload))
 	}
-	n.count(v)
+	row.count(v)
 	if !v.has(fateDelivered) {
 		return
 	}
@@ -237,7 +293,7 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 		if back != (Profile{}) {
 			rv = judge(back, &fateKey{n.seed, to, from, key.index, uint64(i) + 1}, len(r))
 		}
-		n.count(rv)
+		row.count(rv)
 		if rv.has(fateDelivered) {
 			n.land(src, src, to, r, rv, v.delay)
 		}
@@ -295,8 +351,13 @@ const rcvQueueCap = 4096
 type PacketConn struct {
 	net *Network
 
-	mu   sync.Mutex
-	addr netip.AddrPort // mutable: Rebind moves the socket
+	// addr is the socket's address, which a sender reads without mu.
+	// Its pointee is never written once published: it starts as bound,
+	// and Rebind stores a fresh copy.
+	addr  atomic.Pointer[netip.AddrPort]
+	bound netip.AddrPort
+
+	mu sync.Mutex
 	// The receive queue is a FIFO ring of count datagrams starting at
 	// ring[head]. It starts empty and doubles on demand up to
 	// rcvQueueCap, so an idle socket holds no slots; len(ring) is zero
@@ -305,8 +366,9 @@ type PacketConn struct {
 	head, count int
 	// ready holds a token whenever the ring may be non-empty; Close
 	// closes it, which wakes every blocked reader for good.
-	ready    chan struct{}
-	closed   bool
+	ready chan struct{}
+	// closed is set under mu, and read without it by senders.
+	closed   atomic.Bool
 	deadline time.Time
 	// dlCh exists while a reader is blocked; a deadline change closes
 	// and forgets it, so a socket nobody reads carries no channel for it.
@@ -330,11 +392,13 @@ type server struct {
 }
 
 func newPacketConn(n *Network, at netip.AddrPort) *PacketConn {
-	return &PacketConn{
+	pc := &PacketConn{
 		net:   n,
-		addr:  at,
+		bound: at,
 		ready: make(chan struct{}, 1),
 	}
+	pc.addr.Store(&pc.bound)
+	return pc
 }
 
 // enqueue hands d to the socket, taking ownership of its pooled
@@ -344,7 +408,7 @@ func newPacketConn(n *Network, at netip.AddrPort) *PacketConn {
 // otherwise race a close.
 func (pc *PacketConn) enqueue(d datagram) {
 	pc.mu.Lock()
-	if pc.closed {
+	if pc.closed.Load() {
 		pc.mu.Unlock()
 		mClosedDropped.Inc()
 		releasePayload(d.payload)
@@ -376,10 +440,7 @@ func (pc *PacketConn) enqueue(d datagram) {
 // payload when it returns. Close does not wait for a call in progress,
 // but once it has returned no call begins.
 func (pc *PacketConn) handOver(srv *server, d datagram) {
-	pc.mu.Lock()
-	closed := pc.closed
-	pc.mu.Unlock()
-	if closed {
+	if pc.closed.Load() {
 		mClosedDropped.Inc()
 	} else {
 		srv.handler(d.payload, d.from)
@@ -403,7 +464,7 @@ func (pc *PacketConn) Serve(handler func(payload []byte, from netip.AddrPort), o
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	pc.mu.Lock()
-	if pc.closed {
+	if pc.closed.Load() {
 		pc.mu.Unlock()
 		return net.ErrClosed
 	}
@@ -463,7 +524,7 @@ func (pc *PacketConn) signalLocked() {
 func (pc *PacketConn) awaitLocked() error {
 	for {
 		pc.mu.Lock()
-		if pc.closed {
+		if pc.closed.Load() {
 			pc.mu.Unlock()
 			return net.ErrClosed
 		}
@@ -527,15 +588,14 @@ func (pc *PacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	return nn, net.UDPAddrFromAddrPort(d.from), nil
 }
 
-// WriteTo implements net.PacketConn.
+// WriteTo implements net.PacketConn. A sender takes no lock of the
+// socket's: a write that begins after Close has returned fails, and one
+// that races Rebind leaves from the old address or the new.
 func (pc *PacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
-	pc.mu.Lock()
-	if pc.closed {
-		pc.mu.Unlock()
+	if pc.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	from := pc.addr
-	pc.mu.Unlock()
+	from := *pc.addr.Load()
 	to, err := toAddrPort(addr)
 	if err != nil {
 		return 0, err
@@ -577,13 +637,13 @@ func (pc *PacketConn) Rebind() (netip.AddrPort, error) {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.closed {
+	if pc.closed.Load() {
 		return netip.AddrPort{}, net.ErrClosed
 	}
-	if n.udp[pc.addr] == pc {
-		delete(n.udp, pc.addr)
+	if old := *pc.addr.Load(); n.udp[old] == pc {
+		delete(n.udp, old)
 	}
-	pc.addr = newAddr
+	pc.addr.Store(&newAddr)
 	n.udp[newAddr] = pc
 	return newAddr, nil
 }
@@ -596,15 +656,13 @@ var _ netbatch.BatchConn = (*PacketConn)(nil)
 // WriteBatch implements netbatch.BatchConn. The simulated network has
 // no syscall boundary, so batching is one closed check followed by
 // sequential delivery, which numbers each flow's datagrams as a WriteTo
-// loop would: the same batch meets the same fates either way.
+// loop would: the same batch meets the same fates either way. Like
+// WriteTo, it takes no lock of the socket's.
 func (pc *PacketConn) WriteBatch(ms []netbatch.Message) (int, error) {
-	pc.mu.Lock()
-	if pc.closed {
-		pc.mu.Unlock()
+	if pc.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	from := pc.addr
-	pc.mu.Unlock()
+	from := *pc.addr.Load()
 	for i := range ms {
 		pc.net.deliver(pc, from, ms[i].Addr, ms[i].Buf[:ms[i].N])
 	}
@@ -650,18 +708,18 @@ func fillMessage(m *netbatch.Message, d datagram) {
 // Close implements net.PacketConn.
 func (pc *PacketConn) Close() error {
 	pc.mu.Lock()
-	if pc.closed {
+	if pc.closed.Load() {
 		pc.mu.Unlock()
 		return nil
 	}
-	pc.closed = true
+	pc.closed.Store(true)
 	// Datagrams nobody will read go back to the payload pool.
 	for pc.count > 0 {
 		releasePayload(pc.popLocked().payload)
 	}
 	pc.ring, pc.flows = nil, nil
 	close(pc.ready)
-	addr := pc.addr
+	addr := *pc.addr.Load()
 	pc.mu.Unlock()
 	pc.net.unbindUDP(addr, pc)
 	if srv := pc.srv.Load(); srv != nil && srv.onClose != nil {
@@ -672,9 +730,7 @@ func (pc *PacketConn) Close() error {
 
 // LocalAddr implements net.PacketConn.
 func (pc *PacketConn) LocalAddr() net.Addr {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return net.UDPAddrFromAddrPort(pc.addr)
+	return net.UDPAddrFromAddrPort(*pc.addr.Load())
 }
 
 // SetDeadline implements net.PacketConn (write deadlines are no-ops:

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/netip"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -518,5 +519,212 @@ func TestRebindClosed(t *testing.T) {
 	cli.Close()
 	if _, err := cli.Rebind(); err == nil {
 		t.Fatal("Rebind succeeded on a closed socket")
+	}
+}
+
+// TestSendRacesRebindAndClose: senders read the socket's address and
+// closed state without its lock. Writers looping WriteTo and WriteBatch
+// while another goroutine rebinds the socket and then closes it send
+// every datagram from the old address or the new, and every write that
+// begins after Close has returned fails with net.ErrClosed.
+func TestSendRacesRebindAndClose(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	srv, err := n.ListenUDP(ap("192.0.2.1:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The handler runs on the sender's goroutine, under the socket's
+	// serving lock: every datagram has arrived when its write returns.
+	sources := make(map[netip.AddrPort]int)
+	if err := srv.Serve(func(_ []byte, from netip.AddrPort) { sources[from]++ }, nil); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := cli.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	var sent atomic.Int64
+	var closed atomic.Bool // set once cli.Close has returned
+	to := srv.LocalAddr()
+	// Each write returns how many datagrams it sent.
+	writes := []func() (int, error){
+		func() (int, error) {
+			_, err := cli.WriteTo([]byte("to"), to)
+			return 1, err
+		},
+		func() (int, error) {
+			ms := make([]netbatch.Message, 4)
+			for i := range ms {
+				ms[i] = netbatch.Message{Buf: []byte("batch"), N: 5, Addr: ap("192.0.2.1:443")}
+			}
+			return cli.WriteBatch(ms)
+		},
+	}
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			write := writes[w%2]
+			for {
+				after := closed.Load()
+				nw, err := write()
+				if err == nil && !after {
+					sent.Add(int64(nw))
+					continue
+				}
+				if !errors.Is(err, net.ErrClosed) {
+					t.Errorf("write after Close: %d, %v; want net.ErrClosed", nw, err)
+				}
+				// Once closed, closed for good.
+				for range 10 {
+					if _, err := write(); !errors.Is(err, net.ErrClosed) {
+						t.Errorf("write after a failed one: %v, want net.ErrClosed", err)
+					}
+				}
+				return
+			}
+		}()
+	}
+	waitFor := func(total int64) {
+		for sent.Load() < total {
+			runtime.Gosched()
+		}
+	}
+	waitFor(1000)
+	fresh, err := cli.Rebind()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(sent.Load() + 1000)
+	cli.Close()
+	closed.Store(true)
+	wg.Wait()
+
+	received := 0
+	for from, count := range sources {
+		if from != old && from != fresh {
+			t.Errorf("%d datagrams from %v, neither the old address %v nor the new %v", count, from, old, fresh)
+		}
+		received += count
+	}
+	if sources[old] == 0 || sources[fresh] == 0 {
+		t.Errorf("datagrams by source %v: want some from the old address %v and some from the new %v", sources, old, fresh)
+	}
+	if int64(received) != sent.Load() {
+		t.Errorf("received %d datagrams of the %d sent", received, sent.Load())
+	}
+}
+
+// TestSocketChurnRacesDelivery: a bind or unbind locks every cell of
+// Network.mu while deliver, and a stream dial taking its client
+// address, read-lock one. Four goroutines dial and close sockets,
+// keeping every fifth, while two senders aim datagrams at the newest of
+// them and two more goroutines dial streams; the socket count is exact
+// at the end, and no two dials got one address.
+func TestSocketChurnRacesDelivery(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	const churners, rounds, keepEvery, senders, streamers = 4, 400, 5, 2, 2
+	ln, err := n.ListenStream(ap("192.0.2.80:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	var newest atomic.Pointer[net.UDPAddr]
+	newest.Store(net.UDPAddrFromAddrPort(ap("192.0.2.1:443")))
+	var stop atomic.Bool
+	var sendWG sync.WaitGroup
+	for range senders {
+		pc, err := n.DialUDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		sendWG.Add(1)
+		go func() {
+			defer sendWG.Done()
+			for !stop.Load() {
+				if _, err := pc.WriteTo([]byte("churn"), newest.Load()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	kept := make([][]*PacketConn, churners)
+	dialed := make([][]netip.AddrPort, churners+streamers)
+	var wg sync.WaitGroup
+	for s := range streamers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				c, err := n.DialStream(ap("192.0.2.80:443"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				dialed[churners+s] = append(dialed[churners+s], c.LocalAddr().(*net.TCPAddr).AddrPort())
+				c.Close()
+			}
+		}()
+	}
+	for c := range churners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				pc, err := n.DialUDP()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				at := pc.LocalAddr().(*net.UDPAddr)
+				newest.Store(at)
+				dialed[c] = append(dialed[c], at.AddrPort())
+				if i%keepEvery == 0 {
+					kept[c] = append(kept[c], pc)
+				} else {
+					pc.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	sendWG.Wait()
+
+	if got, want := n.UDPSocketCount(), churners*rounds/keepEvery+senders; got != want {
+		t.Errorf("UDPSocketCount() = %d after the churn, want %d", got, want)
+	}
+	seen := make(map[netip.AddrPort]bool)
+	for _, addrs := range dialed {
+		for _, a := range addrs {
+			if seen[a] {
+				t.Errorf("two dials got %v", a)
+			}
+			seen[a] = true
+		}
+	}
+	for _, pcs := range kept {
+		for _, pc := range pcs {
+			pc.Close()
+		}
+	}
+	if got := n.UDPSocketCount(); got != senders {
+		t.Errorf("UDPSocketCount() = %d with only the senders open, want %d", got, senders)
 	}
 }

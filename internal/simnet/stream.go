@@ -97,13 +97,14 @@ var errConnectionRefused = errors.New("simnet: connection refused")
 // of a TCP RST, which the TLS scanner records as an unreachable
 // target.
 func (n *Network) DialStream(dst netip.AddrPort) (net.Conn, error) {
-	n.mu.RLock()
+	rl := n.mu.rlock()
 	l := n.listeners[dst]
-	n.mu.RUnlock()
 	if l == nil {
+		rl.RUnlock()
 		return nil, errConnectionRefused
 	}
-	clientAddr, err := n.nextEphemeral()
+	clientAddr, err := n.nextEphemeralLocked()
+	rl.RUnlock()
 	if err != nil {
 		return nil, err
 	}

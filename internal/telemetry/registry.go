@@ -18,7 +18,7 @@
 //     64-byte cache line (1 KB in all). An update is one atomic load of
 //     the global enable switch and one atomic add to the cell picked by
 //     the address of a local variable, that is by where the calling
-//     goroutine's stack lies (cellIndex): a long-lived worker keeps
+//     goroutine's stack lies (CellIndex): a long-lived worker keeps
 //     adding to a line only its core writes, where one shared word
 //     would travel between the cores on every update. No locks, no map
 //     lookups, and nothing is sampled or deferred: Value and Snapshot
@@ -98,36 +98,38 @@ func checkLabelName(name string) error {
 	return nil
 }
 
-// numCells is how many cells a Counter or Histogram spreads its updates
+// NumCells is how many cells a Counter or Histogram spreads its updates
 // over, and cacheLine the size each cell is padded to, so that no two
 // share a line. Both are constants of the layout, not settings: sixteen
 // cells keep two to four busy goroutines apart nearly always and a
-// Counter at 1 KB.
+// Counter at 1 KB. An owner that counts in fields of its own may split
+// them the same way (simnet's traffic rows and its lock).
 const (
-	numCells  = 16
+	NumCells  = 16
 	cacheLine = 64
 )
 
-// cellIndex picks the calling goroutine's cell from the address of a
-// local variable, which lies on that goroutine's stack. Stacks are
-// 2 KB-aligned blocks of at least 2 KB, so the bits from 11 up tell
-// goroutines apart and stay put for one goroutine at one call site;
-// four 4-bit groups of them are folded together so that neighbouring
-// stacks of any size differ. Nothing depends on the choice but speed:
-// a stack that moves, or two goroutines that collide, still add to a
-// cell of the same metric.
-func cellIndex() uintptr {
+// CellIndex picks the calling goroutine's cell, in [0, NumCells), from
+// the address of a local variable, which lies on that goroutine's
+// stack. Stacks are 2 KB-aligned blocks of at least 2 KB, so the bits
+// from 11 up tell goroutines apart and stay put for one goroutine at
+// one call site; four 4-bit groups of them are folded together so that
+// neighbouring stacks of any size differ. Nothing depends on the choice
+// but speed: a stack that moves, or two goroutines that collide, still
+// add to a cell of the same metric. A caller that must come back to the
+// cell it picked (a lock's unlock) keeps the index, not the call.
+func CellIndex() int {
 	var local byte
 	p := uintptr(unsafe.Pointer(&local))
-	return (p>>11 ^ p>>15 ^ p>>19 ^ p>>23) % numCells
+	return int((p>>11 ^ p>>15 ^ p>>19 ^ p>>23) % NumCells)
 }
 
-// Counter is a monotonically increasing uint64, kept as numCells
+// Counter is a monotonically increasing uint64, kept as NumCells
 // partial counts. The zero value is ready to use; for its cells to be
 // lines it must be an allocation of its own, which the allocator starts
 // on a cache-line boundary (a pointer-free object of n*64 bytes).
 type Counter struct {
-	cells [numCells]struct {
+	cells [NumCells]struct {
 		n atomic.Uint64
 		_ [cacheLine - 8]byte
 	}
@@ -144,7 +146,7 @@ func (c *Counter) Add(n uint64) {
 	if !enabled.Load() {
 		return
 	}
-	c.cells[cellIndex()].n.Add(n)
+	c.cells[CellIndex()].n.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -195,7 +197,7 @@ func (g *Gauge) value() int64 {
 // Histogram is a fixed-bucket histogram in the Prometheus style:
 // bucket i counts observations <= bounds[i], with an implicit +Inf
 // bucket at the end. Observation is lock-free. Like a Counter it is
-// kept as numCells partial histograms, merged by snapshot. A cell is
+// kept as NumCells partial histograms, merged by snapshot. A cell is
 // stride words of one slab, a whole number of cache lines: the sum
 // (math.Float64bits, updated by CAS), then the len(bounds)+1 bucket
 // counts, so the low buckets share the sum's line. The total count is
@@ -203,7 +205,7 @@ func (g *Gauge) value() int64 {
 // after registration.
 type Histogram struct {
 	bounds []float64
-	cells  []atomic.Uint64 // numCells * stride
+	cells  []atomic.Uint64 // NumCells * stride
 	stride int
 }
 
@@ -220,7 +222,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil || !enabled.Load() || v-v != 0 { // NaN and ±Inf: v-v is NaN
 		return
 	}
-	cell := h.cells[int(cellIndex())*h.stride:][:h.stride]
+	cell := h.cells[CellIndex()*h.stride:][:h.stride]
 	cell[histBuckets+sort.SearchFloat64s(h.bounds, v)].Add(1)
 	sum := &cell[histSum]
 	for {
@@ -268,7 +270,7 @@ func (rd *Reading) Count(c *Counter, n uint64) {
 	if rd.counts == nil {
 		// Past the enable switch: the events were counted when they
 		// happened, and the next Snapshot must not lose them.
-		c.cells[cellIndex()].n.Add(n)
+		c.cells[CellIndex()].n.Add(n)
 		return
 	}
 	rd.counts[c] += n
@@ -352,7 +354,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 		// the allocator starts it, and with it every cell, on a line.
 		const perLine = cacheLine / 8
 		h.stride = (histBuckets + len(buckets) + 1 + perLine - 1) / perLine * perLine
-		h.cells = make([]atomic.Uint64, numCells*h.stride)
+		h.cells = make([]atomic.Uint64, NumCells*h.stride)
 	})
 }
 

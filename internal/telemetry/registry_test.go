@@ -141,7 +141,7 @@ func TestCellLayout(t *testing.T) {
 	}
 	for _, buckets := range [][]float64{{1}, {1, 2, 4, 8, 16, 32, 64}, LatencyBucketsMs()} {
 		h := NewRegistry().Histogram("test_layout_ms", buckets)
-		if h.stride*8%cacheLine != 0 || h.stride < histBuckets+len(buckets)+1 || len(h.cells) != numCells*h.stride {
+		if h.stride*8%cacheLine != 0 || h.stride < histBuckets+len(buckets)+1 || len(h.cells) != NumCells*h.stride {
 			t.Errorf("%d buckets: stride %d words, %d words in all", len(buckets)+1, h.stride, len(h.cells))
 		}
 		if addr := uintptr(unsafe.Pointer(&h.cells[0])); addr%cacheLine != 0 {
@@ -167,8 +167,8 @@ func TestCellAffinity(t *testing.T) {
 	}
 	many := r.Counter("test_affinity_many_total")
 	fromGoroutines(64, func() { many.Add(1) })
-	if n := touchedCells(many); n < numCells/2 || many.Value() != 64 {
-		t.Errorf("64 goroutines touched %d of %d cells (value %d), want at least %d", n, numCells, many.Value(), numCells/2)
+	if n := touchedCells(many); n < NumCells/2 || many.Value() != 64 {
+		t.Errorf("64 goroutines touched %d of %d cells (value %d), want at least %d", n, NumCells, many.Value(), NumCells/2)
 	}
 }
 

@@ -73,6 +73,13 @@ echo "==> demux under -race, 20 runs"
 # section 5, Locks).
 go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp)$' ./internal/quic
 
+echo "==> simnet send path under -race, 20 runs"
+# Senders take no lock of the socket's and read-lock one cell of the
+# network's: writes racing Rebind and Close, socket churn racing
+# delivery, and the rebind tests they share the reads with (DESIGN.md
+# section 8, Send path and lock order).
+go test -race -count=20 -run '^(TestSendRacesRebindAndClose|TestSocketChurnRacesDelivery|TestRebind|TestRebindClosed)$' ./internal/simnet
+
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a
 # constant, so that a rescan dials from the same source ports on any

@@ -10,15 +10,22 @@
 # that is ours; frames of the runtime, sync and crypto belong to whoever
 # called them:
 #
-#   SendProbe locks  a stack that passes through sync.(*Mutex) (and, below
-#                    it, runtime.procyield, the semaphore, the futex)
-#                    before it reaches zmapquic's send path
+#   SendProbe locks  a stack that passes through sync.(*Mutex) or
+#                    sync.(*RWMutex) (and, below it, runtime.procyield, the
+#                    semaphore, the futex) before it reaches zmapquic's
+#                    send path
 #   ID derivation    Scanner.probeSum and everything beneath it
 #   send             the rest of SendProbe, fill and flush, the batch pool
 #   telemetry        the registry's own frames, inlined or not (Counter.Add,
 #                    Histogram.Observe), whichever layer called them:
-#                    flush's seven updates and simnet's delivered count
-#   simnet           WriteBatch, deliver and below; the collector's reads
+#                    flush's seven updates (simnet counts its traffic in
+#                    fields of its own, which the simnet rows hold, and
+#                    telemetry.CellIndex belongs to whoever called it)
+#   simnet locks     a stack that passes through sync.(*Mutex) or
+#                    sync.(*RWMutex) before it reaches a simnet frame:
+#                    the socket's and the network's locks and their waits
+#   simnet           the rest of WriteBatch, deliver and below; the
+#                    collector's reads
 #   campaign walk    runShard, Sweep.AddrAtPosition, context, the Probe hook
 #   collector        CollectResponsesOn and below, up to the socket
 #   runtime/GC       stacks with no frame of ours: scheduler, GC, timers
@@ -46,10 +53,10 @@ function flush(    i, f, lock, bucket) {
 	bucket = ""; lock = 0
 	for (i = 0; i < depth && bucket == ""; i++) {
 		f = stack[i]
-		if (f ~ /^sync\.\(\*Mutex\)/) lock = 1
+		if (f ~ /^sync\.\(\*(RW)?Mutex\)/) lock = 1
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.probeSum/) bucket = "ID derivation"
-		else if (f ~ /^quicscan\/internal\/simnet\./) bucket = "simnet"
-		else if (f ~ /^quicscan\/internal\/telemetry\./) bucket = "telemetry"
+		else if (f ~ /^quicscan\/internal\/simnet\./) bucket = lock ? "simnet locks" : "simnet"
+		else if (f ~ /^quicscan\/internal\/telemetry\./ && f !~ /\.CellIndex$/) bucket = "telemetry"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.(SendProbe|fill|flush|leaseSendBatch|batchConn|template)/)
 			bucket = lock ? "SendProbe locks" : "send"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\./) bucket = "collector"
@@ -66,7 +73,7 @@ depth > 0 && /^ +[^ ]/ { stack[depth++] = $1 }
 END {
 	flush()
 	printf "%-18s %12s %8s\n", "bucket", "ns/probe", "share"
-	n = split("SendProbe locks|ID derivation|send|telemetry|simnet|campaign walk|collector|runtime/GC|other", order, "|")
+	n = split("SendProbe locks|ID derivation|send|telemetry|simnet locks|simnet|campaign walk|collector|runtime/GC|other", order, "|")
 	for (i = 1; i <= n; i++) total += ms[order[i]]
 	for (i = 1; i <= n; i++)
 		printf "%-18s %12.1f %7.1f%%\n", order[i], ms[order[i]] * 1e6 / probes, 100 * ms[order[i]] / total
