@@ -91,7 +91,7 @@ func TestScanTargetAllocationBudget(t *testing.T) {
 	})
 
 	// The floor: the same handshake with nothing of ours in it.
-	clientTLS := &tls.Config{ServerName: sni, NextProtos: s.alpn(), RootCAs: pool, InsecureSkipVerify: true,
+	clientTLS := &tls.Config{ServerName: sni, NextProtos: alpn, RootCAs: pool, InsecureSkipVerify: true,
 		CurvePreferences: onlyX25519, MinVersion: tls.VersionTLS13}
 	clientParams := quic.DefaultClientParams()
 	clientTP, serverTP := clientParams.Marshal(), params.Marshal()

@@ -154,8 +154,6 @@ type Scanner struct {
 	// recorded, not fatal: the scanner always captures the
 	// certificate.
 	RootCAs *x509.CertPool
-	// ALPN values offered (default h3 and its draft variants).
-	ALPN []string
 	// Timeout bounds each connection attempt (default 3s).
 	Timeout time.Duration
 	// Retries is how many additional attempts a target that timed out
@@ -283,19 +281,13 @@ func (s *Scanner) TransportStats() (quic.TransportStats, bool) {
 	return tr.Stats(), true
 }
 
-// onlyX25519 and defaultALPN are shared by every scan; tls.Config users
-// treat both as read-only.
+// onlyX25519 and alpn, the ALPN values offered (h3 and its draft
+// variants), are shared by every scan; tls.Config users treat both as
+// read-only.
 var (
-	onlyX25519  = []tls.CurveID{tls.X25519}
-	defaultALPN = []string{"h3", "h3-34", "h3-32", "h3-29"}
+	onlyX25519 = []tls.CurveID{tls.X25519}
+	alpn       = []string{"h3", "h3-34", "h3-32", "h3-29"}
 )
-
-func (s *Scanner) alpn() []string {
-	if len(s.ALPN) != 0 {
-		return s.ALPN
-	}
-	return defaultALPN
-}
 
 func (s *Scanner) timeout() time.Duration {
 	if s.Timeout == 0 {
@@ -375,7 +367,7 @@ func (s *Scanner) scanOnce(ctx context.Context, t Target) Result {
 
 	tlsCfg := &tls.Config{
 		ServerName: t.SNI,
-		NextProtos: s.alpn(),
+		NextProtos: alpn,
 		RootCAs:    s.RootCAs,
 		// The scanner must record certificates even when verification
 		// fails; validity is checked explicitly below.

@@ -15,6 +15,7 @@ import (
 	"quicscan/internal/h3"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
+	"quicscan/internal/telemetry"
 )
 
 // StartOptions select which parts of the universe run real servers.
@@ -34,8 +35,9 @@ type servers struct {
 	rootCA   *certgen.CA
 	rootPool *x509.CertPool
 	quicLs   []*quic.Listener
-	// web is the one HTTPS server that answers on every deployment's :443.
-	web       *http.Server
+	// webs are the HTTPS servers: on simnet one answers on every
+	// deployment's :443, and ServeLoopback adds one for its ports.
+	webs      []*http.Server
 	certCache map[string]tls.Certificate
 	mu        sync.Mutex
 }
@@ -81,17 +83,93 @@ func (u *Universe) start(opts StartOptions) error {
 	u.Net.SetSyntheticResponder(u.syntheticQUIC)
 
 	for _, d := range u.Deployments {
-		needsQUIC := opts.Stateful && (d.Behavior == BehaviorActive || d.Behavior == BehaviorRequireSNI)
-		if needsQUIC {
-			if err := u.startQUICServer(d); err != nil {
+		if opts.Stateful && d.handshakes() {
+			pc, err := u.Net.ListenUDP(netip.AddrPortFrom(d.Addr, 443))
+			if err == nil {
+				err = u.startQUICServer(d, pc, 443, nil)
+			}
+			if err != nil {
 				return fmt.Errorf("internet: QUIC server for %v: %w", d.Addr, err)
 			}
 		}
 	}
-	if opts.Web {
-		return u.startWebServer()
+	if !opts.Web {
+		return nil
 	}
-	return nil
+	addrs := make([]netip.AddrPort, 0, len(u.Deployments))
+	for _, d := range u.Deployments {
+		addrs = append(addrs, netip.AddrPortFrom(d.Addr, 443))
+	}
+	l, err := u.Net.ListenStream(addrs...)
+	if err != nil {
+		return fmt.Errorf("internet: web server: %w", err)
+	}
+	return u.startWebServer(u.Deployments, addrs, l)
+}
+
+// handshakes reports whether the deployment completes QUIC handshakes,
+// and so runs a stateful server.
+func (d *Deployment) handshakes() bool {
+	return d.Behavior == BehaviorActive || d.Behavior == BehaviorRequireSNI
+}
+
+// ServeLoopback serves the first n deployments that complete QUIC
+// handshakes on kernel sockets at 127.0.0.1, the i-th on UDP and TCP
+// port base+i, with the servers Start runs on simnet: the same
+// certificates, listener set-up, and HTTP/3 and HTTPS handlers, whose
+// Alt-Svc names the port served. tracer, when not nil, traces every
+// accepted QUIC connection. The universe must be started; Stop closes
+// these servers too. It returns the deployments served, in port order.
+// A ServeLoopback that fails closes what it opened and leaves the
+// universe as it was.
+func (u *Universe) ServeLoopback(n, base int, tracer *telemetry.Tracer) ([]*Deployment, error) {
+	s := u.servers
+	opened := len(s.quicLs)
+	var tcp []net.Listener
+	fail := func(err error) ([]*Deployment, error) {
+		for _, l := range s.quicLs[opened:] {
+			l.Close()
+		}
+		s.quicLs = s.quicLs[:opened]
+		for _, l := range tcp {
+			l.Close()
+		}
+		return nil, err
+	}
+	var ds []*Deployment
+	var aps []netip.AddrPort
+	for _, d := range u.Deployments {
+		if len(ds) >= n {
+			break
+		}
+		if !d.handshakes() {
+			continue
+		}
+		port := base + len(ds)
+		if port < 1 || port > 0xffff {
+			return fail(fmt.Errorf("internet: port %d out of range", port))
+		}
+		ap := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(port))
+		pc, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(ap))
+		if err == nil {
+			err = u.startQUICServer(d, pc, ap.Port(), tracer)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("internet: QUIC server on %v: %w", ap, err))
+		}
+		l, err := net.ListenTCP("tcp", net.TCPAddrFromAddrPort(ap))
+		if err != nil {
+			return fail(err)
+		}
+		tcp = append(tcp, l)
+		ds = append(ds, d)
+		aps = append(aps, ap)
+	}
+	if err := u.startWebServer(ds, aps, tcp...); err != nil {
+		tcp = nil // closed by startWebServer
+		return fail(err)
+	}
+	return ds, nil
 }
 
 // close stops every server started so far; the DNS server is nil when
@@ -100,8 +178,8 @@ func (s *servers) close() {
 	for _, l := range s.quicLs {
 		l.Close()
 	}
-	if s.web != nil {
-		s.web.Close()
+	for _, w := range s.webs {
+		w.Close()
 	}
 	if s.dns != nil {
 		s.dns.Close()
@@ -121,28 +199,18 @@ func (u *Universe) Stop() {
 // RootCAs returns the trust anchors scanners should validate against.
 func (u *Universe) RootCAs() *x509.CertPool { return u.servers.rootPool }
 
-// certFor returns the (cached) certificate for a deployment. Providers
-// share wildcard certificates over their domain namespaces, like real
-// CDNs; generation selects the rotation generation (Google rotates
-// weekly, Section 5.1).
+// RootCert returns the root CA certificate every served certificate
+// chains to.
+func (u *Universe) RootCert() *x509.Certificate { return u.servers.rootCA.Certificate() }
+
+// certFor returns the certificate for a deployment. Providers share
+// wildcard certificates over their domain namespaces, like real CDNs;
+// generation selects the rotation generation (Google rotates weekly,
+// Section 5.1).
 func (u *Universe) certFor(d *Deployment, generation int) (tls.Certificate, error) {
-	key := fmt.Sprintf("%s/gen%d", d.Provider, generation)
-	s := u.servers
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cert, ok := s.certCache[key]; ok {
-		return cert, nil
-	}
-	names := providerCertNames(d)
-	cert, err := s.rootCA.Issue(certgen.LeafOptions{
-		CommonName: d.Provider + ".sim",
-		DNSNames:   names,
+	return u.cachedCert(fmt.Sprintf("%s/gen%d", d.Provider, generation), func() certgen.LeafOptions {
+		return certgen.LeafOptions{CommonName: d.Provider + ".sim", DNSNames: providerCertNames(d)}
 	})
-	if err != nil {
-		return tls.Certificate{}, err
-	}
-	s.certCache[key] = cert
-	return cert, nil
 }
 
 // providerCertNames builds the wildcard SAN list covering every name
@@ -159,18 +227,21 @@ func providerCertNames(d *Deployment) []string {
 // selfSignedFor returns the Google-style self-signed "SNI required"
 // error certificate.
 func (u *Universe) selfSignedFor(d *Deployment) (tls.Certificate, error) {
-	key := d.Provider + "/selfsigned"
+	return u.cachedCert(d.Provider+"/selfsigned", func() certgen.LeafOptions {
+		return certgen.LeafOptions{CommonName: "invalid2.invalid", DNSNames: []string{"invalid2.invalid"}, SelfSigned: true}
+	})
+}
+
+// cachedCert returns the certificate cached under key, issuing it from
+// leaf's options on first use; a hit builds no options.
+func (u *Universe) cachedCert(key string, leaf func() certgen.LeafOptions) (tls.Certificate, error) {
 	s := u.servers
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cert, ok := s.certCache[key]; ok {
 		return cert, nil
 	}
-	cert, err := s.rootCA.Issue(certgen.LeafOptions{
-		CommonName: "invalid2.invalid",
-		DNSNames:   []string{"invalid2.invalid"},
-		SelfSigned: true,
-	})
+	cert, err := s.rootCA.Issue(leaf())
 	if err != nil {
 		return tls.Certificate{}, err
 	}
@@ -223,20 +294,20 @@ func (d *Deployment) ListenerSetup(week int, tlsCfg *tls.Config) (*quic.Config, 
 	return cfg, policy
 }
 
-func (u *Universe) startQUICServer(d *Deployment) error {
+// startQUICServer runs the deployment's QUIC and HTTP/3 server on pc,
+// which it owns from here on, served at port. tracer may be nil.
+func (u *Universe) startQUICServer(d *Deployment, pc net.PacketConn, port uint16, tracer *telemetry.Tracer) error {
 	cert, err := u.certFor(d, u.Spec.Week)
 	if err != nil {
-		return err
-	}
-	pc, err := u.Net.ListenUDP(netip.AddrPortFrom(d.Addr, 443))
-	if err != nil {
+		pc.Close()
 		return err
 	}
 	cfg, policy := d.ListenerSetup(u.Spec.Week, &tls.Config{
 		Certificates: []tls.Certificate{cert},
 		NextProtos:   []string{"h3", "h3-34", "h3-32", "h3-29", "h3-28", "h3-27"},
 	})
-	srv := &h3.Server{Handler: u.h3HandlerFor(d)}
+	cfg.Tracer = tracer
+	srv := &h3.Server{Handler: u.h3HandlerFor(d, port)}
 	l, err := quic.Listen(pc, cfg, policy, srv.ServeConn)
 	if err != nil {
 		pc.Close()
@@ -260,7 +331,7 @@ func closeReasonFor(provider string) string {
 	}
 }
 
-func (u *Universe) h3HandlerFor(d *Deployment) h3.Handler {
+func (u *Universe) h3HandlerFor(d *Deployment, port uint16) h3.Handler {
 	week := u.Spec.Week
 	return func(req *h3.Request) *h3.Response {
 		headers := []h3.HeaderField{
@@ -270,55 +341,63 @@ func (u *Universe) h3HandlerFor(d *Deployment) h3.Handler {
 			headers = append(headers, h3.HeaderField{Name: "server", Value: d.ServerHeader})
 		}
 		if d.AltVisible && d.Profile.ALPNSet != nil {
-			headers = append(headers, h3.HeaderField{Name: "alt-svc", Value: altSvcValue(d.Profile.ALPNSet(week))})
+			headers = append(headers, h3.HeaderField{Name: "alt-svc", Value: altSvcValue(d.Profile.ALPNSet(week), port)})
 		}
 		return &h3.Response{Status: "200", Headers: headers, Body: []byte("<html>quicscan simulated deployment</html>")}
 	}
 }
 
-func altSvcValue(alpns []string) string {
+func altSvcValue(alpns []string, port uint16) string {
 	services := make([]altsvc.Service, 0, len(alpns))
 	for _, a := range alpns {
-		services = append(services, altsvc.Service{ALPN: a, Port: 443, MaxAge: 86400})
+		services = append(services, altsvc.Service{ALPN: a, Port: int(port), MaxAge: 86400})
 	}
 	return altsvc.Format(services)
 }
 
-// startWebServer runs the TLS-over-TCP HTTP/1.1 side of every
-// deployment: one server on one listener bound to each deployment's
-// :443. The address a client dialled picks the deployment's TLS
-// configuration and, in the handler, its headers.
-func (u *Universe) startWebServer() error {
-	configs := make(map[netip.Addr]*tls.Config, len(u.Deployments))
-	addrs := make([]netip.AddrPort, 0, len(u.Deployments))
-	for _, d := range u.Deployments {
+// startWebServer runs the TLS-over-TCP HTTP/1.1 side of the
+// deployments ds, ds[i] at aps[i]: one server over the listeners ls,
+// which it owns from here on. The local address and port a client
+// dialled pick the deployment's TLS configuration and, in the handler,
+// its headers and the port its Alt-Svc names.
+func (u *Universe) startWebServer(ds []*Deployment, aps []netip.AddrPort, ls ...net.Listener) error {
+	sites := make(map[netip.AddrPort]webSite, len(ds))
+	for i, d := range ds {
 		tcfg, err := u.webTLSConfig(d)
 		if err != nil {
+			for _, l := range ls {
+				l.Close()
+			}
 			return fmt.Errorf("internet: web server for %v: %w", d.Addr, err)
 		}
-		configs[d.Addr] = tcfg
-		addrs = append(addrs, netip.AddrPortFrom(d.Addr, 443))
-	}
-	l, err := u.Net.ListenStream(addrs...)
-	if err != nil {
-		return fmt.Errorf("internet: web server: %w", err)
+		sites[aps[i]] = webSite{d, tcfg}
 	}
 	outer := &tls.Config{GetConfigForClient: func(chi *tls.ClientHelloInfo) (*tls.Config, error) {
-		return configs[hostOf(chi.Conn.LocalAddr())], nil
+		return sites[addrPortOf(chi.Conn.LocalAddr())].tls, nil
 	}}
 	week := u.Spec.Week
-	u.servers.web = &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		d := u.ByAddr[hostOf(r.Context().Value(http.LocalAddrContextKey).(net.Addr))]
+	web := &http.Server{Handler: http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		ap := addrPortOf(r.Context().Value(http.LocalAddrContextKey).(net.Addr))
+		d := sites[ap].d
 		if d.ServerHeader != "" {
 			rw.Header().Set("Server", d.ServerHeader)
 		}
 		if d.AltVisible && d.Profile.ALPNSet != nil {
-			rw.Header().Set("Alt-Svc", altSvcValue(d.Profile.ALPNSet(week)))
+			rw.Header().Set("Alt-Svc", altSvcValue(d.Profile.ALPNSet(week), ap.Port()))
 		}
 		rw.WriteHeader(200)
 	})}
-	go u.servers.web.Serve(tls.NewListener(l, outer))
+	u.servers.webs = append(u.servers.webs, web)
+	for _, l := range ls {
+		go web.Serve(tls.NewListener(l, outer))
+	}
 	return nil
+}
+
+// webSite is what the web server answers with at one address.
+type webSite struct {
+	d   *Deployment
+	tls *tls.Config
 }
 
 // webTLSConfig builds a deployment's TLS-over-TCP configuration: its
@@ -354,8 +433,9 @@ func (u *Universe) webTLSConfig(d *Deployment) (*tls.Config, error) {
 	return tcfg, nil
 }
 
-// hostOf is the IP address of a simnet stream end.
-func hostOf(a net.Addr) netip.Addr { return a.(*net.TCPAddr).AddrPort().Addr() }
+// addrPortOf is the address and port of a stream end, simnet's or the
+// kernel's.
+func addrPortOf(a net.Addr) netip.AddrPort { return a.(*net.TCPAddr).AddrPort() }
 
 // tcpCertGeneration: Google's weekly rotation means the TCP scan can
 // observe a different certificate generation than the QUIC scan for a

@@ -28,10 +28,10 @@ func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 	}
 	c.rxFromAP = addrPortOf(from)
 	// Routed by connection ID but from an unexpected source address: the
-	// observable shadow of NAT rebinding and migration. Counted only — a
-	// client's address route moves when path validation succeeds
-	// (rebindAddr), never on sight of a new address. A datagram that came
-	// by the address route is from activeAP, so it never counts.
+	// observable shadow of NAT rebinding and migration. Counted only: a
+	// client never promotes a path, so its address route stays on
+	// activeAP whatever address a datagram comes from. A datagram that
+	// came by the address route is from activeAP, so it never counts.
 	if ap := c.rxFromAP; c.isClient && !quicwire.IsLongHeader(data[0]) &&
 		ap.IsValid() && c.activeAP.IsValid() && ap != c.activeAP {
 		mRouteAddrMiss.Inc()

@@ -41,8 +41,8 @@ const maxConsecutiveReadTimeouts = 64
 // Ownership rule: the endpoint owns its sockets. They are closed by
 // Close and by nothing else; connections never close, nor set deadlines
 // on, the underlying sockets. A Conn holds its endpoint and its socket
-// and calls them directly: send, register, addConnID, removeConnID,
-// retire, and the route table's rebindAddr.
+// and calls them directly: send, register, addConnID, removeConnID and
+// retire.
 type endpoint struct {
 	socks []net.PacketConn
 	role  *role

@@ -360,8 +360,9 @@ func (c *Conn) handlePathResponseLocked(data [8]byte) {
 
 // promotePathLocked redirects the connection to a validated path:
 // future sends target its address, the destination connection ID
-// rotates to the path's reserved ID (retiring the old one), and the
-// endpoint re-keys the connection's address route, if it has one.
+// rotates to the path's reserved ID (retiring the old one). Only a
+// server promotes a path, and a server connection has no address route,
+// so the route table is left as it is.
 func (c *Conn) promotePathLocked(p *pathState) {
 	if p.ap == c.activeAP {
 		return
@@ -395,7 +396,6 @@ func (c *Conn) promotePathLocked(p *pathState) {
 	if c.trace != nil {
 		c.trace.Event("path_migrated", "old", oldAP.String(), "new", c.activeAP.String())
 	}
-	c.ep.routes.rebindAddr(c, oldAP, c.activeAP)
 	if c.policy().Migration == MigrationValidateBreak {
 		// The validates-then-breaks quirk: the deployment walks the
 		// whole validation dance, then slams the door.

@@ -208,22 +208,6 @@ func (rt *routeTable) parkLocked(id []byte, c *Conn, now time.Duration) (ok bool
 	return true, rt.drainLocked(k, now)
 }
 
-// rebindAddr moves a client connection's address-fallback route from
-// one validated address to the next after a migration; a server
-// connection has no address route and gets none. Deliberately not
-// called on mere address mismatches: the route follows proven paths
-// only, so an off-path spoofer cannot steal another connection's
-// fallback entry.
-func (rt *routeTable) rebindAddr(c *Conn, from, to netip.AddrPort) {
-	if !c.isClient {
-		return
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.removeAddrLocked(from, c)
-	rt.insertAddrLocked(to, c)
-}
-
 // lookup resolves a destination connection ID to its connection. A nil
 // connection with late set means the ID was retired within the
 // draining period. The key is built on the stack, so no per-packet key

@@ -147,7 +147,7 @@ func pointerPath(typ reflect.Type) string {
 }
 
 // TestRouteTableConcurrent: connections registered, looked up, given a
-// second ID, rebound and retired by many goroutines at once, while
+// second ID and retired by many goroutines at once, while
 // another reads the table, leave one table with nothing live and its
 // tombstones at the cap. Run under -race, it checks the table's one
 // lock.
@@ -190,14 +190,6 @@ func TestRouteTableConcurrent(t *testing.T) {
 				c.localCIDs = append(c.localCIDs, localConnID{seq: 0, id: c.scid}, localConnID{seq: 1, id: alt})
 				if got, _ := rt.lookup(alt); got != c {
 					t.Errorf("conn %d/%d: second ID routes to %p", w, i, got)
-				}
-				if c.isClient {
-					to := netip.AddrPortFrom(c.activeAP.Addr(), 8443)
-					rt.rebindAddr(c, c.activeAP, to)
-					c.activeAP = to
-					if got := rt.lookupAddr(to); got != c {
-						t.Errorf("conn %d/%d: rebound address routes to %p", w, i, got)
-					}
 				}
 				ok, n := rt.retire(c)
 				if !ok {

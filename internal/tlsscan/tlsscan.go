@@ -38,6 +38,10 @@ var (
 	mHSSuccess   = mHandshakes.With("success")
 )
 
+// alpn is the one ALPN value offered; tls.Config treats it as
+// read-only.
+var alpn = []string{"http/1.1"}
+
 // readerPool recycles the buffered readers that parse HTTP responses,
 // one lease per target instead of a 4 KiB allocation each.
 var readerPool = sync.Pool{
@@ -89,14 +93,10 @@ type Scanner struct {
 	// RootCAs for certificate validation (failures recorded, not
 	// fatal).
 	RootCAs *x509.CertPool
-	// ALPN offered (default h2, http/1.1).
-	ALPN []string
 	// Timeout per target (default 3s).
 	Timeout time.Duration
 	// Workers for Scan (default 64).
 	Workers int
-	// SkipHTTP disables the HEAD request.
-	SkipHTTP bool
 
 	certs core.ChainMemo
 }
@@ -114,13 +114,6 @@ func (s *Scanner) timeout() time.Duration {
 		return 3 * time.Second
 	}
 	return s.Timeout
-}
-
-func (s *Scanner) alpn() []string {
-	if len(s.ALPN) != 0 {
-		return s.ALPN
-	}
-	return []string{"http/1.1"}
 }
 
 // ScanTarget performs one TLS handshake plus HTTP HEAD.
@@ -142,7 +135,7 @@ func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 
 	tcfg := &tls.Config{
 		ServerName:         t.SNI,
-		NextProtos:         s.alpn(),
+		NextProtos:         alpn,
 		InsecureSkipVerify: true,
 		CurvePreferences:   []tls.CurveID{tls.X25519},
 		MinVersion:         tls.VersionTLS12,
@@ -158,16 +151,14 @@ func (s *Scanner) ScanTarget(ctx context.Context, t Target) Result {
 	cs := conn.ConnectionState()
 	res.TLS = s.certs.TLSInfo(&cs, t.SNI, s.RootCAs)
 
-	if !s.SkipHTTP {
-		res.HTTP = s.doHTTP(conn, t)
-		if res.HTTP != nil && res.HTTP.AltSvcRaw != "" {
-			services, clear := altsvc.Parse(res.HTTP.AltSvcRaw)
-			if !clear {
-				res.AltSvc = services
-				res.QUICALPNs = altsvc.H3ALPNs(services)
-				if len(res.QUICALPNs) > 0 {
-					mAltSvcFound.Inc()
-				}
+	res.HTTP = s.doHTTP(conn, t)
+	if res.HTTP.AltSvcRaw != "" {
+		services, clear := altsvc.Parse(res.HTTP.AltSvcRaw)
+		if !clear {
+			res.AltSvc = services
+			res.QUICALPNs = altsvc.H3ALPNs(services)
+			if len(res.QUICALPNs) > 0 {
+				mAltSvcFound.Inc()
 			}
 		}
 	}

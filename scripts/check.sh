@@ -67,8 +67,8 @@ go test -race -count=20 -run '^TestSweep' ./internal/campaign
 go test -race -count=20 -run '^TestStatsFeedTheirSeries$' ./internal/zmapquic
 
 echo "==> demux under -race, 20 runs"
-# One route table, one lock: connections registered, rebound and
-# retired from many goroutines, a Listener closed under its closing
+# One route table, one lock: connections registered, given a second ID
+# and retired from many goroutines, a Listener closed under its closing
 # connections, and a Transport closed under dials in set-up (DESIGN.md
 # section 5, Locks).
 go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp)$' ./internal/quic
@@ -79,6 +79,14 @@ echo "==> simnet send path under -race, 20 runs"
 # delivery, and the rebind tests they share the reads with (DESIGN.md
 # section 8, Send path and lock order).
 go test -race -count=20 -run '^(TestSendRacesRebindAndClose|TestSocketChurnRacesDelivery|TestRebind|TestRebindClosed)$' ./internal/simnet
+
+echo "==> loopback universe, 5 runs under -race"
+# The universe's own servers on kernel sockets, scanned over the kernel
+# stack and compared with the same deployments on simnet (DESIGN.md
+# section 1), and a ServeLoopback that meets a taken port closing what
+# it opened. Each run binds fresh loopback ports below the ephemeral
+# range.
+go test -race -count=5 -run '^(TestLoopbackServesTheModelledWorld|TestServeLoopbackFailureClosesWhatItOpened)$' ./internal/internet
 
 echo "==> go test -cpu 1,2,4 (root package, internal/quic, h3, core, resumption, migration, fingerprint, listscan, probe, simnet, dnsclient, dnsserver, internet, netbatch, experiments, zmapquic, campaign, telemetry, bench)"
 # Core count is a test dimension: the scanner's default socket pool is a

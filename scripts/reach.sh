@@ -9,7 +9,8 @@
 # The workloads: the seed-42 experiments run with the three behavioural
 # modes (its report.txt and results/ land in WORKDIR, for check.sh to
 # compare with the committed ones) and one table of a small run; then
-# quicsim on loopback (tracing, its /metrics scraped once), scanned by
+# quicsim, which serves the universe's own QUIC, HTTP/3 and HTTPS
+# servers on loopback (tracing, its /metrics scraped once), scanned by
 # qscanner (plain, -rescan, -retries with -versions and -qlog-dir, and
 # each mode), tlsscan, zmapquic (a -hitlist scan with -pcap, -blocklist
 # and -metrics-addr; a two-shard -journal prefix campaign stopped
