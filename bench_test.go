@@ -597,20 +597,22 @@ func newProbePath(tb testing.TB) (send, validate func()) {
 var engineSweepProbes uint64
 
 // engineSweepSize is the number of probes in one newEngineSweep sweep.
-const engineSweepSize = 1 << 20
+const engineSweepSize = 1<<20 + 1<<8
 
 // newEngineSweep returns the production sweep path as one closure: the
-// campaign engine over 100.64.0.0/12, two shards and two workers
-// through one Scanner.SendProbe onto simnet, one collector, a NullSink
-// — the repository benchmark's sweep-vn without a universe behind it:
-// one address in 4,096 answers, looked up as the universe looks up its
-// deployments. A call sweeps the prefix once in the order seed gives.
+// campaign engine over 100.64.0.0/12 and 100.80.0.0/24, two shards and
+// two workers through one Scanner.SendProbe onto simnet, one collector,
+// a NullSink — the repository benchmark's sweep-vn without a universe
+// behind it: one address of the /12 in 4,096 answers, looked up as the
+// universe looks up its deployments. Like sweep-vn's, its address count
+// is just past a power of four, where a walk that skips positions shows.
+// A call sweeps the prefixes once in the order seed gives.
 func newEngineSweep(tb testing.TB) func(seed uint64) {
 	n := simnet.New(simnet.Config{})
 	tb.Cleanup(n.Close)
-	prefixes := []netip.Prefix{netip.MustParsePrefix("100.64.0.0/12")}
+	prefixes := []netip.Prefix{netip.MustParsePrefix("100.64.0.0/12"), netip.MustParsePrefix("100.80.0.0/24")}
 	responders := make(map[netip.Addr]bool)
-	for i := 0; i < engineSweepSize; i += 1 << 12 {
+	for i := 0; i < 1<<20; i += 1 << 12 {
 		responders[netip.AddrFrom4([4]byte{100, 64 + byte(i>>16), byte(i >> 8), 0})] = true
 	}
 	n.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {

@@ -295,12 +295,11 @@ func runCampaign(ctx context.Context, scanner *zmapquic.Scanner, conns []net.Pac
 		// the moment the previous run died.
 		if cf.journal && outFile != "" {
 			if f, err := os.Open(outFile); err == nil {
-				cursors, jerr := campaign.ReplayJournal(f)
+				jerr := eng.ReplayJournal(f)
 				f.Close()
 				if jerr != nil {
 					fatal("replaying journal %s: %v", outFile, jerr)
 				}
-				eng.AdvanceCursors(cursors)
 			}
 		}
 		p := eng.Progress()

@@ -1,5 +1,5 @@
 // Package campaign is the internet-scale orchestration layer over the
-// stateless sweep: it splits the cyclic-group permutation into N
+// stateless sweep: it splits the sweep's Feistel permutation into N
 // deterministic shards, runs them as leased concurrent workers under
 // one global rate budget, checkpoints per-shard cursors to an
 // atomic-rename JSON state file, and streams results through bounded
@@ -8,13 +8,13 @@
 // being killed, resumed, and spread over processes without ever
 // probing an address twice or skipping one.
 //
-// Shard math: the sweep's Feistel permutation maps positions
-// [0, DomainSize) bijectively onto address indices. Shard k of N owns
-// the positions congruent to k mod N; the residue classes partition
-// the domain, so the shard walks are disjoint and their union is the
-// exact sweep. A shard's whole progress is one number — the count of
-// residue-class units completed — which is what the checkpoint and
-// the probe journal record.
+// Shard math: the sweep maps positions [0, Total) bijectively onto its
+// addresses, so every position is an address and a unit is one probe.
+// Shard k of N owns the positions congruent to k mod N; the residue
+// classes partition the positions, so the shard walks are disjoint and
+// their union is the exact sweep. A shard's whole progress is one
+// number — the count of residue-class units completed — which is what
+// the checkpoint and the probe journal record.
 //
 // Crash semantics: a unit is (probe, journal append, cursor advance),
 // and workers observe kills only between units, so cursors recovered
@@ -204,23 +204,6 @@ func (e *Engine) Restore(c *Checkpoint) error {
 	return nil
 }
 
-// AdvanceCursors fast-forwards shard cursors to at least the given
-// values — the second half of an exact resume, applied with the
-// output of ReplayJournal over the NDJSON stream the dead process
-// left behind. Forward-only: a journal can never move a shard back
-// behind its checkpoint.
-func (e *Engine) AdvanceCursors(cursors map[int]uint64) {
-	for id, cur := range cursors {
-		st := e.byID[id]
-		if st == nil {
-			continue
-		}
-		if cur > st.cursor.Load() {
-			st.cursor.Store(cur)
-		}
-	}
-}
-
 // Progress is a point-in-time snapshot of this process's share.
 type Progress struct {
 	Shards     int    // shards owned
@@ -368,7 +351,7 @@ func (e *Engine) Run(ctx context.Context) error {
 func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 	var (
 		n       = uint64(e.cfg.Shards)
-		size    = e.cfg.Sweep.DomainSize()
+		total   = e.cfg.Sweep.Total()
 		i       = st.cursor.Load()
 		journal = e.cfg.Journal
 		// Polling the channel is lock-free; ctx.Err() takes the
@@ -394,27 +377,26 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		default:
 		}
 		x := uint64(st.id) + i*n
-		if x >= size || x < i { // x < i: position arithmetic wrapped
+		if x >= total || x < i { // x < i: position arithmetic wrapped
 			break
 		}
-		addr, ok := e.cfg.Sweep.AddrAtPosition(x)
-		if ok {
-			if err := e.bucket.Wait(ctx); err != nil {
-				return err
-			}
-			if e.killed.Load() {
-				return errKilled
-			}
-			if err := e.cfg.Probe(ctx, addr); err != nil {
-				mProbeErrors.Inc()
-			} else {
-				probes++
-			}
-			if journal {
-				rec := Record{Type: recordProbe, Shard: st.id, Pos: i, Addr: addr.String()}
-				if err := e.sink.Write(rec); err != nil {
-					return fmt.Errorf("campaign: journaling shard %d unit %d: %w", st.id, i, err)
-				}
+		// Every position below Total is an address: one unit, one probe.
+		addr, _ := e.cfg.Sweep.AddrAtPosition(x)
+		if err := e.bucket.Wait(ctx); err != nil {
+			return err
+		}
+		if e.killed.Load() {
+			return errKilled
+		}
+		if err := e.cfg.Probe(ctx, addr); err != nil {
+			mProbeErrors.Inc()
+		} else {
+			probes++
+		}
+		if journal {
+			rec := Record{Type: recordProbe, Shard: st.id, Pos: i, Addr: addr.String()}
+			if err := e.sink.Write(rec); err != nil {
+				return fmt.Errorf("campaign: journaling shard %d unit %d: %w", st.id, i, err)
 			}
 		}
 		i++

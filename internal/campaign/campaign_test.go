@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/netip"
@@ -191,11 +192,40 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// journalEngine returns a 4-shard engine over 10.0.0.0/24 and the
+// address its walk probes at a shard's unit.
+func journalEngine(t *testing.T) (*Engine, func(shard int, pos uint64) string) {
+	t.Helper()
+	sw := zmapquic.NewSweep(1, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")})
+	eng, err := New(Config{Sweep: sw, Shards: 4, Probe: func(context.Context, netip.Addr) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, func(shard int, pos uint64) string {
+		a, ok := sw.AddrAtPosition(uint64(shard) + 4*pos)
+		if !ok {
+			t.Fatalf("shard %d unit %d is past the sweep", shard, pos)
+		}
+		return a.String()
+	}
+}
+
+// cursors is the engine's cursor of each shard.
+func cursors(e *Engine) map[int]uint64 {
+	c := make(map[int]uint64)
+	for _, st := range e.shards {
+		c[st.id] = st.cursor.Load()
+	}
+	return c
+}
+
 func TestNDJSONSinkOutput(t *testing.T) {
+	eng, addrAt := journalEngine(t)
+	probed := addrAt(3, 17)
 	var buf bytes.Buffer
 	sink := NewNDJSONSink(&buf, 0, false)
 	recs := []Record{
-		{Type: recordProbe, Shard: 3, Pos: 17, Addr: "10.0.0.1"},
+		{Type: recordProbe, Shard: 3, Pos: 17, Addr: probed},
 		{Type: RecordHit, Shard: -1, Addr: "10.0.0.1", Versions: []string{"draft-29", "v1"}},
 	}
 	for _, r := range recs {
@@ -206,18 +236,17 @@ func TestNDJSONSinkOutput(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"type":"probe","shard":3,"pos":17,"addr":"10.0.0.1"}` + "\n" +
+	want := `{"type":"probe","shard":3,"pos":17,"addr":"` + probed + `"}` + "\n" +
 		`{"type":"hit","shard":-1,"pos":0,"addr":"10.0.0.1","versions":["draft-29","v1"]}` + "\n"
 	if buf.String() != want {
 		t.Fatalf("sink output:\n%s\nwant:\n%s", buf.String(), want)
 	}
 	// The hand-rolled encoding must replay through the stdlib decoder.
-	cursors, err := ReplayJournal(strings.NewReader(buf.String()))
-	if err != nil {
+	if err := eng.ReplayJournal(strings.NewReader(buf.String())); err != nil {
 		t.Fatal(err)
 	}
-	if len(cursors) != 1 || cursors[3] != 18 {
-		t.Fatalf("replay = %v, want shard 3 at cursor 18", cursors)
+	if got := cursors(eng); got[3] != 18 || got[0]+got[1]+got[2] != 0 {
+		t.Fatalf("replay = %v, want shard 3 at cursor 18", got)
 	}
 	if err := sink.Write(Record{}); !errors.Is(err, errSinkClosed) {
 		t.Fatalf("write after close = %v, want errSinkClosed", err)
@@ -225,18 +254,18 @@ func TestNDJSONSinkOutput(t *testing.T) {
 }
 
 func TestReplayJournalSkipsDamage(t *testing.T) {
-	in := `{"type":"probe","shard":0,"pos":4,"addr":"10.0.0.4"}
+	eng, addrAt := journalEngine(t)
+	in := fmt.Sprintf(`{"type":"probe","shard":0,"pos":4,"addr":"%s"}
 {"type":"hit","shard":-1,"pos":0,"addr":"10.0.0.4","versions":["v1"]}
 not json at all
-{"type":"probe","shard":1,"pos":9,"addr":"10.0.1.9"}
-{"type":"probe","shard":0,"pos":2,"addr":"10.0.0.2"}
-{"type":"probe","shard":0,"pos":` // torn final line: process died mid-write
-	cursors, err := ReplayJournal(strings.NewReader(in))
-	if err != nil {
+{"type":"probe","shard":1,"pos":9,"addr":"%s"}
+{"type":"probe","shard":0,"pos":2,"addr":"%s"}
+{"type":"probe","shard":0,"pos":`, addrAt(0, 4), addrAt(1, 9), addrAt(0, 2)) // torn final line: process died mid-write
+	if err := eng.ReplayJournal(strings.NewReader(in)); err != nil {
 		t.Fatal(err)
 	}
-	if cursors[0] != 5 || cursors[1] != 10 || len(cursors) != 2 {
-		t.Fatalf("replay = %v, want {0:5 1:10}", cursors)
+	if got := cursors(eng); got[0] != 5 || got[1] != 10 || got[2] != 0 || got[3] != 0 {
+		t.Fatalf("replay = %v, want {0:5 1:10 2:0 3:0}", got)
 	}
 }
 
@@ -383,11 +412,9 @@ func TestProbeCountExactOnEveryExit(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prev != nil {
-			cursors := make(map[int]uint64)
-			for _, st := range prev.shards {
-				cursors[st.id] = st.cursor.Load()
+			for id, cur := range cursors(prev) {
+				eng.byID[id].cursor.Store(cur)
 			}
-			eng.AdvanceCursors(cursors)
 		}
 		before := mProbes.Value()
 		err = eng.Run(ctx)

@@ -13,11 +13,14 @@ import (
 	"time"
 )
 
-// checkpointVersion is the current on-disk state-file format. Version
-// bumps are deliberate compatibility breaks: a resume against a file
-// written by a different version fails loudly instead of silently
-// misreading cursors.
-const checkpointVersion = 1
+// checkpointVersion is the current on-disk state-file format, and names
+// the walk its cursors count: a cursor is a count of positions, and a
+// different walk maps them to other addresses. Version 2 walks
+// [0, Total), every position an address; version 1 walked a power-of-4
+// domain and skipped the positions past Total. Version bumps are
+// deliberate compatibility breaks: a resume against a file written by a
+// different version fails loudly instead of silently misreading cursors.
+const checkpointVersion = 2
 
 var (
 	// errCorruptCheckpoint marks a state file that is truncated, not
@@ -28,8 +31,9 @@ var (
 	// errCheckpointVersion marks a structurally valid file written by
 	// an incompatible engine version.
 	errCheckpointVersion = errors.New("unsupported checkpoint version")
-	// errCheckpointMismatch marks a valid checkpoint that belongs to a
-	// different campaign (seed, prefix set, or shard count differ).
+	// errCheckpointMismatch marks a valid checkpoint, or a journal, that
+	// belongs to a different campaign (seed, prefix set, shard count or
+	// walk differ).
 	errCheckpointMismatch = errors.New("checkpoint belongs to a different campaign")
 )
 
@@ -59,10 +63,12 @@ type Checkpoint struct {
 
 // identity fingerprints a campaign: two processes (or two runs of one
 // process) agree on it iff they would walk the identical permutation
-// with the identical shard partition.
+// with the identical shard partition. The walk is checkpointVersion's.
 func identity(seed uint64, shards int, total uint64, prefixes []netip.Prefix) string {
 	h := sha256.New()
 	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], checkpointVersion)
+	h.Write(b[:])
 	binary.BigEndian.PutUint64(b[:], seed)
 	h.Write(b[:])
 	binary.BigEndian.PutUint64(b[:], uint64(shards))

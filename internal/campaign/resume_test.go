@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -129,12 +130,11 @@ func TestKillResumeTorture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cursors, err := ReplayJournal(rf)
+			err = eng.ReplayJournal(rf)
 			rf.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.AdvanceCursors(cursors)
 		}
 
 		lastErr = eng.Run(context.Background())
@@ -229,6 +229,96 @@ func TestRestoreRejectsForeignCheckpoint(t *testing.T) {
 		if err := other.Restore(cp); !errors.Is(err, errCheckpointMismatch) {
 			t.Errorf("%s: Restore = %v, want errCheckpointMismatch", name, err)
 		}
+	}
+}
+
+// previousWalkState and previousWalkJournal are what a version-1 engine
+// wrote for a 4-shard campaign over NewSweep(7, 10.0.0.0/23), cancelled
+// after six probes. That walk permuted a power-of-4 domain of 1,024
+// positions and skipped those past Total: shard 0's cursor of 11 counts
+// five skips, and its units name other addresses than today's walk puts
+// there.
+const (
+	previousWalkState = `{
+  "version": 1,
+  "campaign": "e2c36c86665eb102beb79dde",
+  "seed": 7,
+  "shards": 4,
+  "total": 512,
+  "prefixes": [
+    "10.0.0.0/23"
+  ],
+  "unix_ms": 1792386515777,
+  "cursors": [
+    {
+      "shard": 0,
+      "cursor": 11,
+      "done": false
+    },
+    {
+      "shard": 1,
+      "cursor": 0,
+      "done": false
+    },
+    {
+      "shard": 2,
+      "cursor": 0,
+      "done": false
+    },
+    {
+      "shard": 3,
+      "cursor": 0,
+      "done": false
+    }
+  ],
+  "checksum": "b56646452515a81f98eef9c37367cbdb42826c69d30edb4fe8294dc7c17d709d"
+}
+`
+	previousWalkJournal = `{"type":"probe","shard":0,"pos":1,"addr":"10.0.0.106"}
+{"type":"probe","shard":0,"pos":2,"addr":"10.0.1.217"}
+{"type":"probe","shard":0,"pos":3,"addr":"10.0.0.181"}
+{"type":"probe","shard":0,"pos":5,"addr":"10.0.0.136"}
+{"type":"probe","shard":0,"pos":7,"addr":"10.0.1.144"}
+{"type":"probe","shard":0,"pos":10,"addr":"10.0.1.43"}
+`
+)
+
+// TestPreviousWalkStateIsRefused: a state file or a journal written for
+// the previous walk must not resume this one, whose positions map to
+// other addresses. The state file fails on its version, and restamped
+// with today's version, on its campaign identity; the journal fails on
+// its addresses, and moves no cursor.
+func TestPreviousWalkStateIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := os.WriteFile(path, []byte(previousWalkState), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); !errors.Is(err, errCheckpointVersion) {
+		t.Fatalf("LoadCheckpoint = %v, want errCheckpointVersion", err)
+	}
+
+	eng, err := New(Config{
+		Sweep:  zmapquic.NewSweep(7, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/23")}),
+		Shards: 4,
+		Probe:  func(context.Context, netip.Addr) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restamped Checkpoint
+	if err := json.Unmarshal([]byte(previousWalkState), &restamped); err != nil {
+		t.Fatal(err)
+	}
+	restamped.Version = checkpointVersion
+	if err := eng.Restore(&restamped); !errors.Is(err, errCheckpointMismatch) {
+		t.Fatalf("Restore of the restamped file = %v, want errCheckpointMismatch", err)
+	}
+
+	if err := eng.ReplayJournal(strings.NewReader(previousWalkJournal)); !errors.Is(err, errCheckpointMismatch) {
+		t.Fatalf("ReplayJournal = %v, want errCheckpointMismatch", err)
+	}
+	if p := eng.Progress(); p.Units != 0 {
+		t.Fatalf("refused state moved the cursors %d units", p.Units)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -151,6 +152,52 @@ func TestEngineCoversSweepExactlyOnce(t *testing.T) {
 	p := eng.Progress()
 	if p.ShardsDone != 8 || p.Probes != uint64(len(want)) {
 		t.Fatalf("progress %+v, want 8 shards done and %d probes", p, len(want))
+	}
+}
+
+// TestEngineRunsOneUnitPerAddress: every unit of a shard's walk is an
+// address, so the engine calls Probe exactly Total times, and each
+// shard's cursor ends at the count of positions in its residue class:
+// one step per probe. Totals that are not a power of four are where a
+// walk with skips would show.
+func TestEngineRunsOneUnitPerAddress(t *testing.T) {
+	for _, prefixes := range [][]netip.Prefix{
+		{netip.MustParsePrefix("10.0.0.0/31"), netip.MustParsePrefix("10.9.0.0/32")},
+		{netip.MustParsePrefix("10.0.0.0/21"), netip.MustParsePrefix("192.0.2.9/32")},
+		{netip.MustParsePrefix("10.1.0.0/20"), netip.MustParsePrefix("10.2.0.0/24")},
+	} {
+		sw := zmapquic.NewSweep(3, prefixes)
+		total := sw.Total()
+		for _, shards := range []int{1, 3, 8} {
+			var calls atomic.Uint64
+			eng, err := New(Config{
+				Sweep:   sw,
+				Shards:  shards,
+				Workers: 2,
+				Probe: func(context.Context, netip.Addr) error {
+					calls.Add(1)
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != total {
+				t.Errorf("total %d, %d shards: Probe called %d times", total, shards, got)
+			}
+			if p := eng.Progress(); p.Units != total || p.Probes != total {
+				t.Errorf("total %d, %d shards: progress %+v, want %d units and probes", total, shards, p, total)
+			}
+			for _, st := range eng.shards {
+				want := (total + uint64(shards) - 1 - uint64(st.id)) / uint64(shards)
+				if got := st.cursor.Load(); got != want {
+					t.Errorf("total %d, %d shards: shard %d cursor %d, want %d", total, shards, st.id, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net/netip"
 	"strconv"
 	"sync"
 )
@@ -200,14 +202,19 @@ func (s *NDJSONSink) Close() error {
 	return s.getErr()
 }
 
-// ReplayJournal scans an NDJSON stream for this campaign's probe
-// records and returns the recovered per-shard cursors: for each shard
-// the highest journaled unit plus one. Probe units complete strictly
-// in order within a shard, so the maximum journaled position bounds
-// everything the dead process durably finished. Unknown or malformed
-// lines are skipped — a torn final line (the process died mid-write)
-// must not poison the readable prefix.
-func ReplayJournal(r io.Reader) (map[int]uint64, error) {
+// ReplayJournal fast-forwards the owned shards' cursors past every unit
+// an NDJSON stream journals: the second half of an exact resume, after
+// Restore, over the stream the dead process left behind. Probe units
+// complete strictly in order within a shard, so a shard's highest
+// journaled unit bounds everything it durably finished; cursors only
+// move forward, never behind the checkpoint. Unknown or malformed lines
+// are skipped: a torn final line (the process died mid-write) must not
+// poison the readable prefix. Each probe record names the address its
+// unit probed, and one that this campaign's walk does not put at that
+// unit (another campaign's journal, or an engine that walked
+// differently) fails the replay with errCheckpointMismatch before any
+// cursor moves.
+func (e *Engine) ReplayJournal(r io.Reader) error {
 	cursors := make(map[int]uint64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -223,9 +230,32 @@ func ReplayJournal(r io.Reader) (map[int]uint64, error) {
 		if rec.Type != recordProbe || rec.Shard < 0 {
 			continue
 		}
+		if !e.walks(rec) {
+			return fmt.Errorf("%w: journal says shard %d unit %d probed %s, which this campaign's walk does not",
+				errCheckpointMismatch, rec.Shard, rec.Pos, rec.Addr)
+		}
 		if next := rec.Pos + 1; next > cursors[rec.Shard] {
 			cursors[rec.Shard] = next
 		}
 	}
-	return cursors, sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("campaign: replaying journal: %w", err)
+	}
+	for id, cur := range cursors {
+		if st := e.byID[id]; st != nil && cur > st.cursor.Load() {
+			st.cursor.Store(cur)
+		}
+	}
+	return nil
+}
+
+// walks reports whether rec's shard probes rec.Addr at unit rec.Pos.
+func (e *Engine) walks(rec Record) bool {
+	n := uint64(e.cfg.Shards)
+	if uint64(rec.Shard) >= n || rec.Pos >= e.cfg.Sweep.Total() {
+		return false
+	}
+	want, err := netip.ParseAddr(rec.Addr)
+	got, ok := e.cfg.Sweep.AddrAtPosition(uint64(rec.Shard) + rec.Pos*n)
+	return err == nil && ok && got == want
 }

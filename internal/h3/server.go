@@ -17,7 +17,9 @@ type Request struct {
 	Headers   []HeaderField
 }
 
-// Handler produces a response for a request.
+// Handler produces a response for a request. The server only reads the
+// response, so a handler may return one Response to many requests, from
+// many connections at once.
 type Handler func(req *Request) *Response
 
 // Server serves HTTP/3 on QUIC connections.

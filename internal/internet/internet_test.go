@@ -7,12 +7,14 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"quicscan/internal/core"
 	"quicscan/internal/dnsclient"
 	"quicscan/internal/dnswire"
+	"quicscan/internal/h3"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/tlsscan"
 	"quicscan/internal/zmapquic"
@@ -453,6 +455,74 @@ func TestFacebookRetry(t *testing.T) {
 	if res.HTTP == nil || res.HTTP.Server != "proxygen-bolt" {
 		t.Errorf("server header = %+v", res.HTTP)
 	}
+}
+
+// altVisibleActive is an active IPv4 deployment of u whose HTTP/3
+// answer carries a Server header and an Alt-Svc.
+func altVisibleActive(t *testing.T, u *Universe) *Deployment {
+	t.Helper()
+	for _, d := range u.Deployments {
+		if d.Behavior == BehaviorActive && d.Addr.Is4() && d.AltVisible && d.Profile.ALPNSet != nil &&
+			d.ServerHeader != "" && len(d.Domains) > 0 {
+			return d
+		}
+	}
+	t.Skip("no alt-visible active deployment at this scale")
+	return nil
+}
+
+var h3Sink *h3.Response
+
+// TestH3HandlerAllocatesNothing: a deployment's HTTP/3 answer is fixed
+// per deployment and week, so its handler builds it once and a HEAD
+// allocates nothing.
+func TestH3HandlerAllocatesNothing(t *testing.T) {
+	u := Build(tinySpec())
+	d := altVisibleActive(t, u)
+	handler := u.h3HandlerFor(d, 443)
+	req := &h3.Request{Method: "HEAD", Scheme: "https", Authority: d.Domains[0], Path: "/"}
+	if allocs := testing.AllocsPerRun(100, func() { h3Sink = handler(req) }); allocs != 0 {
+		t.Errorf("a HEAD allocates %.0f times, want 0", allocs)
+	}
+	if got, want := h3Sink.Header("alt-svc"), altSvcValue(d.Profile.ALPNSet(u.Spec.Week), 443); got != want {
+		t.Errorf("alt-svc %q, want %q", got, want)
+	}
+	if got := h3Sink.Header("server"); got != d.ServerHeader {
+		t.Errorf("server %q, want %q", got, d.ServerHeader)
+	}
+}
+
+// TestH3HandlerServesConnectionsAtOnce: connections to one deployment
+// share its handler's response; HEADs on several of them at once read
+// it (under -race, without a race) and all get the same headers.
+func TestH3HandlerServesConnectionsAtOnce(t *testing.T) {
+	u := startedUniverse(t, tinySpec(), StartOptions{Stateful: true})
+	d := altVisibleActive(t, u)
+	sc := &core.Scanner{
+		DialPacket: func() (net.PacketConn, error) { return u.Net.DialUDP() },
+		RootCAs:    u.RootCAs(),
+		Timeout:    2 * time.Second,
+	}
+	want := altSvcValue(d.Profile.ALPNSet(u.Spec.Week), 443)
+	const conns, heads = 2, 3
+	var wg sync.WaitGroup
+	for range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range heads {
+				res := sc.ScanTarget(context.Background(), core.Target{Addr: d.Addr, SNI: d.Domains[0]})
+				if res.HTTP == nil || !res.HTTP.RequestOK {
+					t.Errorf("HEAD failed: %s (%s)", res.Outcome, res.Error)
+					return
+				}
+				if res.HTTP.Server != d.ServerHeader || res.HTTP.AltSvc != want {
+					t.Errorf("server %q, alt-svc %q; want %q, %q", res.HTTP.Server, res.HTTP.AltSvc, d.ServerHeader, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestIdleUniverseFootprint: the benchmark fixture, started and left

@@ -331,9 +331,12 @@ func closeReasonFor(provider string) string {
 	}
 }
 
+// h3HandlerFor answers every request to d, served on port, with one
+// response: its headers and body are fixed per deployment and week, and
+// the server only reads them. It is built at the first request, so that
+// Start formats no Alt-Svc for a deployment nobody asks.
 func (u *Universe) h3HandlerFor(d *Deployment, port uint16) h3.Handler {
-	week := u.Spec.Week
-	return func(req *h3.Request) *h3.Response {
+	resp := sync.OnceValue(func() *h3.Response {
 		headers := []h3.HeaderField{
 			{Name: "content-type", Value: "text/html; charset=utf-8"},
 		}
@@ -341,10 +344,11 @@ func (u *Universe) h3HandlerFor(d *Deployment, port uint16) h3.Handler {
 			headers = append(headers, h3.HeaderField{Name: "server", Value: d.ServerHeader})
 		}
 		if d.AltVisible && d.Profile.ALPNSet != nil {
-			headers = append(headers, h3.HeaderField{Name: "alt-svc", Value: altSvcValue(d.Profile.ALPNSet(week), port)})
+			headers = append(headers, h3.HeaderField{Name: "alt-svc", Value: altSvcValue(d.Profile.ALPNSet(u.Spec.Week), port)})
 		}
 		return &h3.Response{Status: "200", Headers: headers, Body: []byte("<html>quicscan simulated deployment</html>")}
-	}
+	})
+	return func(*h3.Request) *h3.Response { return resp() }
 }
 
 func altSvcValue(alpns []string, port uint16) string {

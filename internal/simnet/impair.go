@@ -108,6 +108,7 @@ type prefixProfile struct {
 func (n *Network) SetProfile(p Profile) {
 	n.mu.Lock()
 	n.profile = p
+	n.perfect = n.perfectLocked()
 	n.mu.Unlock()
 }
 
@@ -119,6 +120,7 @@ func (n *Network) SetProfile(p Profile) {
 func (n *Network) SetPrefixProfile(prefix netip.Prefix, p Profile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	defer func() { n.perfect = n.perfectLocked() }()
 	for i := range n.prefixProfiles {
 		if n.prefixProfiles[i].prefix == prefix {
 			n.prefixProfiles[i].profile = p
@@ -129,6 +131,17 @@ func (n *Network) SetPrefixProfile(prefix netip.Prefix, p Profile) {
 	sort.SliceStable(n.prefixProfiles, func(i, j int) bool {
 		return n.prefixProfiles[i].prefix.Bits() > n.prefixProfiles[j].prefix.Bits()
 	})
+}
+
+// perfectLocked reports whether no profile impairs any link. The caller
+// holds n.mu.
+func (n *Network) perfectLocked() bool {
+	for _, pp := range n.prefixProfiles {
+		if pp.profile != (Profile{}) {
+			return false
+		}
+	}
+	return n.profile == Profile{}
 }
 
 // ImpairmentStats returns a snapshot of the impairment counters.

@@ -480,3 +480,116 @@ func TestFateIgnoresOtherFlows(t *testing.T) {
 		t.Errorf("synthetic answers to A changed when other flows shared the network:\nalone: %v\ncrowd: %v", answers, crowdAnswers)
 	}
 }
+
+// TestPerfectFollowsProfiles: deliver skips the profile lookups only
+// while no profile impairs any link, so the flag must turn off with the
+// first impaired profile, default or per prefix, and back on only when
+// the last of them is zero again.
+func TestPerfectFollowsProfiles(t *testing.T) {
+	lossy := Profile{Loss: 1}
+	p1, p2 := netip.MustParsePrefix("198.51.100.0/24"), netip.MustParsePrefix("192.0.2.0/24")
+	n := New(Config{Seed: 1})
+	defer n.Close()
+	cli, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := n.ListenUDP(ap("198.51.100.7:443"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name string
+		set  func()
+		want bool
+	}{
+		{"new", func() {}, true},
+		{"default impaired", func() { n.SetProfile(lossy) }, false},
+		{"default zero", func() { n.SetProfile(Profile{}) }, true},
+		{"prefix impaired", func() { n.SetPrefixProfile(p1, lossy) }, false},
+		{"other prefix zero", func() { n.SetPrefixProfile(p2, Profile{}) }, false},
+		{"prefix zero", func() { n.SetPrefixProfile(p1, Profile{}) }, true},
+	} {
+		step.set()
+		n.mu.Lock()
+		got := n.perfect
+		n.mu.Unlock()
+		if got != step.want {
+			t.Fatalf("%s: perfect = %v, want %v", step.name, got, step.want)
+		}
+		// And the datagrams agree: a lossy link loses, a perfect one delivers.
+		before := n.ImpairmentStats()
+		if _, err := cli.WriteTo([]byte("x"), srv.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		after := n.ImpairmentStats()
+		if delivered := after.Delivered - before.Delivered; (delivered == 1) != step.want || after.Lost-before.Lost != 1-delivered {
+			t.Fatalf("%s: a datagram moved Delivered by %d and Lost by %d", step.name, delivered, after.Lost-before.Lost)
+		}
+	}
+	m := New(Config{Profile: lossy})
+	defer m.Close()
+	if m.perfect {
+		t.Fatal("a network built with an impaired default profile is perfect")
+	}
+}
+
+// TestSetPrefixProfileRacesSenders: senders keep writing while another
+// goroutine turns a prefix lossy and perfect again. Every datagram is
+// judged under one profile or the other, counted once, and the network
+// ends perfect.
+func TestSetPrefixProfileRacesSenders(t *testing.T) {
+	const writers, perWriter = 4, 5000
+	prefix := netip.MustParsePrefix("203.0.113.0/24")
+	n := New(Config{Seed: 5})
+	defer n.Close()
+	pc, err := n.DialUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	toggled := make(chan int)
+	go func() {
+		flips := 0
+		for {
+			select {
+			case <-stop:
+				n.SetPrefixProfile(prefix, Profile{})
+				toggled <- flips
+				return
+			default:
+			}
+			n.SetPrefixProfile(prefix, Profile{Loss: 1})
+			n.SetPrefixProfile(prefix, Profile{})
+			flips++
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			to := net.UDPAddrFromAddrPort(netip.AddrPortFrom(netip.AddrFrom4([4]byte{203, 0, 113, byte(w)}), 443))
+			for range perWriter {
+				if _, err := pc.WriteTo([]byte("x"), to); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	t.Logf("%d lossy-and-back flips during %d datagrams", <-toggled, writers*perWriter)
+
+	st := n.ImpairmentStats()
+	if dgrams, _ := n.UDPTraffic(); dgrams != writers*perWriter || st.Delivered+st.Lost != dgrams {
+		t.Fatalf("%d datagrams sent, %d delivered + %d lost", dgrams, st.Delivered, st.Lost)
+	}
+	n.mu.Lock()
+	perfect := n.perfect
+	n.mu.Unlock()
+	if !perfect {
+		t.Fatal("the network is not perfect once every profile is zero again")
+	}
+}

@@ -52,9 +52,12 @@ type Network struct {
 	synth     SyntheticResponder
 
 	// profile is the default link impairment; prefixProfiles override
-	// it for links to matching prefixes (longest prefix first).
+	// it for links to matching prefixes (longest prefix first). perfect
+	// says that every one of them is the zero Profile, so that no link
+	// is impaired and deliver looks none of them up.
 	profile        Profile
 	prefixProfiles []prefixProfile
+	perfect        bool
 	seed           uint64
 
 	// sched delivers delayed datagrams (jitter, reordering) from one
@@ -133,6 +136,7 @@ func New(cfg Config) *Network {
 		udp:       make(map[netip.AddrPort]*PacketConn),
 		listeners: make(map[netip.AddrPort]*streamListener),
 		profile:   cfg.Profile,
+		perfect:   cfg.Profile == Profile{},
 		seed:      cfg.Seed,
 		mu:        new(cellLock),
 		traffic:   new([telemetry.NumCells]trafficRow),
@@ -248,19 +252,23 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 	// Everything the routing reads under n.mu, in one acquisition; back
 	// is only needed for a synthetic reply.
 	l := n.mu.rlock()
-	profile := n.profileForLocked(to, from)
 	dst := n.udp[to]
 	synth := n.synth
-	var back Profile
-	if dst == nil && synth != nil {
-		back = n.profileForLocked(from, to)
+	perfect := n.perfect
+	var profile, back Profile
+	if !perfect {
+		profile = n.profileForLocked(to, from)
+		if dst == nil && synth != nil {
+			back = n.profileForLocked(from, to)
+		}
 	}
 	l.RUnlock()
 
 	// A perfect link is not judged: its datagrams need no key.
+	judged := !perfect && (profile != (Profile{}) || back != (Profile{}))
 	var key fateKey
 	v := delivered
-	if profile != (Profile{}) || back != (Profile{}) {
+	if judged {
 		key = fateKey{seed: n.seed, from: from, to: to, index: src.nextIndex(to)}
 		v = judge(profile, &key, len(payload))
 	}
@@ -290,7 +298,7 @@ func (n *Network) deliver(src *PacketConn, from, to netip.AddrPort, payload []by
 	}
 	for i, r := range replies {
 		rv := delivered
-		if back != (Profile{}) {
+		if judged && back != (Profile{}) {
 			rv = judge(back, &fateKey{n.seed, to, from, key.index, uint64(i) + 1}, len(r))
 		}
 		row.count(rv)

@@ -3,7 +3,6 @@ package zmapquic
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"net/netip"
 	"sort"
 )
@@ -12,16 +11,27 @@ import (
 // pseudorandom order, the way ZMap permutes the address space so that
 // probes to any one network are spread over the whole scan (a core
 // ethical measure in the paper's Appendix A). The permutation is a
-// four-round Feistel network over the index space, keyed by seed —
-// a bijection, so every address is visited exactly once.
+// four-round Feistel network keyed by seed over the smallest power of
+// two at or above the address count, cycle-walked down to that count:
+// a bijection on [0, Total), so every address is visited exactly once
+// and every position is an address.
 type Sweep struct {
 	seed     uint64
 	prefixes []netip.Prefix
 	starts   []uint64 // cumulative address counts
+	bases    []uint32 // each prefix's first address
 	total    uint64
-	size     uint64 // permutation domain: smallest power of 4 >= total
-	halfBits uint
-	keys     [4]uint32
+
+	// jump[j] is the prefix holding index j<<jumpShift; jump[j+1] bounds
+	// the prefixes any index of that bucket can fall in.
+	jump      []uint32
+	jumpShift uint
+
+	// The Feistel halves: an index is hi<<loBits | lo, hi the wider by
+	// one bit when the domain's bit count is odd.
+	loBits         uint
+	hiMask, loMask uint64
+	keys           [4]uint32
 }
 
 // NewSweep builds a randomized sweep over the given IPv4 prefixes.
@@ -33,16 +43,30 @@ func NewSweep(seed uint64, prefixes []netip.Prefix) *Sweep {
 	s := &Sweep{seed: seed, prefixes: normalizePrefixes(prefixes)}
 	for _, p := range s.prefixes {
 		s.starts = append(s.starts, s.total)
+		s.bases = append(s.bases, binary.BigEndian.Uint32(p.Addr().AsSlice()))
 		s.total += uint64(1) << (32 - p.Bits())
 	}
-	// Domain must be a power of two with an even bit count for the
-	// balanced Feistel halves.
-	bits := uint(2)
-	for uint64(1)<<bits < s.total {
-		bits += 2
+	if n := uint64(len(s.prefixes)); n > 0 {
+		for s.total>>s.jumpShift > 4*n {
+			s.jumpShift++
+		}
+		s.jump = make([]uint32, (s.total-1)>>s.jumpShift+2)
+		i := 0
+		for j := range s.jump {
+			at := uint64(j) << s.jumpShift
+			for i+1 < len(s.starts) && s.starts[i+1] <= at {
+				i++
+			}
+			s.jump[j] = uint32(i)
+		}
 	}
-	s.size = uint64(1) << bits
-	s.halfBits = bits / 2
+	bits := uint(0)
+	for uint64(1)<<bits < s.total {
+		bits++
+	}
+	s.loBits = bits / 2
+	s.loMask = uint64(1)<<s.loBits - 1
+	s.hiMask = uint64(1)<<(bits-s.loBits) - 1
 	sum := sha256.Sum256(binary.BigEndian.AppendUint64(nil, seed))
 	for i := range s.keys {
 		s.keys[i] = binary.BigEndian.Uint32(sum[4*i:])
@@ -64,42 +88,42 @@ func (s *Sweep) Prefixes() []netip.Prefix {
 	return append([]netip.Prefix(nil), s.prefixes...)
 }
 
-// DomainSize returns the Feistel permutation domain: the smallest
-// power of four at or above Total. Positions in [0, DomainSize) map
-// through the permutation onto addresses, with cycle-walk skips for
-// positions whose permuted index falls outside the target space.
-// Sharding partitions this domain, not the address space: shard k of
-// N walks positions congruent to k mod N, and because the permutation
-// is a bijection the N walks together visit every address exactly
-// once.
-func (s *Sweep) DomainSize() uint64 { return s.size }
+// DomainSize returns the number of positions AddrAtPosition maps, which
+// is Total: every position is an address. Sharding partitions the
+// positions: shard k of N walks those congruent to k mod N, and because
+// the mapping is a bijection the N walks together visit every address
+// exactly once.
+func (s *Sweep) DomainSize() uint64 { return s.total }
 
-// AddrAtPosition maps a raw permutation-domain position to its swept
-// address. ok is false for positions outside the domain and for
-// cycle-walk skips; callers iterating the domain simply move on. The
-// mapping is pure: equal (seed, prefixes, position) triples always
-// yield the same address, which makes a position cursor a complete
-// record of a shard's progress.
+// AddrAtPosition maps a position in [0, Total) to its swept address; ok
+// is false for a position outside it. The Feistel network permutes the
+// power-of-two domain, and an image at or past Total is permuted again
+// until it falls below: a cycle walk, which stays a bijection on
+// [0, Total). The mapping is pure: equal (seed, prefixes, position)
+// triples always yield the same address, which makes a position cursor
+// a complete record of a shard's progress.
 func (s *Sweep) AddrAtPosition(x uint64) (netip.Addr, bool) {
-	if x >= s.size {
+	if x >= s.total {
 		return netip.Addr{}, false
 	}
 	idx := s.permute(x)
-	if idx >= s.total {
-		return netip.Addr{}, false
+	for idx >= s.total {
+		idx = s.permute(idx)
 	}
 	return s.addrAt(idx)
 }
 
-// permute applies the Feistel network to an index in [0, size).
+// permute applies the Feistel network to an index in the power-of-two
+// domain. With unequal halves each round swaps their widths, so an even
+// number of rounds ends on the widths it started with.
 func (s *Sweep) permute(x uint64) uint64 {
-	mask := uint64(1)<<s.halfBits - 1
-	l, r := x>>s.halfBits, x&mask
+	l, r := x>>s.loBits, x&s.loMask
+	lm, rm := s.hiMask, s.loMask
 	for _, k := range s.keys {
-		f := uint64(round(uint32(r), k)) & mask
-		l, r = r, l^f
+		l, r = r, l^uint64(round(uint32(r), k))&lm
+		lm, rm = rm, lm
 	}
-	return l<<s.halfBits | r
+	return l<<s.loBits | r
 }
 
 func round(r, k uint32) uint32 {
@@ -150,12 +174,12 @@ func normalizePrefixes(prefixes []netip.Prefix) []netip.Prefix {
 // uint32 address arithmetic must never be allowed to wrap past
 // 255.255.255.255 into an address the operator did not authorize.
 func (s *Sweep) addrAt(idx uint64) (netip.Addr, bool) {
-	if idx >= s.total || len(s.prefixes) == 0 {
+	if idx >= s.total {
 		return netip.Addr{}, false
 	}
-	// Binary search over cumulative starts.
-	lo, hi := 0, len(s.starts)-1
-	for lo < hi {
+	j := idx >> s.jumpShift
+	lo, hi := int(s.jump[j]), int(s.jump[j+1])
+	for lo < hi { // only when a prefix starts inside the bucket
 		mid := (lo + hi + 1) / 2
 		if s.starts[mid] <= idx {
 			lo = mid
@@ -163,17 +187,11 @@ func (s *Sweep) addrAt(idx uint64) (netip.Addr, bool) {
 			hi = mid - 1
 		}
 	}
-	p := s.prefixes[lo]
 	off := idx - s.starts[lo]
-	if off >= uint64(1)<<(32-p.Bits()) {
-		return netip.Addr{}, false
-	}
-	base := uint64(binary.BigEndian.Uint32(p.Masked().Addr().AsSlice()))
-	sum := base + off
-	if sum > math.MaxUint32 {
+	if off>>(32-s.prefixes[lo].Bits()) != 0 {
 		return netip.Addr{}, false
 	}
 	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(sum))
+	binary.BigEndian.PutUint32(b[:], s.bases[lo]+uint32(off))
 	return netip.AddrFrom4(b), true
 }

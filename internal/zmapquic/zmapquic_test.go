@@ -3,8 +3,10 @@ package zmapquic
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -621,6 +623,63 @@ func TestSweepAddrAtGuards(t *testing.T) {
 	}
 	if a, ok := sw.addrAt(3); !ok || a != netip.MustParseAddr("10.0.0.3") {
 		t.Errorf("addrAt(3) = %v, %v", a, ok)
+	}
+}
+
+// TestSweepEveryPositionIsAnAddress: AddrAtPosition maps [0, Total)
+// one to one onto the prefix union, whatever Total is (a power of two or
+// of four, one past either, odd, tiny), and nothing at Total.
+func TestSweepEveryPositionIsAnAddress(t *testing.T) {
+	pfx := func(ss ...string) []netip.Prefix {
+		var ps []netip.Prefix
+		for _, s := range ss {
+			ps = append(ps, netip.MustParsePrefix(s))
+		}
+		return ps
+	}
+	for _, c := range []struct {
+		prefixes []netip.Prefix
+		total    uint64
+	}{
+		{pfx("10.0.0.1/32"), 1},
+		{pfx("10.0.0.0/31"), 2},
+		{pfx("10.0.0.0/31", "10.9.0.0/32"), 3},
+		{pfx("10.0.0.0/21"), 1 << 11},
+		{pfx("10.0.0.0/20"), 1 << 12},
+		{pfx("10.0.0.0/21", "192.0.2.9/32"), 1<<11 + 1},
+		{pfx("10.0.0.0/20", "192.0.2.9/32"), 1<<12 + 1},
+		{pfx("100.64.0.0/12", "100.80.0.0/24"), 1<<20 + 1<<8},
+		{pfx("10.0.0.0/24", "10.0.0.128/25", "10.0.0.64/30", "10.0.1.0/30"), 260},
+		{pfx("255.255.255.0/24", "0.0.0.0/30", "255.255.254.255/32"), 261},
+	} {
+		sw := NewSweep(11, c.prefixes)
+		if sw.Total() != c.total || sw.DomainSize() != c.total {
+			t.Fatalf("%v: Total %d, DomainSize %d, want %d", c.prefixes, sw.Total(), sw.DomainSize(), c.total)
+		}
+		got := make([]uint32, 0, c.total)
+		for x := uint64(0); x < c.total; x++ {
+			a, ok := sw.AddrAtPosition(x)
+			if !ok {
+				t.Fatalf("%v: position %d of %d is no address", c.prefixes, x, c.total)
+			}
+			inside := false
+			for _, p := range c.prefixes {
+				inside = inside || p.Contains(a)
+			}
+			if !inside {
+				t.Fatalf("%v: position %d is %v, outside the prefixes", c.prefixes, x, a)
+			}
+			got = append(got, binary.BigEndian.Uint32(a.AsSlice()))
+		}
+		slices.Sort(got)
+		for i := 1; i < len(got); i++ {
+			if got[i] == got[i-1] {
+				t.Fatalf("%v: two positions map to address %#x", c.prefixes, got[i])
+			}
+		}
+		if _, ok := sw.AddrAtPosition(c.total); ok {
+			t.Fatalf("%v: position Total maps to an address", c.prefixes)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-N=10 # sweeps of 2^20 probes, after the one `go test` runs first
+N=10 # sweeps of 2^20 + 2^8 probes, after the one `go test` runs first
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
