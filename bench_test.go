@@ -94,7 +94,7 @@ func BenchmarkDiscoveryCost(b *testing.B) {
 		_ = wd
 	}
 	if n := len(wd.V4.ZMap); n > 0 {
-		b.ReportMetric(float64(wd.ZMapBytesV4)/float64(n), "zmap-bytes/target")
+		b.ReportMetric(float64(wd.ZMapProbesV4*zmapquic.ProbeSize)/float64(n), "zmap-bytes/target")
 	}
 	b.ReportMetric(float64(len(wd.V4.HTTPSRR)), "https-rr-targets")
 	b.ReportMetric(float64(len(wd.V4.AltSvc)), "alt-svc-targets")

@@ -183,12 +183,11 @@ func TopProviders(db *asdb.DB, addrs []netip.Addr, domainsByAddr map[netip.Addr]
 // (Figures 4 and 8). The result maps rank (1-based) to cumulative
 // fraction.
 type ASRankCDF struct {
-	Label  string
 	Shares []float64 // Shares[i] = cumulative share of top i+1 ASes
 }
 
 // ComputeASRankCDF builds the CDF for a set of addresses.
-func ComputeASRankCDF(db *asdb.DB, label string, addrs []netip.Addr) ASRankCDF {
+func ComputeASRankCDF(db *asdb.DB, addrs []netip.Addr) ASRankCDF {
 	count := make(map[asdb.ASN]int)
 	total := 0
 	for _, a := range addrs {
@@ -202,7 +201,7 @@ func ComputeASRankCDF(db *asdb.DB, label string, addrs []netip.Addr) ASRankCDF {
 		sizes = append(sizes, n)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	cdf := ASRankCDF{Label: label, Shares: make([]float64, len(sizes))}
+	cdf := ASRankCDF{Shares: make([]float64, len(sizes))}
 	cum := 0
 	for i, n := range sizes {
 		cum += n

@@ -89,7 +89,7 @@ func TestASRankCDF(t *testing.T) {
 		addrs = append(addrs, a4(i))
 	}
 	addrs = append(addrs, a4(17), a4(18), a4(19), a4(33))
-	cdf := ComputeASRankCDF(db, "test", addrs)
+	cdf := ComputeASRankCDF(db, addrs)
 	if len(cdf.Shares) != 3 {
 		t.Fatalf("shares = %v", cdf.Shares)
 	}

@@ -17,11 +17,14 @@
 // the checkpoint and the probe journal record.
 //
 // Crash semantics: a unit is (probe, journal append, cursor advance),
-// and workers observe kills only between units, so cursors recovered
-// from the flushed journal are exact and kill-and-resume coverage is
-// exactly-once. The periodic checkpoint alone (journaling disabled,
-// or sink lost with the process) bounds re-probing to the window
-// since the last write: at-least-once, ZMap's classic contract.
+// in that order, so every probe record a killed process leaves names a
+// unit that probed, and cursors recovered from a journal flushed record
+// by record are exact: kill-and-resume coverage is exactly-once. The
+// engine has no kill of its own; a process dies between any two
+// instructions, and its tests kill it through the probe, the sink and
+// the state-file writer. The periodic checkpoint alone (journaling
+// disabled, or sink lost with the process) bounds re-probing to the
+// window since the last write: at-least-once, ZMap's classic contract.
 //
 // Workers share as little as ZMap's send threads do: a walker owns its
 // shard's cursor (a cache line to itself), polls cancellation without a
@@ -59,10 +62,6 @@ var (
 	mSinkRecords  = telemetry.Default().Counter("campaign_sink_records_total")
 	mSinkDrops    = telemetry.Default().Counter("campaign_sink_drops_total")
 )
-
-// errKilled is returned by Run after a test's kill: the campaign stopped
-// abruptly and wrote no final checkpoint, like a process that died.
-var errKilled = errors.New("campaign: killed")
 
 // ProbeFunc issues one probe. Errors are counted, not retried: the
 // unit is spent either way, and loss tolerance belongs to a re-probe
@@ -121,13 +120,13 @@ type Engine struct {
 	byID   map[int]*shardState
 	bucket *zmapquic.Limiter
 	sink   Sink
-	killed atomic.Bool
 	probes atomic.Uint64
 	ran    atomic.Bool
 
 	// writeFile is the checkpoint persistence seam; tests inject
 	// failures here to prove torn-write and mid-checkpoint-kill
-	// behavior. Defaults to writeFileAtomic.
+	// behavior, and drop every write after a simulated kill. Defaults
+	// to writeFileAtomic.
 	writeFile func(path string, data []byte) error
 }
 
@@ -224,9 +223,9 @@ func (e *Engine) Progress() Progress {
 }
 
 // Run walks every owned shard to completion. It returns nil when all
-// shards finished, errKilled after kill, ctx.Err() on cancellation
-// (after writing a final checkpoint — cancellation is the graceful
-// stop), or the first sink/checkpoint failure.
+// shards finished, ctx.Err() on cancellation (after writing a final
+// checkpoint — cancellation is the graceful stop), or the first
+// sink/checkpoint failure.
 func (e *Engine) Run(ctx context.Context) error {
 	if e.ran.Swap(true) {
 		return errors.New("campaign: Engine.Run called twice (build a fresh engine to resume)")
@@ -282,7 +281,7 @@ func (e *Engine) Run(ctx context.Context) error {
 	}
 
 	// Leased shard walk: workers pull shards from the queue and run
-	// each to completion (or to the kill/cancel boundary).
+	// each to completion (or to the cancellation boundary).
 	queue := make(chan *shardState, len(e.shards))
 	for _, st := range e.shards {
 		if !st.done.Load() {
@@ -326,11 +325,7 @@ func (e *Engine) Run(ctx context.Context) error {
 	close(ckptStop)
 	ckptWG.Wait()
 
-	switch {
-	case e.killed.Load():
-		// SIGKILL semantics: leave only the periodic state behind.
-		return errKilled
-	case firstErr != nil && !errors.Is(firstErr, context.Canceled):
+	if firstErr != nil && !errors.Is(firstErr, context.Canceled) {
 		return firstErr
 	}
 	// Clean completion or graceful cancellation: persist the final
@@ -345,9 +340,9 @@ func (e *Engine) Run(ctx context.Context) error {
 }
 
 // runShard walks one residue class from its cursor. The unit loop is
-// the exactly-once core: kills and cancellations are honored only at
-// unit boundaries, and the cursor advances strictly after the probe
-// and its journal record.
+// the exactly-once core: cancellation is honored only at unit
+// boundaries, and the cursor advances strictly after the probe and its
+// journal record.
 func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 	var (
 		n       = uint64(e.cfg.Shards)
@@ -368,9 +363,6 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 	)
 	defer publish()
 	for {
-		if e.killed.Load() {
-			return errKilled
-		}
 		select {
 		case <-cancelled:
 			return ctx.Err()
@@ -384,9 +376,6 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 		addr, _ := e.cfg.Sweep.AddrAtPosition(x)
 		if err := e.bucket.Wait(ctx); err != nil {
 			return err
-		}
-		if e.killed.Load() {
-			return errKilled
 		}
 		if err := e.cfg.Probe(ctx, addr); err != nil {
 			mProbeErrors.Inc()
@@ -420,12 +409,6 @@ func (e *Engine) runShard(ctx context.Context, st *shardState) error {
 // state file. Snapshots taken while workers run are safe lower
 // bounds: cursors only advance after their unit fully completed.
 func (e *Engine) checkpoint() error {
-	if e.killed.Load() {
-		// Model process death faithfully: nothing runs after SIGKILL,
-		// so the ticker must not launder post-kill progress into the
-		// state file the resume tests trust.
-		return nil
-	}
 	c := &Checkpoint{
 		Version:  checkpointVersion,
 		Campaign: e.id,

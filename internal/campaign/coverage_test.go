@@ -82,19 +82,19 @@ func TestKillResumeCoversMillionsExactlyOnce(t *testing.T) {
 	}
 	sink := NewNDJSONSink(jf, 512, true)
 	var probed1 atomic.Uint64
-	var eng1 *Engine
-	eng1, err = New(Config{
+	k := newKillSwitch()
+	eng1, err := New(Config{
 		Sweep:   sweepFor(),
 		Shards:  16,
 		Workers: 8,
-		Probe: func(_ context.Context, addr netip.Addr) error {
+		Probe: k.probe(func(_ context.Context, addr netip.Addr) error {
 			mark(addr)
 			if probed1.Add(1) == killAt {
-				eng1.kill()
+				k.kill()
 			}
 			return nil
-		},
-		Sink:            sink,
+		}),
+		Sink:            k.sink(sink),
 		Journal:         true,
 		CheckpointPath:  ckptPath,
 		CheckpointEvery: 1, // checkpoint continuously while alive
@@ -102,8 +102,9 @@ func TestKillResumeCoversMillionsExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng1.Run(context.Background()); !errors.Is(err, errKilled) {
-		t.Fatalf("run 1 = %v, want errKilled", err)
+	k.arm(eng1)
+	if err := eng1.Run(k.ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run 1 = %v, want the kill's context.Canceled", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

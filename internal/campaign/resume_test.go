@@ -69,21 +69,21 @@ func TestKillResumeTorture(t *testing.T) {
 			killAt = total + 1 // out of reach: run to completion
 		}
 
-		var eng *Engine
-		eng, err = New(Config{
+		k := newKillSwitch()
+		eng, err := New(Config{
 			Sweep:   sweepFor(),
 			Shards:  8,
 			Workers: 4,
-			Probe: func(_ context.Context, addr netip.Addr) error {
+			Probe: k.probe(func(_ context.Context, addr netip.Addr) error {
 				mu.Lock()
 				counts[addr]++
 				mu.Unlock()
 				if probed.Add(1) == killAt {
-					eng.kill()
+					k.kill()
 				}
 				return nil
-			},
-			Sink:            sink,
+			}),
+			Sink:            k.sink(sink),
 			Journal:         true,
 			CheckpointPath:  ckptPath,
 			CheckpointEvery: 1, // nanosecond interval: checkpoint as fast as possible
@@ -110,6 +110,7 @@ func TestKillResumeTorture(t *testing.T) {
 				return fmt.Errorf("injected mid-checkpoint failure")
 			}
 		}
+		k.arm(eng)
 
 		// Resume from the durable state of the previous dead run.
 		if attempts > 0 {
@@ -137,7 +138,8 @@ func TestKillResumeTorture(t *testing.T) {
 			}
 		}
 
-		lastErr = eng.Run(context.Background())
+		lastErr = eng.Run(k.ctx)
+		k.cancel()
 		if cerr := sink.Close(); cerr != nil {
 			t.Fatalf("attempt %d: sink close: %v", attempts, cerr)
 		}
@@ -149,9 +151,9 @@ func TestKillResumeTorture(t *testing.T) {
 		// A torn run may finish its walk and then die on the final
 		// checkpoint write — that injected failure is also a valid
 		// "process died" outcome; resume from the wreckage as usual.
-		if !errors.Is(lastErr, errKilled) &&
+		if !errors.Is(lastErr, context.Canceled) &&
 			!strings.Contains(lastErr.Error(), "injected mid-checkpoint failure") {
-			t.Fatalf("attempt %d: Run = %v, want nil or errKilled", attempts, lastErr)
+			t.Fatalf("attempt %d: Run = %v, want nil or the kill's context.Canceled", attempts, lastErr)
 		}
 		if tornWrote.Load() {
 			tornOnDisk = true // the torn write is the newest state file

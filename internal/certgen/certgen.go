@@ -109,8 +109,6 @@ type LeafOptions struct {
 	CommonName string
 	// DNSNames the certificate covers (wildcards allowed).
 	DNSNames []string
-	// NotBefore/NotAfter default to a one-year window around now.
-	NotBefore, NotAfter time.Time
 	// SelfSigned issues the leaf signed by itself instead of the CA,
 	// reproducing Google's self-signed "SNI required" error
 	// certificate (paper Section 5.1).
@@ -144,19 +142,14 @@ func (ca *CA) Issue(opts LeafOptions) (tls.Certificate, error) {
 	if cn == "" && len(opts.DNSNames) > 0 {
 		cn = opts.DNSNames[0]
 	}
-	notBefore, notAfter := opts.NotBefore, opts.NotAfter
-	if notBefore.IsZero() {
-		notBefore = time.Now().Add(-time.Hour)
-	}
-	if notAfter.IsZero() {
-		notAfter = time.Now().Add(365 * 24 * time.Hour)
-	}
+	// A leaf is valid from an hour before now for a year.
+	now := time.Now()
 	tmpl := &x509.Certificate{
 		SerialNumber: big.NewInt(serial),
 		Subject:      pkix.Name{CommonName: cn},
 		DNSNames:     opts.DNSNames,
-		NotBefore:    notBefore,
-		NotAfter:     notAfter,
+		NotBefore:    now.Add(-time.Hour),
+		NotAfter:     now.Add(365 * 24 * time.Hour),
 		KeyUsage:     x509.KeyUsageDigitalSignature,
 		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
 	}

@@ -68,19 +68,21 @@ func TestSerialsDistinct(t *testing.T) {
 
 func TestValidityWindow(t *testing.T) {
 	ca, _ := NewCA("Root")
-	nb := time.Now().Add(-20 * time.Hour)
-	na := time.Now().Add(-10 * time.Hour)
-	cert, err := ca.Issue(LeafOptions{DNSNames: []string{"old.test"}, NotBefore: nb, NotAfter: na})
+	cert, err := ca.Issue(LeafOptions{DNSNames: []string{"leaf.test"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := x509.NewCertPool()
 	ca.AddToPool(pool)
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: pool, DNSName: "old.test"}); err == nil {
-		t.Error("expired certificate verified")
-	}
-	if _, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: pool, DNSName: "old.test", CurrentTime: time.Now().Add(-15 * time.Hour)}); err != nil {
-		t.Errorf("certificate invalid within its window: %v", err)
+	// A leaf is valid from an hour before it was issued for a year.
+	for _, c := range []struct {
+		at    time.Duration
+		valid bool
+	}{{0, true}, {-30 * time.Minute, true}, {-2 * time.Hour, false}, {364 * 24 * time.Hour, true}, {366 * 24 * time.Hour, false}} {
+		_, err := cert.Leaf.Verify(x509.VerifyOptions{Roots: pool, DNSName: "leaf.test", CurrentTime: time.Now().Add(c.at)})
+		if (err == nil) != c.valid {
+			t.Errorf("at now%+v: verified %v, want %v (%v)", c.at, err == nil, c.valid, err)
+		}
 	}
 }
 

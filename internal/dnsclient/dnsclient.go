@@ -217,9 +217,7 @@ func sameEndpoint(a, b net.Addr) bool {
 
 // Result is the outcome of one batch query.
 type Result struct {
-	Name  string
-	Type  uint16
-	RCode uint8
+	Name string
 	// Records are the answer records (nil on error or NXDOMAIN).
 	Records []dnswire.Record
 	Err     error
@@ -251,18 +249,17 @@ func (c *Client) ResolveStream(ctx context.Context, names []string, qtype uint16
 	}()
 	return listscan.Run(ctx, workers, len(names),
 		func(w, i int) Result { return c.resolveOne(ctx, &socks[w], names[i], qtype) },
-		func(i int, err error) Result { return Result{Name: names[i], Type: qtype, Err: err} },
+		func(i int, err error) Result { return Result{Name: names[i], Err: err} },
 		emit)
 }
 
 func (c *Client) resolveOne(ctx context.Context, s *socket, name string, qtype uint16) Result {
-	r := Result{Name: name, Type: qtype}
+	r := Result{Name: name}
 	m, err := c.query(ctx, s, name, qtype)
 	if err != nil {
 		r.Err = err
 		return r
 	}
-	r.RCode = m.Header.RCode
 	switch m.Header.RCode {
 	case dnswire.RCodeSuccess:
 		r.Records = m.Answers

@@ -95,15 +95,12 @@ type WeekData struct {
 	DNS  []DNSSourceStats
 
 	ZMapProbesV4, ZMapProbesV6 int
-	ZMapBytesV4                int64
 	TLSTargets                 int
 	DomainsResolved            int
 }
 
 // Report is the complete campaign output.
 type Report struct {
-	Options Options
-
 	// Weeks in ascending order; the last one is the headline week.
 	Weeks []*WeekData
 
@@ -208,7 +205,7 @@ func Run(opts Options) (*Report, error) {
 // their own through a callback and record a failure per target.
 func run(opts Options, tl *timeline, dialSweep sweepDialer) (*Report, error) {
 	opts = opts.withDefaults()
-	report := &Report{Options: opts}
+	report := &Report{}
 
 	weeks := opts.Weeks
 	if opts.SkipWeekly {
@@ -367,7 +364,6 @@ func sweepV4(u *internet.Universe, wd *WeekData, dialSweep sweepDialer) error {
 		return err
 	}
 	wd.ZMapProbesV4 = int(eng.Progress().Probes)
-	wd.ZMapBytesV4 = int64(wd.ZMapProbesV4) * zmapquic.ProbeSize
 	return nil
 }
 

@@ -128,12 +128,12 @@ func (r *Report) writeFigure4TSV(w io.Writer) error {
 		label string
 		cdf   analysis.ASRankCDF
 	}{
-		{"ipv4_zmap", analysis.ComputeASRankCDF(db, "", wd.V4.ZMapKeys())},
-		{"ipv4_alt", analysis.ComputeASRankCDF(db, "", wd.V4.AltSvcKeys())},
-		{"ipv4_svcb", analysis.ComputeASRankCDF(db, "", wd.V4.HTTPSRRKeys())},
-		{"ipv6_zmap", analysis.ComputeASRankCDF(db, "", wd.V6.ZMapKeys())},
-		{"ipv6_alt", analysis.ComputeASRankCDF(db, "", wd.V6.AltSvcKeys())},
-		{"ipv6_svcb", analysis.ComputeASRankCDF(db, "", wd.V6.HTTPSRRKeys())},
+		{"ipv4_zmap", analysis.ComputeASRankCDF(db, wd.V4.ZMapKeys())},
+		{"ipv4_alt", analysis.ComputeASRankCDF(db, wd.V4.AltSvcKeys())},
+		{"ipv4_svcb", analysis.ComputeASRankCDF(db, wd.V4.HTTPSRRKeys())},
+		{"ipv6_zmap", analysis.ComputeASRankCDF(db, wd.V6.ZMapKeys())},
+		{"ipv6_alt", analysis.ComputeASRankCDF(db, wd.V6.AltSvcKeys())},
+		{"ipv6_svcb", analysis.ComputeASRankCDF(db, wd.V6.HTTPSRRKeys())},
 	} {
 		for i, share := range c.cdf.Shares {
 			fmt.Fprintf(w, "%s\t%d\t%.5f\n", c.label, i+1, share)

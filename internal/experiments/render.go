@@ -264,7 +264,7 @@ func (r *Report) renderFigure4() string {
 		{"[IPv6] ALT", wd.V6.AltSvcKeys()},
 		{"[IPv6] SVCB", wd.V6.HTTPSRRKeys()},
 	} {
-		cdf := analysis.ComputeASRankCDF(db, c.label, c.addrs)
+		cdf := analysis.ComputeASRankCDF(db, c.addrs)
 		fmt.Fprintf(&b, "%-18s top1 %5.1f%%  top4 %5.1f%%  top10 %5.1f%%  rank(80%%)=%d  ASes=%d\n",
 			c.label, 100*cdf.ShareAt(1), 100*cdf.ShareAt(4), 100*cdf.ShareAt(10),
 			cdf.RankFor(0.8), len(cdf.Shares))
@@ -345,7 +345,7 @@ func (r *Report) renderFigure8() string {
 		{"[IPv6] SNI", r.StatefulSNIV6},
 	} {
 		addrs := analysis.SuccessfulAddrs(c.results)
-		cdf := analysis.ComputeASRankCDF(db, c.label, addrs)
+		cdf := analysis.ComputeASRankCDF(db, addrs)
 		fmt.Fprintf(&b, "%-15s addrs %6d  top1 %5.1f%%  top10 %5.1f%%  rank(80%%)=%d  ASes=%d\n",
 			c.label, len(addrs), 100*cdf.ShareAt(1), 100*cdf.ShareAt(10), cdf.RankFor(0.8), len(cdf.Shares))
 	}

@@ -185,7 +185,6 @@ func (u *Universe) buildProviders() {
 		ps := &providerTable[pi]
 		profile := ps.profile()
 		profile.Name = ps.name
-		profile.ASN = ps.asn
 
 		nV4 := u.scaled(ps.v4ZMap)
 		nV4Alt := u.scaled(ps.v4AltOnly)

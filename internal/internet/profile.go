@@ -9,7 +9,6 @@ package internet
 import (
 	"fmt"
 
-	"quicscan/internal/asdb"
 	"quicscan/internal/quic"
 	"quicscan/internal/quicwire"
 	"quicscan/internal/transportparams"
@@ -80,7 +79,6 @@ const (
 // Profile describes one provider's deployment blueprint.
 type Profile struct {
 	Name string
-	ASN  asdb.ASN
 
 	// Impl names the QUIC implementation blueprint this profile
 	// models. Several providers can share a Name-distinct copy of the

@@ -237,8 +237,6 @@ type Stats struct {
 	// HandshakeDuration is the time from first Initial to handshake
 	// completion.
 	HandshakeDuration time.Duration
-	// BytesSent and BytesReceived count UDP payload bytes.
-	BytesSent, BytesReceived int
 	// PathChallengesSent and PathChallengesReceived count PATH_CHALLENGE
 	// frames in each direction; the migration scan mode reads the
 	// received count to distinguish a deployment that validated a new

@@ -37,7 +37,6 @@ func (c *Conn) handleDatagram(data []byte, from net.Addr) {
 		mRouteAddrMiss.Inc()
 	}
 	c.rxDgramLen = len(data)
-	c.stats.BytesReceived += len(data)
 	if c.handshakeDone {
 		c.armIdleTimerLocked()
 	}

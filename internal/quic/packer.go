@@ -34,7 +34,6 @@ func (c *Conn) sendPendingLocked() {
 			c.closeLocked(err)
 			return
 		}
-		c.stats.BytesSent += len(datagram)
 	}
 	// While packets await an ACK, their retransmission deadline
 	// restarts when an ack-eliciting packet leaves or is acknowledged

@@ -281,9 +281,9 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, f quicwire.Frame) boo
 	if c.trace != nil {
 		c.trace.Event("packet_sent", "space", spaceNames[spaceApp], "pn", pn, "size", len(pkt), "path", p.ap.String())
 	}
-	if c.ep.send(c.sock, pkt, p.remote) == nil {
-		c.stats.BytesSent += len(pkt)
-	}
+	// A write the socket refuses is a probe lost on the path: its timer
+	// sends again.
+	c.ep.send(c.sock, pkt, p.remote)
 	return true
 }
 

@@ -181,8 +181,8 @@ func TestHandshakeAndStreamEcho(t *testing.T) {
 	if st.HandshakeDuration <= 0 {
 		t.Error("no handshake duration recorded")
 	}
-	if st.BytesSent < quicwire.MinInitialSize {
-		t.Errorf("sent only %d bytes", st.BytesSent)
+	if sent := conn.ep.tally.bytesOut.Load(); sent < quicwire.MinInitialSize {
+		t.Errorf("sent only %d bytes", sent)
 	}
 	if st.VersionNegotiation {
 		t.Error("unexpected version negotiation")

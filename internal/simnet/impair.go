@@ -62,13 +62,10 @@ type Profile struct {
 	// Jitter is the maximum deviation added to Latency: each datagram
 	// is delayed Latency + U(-Jitter, +Jitter), clamped at zero.
 	Jitter time.Duration
-	// Reorder is the probability that a datagram is held back an
-	// extra ReorderDelay, letting later datagrams overtake it.
+	// Reorder is the probability that a datagram is held back an extra
+	// Latency + 2*Jitter + 1ms, enough for at least one in-flight
+	// datagram to overtake it under the profile's own timing.
 	Reorder float64
-	// ReorderDelay is the hold-back applied to reordered datagrams.
-	// Zero means Latency + 2*Jitter + 1ms, enough to overtake at
-	// least one in-flight datagram under the profile's own timing.
-	ReorderDelay time.Duration
 	// Duplicate is the probability that a datagram is delivered twice
 	// (the second copy with its own jitter draw).
 	Duplicate float64
@@ -208,11 +205,7 @@ func judge(p Profile, k *fateKey, size int) (v verdict) {
 	v.fates[fateDelivered] = 1
 	v.delay = p.Latency + d.jitter(1, p.Jitter)
 	if d.chance(2, p.Reorder) {
-		hold := p.ReorderDelay
-		if hold == 0 {
-			hold = p.Latency + 2*p.Jitter + time.Millisecond
-		}
-		v.delay += hold
+		v.delay += p.Latency + 2*p.Jitter + time.Millisecond
 		v.fates[fateReordered] = 1
 	}
 	if size > 0 && d.chance(3, p.Corrupt) {

@@ -50,8 +50,6 @@ var (
 	mBatchFlushes  = telemetry.Default().Counter("zmapquic_batch_flushes_total")
 	mBatchProbes   = telemetry.Default().Counter("zmapquic_batch_probes_total")
 	mBatchFallback = telemetry.Default().Counter("zmapquic_batch_fallback_total")
-	mBatchSize     = telemetry.Default().Histogram("zmapquic_batch_size",
-		[]float64{1, 2, 4, 8, 16, 32, 64})
 )
 
 // recvBufPool recycles the response collection buffers across scan
@@ -178,7 +176,6 @@ func (s *Scanner) flush(b *sendBatch, n int) (sent int, err error) {
 	bc, kind := s.batchConn()
 	sent, err = bc.WriteBatch(b.msgs[:n])
 	mBatchFlushes.Inc()
-	mBatchSize.Observe(float64(n))
 	if kind == netbatch.KindFallback {
 		mBatchFallback.Inc()
 	}

@@ -115,8 +115,9 @@ go tool covdata func -i "$cov" |
 go tool covdata textfmt -i "$cov" -o "$work/profile.txt"
 statements=$(awk -F'[ ]' '$1 ~ /^quicscan\/internal\// {n += $2; if ($3 == 0) z += $2} END {print z " of " n}' "$work/profile.txt")
 
-# DESIGN.md's section names each such function in a code span.
-awk '/^## [0-9]+\. Never entered by a command/ {on = 1; next} /^## / {on = 0} on' DESIGN.md |
+# DESIGN.md's section names each such function in a code span, before
+# its table of fields (a ### heading).
+awk '/^## [0-9]+\. Never entered by a command/ {on = 1; next} /^##/ {on = 0} on' DESIGN.md |
 	grep -o '`[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_.]*`' | tr -d '`' | sort -u |
 	while read -r name; do [ -d "internal/${name%%.*}" ] && echo "$name"; done >"$work/listed.txt" || true
 unlisted=$(comm -23 "$work/never.txt" "$work/listed.txt")
