@@ -32,7 +32,9 @@ go vet ./...
 
 echo "==> dead declarations (deaddecl_test.go)"
 # A package-level func, type or var under internal/ that nothing in the
-# module names, and a func or method no command links. It is a tier-1
+# module names, a func or method no command links, and an exported field
+# no program file sets or none reads (the typed field census; its
+# exceptions are DESIGN.md section 19's table of fields). It is a tier-1
 # test and so runs again below; it is named here because a failure is a
 # request to delete, and says so sooner.
 go test -count=1 -run '^TestNoDeadDeclarations$' .
