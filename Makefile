@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-baseline allocs heap cpu-sweep fuzz soak
+.PHONY: build test check bench bench-baseline allocs heap cpu-sweep cpu-scan fuzz soak
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ heap:
 # DESIGN.md).
 cpu-sweep:
 	./scripts/cpu.sh
+
+# CPU microseconds per scanned target, by the goroutine that spent them:
+# the pumps, the executors, the scan workers, the connection timers,
+# crypto/tls's handshake goroutines, the runtime; and how many of the 2
+# cores the scan kept busy (scripts/cpu.sh; before/after table in
+# DESIGN.md).
+cpu-scan:
+	./scripts/cpu.sh scan
 
 # Short native-fuzzing smoke over every fuzz target in the module.
 fuzz:

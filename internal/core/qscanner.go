@@ -179,7 +179,9 @@ type Scanner struct {
 	// same source port whatever the core count or the dial order. All
 	// concurrent handshakes are multiplexed over this fixed pool by
 	// connection ID, so socket consumption is independent of target
-	// count and worker count.
+	// count and worker count. The pool bounds sockets, not receive
+	// parallelism: a socket's read loop only routes, and up to
+	// GOMAXPROCS executors run the connections' receive work.
 	PoolSize int
 	// SkipHTTP disables the HTTP/3 HEAD request.
 	SkipHTTP bool

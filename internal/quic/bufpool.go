@@ -1,6 +1,9 @@
 package quic
 
-import "sync"
+import (
+	"net/netip"
+	"sync"
+)
 
 // Pooled packet memory for the datagram hot path.
 //
@@ -8,17 +11,30 @@ import "sync"
 //
 //   - Read buffers are leased by an endpoint's pump (one per socket
 //     that cannot push: every Transport socket, and a Listener's kernel
-//     socket), filled by ReadBatch, and handed to Conn.handleDatagram,
-//     which processes the datagram synchronously under c.mu. The
-//     buffer is valid only for the duration of that call, and the
-//     frames quicwire.FrameIter decodes from it only until the
-//     iterator's next step: anything a connection retains past that
-//     (crypto stream data, stream segments, connection IDs, tokens)
-//     must be copied out. The pump reuses the buffer for the next
-//     read immediately. A Listener on a pushing socket (simnet) leases
-//     none: the socket hands it the network's own copy of each
-//     datagram, under the same rule, and takes it back when the call
-//     returns.
+//     socket) and filled by ReadBatch. The pump routes each datagram
+//     (endpoint.dest) and copies the ones a connection owns into
+//     hand-off nodes; the read buffer never leaves the pump, which
+//     reuses it for the next read immediately.
+//   - Hand-off nodes (rxNode, 2 KiB) carry a datagram from the pump to
+//     an executor. A node is filled by the pump, queued on its
+//     connection's FIFO, and owned by the queue until an executor takes
+//     the connection's queued nodes as one batch; the executor passes
+//     each to Conn.handleDatagram, which processes the datagram
+//     synchronously under c.mu, and returns the batch to the free list
+//     once it has run. The datagram is valid only for the duration of
+//     that call, and the frames quicwire.FrameIter decodes from it only
+//     until the iterator's next step: anything a connection retains
+//     past that (crypto stream data, stream segments, connection IDs,
+//     tokens) must be copied out. A datagram longer than a node's
+//     buffer gets a heap copy of its own, which the free list drops.
+//     Each endpoint keeps its own free list, under its hand-off lock:
+//     a bounded list (rxNodeKeep nodes, 128 KiB) like readBufFree's,
+//     not a sync.Pool, so what it holds does not depend on when the
+//     collector last ran, and it goes with its endpoint. Close returns
+//     every node still queued to it. A Listener on a pushing socket
+//     (simnet) uses neither: the socket hands it the network's own copy
+//     of each datagram, under the same rule, and takes it back when the
+//     call returns.
 //   - Send buffers are leased by sendPendingLocked (and a path probe)
 //     at the start of a send and released before it returns. Every
 //     packet of every datagram the send emits is built in place in that
@@ -35,9 +51,11 @@ import "sync"
 //     sees them.
 //
 // The aliasing contract is enforced by TestPoolAliasingSafety, which
-// scribbles over released read buffers while handshakes are in flight,
-// and by TestFrameStorageNotRetained, which destroys every received
-// frame and the payload bytes under it the moment its handler returns.
+// scribbles over released read buffers and idle hand-off nodes while
+// handshakes are in flight, and by TestFrameStorageNotRetained, which
+// destroys every received frame and the payload bytes under it (a
+// hand-off node's, on a pumped endpoint) the moment its handler
+// returns.
 
 // readBufSize is the fixed size of pooled datagram read buffers: the
 // largest UDP payload the pump can receive.
@@ -90,3 +108,65 @@ func leaseSendBuf() *[sendBufSize]byte { return sendBufPool.Get().(*[sendBufSize
 // releaseSendBuf returns a send buffer when its send is done. The caller
 // must not touch the buffer, nor anything sliced from it, afterwards.
 func releaseSendBuf(b *[sendBufSize]byte) { sendBufPool.Put(b) }
+
+// rxNodeSize is the size of a hand-off node, a size class of its own.
+// Its buffer holds a datagram of up to 1,984 bytes, past anything a
+// peer sends at this stack's default 1,350-byte budget; a longer one
+// gets a heap copy of its own.
+const rxNodeSize = 2048
+
+// rxNodeKeep is how many idle nodes an endpoint keeps: a pump's batch
+// four times over (128 KiB).
+const rxNodeKeep = 4 * readBatchSize
+
+// rxNode is a hand-off buffer: one datagram a pump routed, copied out
+// of the pump's read buffer, waiting in its connection's FIFO for an
+// executor.
+type rxNode struct {
+	next *rxNode // the connection's next datagram, or the next idle node
+	from netip.AddrPort
+	data []byte // buf[:len], or a heap copy of a datagram too long for it
+	buf  [rxNodeSize - 64]byte
+}
+
+// fill copies a datagram and its source address into the node.
+func (n *rxNode) fill(data []byte, from netip.AddrPort) {
+	if len(data) <= len(n.buf) {
+		n.data = n.buf[:copy(n.buf[:], data)]
+	} else {
+		n.data = append([]byte(nil), data...)
+	}
+	n.from, n.next = from, nil
+}
+
+// takeFreeLocked pops an idle node, nil when there is none.
+func (q *rxQueue) takeFreeLocked() *rxNode {
+	n := q.free
+	if n != nil {
+		q.free, n.next = n.next, nil
+		q.nfree--
+	}
+	return n
+}
+
+// putFreeLocked returns a chain of nodes to the free list; past
+// rxNodeKeep idle ones the collector takes the rest. The caller must
+// not touch them, nor any datagram sliced from them, afterwards.
+func (q *rxQueue) putFreeLocked(n *rxNode) {
+	for n != nil {
+		next := n.next
+		if q.nfree < rxNodeKeep {
+			n.next, n.data = q.free, nil
+			q.free = n
+			q.nfree++
+		}
+		n = next
+	}
+}
+
+// release returns one node to the free list.
+func (q *rxQueue) release(n *rxNode) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.putFreeLocked(n)
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/tls"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -28,8 +29,34 @@ func TestPoolAliasingSafety(t *testing.T) {
 // testCryptoCanary pushes CRYPTO data that lives inside a pooled
 // buffer into a cryptoAssembler, releases the buffer, scribbles over
 // it, and asserts the assembler's bytes are unharmed — proving push
-// copied the frame data out of the datagram.
+// copied the frame data out of the datagram. The datagram sits in a
+// pump's read buffer, in the hand-off node the pump copies it into, or
+// in a pushing socket's copy; the first two are pooled.
 func testCryptoCanary(t *testing.T) {
+	t.Run("read_buffer", func(t *testing.T) {
+		cryptoCanary(t, func() ([]byte, func()) {
+			b := leaseReadBuf()
+			return *b, func() { releaseReadBuf(b) }
+		})
+	})
+	t.Run("hand_off_node", func(t *testing.T) {
+		var q rxQueue
+		cryptoCanary(t, func() ([]byte, func()) {
+			q.mu.Lock()
+			n := q.takeFreeLocked()
+			q.mu.Unlock()
+			if n == nil {
+				n = new(rxNode)
+			}
+			n.fill(make([]byte, len(n.buf)), netip.AddrPort{})
+			return n.data, func() { q.release(n) }
+		})
+	})
+}
+
+// cryptoCanary runs the canary over buffers from lease, which returns a
+// buffer and its release.
+func cryptoCanary(t *testing.T, lease func() ([]byte, func())) {
 	const (
 		prefixLen = 64
 		tailLen   = 192
@@ -43,26 +70,26 @@ func testCryptoCanary(t *testing.T) {
 
 	// The out-of-order tail is retained in a.segments until the prefix
 	// arrives: the retained-data canary.
-	tp := leaseReadBuf()
-	buf := (*tp)[:tailLen]
+	tb, release := lease()
+	buf := tb[:tailLen]
 	copy(buf, want[prefixLen:])
 	if _, err := a.push(prefixLen, buf); err != nil {
 		t.Fatal(err)
 	}
-	releaseReadBuf(tp)
+	release()
 	scribble(buf)
 
 	// The prefix arrives via a pooled read buffer, is delivered
 	// immediately, and the buffer is recycled before the delivered
 	// bytes are inspected.
-	bp := leaseReadBuf()
-	rb := (*bp)[:prefixLen]
+	bb, release := lease()
+	rb := bb[:prefixLen]
 	copy(rb, want[:prefixLen])
 	got, err := a.push(0, rb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	releaseReadBuf(bp)
+	release()
 	scribble(rb)
 
 	if !bytes.Equal(got, want) {
@@ -78,9 +105,10 @@ func scribble(b []byte) {
 
 // testScribblerHandshakes runs concurrent handshakes through a shared
 // transport while hostile goroutines continuously lease, scribble, and
-// release read buffers. If any read loop, frame parser, or
-// packer still referenced a released buffer, the handshakes would
-// corrupt (or -race would flag the write/write conflict).
+// release read buffers and the transport's idle hand-off nodes. If any
+// read loop, executor, frame parser, or packer still referenced a
+// released buffer, the handshakes would corrupt (or -race would flag
+// the write/write conflict).
 func testScribblerHandshakes(t *testing.T) {
 	const (
 		poolSize = 2
@@ -117,6 +145,13 @@ func testScribblerHandshakes(t *testing.T) {
 				bp := leaseReadBuf()
 				scribble(*bp)
 				releaseReadBuf(bp)
+				tr.rx.mu.Lock()
+				n := tr.rx.takeFreeLocked()
+				tr.rx.mu.Unlock()
+				if n != nil {
+					scribble(n.buf[:])
+					tr.rx.release(n)
+				}
 			}
 		}()
 	}
@@ -195,7 +230,11 @@ func poisonFrame(f quicwire.Frame) {
 // keeps (CRYPTO data, stream segments, connection IDs, reset tokens,
 // address validation tokens, ACK ranges) out of the frame and the
 // payload before handleFrameLocked returned: the lifetime rule of
-// quicwire.FrameIter and of handleDatagram's buffer.
+// quicwire.FrameIter and of handleDatagram's buffer. On a pumped
+// endpoint (every Transport here, and a Listener on a kernel socket)
+// that buffer is the hand-off node, which goes back to the free list
+// for another datagram once the executor is done with this one; the
+// poisoning does to it at once what that next datagram would.
 func TestFrameStorageNotRetained(t *testing.T) {
 	testHookFrameHandled = poisonFrame
 	defer func() { testHookFrameHandled = nil }()
@@ -225,7 +264,7 @@ func TestFrameStorageNotRetained(t *testing.T) {
 // decoder, per-space loss and ACK state) so that the packet path
 // allocates nothing, and the runtime rounds the one allocation that
 // holds it all up to a size class; a scan pays for two connections per
-// target. 3,456 bytes is a class, and at 3,232 bytes Conn leaves 224 of
+// target. 3,456 bytes is a class, and at 3,248 bytes Conn leaves 208 of
 // it free. The next is 4,096: the class items that add per-connection
 // state (a flight recorder, drop counts by reason) may deliberately move
 // Conn into, if what they add is worth 640 bytes twice per target.
@@ -234,5 +273,14 @@ func TestConnFitsSizeClass(t *testing.T) {
 		t.Errorf("Conn is %d bytes: past the 3,456-byte size class, into the 4,096-byte one", size)
 	} else {
 		t.Logf("Conn is %d bytes", size)
+	}
+}
+
+// TestHandOffNodeFillsItsSizeClass: a hand-off node is allocated as one
+// block, and its buffer takes what the 2,048-byte size class leaves
+// beside the node's other fields.
+func TestHandOffNodeFillsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(rxNode{}); size != rxNodeSize {
+		t.Errorf("rxNode is %d bytes, want %d", size, rxNodeSize)
 	}
 }

@@ -115,7 +115,9 @@ func newRig(t *testing.T, isClient bool) *rig {
 		t.Fatal(err)
 	}
 	// Two issued connection IDs, so RETIRE_CONNECTION_ID has a
-	// sequence number it may legitimately retire.
+	// sequence number it may legitimately retire: the peer holds up to
+	// three of ours.
+	c.peerParams.ActiveConnectionIDLimit = 3
 	c.issueConnIDsLocked(2)
 	t.Cleanup(func() { c.abort(errConnectionClosed) })
 	return r
@@ -348,4 +350,56 @@ func spaceOf(pt quicwire.PacketType) int {
 		return spaceHandshake
 	}
 	return spaceApp
+}
+
+// TestIssuedConnIDsWithinPeerLimit: RFC 9000 Section 5.1.1 — an
+// endpoint never provides more connection IDs than its peer's
+// active_connection_id_limit, the one used in the handshake included.
+// Each role issues up to two alternates, fewer under a lower limit: the
+// default of 2, which every peer of ours advertises, leaves room for
+// one.
+func TestIssuedConnIDsWithinPeerLimit(t *testing.T) {
+	for _, tc := range []struct {
+		issuer string
+		limit  uint64
+		want   int
+	}{
+		{"client", 2, 1},
+		{"client", 8, 2},
+		{"server", 2, 1},
+		{"server", 8, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/limit=%d", tc.issuer, tc.limit), func(t *testing.T) {
+			scfg, pool := serverConfig(t, "cid.test")
+			ccfg := clientConfig(pool, "cid.test")
+			// The issuer's peer advertises the limit.
+			if tc.issuer == "client" {
+				scfg.TransportParams = DefaultServerParams()
+				scfg.TransportParams.ActiveConnectionIDLimit = tc.limit
+			} else {
+				ccfg.TransportParams = DefaultClientParams()
+				ccfg.TransportParams.ActiveConnectionIDLimit = tc.limit
+			}
+			_, addr, conns := listenHanding(t, scfg, ServerPolicy{})
+			client, err := Dial(context.Background(), newUDP(t), addr, ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			// Both roles issue theirs as the handshake completes: a client
+			// before Dial returns, a server before it hands the
+			// connection over.
+			issuer := client
+			if tc.issuer == "server" {
+				issuer = handedConn(t, conns)
+			}
+			issuer.mu.Lock()
+			alternates := len(issuer.localCIDs) - 1
+			issuer.mu.Unlock()
+			if alternates != tc.want {
+				t.Errorf("issued %d alternate connection IDs to a peer whose limit is %d, want %d",
+					alternates, tc.limit, tc.want)
+			}
+		})
+	}
 }

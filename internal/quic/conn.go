@@ -205,6 +205,15 @@ type Conn struct {
 	ticketCh       chan struct{}
 	ticketSeen     bool
 
+	// Guarded by c.ep.rx.mu, the endpoint's hand-off lock: the datagrams
+	// a pump has queued for this connection that no executor has taken,
+	// oldest first; whether an executor holds the connection or it waits
+	// in the ready list, so that one executor runs it at a time; and the
+	// connection after it in that list.
+	rxHead, rxTail *rxNode
+	rxBusy         bool
+	rxNext         *Conn
+
 	// Set once before publication. sessionCache/sessionKey tie the
 	// connection to the Config.SessionCache entry used to store or
 	// restore its ticket; tlsParamsFn supplies a server's transport

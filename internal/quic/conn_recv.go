@@ -8,12 +8,15 @@ import (
 )
 
 // handleDatagram processes one received UDP payload, which may contain
-// multiple coalesced QUIC packets. data is owned by the caller (a pump
-// passes its pooled buffer, a pushing socket its own copy) and is only
-// valid for the duration of the call: all processing happens
-// synchronously under c.mu, and every value retained past return —
-// crypto stream data, stream segments, connection IDs, tokens — is
-// copied out first.
+// multiple coalesced QUIC packets. It runs on an executor of the
+// endpoint, which calls it for one connection at a time and for a
+// connection's datagrams in arrival order, or, on a pushing socket, on
+// the sender's goroutine. data is owned by the caller (an executor
+// passes a hand-off node, which goes back to the free list afterwards,
+// a pushing socket its own copy) and is only valid for the duration of
+// the call: all processing happens synchronously under c.mu, and every
+// value retained past return — crypto stream data, stream segments,
+// connection IDs, tokens — is copied out first.
 // from is the datagram's source address (nil when the caller has no
 // address context, which disables migration detection for the call);
 // like data it is only valid for the duration of the call.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // connIDLen is the length of every connection ID an endpoint issues for
-// itself, client or server. Keeping it fixed lets route extract the
+// itself, client or server. Keeping it fixed lets dest extract the
 // destination ID from short-header packets, whose CID length is not
 // carried on the wire (RFC 9000, Section 17.3).
 const connIDLen = 8
@@ -33,7 +34,8 @@ const maxConsecutiveReadTimeouts = 64
 
 // endpoint is the socket owner a Transport (dial) and a Listener
 // (accept) are thin faces of: it holds the sockets, the route table,
-// the stateless-reset key, the pump and the one demux, route. The two
+// the stateless-reset key, the pumps, the one demux (dest) and the
+// executors that run what the pumps route. The two
 // roles differ only in data fixed at construction: the role (the
 // metrics they bill and the error their Close hands connections), srv,
 // which decides what a lookup miss does, and a Transport's tally.
@@ -60,6 +62,9 @@ type endpoint struct {
 	reset resetKeys
 
 	readWG sync.WaitGroup
+	// rx hands the datagrams a pump routes to the executors that run
+	// them; nil on an endpoint whose socket pushes, which has none.
+	rx *rxQueue
 
 	// tally is a Transport's count of its traffic (nil on a Listener),
 	// and detach takes it off the registry once Close has stopped it.
@@ -96,9 +101,10 @@ type pushConn interface {
 
 // start takes ownership of socks and starts receiving on them. A
 // server's one socket, if it can push, calls route itself on the
-// sender's goroutine; every other socket gets a pump. Clients stay on
-// pull even on simnet: a Conn sends under c.mu, so with both ends
-// pushing each side's send would take the other's connection lock.
+// sender's goroutine; every other socket gets a pump, and the pumps
+// share the endpoint's executors. Clients stay on pull even on simnet:
+// a Conn sends under c.mu, so with both ends pushing each side's send
+// would take the other's connection lock.
 func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error {
 	e.role, e.srv, e.socks = r, srv, socks
 	if ps, ok := socks[0].(pushConn); ok && srv != nil {
@@ -111,6 +117,7 @@ func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error 
 			e.route(&hdr, data, from)
 		}, func() { e.Close() })
 	}
+	e.rx = newRxQueue()
 	e.readWG.Add(len(socks))
 	for _, pc := range socks {
 		go e.pump(pc)
@@ -120,7 +127,8 @@ func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error 
 
 // Close tears the endpoint down: it refuses new routes, aborts every
 // live connection with the role's error, closes the sockets, waits for
-// the pumps and detaches. Only the first call does anything.
+// the pumps, stops the executors (handing what they left queued back to
+// the free list) and detaches. Only the first call does anything.
 func (e *endpoint) Close() error {
 	conns, ok := e.routes.close()
 	if !ok {
@@ -136,6 +144,9 @@ func (e *endpoint) Close() error {
 		}
 	}
 	e.readWG.Wait()
+	if e.rx != nil {
+		e.rx.stop()
+	}
 	if e.detach != nil {
 		e.detach()
 	}
@@ -145,10 +156,13 @@ func (e *endpoint) Close() error {
 // pump reads one socket, a batch per wakeup, and routes each datagram,
 // until the socket fails — a run of maxConsecutiveReadTimeouts read
 // timeouts counts as failure. A failed socket closes its endpoint, as a
-// pushing socket's close does; after Close that is a no-op. The read
-// buffers are leased for the pump's lifetime and refilled at once:
-// route is synchronous and retains neither the datagram, nor hdr, nor
-// from (rewritten in place for the next datagram).
+// pushing socket's close does; after Close that is a no-op. The pump
+// runs no connection's receive work: it copies each datagram that has
+// an owner into a hand-off node, queues the node on that connection and
+// goes on to the next datagram (handOff). So the read buffers, leased
+// for the pump's lifetime, are refilled at once: dest is synchronous
+// and retains neither the datagram, nor hdr, nor from (rewritten in
+// place for the next datagram).
 func (e *endpoint) pump(pc net.PacketConn) {
 	defer e.Close()
 	defer e.readWG.Done()
@@ -159,10 +173,13 @@ func (e *endpoint) pump(pc net.PacketConn) {
 		leased[i] = leaseReadBuf()
 		msgs[i].Buf = *leased[i]
 	}
+	// spare is the node the next datagram is copied into.
+	var spare *rxNode
 	defer func() {
 		for _, b := range leased {
 			releaseReadBuf(b)
 		}
+		e.rx.release(spare)
 	}()
 	from := &net.UDPAddr{IP: make(net.IP, 0, 16)}
 	var hdr quicwire.Header
@@ -182,23 +199,41 @@ func (e *endpoint) pump(pc net.PacketConn) {
 		timeouts = 0
 		for i := 0; i < got; i++ {
 			netbatch.SetUDPAddr(from, msgs[i].Addr)
-			e.route(&hdr, msgs[i].Buf[:msgs[i].N], from)
+			data := msgs[i].Buf[:msgs[i].N]
+			if c := e.dest(&hdr, data, from); c != nil {
+				if spare == nil {
+					spare = new(rxNode)
+				}
+				spare.fill(data, msgs[i].Addr)
+				spare = e.handOff(c, spare)
+			}
 		}
 	}
 }
 
-// route delivers one datagram to its connection by destination
-// connection ID. A miss is the role's: a server answers it (srv.miss), a
-// client falls back to the route by remote address. The datagram, hdr
-// and from are only valid for the duration of the call.
+// route delivers one datagram to its connection on the caller's
+// goroutine: a pushing socket's delivery, which hands over its own copy
+// of the datagram for the length of the call.
 func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
+	if c := e.dest(hdr, data, from); c != nil {
+		c.handleDatagram(data, from)
+	}
+}
+
+// dest is the one demux: it counts a datagram, finds the connection it
+// belongs to by destination connection ID and returns it, nil when the
+// datagram is dropped or answered here. A miss is the role's: a server
+// answers it (srv.miss), which may start a connection for it; a client
+// falls back to the route by remote address. The datagram, hdr and from
+// are only valid for the duration of the call.
+func (e *endpoint) dest(hdr *quicwire.Header, data []byte, from net.Addr) *Conn {
 	if t := e.tally; t != nil {
 		t.datagramsIn.Add(1)
 		t.bytesIn.Add(uint64(len(data)))
 	}
 	if len(data) == 0 {
 		e.drop(dropEmpty)
-		return
+		return nil
 	}
 	// Every connection ID an endpoint issues has the fixed connIDLen, so
 	// the destination ID is extracted exactly once per datagram, with no
@@ -207,13 +242,13 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	if quicwire.IsLongHeader(data[0]) {
 		if _, err := quicwire.ParseLongHeaderInto(hdr, data); err != nil {
 			e.drop(dropBadHeader)
-			return
+			return nil
 		}
 		dstID = hdr.DstID
 	} else {
 		if len(data) < 1+connIDLen {
 			e.drop(dropShortHeader)
-			return
+			return nil
 		}
 		dstID = data[1 : 1+connIDLen]
 	}
@@ -221,31 +256,182 @@ func (e *endpoint) route(hdr *quicwire.Header, data []byte, from net.Addr) {
 	c, late := e.routes.lookup(dstID)
 	switch {
 	case c != nil:
-		c.handleDatagram(data, from)
+		return c
 	case e.srv != nil:
-		e.srv.miss(hdr, data, from, dstID, late)
+		return e.srv.miss(hdr, data, from, dstID, late)
 	// From here on the endpoint is a Transport's, which has a tally.
 	case late:
 		e.tally.latePackets.Add(1)
-	default:
-		// Unknown destination ID: stateless resets (and corrupted
-		// headers) land here. Fall back to the per-address route so the
-		// owning connection can run its reset-token check.
-		if c = e.routes.lookupAddr(addrPortOf(from)); c == nil {
-			e.drop(dropNoRoute)
-			return
-		}
-		e.tally.routingMisses.Add(1)
-		c.handleDatagram(data, from)
+		return nil
 	}
+	// Unknown destination ID: stateless resets (and corrupted headers)
+	// land here. Fall back to the per-address route so the owning
+	// connection can run its reset-token check.
+	if c = e.routes.lookupAddr(addrPortOf(from)); c == nil {
+		e.drop(dropNoRoute)
+		return nil
+	}
+	e.tally.routingMisses.Add(1)
+	return c
 }
 
-// drop counts a datagram route could not deliver, under its reason.
+// drop counts a datagram dest could not deliver, under its reason.
 func (e *endpoint) drop(why dropReason) {
 	if t := e.tally; t != nil {
 		t.dropped[why].Add(1)
 	} else {
 		mListenerDropsBy[why].Inc()
+	}
+}
+
+// rxQueue is the hand-off from an endpoint's pumps to its executors. A
+// pump queues each datagram it routes, copied into a node, on its
+// connection's FIFO (Conn.rxHead); a connection with datagrams queued
+// waits in ready until an executor takes it. An executor runs one
+// connection at a time and a connection on one executor at a time
+// (Conn.rxBusy), so its datagrams are handled in arrival order, while
+// the handshakes of other connections go on beside it. Executors start
+// lazily, up to GOMAXPROCS, and run until the endpoint closes.
+//
+// Nothing holds mu while calling into a Conn, so the pumps never wait
+// on a connection's receive work.
+type rxQueue struct {
+	mu   sync.Mutex
+	wake sync.Cond // on mu: an idle executor waits here for a ready connection
+
+	// ready lists the connections with datagrams queued that no
+	// executor holds, in the order they became so, linked through
+	// Conn.rxNext.
+	readyHead, readyTail *Conn
+
+	idle    int // executors waiting in wake, less those already signalled
+	running int // executors started and not yet returned
+	max     int // GOMAXPROCS when the endpoint started
+	closed  bool
+
+	// free is the endpoint's list of idle nodes, nfree long and never
+	// longer than rxNodeKeep.
+	free  *rxNode
+	nfree int
+
+	wg sync.WaitGroup
+}
+
+// newRxQueue makes the hand-off of an endpoint that pumps. It starts no
+// executor: the first datagram routed does.
+func newRxQueue() *rxQueue {
+	q := &rxQueue{max: runtime.GOMAXPROCS(0)}
+	q.wake.L = &q.mu
+	return q
+}
+
+// handOff queues n, a copy of one of c's datagrams, at the tail of c's
+// FIFO, makes c ready if no executor holds it, and wakes or starts an
+// executor for it. It returns an idle node for the pump's next
+// datagram, nil when the free list is empty.
+func (e *endpoint) handOff(c *Conn, n *rxNode) (next *rxNode) {
+	q := e.rx
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if c.rxTail == nil {
+		c.rxHead = n
+	} else {
+		c.rxTail.next = n
+	}
+	c.rxTail = n
+	if !c.rxBusy {
+		c.rxBusy = true
+		q.pushReadyLocked(c)
+		switch {
+		case q.idle > 0:
+			q.idle--
+			q.wake.Signal()
+		case q.running < q.max:
+			q.running++
+			q.wg.Add(1)
+			go e.execute()
+		}
+	}
+	return q.takeFreeLocked()
+}
+
+// execute is one executor. It takes the connection at the head of the
+// ready list with every datagram queued for it, runs them through
+// handleDatagram in arrival order, and puts the connection back at the
+// tail if more arrived meanwhile. It waits while nothing is ready and
+// returns once the endpoint has closed.
+func (e *endpoint) execute() {
+	q := e.rx
+	defer q.wg.Done()
+	from := &net.UDPAddr{IP: make(net.IP, 0, 16)}
+	q.mu.Lock()
+	for {
+		if q.closed {
+			q.running--
+			q.mu.Unlock()
+			return
+		}
+		if q.readyHead == nil {
+			q.idle++
+			q.wake.Wait()
+			continue
+		}
+		c := q.popReadyLocked()
+		batch := c.rxHead
+		c.rxHead, c.rxTail = nil, nil
+		q.mu.Unlock()
+
+		for n := batch; n != nil; n = n.next {
+			netbatch.SetUDPAddr(from, n.from)
+			c.handleDatagram(n.data, from)
+		}
+
+		q.mu.Lock()
+		q.putFreeLocked(batch)
+		if c.rxHead != nil {
+			q.pushReadyLocked(c)
+		} else {
+			c.rxBusy = false
+		}
+	}
+}
+
+// pushReadyLocked appends c to the ready list.
+func (q *rxQueue) pushReadyLocked(c *Conn) {
+	if q.readyTail == nil {
+		q.readyHead = c
+	} else {
+		q.readyTail.rxNext = c
+	}
+	q.readyTail = c
+}
+
+// popReadyLocked takes the connection at the head of the ready list,
+// which must not be empty.
+func (q *rxQueue) popReadyLocked() *Conn {
+	c := q.readyHead
+	if q.readyHead = c.rxNext; q.readyHead == nil {
+		q.readyTail = nil
+	}
+	c.rxNext = nil
+	return c
+}
+
+// stop ends the executors of a closed endpoint, once its pumps have
+// returned, and hands every node still queued back to the free list.
+// When it returns, no executor of the endpoint is left.
+func (q *rxQueue) stop() {
+	q.mu.Lock()
+	q.closed = true
+	q.wake.Broadcast()
+	q.mu.Unlock()
+	q.wg.Wait()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.readyHead != nil {
+		c := q.popReadyLocked()
+		q.putFreeLocked(c.rxHead)
+		c.rxHead, c.rxTail, c.rxBusy = nil, nil, false
 	}
 }
 

@@ -159,9 +159,11 @@ func TestServerConnLifecycle(t *testing.T) {
 			if got := l.routes.activeConns(); got != 1 {
 				t.Fatalf("active connections = %d, want 1", got)
 			}
-			// SCID, the client's original DCID and two issued alternates.
-			if got := len(l.routes.liveConns()); got != 4 {
-				t.Errorf("routes while open = %d, want 4", got)
+			// SCID, the client's original DCID and one issued alternate:
+			// the client advertises the default active_connection_id_limit
+			// of 2, the SCID and one more.
+			if got := len(l.routes.liveConns()); got != 3 {
+				t.Errorf("routes while open = %d, want 3", got)
 			}
 			closeIt(l, client, server)
 			waitClosed(t, server)
@@ -271,10 +273,26 @@ func TestListenerStateBounded(t *testing.T) {
 		return m.HeapAlloc
 	}
 
+	// The two endpoints' executors are long-lived and start as load
+	// first needs them, up to GOMAXPROCS each: counted apart from the
+	// goroutines that must all end.
+	executors := func() int {
+		n := 0
+		for _, e := range []*endpoint{&l.endpoint, &tr.endpoint} {
+			e.rx.mu.Lock()
+			n += e.rx.running
+			e.rx.mu.Unlock()
+		}
+		return n
+	}
+
 	cycle(100) // lazy initialisation, pools, map buckets
-	heap0, goroutines0 := liveHeap(), runtime.NumGoroutine()
+	heap0, goroutines0 := liveHeap(), runtime.NumGoroutine()-executors()
 	cycle(n)
-	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine() <= goroutines0 })
+	waitFor(t, "goroutines to return to baseline", func() bool { return runtime.NumGoroutine()-executors() <= goroutines0 })
+	if got, most := executors(), 2*runtime.GOMAXPROCS(0); got > most {
+		t.Errorf("%d executors, want at most %d", got, most)
+	}
 	heap1 := liveHeap()
 	t.Logf("%d connections: live heap %d KB -> %d KB", n, heap0>>10, heap1>>10)
 	if heap1 > heap0+2<<20 {

@@ -72,7 +72,7 @@ var (
 	mHandshakeVersionMismatch = mHandshakes.With("version_mismatch")
 	mHandshakeError           = mHandshakes.With("error")
 
-	// The Listener's own drop reasons, beside route's four (see
+	// The Listener's own drop reasons, beside dest's four (see
 	// dropReason). token: an address validation token failed validation;
 	// short_initial: Initial in a datagram under 1200 bytes; draining_initial: Initial for a
 	// connection ID that is draining.
@@ -81,7 +81,7 @@ var (
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
 )
 
-// dropReason is why route delivered a datagram to no connection: it is
+// dropReason is why dest delivered a datagram to no connection: it is
 // empty, its long header does not parse, its short header cannot hold a
 // connection ID, or nothing owns its destination (no_route; on a server
 // also anything that cannot start a connection).

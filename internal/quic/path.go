@@ -413,12 +413,15 @@ func (c *Conn) ensureLocalCIDsLocked() {
 	c.nextLocalCIDSeq = 1
 }
 
-// issueConnIDsLocked mints n alternate connection IDs, routes them to
-// this connection through its endpoint, and queues the
-// NEW_CONNECTION_ID frames.
+// issueConnIDsLocked mints up to n alternate connection IDs, routes
+// them to this connection through its endpoint, and queues the
+// NEW_CONNECTION_ID frames. It stops where the peer would hold more of
+// our IDs, sequence 0 included, than its active_connection_id_limit
+// (RFC 9000, Section 5.1.1), so it issues none before the peer's
+// transport parameters are in.
 func (c *Conn) issueConnIDsLocked(n int) {
 	c.ensureLocalCIDsLocked()
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && uint64(len(c.localCIDs)) < c.peerParams.ActiveConnectionIDLimit; i++ {
 		altID := quicwire.NewRandomConnID(len(c.scid))
 		token, ok := c.ep.addConnID(c, altID)
 		if !ok {

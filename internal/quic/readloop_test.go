@@ -29,17 +29,18 @@ func TestReadLoopTimeoutBound(t *testing.T) {
 			before := readTimeouts()
 			var (
 				ep io.Closer
-				l  *Listener
+				e  *endpoint
 			)
 			if server {
 				pc := newUDP(t)
 				pc.SetReadDeadline(time.Now().Add(-time.Hour))
 				scfg, _ := serverConfig(t, "deadline.test")
 				var err error
-				if l, err = Listen(pc, scfg, ServerPolicy{}, nil); err != nil {
+				l, err := Listen(pc, scfg, ServerPolicy{}, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				ep = l
+				ep, e = l, &l.endpoint
 			} else {
 				n := simnet.New(simnet.Config{})
 				defer n.Close()
@@ -48,33 +49,25 @@ func TestReadLoopTimeoutBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				pc.SetReadDeadline(time.Now().Add(-time.Hour))
-				if ep, err = NewTransport(pc); err != nil {
+				tr, err := NewTransport(pc)
+				if err != nil {
 					t.Fatal(err)
 				}
+				ep, e = tr, &tr.endpoint
 			}
 
-			deadline := time.Now().Add(5 * time.Second)
-			for readTimeouts()-before < maxConsecutiveReadTimeouts {
-				if time.Now().After(deadline) {
-					t.Fatalf("read loop counted only %d timeouts in 5s, want %d",
-						readTimeouts()-before, maxConsecutiveReadTimeouts)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			// The loop has hit the bound; it must stop counting (i.e. it
-			// exited rather than continuing to spin).
-			time.Sleep(50 * time.Millisecond)
+			// A loop that gives up closes its endpoint, and it has returned
+			// by then (its Done comes before that Close): no timeout is
+			// counted after this wait.
+			waitFor(t, "the read loop to give up and close its endpoint", func() bool {
+				e.routes.mu.Lock()
+				defer e.routes.mu.Unlock()
+				return e.routes.closed
+			})
+			e.readWG.Wait()
 			if got := readTimeouts() - before; got != maxConsecutiveReadTimeouts {
-				t.Errorf("read loop counted %d timeouts after the bound, want exactly %d",
+				t.Errorf("read loop counted %d timeouts before it gave up, want exactly %d",
 					got, maxConsecutiveReadTimeouts)
-			}
-			if l != nil {
-				l.routes.mu.Lock()
-				closed := l.routes.closed
-				l.routes.mu.Unlock()
-				if !closed {
-					t.Error("the listener is still open after its read loop gave up")
-				}
 			}
 
 			// Close must not hang on the already-exited loop.

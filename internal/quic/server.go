@@ -127,8 +127,10 @@ func (l *Listener) Addr() net.Addr { return l.socks[0].LocalAddr() }
 // miss is the server's answer to a datagram no live route owns: tail
 // traffic of a closed connection is absorbed, a long header may start a
 // connection (or draw Version Negotiation or a Retry), and a short one
-// draws a stateless reset. dcid is the destination ID route extracted.
-func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid []byte, late bool) {
+// draws a stateless reset. dcid is the destination ID dest extracted. It
+// returns the connection the datagram started, which the datagram is
+// then delivered to like every later one; nil when none started.
+func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid []byte, late bool) *Conn {
 	long := quicwire.IsLongHeader(data[0])
 	switch {
 	case late && long && hdr.Type == quicwire.PacketInitial:
@@ -140,7 +142,7 @@ func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid [
 		// its IDs drain. Only afterwards is the state truly lost.
 		mListenerLatePackets.Inc()
 	case long:
-		l.handleNewConn(hdr, data, from)
+		return l.handleNewConn(hdr, data, from)
 	default:
 		// 1-RTT packet for a connection this endpoint has no state for:
 		// answer with a stateless reset so the peer can stop retrying.
@@ -149,6 +151,7 @@ func (l *Listener) miss(hdr *quicwire.Header, data []byte, from net.Addr, dcid [
 			l.sendStatelessReset(dcid, from, len(data))
 		}
 	}
+	return nil
 }
 
 // errSNIRequired is a RequireSNI listener's refusal of a ClientHello
@@ -165,36 +168,38 @@ func refuseNoSNI(chi *tls.ClientHelloInfo) (*tls.Config, error) {
 	return nil, nil
 }
 
-func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Addr) {
+// handleNewConn answers a long header no route owns, and returns the
+// connection an acceptable Initial starts.
+func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Addr) *Conn {
 	if hdr.Type == quicwire.PacketVersionNegotiation || hdr.Type == quicwire.PacketRetry {
-		return
+		return nil
 	}
 	// Version negotiation: forced (0x?a?a?a?a), genuinely unsupported,
 	// or unknown-version packets all elicit a VN response if policy
 	// provides an advertised set.
 	if hdr.Version.IsForcedNegotiation() || !slices.Contains(l.cfg.Versions, hdr.Version) {
 		l.maybeSendVersionNegotiation(hdr, len(data), from)
-		return
+		return nil
 	}
 	if hdr.Type != quicwire.PacketInitial {
 		mListenerDropsBy[dropNoRoute].Inc() // Handshake or 0-RTT for no connection
-		return
+		return nil
 	}
 	// RFC 9000, Section 14.1: servers must drop Initials in datagrams
 	// below 1200 bytes.
 	if len(data) < quicwire.MinInitialSize {
 		mListenerDropShortInitial.Inc()
-		return
+		return nil
 	}
 	if len(hdr.DstID) < 8 {
 		mListenerDropsBy[dropNoRoute].Inc() // too short to derive distinct Initial keys from
-		return
+		return nil
 	}
 	var retryODCID quicwire.ConnID
 	if l.policy.Retry != RetryOff {
 		if len(hdr.Token) == 0 {
 			l.sendRetry(hdr, from)
-			return
+			return nil
 		}
 		if l.policy.Retry != RetryLax {
 			odcid, ok := l.retry.validate(from, hdr.Token)
@@ -211,7 +216,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 						l.socks[0].WriteTo(pkt, from)
 					}
 				}
-				return // invalid or expired Retry token: drop or refuse
+				return nil // invalid or expired Retry token: drop or refuse
 			}
 			retryODCID = odcid
 		}
@@ -221,9 +226,7 @@ func (l *Listener) handleNewConn(hdr *quicwire.Header, data []byte, from net.Add
 		// client did not see a Retry from us in this exchange).
 	}
 
-	if conn := l.newServerConn(hdr, from, retryODCID); conn != nil {
-		conn.handleDatagram(data, from)
-	}
+	return l.newServerConn(hdr, from, retryODCID)
 }
 
 // maybeSendVersionNegotiation emits a VN packet per policy.
@@ -274,7 +277,7 @@ func AppendInitialClose(dst []byte, hdr *quicwire.Header, code quicwire.Transpor
 // newServerConn creates the per-connection state. retryODCID is the
 // pre-Retry original destination connection ID (nil without Retry).
 func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID quicwire.ConnID) *Conn {
-	// from is route's scratch; the connection keeps its own copy.
+	// from is dest's scratch; the connection keeps its own copy.
 	from = net.UDPAddrFromAddrPort(addrPortOf(from))
 	c := newConn(l.cfg, false)
 	c.ep, c.sock = &l.endpoint, l.socks[0]

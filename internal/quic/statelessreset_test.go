@@ -168,7 +168,12 @@ func TestNewConnectionIDsIssued(t *testing.T) {
 	scfg, pool := serverConfig(t, "ncid.test")
 	_, addr := startServer(t, scfg, ServerPolicy{})
 
-	conn, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "ncid.test"))
+	// A client that holds three of the server's IDs at once, so the
+	// server issues both of its alternates.
+	ccfg := clientConfig(pool, "ncid.test")
+	ccfg.TransportParams = DefaultClientParams()
+	ccfg.TransportParams.ActiveConnectionIDLimit = 3
+	conn, err := Dial(context.Background(), newUDP(t), addr, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}

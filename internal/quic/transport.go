@@ -19,8 +19,10 @@ var errTransportClosed = errors.New("quic: transport closed")
 // are in flight, instead of one kernel socket per target. It is the
 // dialing face of an endpoint, as a Listener is the accepting one.
 //
-// One pump runs per socket. Inbound datagrams are routed to the owning
-// *Conn by destination connection ID: every connection registers its
+// One pump runs per socket, and only routes: it hands each inbound
+// datagram to the owning *Conn's queue, which the endpoint's executors
+// run, so one connection's handshake never holds up the socket. Inbound
+// datagrams are routed to the owning *Conn by destination connection ID: every connection registers its
 // source connection ID at handshake start, and the server addresses all
 // of its packets — Initial, Handshake, 1-RTT, and also Version
 // Negotiation and Retry, which echo the client's SCID — to that ID.

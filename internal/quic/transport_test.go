@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"quicscan/internal/quicwire"
 	"quicscan/internal/simnet"
 	"quicscan/internal/telemetry"
 )
@@ -84,8 +85,25 @@ func TestTransportMuxesConcurrentHandshakes(t *testing.T) {
 	}
 
 	// Let post-handshake tail traffic (HANDSHAKE_DONE, acks) settle so
-	// the close below leaves nothing unroutable in flight.
-	time.Sleep(300 * time.Millisecond)
+	// the close below leaves nothing unroutable in flight: once a
+	// connection's PING and everything it sent before are acknowledged,
+	// the server has handled the client's last flight and the client the
+	// server's, which left before the acknowledgement on an in-order link.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i, c := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.Ping(ctx)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
 	for _, c := range conns {
 		c.Close()
 	}
@@ -185,11 +203,27 @@ func TestTransportDropReasons(t *testing.T) {
 		{"short_header", []byte{0x40, 1, 2, 3}},                 // under a connection ID
 		{"no_route", append([]byte{0x40}, make([]byte, 24)...)}, // an ID and an address nobody owns
 	}
+	// A server answers a forced-negotiation probe with Version
+	// Negotiation; the peer reading it knows the server has handled
+	// every datagram sent before it.
+	answered := func(t *testing.T, at net.Addr, peer net.PacketConn, _ *Transport) {
+		if _, err := peer.WriteTo(buildProbe(t, quicwire.MinInitialSize), at); err != nil {
+			t.Fatal(err)
+		}
+		peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if _, _, err := peer.ReadFrom(make([]byte, 1500)); err != nil {
+			t.Fatalf("no Version Negotiation after the four: %v", err)
+		}
+	}
 	// Each start opens the endpoint under test and a peer socket that
-	// can reach it; a client's returns its Transport.
+	// can reach it; a client's returns its Transport. last sends a fifth
+	// datagram that is no drop, and returns once the endpoint has
+	// handled it: an endpoint routes a socket's datagrams in the order
+	// they arrive, so by then every count the four make is in.
 	cases := []struct {
 		name, family string
 		start        func(t *testing.T) (at net.Addr, peer net.PacketConn, tr *Transport)
+		last         func(t *testing.T, at net.Addr, peer net.PacketConn, tr *Transport)
 	}{
 		{"client", "quic_dropped_datagrams_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			n := simnet.New(simnet.Config{})
@@ -208,6 +242,18 @@ func TestTransportDropReasons(t *testing.T) {
 				t.Fatal(err)
 			}
 			return pc.LocalAddr(), peer, tr
+		}, func(t *testing.T, at net.Addr, peer net.PacketConn, tr *Transport) {
+			// A client answers nothing, so the fifth is tail traffic of a
+			// connection that has just closed: a late packet.
+			id := quicwire.ConnID{7, 7, 7, 7, 7, 7, 7, 7}
+			k, _ := keyOf(id)
+			tr.routes.mu.Lock()
+			tr.routes.drainLocked(k, monoNow())
+			tr.routes.mu.Unlock()
+			if _, err := peer.WriteTo(append(append([]byte{0x40}, id...), make([]byte, 24)...), at); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the late packet", func() bool { return tr.Stats().LatePackets == 1 })
 		}},
 		{"server-simnet", "quic_listener_drops_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			n := simnet.New(simnet.Config{})
@@ -225,42 +271,33 @@ func TestTransportDropReasons(t *testing.T) {
 				t.Fatal(err)
 			}
 			return pc.LocalAddr(), peer, nil
-		}},
+		}, answered},
 		{"server-kernel", "quic_listener_drops_total", func(t *testing.T) (net.Addr, net.PacketConn, *Transport) {
 			scfg, _ := serverConfig(t, "drops.test")
 			_, addr := listenBare(t, scfg, ServerPolicy{})
 			peer := newUDP(t)
 			t.Cleanup(func() { peer.Close() })
 			return addr, peer, nil
-		}},
+		}, answered},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			counts := func() (by []uint64, sum uint64) {
+			counts := func() (by []uint64) {
 				snap := telemetry.Default().Snapshot()
 				for _, d := range datagrams {
-					n := snap.Counters[fmt.Sprintf("%s{reason=%q}", tc.family, d.name)]
-					by, sum = append(by, n), sum+n
+					by = append(by, snap.Counters[fmt.Sprintf("%s{reason=%q}", tc.family, d.name)])
 				}
-				return by, sum
+				return by
 			}
-			before, sum0 := counts()
-			moved := func() uint64 {
-				_, sum := counts()
-				return sum - sum0
-			}
+			before := counts()
 			at, peer, tr := tc.start(t)
 			for _, d := range datagrams {
 				if _, err := peer.WriteTo(d.data, at); err != nil {
 					t.Fatal(err)
 				}
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for moved() < uint64(len(datagrams)) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			time.Sleep(20 * time.Millisecond) // room for a count past the four
-			after, _ := counts()
+			tc.last(t, at, peer, tr)
+			after := counts()
 			for i, d := range datagrams {
 				if got := after[i] - before[i]; got != 1 {
 					t.Errorf("reason %q moved by %d, want 1", d.name, got)

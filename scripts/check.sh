@@ -72,8 +72,11 @@ echo "==> demux under -race, 20 runs"
 # One route table, one lock: connections registered, given a second ID
 # and retired from many goroutines, a Listener closed under its closing
 # connections, and a Transport closed under dials in set-up (DESIGN.md
-# section 5, Locks).
-go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp)$' ./internal/quic
+# section 5, Locks). The hand-off from pumps to executors: a held
+# connection stalls no other handshake on its socket, its queued burst
+# runs in arrival order, and Close leaves no executor and no queued node
+# (section 5, One pump per socket, executors per endpoint).
+go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp|TestHeldConnDoesNotStallItsSocket|TestHeldConnBurstRunsInArrivalOrder|TestCloseStopsExecutors)$' ./internal/quic
 
 echo "==> simnet send path under -race, 20 runs"
 # Senders take no lock of the socket's and read-lock one cell of the
