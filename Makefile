@@ -38,8 +38,8 @@ heap:
 
 # CPU nanoseconds per swept probe, by bucket: SendProbe's locks, ID
 # derivation, the send path, the telemetry it moves, simnet's locks, the rest
-# of simnet, the engine's walk (scripts/cpu.sh; before/after tables in
-# DESIGN.md).
+# of simnet, the universe's responder, the engine's walk (scripts/cpu.sh;
+# before/after tables in DESIGN.md).
 cpu-sweep:
 	./scripts/cpu.sh
 

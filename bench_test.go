@@ -596,32 +596,35 @@ func newProbePath(tb testing.TB) (send, validate func()) {
 // -benchtime Nx included: a CPU profile covers them all.
 var engineSweepProbes uint64
 
-// engineSweepSize is the number of probes in one newEngineSweep sweep.
-const engineSweepSize = 1<<20 + 1<<8
-
-// newEngineSweep returns the production sweep path as one closure: the
-// campaign engine over 100.64.0.0/12 and 100.80.0.0/24, two shards and
-// two workers through one Scanner.SendProbe onto simnet, one collector,
-// a NullSink — the repository benchmark's sweep-vn without a universe
-// behind it: one address of the /12 in 4,096 answers, looked up as the
-// universe looks up its deployments. Like sweep-vn's, its address count
-// is just past a power of four, where a walk that skips positions shows.
-// A call sweeps the prefixes once in the order seed gives.
-func newEngineSweep(tb testing.TB) func(seed uint64) {
-	n := simnet.New(simnet.Config{})
-	tb.Cleanup(n.Close)
-	prefixes := []netip.Prefix{netip.MustParsePrefix("100.64.0.0/12"), netip.MustParsePrefix("100.80.0.0/24")}
-	responders := make(map[netip.Addr]bool)
-	for i := 0; i < 1<<20; i += 1 << 12 {
-		responders[netip.AddrFrom4([4]byte{100, 64 + byte(i>>16), byte(i >> 8), 0})] = true
+// newEngineSweep returns the production sweep path as one closure, and
+// the number of probes one call sends: the campaign engine over the
+// allocated /24s of a started seed-9, scale-2048 universe (the
+// repository benchmark's fixture, with no stateful servers, so that
+// every probe meets the universe's own synthetic responder) and the
+// dark 100.64.0.0/12, two shards and two workers through one
+// Scanner.SendProbe onto the universe's simnet, one collector, a
+// NullSink: the repository benchmark's sweep-vn with a smaller dark
+// prefix. Every ZMapVisible IPv4 deployment answers. Like sweep-vn's,
+// its address count is just past a power of four, where a walk that
+// skips positions shows. A call sweeps the prefixes once in the order
+// seed gives.
+func newEngineSweep(tb testing.TB) (sweep func(seed uint64), probes uint64) {
+	u := internet.Build(internet.Spec{Seed: 9, Scale: 2048})
+	if err := u.Start(internet.StartOptions{}); err != nil {
+		tb.Fatal(err)
 	}
-	n.SetSyntheticResponder(func(dst netip.AddrPort, payload []byte) [][]byte {
-		if !responders[dst.Addr()] {
-			return nil
+	tb.Cleanup(u.Stop)
+	prefixes := append(u.V4Prefixes(), netip.MustParsePrefix("100.64.0.0/12"))
+	for _, p := range prefixes {
+		probes += 1 << (32 - p.Bits())
+	}
+	responders := 0
+	for _, d := range u.Deployments {
+		if d.ZMapVisible && d.Addr.Is4() {
+			responders++
 		}
-		return vnReply(payload)
-	})
-	pc, err := n.DialUDP()
+	}
+	pc, err := u.Net.DialUDP()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -643,10 +646,10 @@ func newEngineSweep(tb testing.TB) func(seed uint64) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if probes := eng.Progress().Probes; probes != engineSweepSize || hits != len(responders) {
-			tb.Fatalf("swept %d of %d addresses, %d of %d responders answered", probes, engineSweepSize, hits, len(responders))
+		if got := eng.Progress().Probes; got != probes || hits != responders {
+			tb.Fatalf("swept %d of %d addresses, %d of %d responders answered", got, probes, hits, responders)
 		}
-	}
+	}, probes
 }
 
 // BenchmarkEngineSweep is newEngineSweep under a profiler. It is a
@@ -656,11 +659,11 @@ func newEngineSweep(tb testing.TB) func(seed uint64) {
 // its timings. "cpu-ns/probe" is the process's CPU time so far over its
 // probes so far, what the profile's rows should add up to.
 func BenchmarkEngineSweep(b *testing.B) {
-	sweep := newEngineSweep(b)
+	sweep, probes := newEngineSweep(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep(uint64(i))
-		engineSweepProbes += engineSweepSize
+		engineSweepProbes += probes
 	}
 	b.StopTimer()
 	var ru syscall.Rusage
@@ -670,7 +673,7 @@ func BenchmarkEngineSweep(b *testing.B) {
 	cpu := time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	b.ReportMetric(float64(engineSweepProbes), "probes")
 	b.ReportMetric(float64(cpu.Nanoseconds())/float64(engineSweepProbes), "cpu-ns/probe")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/engineSweepSize, "ns/probe")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probes), "ns/probe")
 }
 
 // ---- telemetry overhead -------------------------------------------------
@@ -702,7 +705,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			return scan
 		}},
 		{"sweep", "sweep_overhead_pct", 25, func(tb testing.TB) func() {
-			sweep := newEngineSweep(tb)
+			sweep, _ := newEngineSweep(tb)
 			return func() { sweep(0) }
 		}},
 	} {

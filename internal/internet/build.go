@@ -59,6 +59,10 @@ type Universe struct {
 	Deployments []*Deployment
 	// ByAddr indexes deployments.
 	ByAddr map[netip.Addr]*Deployment
+	// zmapV4 holds a bit for each ZMapVisible IPv4 deployment: the only
+	// addresses the synthetic responder can answer a sweep's probe from,
+	// so a probe of empty space costs one bit test, not a ByAddr miss.
+	zmapV4 v4Bits
 
 	// SourceLists are the scan input lists: alexa, majestic, umbrella,
 	// czds-comnetorg, czds-other.
@@ -152,12 +156,44 @@ func (a *allocator) v4Prefix(count int) netip.Prefix {
 	for (1 << (32 - bits)) < count+2 {
 		bits--
 	}
-	base := uint32(11<<24) + a.nextV4Block<<8
+	base := v4Base + a.nextV4Block<<8
 	blocks := uint32(1) << (24 - bits) // how many /24s the prefix spans
 	a.nextV4Block += blocks
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], base)
 	return netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
+}
+
+// v4Base is the first address of the allocator's first IPv4 block.
+const v4Base = uint32(11 << 24)
+
+// v4Bits is a set of IPv4 addresses from v4Base up, as one bit per
+// address of the span the allocator has handed out, bit a − v4Base for
+// address a. It grows with the highest address set.
+type v4Bits []uint64
+
+// v4Offset is the bit of a, an IPv4 address, past the end of any set
+// for an address below v4Base. It reads a's last four bytes in the
+// 16-byte form, which As16 returns without As4's checks, so that has
+// inlines.
+func v4Offset(a netip.Addr) uint32 {
+	b := a.As16()
+	return binary.BigEndian.Uint32(b[12:]) - v4Base
+}
+
+// set adds a, an IPv4 address at or above v4Base.
+func (s *v4Bits) set(a netip.Addr) {
+	i := v4Offset(a)
+	if w := int(i >> 6); w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[i>>6] |= 1 << (i & 63)
+}
+
+// has reports whether the IPv4 address a is in the set.
+func (s v4Bits) has(a netip.Addr) bool {
+	i := v4Offset(a)
+	return uint64(i>>6) < uint64(len(s)) && s[i>>6]>>(i&63)&1 != 0
 }
 
 func (a *allocator) v6Prefix() netip.Prefix {
@@ -261,6 +297,9 @@ func (u *Universe) finishDeployment(d *Deployment) {
 	d.ServerHeader = d.Profile.ServerHeaderOf(d.Index)
 	u.Deployments = append(u.Deployments, d)
 	u.ByAddr[d.Addr] = d
+	if d.ZMapVisible && d.Addr.Is4() {
+		u.zmapV4.set(d.Addr)
+	}
 }
 
 // buildTail creates the long tail of ASes: Facebook and Google edge

@@ -3,6 +3,7 @@ package internet
 import (
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"net"
 	"net/netip"
 	"reflect"
@@ -169,6 +170,85 @@ func TestZMapDiscovery(t *testing.T) {
 	}
 	if !foundV1 {
 		t.Error("no cloudflare address advertised ietf-01 at week 18")
+	}
+}
+
+// TestSyntheticResponderIndex: the responder's IPv4 bit set answers
+// exactly the addresses ByAddr says can answer. On the seed-9,
+// scale-2048 universe a forced-VN probe gets a reply just where ByAddr
+// holds a ZMapVisible deployment that advertises versions this week:
+// at every address of every allocated /24, at the edges of the span the
+// set covers and of the address space, at a visible address in its
+// IPv4-mapped form (no deployment has that form, so no reply), and at
+// a visible IPv6 deployment, which takes the ByAddr path. A probe of
+// empty space allocates nothing.
+func TestSyntheticResponderIndex(t *testing.T) {
+	u := Build(Spec{Seed: 9, Scale: 2048})
+	sc := &zmapquic.Scanner{}
+	answers := func(a netip.Addr) bool {
+		d := u.ByAddr[a]
+		return d != nil && d.ZMapVisible && len(d.quicVersionsForWeek(u.Spec.Week)) > 0
+	}
+	check := func(a netip.Addr) {
+		t.Helper()
+		got := u.syntheticQUIC(netip.AddrPortFrom(a, 443), sc.BuildProbe(a)) != nil
+		if want := answers(a); got != want {
+			t.Errorf("%v: replied %v, want %v", a, got, want)
+		}
+	}
+	addrOf := func(v uint32) netip.Addr {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], v)
+		return netip.AddrFrom4(b)
+	}
+
+	blocks := u.V4Prefixes()
+	replies := 0
+	for _, p := range blocks {
+		for a := p.Addr(); p.Contains(a); a = a.Next() {
+			check(a)
+			if answers(a) {
+				replies++
+			}
+		}
+	}
+	if replies == 0 {
+		t.Fatal("no address of the allocated blocks answers")
+	}
+	last := blocks[len(blocks)-1].Addr().As4()
+	edges := []netip.Addr{
+		netip.MustParseAddr("10.255.255.255"),
+		netip.MustParseAddr("11.0.0.0"),
+		addrOf(binary.BigEndian.Uint32(last[:]) + 256), // past the last block
+		addrOf(v4Base + 64*uint32(len(u.zmapV4))),      // past the set's span
+		netip.MustParseAddr("0.0.0.0"),
+		netip.MustParseAddr("255.255.255.255"),
+	}
+	for _, a := range edges {
+		check(a)
+	}
+
+	var v4, v6 *Deployment
+	for _, d := range u.Deployments {
+		if d.ZMapVisible && len(d.quicVersionsForWeek(u.Spec.Week)) > 0 {
+			if d.Addr.Is4() && v4 == nil {
+				v4 = d
+			} else if d.Addr.Is6() && v6 == nil {
+				v6 = d
+			}
+		}
+	}
+	if v4 == nil || v6 == nil {
+		t.Fatal("no visible IPv4 or IPv6 deployment")
+	}
+	check(v4.Addr)
+	check(netip.AddrFrom16(v4.Addr.As16()))
+	check(v6.Addr)
+
+	dark := netip.AddrPortFrom(netip.MustParseAddr("100.64.0.1"), 443)
+	probe := sc.BuildProbe(dark.Addr())
+	if allocs := testing.AllocsPerRun(100, func() { u.syntheticQUIC(dark, probe) }); allocs != 0 {
+		t.Errorf("a probe of a dark address allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -461,7 +461,14 @@ func (u *Universe) syntheticQUIC(dst netip.AddrPort, payload []byte) [][]byte {
 	if dst.Port() != 443 {
 		return nil
 	}
-	d := u.ByAddr[dst.Addr()]
+	// Almost every probe of a sweep goes to empty space: a clear bit
+	// answers it without hashing the address. IPv6, and IPv4 in its
+	// mapped form, which no deployment has, go to ByAddr.
+	a := dst.Addr()
+	if a.Is4() && !u.zmapV4.has(a) {
+		return nil
+	}
+	d := u.ByAddr[a]
 	if d == nil || !d.ZMapVisible {
 		return nil
 	}

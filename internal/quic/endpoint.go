@@ -325,14 +325,31 @@ func newRxQueue() *rxQueue {
 	return q
 }
 
+// rxQueueCap is how many datagrams a connection may have queued that
+// no executor has taken. A pump drops the next one (queue_full), so a
+// peer that sends faster than its connection's receive work runs holds
+// at most this many hand-off nodes (2 MiB), not an unbounded backlog.
+// It is past one full 1 MiB stream window of 1,350-byte packets (777),
+// and about nine times the deepest queue measured: 117, a bulk transfer
+// in this package's tests while the whole suite ran on 2 vCPUs. The
+// repository benchmark's four workloads reach 8.
+const rxQueueCap = 1024
+
 // handOff queues n, a copy of one of c's datagrams, at the tail of c's
 // FIFO, makes c ready if no executor holds it, and wakes or starts an
 // executor for it. It returns an idle node for the pump's next
-// datagram, nil when the free list is empty.
+// datagram, nil when the free list is empty. When c already has
+// rxQueueCap datagrams queued it drops n instead, counts the drop, and
+// returns n for the next datagram.
 func (e *endpoint) handOff(c *Conn, n *rxNode) (next *rxNode) {
 	q := e.rx
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if c.rxLen >= rxQueueCap {
+		e.drop(dropQueueFull)
+		return n
+	}
+	c.rxLen++
 	if c.rxTail == nil {
 		c.rxHead = n
 	} else {
@@ -378,7 +395,7 @@ func (e *endpoint) execute() {
 		}
 		c := q.popReadyLocked()
 		batch := c.rxHead
-		c.rxHead, c.rxTail = nil, nil
+		c.rxHead, c.rxTail, c.rxLen = nil, nil, 0
 		q.mu.Unlock()
 
 		for n := batch; n != nil; n = n.next {
@@ -431,7 +448,7 @@ func (q *rxQueue) stop() {
 	for q.readyHead != nil {
 		c := q.popReadyLocked()
 		q.putFreeLocked(c.rxHead)
-		c.rxHead, c.rxTail, c.rxBusy = nil, nil, false
+		c.rxHead, c.rxTail, c.rxLen, c.rxBusy = nil, nil, 0, false
 	}
 }
 

@@ -213,6 +213,39 @@ func TestHeldConnBurstRunsInArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestHeldConnQueueIsBounded: while an executor holds a connection, a
+// pump queues at most rxQueueCap of its datagrams and drops the rest,
+// each counted once under queue_full; the queued ones still run once
+// the connection is released.
+func TestHeldConnQueueIsBounded(t *testing.T) {
+	const extra = 5
+	twoExecutors(t)
+	w := newHeldWorld(t)
+	e := &w.tr.endpoint
+	release := hold(t, e, w.a, w.peer, w.to())
+	for i := 0; i < rxQueueCap+extra; i++ {
+		if _, err := w.peer.WriteTo(junkFor(w.a), w.to()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := &w.tr.tally.dropped[dropQueueFull]
+	waitFor(t, "the queue to fill and the rest to drop", func() bool {
+		n, _ := queuedOn(e, w.a, w.peer)
+		return n == rxQueueCap && full.Load() == extra
+	})
+	release()
+	waitFor(t, "the held connection to run its queue", func() bool {
+		n, running := queuedOn(e, w.a, nil)
+		return n == 0 && !running
+	})
+	if got := full.Load(); got != extra {
+		t.Errorf("%d queue_full drops, want %d", got, extra)
+	}
+	if err := w.a.Err(); err != nil {
+		t.Errorf("the held connection died: %v", err)
+	}
+}
+
 // TestCloseStopsExecutors: when Transport.Close or Listener.Close
 // returns, no executor of the endpoint is left, and the nodes queued on
 // a held connection are back on the endpoint's free list with the ones

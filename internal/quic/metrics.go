@@ -81,10 +81,12 @@ var (
 	mListenerDropDrainingInitial = mListenerDrops.With("draining_initial")
 )
 
-// dropReason is why dest delivered a datagram to no connection: it is
-// empty, its long header does not parse, its short header cannot hold a
-// connection ID, or nothing owns its destination (no_route; on a server
-// also anything that cannot start a connection).
+// dropReason is why an endpoint delivered a datagram to no connection:
+// it is empty, its long header does not parse, its short header cannot
+// hold a connection ID, or nothing owns its destination (no_route; on a
+// server also anything that cannot start a connection) — dest's four —
+// or its connection already has rxQueueCap datagrams waiting for an
+// executor (queue_full, handOff's).
 type dropReason int
 
 const (
@@ -92,12 +94,13 @@ const (
 	dropBadHeader
 	dropShortHeader
 	dropNoRoute
+	dropQueueFull
 	numDropReasons
 )
 
 // Each reason's series for a Transport and for a Listener.
 var mDroppedBy, mListenerDropsBy = func() (client, server [numDropReasons]*telemetry.Counter) {
-	for i, name := range [numDropReasons]string{"empty", "bad_header", "short_header", "no_route"} {
+	for i, name := range [numDropReasons]string{"empty", "bad_header", "short_header", "no_route", "queue_full"} {
 		client[i], server[i] = mDropped.With(name), mListenerDrops.With(name)
 	}
 	return client, server

@@ -74,9 +74,10 @@ echo "==> demux under -race, 20 runs"
 # connections, and a Transport closed under dials in set-up (DESIGN.md
 # section 5, Locks). The hand-off from pumps to executors: a held
 # connection stalls no other handshake on its socket, its queued burst
-# runs in arrival order, and Close leaves no executor and no queued node
-# (section 5, One pump per socket, executors per endpoint).
-go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp|TestHeldConnDoesNotStallItsSocket|TestHeldConnBurstRunsInArrivalOrder|TestCloseStopsExecutors)$' ./internal/quic
+# runs in arrival order, it queues at most rxQueueCap datagrams and
+# counts the rest as queue_full, and Close leaves no executor and no
+# queued node (section 5, One pump per socket, executors per endpoint).
+go test -race -count=20 -run '^(TestRouteTableConcurrent|TestListenerCloseRacesConnCloses|TestTransportCloseRacesDialSetUp|TestHeldConnDoesNotStallItsSocket|TestHeldConnBurstRunsInArrivalOrder|TestHeldConnQueueIsBounded|TestCloseStopsExecutors)$' ./internal/quic
 
 echo "==> simnet send path under -race, 20 runs"
 # Senders take no lock of the socket's and read-lock one cell of the

@@ -5,9 +5,11 @@
 #   ./scripts/cpu.sh scan       per scanned target, by the goroutine that ran it
 #
 # sweep runs BenchmarkEngineSweep — the campaign engine through
-# Scanner.SendProbe onto simnet, the repository benchmark's sweep-vn
-# without a universe — under -cpuprofile and prints nanoseconds of CPU
-# per probe by bucket.
+# Scanner.SendProbe onto the simnet of a started seed-9, scale-2048
+# universe, over its allocated /24s and a dark /12, answered by the
+# universe's own synthetic responder: the repository benchmark's
+# sweep-vn with a smaller dark prefix — under -cpuprofile and prints
+# nanoseconds of CPU per probe by bucket.
 #
 # Each sampled stack is charged to one bucket, by the innermost frame
 # that is ours; frames of the runtime, sync and crypto belong to whoever
@@ -29,10 +31,14 @@
 #                    the socket's and the network's locks and their waits
 #   simnet           the rest of WriteBatch, deliver and below; the
 #                    collector's reads
+#   responder        the universe's synthetic responder
+#                    (Universe.syntheticQUIC) and below: what deliver
+#                    pays for a datagram to an address without a socket
 #   campaign walk    runShard, Sweep.AddrAtPosition, context, the Probe hook
 #   collector        CollectResponsesOn and below, up to the socket
 #   runtime/GC       stacks with no frame of ours: scheduler, GC, timers
-#   other            the benchmark's own frames and its set-up
+#   other            the benchmark's own frames and its set-up, the
+#                    universe's Build and Start among them
 #
 # The rows add up to the profile; "benchmark" is the process's CPU time
 # as getrusage saw it, over the same probes, so the last line says how
@@ -111,7 +117,7 @@ END {
 	exit 0
 fi
 
-N=10 # sweeps of 2^20 + 2^8 probes, after the one `go test` runs first
+N=10 # sweeps of the universe's /24s and a /12, after the one `go test` runs first
 
 set -- $(go test -run '^$' -cpu 2 -bench 'EngineSweep$' -benchtime "${N}x" \
 	-cpuprofile "$dir/cpu.prof" -o "$dir/quicscan.test" . |
@@ -123,10 +129,13 @@ go tool pprof -unit=ms -traces "$dir/quicscan.test" "$dir/cpu.prof" 2>/dev/null 
 function flush(    i, f, lock, bucket) {
 	if (depth == 0) return
 	bucket = ""; lock = 0
+	for (i = 0; i < depth; i++)
+		if (stack[i] ~ /^quicscan\/internal\/internet\.(Build|\(\*Universe\)\.Start)/) bucket = "other"
 	for (i = 0; i < depth && bucket == ""; i++) {
 		f = stack[i]
 		if (f ~ /^sync\.\(\*(RW)?Mutex\)/) lock = 1
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.probeSum/) bucket = "ID derivation"
+		else if (f ~ /^quicscan\/internal\/internet\./) bucket = "responder"
 		else if (f ~ /^quicscan\/internal\/simnet\./) bucket = lock ? "simnet locks" : "simnet"
 		else if (f ~ /^quicscan\/internal\/telemetry\./ && f !~ /\.CellIndex$/) bucket = "telemetry"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\.(SendProbe|fill|flush|leaseSendBatch|batchConn|template)/)
@@ -145,7 +154,7 @@ depth > 0 && /^ +[^ ]/ { stack[depth++] = $1 }
 END {
 	flush()
 	printf "%-18s %12s %8s\n", "bucket", "ns/probe", "share"
-	n = split("SendProbe locks|ID derivation|send|telemetry|simnet locks|simnet|campaign walk|collector|runtime/GC|other", order, "|")
+	n = split("SendProbe locks|ID derivation|send|telemetry|simnet locks|simnet|responder|campaign walk|collector|runtime/GC|other", order, "|")
 	for (i = 1; i <= n; i++) total += ms[order[i]]
 	for (i = 1; i <= n; i++)
 		printf "%-18s %12.1f %7.1f%%\n", order[i], ms[order[i]] * 1e6 / probes, 100 * ms[order[i]] / total
