@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/tls"
 	"net"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -15,41 +14,31 @@ import (
 )
 
 // TestPoolAliasingSafety enforces the ownership contract documented in
-// bufpool.go: once a buffer is released to a pool, nothing in the
-// connection may still reference it. The canary is retained CRYPTO
+// bufpool.go: once a receive node is back on its free list, nothing in
+// the connection may still reference it. The canary is retained CRYPTO
 // frame data — the longest-lived thing parsed out of a datagram — and
-// the enforcement is a hostile goroutine that re-leases released
-// buffers and scribbles over them while handshakes are in flight
-// (meaningful under -race, which make check runs).
+// the enforcement is a hostile goroutine that takes idle nodes and
+// scribbles over them while handshakes are in flight (meaningful under
+// -race, which make check runs).
 func TestPoolAliasingSafety(t *testing.T) {
 	t.Run("crypto_canary", testCryptoCanary)
 	t.Run("scribbler_handshakes", testScribblerHandshakes)
 }
 
-// testCryptoCanary pushes CRYPTO data that lives inside a pooled
-// buffer into a cryptoAssembler, releases the buffer, scribbles over
-// it, and asserts the assembler's bytes are unharmed — proving push
-// copied the frame data out of the datagram. The datagram sits in a
-// pump's read buffer, in the hand-off node the pump copies it into, or
-// in a pushing socket's copy; the first two are pooled.
+// testCryptoCanary pushes CRYPTO data that lives inside a receive node
+// into a cryptoAssembler, releases the node, scribbles over it, and
+// asserts the assembler's bytes are unharmed — proving push copied the
+// frame data out of the datagram. The datagram sits in the node a pump
+// read it into, which is pooled, or in a pushing socket's copy.
 func testCryptoCanary(t *testing.T) {
-	t.Run("read_buffer", func(t *testing.T) {
-		cryptoCanary(t, func() ([]byte, func()) {
-			b := leaseReadBuf()
-			return *b, func() { releaseReadBuf(b) }
-		})
-	})
 	t.Run("hand_off_node", func(t *testing.T) {
-		var q rxQueue
+		q := newRxQueue(rxBlockBuf)
 		cryptoCanary(t, func() ([]byte, func()) {
-			q.mu.Lock()
-			n := q.takeFreeLocked()
-			q.mu.Unlock()
-			if n == nil {
-				n = new(rxNode)
-			}
-			n.fill(make([]byte, len(n.buf)), netip.AddrPort{})
-			return n.data, func() { q.release(n) }
+			var batch [1]*rxNode
+			q.lease(batch[:])
+			n := batch[0]
+			n.n = len(n.buf)
+			return n.data(), func() { q.releaseBatch(batch[:]) }
 		})
 	})
 }
@@ -104,11 +93,11 @@ func scribble(b []byte) {
 }
 
 // testScribblerHandshakes runs concurrent handshakes through a shared
-// transport while hostile goroutines continuously lease, scribble, and
-// release read buffers and the transport's idle hand-off nodes. If any
-// read loop, executor, frame parser, or packer still referenced a
-// released buffer, the handshakes would corrupt (or -race would flag
-// the write/write conflict).
+// transport while hostile goroutines continuously take, scribble, and
+// release the transport's idle receive nodes. If any pump, executor,
+// frame parser, or packer still referenced a released node, the
+// handshakes would corrupt (or -race would flag the write/write
+// conflict).
 func testScribblerHandshakes(t *testing.T) {
 	const (
 		poolSize = 2
@@ -142,15 +131,12 @@ func testScribblerHandshakes(t *testing.T) {
 					return
 				default:
 				}
-				bp := leaseReadBuf()
-				scribble(*bp)
-				releaseReadBuf(bp)
 				tr.rx.mu.Lock()
 				n := tr.rx.takeFreeLocked()
 				tr.rx.mu.Unlock()
 				if n != nil {
-					scribble(n.buf[:])
-					tr.rx.release(n)
+					scribble(n.buf)
+					tr.rx.releaseBatch([]*rxNode{n})
 				}
 			}
 		}()
@@ -276,11 +262,11 @@ func TestConnFitsSizeClass(t *testing.T) {
 	}
 }
 
-// TestHandOffNodeFillsItsSizeClass: a hand-off node is allocated as one
-// block, and its buffer takes what the 2,048-byte size class leaves
-// beside the node's other fields.
+// TestHandOffNodeFillsItsSizeClass: a Transport's receive node is
+// allocated as one block, and its buffer takes what the 2,048-byte size
+// class leaves beside the node's other fields.
 func TestHandOffNodeFillsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(rxNode{}); size != rxNodeSize {
-		t.Errorf("rxNode is %d bytes, want %d", size, rxNodeSize)
+	if size := unsafe.Sizeof(rxBlock{}); size != rxNodeSize {
+		t.Errorf("rxBlock is %d bytes, want %d", size, rxNodeSize)
 	}
 }

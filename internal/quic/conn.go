@@ -207,7 +207,7 @@ type Conn struct {
 
 	// Guarded by c.ep.rx.mu, the endpoint's hand-off lock: the datagrams
 	// a pump has queued for this connection that no executor has taken,
-	// oldest first, and how many (at most rxQueueCap); whether an
+	// oldest first, and how many (at most rxQueue.queueCap); whether an
 	// executor holds the connection or it waits in the ready list, so
 	// that one executor runs it at a time; and the connection after it
 	// in that list.

@@ -104,8 +104,10 @@ type pushConn interface {
 // sender's goroutine; every other socket gets a pump, and the pumps
 // share the endpoint's executors. Clients stay on pull even on simnet:
 // a Conn sends under c.mu, so with both ends pushing each side's send
-// would take the other's connection lock.
-func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error {
+// would take the other's connection lock. A pumped endpoint reads into
+// buffers of maxIn + 1 bytes: maxIn is the longest datagram it takes, no
+// less than the largest max_udp_payload_size it advertises.
+func (e *endpoint) start(r *role, srv *Listener, maxIn int, socks ...net.PacketConn) error {
 	e.role, e.srv, e.socks = r, srv, socks
 	if ps, ok := socks[0].(pushConn); ok && srv != nil {
 		// The socket makes one call at a time, so one parse scratch and
@@ -117,7 +119,7 @@ func (e *endpoint) start(r *role, srv *Listener, socks ...net.PacketConn) error 
 			e.route(&hdr, data, from)
 		}, func() { e.Close() })
 	}
-	e.rx = newRxQueue()
+	e.rx = newRxQueue(maxIn + 1)
 	e.readWG.Add(len(socks))
 	for _, pc := range socks {
 		go e.pump(pc)
@@ -157,30 +159,24 @@ func (e *endpoint) Close() error {
 // until the socket fails — a run of maxConsecutiveReadTimeouts read
 // timeouts counts as failure. A failed socket closes its endpoint, as a
 // pushing socket's close does; after Close that is a no-op. The pump
-// runs no connection's receive work: it copies each datagram that has
-// an owner into a hand-off node, queues the node on that connection and
-// goes on to the next datagram (handOff). So the read buffers, leased
-// for the pump's lifetime, are refilled at once: dest is synchronous
-// and retains neither the datagram, nor hdr, nor from (rewritten in
-// place for the next datagram).
+// runs no connection's receive work: a datagram that has an owner is
+// queued on that connection in the node it was read into (handOff),
+// and an idle node takes its place in the batch; the pump goes on to
+// the next datagram. dest is synchronous and retains neither the
+// datagram, nor hdr, nor from (rewritten in place for the next
+// datagram), so every other node is read into again at once.
 func (e *endpoint) pump(pc net.PacketConn) {
 	defer e.Close()
 	defer e.readWG.Done()
+	q := e.rx
 	bc, _ := netbatch.Wrap(pc)
 	var msgs [readBatchSize]netbatch.Message
-	var leased [readBatchSize]*[]byte
-	for i := range msgs {
-		leased[i] = leaseReadBuf()
-		msgs[i].Buf = *leased[i]
+	var batch [readBatchSize]*rxNode
+	q.lease(batch[:])
+	for i, n := range batch {
+		msgs[i].Buf = n.buf
 	}
-	// spare is the node the next datagram is copied into.
-	var spare *rxNode
-	defer func() {
-		for _, b := range leased {
-			releaseReadBuf(b)
-		}
-		e.rx.release(spare)
-	}()
+	defer q.releaseBatch(batch[:])
 	from := &net.UDPAddr{IP: make(net.IP, 0, 16)}
 	var hdr quicwire.Header
 	timeouts := 0
@@ -198,15 +194,18 @@ func (e *endpoint) pump(pc net.PacketConn) {
 		}
 		timeouts = 0
 		for i := 0; i < got; i++ {
-			netbatch.SetUDPAddr(from, msgs[i].Addr)
-			data := msgs[i].Buf[:msgs[i].N]
-			if c := e.dest(&hdr, data, from); c != nil {
-				if spare == nil {
-					spare = new(rxNode)
-				}
-				spare.fill(data, msgs[i].Addr)
-				spare = e.handOff(c, spare)
+			m := &msgs[i]
+			netbatch.SetUDPAddr(from, m.Addr)
+			c := e.dest(&hdr, m.Buf[:m.N], from)
+			if c == nil {
+				continue
 			}
+			n := batch[i]
+			n.n, n.from = m.N, m.Addr
+			if batch[i] = e.handOff(c, n); batch[i] == nil {
+				batch[i] = q.newNode()
+			}
+			m.Buf = batch[i].buf
 		}
 	}
 }
@@ -233,6 +232,13 @@ func (e *endpoint) dest(hdr *quicwire.Header, data []byte, from net.Addr) *Conn 
 	}
 	if len(data) == 0 {
 		e.drop(dropEmpty)
+		return nil
+	}
+	if q := e.rx; q != nil && len(data) == q.size {
+		// It filled a buffer one byte longer than the longest datagram
+		// this endpoint takes: the peer broke max_udp_payload_size, and
+		// what was read is a truncation.
+		e.drop(dropOversize)
 		return nil
 	}
 	// Every connection ID an endpoint issues has the fixed connIDLen, so
@@ -309,43 +315,53 @@ type rxQueue struct {
 	max     int // GOMAXPROCS when the endpoint started
 	closed  bool
 
+	// size is the length of every node's buffer: the longest datagram
+	// the endpoint takes, plus one byte. queueCap is how many a
+	// connection may have queued (rxQueueCap's 2 MiB).
+	size, queueCap int
 	// free is the endpoint's list of idle nodes, nfree long and never
-	// longer than rxNodeKeep.
-	free  *rxNode
-	nfree int
+	// longer than keep.
+	free        *rxNode
+	nfree, keep int
 
 	wg sync.WaitGroup
 }
 
-// newRxQueue makes the hand-off of an endpoint that pumps. It starts no
-// executor: the first datagram routed does.
-func newRxQueue() *rxQueue {
-	q := &rxQueue{max: runtime.GOMAXPROCS(0)}
+// newRxQueue makes the hand-off of an endpoint that pumps, with nodes
+// of size bytes. It starts no executor: the first datagram routed does.
+func newRxQueue(size int) *rxQueue {
+	q := &rxQueue{max: runtime.GOMAXPROCS(0), size: size, queueCap: rxQueueCap, keep: rxNodeKeep}
+	if size > rxBlockBuf {
+		q.queueCap = min(rxQueueCap, rxQueueCap*rxNodeSize/size)
+		q.keep = readBatchSize
+	}
 	q.wake.L = &q.mu
 	return q
 }
 
 // rxQueueCap is how many datagrams a connection may have queued that
-// no executor has taken. A pump drops the next one (queue_full), so a
-// peer that sends faster than its connection's receive work runs holds
-// at most this many hand-off nodes (2 MiB), not an unbounded backlog.
+// no executor has taken, in one-block nodes; an endpoint with larger
+// nodes queues as many as fit in the same 2 MiB (rxQueue.queueCap). A
+// pump drops the next one (queue_full), so a peer that sends faster
+// than its connection's receive work runs holds at most 2 MiB of nodes,
+// not an unbounded backlog.
 // It is past one full 1 MiB stream window of 1,350-byte packets (777),
 // and about nine times the deepest queue measured: 117, a bulk transfer
 // in this package's tests while the whole suite ran on 2 vCPUs. The
 // repository benchmark's four workloads reach 8.
 const rxQueueCap = 1024
 
-// handOff queues n, a copy of one of c's datagrams, at the tail of c's
-// FIFO, makes c ready if no executor holds it, and wakes or starts an
-// executor for it. It returns an idle node for the pump's next
-// datagram, nil when the free list is empty. When c already has
-// rxQueueCap datagrams queued it drops n instead, counts the drop, and
-// returns n for the next datagram.
+// handOff queues n, the node holding one of c's datagrams, at the tail
+// of c's FIFO, makes c ready if no executor holds it, and wakes or
+// starts an executor for it. It returns an idle node for the pump's
+// batch in n's place, nil when the free list is empty. When c already
+// has q.queueCap datagrams queued it drops n's datagram instead, counts
+// the drop, and returns n.
 func (e *endpoint) handOff(c *Conn, n *rxNode) (next *rxNode) {
 	q := e.rx
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if c.rxLen >= rxQueueCap {
+	if int(c.rxLen) >= q.queueCap {
 		e.drop(dropQueueFull)
 		return n
 	}
@@ -400,7 +416,7 @@ func (e *endpoint) execute() {
 
 		for n := batch; n != nil; n = n.next {
 			netbatch.SetUDPAddr(from, n.from)
-			c.handleDatagram(n.data, from)
+			c.handleDatagram(n.data(), from)
 		}
 
 		q.mu.Lock()

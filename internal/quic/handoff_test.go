@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/tls"
 	"net"
-	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -246,6 +245,21 @@ func TestHeldConnQueueIsBounded(t *testing.T) {
 	}
 }
 
+// TestQueueCapIsTwoMiBOfNodes: whatever size its endpoint's nodes are, a
+// connection's hand-off queue holds at most the 2 MiB that rxQueueCap
+// one-block nodes make, and at least a pump's batch.
+func TestQueueCapIsTwoMiBOfNodes(t *testing.T) {
+	for _, size := range []int{1453, rxBlockBuf, rxBlockBuf + 1, 4609, maxUDPPayload + 1} {
+		q := newRxQueue(size)
+		if q.queueCap*size > rxQueueCap*rxNodeSize || q.queueCap < readBatchSize {
+			t.Errorf("%d-byte nodes: a queue of %d (%d KiB)", size, q.queueCap, q.queueCap*size>>10)
+		}
+	}
+	if q := newRxQueue(rxBlockBuf); q.queueCap != rxQueueCap {
+		t.Errorf("one-block nodes: a queue of %d, want rxQueueCap (%d)", q.queueCap, rxQueueCap)
+	}
+}
+
 // TestCloseStopsExecutors: when Transport.Close or Listener.Close
 // returns, no executor of the endpoint is left, and the nodes queued on
 // a held connection are back on the endpoint's free list with the ones
@@ -288,7 +302,7 @@ func TestCloseStopsExecutors(t *testing.T) {
 		if q.readyHead != nil || c.rxHead != nil || c.rxBusy {
 			t.Errorf("datagrams still queued after Close: ready %p, head %p, busy %v", q.readyHead, c.rxHead, c.rxBusy)
 		}
-		if want := min(nodes, rxNodeKeep); q.nfree < want {
+		if want := min(nodes, q.keep); q.nfree < want {
 			t.Errorf("%d nodes on the free list after Close, want %d", q.nfree, want)
 		}
 	}
@@ -314,12 +328,12 @@ func TestCloseStopsExecutors(t *testing.T) {
 		// Datagrams no executor took before the endpoint closed: with
 		// none allowed to start, every one is still queued when stop
 		// runs, and stop alone must hand them back.
-		e := &endpoint{rx: newRxQueue()}
+		e := &endpoint{rx: newRxQueue(rxBlockBuf)}
 		e.rx.max = 0
 		conns := []*Conn{newConn(&Config{}, true), newConn(&Config{}, true)}
 		for i := 0; i < burst; i++ {
-			n := new(rxNode)
-			n.fill(make([]byte, 100), netip.AddrPort{})
+			n := e.rx.newNode()
+			n.n = 100
 			if spare := e.handOff(conns[i%2], n); spare != nil {
 				t.Fatal("handOff returned a node from an empty free list")
 			}

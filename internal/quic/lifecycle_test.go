@@ -138,8 +138,6 @@ func drain(pc net.PacketConn) {
 }
 
 func TestServerConnLifecycle(t *testing.T) {
-	const drainFor = 150 * time.Millisecond
-
 	// established runs a case against a completed handshake: closeIt
 	// gets both ends and triggers the close under test.
 	established := func(mutate func(*Config), policy ServerPolicy, closeIt func(l *Listener, client, server *Conn)) func(*testing.T) *Listener {
@@ -149,7 +147,6 @@ func TestServerConnLifecycle(t *testing.T) {
 				mutate(scfg)
 			}
 			l, addr, conns := listenHanding(t, scfg, policy)
-			l.routes.drainFor.Store(int64(drainFor))
 			client, err := Dial(context.Background(), newUDP(t), addr, clientConfig(pool, "life.test"))
 			if err != nil {
 				t.Fatalf("Dial: %v", err)
@@ -180,7 +177,6 @@ func TestServerConnLifecycle(t *testing.T) {
 			scfg, _ := serverConfig(t, "life.test")
 			mutate(scfg)
 			l, addr := listenBare(t, scfg, ServerPolicy{})
-			l.routes.drainFor.Store(int64(drainFor))
 			raw := newUDP(t)
 			defer raw.Close()
 			if _, err := raw.WriteTo(initial, addr); err != nil {
@@ -220,7 +216,7 @@ func TestServerConnLifecycle(t *testing.T) {
 			if got := l.routes.tombstones(); got == 0 {
 				t.Error("no tombstones right after close: late packets would draw stateless resets")
 			}
-			time.Sleep(drainFor + 20*time.Millisecond)
+			l.routes.advance(drainingPeriod + time.Nanosecond)
 			if got := l.routes.tombstones(); got != 0 {
 				t.Errorf("tombstones after the draining period = %d, want 0", got)
 			}
@@ -237,14 +233,11 @@ func TestListenerStateBounded(t *testing.T) {
 	}
 	scfg, pool := serverConfig(t, "bounded.test")
 	l, addr := listenBare(t, scfg, ServerPolicy{})
-	const drainFor = 100 * time.Millisecond
-	l.routes.drainFor.Store(int64(drainFor))
 	tr, err := NewTransport(newUDP(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.routes.drainFor.Store(int64(drainFor))
 	ccfg := clientConfig(pool, "bounded.test")
 
 	cycle := func(count int) {
@@ -261,7 +254,10 @@ func TestListenerStateBounded(t *testing.T) {
 			}
 		}
 		waitFor(t, "the server connections to retire", func() bool { return l.routes.activeConns() == 0 })
-		time.Sleep(drainFor + 20*time.Millisecond)
+		// The draining period passes on both tables' clocks at once; from
+		// the first cycle on they stand still between these steps.
+		l.routes.advance(drainingPeriod + time.Nanosecond)
+		tr.routes.advance(drainingPeriod + time.Nanosecond)
 		l.routes.tombstones()
 		tr.routes.tombstones()
 	}
@@ -309,8 +305,6 @@ func TestDrainingThenStatelessReset(t *testing.T) {
 	initial := captureInitial(t)
 	scfg, _ := serverConfig(t, "drain.test")
 	l, addr := listenBare(t, scfg, ServerPolicy{})
-	const drainFor = time.Second
-	l.routes.drainFor.Store(int64(drainFor))
 
 	raw := newUDP(t)
 	defer raw.Close()
@@ -342,7 +336,7 @@ func TestDrainingThenStatelessReset(t *testing.T) {
 		t.Errorf("quic_listener_drops_total{reason=draining_initial} moved by %d, want 1", d)
 	}
 
-	time.Sleep(drainFor)
+	l.routes.advance(drainingPeriod + time.Nanosecond)
 	raw.WriteTo(short, addr)
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 2048)

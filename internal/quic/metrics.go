@@ -72,7 +72,7 @@ var (
 	mHandshakeVersionMismatch = mHandshakes.With("version_mismatch")
 	mHandshakeError           = mHandshakes.With("error")
 
-	// The Listener's own drop reasons, beside dest's four (see
+	// The Listener's own drop reasons, beside dest's five (see
 	// dropReason). token: an address validation token failed validation;
 	// short_initial: Initial in a datagram under 1200 bytes; draining_initial: Initial for a
 	// connection ID that is draining.
@@ -82,11 +82,13 @@ var (
 )
 
 // dropReason is why an endpoint delivered a datagram to no connection:
-// it is empty, its long header does not parse, its short header cannot
-// hold a connection ID, or nothing owns its destination (no_route; on a
-// server also anything that cannot start a connection) — dest's four —
-// or its connection already has rxQueueCap datagrams waiting for an
-// executor (queue_full, handOff's).
+// it is empty, it is longer than the largest the endpoint takes
+// (oversize: it filled a pumped endpoint's buffer), its long header
+// does not parse, its short header cannot hold a connection ID, or
+// nothing owns its destination (no_route; on a server also anything
+// that cannot start a connection) — dest's five — or its connection
+// already has rxQueue.queueCap datagrams waiting for an executor
+// (queue_full, handOff's).
 type dropReason int
 
 const (
@@ -95,12 +97,13 @@ const (
 	dropShortHeader
 	dropNoRoute
 	dropQueueFull
+	dropOversize
 	numDropReasons
 )
 
 // Each reason's series for a Transport and for a Listener.
 var mDroppedBy, mListenerDropsBy = func() (client, server [numDropReasons]*telemetry.Counter) {
-	for i, name := range [numDropReasons]string{"empty", "bad_header", "short_header", "no_route", "queue_full"} {
+	for i, name := range [numDropReasons]string{"empty", "bad_header", "short_header", "no_route", "queue_full", "oversize"} {
 		client[i], server[i] = mDropped.With(name), mListenerDrops.With(name)
 	}
 	return client, server

@@ -78,11 +78,27 @@ func (sp *pnSpace) pnLen() int {
 	return max(2, quicwire.PacketNumberLenFor(sp.nextPN, sp.loss.largestAcked))
 }
 
+// maxDatagramLocked is the largest datagram c sends: its
+// MaxDatagramSize, and no more than the peer's max_udp_payload_size
+// (RFC 9000, Section 18.2) once it is known — from the peer's transport
+// parameters, or before they arrive on a resumed client, from the ones
+// remembered with the session (Section 7.4.1).
+func (c *Conn) maxDatagramLocked() int {
+	limit := uint64(c.cfg.MaxDatagramSize)
+	switch {
+	case c.havePeerParams:
+		limit = min(limit, c.peerParams.MaxUDPPayloadSize)
+	case c.haveRemembered:
+		limit = min(limit, c.remembered.MaxUDPPayloadSize)
+	}
+	return int(limit)
+}
+
 // packDatagramLocked appends to datagram (an empty send buffer) one
 // datagram with as many coalesced packets as fit, and returns it; it
 // stays empty when nothing is pending.
 func (c *Conn) packDatagramLocked(datagram []byte) []byte {
-	budget := c.cfg.MaxDatagramSize
+	budget := c.maxDatagramLocked()
 	containsInitial := false
 
 	for idx := spaceInitial; idx <= spaceApp; idx++ {

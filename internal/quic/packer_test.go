@@ -95,9 +95,12 @@ func coalesced(t *testing.T, d []byte) []quicwire.PacketType {
 // datagram; and the coalescings the packer makes all occur.
 func TestCoalescedLengthsCoverDatagram(t *testing.T) {
 	// Past 1,200 + 256 bytes, an Initial padded to 1,200 leaves room for
-	// a Handshake or 0-RTT packet behind it.
+	// a Handshake or 0-RTT packet behind it; each side advertises that
+	// much, so the other may send it.
 	tr, addr, ccfg, sniffs := sniffedWorld(t, func(server, client *Config) {
 		server.MaxDatagramSize, client.MaxDatagramSize = 1500, 1500
+		server.TransportParams, client.TransportParams = DefaultServerParams(), DefaultClientParams()
+		server.TransportParams.MaxUDPPayloadSize, client.TransportParams.MaxUDPPayloadSize = 1500, 1500
 	})
 	ccfg.SessionCache = NewSessionCache(4)
 	conn := dialFull(t, tr, addr, ccfg)
@@ -139,11 +142,18 @@ func TestCoalescedLengthsCoverDatagram(t *testing.T) {
 
 // TestDatagramsLargerThanSendBuffer: a MaxDatagramSize past the pooled
 // send buffer grows that send's buffer onto the heap, and a handshake
-// and a stream transfer work with datagrams that use it.
+// and a stream transfer work with datagrams that use it. Each side
+// advertises the size as its max_udp_payload_size, so that the other
+// may send it: the Listener (pumped, as the sniffing wrapper hides the
+// simnet socket's push) reads into buffers that hold it, and the
+// Transport advertises what its own hold, blockMaxPayload, which
+// is past the send buffer too.
 func TestDatagramsLargerThanSendBuffer(t *testing.T) {
 	const size = 3 * sendBufSize
 	tr, addr, ccfg, sniffs := sniffedWorld(t, func(server, client *Config) {
 		server.MaxDatagramSize, client.MaxDatagramSize = size, size
+		server.TransportParams, client.TransportParams = DefaultServerParams(), DefaultClientParams()
+		server.TransportParams.MaxUDPPayloadSize, client.TransportParams.MaxUDPPayloadSize = size, size
 	})
 	conn := dialFull(t, tr, addr, ccfg)
 	msg := strings.Repeat("large datagrams ", 4096)

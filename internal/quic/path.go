@@ -255,7 +255,7 @@ func (c *Conn) sendPathProbeLocked(p *pathState, pad bool, f quicwire.Frame) boo
 	}
 	// Size budget: the sealed datagram must stay within the
 	// amplification limit on server-unvalidated paths.
-	budget := c.cfg.MaxDatagramSize
+	budget := c.maxDatagramLocked()
 	if !c.isClient && p.status != pathValidated {
 		if allowed := 3*p.bytesIn - p.bytesOut; allowed < budget {
 			budget = allowed

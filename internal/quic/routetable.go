@@ -2,6 +2,7 @@ package quic
 
 import (
 	"errors"
+	"hash/maphash"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -50,12 +51,19 @@ var routeEpoch = time.Now()
 
 func monoNow() time.Duration { return time.Since(routeEpoch) }
 
-// drainEntry records one retired connection ID and when it was parked,
-// queued in retirement order for incremental expiry.
-type drainEntry struct {
-	key cidKey
-	at  time.Duration // on routeEpoch's clock
-}
+// drainSeed keys drainHash. A peer that cannot predict the hash cannot
+// choose connection IDs that collide with a tombstone.
+var drainSeed = maphash.MakeSeed()
+
+// drainHash is the draining set's key for a connection ID: a 64-bit
+// keyed hash, in place of the 21-byte cidKey. Two IDs with one hash
+// share a tombstone, so an ID that was never retired reads as late
+// when its hash meets one of the at most maxDraining (2¹³) tombstones:
+// at most 2¹³ × 2⁻⁶⁴ = 2⁻⁵¹ per datagram that misses the live routes.
+// Such a datagram is absorbed as tail traffic (a late packet, or a
+// draining_initial drop) instead of being dropped, answered or starting
+// a connection.
+func drainHash(id []byte) uint64 { return maphash.Bytes(drainSeed, id) }
 
 // routeTable is the datagram demux state of one endpoint (a Transport's
 // client connections or a Listener's server connections): live routes
@@ -71,31 +79,31 @@ type drainEntry struct {
 // every call of a connection into its endpoint is made. Lock order is
 // c.mu, then mu; mu is never held while calling into a Conn.
 //
-// drainQ keeps the draining keys in retirement order so expiry is an
-// amortized O(1) pop from the front (a periodic full-map sweep goes
-// quadratic under scanner churn: with tens of thousands of short-lived
-// connections per draining period, every sweep scans entries that are
-// almost all too young to remove).
+// The draining set keeps its tombstones in retirement order so expiry
+// is an amortized O(1) pop from the front (a periodic full-map sweep
+// goes quadratic under scanner churn: with tens of thousands of
+// short-lived connections per draining period, every sweep scans
+// entries that are almost all too young to remove).
 type routeTable struct {
-	mu        sync.Mutex
-	conns     map[cidKey]*Conn         // local CID -> connection
-	byAddr    map[netip.AddrPort]*Conn // remote address -> connection (fallback)
-	draining  map[cidKey]time.Duration
-	drainQ    []drainEntry
-	drainHead int
-	active    int
-	closed    bool
+	mu       sync.Mutex
+	conns    map[cidKey]*Conn         // local CID -> connection
+	byAddr   map[netip.AddrPort]*Conn // remote address -> connection (fallback)
+	draining drainSet
+	active   int
+	closed   bool
 
-	// drainFor, when non-zero, overrides drainingPeriod (nanoseconds).
-	// Tests shorten it on a running endpoint; nothing else sets it.
-	drainFor atomic.Int64
+	// clock, when non-zero, is the table's time in place of monoNow.
+	// Tests set it and move it on to expire tombstones without waiting
+	// out drainingPeriod; nothing else does.
+	clock atomic.Int64
 }
 
-func (rt *routeTable) period() time.Duration {
-	if d := rt.drainFor.Load(); d != 0 {
-		return time.Duration(d)
+// now is the table's time: monoNow, unless a test has taken the clock.
+func (rt *routeTable) now() time.Duration {
+	if t := rt.clock.Load(); t != 0 {
+		return time.Duration(t)
 	}
-	return drainingPeriod
+	return monoNow()
 }
 
 // register installs c's primary route under its source ID and, on a
@@ -165,7 +173,7 @@ func (rt *routeTable) addConnID(c *Conn, id []byte) bool {
 // references c afterwards. It reports whether c was still registered,
 // and how many older tombstones the cap evicted to make room.
 func (rt *routeTable) retire(c *Conn) (ok bool, evicted int) {
-	now := monoNow()
+	now := rt.now()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if ok, evicted = rt.parkLocked(c.scid, c, now); !ok {
@@ -192,7 +200,7 @@ func (rt *routeTable) retire(c *Conn) (ok bool, evicted int) {
 func (rt *routeTable) park(c *Conn, id []byte) (evicted int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	_, evicted = rt.parkLocked(id, c, monoNow())
+	_, evicted = rt.parkLocked(id, c, rt.now())
 	return evicted
 }
 
@@ -205,7 +213,7 @@ func (rt *routeTable) parkLocked(id []byte, c *Conn, now time.Duration) (ok bool
 		return false, 0
 	}
 	delete(rt.conns, k)
-	return true, rt.drainLocked(k, now)
+	return true, rt.drainLocked(drainHash(id), now)
 }
 
 // lookup resolves a destination connection ID to its connection. A nil
@@ -221,11 +229,11 @@ func (rt *routeTable) lookup(dstID []byte) (c *Conn, late bool) {
 	c = rt.conns[k]
 	var parkedAt time.Duration
 	if c == nil {
-		parkedAt, late = rt.draining[k]
+		parkedAt, late = rt.draining.get(drainHash(dstID))
 	}
 	rt.mu.Unlock()
 	if late {
-		late = monoNow()-parkedAt <= rt.period()
+		late = rt.now()-parkedAt <= drainingPeriod
 	}
 	return c, late
 }
@@ -269,47 +277,32 @@ func (rt *routeTable) liveConns() []*Conn {
 	return conns
 }
 
-// drainLocked adds a retired CID key to the draining set and pops
+// drainLocked adds a retired ID's hash to the draining set and pops
 // expired entries, returning how many live tombstones the cap evicted.
-func (rt *routeTable) drainLocked(k cidKey, now time.Duration) (evicted int) {
-	if rt.draining == nil {
-		rt.draining = make(map[cidKey]time.Duration)
-	}
-	rt.draining[k] = now
-	rt.drainQ = append(rt.drainQ, drainEntry{key: k, at: now})
+func (rt *routeTable) drainLocked(h uint64, now time.Duration) (evicted int) {
+	rt.draining.push(h, now)
 	return rt.expireDrainingLocked(now)
 }
 
 // expireDrainingLocked pops expired (or over-cap) entries from the
-// front of the retirement-ordered queue. Entries past the cap are
-// evicted early (their late packets count as drops rather than late
-// packets), bounding memory when connections churn faster than the
-// draining period expires them; it returns how many. The queue is
-// compacted whenever its dead prefix is more than half of it, so its
-// backing array follows the table's peak of live tombstones rather than
-// how many it has ever parked. Amortized O(1) per retire.
+// front of the retirement-ordered set. Entries past the cap are evicted
+// early (their late packets count as drops rather than late packets),
+// bounding memory when connections churn faster than the draining
+// period expires them; it returns how many. Amortized O(1) per retire.
 func (rt *routeTable) expireDrainingLocked(now time.Duration) (evicted int) {
-	period := rt.period()
-	for rt.drainHead < len(rt.drainQ) {
-		e := &rt.drainQ[rt.drainHead]
-		expired := now-e.at > period
-		if !expired && len(rt.drainQ)-rt.drainHead <= maxDraining {
+	d := &rt.draining
+	for d.len() > 0 {
+		expired := now-d.oldest().at > drainingPeriod
+		if !expired && d.len() <= maxDraining {
 			break
 		}
-		// A key can reappear in the queue only if the same CID was
-		// retired twice; keep the map entry unless it is this one's.
-		if at, ok := rt.draining[e.key]; ok && at == e.at {
-			delete(rt.draining, e.key)
-			if !expired {
-				evicted++
-			}
+		// A hash can reappear in the set only if the same ID was
+		// retired twice, or two IDs share it; only the newest entry of a
+		// hash is a tombstone to count.
+		if d.pop() && !expired {
+			evicted++
 		}
-		rt.drainHead++
 	}
-	if rt.drainHead > len(rt.drainQ)/2 {
-		n := copy(rt.drainQ, rt.drainQ[rt.drainHead:])
-		rt.drainQ = rt.drainQ[:n]
-		rt.drainHead = 0
-	}
+	d.shrink()
 	return evicted
 }

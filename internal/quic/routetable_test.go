@@ -5,9 +5,11 @@ import (
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,18 +19,26 @@ import (
 	"quicscan/internal/quicwire"
 )
 
-// testKey is the route key of a 4-byte connection ID holding i.
-func testKey(i int) cidKey {
-	k, _ := keyOf(binary.BigEndian.AppendUint32(nil, uint32(i)))
-	return k
+// testHash is the draining key of a 4-byte connection ID holding i.
+func testHash(i int) uint64 {
+	return drainHash(binary.BigEndian.AppendUint32(nil, uint32(i)))
 }
 
 // tombstones expires what is due and counts the rest.
 func (rt *routeTable) tombstones() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.expireDrainingLocked(monoNow())
-	return len(rt.draining)
+	rt.expireDrainingLocked(rt.now())
+	return rt.draining.len()
+}
+
+// advance takes the table's clock, stopping it where monoNow stands if
+// it still runs, and moves it on by d: advance(0) stops it, and
+// advance(drainingPeriod + time.Nanosecond) expires every tombstone
+// parked until then.
+func (rt *routeTable) advance(d time.Duration) {
+	rt.clock.CompareAndSwap(0, int64(monoNow()))
+	rt.clock.Add(int64(d))
 }
 
 // forget drops every route to c without closing it and without leaving
@@ -47,13 +57,23 @@ func (rt *routeTable) forget(c *Conn) {
 // TestDrainingSetExpiry exercises the route table's draining set
 // directly: it is bounded by the hard cap under fast churn, every
 // tombstone the cap pushes out early is counted, entries past the
-// draining period are removed (and not counted), and expiry is driven
-// from the front of the retirement-ordered queue (no full-map sweep).
+// draining period are removed (and not counted), expiry is driven from
+// the front of the retirement-ordered queue (no full-map sweep), and
+// once a burst has expired the set gives back what the burst made it
+// hold.
 func TestDrainingSetExpiry(t *testing.T) {
-	var rt routeTable
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC() // and what sync.Pool victim caches held
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	heap0 := liveHeap()
+	rt := new(routeTable)
 	evicted := 0
 	park := func(i int, at time.Duration) {
-		evicted += rt.drainLocked(testKey(i), at)
+		evicted += rt.drainLocked(testHash(i), at)
 	}
 
 	// Fast churn: 3*maxDraining retirements inside one draining period
@@ -61,35 +81,46 @@ func TestDrainingSetExpiry(t *testing.T) {
 	for i := 0; i < 3*maxDraining; i++ {
 		park(i, time.Duration(i)*time.Microsecond)
 	}
-	if got := len(rt.draining); got != maxDraining {
+	if got := rt.draining.len(); got != maxDraining {
 		t.Errorf("draining set size = %d, want the cap, %d", got, maxDraining)
 	}
-	if _, ok := rt.draining[testKey(2*maxDraining-1)]; ok {
+	if _, ok := rt.draining.get(testHash(2*maxDraining - 1)); ok {
 		t.Error("an entry older than the newest maxDraining survived cap eviction")
 	}
-	if _, ok := rt.draining[testKey(2*maxDraining)]; !ok {
+	if _, ok := rt.draining.get(testHash(2 * maxDraining)); !ok {
 		t.Error("one of the newest maxDraining entries was evicted")
 	}
 	if evicted != 2*maxDraining {
 		t.Errorf("cap evictions reported = %d, want %d", evicted, 2*maxDraining)
 	}
+	burst := liveHeap() - heap0
 
 	// Time-based expiry: everything parked above is older than the
 	// draining period relative to a later retirement.
 	fresh := 3 * maxDraining
 	park(fresh, drainingPeriod+time.Second)
-	if got := len(rt.draining); got != 1 {
+	if got := rt.draining.len(); got != 1 {
 		t.Errorf("draining set size after period elapsed = %d, want 1 (only the fresh entry)", got)
 	}
-	if _, ok := rt.draining[testKey(fresh)]; !ok {
+	if _, ok := rt.draining.get(testHash(fresh)); !ok {
 		t.Error("fresh entry missing after expiry pass")
 	}
 	if evicted != 2*maxDraining {
 		t.Errorf("expiry counted as eviction: %d evictions, want %d", evicted, 2*maxDraining)
 	}
-	if rt.drainHead != 0 || len(rt.drainQ) != 1 {
-		t.Errorf("queue not compacted: head=%d len=%d, want 0/1", rt.drainHead, len(rt.drainQ))
+	if n, c := rt.draining.len(), len(rt.draining.ring); n != 1 || c > drainKeepMin {
+		t.Errorf("set not compacted: %d live in a ring of %d, want 1 in at most %d", n, c, drainKeepMin)
 	}
+	// The burst sized the set for maxDraining tombstones (about 160 KiB);
+	// with one tombstone left, it is made anew for a few.
+	const most = 64 << 10
+	if kept := liveHeap() - heap0; kept > most {
+		t.Errorf("the table keeps %d KB of heap after the burst expired (%d KB at its peak), want at most %d KB",
+			kept>>10, burst>>10, most>>10)
+	} else {
+		t.Logf("table heap: %d KB after the burst, %d KB once it expired", burst>>10, kept>>10)
+	}
+	runtime.KeepAlive(rt)
 }
 
 // TestDrainQueueFollowsLiveTombstones: the draining queue is bounded by
@@ -100,27 +131,94 @@ func TestDrainQueueFollowsLiveTombstones(t *testing.T) {
 	var rt routeTable
 	step := drainingPeriod/4 + 1
 	for i := 0; i < 10000; i++ {
-		if n := rt.drainLocked(testKey(i), time.Duration(i)*step); n != 0 {
+		if n := rt.drainLocked(testHash(i), time.Duration(i)*step); n != 0 {
 			t.Fatalf("park %d: %d cap evictions with at most 4 tombstones live", i, n)
 		}
-		if got := len(rt.draining); got > 4 {
+		if got := rt.draining.len(); got > 4 {
 			t.Fatalf("park %d: %d tombstones in the draining set, want <= 4", i, got)
 		}
 	}
-	if got := cap(rt.drainQ); got > 16 {
-		t.Errorf("drain queue capacity %d after 10,000 parks with <= 4 live, want <= 16", got)
+	if got := len(rt.draining.ring); got > 16 {
+		t.Errorf("draining ring capacity %d after 10,000 parks with <= 4 live, want <= 16", got)
 	}
 }
 
-// TestDrainingStateIsPointerFree: the draining set and its queue hold
+// TestDrainSetIsAMap: the draining set answers as a map from hash to
+// the time of its newest entry would, under pushes and pops that make
+// probe runs collide, wrap the ring, repeat hashes, grow it and shrink
+// it. Hashes are drawn from a small range, so runs are long and entries
+// of one hash meet in the ring.
+func TestDrainSetIsAMap(t *testing.T) {
+	var d drainSet
+	type entry struct {
+		h  uint64
+		at time.Duration
+	}
+	var fifo []entry                     // the model's ring
+	newest := map[uint64]time.Duration{} // the model's index
+	rng := rand.New(rand.NewPCG(1, 2))
+	now := time.Duration(0)
+	for step := 0; step < 200000; step++ {
+		// Phases of growth (7 pushes in 10) and of decline (3 in 10).
+		pushes := 3
+		if (step/5000)%2 == 0 {
+			pushes = 7
+		}
+		if len(fifo) == 0 || rng.IntN(10) < pushes {
+			now++
+			h := rng.Uint64N(512) << 20 // low bits zero: every one homes to slot 0
+			if rng.IntN(4) == 0 {
+				h = rng.Uint64N(64) // small values: long runs at the bottom of the index
+			}
+			d.push(h, now)
+			fifo = append(fifo, entry{h, now})
+			newest[h] = now
+		} else {
+			if got := d.oldest(); got.h != fifo[0].h || got.at != fifo[0].at {
+				t.Fatalf("step %d: oldest %+v, want %+v", step, got, fifo[0])
+			}
+			e := fifo[0]
+			fifo = fifo[1:]
+			wantLast := newest[e.h] == e.at
+			if wantLast {
+				delete(newest, e.h)
+			}
+			if last := d.pop(); last != wantLast {
+				t.Fatalf("step %d: pop of %x reported last=%v, want %v", step, e.h, last, wantLast)
+			}
+			d.shrink()
+		}
+		if d.len() != len(fifo) {
+			t.Fatalf("step %d: %d live, want %d", step, d.len(), len(fifo))
+		}
+		if step%97 == 0 {
+			for h, at := range newest {
+				if got, ok := d.get(h); !ok || got != at {
+					t.Fatalf("step %d: get(%x) = %v, %v; want %v", step, h, got, ok, at)
+				}
+			}
+			if _, ok := d.get(1 << 40); ok {
+				t.Fatalf("step %d: a hash never pushed is in the set", step)
+			}
+		}
+		if c := len(d.ring); c > drainKeepMin && d.len() < c/4 {
+			t.Fatalf("step %d: %d live in a ring of %d after shrink", step, d.len(), c)
+		}
+	}
+}
+
+// TestDrainingStateIsPointerFree: the draining set's ring and index hold
 // nothing the collector has to scan. A string key or a time.Time (whose
 // *Location is a pointer) coming back would fail here.
 func TestDrainingStateIsPointerFree(t *testing.T) {
-	var rt routeTable
-	draining := reflect.TypeOf(rt.draining)
-	for _, typ := range []reflect.Type{draining.Key(), draining.Elem(), reflect.TypeOf(drainEntry{})} {
+	set := reflect.TypeOf(drainSet{})
+	for i := 0; i < set.NumField(); i++ {
+		typ := set.Field(i).Type
+		if typ.Kind() == reflect.Slice { // the arrays the collector would scan
+			typ = typ.Elem()
+		}
 		if path := pointerPath(typ); path != "" {
-			t.Errorf("%v holds a pointer: %s", typ, path)
+			t.Errorf("drainSet.%s: %v holds a pointer: %s", set.Field(i).Name, typ, path)
 		}
 	}
 }
@@ -153,7 +251,7 @@ func pointerPath(typ reflect.Type) string {
 // lock.
 func TestRouteTableConcurrent(t *testing.T) {
 	var rt routeTable
-	rt.drainFor.Store(int64(time.Hour)) // nothing expires: evictions are exact
+	rt.advance(0) // the clock stands still: nothing expires, evictions are exact
 	const workers, perWorker = 8, 600
 	var evicted atomic.Int64
 	var wg sync.WaitGroup

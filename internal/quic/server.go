@@ -102,7 +102,8 @@ func Listen(pconn net.PacketConn, config *Config, policy ServerPolicy, serve fun
 		tlsBase: base,
 		serve:   serve,
 	}
-	if err := l.start(&serverRole, l, pconn); err != nil {
+	maxIn := max(int(min(cfg.TransportParams.MaxUDPPayloadSize, maxUDPPayload)), blockMaxPayload)
+	if err := l.start(&serverRole, l, maxIn, pconn); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -294,6 +295,11 @@ func (l *Listener) newServerConn(hdr *quicwire.Header, from net.Addr, retryODCID
 	// closeLocked and thereby retire: no route outlives its connection.
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// A fresh source ID collides with a live one with probability 2^-64.
+	// The client's ID reaches here only when its hash matches no
+	// tombstone's: an ID that was never retired matches one with
+	// probability at most 2^-51 (drainHash), and its Initial is then
+	// dropped in miss as draining_initial.
 	if l.register(c) != nil {
 		return nil // listener closed (or a 2^-64 ID collision)
 	}

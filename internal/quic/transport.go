@@ -74,7 +74,7 @@ func NewTransport(pconns ...net.PacketConn) (*Transport, error) {
 	}
 	t := &Transport{endpoint{tally: new(tally)}}
 	t.detach = telemetry.Default().Attach(t.readCounts)
-	t.start(&clientRole, nil, pconns...) // pulls, so it cannot fail
+	t.start(&clientRole, nil, blockMaxPayload, pconns...) // pulls, so it cannot fail
 	return t, nil
 }
 
@@ -143,6 +143,11 @@ func (t *Transport) DialEarly(ctx context.Context, remote net.Addr, config *Conf
 
 func (t *Transport) dial(ctx context.Context, remote net.Addr, config *Config, early bool) (*Conn, error) {
 	cfg := config.clone()
+	// The pumps read into one-block nodes: a peer is never told it may
+	// send a datagram longer than they hold.
+	if cfg.TransportParams.MaxUDPPayloadSize > blockMaxPayload {
+		cfg.TransportParams.MaxUDPPayloadSize = blockMaxPayload
+	}
 	// One handshake deadline for the dial, VN retry included. It is the
 	// connection's own (its timer enforces it) rather than a derived
 	// context, which would cost several allocations per dial. The

@@ -246,9 +246,8 @@ func TestTransportDropReasons(t *testing.T) {
 			// A client answers nothing, so the fifth is tail traffic of a
 			// connection that has just closed: a late packet.
 			id := quicwire.ConnID{7, 7, 7, 7, 7, 7, 7, 7}
-			k, _ := keyOf(id)
 			tr.routes.mu.Lock()
-			tr.routes.drainLocked(k, monoNow())
+			tr.routes.drainLocked(drainHash(id), tr.routes.now())
 			tr.routes.mu.Unlock()
 			if _, err := peer.WriteTo(append(append([]byte{0x40}, id...), make([]byte, 24)...), at); err != nil {
 				t.Fatal(err)

@@ -53,7 +53,9 @@ func TestProbeIDsArePermutationOfAddress(t *testing.T) {
 
 // TestCollectorRejectsNearMisses: a response must echo both IDs of the
 // address it comes from, bit for bit. One flipped bit in either, or the
-// neighbouring address's valid answer, is rejected and counted.
+// neighbouring address's valid answer, is rejected and counted; so is a
+// valid answer longer than the collector's buffer, which it reads
+// truncated.
 func TestCollectorRejectsNearMisses(t *testing.T) {
 	n := simnet.New(simnet.Config{})
 	defer n.Close()
@@ -63,12 +65,15 @@ func TestCollectorRejectsNearMisses(t *testing.T) {
 	}
 	s := &Scanner{Conn: pc}
 	addr, neighbour := netip.MustParseAddr("203.0.113.8"), netip.MustParseAddr("203.0.113.9")
-	answer := func(from netip.Addr, flipDst, flipSrc byte) []byte {
+	answerWith := func(from netip.Addr, flipDst, flipSrc byte, versions []quicwire.Version) []byte {
 		dcid, scid := s.probeIDs(from)
 		dst, src := append(quicwire.ConnID(nil), scid...), append(quicwire.ConnID(nil), dcid...)
 		dst[3] ^= flipDst
 		src[5] ^= flipSrc
-		return quicwire.AppendVersionNegotiation(nil, dst, src, 0x2a, []quicwire.Version{quicwire.Version1})
+		return quicwire.AppendVersionNegotiation(nil, dst, src, 0x2a, versions)
+	}
+	answer := func(from netip.Addr, flipDst, flipSrc byte) []byte {
+		return answerWith(from, flipDst, flipSrc, []quicwire.Version{quicwire.Version1})
 	}
 	bad := [][]byte{answer(addr, 0x10, 0), answer(addr, 0, 0x01), answer(neighbour, 0, 0)}
 	for i, pkt := range bad {
@@ -76,8 +81,14 @@ func TestCollectorRejectsNearMisses(t *testing.T) {
 			t.Errorf("near miss %d validates", i)
 		}
 	}
+	long := answerWith(addr, 0, 0, make([]quicwire.Version, recvBufSize/4))
+	if _, ok := s.ValidateResponse(addr, long); !ok || len(long) <= recvBufSize {
+		t.Fatalf("the %d-byte answer does not validate whole, or fits a %d-byte buffer", len(long), recvBufSize)
+	}
+	bad = append(bad, long)
 
-	// Through the collector: the three near misses, then the real answer.
+	// Through the collector: the three near misses and the long answer,
+	// then the real answer.
 	peer, err := n.ListenUDP(netip.AddrPortFrom(addr, 443))
 	if err != nil {
 		t.Fatal(err)

@@ -52,14 +52,18 @@ var (
 	mBatchFallback = telemetry.Default().Counter("zmapquic_batch_fallback_total")
 )
 
-// recvBufPool recycles the response collection buffers across scan
-// passes.
-var recvBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 65536)
-		return &b
-	},
-}
+// recvBufSize is the size of a response buffer, past an Ethernet
+// MTU's payload. A Version Negotiation answer to a probe is a few dozen
+// bytes; a datagram that fills the buffer may have been cut to fit, and
+// is counted invalid rather than validated truncated.
+const recvBufSize = 2048
+
+// recvBatchPool recycles the collectors' buffers across
+// CollectResponsesOn calls: one batch of recvBatchSize buffers (64 KiB)
+// per collector running.
+var recvBatchPool = sync.Pool{New: newRecvBatch}
+
+func newRecvBatch() any { return new([recvBatchSize][recvBufSize]byte) }
 
 // ProbeSize is the padded probe size: the 1200-byte minimum Initial
 // datagram (RFC 9000, Section 14.1).
@@ -415,16 +419,11 @@ func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, f
 	// sets, or a close) ends the loop.
 	bc, _ := netbatch.Wrap(conn)
 	var msgs [recvBatchSize]netbatch.Message
-	var leased [recvBatchSize]*[]byte
+	bufs := recvBatchPool.Get().(*[recvBatchSize][recvBufSize]byte)
+	defer recvBatchPool.Put(bufs)
 	for i := range msgs {
-		leased[i] = recvBufPool.Get().(*[]byte)
-		msgs[i].Buf = *leased[i]
+		msgs[i].Buf = bufs[i][:]
 	}
-	defer func() {
-		for i := range leased {
-			recvBufPool.Put(leased[i])
-		}
-	}()
 	for {
 		got, err := bc.ReadBatch(msgs[:])
 		if err != nil {
@@ -439,7 +438,7 @@ func (s *Scanner) CollectResponsesOn(ctx context.Context, conn net.PacketConn, f
 				s.Capture.WriteUDP(time.Now(), netip.AddrPortFrom(addr, m.Addr.Port()), s.localAddrPort(addr), pkt)
 			}
 			versions, ok := s.ValidateResponse(addr, pkt)
-			if !ok {
+			if !ok || m.N == recvBufSize { // a full buffer may hold a truncation
 				nInvalid.Add(1)
 				continue
 			}

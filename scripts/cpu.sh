@@ -12,8 +12,10 @@
 # nanoseconds of CPU per probe by bucket.
 #
 # Each sampled stack is charged to one bucket, by the innermost frame
-# that is ours; frames of the runtime, sync and crypto belong to whoever
-# called them:
+# that is ours; frames of the runtime, sync, crypto and quicwire (the
+# packet codec every layer calls) belong to whoever called them, so a
+# hit's Version Negotiation build is the responder's and its parse the
+# collector's:
 #
 #   SendProbe locks  a stack that passes through sync.(*Mutex) or
 #                    sync.(*RWMutex) (and, below it, runtime.procyield, the
@@ -142,7 +144,7 @@ function flush(    i, f, lock, bucket) {
 			bucket = lock ? "SendProbe locks" : "send"
 		else if (f ~ /zmapquic\.\(\*Scanner\)\./) bucket = "collector"
 		else if (f ~ /^quicscan\/internal\/campaign\.|zmapquic\.\(\*Sweep\)|zmapquic\.\(\*Limiter\)|\.ProbeWith\.|^context\./) bucket = "campaign walk"
-		else if (f ~ /^quicscan/) bucket = "other"
+		else if (f ~ /^quicscan/ && f !~ /^quicscan\/internal\/quicwire\./) bucket = "other"
 	}
 	if (bucket == "") bucket = "runtime/GC"
 	ms[bucket] += value

@@ -24,6 +24,9 @@
 #                  attachDomains, addDomain, buildSourceLists, markSource)
 #   listeners      the started QUIC servers (internet's startQUICServer,
 #                  quic.Listen and the Listener, the h3 servers)
+#   read buffers   the receive nodes of quic's pumped endpoints
+#                  (rxQueue.newNode) and the collectors' response buffers
+#                  (zmapquic's newRecvBatch)
 #   rest           everything else
 #
 # -memprofilerate 4096 samples an allocation of n bytes with probability
@@ -55,6 +58,7 @@ function flush(    i, f, owner, site, bucket) {
 			if (f ~ /^quicscan\/internal\/quic\.\(\*routeTable\)/) bucket = "route table"
 			else if (f ~ /^quicscan\/internal\/(internet\.\(\*builder\)\.buildZone|dnsserver\.(NewZone|\(\*Zone\)))/) bucket = "zone"
 			else if (f ~ /^quicscan\/internal\/internet\.\(\*builder\)\.(buildDomains|attachDomains|addDomain|buildSourceLists|markSource)/) bucket = "domains"
+			else if (f ~ /^quicscan\/internal\/(quic\.\(\*rxQueue\)\.newNode|zmapquic\.newRecvBatch)$/) bucket = "read buffers"
 			else if (f ~ /^quicscan\/internal\/(internet\.\(\*Universe\)\.startQUICServer|quic\.Listen$|quic\.\(\*Listener\)|h3\.\(\*Server\))/) bucket = "listeners"
 		}
 		if (owner == "other" && f ~ /^quicscan\/internal\//) {
@@ -85,6 +89,6 @@ END {
 	table("by owning package", pkg)
 	table("by allocation site (top 20)", at)
 	printf "\n%-58s %8s\n", "by what it belongs to", "MB"
-	split("route table|zone|domains|listeners|rest", order, "|")
-	for (i = 1; i <= 5; i++) printf "%-58s %8.2f\n", order[i], mb(by[order[i]])
+	split("route table|zone|domains|listeners|read buffers|rest", order, "|")
+	for (i = 1; i <= 6; i++) printf "%-58s %8.2f\n", order[i], mb(by[order[i]])
 }'
